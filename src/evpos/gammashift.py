@@ -186,10 +186,6 @@ class GridFunction:
     def min_value(self) -> float:
         return float(np.min(self.samples))
 
-    def support_front(self) -> float:
-        """Left edge of the lowest possibly-nonzero cell (x_max if zero)."""
-        return self.grid.left_edge(self.support_lo)
-
     def assert_support_sound(self):
         assert not self.samples[: self.support_lo].any(), "support floor violated"
 
@@ -401,11 +397,4 @@ class GammaShiftProvider(SemigroupProvider):
             "t": float(t),
             "weight_sum": float(np.sum(weights)),
             "window_deficit": deficit,
-        }
-
-    def describe(self) -> dict:
-        return {
-            "kind": "GammaShiftProvider",
-            "envelope": {"M": 1.0, "omega": 0.0},
-            "grid": {"x_min": self.grid.x_min, "h": self.grid.h, "count": self.grid.count},
         }

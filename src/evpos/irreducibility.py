@@ -88,13 +88,9 @@ def sign_pattern_adjacency(A, threshold: float = 0.0):
     so an invariant coordinate set must be closed under out-edges.
     """
     A = as_matrix(A)
-    n = A.shape[0]
-    adj = [[] for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            if i != j and abs(A[i, j]) > threshold:
-                adj[j].append(i)
-    return adj
+    edge = np.abs(A) > threshold
+    np.fill_diagonal(edge, False)
+    return [np.flatnonzero(col).tolist() for col in edge.T]
 
 
 def near_threshold_entries(A, threshold: float, decade: float = 10.0):
@@ -104,16 +100,10 @@ def near_threshold_entries(A, threshold: float, decade: float = 10.0):
     fragile; reports list them so a borderline classification is visible.
     """
     A = as_matrix(A)
-    n = A.shape[0]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            mag = abs(A[i, j])
-            if mag > 0.0 and threshold / decade <= mag <= threshold * decade:
-                out.append((i, j, float(A[i, j])))
-    return tuple(out)
+    mag = np.abs(A)
+    near = (mag > 0.0) & (threshold / decade <= mag) & (mag <= threshold * decade)
+    np.fill_diagonal(near, False)
+    return tuple((int(i), int(j), float(A[i, j])) for i, j in np.argwhere(near))
 
 
 def tarjan_scc(adj):
@@ -162,6 +152,26 @@ def tarjan_scc(adj):
                         break
                 comps.append(sorted(comp))
     return comps
+
+
+def _condensation(adj):
+    """Strong components of `adj` and their out-neighbour bitmasks.
+
+    out_mask[c] has bit d set iff an edge leaves component c into component
+    d != c, so a sink component is one with out_mask 0.
+    """
+    comps = tarjan_scc(adj)
+    comp_of = [0] * len(adj)
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    out_mask = [0] * len(comps)
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            for w in adj[v]:
+                if comp_of[w] != ci:
+                    out_mask[ci] |= 1 << comp_of[w]
+    return comps, out_mask
 
 
 def reachable_from(adj, starts):
@@ -222,23 +232,12 @@ def _enumerate_brute(A, tol: float):
 
 def _enumerate_graph(A, tol: float):
     n = A.shape[0]
-    adj = sign_pattern_adjacency(A, tol)
-    comps = tarjan_scc(adj)
+    comps, out_mask = _condensation(sign_pattern_adjacency(A, tol))
     k = len(comps)
     if k > 20:
         raise DimensionTooLarge(
             f"{k} strongly connected components; closed-set enumeration capped at 20"
         )
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    out_mask = [0] * k
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            for w in adj[v]:
-                if comp_of[w] != ci:
-                    out_mask[ci] |= 1 << comp_of[w]
     found = []
     for bits in range(1 << k):
         closure = 0
@@ -313,9 +312,6 @@ class ConditionsTable:
             if e.key == key:
                 return e
         raise KeyError(key)
-
-    def all_hold(self) -> bool:
-        return all(e.status == "holds" for e in self.entries)
 
 
 def _support_indices(v) -> set:
@@ -572,19 +568,6 @@ class IrreducibilityReport:
     notes: str = ""
 
 
-def _sink_component_witness(A, comps, adj, n) -> IdealMask:
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    sinks = []
-    for ci, comp in enumerate(comps):
-        if all(comp_of[w] == ci for v in comp for w in adj[v]):
-            sinks.append(comp)
-    chosen = min(sinks, key=lambda comp: comp[0])
-    return IdealMask.of(chosen, n)
-
-
 def classify(
     provider=None,
     A=None,
@@ -594,38 +577,44 @@ def classify(
 ) -> IrreducibilityReport:
     """Classify a semigroup as persistently irreducible / irreducible / reducible.
 
-    Matrix generators are decided exactly by strong connectivity of the
-    thresholded entry digraph; for them irreducibility and persistent
-    irreducibility coincide.  Function-space carriers are assessed from
-    sampled duality conditions: a nilpotent family can never be
-    persistently irreducible (in dimension > 1), and exact pairing
-    witnesses can still certify plain irreducibility; everything else is
-    grid-limited evidence, recorded as such in evidence_mode.
+    Matrix generators (`A` given, or a MatrixSemigroup provider) are decided
+    exactly from the strong components of the thresholded entry digraph; the
+    reducible witness is the sink component holding the smallest index.  No
+    semigroup is built and nothing is sampled, so `conditions` is None.
+    Each pairing t -> <e_j, e^{tA} e_i> is real-analytic, hence either
+    identically zero or nonzero at all but isolated t: the three weak
+    conditions coincide pair by pair, irreducibility and persistent
+    irreducibility coincide, and `diagram_consistent` is True.
+
+    Function-space carriers are assessed from the sampled duality table of
+    weak_conditions_test (which also serves the tests as an oracle for the
+    matrix route); `grid` and `t0_list` apply to them only.  A nilpotent
+    family can never be persistently irreducible (in dimension > 1), and
+    exact pairing witnesses can still certify plain irreducibility;
+    everything else is grid-limited evidence, recorded as such in
+    evidence_mode.
     """
     if A is None and isinstance(provider, MatrixSemigroup):
         A = provider.A
     if A is not None:
         A = as_matrix(A)
-        if provider is None:
-            provider = MatrixSemigroup(A)
         thr = structural_threshold(A, tol)
-        adj = sign_pattern_adjacency(A, thr)
-        comps = tarjan_scc(adj)
+        comps, out_mask = _condensation(sign_pattern_adjacency(A, thr))
         near = near_threshold_entries(A, thr)
-        table = weak_conditions_test(provider, t0_list=t0_list, grid=grid, tol=tol)
         if len(comps) == 1:
             return IrreducibilityReport(
                 classification=PERSISTENTLY_IRREDUCIBLE,
                 witness_ideal=None,
                 witness_onset=None,
-                conditions=table,
-                diagram_consistent=table.diagram_consistent,
+                conditions=None,
+                diagram_consistent=True,
                 evidence_mode="certified",
                 near_threshold=near,
                 notes="entry digraph strongly connected; matrix semigroups are "
                 "analytic, so irreducible and persistently irreducible coincide",
             )
-        witness = _sink_component_witness(A, comps, adj, A.shape[0])
+        sink = min(comp for comp, out in zip(comps, out_mask) if out == 0)
+        witness = IdealMask.of(sink, A.shape[0])
         if not ideal_invariant_under_generator(A, witness, thr):
             raise ConsistencyViolation(
                 "sink-component witness failed re-verification",
@@ -635,8 +624,8 @@ def classify(
             classification=REDUCIBLE,
             witness_ideal=witness,
             witness_onset=0.0,
-            conditions=table,
-            diagram_consistent=table.diagram_consistent,
+            conditions=None,
+            diagram_consistent=True,
             evidence_mode="certified",
             near_threshold=near,
             notes="witness ideal is invariant for every t >= 0",

@@ -1162,18 +1162,6 @@ class CoupledProvider(SemigroupProvider):
         idx = np.unravel_index(int(np.argmin(dense)), dense.shape)
         return float(dense[idx]), (int(idx[0]), int(idx[1])), False
 
-    def describe(self) -> dict:
-        return {
-            "kind": "CoupledProvider",
-            "envelope": {"M": self.envelope[0], "omega": self.envelope[1]},
-            "dim": self.carrier_dim,
-            "lattice_h": self.lattice_h,
-            "blocks": {
-                "b12_norm": float(self.system.b12.norm_bound),
-                "b21_norm": float(self.system.b21.norm_bound),
-            },
-        }
-
 
 def couple(
     system: CoupledSystem,

@@ -212,13 +212,6 @@ class SemigroupProvider:
         """(min entry of T(t) in its natural basis, witness index, exact?)."""
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        return {
-            "kind": type(self).__name__,
-            "envelope": {"M": self.envelope[0], "omega": self.envelope[1]},
-            "dim": self.carrier_dim,
-        }
-
 
 def default_envelope(A, safety: float = 1.1, check_times=None) -> tuple:
     """Growth pair (M, omega) for e^{tA}.
@@ -312,11 +305,6 @@ class MatrixSemigroup(SemigroupProvider):
         m = self.matrix(t)
         idx = np.unravel_index(int(np.argmin(m)), m.shape)
         return float(m[idx]), (int(idx[0]), int(idx[1])), True
-
-    def describe(self) -> dict:
-        d = super().describe()
-        d["metzler"] = self.is_metzler()
-        return d
 
 
 def orbit(provider, f, grid: TimeGrid):

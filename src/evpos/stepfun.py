@@ -412,11 +412,3 @@ class ShiftStepProvider(SemigroupProvider):
             idx = np.unravel_index(int(np.argmin(M)), M.shape)
             return float(M[idx]), (int(idx[0]), int(idx[1])), True
         return 0.0, None, True
-
-    def describe(self) -> dict:
-        return {
-            "kind": "ShiftStepProvider",
-            "envelope": {"M": 1.0, "omega": 0.0},
-            "depth": self.depth,
-            "nilpotent_time": 1.0,
-        }

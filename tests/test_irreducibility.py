@@ -81,6 +81,23 @@ class TestGraphPrimitives:
         adj = sign_pattern_adjacency(np.triu(np.ones((3, 3)), k=1))
         assert sorted(tarjan_scc(adj)) == [[0], [1], [2]]
 
+    def test_vectorised_pattern_matches_loop_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            A = random_pattern(rng)
+            n = A.shape[0]
+            A[rng.random((n, n)) < 0.2] = 1e-9
+            thr = structural_threshold(A, 1e-9)
+            adj = [[i for i in range(n) if i != j and abs(A[i, j]) > thr] for j in range(n)]
+            near = tuple(
+                (i, j, float(A[i, j]))
+                for i in range(n)
+                for j in range(n)
+                if i != j and A[i, j] != 0.0 and thr / 10.0 <= abs(A[i, j]) <= thr * 10.0
+            )
+            assert sign_pattern_adjacency(A, thr) == adj
+            assert near_threshold_entries(A, thr) == near
+
     def test_threshold_scales_with_matrix(self):
         A = np.array([[0.0, 1e-9], [1.0, 0.0]])
         thr = structural_threshold(A, 1e-9)
@@ -118,6 +135,36 @@ class TestClassify:
     def test_tiny_entries_below_threshold_read_as_zero(self):
         rep = classify(A=np.array([[0.0, 1e-12], [1.0, 0.0]]), tol=1e-9)
         assert rep.classification == REDUCIBLE
+
+    def test_large_metzler_matrix_decided_without_sampling(self):
+        # e^{20 A} overflows here, so any sampled route would fail
+        rep = classify(A=np.array([[40.0, 1.0], [1.0, 40.0]]))
+        assert rep.classification == PERSISTENTLY_IRREDUCIBLE
+        assert rep.evidence_mode == "certified"
+        assert rep.conditions is None
+
+    def test_digraph_route_agrees_with_sampled_table(self):
+        # random_pattern draws Metzler matrices, for which a nonvanishing
+        # pairing <e_j, e^{tA} e_i> is the same as j reachable from i.  The
+        # table compares raw samples with an absolute tolerance, so rounding
+        # in a growing flow reads as a witness; it therefore samples the
+        # flow of A - s(A) I, which has the same entry digraph and the same
+        # vanishing pairings.
+        rng = np.random.default_rng(808)
+        for _ in range(40):
+            A = random_pattern(rng)
+            rep = classify(A=A)
+            s = float(np.max(np.linalg.eigvals(A).real))
+            table = weak_conditions_test(MatrixSemigroup(A - s * np.eye(A.shape[0])))
+            statuses = {e.key: e.status for e in table.entries}
+            both_hold = statuses["some-time"] == statuses["large-times"] == "holds"
+            assert (rep.classification == PERSISTENTLY_IRREDUCIBLE) == both_hold
+            if rep.classification == REDUCIBLE:
+                inside = set(rep.witness_ideal.sorted_members())
+                for entry in table.entries:
+                    for f_label, phi_label, *_ in entry.witnesses:
+                        i, j = int(f_label[1:]), int(phi_label[3:])
+                        assert not (i in inside and j not in inside)
 
     def test_same_verdict_from_provider_or_matrix(self):
         A = demo_generator()
