@@ -36,11 +36,14 @@ from .lattice import IdealMask
 from .perturbation import DysonPhillipsConfig, ProductVector
 from .positivity import certify_eventual_strong_positivity
 from .presets import PRESETS, coupled_demo_system
-from .semigroup import MatrixSemigroup, demo_generator, expm
+from .semigroup import MatrixSemigroup, TimeGrid, demo_generator, expm
 from .spectral import dominant_projection
 from .stepfun import pairing
 
 MAX_MATRIX_DIM = 400
+# The grid is only sampled when no certificate applies, but its points
+# are allocated up front; the cap keeps a typo from exhausting memory.
+MAX_GRID_POINTS = 4096
 
 TIMESERIES_QUANTITIES = ("orbit", "pairing", "rescaled-distance", "support-front")
 
@@ -160,15 +163,23 @@ def _effective_settings(doc: dict, args) -> dict:
     """Flag > document > default, echoed verbatim in the report."""
     tols = doc.get("tolerances", {})
     grid = doc.get("grid", {})
-    tol = args.tol if args.tol is not None else float(tols.get("tol", 1e-9))
-    points = (
-        args.grid_points
-        if args.grid_points is not None
-        else int(grid.get("points", 256))
-    )
-    t_max = args.t_max if args.t_max is not None else float(grid.get("t_max", 20.0))
-    if tol <= 0 or points < 2 or t_max <= 0:
-        raise InputError("tolerance, grid points and t_max must be positive")
+    try:
+        tol = args.tol if args.tol is not None else float(tols.get("tol", 1e-9))
+        points = (
+            args.grid_points
+            if args.grid_points is not None
+            else int(grid.get("points", 256))
+        )
+        t_max = args.t_max if args.t_max is not None else float(grid.get("t_max", 20.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"tolerance and grid settings must be numbers: {exc}") from exc
+    if not tol > 0 or points < 2:
+        raise InputError("tolerance must be positive and grid points at least 2")
+    if points > MAX_GRID_POINTS:
+        raise InputError(f"grid points {points} exceed the cap {MAX_GRID_POINTS}")
+    if not 1e-3 < t_max < math.inf:
+        # the sampled grid is log-spaced from t = 1e-3
+        raise InputError(f"t_max must be finite and exceed 1e-3, got {t_max:g}")
     return {"tol": tol, "grid_points": points, "t_max": t_max}
 
 
@@ -183,7 +194,8 @@ def cmd_analyze(args) -> int:
     timings = {}
 
     tic = time.perf_counter()
-    cert, verdict = certify_eventual_strong_positivity(A, tol=settings["tol"])
+    grid = TimeGrid.logspace(t_max=settings["t_max"], n=settings["grid_points"])
+    cert, verdict = certify_eventual_strong_positivity(A, grid=grid, tol=settings["tol"])
     timings["positivity_s"] = time.perf_counter() - tic
 
     tic = time.perf_counter()

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .gammashift import GridFunction
 from .lattice import as_matrix, as_vector
-from .semigroup import MatrixSemigroup, TimeGrid, default_envelope, expm
+from .semigroup import MatrixSemigroup, TimeGrid, expm
 from .stepfun import PiecewiseConstantFn
 
 __all__ = [
@@ -143,8 +143,15 @@ def spectral_certificate(
     that looks real and simple.
     """
     A = as_matrix(A)
-    n = A.shape[0]
     evals, evecs = np.linalg.eig(A)
+    return _certificate_from_eig(A, evals, evecs, gap_margin, residual_tol)
+
+
+def _certificate_from_eig(
+    A: np.ndarray, evals, evecs, gap_margin: float = 1e-8, residual_tol: float = 1e-9
+) -> SpectralCertificate:
+    """spectral_certificate on a precomputed eigendecomposition of `A`."""
+    n = A.shape[0]
     order = np.argsort(evals.real)[::-1]
     i0 = int(order[0])
     s = float(evals[i0].real)
@@ -240,11 +247,16 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     eventual strong positivity with onset
     t0 = log(C / min entry of u phi^T) / gap.  When neither route
     applies the grid-sampled classification is returned uncertified.
+
+    A is decomposed once; the certificate and the eigenbasis condition
+    number share that decomposition.  Only the eigenvector route reads
+    the growth envelope, so only it builds one.
     """
     A = as_matrix(A)
     n = A.shape[0]
     provider = MatrixSemigroup(A)
-    cert = spectral_certificate(A)
+    evals, evecs = np.linalg.eig(A)
+    cert = _certificate_from_eig(A, evals, evecs)
 
     if provider.is_metzler(tol=0.0):
         evidence = []
@@ -266,7 +278,7 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
         )
         return cert, verdict
 
-    kappa = _eigenbasis_condition(A)
+    kappa = _eigenbasis_condition(evecs)
     if cert.dominant_is_real_simple and cert.min_entry_outer > 0.0 and kappa <= 1e12:
         cert, verdict = _certified_strong_verdict(A, provider, cert, n)
         return cert, verdict
@@ -281,9 +293,8 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     return cert, sampled
 
 
-def _eigenbasis_condition(A: np.ndarray) -> float:
+def _eigenbasis_condition(evecs: np.ndarray) -> float:
     try:
-        _, evecs = np.linalg.eig(A)
         kappa = float(np.linalg.cond(evecs, 2))
     except np.linalg.LinAlgError:  # pragma: no cover - defensive
         return math.inf

@@ -5,10 +5,16 @@ approximant (norm-gated squaring count); diagonalization is deliberately
 not used for evaluation, only as a cross-check oracle in the test suite.
 Orbits are always evaluated from t = 0, never by stepping, so per-sample
 error does not accumulate along a trajectory.
+
+A MatrixSemigroup builds its growth envelope on first read, so routes
+that never read it (the Metzler criterion, grid sampling) pay neither
+its eigendecomposition nor its spot-check exponentials.  Evaluated
+e^{tA} are cached per provider up to a fixed byte budget.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,6 +55,10 @@ _B13 = (
     1.0,
 )
 _THETA13 = 5.371920351148152
+
+# Array bytes a MatrixSemigroup keeps of evaluated e^{tA}: 64 matrices at
+# n = 128, 6 at n = 400, and every sample of a small generator.
+_CACHE_BUDGET_BYTES = 8 << 20
 
 
 def _pade13(M: np.ndarray):
@@ -242,12 +252,25 @@ def default_envelope(A, safety: float = 1.1, check_times=None) -> tuple:
 
 
 class MatrixSemigroup(SemigroupProvider):
-    """Provider for t -> e^{tA} on R^n with a validated growth envelope."""
+    """Provider for t -> e^{tA} on R^n with a validated growth envelope.
+
+    An explicit `envelope` is stored as given; otherwise default_envelope(A)
+    runs on the first read of `envelope` and may raise ExpmOverflow there.
+    matrix(t) keeps evaluated e^{tA} while their array bytes stay within
+    a fixed budget; later times are evaluated afresh on every call.
+    """
 
     def __init__(self, A, envelope: tuple | None = None):
         self.A = as_matrix(A)
-        self.envelope = envelope if envelope is not None else default_envelope(self.A)
+        if envelope is not None:
+            self.envelope = envelope
         self._cache = {}
+        # every e^{tA} has the shape and dtype of A
+        self._cache_slots = _CACHE_BUDGET_BYTES // self.A.nbytes
+
+    @functools.cached_property
+    def envelope(self) -> tuple:
+        return default_envelope(self.A)
 
     @property
     def carrier_dim(self):
@@ -258,7 +281,7 @@ class MatrixSemigroup(SemigroupProvider):
         hit = self._cache.get(t)
         if hit is None:
             hit = expm(self.A, t)
-            if len(self._cache) < 2048:
+            if len(self._cache) < self._cache_slots:
                 self._cache[t] = hit
         return hit
 

@@ -61,6 +61,28 @@ class TestAnalyze:
         assert rep["irreducibility"]["classification"] == "Reducible"
         assert rep["projection"]["available"] is False
 
+    def test_large_spectral_bound_metzler_analyzed(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "m40.json", {"matrix": [[40.0, 1.0], [1.0, 40.0]]})
+        rc, out, err = run(capsys, ["analyze", "--matrix", path])
+        assert rc == 0, err
+        rep = json.loads(out)
+        assert rep["positivity"]["class"] == "Positive"
+        assert rep["positivity"]["certified"] is True
+
+    def test_grid_flags_reach_the_sampled_fallback(self, tmp_path, capsys):
+        # a rotation has no certificate, so its verdict comes from the grid
+        path = write_doc(tmp_path, "rot.json", {"matrix": [[0.0, -1.0], [1.0, 0.0]]})
+        _, out, _ = run(capsys, ["analyze", "--matrix", path])
+        default = json.loads(out)["positivity"]
+        _, out, _ = run(
+            capsys, ["analyze", "--matrix", path, "--grid-points", "4", "--t-max", "0.5"]
+        )
+        coarse = json.loads(out)["positivity"]
+        assert default["certified"] is False and coarse["certified"] is False
+        assert coarse["evidence"] != default["evidence"]
+        assert max(row[0] for row in default["evidence"]) == 20.0
+        assert max(row[0] for row in coarse["evidence"]) == 0.5
+
     def test_report_is_deterministic_apart_from_timings(self, tmp_path, capsys):
         path = write_demo(tmp_path)
         _, out1, _ = run(capsys, ["analyze", "--matrix", path])
@@ -139,6 +161,27 @@ class TestAnalyzeInputErrors:
         rc, _, err = run(capsys, ["analyze", "--matrix", path])
         assert rc == 1
         assert "numbers" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tol", "nan"], "positive"),
+            (["--t-max", "1e-3"], "t_max"),
+            (["--t-max", "inf"], "t_max"),
+            (["--grid-points", "1"], "grid points"),
+            (["--grid-points", str(cli.MAX_GRID_POINTS + 1)], "cap"),
+        ],
+    )
+    def test_unusable_settings_rejected(self, tmp_path, capsys, flags, message):
+        rc, _, err = run(capsys, ["analyze", "--matrix", write_demo(tmp_path), *flags])
+        assert rc == 1
+        assert message in err
+
+    def test_non_numeric_document_grid_rejected(self, tmp_path, capsys):
+        doc = {"matrix": demo_generator().tolist(), "grid": {"points": "many"}}
+        rc, _, err = run(capsys, ["analyze", "--matrix", write_doc(tmp_path, "g.json", doc)])
+        assert rc == 1
+        assert "must be numbers" in err
 
     def test_nonpositive_tolerance_rejected(self, tmp_path, capsys):
         rc, _, err = run(

@@ -1,5 +1,7 @@
 """Positivity classification: certificates, grid evidence, and constructions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,23 @@ class TestCertificateRoute:
         assert verdict.verdict == PositivityClass.POSITIVE
         assert verdict.onset_t0 == 0.0
         assert verdict.certified
+
+    def test_large_spectral_bound_metzler_needs_no_envelope(self):
+        # e^{20 A} overflows, but the sign criterion never reads the envelope
+        _, verdict = certify_eventual_strong_positivity(np.array([[40.0, 1.0], [1.0, 40.0]]))
+        assert verdict.verdict == PositivityClass.POSITIVE
+        assert verdict.certified
+        assert verdict.onset_t0 == 0.0
+
+    @pytest.mark.parametrize("A", [METZLER, ROTATION, demo_generator()])
+    def test_certificate_matches_standalone_certificate(self, A):
+        cert, _ = certify_eventual_strong_positivity(A)
+        alone = spectral_certificate(A)
+        for field in dataclasses.fields(cert):
+            if field.name != "onset_constant" and field.name != "notes":
+                mine, ref = getattr(cert, field.name), getattr(alone, field.name)
+                assert np.array_equal(mine, ref), field.name
+        assert cert.notes.startswith(alone.notes)
 
     def test_rotation_is_not_eventually_positive(self):
         _, verdict = certify_eventual_strong_positivity(ROTATION)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from evpos import semigroup
+from evpos.errors import ExpmOverflow
 from evpos.semigroup import (
     MatrixSemigroup,
     TimeGrid,
@@ -137,3 +139,30 @@ class TestMatrixSemigroup:
         M, w = prov.envelope
         for t in (0.0, 1.0, 3.0):
             assert np.linalg.norm(prov.matrix(t), 2) <= M * np.exp(w * t) * (1 + 1e-9)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_envelope_built_on_first_read(self):
+        # e^{20 A} overflows: construction succeeds, the first read raises
+        prov = MatrixSemigroup(np.array([[40.0, 1.0], [1.0, 40.0]]))
+        with pytest.raises(ExpmOverflow):
+            prov.envelope
+
+    def test_explicit_envelope_returned_unchanged(self):
+        env = (2.5, -0.75)
+        prov = MatrixSemigroup(demo_generator(), envelope=env)
+        assert prov.envelope is env
+
+    def test_cache_stays_within_byte_budget_and_exact(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(scale=0.05, size=(128, 128))
+        prov = MatrixSemigroup(A)
+        times = list(TimeGrid.default())
+        first = [prov.matrix(t) for t in times]
+        cached = sum(m.nbytes for m in prov._cache.values())
+        assert 0 < cached <= semigroup._CACHE_BUDGET_BYTES
+        assert len(prov._cache) < len(times)
+        second = [prov.matrix(t) for t in times]
+        for t, m1, m2 in zip(times, first, second):
+            ref = expm(A, t)
+            assert np.array_equal(m1, ref)
+            assert np.array_equal(m2, ref)
