@@ -19,6 +19,7 @@ The environment variable EVPOS_THREADS caps worker threads.
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -252,29 +253,26 @@ def cmd_analyze(args) -> int:
 # examples
 
 
-def _preset_kwargs(args) -> dict:
+def _preset_kwargs(args, runner) -> dict:
+    """Keyword arguments for a suite; a set flag the suite does not read is rejected."""
+    params = inspect.signature(runner).parameters
     kwargs = {}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.grid_points is not None:
-        kwargs["grid_points"] = args.grid_points
-    if args.t_max is not None:
-        kwargs["t_max"] = args.t_max
-    if args.depth is not None:
-        kwargs["depth"] = args.depth
-    if args.grid_h is not None:
-        kwargs["h"] = args.grid_h
-    if args.L is not None:
-        kwargs["L"] = args.L
-    if args.dp_terms is not None:
-        kwargs["config"] = DysonPhillipsConfig(max_terms=args.dp_terms)
+    for attr in ("tol", "grid_points", "t_max", "depth", "grid_h", "L", "dp_terms"):
+        value = getattr(args, attr)
+        if value is None:
+            continue
+        name = {"grid_h": "h", "dp_terms": "config"}.get(attr, attr)
+        if name not in params:
+            raise InputError(f"suite {args.name} does not read --{attr.replace('_', '-')}")
+        kwargs[name] = DysonPhillipsConfig(max_terms=value) if name == "config" else value
     return kwargs
 
 
 def cmd_examples(args) -> int:
     runner = PRESETS[args.name]
+    kwargs = _preset_kwargs(args, runner)
     tic = time.perf_counter()
-    rep = runner(**_preset_kwargs(args))
+    rep = runner(**kwargs)
     elapsed = time.perf_counter() - tic
     report = {
         "tool": {"name": "evpos", "version": __version__},

@@ -9,11 +9,15 @@ with a certified truncation tail from the growth envelope.  Two
 quadrature backends share the recursion: an exact-moment panel
 collocation scheme for dense matrix carriers, and a positive-weight
 composite rule on the carrier's own time lattice for providers that can
-only be evaluated at whole grid steps.  On top of the series sit an
-order-theoretic domination check, the transfer of eventually invariant
-coordinate ideals to the perturbed family, and a two-carrier coupling
-constructor whose off-diagonal blocks feed each component into the
-other.
+only be evaluated at whole grid steps.  The lattice backend computes
+each (term, step) of an orbit once and fills later steps as they are
+asked for, so its results do not depend on the order of the calls.  The
+only series setting is the term cap, DysonPhillipsConfig.max_terms; the
+quadrature density, tail target and node budget are module constants.
+On top of the series sit an order-theoretic domination check, the
+transfer of eventually invariant coordinate ideals to the perturbed
+family, and a two-carrier coupling constructor whose off-diagonal
+blocks feed each component into the other.
 """
 
 import math
@@ -33,34 +37,32 @@ from .errors import (
 )
 from .gammashift import GammaShiftProvider, Grid1D, GridFunction
 from .lattice import IdealMask, as_matrix, as_vector
-from .semigroup import MatrixSemigroup, SemigroupProvider, TimeGrid, default_envelope, expm
+from .semigroup import MatrixSemigroup, SemigroupProvider, TimeGrid, expm
+
+
+# Series constants: the composite Gauss-Legendre panels of the matrix
+# backend, the tail target that fixes the term count, and the abort
+# threshold on recursion depth times node count.
+NODES_PER_UNIT = 16
+GL_ORDER = 8
+TAIL_TOLERANCE = 1e-10
+NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
 class DysonPhillipsConfig:
-    """Knobs for the series evaluation.
+    """Term cap for the series evaluation.
 
-    max_terms caps the term count; the actual count is the smallest one
-    whose envelope tail bound meets tail_tolerance (auto-increased up to
-    the cap, after which the larger tail is simply reported).  The
-    quadrature fields fix the composite Gauss-Legendre panels of the
-    matrix backend; node_budget aborts runs whose recursion-depth times
-    node-count product explodes.
+    The actual count is the smallest one whose envelope tail bound meets
+    TAIL_TOLERANCE, auto-increased up to max_terms, after which the
+    larger tail is simply reported.
     """
 
     max_terms: int = 40
-    nodes_per_unit: int = 16
-    gl_order: int = 8
-    tail_tolerance: float = 1e-10
-    node_budget: int = 2_000_000
 
     def __post_init__(self):
         if self.max_terms < 1:
             raise InputError("max_terms must be >= 1")
-        if self.nodes_per_unit < 1 or self.gl_order < 2:
-            raise InputError("need nodes_per_unit >= 1 and gl_order >= 2")
-        if not (self.tail_tolerance > 0):
-            raise InputError("tail_tolerance must be positive")
 
 
 def perturbation_tail_bound(envelope, norm_b: float, t: float, n_terms: int) -> float:
@@ -93,10 +95,10 @@ def perturbation_tail_bound(envelope, norm_b: float, t: float, n_terms: int) -> 
 
 
 def choose_terms(config: DysonPhillipsConfig, envelope, norm_b: float, t: float):
-    """(term count, certified tail) meeting tail_tolerance, capped at max_terms."""
+    """(term count, certified tail) meeting TAIL_TOLERANCE, capped at max_terms."""
     for n in range(config.max_terms + 1):
         tail = perturbation_tail_bound(envelope, norm_b, t, n)
-        if tail <= config.tail_tolerance:
+        if tail <= TAIL_TOLERANCE:
             return n, tail
     return config.max_terms, perturbation_tail_bound(envelope, norm_b, t, config.max_terms)
 
@@ -194,31 +196,27 @@ def _matrix_terms_fixed(A, B, t, n_terms, panels, order):
     return terms
 
 
-def _matrix_dp(provider: MatrixSemigroup, B: np.ndarray, t: float, config: DysonPhillipsConfig):
-    """(terms, tail, quadrature estimate) for a dense matrix carrier.
+def _matrix_dp(A: np.ndarray, B: np.ndarray, t: float, n_terms: int):
+    """(terms, quadrature estimate) for a dense matrix carrier.
 
     Runs the panel recursion at the configured density and at twice the
     density; the finer terms are returned and the per-term differences,
     summed in the 2-norm, serve as the reported quadrature gauge.
     """
-    A = provider.A
     n = A.shape[0]
-    norm_b = float(np.linalg.norm(B, 2))
-    n_terms, tail = choose_terms(config, provider.envelope, norm_b, t)
     if t == 0.0:
-        terms = [np.eye(n)] + [np.zeros((n, n))] * n_terms
-        return terms, 0.0, 0.0
-    panels = max(1, math.ceil(t * config.nodes_per_unit / config.gl_order))
-    node_count = n_terms * 3 * panels * config.gl_order
-    if node_count > config.node_budget:
+        return [np.eye(n)] + [np.zeros((n, n))] * n_terms, 0.0
+    panels = max(1, math.ceil(t * NODES_PER_UNIT / GL_ORDER))
+    node_count = n_terms * 3 * panels * GL_ORDER
+    if node_count > NODE_BUDGET:
         raise QuadratureBudgetExceeded(
-            f"series depth {n_terms} x {3 * panels * config.gl_order} nodes exceeds "
-            f"the configured budget of {config.node_budget}"
+            f"series depth {n_terms} x {3 * panels * GL_ORDER} nodes exceeds "
+            f"the budget of {NODE_BUDGET}"
         )
-    coarse = _matrix_terms_fixed(A, B, t, n_terms, panels, config.gl_order)
-    fine = _matrix_terms_fixed(A, B, t, n_terms, 2 * panels, config.gl_order)
+    coarse = _matrix_terms_fixed(A, B, t, n_terms, panels, GL_ORDER)
+    fine = _matrix_terms_fixed(A, B, t, n_terms, 2 * panels, GL_ORDER)
     est = float(sum(np.linalg.norm(f - c, 2) for f, c in zip(fine, coarse)))
-    return fine, tail, est
+    return fine, est
 
 
 # --------------------------------------------------------------------------
@@ -250,80 +248,110 @@ def _lattice_weights(q: int, h: float) -> np.ndarray:
     return w * h
 
 
-def _lattice_pyramid(apply_t, apply_b, seed, h, q_max, n_terms, norm):
-    """Series terms of one orbit at every lattice time up to q_max steps.
+class _LatticeSeries:
+    """Series terms of one orbit on a step-h lattice, each (term, step) computed once.
 
-    levels[n][q] is the n-th term at time q*h applied to the seed; the
-    recursion stops early once a whole level vanishes (every later term
-    is then identically zero) or once two consecutive levels fall below
-    the floating floor relative to the unperturbed orbit.  Returns the
-    level pyramid together with a quadrature gauge: the accumulated
-    difference, at the final time, between the used rule and a plain
-    trapezoid on the same samples.
+    values[n][q] is the n-th term at time q*h applied to the seed;
+    norms, images (under B), live (image nonzero) and gaps run parallel
+    to it, gaps[n][q] being the distance at step q between the used rule
+    and a plain trapezoid on the same samples.  Steps are filled in
+    order as later times are asked for, so no result depends on earlier
+    requests.  apply_t(m, v) applies the unperturbed family at m steps.
     """
-    v0 = [apply_t(q * h, seed) for q in range(q_max + 1)]
-    levels = [v0]
-    scale = max(norm(v) for v in v0)
-    quad_gauge = 0.0
-    tiny_streak = 0
-    trap = np.full(q_max + 1, h)
-    if q_max >= 1:
-        trap[0] = trap[q_max] = 0.5 * h
-    for _ in range(n_terms):
-        prev = levels[-1]
-        g = [apply_b(v) for v in prev]
-        if all(norm(x) == 0.0 for x in g):
-            break
-        cur = [g[0] * 0.0]
-        for q in range(1, q_max + 1):
-            wts = _lattice_weights(q, h)
-            applied = [apply_t((q - j) * h, g[j]) for j in range(q + 1)]
-            acc = applied[0] * float(wts[0])
-            for j in range(1, q + 1):
-                acc = acc + applied[j] * float(wts[j])
-            cur.append(acc)
-            if q == q_max:
+
+    def __init__(self, apply_t, apply_b, seed, h: float, norm):
+        self.apply_t = apply_t
+        self.apply_b = apply_b
+        self.seed = seed
+        self.h = h
+        self.norm = norm
+        self.values, self.norms, self.images, self.live, self.gaps = [], [], [], [], []
+
+    def _fill(self, n: int, q: int) -> None:
+        """Extend term n through step q; term n - 1 already reaches step q."""
+        if n == len(self.values):
+            for rows in (self.values, self.norms, self.images, self.live, self.gaps):
+                rows.append([])
+        values = self.values[n]
+        for p in range(len(values), q + 1):
+            gap = 0.0
+            if n == 0:
+                v = self.apply_t(p, self.seed)
+            elif p == 0:
+                v = self.images[n - 1][0] * 0.0
+            else:
+                g = self.images[n - 1]
+                wts = _lattice_weights(p, self.h)
+                trap = np.full(p + 1, self.h)
+                trap[0] = trap[p] = 0.5 * self.h
+                applied = [self.apply_t(p - j, g[j]) for j in range(p + 1)]
+                v = applied[0] * float(wts[0])
                 tz = applied[0] * float(trap[0])
-                for j in range(1, q + 1):
+                for j in range(1, p + 1):
+                    v = v + applied[j] * float(wts[j])
                     tz = tz + applied[j] * float(trap[j])
-                quad_gauge += norm(acc - tz)
-        levels.append(cur)
-        level_size = max(norm(v) for v in cur)
-        if level_size <= 1e-16 * max(scale, 1e-300):
-            tiny_streak += 1
-            if tiny_streak >= 2:
+                gap = self.norm(v - tz)
+            image = self.apply_b(v)
+            values.append(v)
+            self.norms[n].append(self.norm(v))
+            self.images[n].append(image)
+            self.live[n].append(self.norm(image) != 0.0)
+            self.gaps[n].append(gap)
+
+    def at(self, q: int, n_terms: int):
+        """(terms at step q, quadrature gauge) of the series truncated at n_terms.
+
+        The series ends early, judged on steps 0..q only, at a term whose
+        B-images all vanish (every later term is then identically zero)
+        or after two consecutive terms below the floating floor relative
+        to the unperturbed orbit.  The gauge sums the kept terms' gaps at
+        step q.
+        """
+        self._fill(0, q)
+        floor = 1e-16 * max(max(self.norms[0][: q + 1]), 1e-300)
+        terms = [self.values[0][q]]
+        gauge = 0.0
+        tiny_streak = 0
+        for n in range(1, n_terms + 1):
+            if not any(self.live[n - 1][: q + 1]):
                 break
-        else:
-            tiny_streak = 0
-    return levels, quad_gauge
+            self._fill(n, q)
+            terms.append(self.values[n][q])
+            gauge += self.gaps[n][q]
+            if max(self.norms[n][: q + 1]) <= floor:
+                tiny_streak += 1
+                if tiny_streak >= 2:
+                    break
+            else:
+                tiny_streak = 0
+        return terms, gauge
 
 
-def _lattice_dp_dense(provider, B: np.ndarray, t: float, config: DysonPhillipsConfig):
-    """Dense series terms for a provider restricted to a time lattice."""
-    h = provider.grid.h
-    q_max = provider.grid.steps_of(t)
-    norm_b = float(np.linalg.norm(B, 2))
-    n_terms, tail = choose_terms(config, provider.envelope, norm_b, t)
-    if n_terms * (q_max + 1) * (q_max + 2) // 2 > config.node_budget:
-        raise QuadratureBudgetExceeded(
-            f"series depth {n_terms} over {q_max + 1} lattice nodes exceeds "
-            f"the configured budget of {config.node_budget}"
-        )
-    dense = {q: provider.to_dense(q * h) for q in range(q_max + 1)}
-    levels, gauge = _lattice_pyramid(
-        lambda s, m: dense[provider.grid.steps_of(s)] @ m,
-        lambda m: B @ m,
-        np.eye(provider.carrier_dim),
+def _dense_lattice_terms(step_dense: list, B: np.ndarray, h: float, q: int, n_terms: int):
+    """(dense terms at step q, gauge); step_dense[m] is the unperturbed operator at m steps."""
+    series = _LatticeSeries(
+        lambda m, x: step_dense[m] @ x,
+        lambda x: B @ x,
+        np.eye(B.shape[0]),
         h,
-        q_max,
-        n_terms,
-        lambda m: float(np.max(np.abs(m))) if m.size else 0.0,
+        lambda x: float(np.max(np.abs(x))) if x.size else 0.0,
     )
-    terms = [lv[q_max] for lv in levels]
-    zero = np.zeros_like(terms[0])
-    while len(terms) < n_terms + 1:
-        terms.append(zero)
-    return terms, tail, gauge
+    return series.at(q, n_terms)
+
+
+def _lattice_dp_dense(provider, B: np.ndarray, t: float, n_terms: int):
+    """(dense terms, gauge) for a provider restricted to a time lattice."""
+    h = provider.grid.h
+    q = provider.grid.steps_of(t)
+    if n_terms * (q + 1) * (q + 2) // 2 > NODE_BUDGET:
+        raise QuadratureBudgetExceeded(
+            f"series depth {n_terms} over {q + 1} lattice nodes exceeds "
+            f"the budget of {NODE_BUDGET}"
+        )
+    step_dense = [provider.to_dense(m * h) for m in range(q + 1)]
+    terms, gauge = _dense_lattice_terms(step_dense, B, h, q, n_terms)
+    terms += [np.zeros_like(terms[0])] * (n_terms + 1 - len(terms))
+    return terms, gauge
 
 
 @dataclass(frozen=True)
@@ -355,43 +383,38 @@ def _perturbation_dense(B, dim: int) -> np.ndarray:
 def dyson_phillips_terms(providerA, B, t, config: DysonPhillipsConfig | None = None):
     """(series terms V_0(t)..V_N(t), certified truncation tail bound).
 
+    The terms and tail of dyson_phillips_sum; the tail bound comes from
+    the provider's growth envelope and covers every dropped term.
+    """
+    res = dyson_phillips_sum(providerA, B, t, config)
+    return list(res.terms), res.tail_bound
+
+
+def dyson_phillips_sum(providerA, B, t, config: DysonPhillipsConfig | None = None) -> DysonPhillipsResult:
+    """Summed series evaluation with tail and quadrature certificates.
+
     Matrix carriers use the exact-moment panel scheme; carriers locked
     to a time lattice use the positive-weight composite rule on their
-    own grid.  The tail bound comes from the provider's growth envelope
-    and covers every dropped term.
+    own grid.
     """
     if float(t) < 0.0:
         raise InputError("time must be nonnegative")
     config = config or DysonPhillipsConfig()
     provider = _as_provider(providerA)
     Bd = _perturbation_dense(B, provider.carrier_dim)
+    t = float(t)
+    n_terms, tail = choose_terms(config, provider.envelope, float(np.linalg.norm(Bd, 2)), t)
     if isinstance(provider, MatrixSemigroup):
-        terms, tail, _ = _matrix_dp(provider, Bd, float(t), config)
+        terms, est = _matrix_dp(provider.A, Bd, t, n_terms)
     elif hasattr(provider, "grid"):
-        terms, tail, _ = _lattice_dp_dense(provider, Bd, float(t), config)
-    else:
-        raise InputError("carrier supports neither dense nor lattice evaluation")
-    return terms, tail
-
-
-def dyson_phillips_sum(providerA, B, t, config: DysonPhillipsConfig | None = None) -> DysonPhillipsResult:
-    """Summed series evaluation with tail and quadrature certificates."""
-    if float(t) < 0.0:
-        raise InputError("time must be nonnegative")
-    config = config or DysonPhillipsConfig()
-    provider = _as_provider(providerA)
-    Bd = _perturbation_dense(B, provider.carrier_dim)
-    if isinstance(provider, MatrixSemigroup):
-        terms, tail, est = _matrix_dp(provider, Bd, float(t), config)
-    elif hasattr(provider, "grid"):
-        terms, tail, est = _lattice_dp_dense(provider, Bd, float(t), config)
+        terms, est = _lattice_dp_dense(provider, Bd, t, n_terms)
     else:
         raise InputError("carrier supports neither dense nor lattice evaluation")
     total = terms[0].copy()
     for term in terms[1:]:
         total = total + term
     notes = ""
-    if tail > config.tail_tolerance:
+    if tail > TAIL_TOLERANCE:
         notes = (
             f"envelope tail {tail:.3g} exceeds the requested tolerance at the "
             f"term cap; comparisons should budget for it"
@@ -416,8 +439,22 @@ def premise_times(samples: int = 32, t_lo: float = 1e-3, t_hi: float = 10.0):
     return [0.0] + [float(x) for x in np.geomspace(t_lo, t_hi, samples)]
 
 
-def _dense_at(provider, t: float) -> np.ndarray:
-    return provider.to_dense(t)
+def _sandwich_min(left: dict, B: np.ndarray, right: dict):
+    """(value, t, s, row, col) of the smallest entry of L(t) B R(s) over every sampled pair.
+
+    left and right map sample times to dense operators; ties keep the
+    first pair in sampling order, and t is None when nothing was sampled.
+    """
+    best = (math.inf, None, None, None, None)
+    for t, lt in left.items():
+        lb = lt @ B
+        for s, rs in right.items():
+            prod = lb @ rs
+            idx = np.unravel_index(int(np.argmin(prod)), prod.shape)
+            val = float(prod[idx])
+            if val < best[0]:
+                best = (val, float(t), float(s), int(idx[0]), int(idx[1]))
+    return best
 
 
 def _premise_scan(provider, Bd: np.ndarray, tol: float, samples: int = 32):
@@ -427,18 +464,9 @@ def _premise_scan(provider, Bd: np.ndarray, tol: float, samples: int = 32):
     the minimum drops below -tol, witness = (s, t, row, col, value).
     """
     times = provider.admissible_times(premise_times(samples))
-    cache = {t: _dense_at(provider, t) for t in times}
-    worst = math.inf
-    witness = None
-    for t in times:
-        left = cache[t] @ Bd
-        for s in times:
-            prod = left @ cache[s]
-            idx = np.unravel_index(int(np.argmin(prod)), prod.shape)
-            val = float(prod[idx])
-            if val < worst:
-                worst = val
-                witness = (float(s), float(t), int(idx[0]), int(idx[1]), val)
+    dense = {t: provider.to_dense(t) for t in times}
+    worst, t, s, row, col = _sandwich_min(dense, Bd, dense)
+    witness = None if t is None else (s, t, row, col, worst)
     if worst < -tol:
         raise PremiseViolation(
             f"T(t) B T(s) has entry {worst:.3e} < -{tol:.1e} at (s, t) = "
@@ -879,40 +907,22 @@ class PremiseSampleReport:
 def coupling_premise_check(
     system: CoupledSystem, tol: float = 1e-9, samples: int = 32, t_hi: float = 10.0
 ) -> PremiseSampleReport:
-    """Sample T1(t) B12 T2(s) and T2(t) B21 T1(s) for entries below -tol."""
+    """Sample T1(t) B12 T2(s) and T2(t) B21 T1(s) for entries below -tol.
+
+    The witness is (direction, t, s, row, col, value); on a tie the "12"
+    direction wins.
+    """
     base = premise_times(samples, t_hi=t_hi)
-    times1 = system.provider1.admissible_times(base)
-    times2 = system.provider2.admissible_times(base)
-    d1 = {t: system.provider1.to_dense(t) for t in times1}
-    d2 = {t: system.provider2.to_dense(t) for t in times2}
-    b12 = system.b12.to_dense()
-    b21 = system.b21.to_dense()
-    worst = math.inf
-    witness = None
-    pairs = 0
-    for t in times1:
-        left = d1[t] @ b12
-        for s in times2:
-            prod = left @ d2[s]
-            pairs += 1
-            idx = np.unravel_index(int(np.argmin(prod)), prod.shape)
-            if float(prod[idx]) < worst:
-                worst = float(prod[idx])
-                witness = ("12", float(t), float(s), int(idx[0]), int(idx[1]), worst)
-    for t in times2:
-        left = d2[t] @ b21
-        for s in times1:
-            prod = left @ d1[s]
-            pairs += 1
-            idx = np.unravel_index(int(np.argmin(prod)), prod.shape)
-            if float(prod[idx]) < worst:
-                worst = float(prod[idx])
-                witness = ("21", float(t), float(s), int(idx[0]), int(idx[1]), worst)
+    d1 = {t: system.provider1.to_dense(t) for t in system.provider1.admissible_times(base)}
+    d2 = {t: system.provider2.to_dense(t) for t in system.provider2.admissible_times(base)}
+    m12 = _sandwich_min(d1, system.b12.to_dense(), d2)
+    m21 = _sandwich_min(d2, system.b21.to_dense(), d1)
+    label, (worst, t, s, row, col) = ("21", m21) if m21[0] < m12[0] else ("12", m12)
     return PremiseSampleReport(
         ok=bool(worst >= -tol),
         min_entry=worst,
-        witness=witness,
-        pairs_checked=pairs,
+        witness=None if t is None else (label, t, s, row, col, worst),
+        pairs_checked=2 * len(d1) * len(d2),
         tol=tol,
     )
 
@@ -1036,30 +1046,24 @@ class CoupledProvider(SemigroupProvider):
             raise InputError("per-term orbits are exposed on lattice carriers only")
         q = self._steps_of(t)
         key = self._fingerprint(f)
-        hit = self._orbit_cache.get(key)
-        if hit is None or hit[0] < q:
-            n_terms, tail = choose_terms(
-                self.config, self.system.diag_envelope(), self.system.perturbation_norm(), q * self.lattice_h
+        series = self._orbit_cache.get(key)
+        if series is None:
+            h = self.lattice_h
+            series = _LatticeSeries(
+                lambda m, v: self._apply_diag(m * h, v), self._apply_off, f.copy(), h, self.vec_norm
             )
-            levels, gauge = _lattice_pyramid(
-                self._apply_diag,
-                self._apply_off,
-                f.copy(),
-                self.lattice_h,
-                q,
-                n_terms,
-                self.vec_norm,
-            )
-            hit = (q, levels, tail, gauge)
             if len(self._orbit_cache) < 64:
-                self._orbit_cache[key] = hit
-        q_have, levels, tail, gauge = hit
+                self._orbit_cache[key] = series
+        n_terms, tail = choose_terms(
+            self.config, self.system.diag_envelope(), self.system.perturbation_norm(), q * self.lattice_h
+        )
+        terms, gauge = series.at(q, n_terms)
         self._last_series[("orbit", key)] = {
-            "n_terms": len(levels) - 1,
+            "n_terms": len(terms) - 1,
             "tail_bound": tail,
             "quadrature_estimate": gauge,
         }
-        return [lv[q] for lv in levels if len(lv) > q]
+        return terms
 
     def apply(self, t, f: ProductVector) -> ProductVector:
         if self.lattice_h is not None:
@@ -1124,20 +1128,14 @@ class CoupledProvider(SemigroupProvider):
             n_terms, tail = choose_terms(
                 self.config, self.system.diag_envelope(), self.system.perturbation_norm(), t
             )
-            levels, gauge = _lattice_pyramid(
-                lambda s, m: self._dense_diag(s) @ m,
-                lambda m: Bd @ m,
-                np.eye(self.carrier_dim),
-                self.lattice_h,
-                q,
-                n_terms,
-                lambda m: float(np.max(np.abs(m))),
-            )
-            dense = levels[0][q].copy()
-            for lv in levels[1:]:
-                dense += lv[q]
+            h = self.lattice_h
+            step_dense = [self._dense_diag(m * h) for m in range(q + 1)]
+            terms, gauge = _dense_lattice_terms(step_dense, Bd, h, q, n_terms)
+            dense = terms[0].copy()
+            for term in terms[1:]:
+                dense += term
             self._last_series[("dense", t)] = {
-                "n_terms": len(levels) - 1,
+                "n_terms": len(terms) - 1,
                 "tail_bound": tail,
                 "quadrature_estimate": gauge,
             }

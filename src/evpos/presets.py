@@ -98,7 +98,7 @@ def _finish(preset: str, checks: list, notes: str = "") -> PresetReport:
 # --------------------------------------------------------------------------
 
 
-def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20.0, seed: int = 20240816, **_ignored) -> PresetReport:
+def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20.0, seed: int = 20240816) -> PresetReport:
     """Full verification suite for the showcase generator."""
     A = demo_generator()
     checks = []
@@ -211,7 +211,7 @@ def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20
 # --------------------------------------------------------------------------
 
 
-def run_shift_demo(depth: int = 8, pair_max: int = 4, **_ignored) -> PresetReport:
+def run_shift_demo(depth: int = 8, pair_max: int = 4) -> PresetReport:
     """Exact-arithmetic suite for the nilpotent shift family."""
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -344,7 +344,6 @@ def run_coupled_demo(
     t_max: float = 4.0,
     tol: float = 1e-9,
     config: DysonPhillipsConfig | None = None,
-    **_ignored,
 ) -> PresetReport:
     """Verify the four documented claims of the coupled demonstration.
 

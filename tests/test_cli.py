@@ -237,6 +237,23 @@ class TestExamples:
         assert rc == 1
         assert "invalid choice" in err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["ex5_2", "--depth", "3"], 1),
+            (["ex3_10", "--depth", "3"], 0),
+            (["ex5_6", "--dp-terms", "10"], 0),
+        ],
+    )
+    def test_flags_a_suite_does_not_read_are_rejected(self, capsys, argv, code):
+        rc, out, err = run(capsys, ["examples", "run", *argv])
+        assert rc == code
+        if code:
+            assert out == ""
+            assert "does not read --depth" in err
+        else:
+            assert json.loads(out)["ok"] is True
+
 
 class TestTimeseries:
     def test_pairing_series_exact_column(self, capsys):
