@@ -46,7 +46,17 @@ MAX_MATRIX_DIM = 400
 # are allocated up front; the cap keeps a typo from exhausting memory.
 MAX_GRID_POINTS = 4096
 
-TIMESERIES_QUANTITIES = ("orbit", "pairing", "rescaled-distance", "support-front")
+# Flags each timeseries quantity reads; any other set flag is rejected.
+TIMESERIES_FLAGS = {
+    "orbit": ("t_max", "grid_points"),
+    "pairing": ("depth",),
+    "rescaled-distance": ("t_max", "grid_points"),
+    "support-front": ("L", "grid_h", "t_max", "dp_terms"),
+}
+TIMESERIES_QUANTITIES = tuple(TIMESERIES_FLAGS)
+
+# Shared flags, by argparse attribute name.
+_COMMON_FLAGS = ("tol", "grid_points", "t_max", "depth", "grid_h", "L", "dp_terms")
 
 
 # --------------------------------------------------------------------------
@@ -253,18 +263,22 @@ def cmd_analyze(args) -> int:
 # examples
 
 
+def _reject_unread_flags(args, what: str, read) -> None:
+    """InputError naming the first set flag that `what` does not read."""
+    for attr in _COMMON_FLAGS:
+        if getattr(args, attr) is not None and attr not in read:
+            raise InputError(f"{what} does not read --{attr.replace('_', '-')}")
+
+
 def _preset_kwargs(args, runner) -> dict:
     """Keyword arguments for a suite; a set flag the suite does not read is rejected."""
     params = inspect.signature(runner).parameters
-    kwargs = {}
-    for attr in ("tol", "grid_points", "t_max", "depth", "grid_h", "L", "dp_terms"):
-        value = getattr(args, attr)
-        if value is None:
-            continue
-        name = {"grid_h": "h", "dp_terms": "config"}.get(attr, attr)
-        if name not in params:
-            raise InputError(f"suite {args.name} does not read --{attr.replace('_', '-')}")
-        kwargs[name] = DysonPhillipsConfig(max_terms=value) if name == "config" else value
+    names = {"grid_h": "h", "dp_terms": "config"}
+    read = [attr for attr in _COMMON_FLAGS if names.get(attr, attr) in params]
+    _reject_unread_flags(args, f"suite {args.name}", read)
+    kwargs = {names.get(a, a): getattr(args, a) for a in read if getattr(args, a) is not None}
+    if "config" in kwargs:
+        kwargs["config"] = DysonPhillipsConfig(max_terms=kwargs["config"])
     return kwargs
 
 
@@ -299,28 +313,39 @@ def cmd_examples(args) -> int:
 # timeseries
 
 
-def _times_linear(t_max: float, points: int) -> np.ndarray:
+def _positive_t_max(args, default: float) -> float:
+    t_max = args.t_max if args.t_max is not None else default
+    if not 0.0 < t_max < math.inf:
+        raise InputError(f"t_max must be finite and positive, got {t_max:g}")
+    return t_max
+
+
+def _times_linear(args) -> np.ndarray:
+    """grid-points equally spaced times on (0, t-max]."""
+    t_max = _positive_t_max(args, 20.0)
+    points = args.grid_points if args.grid_points is not None else 256
+    if not 1 <= points <= MAX_GRID_POINTS:
+        raise InputError(f"grid points must lie in 1..{MAX_GRID_POINTS}, got {points}")
     return np.linspace(t_max / points, t_max, points)
 
 
 def _series_orbit(A: np.ndarray, args) -> tuple:
-    settings = {"t_max": args.t_max or 20.0, "points": args.grid_points or 256}
     seed = np.ones(A.shape[0])
     header = ["t"] + [f"x_{i}" for i in range(A.shape[0])]
     rows = []
-    for t in _times_linear(settings["t_max"], settings["points"]):
+    for t in _times_linear(args):
         v = expm(A, float(t)) @ seed
         rows.append([float(t), *(float(x) for x in v)])
     return header, rows
 
 
 def _series_rescaled_distance(A: np.ndarray, args) -> tuple:
-    settings = {"t_max": args.t_max or 20.0, "points": args.grid_points or 256}
+    times = _times_linear(args)
     proj = dominant_projection(A)
     s = proj.eigenvalue
     header = ["t", "rescaled_distance"]
     rows = []
-    for t in _times_linear(settings["t_max"], settings["points"]):
+    for t in times:
         D = expm(A - s * np.eye(A.shape[0]), float(t)) - proj.projection
         rows.append([float(t), float(np.max(np.abs(D)))])
     return header, rows
@@ -342,13 +367,13 @@ def _series_pairing(args) -> tuple:
 def _series_support_front(args) -> tuple:
     L = args.L if args.L is not None else 6.0
     h = args.grid_h if args.grid_h is not None else 0.125
-    t_max = args.t_max if args.t_max is not None else 4.0
+    t_max = _positive_t_max(args, 4.0)
     system = coupled_demo_system(L=L, h=h)
     from .perturbation import CoupledProvider
 
     provider = CoupledProvider(
         system,
-        DysonPhillipsConfig(max_terms=args.dp_terms) if args.dp_terms else None,
+        DysonPhillipsConfig(max_terms=args.dp_terms) if args.dp_terms is not None else None,
     )
     grid = system.provider2.grid
     seed = ProductVector(np.ones(3), system.provider2.zero_vector())
@@ -365,6 +390,7 @@ def _series_support_front(args) -> tuple:
 def cmd_timeseries(args) -> int:
     quantity = args.quantity
     source = args.input
+    _reject_unread_flags(args, f"timeseries {quantity}", TIMESERIES_FLAGS[quantity])
     if quantity == "pairing":
         if source not in (None, "ex3_10"):
             raise InputError("the pairing series is defined for the ex3_10 preset")

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .gammashift import GridFunction
 from .lattice import as_matrix, as_vector
-from .semigroup import MatrixSemigroup, TimeGrid, expm
+from .semigroup import MatrixSemigroup, TimeGrid, eigenbasis_growth_constant, expm
 from .stepfun import PiecewiseConstantFn
 
 __all__ = [
@@ -83,9 +83,9 @@ class SpectralCertificate:
 
     `onset_constant` is the documented constant C in the deviation bound
     max-entry |e^{t(A - s I)} - u phi^T| <= C e^{-gap t}; it is built
-    from the growth envelope, the dimension (a bound on the number of
-    terms a Schur form can contribute), and the size of the projection,
-    then spot-verified on sampled times.
+    from kappa_2 of the certificate's eigenbasis, the dimension (a bound
+    on the number of terms a Schur form can contribute), and the size of
+    the projection, then spot-verified on sampled times.
     """
 
     spectral_bound: float
@@ -248,9 +248,9 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     t0 = log(C / min entry of u phi^T) / gap.  When neither route
     applies the grid-sampled classification is returned uncertified.
 
-    A is decomposed once; the certificate and the eigenbasis condition
-    number share that decomposition.  Only the eigenvector route reads
-    the growth envelope, so only it builds one.
+    A is decomposed once; the certificate and its deviation constant,
+    read from the condition number of the eigenbasis, share that
+    decomposition, so no route builds the growth envelope.
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -278,10 +278,9 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
         )
         return cert, verdict
 
-    kappa = _eigenbasis_condition(evecs)
-    if cert.dominant_is_real_simple and cert.min_entry_outer > 0.0 and kappa <= 1e12:
-        cert, verdict = _certified_strong_verdict(A, provider, cert, n)
-        return cert, verdict
+    M = eigenbasis_growth_constant(evecs)
+    if cert.dominant_is_real_simple and cert.min_entry_outer > 0.0 and M < math.inf:
+        return _certified_strong_verdict(A, cert, M, n)
 
     sampled = classify_on_grid(provider, grid=grid, tol=tol)
     reason = cert.notes or "no positive eigenvector certificate"
@@ -293,15 +292,7 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     return cert, sampled
 
 
-def _eigenbasis_condition(evecs: np.ndarray) -> float:
-    try:
-        kappa = float(np.linalg.cond(evecs, 2))
-    except np.linalg.LinAlgError:  # pragma: no cover - defensive
-        return math.inf
-    return kappa if np.isfinite(kappa) else math.inf
-
-
-def _certified_strong_verdict(A, provider, cert, n):
+def _certified_strong_verdict(A, cert, M, n):
     s = cert.spectral_bound
     gap = cert.spectral_gap
     u = cert.right_vec
@@ -310,7 +301,6 @@ def _certified_strong_verdict(A, provider, cert, n):
     proj_max = float(np.max(np.abs(proj)))
     m_outer = cert.min_entry_outer
 
-    M, _ = provider.envelope
     C = M * (1.0 + proj_max) * n
     notes = [
         f"deviation constant C = envelope {M:.6g} * (1 + projection max"

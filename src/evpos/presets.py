@@ -100,6 +100,10 @@ def _finish(preset: str, checks: list, notes: str = "") -> PresetReport:
 
 def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20.0, seed: int = 20240816) -> PresetReport:
     """Full verification suite for the showcase generator."""
+    if not 0.0 < t_max < math.inf:
+        raise InputError(f"t_max must be finite and positive, got {t_max:g}")
+    if grid_points < 1:
+        raise InputError("grid_points must be >= 1")
     A = demo_generator()
     checks = []
 
@@ -318,8 +322,10 @@ def coupled_demo_system(L: float = 6.0, h: float = 0.125) -> CoupledSystem:
     integral window f -> (integral over [-2,-1]) * e_3 back into the
     matrix carrier.
     """
-    if L < 4.0:
-        raise InputError("window half-length must be at least 4")
+    if not 4.0 <= L < math.inf:
+        raise InputError("window half-length must be finite and at least 4")
+    if not 0.0 < h < math.inf:
+        raise InputError(f"cell width must be finite and positive, got {h:g}")
     cells_per_unit = 1.0 / h
     if abs(cells_per_unit - round(cells_per_unit)) > 1e-12:
         raise InputError("cell width must divide 1")
@@ -357,6 +363,8 @@ def run_coupled_demo(
     (grid-limited evidence).
     """
     system = coupled_demo_system(L=L, h=h)
+    if not 0.0 < t_max < math.inf or round(t_max / h) < 1:
+        raise InputError(f"t_max must be finite and reach the first step h = {h:g}")
     provider = CoupledProvider(system, config)
     grid = system.provider2.grid
     checks = []

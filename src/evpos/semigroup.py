@@ -6,10 +6,10 @@ not used for evaluation, only as a cross-check oracle in the test suite.
 Orbits are always evaluated from t = 0, never by stepping, so per-sample
 error does not accumulate along a trajectory.
 
-A MatrixSemigroup builds its growth envelope on first read, so routes
-that never read it (the Metzler criterion, grid sampling) pay neither
-its eigendecomposition nor its spot-check exponentials.  Evaluated
-e^{tA} are cached per provider up to a fixed byte budget.
+A MatrixSemigroup builds its growth envelope on first read; the
+perturbation series and mean_ergodic_projection read it, the positivity
+certificate never does.  Evaluated e^{tA} are cached per provider up to
+a fixed byte budget.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "SemigroupProvider",
     "MatrixSemigroup",
     "default_envelope",
+    "eigenbasis_growth_constant",
     "orbit",
     "demo_generator",
     "demo_eigensystem",
@@ -55,6 +56,10 @@ _B13 = (
     1.0,
 )
 _THETA13 = 5.371920351148152
+
+# Largest usable eigenbasis condition number, and the safety factor on it.
+_KAPPA_CUTOFF = 1e12
+_ENVELOPE_SAFETY = 1.1
 
 # Array bytes a MatrixSemigroup keeps of evaluated e^{tA}: 64 matrices at
 # n = 128, 6 at n = 400, and every sample of a small generator.
@@ -223,31 +228,34 @@ class SemigroupProvider:
         raise NotImplementedError
 
 
-def default_envelope(A, safety: float = 1.1, check_times=None) -> tuple:
+def eigenbasis_growth_constant(evecs: np.ndarray) -> float:
+    """M = 1.1 max(1, kappa_2(V)), so |e^{tA}|_2 <= M e^{st} for A = V D V^-1.
+
+    inf when kappa_2(V) is not finite or exceeds the cutoff 1e12.
+    """
+    kappa = float(np.linalg.cond(evecs, 2))
+    return max(1.0, kappa) * _ENVELOPE_SAFETY if kappa <= _KAPPA_CUTOFF else math.inf
+
+
+def default_envelope(A) -> tuple:
     """Growth pair (M, omega) for e^{tA}.
 
-    omega is the spectral bound plus 1e-8; M starts from the eigenvector
-    condition number times `safety` and is inflated if a spot check on a
+    omega is the spectral bound plus 1e-8; M starts from
+    eigenbasis_growth_constant and is inflated if a spot check on a
     coarse grid finds a larger ratio |e^{tA}| / e^{omega t}.
     """
     A = as_matrix(A)
     evals, evecs = np.linalg.eig(A)
     omega = float(np.max(evals.real)) + 1e-8
-    try:
-        kappa = float(np.linalg.cond(evecs, 2))
-    except np.linalg.LinAlgError:  # pragma: no cover - defensive
-        kappa = np.inf
-    if not np.isfinite(kappa) or kappa > 1e12:
-        kappa = 1.0  # defective case: rely on the spot check below
-    M = max(1.0, kappa) * safety
-    if check_times is None:
-        check_times = np.geomspace(1e-2, 20.0, 16)
+    M = eigenbasis_growth_constant(evecs)
+    if M == math.inf:
+        M = _ENVELOPE_SAFETY  # defective case: rely on the spot check below
     worst = 1.0
-    for t in check_times:
+    for t in np.geomspace(1e-2, 20.0, 16):
         ratio = float(np.linalg.norm(expm(A, t), 2)) / math.exp(omega * t)
         worst = max(worst, ratio)
     if worst > M:
-        M = worst * safety
+        M = worst * _ENVELOPE_SAFETY
     return (M, omega)
 
 
@@ -255,7 +263,8 @@ class MatrixSemigroup(SemigroupProvider):
     """Provider for t -> e^{tA} on R^n with a validated growth envelope.
 
     An explicit `envelope` is stored as given; otherwise default_envelope(A)
-    runs on the first read of `envelope` and may raise ExpmOverflow there.
+    runs on the first read of `envelope` and may raise ExpmOverflow there;
+    the positivity certificate never reads it.
     matrix(t) keeps evaluated e^{tA} while their array bytes stay within
     a fixed budget; later times are evaluated afresh on every call.
     """

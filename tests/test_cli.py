@@ -69,6 +69,17 @@ class TestAnalyze:
         assert rep["positivity"]["class"] == "Positive"
         assert rep["positivity"]["certified"] is True
 
+    def test_large_spectral_bound_eventually_positive_certified(self, tmp_path, capsys):
+        # s = 40, so e^{20 A} overflows; the certificate samples e^{t(A - sI)} only
+        A = demo_generator() + 31.0 * np.eye(3)
+        path = write_doc(tmp_path, "shifted.json", {"matrix": A.tolist()})
+        rc, out, err = run(capsys, ["analyze", "--matrix", path])
+        assert rc == 0, err
+        rep = json.loads(out)
+        assert rep["positivity"]["class"] == "UniformlyEventuallyStronglyPositive"
+        assert rep["positivity"]["certified"] is True
+        assert rep["certificate"]["spectral_bound"] == pytest.approx(40.0)
+
     def test_grid_flags_reach_the_sampled_fallback(self, tmp_path, capsys):
         # a rotation has no certificate, so its verdict comes from the grid
         path = write_doc(tmp_path, "rot.json", {"matrix": [[0.0, -1.0], [1.0, 0.0]]})
@@ -254,6 +265,24 @@ class TestExamples:
         else:
             assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ex5_2", "--grid-points", "0"], "grid_points"),
+            (["ex5_2", "--t-max", "0"], "t_max"),
+            (["ex5_2", "--t-max", "-1"], "t_max"),
+            (["ex5_2", "--t-max", "inf"], "t_max"),
+            (["ex5_6", "--t-max", "-1"], "t_max"),
+            (["ex5_6", "--grid-h", "0"], "cell width"),
+        ],
+    )
+    def test_unusable_suite_settings_rejected(self, capsys, argv, message):
+        rc, out, err = run(capsys, ["examples", "run", *argv])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestTimeseries:
     def test_pairing_series_exact_column(self, capsys):
@@ -315,6 +344,46 @@ class TestTimeseries:
         rc, _, err = run(capsys, ["timeseries", "orbit", "ex3_10"])
         assert rc == 1
         assert "matrix input" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["orbit", "--depth", "3", "--dp-terms", "5"], "--depth"),
+            (["orbit", "--tol", "1e-6"], "--tol"),
+            (["rescaled-distance", "--L", "5"], "--L"),
+            (["pairing", "--t-max", "3", "--grid-h", "0.5"], "--t-max"),
+            (["pairing", "--grid-h", "0.5"], "--grid-h"),
+            (["support-front", "--grid-points", "4"], "--grid-points"),
+            (["support-front", "--depth", "3"], "--depth"),
+        ],
+    )
+    def test_flags_a_quantity_does_not_read_are_rejected(self, capsys, argv, flag):
+        rc, out, err = run(capsys, ["timeseries", *argv])
+        assert rc == 1
+        assert out == ""
+        assert f"timeseries {argv[0]} does not read {flag}\n" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["orbit", "--t-max", "-3"], "t_max"),
+            (["orbit", "--t-max", "0"], "t_max"),
+            (["orbit", "--t-max", "inf"], "t_max"),
+            (["orbit", "--grid-points", "0"], "grid points"),
+            (["orbit", "--grid-points", "-5"], "grid points"),
+            (["rescaled-distance", "--grid-points", str(cli.MAX_GRID_POINTS + 1)], "grid points"),
+            (["support-front", "--grid-h", "0"], "cell width"),
+            (["support-front", "--t-max", "-1"], "t_max"),
+            (["support-front", "--dp-terms", "0"], "max_terms"),
+            (["pairing", "--depth", "0"], "depth"),
+        ],
+    )
+    def test_unusable_series_settings_rejected(self, capsys, argv, message):
+        rc, out, err = run(capsys, ["timeseries", *argv])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_csv_is_byte_deterministic_with_lf_endings(self, tmp_path, capsys):
         args = ["timeseries", "pairing", "--depth", "4"]

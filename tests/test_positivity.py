@@ -20,7 +20,8 @@ from evpos.positivity import (
     spectral_certificate,
     spr_lower_bound_check,
 )
-from evpos.semigroup import MatrixSemigroup, TimeGrid, demo_generator, expm
+import evpos.semigroup as semigroup
+from evpos.semigroup import MatrixSemigroup, TimeGrid, default_envelope, demo_generator, expm
 from evpos.stepfun import PiecewiseConstantFn, ShiftStepProvider
 
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -49,7 +50,8 @@ class TestCertificateRoute:
     def test_onset_invariant_under_diagonal_shifts(self):
         A = demo_generator()
         _, base = certify_eventual_strong_positivity(A)
-        for lam in (-5.0, 0.0, 5.0):
+        # at lam = 31 (s = 40) the raw flow e^{20 A} overflows
+        for lam in (-5.0, 0.0, 5.0, 31.0):
             _, shifted = certify_eventual_strong_positivity(A + lam * np.eye(3))
             assert shifted.verdict == base.verdict
             assert shifted.onset_t0 == pytest.approx(base.onset_t0, rel=1e-9)
@@ -66,6 +68,33 @@ class TestCertificateRoute:
         assert verdict.verdict == PositivityClass.POSITIVE
         assert verdict.certified
         assert verdict.onset_t0 == 0.0
+
+    def test_spectral_route_builds_no_growth_envelope(self, monkeypatch):
+        # C is read from kappa_2(V) of the certificate's eigenbasis and equals
+        # the constant the growth envelope M of default_envelope(A) gives
+        rng = np.random.default_rng(2016)
+        inputs = []
+        for n in (3, 4, 5, 6, 8, 12):
+            A = rng.uniform(0.5, 1.5, (n, n))
+            A[0, n - 1] = -rng.uniform(0.05, 0.2)
+            A[n - 1, 1] = -rng.uniform(0.05, 0.2)
+            inputs.append(A)
+        expected = []
+        for A in inputs:
+            M, _ = default_envelope(A)
+            alone = spectral_certificate(A)
+            proj_max = float(np.max(np.abs(np.outer(alone.right_vec, alone.left_vec))))
+            expected.append(M * (1.0 + proj_max) * A.shape[0])
+
+        def no_envelope(A):
+            raise AssertionError("the certificate built a growth envelope")
+
+        monkeypatch.setattr(semigroup, "default_envelope", no_envelope)
+        for A, C in zip(inputs, expected):
+            cert, verdict = certify_eventual_strong_positivity(A)
+            assert verdict.verdict == PositivityClass.UNIFORMLY_EVENTUALLY_STRONGLY_POSITIVE
+            assert verdict.certified
+            assert cert.onset_constant == C
 
     @pytest.mark.parametrize("A", [METZLER, ROTATION, demo_generator()])
     def test_certificate_matches_standalone_certificate(self, A):
