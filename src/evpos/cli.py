@@ -37,7 +37,7 @@ from .lattice import IdealMask
 from .perturbation import DysonPhillipsConfig, ProductVector
 from .positivity import certify_eventual_strong_positivity
 from .presets import PRESETS, coupled_demo_system
-from .semigroup import MatrixSemigroup, TimeGrid, demo_generator, expm
+from .semigroup import TimeGrid, demo_generator, expm
 from .spectral import dominant_projection
 from .stepfun import pairing
 

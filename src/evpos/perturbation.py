@@ -35,7 +35,7 @@ from .errors import (
     TransferViolation,
     WitnessSearchFailure,
 )
-from .gammashift import GammaShiftProvider, Grid1D, GridFunction
+from .gammashift import Grid1D, GridFunction
 from .lattice import IdealMask, as_matrix, as_vector
 from .semigroup import MatrixSemigroup, SemigroupProvider, TimeGrid, expm
 

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .gammashift import GridFunction
 from .lattice import as_matrix, as_vector
-from .semigroup import MatrixSemigroup, TimeGrid, eigenbasis_growth_constant, expm
+from .semigroup import MatrixSemigroup, TimeGrid, eigenbasis_growth_constant
 from .stepfun import PiecewiseConstantFn
 
 __all__ = [
@@ -104,10 +104,11 @@ class PositivityVerdict:
     """Outcome of a positivity analysis.
 
     `evidence` rows are (t, coordinate index, sampled value) and re-check
-    under re-evaluation; for certificate verdicts the values are entries
-    of the rescaled family e^{t(A - s I)}, otherwise raw probe minima.
-    `onset_t0` is present exactly for the positive / eventually positive
-    classes.
+    under re-evaluation.  From certify_eventual_strong_positivity the
+    values are entries of the rescaled family e^{t(A - s I)}, s the
+    certificate's spectral bound, on every route; classify_on_grid
+    reports entries of whatever provider it is given.  `onset_t0` is
+    present exactly for the positive / eventually positive classes.
     """
 
     verdict: PositivityClass
@@ -136,8 +137,9 @@ def spectral_certificate(
 
     `dominant_is_real_simple` is only claimed when the top eigenvalue is
     real, separated from the rest of the spectrum by at least
-    `gap_margin`, and both eigenvectors meet the residual tolerance;
-    anything closer is left uncertified rather than guessed.
+    `gap_margin`, and both eigenvectors meet the residual tolerance,
+    scaled by 1 + max|A_ij|; anything closer is left uncertified rather
+    than guessed.
 
     Raises EigenSolverFailure when a residual check fails on a spectrum
     that looks real and simple.
@@ -152,6 +154,7 @@ def _certificate_from_eig(
 ) -> SpectralCertificate:
     """spectral_certificate on a precomputed eigendecomposition of `A`."""
     n = A.shape[0]
+    residual_tol = residual_tol * (1.0 + float(np.max(np.abs(A))))
     order = np.argsort(evals.real)[::-1]
     i0 = int(order[0])
     s = float(evals[i0].real)
@@ -248,20 +251,25 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     t0 = log(C / min entry of u phi^T) / gap.  When neither route
     applies the grid-sampled classification is returned uncertified.
 
-    A is decomposed once; the certificate and its deviation constant,
-    read from the condition number of the eigenbasis, share that
-    decomposition, so no route builds the growth envelope.
+    A is decomposed once; the certificate, its deviation constant (read
+    from the condition number of the eigenbasis) and the spectral bound
+    s share that decomposition.  Every route samples the one rescaled
+    flow e^{t(A - s I)}: it has the signs, ideals and onsets of e^{tA}
+    (the two differ by the factor e^{-st} > 0) and stays in floating
+    point range for any finite s.  Evidence values and the grid
+    fallback's `tol` therefore refer to entries of e^{t(A - s I)}.
     """
     A = as_matrix(A)
     n = A.shape[0]
-    provider = MatrixSemigroup(A)
     evals, evecs = np.linalg.eig(A)
     cert = _certificate_from_eig(A, evals, evecs)
+    # every route reads each sample time once, so the flow keeps nothing
+    flow = MatrixSemigroup(A - cert.spectral_bound * np.eye(n), cache=False)
 
-    if provider.is_metzler(tol=0.0):
+    if flow.is_metzler(tol=0.0):
         evidence = []
         for t in (0.0, 1.0, 10.0):
-            mn, idx, _ = provider.positivity_probe(t)
+            mn, idx, _ = flow.positivity_probe(t)
             if mn < -1e-12 * (1.0 + abs(mn)):
                 raise ConsistencyViolation(
                     "off-diagonal sign criterion contradicts a sampled operator",
@@ -280,9 +288,9 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
 
     M = eigenbasis_growth_constant(evecs)
     if cert.dominant_is_real_simple and cert.min_entry_outer > 0.0 and M < math.inf:
-        return _certified_strong_verdict(A, cert, M, n)
+        return _certified_strong_verdict(flow, cert, M, n)
 
-    sampled = classify_on_grid(provider, grid=grid, tol=tol)
+    sampled = classify_on_grid(flow, grid=grid, tol=tol)
     reason = cert.notes or "no positive eigenvector certificate"
     sampled = replace(
         sampled,
@@ -292,8 +300,7 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     return cert, sampled
 
 
-def _certified_strong_verdict(A, cert, M, n):
-    s = cert.spectral_bound
+def _certified_strong_verdict(flow, cert, M, n):
     gap = cert.spectral_gap
     u = cert.right_vec
     phi_hat = cert.left_vec
@@ -309,14 +316,13 @@ def _certified_strong_verdict(A, cert, M, n):
 
     # Spot verification of |e^{t(A-sI)} - P| <= C e^{-gap t}, restricted to
     # times where the target bound sits above the floating-point floor.
-    B = A - s * np.eye(n)
     floor = 1e-12 * (1.0 + proj_max)
     if math.isfinite(gap) and gap > 0:
         t_hi = min(20.0, math.log(max(C / floor, 2.0)) / gap)
     else:
         t_hi = 20.0
     for t in np.geomspace(1e-2, max(t_hi, 2e-2), 16):
-        dev = float(np.max(np.abs(expm(B, float(t)) - proj)))
+        dev = float(np.max(np.abs(flow.matrix(t) - proj)))
         target = C * math.exp(-gap * float(t))
         if dev > max(target, floor):
             C = dev * math.exp(gap * float(t)) * 1.1
@@ -326,15 +332,13 @@ def _certified_strong_verdict(A, cert, M, n):
 
     evidence = []
     for t in np.geomspace(max(t0, 1e-3), max(2.0 * t0 + 1.0, t0 + 5.0), 8):
-        rescaled = expm(B, float(t))
-        idx = np.unravel_index(int(np.argmin(rescaled)), rescaled.shape)
-        mn = float(rescaled[idx])
+        mn, idx, _ = flow.positivity_probe(t)
         if mn < -1e-12 * (1.0 + proj_max):
             raise ConsistencyViolation(
                 "certified onset contradicted by a sampled rescaled operator",
-                witnesses=[(float(t), (int(idx[0]), int(idx[1])), mn)],
+                witnesses=[(float(t), idx, mn)],
             )
-        evidence.append((float(t), (int(idx[0]), int(idx[1])), mn))
+        evidence.append((float(t), idx, mn))
 
     cert = replace(
         cert,

@@ -38,7 +38,6 @@ from .perturbation import (
 from .positivity import PositivityClass, certify_eventual_strong_positivity
 from .semigroup import (
     MatrixSemigroup,
-    TimeGrid,
     demo_eigensystem,
     demo_generator,
     expm,

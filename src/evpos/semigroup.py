@@ -8,15 +8,20 @@ error does not accumulate along a trajectory.
 
 A MatrixSemigroup builds its growth envelope on first read; the
 perturbation series and mean_ergodic_projection read it, the positivity
-certificate never does.  Evaluated e^{tA} are cached per provider up to
-a fixed byte budget.
+certificate never does.  The envelope's spot check and every route of
+the positivity certificate sample a rescaled flow e^{t(A - cI)}, c at
+the spectral bound, which keeps the signs of e^{tA} and stays in range
+for any finite spectral bound.  Evaluated e^{tA} are cached per
+provider up to a fixed byte budget; the certificate's flow, which reads
+each time once, keeps none.  A |tA| that is not finite, or a
+result that leaves the double range, raises ExpmOverflow.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,45 +72,57 @@ _CACHE_BUDGET_BYTES = 8 << 20
 
 
 def _pade13(M: np.ndarray):
-    n = M.shape[0]
-    ident = np.eye(n)
+    # Terms accumulate in place, in the order of the textbook sums: fewer
+    # n x n temporaries are alive at once, and the bits are the same.
+    b = _B13
     M2 = M @ M
     M4 = M2 @ M2
     M6 = M4 @ M2
-    b = _B13
-    U = M @ (
-        M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-        + b[7] * M6
-        + b[5] * M4
-        + b[3] * M2
-        + b[1] * ident
-    )
-    V = (
-        M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-        + b[6] * M6
-        + b[4] * M4
-        + b[2] * M2
-        + b[0] * ident
-    )
+    W = b[13] * M6
+    W += b[11] * M4
+    W += b[9] * M2
+    U = M6 @ W
+    U += b[7] * M6
+    U += b[5] * M4
+    U += b[3] * M2
+    U.flat[:: U.shape[0] + 1] += b[1]
+    U = M @ U
+    W = b[12] * M6
+    W += b[10] * M4
+    W += b[8] * M2
+    V = M6 @ W
+    del W
+    V += b[6] * M6
+    V += b[4] * M4
+    V += b[2] * M2
+    V.flat[:: V.shape[0] + 1] += b[0]
     return U, V
 
 
 def expm(A, t: float = 1.0) -> np.ndarray:
     """e^{tA} by Pade-13 scaling and squaring.
 
-    Raises ExpmOverflow when the result leaves the double range.
+    Raises ExpmOverflow when tA or the result leaves the double range.
     """
     A = as_matrix(A)
-    M = A * float(t)
-    norm = float(np.max(np.sum(np.abs(M), axis=0)))  # induced 1-norm
-    if norm == 0.0:
-        return np.eye(A.shape[0])
-    s = max(0, int(math.ceil(math.log2(norm / _THETA13)))) if norm > _THETA13 else 0
-    scaled = M / (2.0**s)
-    U, V = _pade13(scaled)
-    R = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
+    # overflow is reported once, as ExpmOverflow, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = A * float(t)
+        norm = float(np.max(np.sum(np.abs(M), axis=0)))  # induced 1-norm
+        if norm == 0.0:
+            return np.eye(A.shape[0])
+        if not math.isfinite(norm):
+            raise ExpmOverflow("exp(tA) overflowed: |tA|_1 is not finite")
+        s = max(0, int(math.ceil(math.log2(norm / _THETA13)))) if norm > _THETA13 else 0
+        M /= 2.0**s
+        U, V = _pade13(M)
+        del M
+        W = V + U
+        V -= U
+        del U  # the solve's own LU copy and result come on top
+        R = np.linalg.solve(V, W)
+        for _ in range(s):
+            R = R @ R
     if not np.isfinite(R).all():
         raise ExpmOverflow(f"exp(tA) overflowed (|tA|_1 = {norm:.3e}, squarings = {s})")
     return R
@@ -242,7 +259,9 @@ def default_envelope(A) -> tuple:
 
     omega is the spectral bound plus 1e-8; M starts from
     eigenbasis_growth_constant and is inflated if a spot check on a
-    coarse grid finds a larger ratio |e^{tA}| / e^{omega t}.
+    coarse grid finds a larger |e^{t(A - omega I)}| = |e^{tA}| / e^{omega t}.
+    The check samples the rescaled flow, so it stays in range for any
+    finite spectral bound.
     """
     A = as_matrix(A)
     evals, evecs = np.linalg.eig(A)
@@ -250,10 +269,10 @@ def default_envelope(A) -> tuple:
     M = eigenbasis_growth_constant(evecs)
     if M == math.inf:
         M = _ENVELOPE_SAFETY  # defective case: rely on the spot check below
+    B = A - omega * np.eye(A.shape[0])
     worst = 1.0
     for t in np.geomspace(1e-2, 20.0, 16):
-        ratio = float(np.linalg.norm(expm(A, t), 2)) / math.exp(omega * t)
-        worst = max(worst, ratio)
+        worst = max(worst, float(np.linalg.norm(expm(B, t), 2)))
     if worst > M:
         M = worst * _ENVELOPE_SAFETY
     return (M, omega)
@@ -266,16 +285,17 @@ class MatrixSemigroup(SemigroupProvider):
     runs on the first read of `envelope` and may raise ExpmOverflow there;
     the positivity certificate never reads it.
     matrix(t) keeps evaluated e^{tA} while their array bytes stay within
-    a fixed budget; later times are evaluated afresh on every call.
+    a fixed budget; later times are evaluated afresh on every call.  With
+    `cache=False` nothing is kept, for a caller that reads each time once.
     """
 
-    def __init__(self, A, envelope: tuple | None = None):
+    def __init__(self, A, envelope: tuple | None = None, cache: bool = True):
         self.A = as_matrix(A)
         if envelope is not None:
             self.envelope = envelope
         self._cache = {}
         # every e^{tA} has the shape and dtype of A
-        self._cache_slots = _CACHE_BUDGET_BYTES // self.A.nbytes
+        self._cache_slots = _CACHE_BUDGET_BYTES // self.A.nbytes if cache else 0
 
     @functools.cached_property
     def envelope(self) -> tuple:

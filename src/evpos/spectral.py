@@ -4,14 +4,16 @@ Three related tools live here.  `algebraic_simplicity_test` decides via
 the pairing of left and right eigenvectors whether a geometrically
 simple eigenvalue is algebraically simple, cross-checking the verdict
 against the rank of the squared shifted matrix.  `dominant_projection`
-isolates the leading eigenvalue with a sorted real Schur decomposition,
-refines both eigenvectors by inverse iteration, and returns the rank-one
-spectral projection P = u phi^T normalised to <phi, u> = 1, comparing it
-against an independently computed eigensolver route.  Finally,
-`mean_ergodic_projection` forms Cesaro means (1/T) int_0^T e^{tA} dt by
-nested trapezoid quadrature with two Richardson levels, doubles T up to
-a horizon, extrapolates the 1/T tail, and reports the limiting
-projection together with a fitted decay constant.
+takes the dominant eigenpairs of the positivity certificate's own
+eigendecomposition, refines both eigenvectors by inverse iteration, and
+returns the rank-one spectral projection P = u phi^T normalised to
+<phi, u> = 1, comparing it against the unrefined outer product; an
+independent sorted-Schur route lives in the test suite as the oracle.
+Finally, `mean_ergodic_projection` forms Cesaro means
+(1/T) int_0^T e^{tA} dt by nested trapezoid quadrature with two
+Richardson levels, doubles T up to a horizon, extrapolates the 1/T
+tail, and reports the limiting projection together with a fitted decay
+constant.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import (
     CertificateMissing,
@@ -34,7 +35,7 @@ from .errors import (
 from .lattice import as_matrix, as_vector
 from .parallel import parallel_map
 from .positivity import spectral_certificate
-from .semigroup import MatrixSemigroup, expm
+from .semigroup import MatrixSemigroup
 
 __all__ = [
     "ProjectionReport",
@@ -50,9 +51,9 @@ class ProjectionReport:
 
     `residuals` holds `idempotent` (|P^2 - P|), `eigen_commute`
     (max of |AP - lambda P| and |PA - lambda P|) and `outer_form`
-    (|P - u phi^T| against an independent route; NaN when no rank-one
-    form is asserted).  An accepted report keeps all of them at or
-    below 1e-8, and `rank` is 1 exactly when the u/phi factorisation
+    (|P - u phi^T| against the unrefined or factored form; NaN when no
+    rank-one form is asserted).  An accepted report keeps all of them at
+    or below 1e-8, and `rank` is 1 exactly when the u/phi factorisation
     is asserted.
     """
 
@@ -128,17 +129,6 @@ def algebraic_simplicity_test(A, lam: float, u, phi, tol: float = 1e-9) -> bool:
 # Dominant rank-one projection
 
 
-def _schur_dominant_vector(A: np.ndarray, s: float, gap: float) -> np.ndarray:
-    """Leading Schur vector for the eigenvalue near `s` (a 1x1 block)."""
-    margin = max(min(gap, 1.0), 1e-8) / 2.0
-    _, Q, sdim = schur(A, output="real", sort=lambda re, im: re > s - margin)
-    if sdim != 1:
-        raise EigenSolverFailure(
-            f"dominant Schur block has dimension {sdim}, expected a simple eigenvalue"
-        )
-    return np.asarray(Q[:, 0], dtype=float)
-
-
 def _inverse_iteration(A: np.ndarray, s: float, v0: np.ndarray, iters: int = 3) -> np.ndarray:
     n = A.shape[0]
     shift = s + 1e-11 * (1.0 + abs(s))
@@ -165,15 +155,16 @@ def dominant_projection(
 
     Requires a simple, real, strictly dominant eigenvalue (the same
     margins as the positivity certificate); otherwise raises
-    CertificateMissing.  Vectors come from a sorted real Schur
-    decomposition refined by inverse iteration, are rescaled to
-    <phi, u> = 1, and the resulting P = u phi^T is compared against an
-    independent eigensolver route.  With `expect_positive_eigenvectors`
-    (appropriate for persistently irreducible, eventually positive
-    inputs) both vectors are additionally asserted strictly positive.
+    CertificateMissing.  The certificate's eigenvectors (from its one
+    eig of A and of A^T) start inverse iteration at s, the refined
+    vectors are rescaled to <phi, u> = 1, and `outer_form` compares
+    P = u phi^T with the unrefined outer product.  The independent
+    sorted real Schur route is kept in the tests as the oracle.  With
+    `expect_positive_eigenvectors` (appropriate for persistently
+    irreducible, eventually positive inputs) both vectors are
+    additionally asserted strictly positive.
     """
     A = as_matrix(A)
-    n = A.shape[0]
     cert = spectral_certificate(A)
     if not cert.dominant_is_real_simple:
         raise CertificateMissing(
@@ -183,8 +174,8 @@ def dominant_projection(
     s = cert.spectral_bound
     gap = cert.spectral_gap
 
-    u = _inverse_iteration(A, s, _schur_dominant_vector(A, s, gap))
-    phi = _inverse_iteration(A.T, s, _schur_dominant_vector(A.T, s, gap))
+    u = _inverse_iteration(A, s, cert.right_vec)
+    phi = _inverse_iteration(A.T, s, cert.left_vec)
     scale = 1.0 + float(np.linalg.norm(A, 2)) + abs(s)
     for vec, mat, side in ((u, A, "right"), (phi, A.T, "left")):
         resid = float(np.linalg.norm(mat @ vec - s * vec))
@@ -201,16 +192,14 @@ def dominant_projection(
     phi = phi / pairing
 
     P = np.outer(u, phi)
-    eig_route = np.outer(cert.right_vec, cert.left_vec)
-    if float(np.dot(cert.right_vec, u)) < 0:
-        eig_route = np.outer(-cert.right_vec, -np.asarray(cert.left_vec))
+    unrefined = np.outer(cert.right_vec, cert.left_vec)
     residuals = {
         "idempotent": float(np.linalg.norm(P @ P - P, 2)),
         "eigen_commute": max(
             float(np.linalg.norm(A @ P - s * P, 2)),
             float(np.linalg.norm(P @ A - s * P, 2)),
         ),
-        "outer_form": float(np.linalg.norm(P - eig_route, 2)),
+        "outer_form": float(np.linalg.norm(P - unrefined, 2)),
     }
     bad = {k_: v for k_, v in residuals.items() if not (v <= 1e-8 * scale)}
     if bad:
@@ -279,7 +268,6 @@ def mean_ergodic_projection(
     stabilise within T_max.
     """
     A = as_matrix(A)
-    n = A.shape[0]
     provider = MatrixSemigroup(A)
     evals = np.linalg.eigvals(A)
     s = float(np.max(evals.real))

@@ -5,6 +5,7 @@ stderr can be asserted without spawning subprocesses.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -62,12 +63,40 @@ class TestAnalyze:
         assert rep["projection"]["available"] is False
 
     def test_large_spectral_bound_metzler_analyzed(self, tmp_path, capsys):
-        path = write_doc(tmp_path, "m40.json", {"matrix": [[40.0, 1.0], [1.0, 40.0]]})
+        # at s = 81 the raw e^{10 A} of the sign-criterion probe overflows;
+        # at entries ~4e8 eigenvector residuals are judged relative to max|A_ij|
+        for A in ([[40.0, 1.0], [1.0, 40.0]], [[80.0, 1.0], [1.0, 80.0]], [[1e8, 2e8], [3e8, 4e8]]):
+            path = write_doc(tmp_path, "m.json", {"matrix": A})
+            rc, out, err = run(capsys, ["analyze", "--matrix", path])
+            assert rc == 0, err
+            rep = json.loads(out)
+            assert rep["positivity"]["class"] == "Positive"
+            assert rep["positivity"]["certified"] is True
+            assert rep["positivity"]["onset_t0"] == 0.0
+
+    def test_large_spectral_bound_grid_fallback_analyzed(self, tmp_path, capsys):
+        # s = 36.0003: the raw e^{20 A} of the grid fallback overflows
+        path = write_doc(tmp_path, "g.json", {"matrix": [[1.0, -0.1], [-0.1, 36.0]]})
         rc, out, err = run(capsys, ["analyze", "--matrix", path])
         assert rc == 0, err
         rep = json.loads(out)
-        assert rep["positivity"]["class"] == "Positive"
-        assert rep["positivity"]["certified"] is True
+        assert rep["positivity"]["class"] == "NotEventuallyPositive"
+        assert rep["positivity"]["certified"] is False
+        assert max(row[0] for row in rep["positivity"]["evidence"]) == 20.0
+
+    def test_overflow_is_a_one_line_error(self, tmp_path, capsys):
+        # 10 A is not finite, so the sign-criterion probe at t = 10 overflows;
+        # e^{t(A - sI)} of the second is a rotation at frequency 1e300, whose
+        # squarings overflow
+        for A in ([[0.0, 1e308], [0.0, 0.0]], [[1e300, -1e300], [1e300, 1e300]]):
+            path = write_doc(tmp_path, "inf.json", {"matrix": A})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning would print to stderr
+                rc, out, err = run(capsys, ["analyze", "--matrix", path])
+            assert rc == 1
+            assert out == ""
+            assert "Traceback" not in err
+            assert err.startswith("error: exp(tA) overflowed") and err.count("\n") == 1
 
     def test_large_spectral_bound_eventually_positive_certified(self, tmp_path, capsys):
         # s = 40, so e^{20 A} overflows; the certificate samples e^{t(A - sI)} only

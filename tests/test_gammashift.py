@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 
 from evpos.errors import ShiftNotOnGrid
@@ -12,7 +11,6 @@ from evpos.gammashift import (
     GridFunction,
     gamma_kernel_weights,
     gamma_shift_apply,
-    regularized_gamma_p,
 )
 
 
@@ -24,19 +22,6 @@ def grid():
 @pytest.fixture
 def provider(grid):
     return GammaShiftProvider(grid)
-
-
-class TestIncompleteGamma:
-    def test_against_scipy(self):
-        for a in (0.1, 0.5, 1.0, 2.5, 7.0, 20.0, 64.0):
-            for x in (0.0, 0.05, 0.3, 1.0, 4.0, 30.0, 120.0):
-                mine = regularized_gamma_p(a, x)
-                ref = scipy.special.gammainc(a, x)
-                assert mine == pytest.approx(ref, abs=1e-13)
-
-    def test_limits(self):
-        assert regularized_gamma_p(3.0, 0.0) == 0.0
-        assert regularized_gamma_p(1.0, 50.0) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestKernelWeights:

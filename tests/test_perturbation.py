@@ -1,12 +1,9 @@
 """Perturbation series, order comparisons, invariance transfer, coupling."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from evpos.errors import (
-    ConsistencyViolation,
     CouplingPremiseWarning,
     InputError,
     PremiseViolation,

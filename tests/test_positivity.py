@@ -4,12 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from evpos.errors import (
-    ConsistencyViolation,
-    InputError,
-    PremiseViolation,
-)
+from evpos.errors import InputError, PremiseViolation
 from evpos.gammashift import GammaShiftProvider, Grid1D, GridFunction
 from evpos.positivity import (
     PositivityClass,
@@ -20,6 +17,7 @@ from evpos.positivity import (
     spectral_certificate,
     spr_lower_bound_check,
 )
+import evpos.positivity as positivity
 import evpos.semigroup as semigroup
 from evpos.semigroup import MatrixSemigroup, TimeGrid, default_envelope, demo_generator, expm
 from evpos.stepfun import PiecewiseConstantFn, ShiftStepProvider
@@ -63,11 +61,55 @@ class TestCertificateRoute:
         assert verdict.certified
 
     def test_large_spectral_bound_metzler_needs_no_envelope(self):
-        # e^{20 A} overflows, but the sign criterion never reads the envelope
-        _, verdict = certify_eventual_strong_positivity(np.array([[40.0, 1.0], [1.0, 40.0]]))
-        assert verdict.verdict == PositivityClass.POSITIVE
-        assert verdict.certified
-        assert verdict.onset_t0 == 0.0
+        # e^{20 A} overflows at s = 41 and e^{10 A} at s = 81, but the sign
+        # criterion never reads the envelope and its probe samples
+        # e^{t(A - sI)}; at entries ~4e8 the eigenvector residuals (~1e-7)
+        # are judged relative to max|A_ij|
+        for A in ([[40.0, 1.0], [1.0, 40.0]], [[80.0, 1.0], [1.0, 80.0]], [[1e8, 2e8], [3e8, 4e8]]):
+            cert, verdict = certify_eventual_strong_positivity(np.array(A))
+            assert cert.dominant_is_real_simple
+            assert verdict.verdict == PositivityClass.POSITIVE
+            assert verdict.certified
+            assert verdict.onset_t0 == 0.0
+
+    @pytest.mark.parametrize(
+        "A, verdict_class, certified",
+        [
+            (np.array([[-1.0, 2.0, 0.5], [3.0, -4.0, 0.0], [0.0, 1.0, 2.0]]), "Positive", True),
+            (demo_generator() + 31.0 * np.eye(3), "UniformlyEventuallyStronglyPositive", True),
+            # s = 36.0003, so the raw e^{20 A} of the grid fallback overflows;
+            # the (0, 1) entry of e^{t(A - sI)} tends to a negative entry of u phi^T
+            (np.array([[1.0, -0.1], [-0.1, 36.0]]), "NotEventuallyPositive", False),
+        ],
+    )
+    def test_evidence_rows_are_entries_of_the_rescaled_flow(self, A, verdict_class, certified):
+        cert, verdict = certify_eventual_strong_positivity(A)
+        assert verdict.verdict == verdict_class
+        assert verdict.certified == certified
+        assert verdict.evidence
+        B = A - cert.spectral_bound * np.eye(A.shape[0])
+        for t, (i, j), value in verdict.evidence:
+            E = scipy.linalg.expm(t * B)
+            # 1e-9 relative, with a floor for entries at rounding level
+            assert abs(value - E[i, j]) <= 1e-9 * max(abs(E[i, j]), 1e-3 * np.max(np.abs(E)))
+
+    @pytest.mark.parametrize(
+        "A", [METZLER, demo_generator(), np.array([[1.0, -0.1], [-0.1, 36.0]])]
+    )
+    def test_certificate_flow_keeps_no_samples(self, monkeypatch, A):
+        # one flow per certificate (Metzler, spectral and grid route), and
+        # no sample time is read twice, so it holds no evaluated matrices
+        flows = []
+
+        class RecordingFlow(MatrixSemigroup):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                flows.append(self)
+
+        monkeypatch.setattr(positivity, "MatrixSemigroup", RecordingFlow)
+        certify_eventual_strong_positivity(A)
+        assert len(flows) == 1
+        assert flows[0]._cache == {}
 
     def test_spectral_route_builds_no_growth_envelope(self, monkeypatch):
         # C is read from kappa_2(V) of the certificate's eigenbasis and equals

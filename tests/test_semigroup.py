@@ -38,6 +38,12 @@ def test_expm_semigroup_law():
     assert np.max(np.abs(left - right)) <= 1e-12 * float(np.max(np.abs(right)))
 
 
+def test_expm_of_non_finite_argument_is_typed_overflow():
+    # 10 A has an infinite entry, so |tA|_1 is not finite
+    with pytest.raises(ExpmOverflow):
+        expm(np.array([[0.0, 1e308], [0.0, 0.0]]), 10.0)
+
+
 def test_expm_at_zero_is_identity():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(expm(A, 0.0), np.eye(2))
@@ -70,6 +76,17 @@ def test_default_envelope_bounds_family():
         for t in (0.0, 0.5, 1.0, 2.0, 5.0):
             norm = float(np.linalg.norm(expm(A, t), 2))
             assert norm <= M * np.exp(w * t) * (1.0 + 1e-9)
+
+
+def test_default_envelope_finite_at_large_spectral_bound():
+    # e^{10 A} overflows at s = 81; the spot check samples e^{t(A - omega I)}
+    A = np.array([[80.0, 1.0], [1.0, 80.0]])
+    M, w = default_envelope(A)
+    assert np.isfinite(M) and M >= 1.0
+    assert w == pytest.approx(81.0)
+    for t in (0.5, 2.0, 20.0):
+        rescaled = scipy.linalg.expm(t * (A - w * np.eye(2)))
+        assert np.linalg.norm(rescaled, 2) <= M * (1.0 + 1e-9)
 
 
 class TestShowcaseMatrix:
@@ -142,8 +159,10 @@ class TestMatrixSemigroup:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_envelope_built_on_first_read(self):
-        # e^{20 A} overflows: construction succeeds, the first read raises
-        prov = MatrixSemigroup(np.array([[40.0, 1.0], [1.0, 40.0]]))
+        # t A is not finite for t >= 2, so the envelope's spot check
+        # overflows even on the rescaled flow: construction succeeds, the
+        # first read raises
+        prov = MatrixSemigroup(np.array([[0.0, 1e308], [0.0, 0.0]]))
         with pytest.raises(ExpmOverflow):
             prov.envelope
 
@@ -166,3 +185,11 @@ class TestMatrixSemigroup:
             ref = expm(A, t)
             assert np.array_equal(m1, ref)
             assert np.array_equal(m2, ref)
+
+    def test_uncached_provider_keeps_nothing_and_agrees(self):
+        A = np.random.default_rng(6).normal(scale=0.3, size=(6, 6))
+        prov = MatrixSemigroup(A, cache=False)
+        for t in (0.0, 0.5, 0.5, 3.0):
+            assert np.array_equal(prov.matrix(t), expm(A, t))
+            assert prov.positivity_probe(t)[0] == float(np.min(expm(A, t)))
+        assert prov._cache == {}

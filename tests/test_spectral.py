@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import schur
 
 from evpos.errors import (
     CertificateMissing,
@@ -91,6 +92,54 @@ class TestDominantProjection:
     def test_complex_dominant_pair_has_no_certificate(self):
         with pytest.raises(CertificateMissing):
             dominant_projection(ROTATION)
+
+
+def schur_dominant_vector(A, s, gap):
+    """Leading Schur vector for the eigenvalue near `s` (a 1x1 block)."""
+    margin = max(min(gap, 1.0), 1e-8) / 2.0
+    _, Q, sdim = schur(A, output="real", sort=lambda re, im: re > s - margin)
+    assert sdim == 1, "dominant Schur block is not 1x1"
+    return Q[:, 0]
+
+
+def schur_projection(A):
+    """Independent route: the sorted real Schur vectors of A and A^T, each
+    refined by three steps of inverse iteration, give u phi^T / <phi, u>."""
+    order = np.sort(np.linalg.eigvals(A).real)
+    s, gap = float(order[-1]), float(order[-1] - order[-2])
+    shift = (s + 1e-11 * (1.0 + abs(s))) * np.eye(A.shape[0])
+    vecs = []
+    for X in (A, A.T):
+        v = schur_dominant_vector(X, s, gap)
+        for _ in range(3):
+            v = np.linalg.solve(X - shift, v)
+            v = v / np.linalg.norm(v)
+        vecs.append(v)
+    u, phi = vecs
+    return np.outer(u, phi) / float(phi @ u)
+
+
+def oracle_draws():
+    """Seeded Metzler, eventually positive and symmetric indefinite inputs."""
+    rng = np.random.default_rng(4207)
+    for n in (3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 64):
+        metzler = rng.uniform(0.0, 1.0, (n, n)) - rng.uniform(0.0, 2.0) * np.eye(n)
+        eventual = rng.uniform(0.5, 1.5, (n, n))
+        eventual[0, n - 1] = -rng.uniform(0.05, 0.2)
+        eventual[n - 1, 1] = -rng.uniform(0.05, 0.2)
+        G = rng.normal(size=(n, n))
+        yield from (("metzler", metzler), ("eventual", eventual), ("indefinite", (G + G.T) / 2))
+
+
+class TestSchurOracle:
+    def test_projection_matches_sorted_schur_route(self):
+        draws = list(oracle_draws())
+        assert len(draws) == 42
+        for stratum, A in draws:
+            P = dominant_projection(A).projection
+            ref = schur_projection(A)
+            err = float(np.max(np.abs(P - ref))) / float(np.max(np.abs(ref)))
+            assert err <= 1e-10, (stratum, A.shape[0], err)
 
 
 class TestMeanErgodic:

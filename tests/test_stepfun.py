@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from evpos.errors import DepthExceeded
 from evpos.irreducibility import classify
 from evpos.stepfun import (
-    PiecewiseConstantFn,
     ShiftStepProvider,
     irreducibility_witness_search,
     pairing,
