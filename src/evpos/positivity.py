@@ -43,7 +43,7 @@ from .errors import (
 )
 from .gammashift import GridFunction
 from .lattice import as_matrix, as_vector
-from .semigroup import MatrixSemigroup, TimeGrid, eigenbasis_growth_constant
+from .semigroup import _KAPPA_CUTOFF, MatrixSemigroup, TimeGrid, eigenbasis_growth_constant
 from .stepfun import PiecewiseConstantFn
 
 __all__ = [
@@ -287,11 +287,18 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
         return cert, verdict
 
     M = eigenbasis_growth_constant(evecs)
-    if cert.dominant_is_real_simple and cert.min_entry_outer > 0.0 and M < math.inf:
+    positive_pair = cert.dominant_is_real_simple and cert.min_entry_outer > 0.0
+    if positive_pair and M < math.inf:
         return _certified_strong_verdict(flow, cert, M, n)
 
     sampled = classify_on_grid(flow, grid=grid, tol=tol)
-    reason = cert.notes or "no positive eigenvector certificate"
+    if positive_pair:
+        reason = (
+            "condition number kappa_2(V) of the eigenbasis is above the cutoff "
+            f"{_KAPPA_CUTOFF:g} or not finite, so no deviation constant"
+        )
+    else:
+        reason = cert.notes or "no positive eigenvector certificate"
     sampled = replace(
         sampled,
         notes=(sampled.notes + "; " if sampled.notes else "")

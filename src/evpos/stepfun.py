@@ -10,11 +10,23 @@ pairing diagnostics the square waves.
 
 The left shift (S(t)f)(x) = f(x+t), truncated at 1, is nilpotent: S(t) = 0
 for t >= 1 exactly.
+
+Pairings <phi, S(t)f> are read off the lattice of the two functions rather
+than built from a shifted product.  With L the lcm of all breakpoint
+denominators of f and phi, both are constant on the cells [c/L, (c+1)/L),
+and t -> <phi, S(t)f> is piecewise linear with knots on (1/L)Z, zero for
+t >= 1.  Its knot values are the integer correlations
+sum_c f_{c+m} phi_c of the two cell vectors (scaled by L and the value
+denominators).  Each function builds its cell vector once; after that a
+pairing costs one or two integer correlations and one exact interpolation.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 
 from .errors import DepthExceeded, PremiseViolation
 from .semigroup import SemigroupProvider
@@ -24,6 +36,7 @@ __all__ = [
     "rademacher",
     "walsh",
     "shift_apply",
+    "shifted_pairing",
     "pairing",
     "irreducibility_witness_search",
     "vanishing_time",
@@ -58,7 +71,7 @@ class PiecewiseConstantFn:
     equality of functions.
     """
 
-    __slots__ = ("breakpoints", "values")
+    __slots__ = ("breakpoints", "values", "_cells")
 
     def __init__(self, breakpoints, values):
         bps = [_frac(b) for b in breakpoints]
@@ -80,6 +93,7 @@ class PiecewiseConstantFn:
                 mb.append(b)
         self.breakpoints = tuple(mb)
         self.values = tuple(mv)
+        self._cells = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -164,6 +178,25 @@ class PiecewiseConstantFn:
     def l2_norm_sq(self) -> Fraction:
         return self.inner(self)
 
+    def cells(self):
+        """(L, D, nums): the values times D on the L cells of width 1/L.
+
+        L is the lcm of the breakpoint denominators and D that of the
+        values, so nums is a tuple of integers.  nums is None when L
+        exceeds 2^MAX_DEPTH cells.  Computed once per instance.
+        """
+        if self._cells is None:
+            L = math.lcm(*(b.denominator for b in self.breakpoints))
+            D = math.lcm(*(v.denominator for v in self.values))
+            nums = None
+            if L <= 1 << MAX_DEPTH:
+                nums = []
+                for a, b, v in self.pieces():
+                    nums.extend([int(v * D)] * int((b - a) * L))
+                nums = tuple(nums)
+            self._cells = (L, D, nums)
+        return self._cells
+
     def support_sup(self) -> Fraction:
         """sup of the support; 0 for the zero function."""
         for i in range(len(self.values) - 1, -1, -1):
@@ -240,24 +273,64 @@ def shift_apply(f: PiecewiseConstantFn, t) -> PiecewiseConstantFn:
     return PiecewiseConstantFn(bps, vals)
 
 
+def _on_lattice(fn: PiecewiseConstantFn, L: int):
+    """Cell numerators of fn on the finer lattice of L cells (L a multiple of fn's)."""
+    own, _, nums = fn.cells()
+    if own == L:
+        return nums
+    r = L // own
+    return [v for v in nums for _ in range(r)]
+
+
+def shifted_pairing(f: PiecewiseConstantFn, phi: PiecewiseConstantFn, t) -> Fraction:
+    """Exact <phi, S(t) f> from the correlation of the two cell vectors.
+
+    On the joint lattice of L cells the pairing at the knot m/L is
+    sum_c f_{c+m} phi_c / L, and between knots it is linear; it vanishes
+    for t >= 1.  Equals shift_apply(f, t).inner(phi), which is used when
+    the joint lattice is finer than 2^MAX_DEPTH cells.
+    """
+    t = _frac(t)
+    if t < 0:
+        raise ValueError("shift time must be >= 0")
+    if t >= 1:
+        return _ZERO
+    Lf, Df, _ = f.cells()
+    Lp, Dp, _ = phi.cells()
+    L = math.lcm(Lf, Lp)
+    if L > 1 << MAX_DEPTH:
+        return shift_apply(f, t).inner(phi)
+    F, P = _on_lattice(f, L), _on_lattice(phi, L)
+
+    def knot(m: int) -> int:
+        return sum(map(mul, islice(F, m, None), P))
+
+    x = t * L
+    m = math.floor(x)
+    theta = x - m
+    value = knot(m) if theta == 0 else (1 - theta) * knot(m) + theta * knot(m + 1)
+    return Fraction(value) / (L * Df * Dp)
+
+
 def pairing(k: int, j: int, t) -> Fraction:
-    """Exact <S(t) r_k, r_j> over the square-wave family."""
-    return shift_apply(rademacher(k), t).inner(rademacher(j))
+    """Exact <S(t) r_k, r_j> over the square-wave family, from the lattice correlation."""
+    return shifted_pairing(rademacher(k), rademacher(j), t)
 
 
 def irreducibility_witness_search(k: int, j: int, depth: int):
     """First t in (0,1) from the dyadic scan with pairing(k, j, t) != 0.
 
-    Scans {m/2^depth : 0 < m < 2^depth} together with the near-1 points
-    {1 - 1/2^i : i <= depth}, in increasing order.  Returns the exact
-    witness time, or None when the scan is exhausted.
+    Scans m/2^depth for m = 1 .. 2^depth - 1 in increasing order, which
+    includes the near-1 points 1 - 1/2^i for i <= depth.  Returns the
+    exact witness time, or None when the scan is exhausted.
     """
     if depth < 1 or depth > MAX_DEPTH:
         raise DepthExceeded(f"depth {depth} outside 1..{MAX_DEPTH}")
-    candidates = {Fraction(m, 1 << depth) for m in range(1, 1 << depth)}
-    candidates |= {_ONE - Fraction(1, 1 << i) for i in range(1, depth + 1)}
-    for t in sorted(c for c in candidates if 0 < c < 1):
-        if pairing(k, j, t) != 0:
+    f, phi = rademacher(k), rademacher(j)
+    den = 1 << depth
+    for m in range(1, den):
+        t = Fraction(m, den)
+        if shifted_pairing(f, phi, t) != 0:
             return t
     return None
 
@@ -280,7 +353,8 @@ class ShiftStepProvider(SemigroupProvider):
     are positive even though the waves themselves change sign.  Each
     element of condition_basis() therefore *represents* a positive
     sequence-side basis vector, and condition_probe() returns the exact
-    rational matrix entry <e_j, T(t) e_k> of the conjugated semigroup.
+    rational matrix entry <e_j, T(t) e_k> of the conjugated semigroup,
+    read from the lattice correlation of the two waves (shifted_pairing).
     """
 
     envelope = (1.0, 0.0)
@@ -329,6 +403,10 @@ class ShiftStepProvider(SemigroupProvider):
     def pair(self, phi: PiecewiseConstantFn, f: PiecewiseConstantFn) -> Fraction:
         """Exact L2 pairing <phi, f> as a Fraction."""
         return f.inner(phi)
+
+    def condition_probe(self, t, f, phi) -> Fraction:
+        """Exact <phi, S(t) f> from the lattice correlation of f and phi."""
+        return shifted_pairing(f, phi, t)
 
     def admissible_times(self, candidates):
         """Round each candidate to the nearest dyadic t = m / 2**depth."""

@@ -22,7 +22,7 @@ from evpos.irreducibility import (
     weak_conditions_test,
 )
 from evpos.semigroup import MatrixSemigroup, demo_generator
-from evpos.stepfun import ShiftStepProvider
+from evpos.stepfun import ShiftStepProvider, shift_apply
 
 
 def random_pattern(rng) -> np.ndarray:
@@ -193,6 +193,19 @@ class TestWeakConditions:
         assert statuses["large-times"] == "holds"
         assert statuses["large-times-or-zero"] == "holds"
         assert statuses["some-time"] == "holds"
+
+    def test_step_knot_table_matches_product_table(self, monkeypatch):
+        # the lattice-correlation probe against the shifted-product oracle
+        knots = [classify(ShiftStepProvider(depth=d)) for d in range(1, 9)]
+        monkeypatch.setattr(
+            ShiftStepProvider,
+            "condition_probe",
+            lambda self, t, f, phi: shift_apply(f, t).inner(phi),
+        )
+        for d, rep in enumerate(knots, start=1):
+            ref = classify(ShiftStepProvider(depth=d))
+            assert rep.conditions == ref.conditions
+            assert repr(rep) == repr(ref)
 
     def test_nilpotent_family_violates_large_times_definitely(self):
         table = weak_conditions_test(ShiftStepProvider(depth=4))

@@ -153,6 +153,29 @@ class TestCertificateRoute:
         assert verdict.verdict == PositivityClass.NOT_EVENTUALLY_POSITIVE
         assert not verdict.certified
 
+    def test_ill_conditioned_eigenbasis_names_the_cutoff(self):
+        # positive Perron pair (all-ones/6 projection) next to a 5x5 Jordan
+        # block, rotated so an off-diagonal entry is negative: V is
+        # numerically singular, so M = inf and the grid route decides
+        basis = np.column_stack(
+            [np.ones(6) / np.sqrt(6), np.random.default_rng(4).normal(size=(6, 5))]
+        )
+        Q, _ = np.linalg.qr(basis)
+        Q[:, 0] = np.abs(Q[:, 0])
+        D = np.zeros((6, 6))
+        D[0, 0] = 3.0
+        for i in range(1, 5):
+            D[i, i + 1] = 1.0
+        A = Q @ D @ Q.T
+        cert, verdict = certify_eventual_strong_positivity(A)
+        assert cert.dominant_is_real_simple
+        assert cert.min_entry_outer == pytest.approx(1.0 / 6.0)
+        assert np.min(A - np.diag(np.diag(A))) < 0
+        assert verdict.verdict == PositivityClass.UNIFORMLY_EVENTUALLY_POSITIVE
+        assert not verdict.certified
+        assert "kappa_2(V)" in verdict.notes and "1e+12" in verdict.notes
+        assert "no positive eigenvector certificate" not in verdict.notes
+
     def test_certificate_reports_outer_projection_data(self):
         cert = spectral_certificate(demo_generator())
         P = np.outer(cert.right_vec, cert.left_vec) / cert.pairing

@@ -1,5 +1,6 @@
 """Exact step-function carrier: orthonormal waves, shifts, pairings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from evpos.errors import DepthExceeded
 from evpos.irreducibility import classify
 from evpos.stepfun import (
+    PiecewiseConstantFn,
     ShiftStepProvider,
     irreducibility_witness_search,
     pairing,
     rademacher,
     shift_apply,
+    shifted_pairing,
     vanishing_time,
     walsh,
 )
@@ -130,7 +133,70 @@ class TestPairing:
                 assert pairing(k, j, 1) == 0
 
 
+def random_step_fn(rng, den: int) -> PiecewiseConstantFn:
+    """Step function with breakpoints on (1/den)Z and small rational values."""
+    cuts = sorted(rng.sample(range(1, den), rng.randint(0, min(den - 1, 6))))
+    bps = [Fraction(0)] + [Fraction(c, den) for c in cuts] + [Fraction(1)]
+    vals = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))) for _ in bps[1:]]
+    return PiecewiseConstantFn(bps, vals)
+
+
+class TestShiftedPairing:
+    @pytest.mark.parametrize("dens", [(2, 4, 8, 16), (3, 6, 9, 12), (4, 3, 12, 5)])
+    def test_matches_product_route(self, dens):
+        rng = random.Random(sum(dens))
+        for _ in range(150):
+            f = random_step_fn(rng, rng.choice(dens))
+            phi = random_step_fn(rng, rng.choice(dens))
+            # times on the joint lattice, between its knots, and past 1
+            t = Fraction(rng.randint(0, 50), rng.choice((1, 4, 16, 3, 7, 48)))
+            value = shifted_pairing(f, phi, t)
+            assert isinstance(value, Fraction)
+            assert value == shift_apply(f, t).inner(phi)
+
+    def test_vanishes_from_one_on(self):
+        f, phi = walsh(5), PiecewiseConstantFn([0, Fraction(1, 3), 1], [2, Fraction(1, 7)])
+        for t in (1, Fraction(4, 3), 7):
+            assert shifted_pairing(f, phi, t) == 0
+        assert shifted_pairing(f, phi, Fraction(31, 32)) != 0
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            shifted_pairing(walsh(1), walsh(1), Fraction(-1, 8))
+
+    def test_lattice_past_depth_cap_uses_product_route(self):
+        f = PiecewiseConstantFn([0, Fraction(1, 1021), 1], [1, 2])
+        phi = PiecewiseConstantFn([0, Fraction(1, 1031), 1], [3, 1])
+        assert f.cells()[0] * phi.cells()[0] > 1 << 20
+        t = Fraction(1, 7)
+        assert shifted_pairing(f, phi, t) == shift_apply(f, t).inner(phi)
+
+    def test_cell_vector_computed_once(self):
+        f = PiecewiseConstantFn([0, Fraction(1, 4), Fraction(2, 3), 1], [1, Fraction(-1, 2), 3])
+        L, D, nums = f.cells()
+        assert (L, D) == (12, 2)
+        assert nums == (2, 2, 2, -1, -1, -1, -1, -1, 6, 6, 6, 6)
+        assert f.cells() is f.cells()
+
+
+def sorted_candidate_witness(k: int, j: int, depth: int):
+    """The scan over the sorted set of dyadic and near-1 candidates, by products."""
+    candidates = {Fraction(m, 1 << depth) for m in range(1, 1 << depth)}
+    candidates |= {1 - Fraction(1, 1 << i) for i in range(1, depth + 1)}
+    for t in sorted(c for c in candidates if 0 < c < 1):
+        if shift_apply(rademacher(k), t).inner(rademacher(j)) != 0:
+            return t
+    return None
+
+
 class TestWitnessSearch:
+    def test_matches_sorted_candidate_scan(self):
+        for k in range(1, 7):
+            for j in range(1, 7):
+                for depth in range(1, 12):
+                    expected = sorted_candidate_witness(k, j, depth)
+                    assert irreducibility_witness_search(k, j, depth) == expected
+
     def test_all_offdiagonal_pairs_have_witnesses(self):
         for k in range(1, 5):
             for j in range(1, 5):
