@@ -234,7 +234,6 @@ class GammaShiftProvider(SemigroupProvider):
 
     envelope = (1.0, 0.0)
     nilpotent_time = None
-    is_positive_family = True
 
     def __init__(self, grid: Grid1D):
         self.grid = grid

@@ -8,23 +8,26 @@ complement.  Irreducibility is then strong connectivity of the entry
 digraph, which this module decides by strongly connected components and
 cross-checks against brute-force subset enumeration.
 
-For function-space carriers no such finite reduction exists; there the
-module samples duality pairings <phi, T(t) f> over positive test pairs and
-increasing time thresholds.  Three nested conditions are tracked:
+For function-space carriers the module tabulates duality pairings
+<phi, T(t) f> over positive test pairs and increasing time thresholds.
+Three nested conditions are tracked:
 
   * some-time:            exists t >= 0 with <phi, T(t) f> != 0
   * large-times-or-zero:  for every threshold t0 there is such a t in
                           {0} union [t0, inf)
   * large-times:          for every threshold t0 there is such a t >= t0
 
-(the third implies the second implies the first).  Sampling can witness
-these or leave them open; definite violations are only reported with an
-exact certificate (a nilpotent family, an identically vanishing pairing of
-step functions, or an unreachable index pattern).
+(the third implies the second implies the first).  A carrier that knows
+the knots of a pairing (the shift on step functions: linear between the
+points of the joint lattice, zero from t = 1 on) has each condition
+decided exactly by the knot values, and a violation carries that knot
+certificate.  Other carriers are sampled, which can witness a condition
+or leave it open ("grid-limited"), never refute it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +47,6 @@ __all__ = [
     "sign_pattern_adjacency",
     "near_threshold_entries",
     "tarjan_scc",
-    "reachable_from",
     "ideal_invariant_under_generator",
     "enumerate_invariant_ideals",
     "ConditionEntry",
@@ -174,19 +176,6 @@ def _condensation(adj):
     return comps, out_mask
 
 
-def reachable_from(adj, starts):
-    """Vertices reachable from `starts` (including the starts themselves)."""
-    seen = set(starts)
-    frontier = list(starts)
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # Invariant ideals of a matrix generator
 
@@ -304,7 +293,7 @@ class ConditionsTable:
     diagram_consistent: bool
     pair_labels: tuple
     t0_list: tuple
-    times: tuple
+    times: tuple  # every probed time, sorted
     tol: float
 
     def entry(self, key: str) -> ConditionEntry:
@@ -314,52 +303,17 @@ class ConditionsTable:
         raise KeyError(key)
 
 
-def _support_indices(v) -> set:
-    vec = as_vector(v)
-    return {int(i) for i in np.nonzero(vec)[0]}
-
-
-def _step_depth_for_cert(f, phi, cap: int = 12):
-    """Dyadic depth covering every breakpoint of f and phi, or None."""
-    top = 1
-    for fn in (f, phi):
-        for b in fn.breakpoints:
-            den = b.denominator
-            if den & (den - 1):  # not a power of two
-                return None
-            top = max(top, den)
-    depth = top.bit_length() - 1
-    return depth if depth <= cap else None
-
-
-def _exact_zero_certificate(provider, f, phi):
-    """Certificate string if <phi, T(t) f> = 0 for every t >= 0, else None.
-
-    Exact nilpotent step carriers: the pairing is piecewise linear in t
-    with kinks on the dyadic breakpoint lattice, so vanishing at every
-    lattice node up to the nilpotency time forces identical vanishing.
-    """
-    nil = getattr(provider, "nilpotent_time", None)
-    if not getattr(provider, "exact_arithmetic", False) or nil is None:
-        return None
-    depth = _step_depth_for_cert(f, phi)
-    if depth is None:
-        return None
-    den = 1 << depth
-    horizon = Fraction(nil)
-    m = 0
-    while True:
-        t = Fraction(m, den)
-        if t > horizon:
-            break
-        if provider.condition_probe(t, f, phi) != 0:
-            return None
-        m += 1
-    return (
-        f"pairing vanishes at every node m/{den} up to the nilpotency time "
-        f"{nil} and the family is zero beyond it; piecewise linearity makes "
-        "this an identity"
-    )
+def _sampled_times(provider, t0_list, grid):
+    """Grid, thresholds and offsets past them, snapped by the carrier; 0 first."""
+    if grid is None:
+        grid = TimeGrid.default()
+    candidates = list(grid) + [0.0] + list(t0_list)
+    for t0 in t0_list:
+        candidates.extend([t0 + d for d in (0.0, 0.5, 1.0, 2.0)])
+    times = provider.admissible_times(candidates)
+    if not times or times[0] != 0:
+        times = [type(times[0])(0) if times else 0.0] + list(times)
+    return times
 
 
 def weak_conditions_test(
@@ -370,15 +324,16 @@ def weak_conditions_test(
     grid: TimeGrid | None = None,
     tol: float = 1e-9,
 ) -> ConditionsTable:
-    """Sample the three weak duality conditions over positive test pairs.
+    """Decide or sample the three weak duality conditions over positive test pairs.
 
-    Every (f, phi, t0) triple is probed on the admissible time samples; a
-    sample with |<phi, T(t) f>| > tol is a witness.  Definite violations
-    carry an exact certificate (nilpotency, identically vanishing step
-    pairing, or unreachable index pattern); everything else that lacks a
-    witness stays "grid-limited".  The aggregated table also re-checks the
-    implication chain large-times => large-times-or-zero => some-time on
-    the sampled data.
+    A pair whose carrier supplies pairing_knots() is probed at its knots
+    and at each t0; the pairing is linear between knots and zero from the
+    last one on, so a threshold with no nonzero probe at or after it is a
+    certified violation.  Every other pair is probed on the carrier's
+    admissible snap of `grid` and the thresholds, and a threshold without
+    a witness stays "grid-limited".  A probe with |<phi, T(t) f>| > tol
+    is a witness.  The aggregated table also re-checks the implication
+    chain large-times => large-times-or-zero => some-time on its rows.
     """
     defaults_used = test_vectors is None and test_functionals is None
     if test_vectors is None:
@@ -391,148 +346,93 @@ def weak_conditions_test(
         for j, phi in enumerate(test_functionals):
             provider.check_positive(phi, label=f"phi{j}")
 
-    if grid is None:
-        grid = TimeGrid.default()
     t0_list = tuple(float(t0) for t0 in t0_list)
-    candidates = list(grid) + [0.0] + list(t0_list)
-    for t0 in t0_list:
-        candidates.extend([t0 + d for d in (0.0, 0.5, 1.0, 2.0)])
-    nil = getattr(provider, "nilpotent_time", None)
-    if nil is not None:
-        # approach the death time from below: witnesses often live there
-        depth = getattr(provider, "depth", 8)
-        candidates.extend(float(nil) * (1.0 - 0.5 ** i) for i in range(1, depth + 1))
-    times = provider.admissible_times(candidates)
-    if not times or times[0] != 0:
-        times = [type(times[0])(0) if times else 0.0] + list(times)
+    # thresholds in the number type of the probes, converted once per table
+    num = Fraction if getattr(provider, "exact_arithmetic", False) else float
+    tol_x = num(tol)
+    lows = [num(t0) for t0 in t0_list]
+    t0_probes = {Fraction(t0) for t0 in t0_list if t0 > 0}
+    sampled = None
+    probed = set()
 
-    # unreachability certificates need the generator's entry digraph
-    adj = None
-    if isinstance(provider, MatrixSemigroup):
-        adj = sign_pattern_adjacency(provider.A, structural_threshold(provider.A, tol))
-
-    f_labels = [f"f{i}" for i in range(len(test_vectors))]
-    phi_labels = [f"phi{j}" for j in range(len(test_functionals))]
     pair_labels = []
-    samples = {}
-    zero_certs = {}
-    for i, f in enumerate(test_vectors):
-        for j, phi in enumerate(test_functionals):
-            pair = (i, j)
-            pair_labels.append((f_labels[i], phi_labels[j]))
-            vals = [(t, provider.condition_probe(t, f, phi)) for t in times]
-            samples[pair] = vals
-            cert = None
-            if adj is not None:
-                reach = reachable_from(adj, _support_indices(f))
-                if not (reach & _support_indices(phi)):
-                    cert = (
-                        "no directed path in the entry digraph from supp(f) to "
-                        "supp(phi): the pairing vanishes identically for the "
-                        "thresholded sign pattern"
-                    )
-            if cert is None and not any(v != 0 for _, v in vals):
-                cert = _exact_zero_certificate(provider, f, phi)
-            zero_certs[pair] = cert
-
-    def first_witness(pair, lo=None):
-        for t, v in samples[pair]:
-            if lo is not None and t < lo:
-                continue
-            if abs(v) > tol:
-                return t, v
-        return None
-
     some_wit, some_vio, some_unres = [], [], []
-    for (i, j), label in zip(samples.keys(), pair_labels):
-        w = first_witness((i, j))
-        if w is not None:
-            some_wit.append((label[0], label[1], None, w[0], w[1]))
-        elif zero_certs[(i, j)]:
-            some_vio.append((label[0], label[1], None, zero_certs[(i, j)]))
-        else:
-            some_unres.append((label[0], label[1], None))
-
     large_wit, large_vio, large_unres = [], [], []
     orzero_wit, orzero_vio, orzero_unres = [], [], []
-    for (i, j), label in zip(samples.keys(), pair_labels):
-        cert_zero = zero_certs[(i, j)]
-        val0 = samples[(i, j)][0][1]
-        for t0 in t0_list:
-            w = first_witness((i, j), lo=t0)
-            row = (label[0], label[1], t0)
-            # large-times: some witness t >= t0
-            if w is not None:
-                large_wit.append(row + (w[0], w[1]))
-            elif cert_zero:
-                large_vio.append(row + (cert_zero,))
-            elif nil is not None and t0 >= float(nil):
-                large_vio.append(
-                    row + (f"family is exactly zero for t >= {nil} and t0 >= {nil}",)
-                )
+    for i, f in enumerate(test_vectors):
+        for j, phi in enumerate(test_functionals):
+            label = (f"f{i}", f"phi{j}")
+            pair_labels.append(label)
+            knots = provider.pairing_knots(f, phi)
+            if knots is None:
+                if sampled is None:
+                    sampled = _sampled_times(provider, t0_list, grid)
+                times = sampled
             else:
-                large_unres.append(row)
-            # large-times-or-zero: t = 0 also qualifies
-            if abs(val0) > tol:
-                orzero_wit.append(row + (times[0], val0))
-            elif w is not None:
-                orzero_wit.append(row + (w[0], w[1]))
-            elif cert_zero:
-                orzero_vio.append(row + (cert_zero,))
-            elif nil is not None and t0 >= float(nil) and val0 == 0:
-                orzero_vio.append(
-                    row
-                    + (
-                        "pairing at t = 0 is exactly zero and the family is "
-                        f"exactly zero for t >= {nil}",
-                    )
+                times = sorted(t0_probes.union(knots))
+            probed.update(times)
+            vals = [(t, provider.condition_probe(t, f, phi)) for t in times]
+            hits = [(t, v) for t, v in vals if abs(v) > tol_x]
+            hit_times = [t for t, _ in hits]
+            cert = last = None
+            if knots is not None:
+                last = max((t for t, v in vals if v != 0), default=None)
+                cert = (
+                    "exact knot values: the pairing is linear between its knots, "
+                    f"zero from t = {knots[-1]} on, and exactly 0 at every knot "
+                    "the condition admits"
                 )
+            val0 = vals[0][1]
+
+            if hits:
+                some_wit.append(label + (None,) + hits[0])
+            elif cert is not None and last is None:
+                some_vio.append(label + (None, cert))
             else:
-                orzero_unres.append(row)
+                some_unres.append(label + (None,))
+
+            for t0, lo in zip(t0_list, lows):
+                row = label + (t0,)
+                k = bisect_left(hit_times, lo)
+                w = hits[k] if k < len(hits) else None
+                dead = cert is not None and (last is None or last < lo)
+                # large-times: some witness t >= t0
+                if w is not None:
+                    large_wit.append(row + w)
+                elif dead:
+                    large_vio.append(row + (cert,))
+                else:
+                    large_unres.append(row)
+                # large-times-or-zero: t = 0 also qualifies
+                if abs(val0) > tol_x:
+                    orzero_wit.append(row + vals[0])
+                elif w is not None:
+                    orzero_wit.append(row + w)
+                elif dead and val0 == 0:
+                    orzero_vio.append(row + (cert,))
+                else:
+                    orzero_unres.append(row)
 
     def status(wit, vio, unres):
-        if vio:
-            return "violated"
-        if unres:
-            return "grid-limited"
-        return "holds"
+        return "violated" if vio else "grid-limited" if unres else "holds"
 
-    entries = (
-        ConditionEntry(
-            COND_SOME_TIME,
-            status(some_wit, some_vio, some_unres),
-            tuple(some_wit),
-            tuple(some_vio),
-            tuple(some_unres),
-        ),
-        ConditionEntry(
-            COND_LARGE_TIMES_OR_ZERO,
-            status(orzero_wit, orzero_vio, orzero_unres),
-            tuple(orzero_wit),
-            tuple(orzero_vio),
-            tuple(orzero_unres),
-        ),
-        ConditionEntry(
-            COND_LARGE_TIMES,
-            status(large_wit, large_vio, large_unres),
-            tuple(large_wit),
-            tuple(large_vio),
-            tuple(large_unres),
-        ),
+    entries = tuple(
+        ConditionEntry(key, status(*rows), *map(tuple, rows))
+        for key, rows in (
+            (COND_SOME_TIME, (some_wit, some_vio, some_unres)),
+            (COND_LARGE_TIMES_OR_ZERO, (orzero_wit, orzero_vio, orzero_unres)),
+            (COND_LARGE_TIMES, (large_wit, large_vio, large_unres)),
+        )
     )
 
-    # implication chain on the sampled data: every large-times witness row
+    # implication chain on the table's rows: every large-times witness row
     # must also be witnessed for large-times-or-zero, and every witnessed
     # row of that condition must have a some-time witness for its pair.
-    witnessed_orzero = {(r[0], r[1], r[2]) for r in orzero_wit}
-    witnessed_some = {(r[0], r[1]) for r in some_wit}
-    diagram = True
-    for r in large_wit:
-        if (r[0], r[1], r[2]) not in witnessed_orzero:
-            diagram = False
-    for r in orzero_wit:
-        if (r[0], r[1]) not in witnessed_some:
-            diagram = False
+    witnessed_orzero = {r[:3] for r in orzero_wit}
+    witnessed_some = {r[:2] for r in some_wit}
+    diagram = all(r[:3] in witnessed_orzero for r in large_wit) and all(
+        r[:2] in witnessed_some for r in orzero_wit
+    )
     by_key = {e.key: e for e in entries}
     if (
         by_key[COND_LARGE_TIMES].status == "holds"
@@ -547,7 +447,7 @@ def weak_conditions_test(
         diagram_consistent=diagram,
         pair_labels=tuple(pair_labels),
         t0_list=t0_list,
-        times=tuple(times),
+        times=tuple(sorted(probed)),
         tol=tol,
     )
 
@@ -586,13 +486,13 @@ def classify(
     conditions coincide pair by pair, irreducibility and persistent
     irreducibility coincide, and `diagram_consistent` is True.
 
-    Function-space carriers are assessed from the sampled duality table of
+    Function-space carriers are assessed from the duality table of
     weak_conditions_test (which also serves the tests as an oracle for the
     matrix route); `grid` and `t0_list` apply to them only.  A nilpotent
-    family can never be persistently irreducible (in dimension > 1), and
-    exact pairing witnesses can still certify plain irreducibility;
-    everything else is grid-limited evidence, recorded as such in
-    evidence_mode.
+    family can never be persistently irreducible (in dimension > 1); with
+    exact arithmetic, a some-time witness for every pair certifies plain
+    irreducibility.  Everything else is grid-limited evidence, recorded as
+    such in evidence_mode.
     """
     if A is None and isinstance(provider, MatrixSemigroup):
         A = provider.A
@@ -651,7 +551,7 @@ def classify(
         notes += (
             "certify plain irreducibility exactly"
             if mode == "certified"
-            else "are incomplete on the sampled lattice"
+            else "do not cover every test pair"
         )
         return IrreducibilityReport(
             classification=IRREDUCIBLE_NOT_PERSISTENT,
@@ -661,29 +561,6 @@ def classify(
             diagram_consistent=table.diagram_consistent,
             evidence_mode=mode,
             notes=notes,
-        )
-
-    if some.status == "violated" and getattr(provider, "is_positive_family", False):
-        # for positive families an identically vanishing pairing yields a
-        # genuine invariant ideal (reachability closes under composition):
-        # take the basis indices the violating f can ever reach
-        basis_count = len(provider.condition_basis())
-        row = some.violations[0]
-        src = int(row[0][1:])
-        reached = {src}
-        for wrow in some.witnesses:
-            if int(wrow[0][1:]) == src:
-                reached.add(int(wrow[1][3:]))
-        return IrreducibilityReport(
-            classification=REDUCIBLE,
-            witness_ideal=IdealMask.of(sorted(reached), basis_count),
-            witness_onset=0.0,
-            conditions=table,
-            diagram_consistent=table.diagram_consistent,
-            evidence_mode="certified",
-            notes="identically vanishing pairing in a positive family: the "
-            "closed ideal generated by the orbit of f stays inside the "
-            "witness coordinates and misses supp(phi)",
         )
 
     if large.status == "holds" and some.status == "holds":

@@ -937,7 +937,6 @@ class CoupledProvider(SemigroupProvider):
     stacked cell/coordinate basis.
     """
 
-    is_positive_family = False
     nilpotent_time = None
 
     def __init__(self, system: CoupledSystem, config: DysonPhillipsConfig | None = None):

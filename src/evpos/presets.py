@@ -45,6 +45,8 @@ from .semigroup import (
 )
 from .spectral import dominant_projection
 from .stepfun import (
+    MAX_DEPTH,
+    ShiftStepProvider,
     irreducibility_witness_search,
     pairing,
     rademacher,
@@ -216,8 +218,8 @@ def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20
 
 def run_shift_demo(depth: int = 8, pair_max: int = 4) -> PresetReport:
     """Exact-arithmetic suite for the nilpotent shift family."""
-    if depth < 1:
-        raise InputError("depth must be >= 1")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise InputError(f"--depth must be in 1..{MAX_DEPTH}, got {depth}")
     checks = []
 
     r1 = rademacher(1)
@@ -269,7 +271,7 @@ def run_shift_demo(depth: int = 8, pair_max: int = 4) -> PresetReport:
     for k in range(1, pair_max + 1):
         for j in range(1, pair_max + 1):
             found = None
-            for d in range(depth, 11):
+            for d in range(depth, max(depth, 10) + 1):
                 found = irreducibility_witness_search(k, j, d)
                 if found is not None:
                     break
@@ -293,9 +295,7 @@ def run_shift_demo(depth: int = 8, pair_max: int = 4) -> PresetReport:
         )
     )
 
-    from .stepfun import ShiftStepProvider
-
-    rep = classify(ShiftStepProvider(depth=min(depth, 8)))
+    rep = classify(ShiftStepProvider(depth=depth))
     checks.append(
         CheckResult(
             "classification",

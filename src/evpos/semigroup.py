@@ -191,7 +191,6 @@ class SemigroupProvider:
 
     envelope: tuple = (1.0, 0.0)
     nilpotent_time = None  # exact time past which T(t) = 0, if any
-    is_positive_family: bool = False  # certified T(t) >= 0 for every t
     exact_arithmetic: bool = False  # pairings are exact rationals
 
     def apply(self, t, f):
@@ -225,6 +224,15 @@ class SemigroupProvider:
     def condition_probe(self, t, f, phi):
         """Duality sample <phi, T(t) f>."""
         return self.pair(phi, self.apply(t, f))
+
+    def pairing_knots(self, f, phi):
+        """Exact knot times of t -> <phi, T(t) f>, or None to sample it.
+
+        A carrier that returns knots promises that the pairing is linear
+        between consecutive knots (the first is 0) and zero from the last
+        one on, so its values there decide every weak condition exactly.
+        """
+        return None
 
     def check_positive(self, f, label: str = "vector"):
         """Raise PremiseViolation unless f is positive and nonzero in the carrier lattice."""

@@ -355,11 +355,13 @@ class ShiftStepProvider(SemigroupProvider):
     sequence-side basis vector, and condition_probe() returns the exact
     rational matrix entry <e_j, T(t) e_k> of the conjugated semigroup,
     read from the lattice correlation of the two waves (shifted_pairing).
+    pairing_knots() hands the weak-conditions table the joint lattice of
+    each pair, whose knot values decide the table exactly at any depth;
+    `depth` sets the dense cell matrices and the sampled time lattice.
     """
 
     envelope = (1.0, 0.0)
     nilpotent_time = _ONE
-    is_positive_family = True
     exact_arithmetic = True
 
     def __init__(self, depth: int = 6):
@@ -407,6 +409,18 @@ class ShiftStepProvider(SemigroupProvider):
     def condition_probe(self, t, f, phi) -> Fraction:
         """Exact <phi, S(t) f> from the lattice correlation of f and phi."""
         return shifted_pairing(f, phi, t)
+
+    def pairing_knots(self, f, phi):
+        """The knots m/L, m = 0..L, of the joint lattice of f and phi.
+
+        t -> <phi, S(t) f> is linear between them and zero from t = 1 on.
+        None (sample instead) when the lattice is finer than 2^MAX_DEPTH
+        cells, where shifted_pairing itself falls back to the product.
+        """
+        L = math.lcm(f.cells()[0], phi.cells()[0])
+        if L > 1 << MAX_DEPTH:
+            return None
+        return [Fraction(m, L) for m in range(L + 1)]
 
     def admissible_times(self, candidates):
         """Round each candidate to the nearest dyadic t = m / 2**depth."""

@@ -246,6 +246,20 @@ class TestExamples:
         assert rc == 0
         assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize("depth", [11, 20])
+    def test_shift_suite_passes_at_deep_depths(self, capsys, depth):
+        rc, out, _ = run(capsys, ["examples", "run", "ex3_10", "--depth", str(depth)])
+        assert rc == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["exact pairing witnesses in (0,1)"]["passed"]
+        assert checks["classification"]["details"]["mode"] == "certified"
+
+    def test_shift_suite_rejects_depth_past_the_cap(self, capsys):
+        rc, out, err = run(capsys, ["examples", "run", "ex3_10", "--depth", "21"])
+        assert rc == 1
+        assert out == ""
+        assert "--depth" in err
+
     def test_failed_must_pass_check_exits_two_with_witnesses(
         self, capsys, monkeypatch
     ):

@@ -1,5 +1,7 @@
 """Invariant ideals, strong connectivity, and the classification pipeline."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from evpos.irreducibility import (
     weak_conditions_test,
 )
 from evpos.semigroup import MatrixSemigroup, demo_generator
-from evpos.stepfun import ShiftStepProvider, shift_apply
+from evpos.stepfun import PiecewiseConstantFn, ShiftStepProvider, shift_apply
 
 
 def random_pattern(rng) -> np.ndarray:
@@ -146,9 +148,11 @@ class TestClassify:
     def test_digraph_route_agrees_with_sampled_table(self):
         # random_pattern draws Metzler matrices, for which a nonvanishing
         # pairing <e_j, e^{tA} e_i> is the same as j reachable from i.  The
-        # table compares raw samples with an absolute tolerance, so rounding
-        # in a growing flow reads as a witness; it therefore samples the
-        # flow of A - s(A) I, which has the same entry digraph and the same
+        # oracle is the sampled table alone: it reads no entry digraph, so
+        # it shares no code with the route it checks.  The table compares
+        # raw samples with an absolute tolerance, so rounding in a growing
+        # flow reads as a witness; it therefore samples the flow of
+        # A - s(A) I, which has the same entry digraph and the same
         # vanishing pairings.
         rng = np.random.default_rng(808)
         for _ in range(40):
@@ -206,6 +210,84 @@ class TestWeakConditions:
             ref = classify(ShiftStepProvider(depth=d))
             assert rep.conditions == ref.conditions
             assert repr(rep) == repr(ref)
+
+    def test_knot_table_agrees_with_sampled_product_table(self, monkeypatch):
+        # the sampled table on the product route is the oracle; sampling
+        # cannot refute, so its unwitnessed rows at t0 >= 1 are read as the
+        # violations they are (the shift is zero from t = 1 on)
+        knot_tables = {d: weak_conditions_test(ShiftStepProvider(depth=d)) for d in range(4, 9)}
+        monkeypatch.setattr(ShiftStepProvider, "pairing_knots", lambda self, f, phi: None)
+        monkeypatch.setattr(
+            ShiftStepProvider,
+            "condition_probe",
+            lambda self, t, f, phi: shift_apply(f, t).inner(phi),
+        )
+        for d, table in knot_tables.items():
+            basis = ShiftStepProvider(depth=d).condition_basis()
+            sampled = weak_conditions_test(ShiftStepProvider(depth=d))
+            for exact, ref in zip(table.entries, sampled.entries):
+                dead = {r for r in ref.unresolved if r[2] is not None and r[2] >= 1}
+                still_open = set(ref.unresolved) - dead
+                ref_status = "violated" if dead else "grid-limited" if still_open else "holds"
+                assert exact.status == ref_status
+                assert {r[:3] for r in exact.violations} == dead
+                assert {r[:3] for r in ref.witnesses} <= {r[:3] for r in exact.witnesses}
+                for f_label, phi_label, _t0, t, value in exact.witnesses:
+                    f, phi = basis[int(f_label[1:])], basis[int(phi_label[3:])]
+                    assert shift_apply(f, t).inner(phi) == value
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_shift_table_certified_at_every_depth(self, depth):
+        rep = classify(ShiftStepProvider(depth=depth))
+        assert rep.classification == IRREDUCIBLE_NOT_PERSISTENT
+        assert rep.evidence_mode == "certified"
+        assert rep.witness_onset == 1
+        counts = [
+            (len(e.witnesses), len(e.violations), len(e.unresolved))
+            for e in rep.conditions.entries
+        ]
+        assert counts == [(16, 0, 0), (24, 24, 0), (16, 32, 0)]
+
+    def test_pairing_that_never_meets_is_a_certified_violation(self):
+        # the left shift moves 1_[0,1/8) away from 1_[7/8,1)
+        f = PiecewiseConstantFn([0, Fraction(1, 8), 1], [1, 0])
+        phi = PiecewiseConstantFn([0, Fraction(7, 8), 1], [0, 1])
+        table = weak_conditions_test(
+            ShiftStepProvider(depth=3), test_vectors=[f], test_functionals=[phi]
+        )
+        for entry in table.entries:
+            assert entry.status == "violated"
+            assert not entry.witnesses and not entry.unresolved
+            assert all(row[3].startswith("exact knot values") for row in entry.violations)
+
+    def test_witness_between_the_carrier_dyadics(self):
+        # <phi, S(t) f> is a hat on (1/4, 1/2) peaking at t = 3/8, so every
+        # depth-1 dyadic m/2 reads 0; the knots m/8 find the peak
+        f = PiecewiseConstantFn([0, Fraction(1, 2), Fraction(5, 8), 1], [0, 1, 0])
+        phi = PiecewiseConstantFn([0, Fraction(1, 8), Fraction(1, 4), 1], [0, 1, 0])
+        table = weak_conditions_test(
+            ShiftStepProvider(depth=1), test_vectors=[f], test_functionals=[phi]
+        )
+        some = table.entry("some-time")
+        assert some.status == "holds"
+        assert some.witnesses == (("f0", "phi0", None, Fraction(3, 8), Fraction(1, 8)),)
+
+    def test_nonzero_below_tol_is_neither_witness_nor_violation(self):
+        # <1, S(t) c> = c (1 - t) with c = 1e-12: no witness, and no
+        # certificate before t = 1, where the pairing becomes exactly 0; the
+        # t = 0 value keeps every large-times-or-zero row open
+        f = PiecewiseConstantFn.constant(Fraction(1, 10**12))
+        phi = PiecewiseConstantFn.constant(1)
+        table = weak_conditions_test(
+            ShiftStepProvider(depth=2), test_vectors=[f], test_functionals=[phi]
+        )
+        assert table.entry("some-time").status == "grid-limited"
+        large = table.entry("large-times")
+        assert large.unresolved == (("f0", "phi0", 0.0),)
+        assert [row[2] for row in large.violations] == [1.0, 5.0]
+        orzero = table.entry("large-times-or-zero")
+        assert [row[2] for row in orzero.unresolved] == [0.0, 1.0, 5.0]
+        assert not orzero.witnesses and not orzero.violations
 
     def test_nilpotent_family_violates_large_times_definitely(self):
         table = weak_conditions_test(ShiftStepProvider(depth=4))

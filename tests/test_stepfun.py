@@ -237,6 +237,17 @@ class TestShiftStepProvider:
         assert isinstance(val, Fraction)
         assert val == Fraction(1, 8)
 
+    def test_pairing_is_linear_between_its_knots(self):
+        p = ShiftStepProvider(depth=2)
+        f, phi = rademacher(1), rademacher(3)
+        knots = p.pairing_knots(f, phi)
+        assert knots == [Fraction(m, 8) for m in range(9)]
+        for a, b in zip(knots, knots[1:]):
+            mid = shifted_pairing(f, phi, (a + b) / 2)
+            ends = shifted_pairing(f, phi, a) + shifted_pairing(f, phi, b)
+            assert mid == ends / 2
+        assert shifted_pairing(f, phi, knots[-1]) == 0
+
     def test_classifies_irreducible_not_persistent(self):
         rep = classify(ShiftStepProvider(depth=6))
         assert rep.classification == "IrreducibleNotPersistent"
