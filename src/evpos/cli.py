@@ -34,17 +34,14 @@ from . import __version__
 from .errors import ConsistencyViolation, EvposError, InputError
 from .irreducibility import classify
 from .lattice import IdealMask
-from .perturbation import DysonPhillipsConfig, ProductVector
+from .perturbation import CoupledProvider, DysonPhillipsConfig, ProductVector, check_node_budget
 from .positivity import certify_eventual_strong_positivity
-from .presets import PRESETS, coupled_demo_system
+from .presets import MAX_GRID_POINTS, PRESETS, coupled_demo_system
 from .semigroup import TimeGrid, demo_generator, expm
 from .spectral import dominant_projection
 from .stepfun import pairing
 
 MAX_MATRIX_DIM = 400
-# The grid is only sampled when no certificate applies, but its points
-# are allocated up front; the cap keeps a typo from exhausting memory.
-MAX_GRID_POINTS = 4096
 
 # Flags each timeseries quantity reads; any other set flag is rejected.
 TIMESERIES_FLAGS = {
@@ -369,17 +366,17 @@ def _series_support_front(args) -> tuple:
     h = args.grid_h if args.grid_h is not None else 0.125
     t_max = _positive_t_max(args, 4.0)
     system = coupled_demo_system(L=L, h=h)
-    from .perturbation import CoupledProvider
-
     provider = CoupledProvider(
         system,
         DysonPhillipsConfig(max_terms=args.dp_terms) if args.dp_terms is not None else None,
     )
+    q_max = int(round(t_max / h))
+    check_node_budget(provider.config.max_terms, q_max)
     grid = system.provider2.grid
     seed = ProductVector(np.ones(3), system.provider2.zero_vector())
     header = ["t", "support_front_x", "support_lo_cell", "predicted_x"]
     rows = []
-    for q in range(1, int(round(t_max / h)) + 1):
+    for q in range(1, q_max + 1):
         t = q * h
         out = provider.apply(t, seed)
         lo = int(out.second.support_lo)

@@ -11,9 +11,13 @@ collocation scheme for dense matrix carriers, and a positive-weight
 composite rule on the carrier's own time lattice for providers that can
 only be evaluated at whole grid steps.  The lattice backend computes
 each (term, step) of an orbit once and fills later steps as they are
-asked for, so its results do not depend on the order of the calls.  The
-only series setting is the term cap, DysonPhillipsConfig.max_terms; the
-quadrature density, tail target and node budget are module constants.
+asked for, so its results do not depend on the order of the calls.
+Each step's quadrature sums are one weighted reduction over the stacked
+summands, bit for bit the term-by-term fold, and a series past the node
+budget is refused before any work.  The term count reads each envelope
+term once.  The only series setting is the term cap,
+DysonPhillipsConfig.max_terms; the quadrature density, tail target and
+node budget are module constants.
 On top of the series sit an order-theoretic domination check, the
 transfer of eventually invariant coordinate ideals to the perturbed
 family, and a two-carrier coupling constructor whose off-diagonal
@@ -65,6 +69,44 @@ class DysonPhillipsConfig:
             raise InputError("max_terms must be >= 1")
 
 
+class _EnvelopeSeries:
+    """Terms M^{n+1} e^{omega t} (|B| M t)^n / n! of the envelope bound, each computed once.
+
+    (M, omega) is the growth pair; a term whose logarithm reaches 700
+    reads inf, the bound having left floating range.
+    """
+
+    def __init__(self, envelope, norm_b: float, t: float):
+        M, omega = float(envelope[0]), float(envelope[1])
+        self.x = norm_b * M * t
+        self._log_m = math.log(M) if M > 0 else float("-inf")
+        self._base = omega * t
+        self._log_x = math.log(self.x)
+        self._terms = []
+
+    def term(self, n: int) -> float:
+        while len(self._terms) <= n:
+            k = len(self._terms)
+            log_term = (k + 1) * self._log_m + self._base + k * self._log_x - math.lgamma(k + 1)
+            self._terms.append(math.inf if log_term >= 700.0 else math.exp(log_term))
+        return self._terms[n]
+
+    def tail(self, n_terms: int) -> float:
+        """Sum of the terms past n_terms, stopped once they no longer move it."""
+        total = 0.0
+        n = n_terms + 1
+        while True:
+            term = self.term(n)
+            if term == math.inf:
+                return math.inf
+            total += term
+            if n > self.x and (term == 0.0 or term <= total * 1e-18):
+                return total
+            n += 1
+            if n > n_terms + 200_000:  # pragma: no cover - defensive
+                return math.inf
+
+
 def perturbation_tail_bound(envelope, norm_b: float, t: float, n_terms: int) -> float:
     """Certified bound on the dropped series remainder past n_terms.
 
@@ -72,35 +114,30 @@ def perturbation_tail_bound(envelope, norm_b: float, t: float, n_terms: int) -> 
     growth pair (M, omega).  Conservative by construction; returns inf
     when the bound itself leaves floating range.
     """
-    M, omega = float(envelope[0]), float(envelope[1])
     t = float(t)
     if t <= 0.0 or norm_b <= 0.0:
         return 0.0
-    x = norm_b * M * t
-    log_m = math.log(M) if M > 0 else float("-inf")
-    base = omega * t
-    total = 0.0
-    n = n_terms + 1
-    while True:
-        log_term = (n + 1) * log_m + base + n * math.log(x) - math.lgamma(n + 1)
-        if log_term >= 700.0:
-            return math.inf
-        term = math.exp(log_term)
-        total += term
-        if n > x and (term == 0.0 or term <= total * 1e-18):
-            return total
-        n += 1
-        if n > n_terms + 200_000:  # pragma: no cover - defensive
-            return math.inf
+    return _EnvelopeSeries(envelope, norm_b, t).tail(n_terms)
 
 
 def choose_terms(config: DysonPhillipsConfig, envelope, norm_b: float, t: float):
-    """(term count, certified tail) meeting TAIL_TOLERANCE, capped at max_terms."""
+    """(term count, certified tail) meeting TAIL_TOLERANCE, capped at max_terms.
+
+    The smallest passing count, as a scan of perturbation_tail_bound over
+    n = 0, 1, ... finds it; each series term is computed once, and only a
+    count whose first dropped term meets the tolerance is summed, since a
+    sum of nonnegative terms is at least its first.
+    """
+    t = float(t)
+    if t <= 0.0 or norm_b <= 0.0:
+        return 0, 0.0
+    series = _EnvelopeSeries(envelope, norm_b, t)
     for n in range(config.max_terms + 1):
-        tail = perturbation_tail_bound(envelope, norm_b, t, n)
-        if tail <= TAIL_TOLERANCE:
-            return n, tail
-    return config.max_terms, perturbation_tail_bound(envelope, norm_b, t, config.max_terms)
+        if series.term(n + 1) <= TAIL_TOLERANCE:
+            tail = series.tail(n)
+            if tail <= TAIL_TOLERANCE:
+                return n, tail
+    return config.max_terms, series.tail(config.max_terms)
 
 
 # --------------------------------------------------------------------------
@@ -248,6 +285,51 @@ def _lattice_weights(q: int, h: float) -> np.ndarray:
     return w * h
 
 
+def check_node_budget(n_terms: int, q: int) -> None:
+    """Refuse a lattice series of n_terms terms to step q past NODE_BUDGET nodes.
+
+    Term n at step p reads the p + 1 nodes 0..p, so the series fills
+    n_terms (q + 1)(q + 2) / 2 nodes at most.
+    """
+    if n_terms * (q + 1) * (q + 2) // 2 > NODE_BUDGET:
+        raise QuadratureBudgetExceeded(
+            f"series depth {n_terms} over {q + 1} lattice nodes exceeds "
+            f"the budget of {NODE_BUDGET}"
+        )
+
+
+def _weighted_sums(vectors: list, rules: np.ndarray) -> list:
+    """[sum_j w[j] vectors[j] for w in rules], each bitwise the left fold w[0] v_0 + w[1] v_1 + ...
+
+    The summands are stacked once and every rule reduces the stack over
+    its first axis, which numpy adds row after row.  The sum starts at
+    -0.0 so that an entry that is -0.0 in every summand keeps its sign, and
+    one-entry rows go through the sequential accumulate, because numpy
+    sums a lone contiguous axis pairwise.  Grid functions keep the
+    smallest support floor of their summands; product vectors are summed
+    componentwise.
+    """
+    head = vectors[0]
+    if isinstance(head, ProductVector):
+        firsts = _weighted_sums([v.first for v in vectors], rules)
+        seconds = _weighted_sums([v.second for v in vectors], rules)
+        return [ProductVector(a, b) for a, b in zip(firsts, seconds)]
+    if isinstance(head, GridFunction):
+        floor = min(v.support_lo for v in vectors)
+        sums = _weighted_sums([v.samples for v in vectors], rules)
+        return [GridFunction(head.grid, x, floor) for x in sums]
+    stack = np.stack(vectors).reshape(len(vectors), -1)
+    out = []
+    for w in rules:
+        scaled = stack * w[:, None]
+        if stack.shape[1] < 2:
+            total = np.add.accumulate(scaled, axis=0)[-1]
+        else:
+            total = np.add.reduce(scaled, axis=0, initial=-0.0)
+        out.append(total.reshape(head.shape))
+    return out
+
+
 class _LatticeSeries:
     """Series terms of one orbit on a step-h lattice, each (term, step) computed once.
 
@@ -281,15 +363,10 @@ class _LatticeSeries:
                 v = self.images[n - 1][0] * 0.0
             else:
                 g = self.images[n - 1]
-                wts = _lattice_weights(p, self.h)
                 trap = np.full(p + 1, self.h)
                 trap[0] = trap[p] = 0.5 * self.h
                 applied = [self.apply_t(p - j, g[j]) for j in range(p + 1)]
-                v = applied[0] * float(wts[0])
-                tz = applied[0] * float(trap[0])
-                for j in range(1, p + 1):
-                    v = v + applied[j] * float(wts[j])
-                    tz = tz + applied[j] * float(trap[j])
+                v, tz = _weighted_sums(applied, np.stack([_lattice_weights(p, self.h), trap]))
                 gap = self.norm(v - tz)
             image = self.apply_b(v)
             values.append(v)
@@ -305,8 +382,9 @@ class _LatticeSeries:
         B-images all vanish (every later term is then identically zero)
         or after two consecutive terms below the floating floor relative
         to the unperturbed orbit.  The gauge sums the kept terms' gaps at
-        step q.
+        step q.  A series past NODE_BUDGET is refused before any work.
         """
+        check_node_budget(n_terms, q)
         self._fill(0, q)
         floor = 1e-16 * max(max(self.norms[0][: q + 1]), 1e-300)
         terms = [self.values[0][q]]
@@ -327,10 +405,20 @@ class _LatticeSeries:
         return terms, gauge
 
 
-def _dense_lattice_terms(step_dense: list, B: np.ndarray, h: float, q: int, n_terms: int):
-    """(dense terms at step q, gauge); step_dense[m] is the unperturbed operator at m steps."""
+def _dense_lattice_terms(step_dense, B: np.ndarray, h: float, q: int, n_terms: int):
+    """(dense terms at step q, gauge); step_dense(m) is the unperturbed operator at m steps.
+
+    Each operator is built once, when the series first reads it.
+    """
+    ops = {}
+
+    def apply_t(m, x):
+        if m not in ops:
+            ops[m] = step_dense(m)
+        return ops[m] @ x
+
     series = _LatticeSeries(
-        lambda m, x: step_dense[m] @ x,
+        apply_t,
         lambda x: B @ x,
         np.eye(B.shape[0]),
         h,
@@ -343,13 +431,7 @@ def _lattice_dp_dense(provider, B: np.ndarray, t: float, n_terms: int):
     """(dense terms, gauge) for a provider restricted to a time lattice."""
     h = provider.grid.h
     q = provider.grid.steps_of(t)
-    if n_terms * (q + 1) * (q + 2) // 2 > NODE_BUDGET:
-        raise QuadratureBudgetExceeded(
-            f"series depth {n_terms} over {q + 1} lattice nodes exceeds "
-            f"the budget of {NODE_BUDGET}"
-        )
-    step_dense = [provider.to_dense(m * h) for m in range(q + 1)]
-    terms, gauge = _dense_lattice_terms(step_dense, B, h, q, n_terms)
+    terms, gauge = _dense_lattice_terms(lambda m: provider.to_dense(m * h), B, h, q, n_terms)
     terms += [np.zeros_like(terms[0])] * (n_terms + 1 - len(terms))
     return terms, gauge
 
@@ -1128,8 +1210,7 @@ class CoupledProvider(SemigroupProvider):
                 self.config, self.system.diag_envelope(), self.system.perturbation_norm(), t
             )
             h = self.lattice_h
-            step_dense = [self._dense_diag(m * h) for m in range(q + 1)]
-            terms, gauge = _dense_lattice_terms(step_dense, Bd, h, q, n_terms)
+            terms, gauge = _dense_lattice_terms(lambda m: self._dense_diag(m * h), Bd, h, q, n_terms)
             dense = terms[0].copy()
             for term in terms[1:]:
                 dense += term

@@ -31,6 +31,7 @@ from .perturbation import (
     GridFunctional,
     ProductVector,
     RankOneCoupling,
+    check_node_budget,
     coupling_irreducibility_check,
     coupling_premise_check,
     domination_check,
@@ -53,6 +54,10 @@ from .stepfun import (
     shift_apply,
     walsh,
 )
+
+# Grids (sampled times or window cells) are allocated up front; the cap
+# keeps a typo from exhausting memory.
+MAX_GRID_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -329,6 +334,11 @@ def coupled_demo_system(L: float = 6.0, h: float = 0.125) -> CoupledSystem:
     if abs(cells_per_unit - round(cells_per_unit)) > 1e-12:
         raise InputError("cell width must divide 1")
     count = int(round(2 * L / h))
+    if count > MAX_GRID_POINTS:
+        raise InputError(
+            f"window [-{L:g}, {L:g}] at cell width {h:g} has {count} cells, "
+            f"past the cap {MAX_GRID_POINTS}"
+        )
     grid = Grid1D(x_min=-L, h=h, count=count)
     provider1 = MatrixSemigroup(demo_generator())
     provider2 = GammaShiftProvider(grid)
@@ -356,16 +366,20 @@ def run_coupled_demo(
     first component of the coupled orbit of (z, 0) matches the plain
     matrix flow for t < 2 and is genuinely negative somewhere, so the
     coupled family is not positive; (3) the second component's support
-    floor stays at or right of the cell containing 1 - t, by integer
-    bookkeeping, so no orbit value is quasi-interior; (4) sampled
-    coupled operators act positively on positive seeds for large times
-    (grid-limited evidence).
+    floor stays at or right of the cell containing 1 - t (any cell once
+    1 - t has left the window), by integer bookkeeping, so no orbit value
+    is quasi-interior; (4) sampled coupled operators act positively on
+    positive seeds for large times (grid-limited evidence).  The last
+    step t_max/h is checked against the series node budget at the term
+    cap before the first sample.
     """
     system = coupled_demo_system(L=L, h=h)
     if not 0.0 < t_max < math.inf or round(t_max / h) < 1:
         raise InputError(f"t_max must be finite and reach the first step h = {h:g}")
     provider = CoupledProvider(system, config)
     grid = system.provider2.grid
+    q_max = int(round(t_max / h))
+    check_node_budget(provider.config.max_terms, q_max)
     checks = []
 
     premise = coupling_premise_check(system, tol=tol)
@@ -428,11 +442,11 @@ def run_coupled_demo(
     seed3 = ProductVector(ones, system.provider2.zero_vector())
     support_ok = True
     fronts = []
-    q_max = int(round(t_max / h))
     for q in range(1, q_max + 1):
         t = q * h
         total = provider.apply(t, seed3)
-        floor_cell = grid.cell_of(1.0 - t)
+        # past t = L + 1 the front 1 - t has left the window: every cell qualifies
+        floor_cell = grid.cell_of(1.0 - t) if 1.0 - t >= grid.x_min else 0
         fronts.append(
             {
                 "t": t,
@@ -452,7 +466,9 @@ def run_coupled_demo(
 
     # structural bonus recorded with claim 3: below the travel time the
     # second-order term vanishes identically, so the series terminates.
-    small_q = max(1, q_max // 4)
+    # Sampled at a quarter of t_max or at the last step before t = 2,
+    # whichever comes first.
+    small_q = max(1, min(q_max // 4, max(q_lt2)))
     terms = provider.orbit_terms(seed, small_q * h)
     checks.append(
         CheckResult(

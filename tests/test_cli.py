@@ -286,6 +286,29 @@ class TestExamples:
         assert payload["witnesses"]
         assert "rigged" in json.dumps(payload["witnesses"])
 
+    def test_coupled_suite_runs_past_the_window(self, capsys):
+        # past t = L + 1 the predicted front 1 - t lies left of the window
+        rc, out, err = run(capsys, ["examples", "run", "ex5_6", "--t-max", "7.25"])
+        assert (rc, err) == (0, "")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        claim3 = checks["claim 3: support confinement (never quasi-interior)"]
+        assert claim3["passed"]
+        assert claim3["details"]["front_samples"][-1] == {
+            "t": 7.25,
+            "support_lo": 0,
+            "required_cell": 0,
+        }
+
+    def test_second_order_term_sampled_below_the_travel_time(self, capsys):
+        # a quarter of --t-max is 3.0, past the travel time 2
+        argv = ["examples", "run", "ex5_6", "--L", "12", "--t-max", "12", "--grid-h", "0.25"]
+        rc, out, err = run(capsys, argv)
+        assert (rc, err) == (0, "")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        check = checks["second-order term vanishes below the travel time"]
+        assert check["passed"]
+        assert check["details"] == {"t": 1.75, "terms_alive": 2}
+
     def test_unknown_suite_is_a_usage_error(self, capsys):
         rc, _, err = run(capsys, ["examples", "run", "nope"])
         assert rc == 1
@@ -317,6 +340,8 @@ class TestExamples:
             (["ex5_2", "--t-max", "inf"], "t_max"),
             (["ex5_6", "--t-max", "-1"], "t_max"),
             (["ex5_6", "--grid-h", "0"], "cell width"),
+            (["ex5_6", "--L", "300"], "4800 cells, past the cap 4096"),
+            (["ex5_6", "--t-max", "40"], "budget"),
         ],
     )
     def test_unusable_suite_settings_rejected(self, capsys, argv, message):
@@ -419,6 +444,8 @@ class TestTimeseries:
             (["support-front", "--t-max", "-1"], "t_max"),
             (["support-front", "--dp-terms", "0"], "max_terms"),
             (["pairing", "--depth", "0"], "depth"),
+            (["support-front", "--L", "4", "--grid-h", "0.0001"], "80000 cells"),
+            (["support-front", "--t-max", "40"], "budget"),
         ],
     )
     def test_unusable_series_settings_rejected(self, capsys, argv, message):

@@ -1,8 +1,11 @@
 """Perturbation series, order comparisons, invariance transfer, coupling."""
 
+import math
+
 import numpy as np
 import pytest
 
+import evpos.perturbation as perturbation
 from evpos.errors import (
     CouplingPremiseWarning,
     InputError,
@@ -13,6 +16,7 @@ from evpos.errors import (
 from evpos.gammashift import GammaShiftProvider, Grid1D, GridFunction
 from evpos.lattice import IdealMask
 from evpos.perturbation import (
+    TAIL_TOLERANCE,
     CoordinateFunctional,
     CoupledProvider,
     CoupledSystem,
@@ -31,6 +35,7 @@ from evpos.perturbation import (
     invariance_transfer_check,
     perturbation_tail_bound,
 )
+from evpos.presets import coupled_demo_system
 from evpos.semigroup import MatrixSemigroup, demo_generator, expm
 
 
@@ -475,3 +480,277 @@ class TestCoupledLatticeCarrier:
                     functional=CoordinateFunctional(2, 3),
                 ),
             )
+
+
+# --------------------------------------------------------------------------
+# references: the left-fold lattice rule and the linear term-count scan
+# --------------------------------------------------------------------------
+
+
+class LeftFoldSeries(perturbation._LatticeSeries):
+    """The lattice series with each quadrature sum folded one object at a time."""
+
+    def _fill(self, n, q):
+        if n == len(self.values):
+            for rows in (self.values, self.norms, self.images, self.live, self.gaps):
+                rows.append([])
+        values = self.values[n]
+        for p in range(len(values), q + 1):
+            gap = 0.0
+            if n == 0:
+                v = self.apply_t(p, self.seed)
+            elif p == 0:
+                v = self.images[n - 1][0] * 0.0
+            else:
+                g = self.images[n - 1]
+                wts = perturbation._lattice_weights(p, self.h)
+                trap = np.full(p + 1, self.h)
+                trap[0] = trap[p] = 0.5 * self.h
+                applied = [self.apply_t(p - j, g[j]) for j in range(p + 1)]
+                v = applied[0] * float(wts[0])
+                tz = applied[0] * float(trap[0])
+                for j in range(1, p + 1):
+                    v = v + applied[j] * float(wts[j])
+                    tz = tz + applied[j] * float(trap[j])
+                gap = self.norm(v - tz)
+            image = self.apply_b(v)
+            values.append(v)
+            self.norms[n].append(self.norm(v))
+            self.images[n].append(image)
+            self.live[n].append(self.norm(image) != 0.0)
+            self.gaps[n].append(gap)
+
+
+def reference_tail_bound(envelope, norm_b, t, n_terms):
+    """The envelope tail, every term recomputed from its logarithm."""
+    M, omega = float(envelope[0]), float(envelope[1])
+    t = float(t)
+    if t <= 0.0 or norm_b <= 0.0:
+        return 0.0
+    x = norm_b * M * t
+    log_m = math.log(M) if M > 0 else float("-inf")
+    base = omega * t
+    total = 0.0
+    n = n_terms + 1
+    while True:
+        log_term = (n + 1) * log_m + base + n * math.log(x) - math.lgamma(n + 1)
+        if log_term >= 700.0:
+            return math.inf
+        term = math.exp(log_term)
+        total += term
+        if n > x and (term == 0.0 or term <= total * 1e-18):
+            return total
+        n += 1
+
+
+def reference_choose_terms(config, envelope, norm_b, t):
+    """The first n = 0, 1, ... whose tail passes, each tail summed from scratch."""
+    for n in range(config.max_terms + 1):
+        tail = reference_tail_bound(envelope, norm_b, t, n)
+        if tail <= TAIL_TOLERANCE:
+            return n, tail
+    return config.max_terms, reference_tail_bound(envelope, norm_b, t, config.max_terms)
+
+
+def vector_bytes(v):
+    if isinstance(v, ProductVector):
+        return (vector_bytes(v.first), vector_bytes(v.second))
+    if isinstance(v, GridFunction):
+        return (v.samples.tobytes(), v.support_lo)
+    return np.asarray(v).tobytes()
+
+
+def random_seed_vector(rng, system):
+    """A seeded product vector with signed entries and zero cells below a floor."""
+    grid = system.provider2.grid
+    samples = rng.normal(size=grid.count)
+    lo = int(rng.integers(0, grid.count))
+    samples[:lo] = 0.0
+    samples[rng.uniform(size=grid.count) < 0.2] = 0.0
+    return ProductVector(rng.normal(size=system.dim1), GridFunction(grid, samples))
+
+
+def observe_orbit(system, seeds, q_max):
+    """Per-step terms, sums and series reports of fresh providers, as bytes."""
+    h = system.provider2.grid.h
+    seen = []
+    for seed in seeds:
+        provider = CoupledProvider(system)
+        for q in range(1, q_max + 1):
+            terms = provider.orbit_terms(seed, q * h)
+            total = provider.apply(q * h, seed)
+            report = {k: float(v).hex() for k, v in provider.series_report().items()}
+            seen.append(([vector_bytes(v) for v in terms], vector_bytes(total), report))
+    return seen
+
+
+class TestLatticeSeriesAgainstLeftFold:
+    @pytest.mark.parametrize(
+        "make_system, q_max",
+        [(lattice_system, 32), (coupled_demo_system, 32)],
+        ids=["lattice_system", "coupled_demo_system"],
+    )
+    def test_coupled_orbits_bitwise_equal(self, monkeypatch, make_system, q_max):
+        system = make_system()
+        rng = np.random.default_rng(2024)
+        zero = system.provider2.zero_vector()
+        # (e_2, 0) and (1, 0) leave the matrix-bound window unreached for a
+        # while, so their series stop at terms whose images vanish
+        seeds = [
+            ProductVector(np.array([0.0, 1.0, 0.0]), zero),
+            ProductVector(np.ones(3), zero),
+            random_seed_vector(rng, system),
+        ]
+        fast = observe_orbit(system, seeds, q_max)
+        monkeypatch.setattr(perturbation, "_LatticeSeries", LeftFoldSeries)
+        slow = observe_orbit(system, seeds, q_max)
+        assert fast == slow
+        assert any(len(terms) <= 2 for terms, _, _ in fast)
+        assert any(len(terms) >= 4 for terms, _, _ in fast)
+
+    def test_weighted_sums_are_the_left_fold(self):
+        # one-entry rows and entries that are -0.0 in every summand are the
+        # two cases where a plain np.add.reduce departs from the fold
+        rng = np.random.default_rng(11)
+        grid = Grid1D(x_min=-1.0, h=0.25, count=8)
+        for shape in [(1,), (2,), (3,), (96,), (1, 1), (35, 35)]:
+            for k in (2, 3, 9, 33):
+                rows = [rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8) for _ in range(k)]
+                for row in rows:
+                    row[rng.uniform(size=shape) < 0.3] = -0.0
+                if rows[0].size > 1:
+                    for row in rows:
+                        row.flat[-1] = -0.0
+                rules = rng.uniform(0.1, 2.0, size=(2, k))
+                for w, got in zip(rules, perturbation._weighted_sums(rows, rules)):
+                    want = rows[0] * float(w[0])
+                    for j in range(1, k):
+                        want = want + rows[j] * float(w[j])
+                    assert got.tobytes() == want.tobytes()
+                    assert np.signbit(got.flat[-1]) or rows[0].size == 1
+        # the floor is bookkept, not read off the samples: the first
+        # cells of these three summands cancel exactly
+        funcs = [
+            GridFunction(grid, np.r_[np.zeros(2), 1.0, rng.normal(size=5)], 2),
+            GridFunction(grid, np.r_[np.zeros(2), -2.0, rng.normal(size=5)], 2),
+            GridFunction(grid, np.r_[np.zeros(5), rng.normal(size=3)], 5),
+        ]
+        vecs = [ProductVector(rng.normal(size=3), f) for f in funcs]
+        w = np.array([[1.0, 0.5, 0.25]])
+        (got,) = perturbation._weighted_sums(vecs, w)
+        want = vecs[0] * 1.0 + vecs[1] * 0.5 + vecs[2] * 0.25
+        assert vector_bytes(got) == vector_bytes(want)
+        assert got.second.support_lo == 2 and got.second.samples[2] == 0.0
+
+    def test_dense_lattice_terms_bitwise_equal(self):
+        grid = Grid1D(x_min=-2.0, h=0.25, count=16)
+        prov = GammaShiftProvider(grid)
+        rng = np.random.default_rng(7)
+        B = rng.normal(size=(16, 16))
+        B[:, :5] = 0.0  # images of the low cells vanish
+        ops = [prov.to_dense(m * grid.h) for m in range(25)]
+        for q in (1, 2, 3, 7, 24):
+            terms, gauge = perturbation._dense_lattice_terms(
+                lambda m: ops[m], B, grid.h, q, 12
+            )
+            ref = LeftFoldSeries(
+                lambda m, x: ops[m] @ x,
+                lambda x: B @ x,
+                np.eye(16),
+                grid.h,
+                lambda x: float(np.max(np.abs(x))) if x.size else 0.0,
+            )
+            ref_terms, ref_gauge = ref.at(q, 12)
+            assert [t.tobytes() for t in terms] == [t.tobytes() for t in ref_terms]
+            assert gauge.hex() == ref_gauge.hex()
+
+    def test_lattice_to_dense_bitwise_equal(self, monkeypatch):
+        def observe():
+            provider = CoupledProvider(lattice_system())
+            out = []
+            for q in (1, 5, 16, 32):
+                out.append(provider.to_dense(q * 0.25).tobytes())
+                out.append({k: float(v).hex() for k, v in provider.series_report(q * 0.25).items()})
+            return out
+
+        fast = observe()
+        monkeypatch.setattr(perturbation, "_LatticeSeries", LeftFoldSeries)
+        assert fast == observe()
+
+    def test_lattice_dp_sum_bitwise_equal(self, monkeypatch):
+        grid = Grid1D(x_min=-2.0, h=0.25, count=16)
+        B = np.zeros((16, 16))
+        B[3, 12] = 0.5
+
+        def observe():
+            res = dyson_phillips_sum(GammaShiftProvider(grid), B, 2.0)
+            return [t.tobytes() for t in res.terms], res.total.tobytes(), res.quadrature_estimate
+
+        fast = observe()
+        monkeypatch.setattr(perturbation, "_LatticeSeries", LeftFoldSeries)
+        assert fast == observe()
+
+
+class TestTermCountAgainstLinearScan:
+    def test_seeded_grid_matches_linear_scan(self):
+        cases = 0
+        kinds = set()
+        for M in (1.0, 1.1, 2.5):
+            for omega in (-1.0, 0.0, 9.0, 30.0):
+                for norm_b in (0.0, 1e-3, 0.5, 1.0, 3.0):
+                    for t in (0.0, 0.125, 1.0, 4.0, 32.0):
+                        for cap in (1, 4, 40):
+                            cfg = DysonPhillipsConfig(max_terms=cap)
+                            got = choose_terms(cfg, (M, omega), norm_b, t)
+                            want = reference_choose_terms(cfg, (M, omega), norm_b, t)
+                            assert got[0] == want[0]
+                            assert got[1].hex() == want[1].hex()
+                            cases += 1
+                            if got[1] == 0.0:
+                                kinds.add("zero")
+                            elif math.isinf(got[1]):
+                                kinds.add("inf")
+                            elif got[1] > TAIL_TOLERANCE:
+                                kinds.add("capped")
+                            else:
+                                kinds.add("met")
+        assert cases == 900
+        assert kinds == {"zero", "inf", "capped", "met"}
+
+    def test_random_cases_match_linear_scan(self):
+        rng = np.random.default_rng(99)
+        for _ in range(300):
+            env = (float(rng.uniform(1.0, 3.0)), float(rng.uniform(-2.0, 12.0)))
+            norm_b = float(10.0 ** rng.uniform(-4.0, 1.0))
+            t = float(rng.integers(0, 64)) * 0.125
+            cfg = DysonPhillipsConfig(max_terms=int(rng.integers(1, 41)))
+            got = choose_terms(cfg, env, norm_b, t)
+            want = reference_choose_terms(cfg, env, norm_b, t)
+            assert got[0] == want[0] and got[1].hex() == want[1].hex()
+            n = int(rng.integers(0, 41))
+            assert perturbation_tail_bound(env, norm_b, t, n).hex() == reference_tail_bound(
+                env, norm_b, t, n
+            ).hex()
+
+
+class TestLatticeNodeBudget:
+    def test_orbit_refused_before_any_work(self, monkeypatch):
+        provider = CoupledProvider(lattice_system())
+        seed = ProductVector(np.ones(3), provider.system.provider2.zero_vector())
+
+        def no_work(*args):
+            raise AssertionError("the series was filled past its budget")
+
+        monkeypatch.setattr(perturbation._LatticeSeries, "_fill", no_work)
+        # (q + 1)(q + 2) / 2 alone exceeds the budget at q = 2000
+        with pytest.raises(QuadratureBudgetExceeded):
+            provider.apply(2000 * 0.25, seed)
+        with pytest.raises(QuadratureBudgetExceeded):
+            provider.orbit_terms(seed, 2000 * 0.25)
+        with pytest.raises(QuadratureBudgetExceeded):
+            provider.to_dense(2000 * 0.25)
+
+    def test_budget_edge(self):
+        perturbation.check_node_budget(40, 314)  # 1,990,800 nodes
+        with pytest.raises(QuadratureBudgetExceeded):
+            perturbation.check_node_budget(40, 315)  # 2,003,440 nodes
