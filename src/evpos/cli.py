@@ -34,7 +34,7 @@ from . import __version__
 from .errors import ConsistencyViolation, EvposError, InputError
 from .irreducibility import classify
 from .lattice import IdealMask
-from .perturbation import CoupledProvider, DysonPhillipsConfig, ProductVector, check_node_budget
+from .perturbation import CoupledProvider, DysonPhillipsConfig, ProductVector
 from .positivity import certify_eventual_strong_positivity
 from .presets import MAX_GRID_POINTS, PRESETS, coupled_demo_system
 from .semigroup import TimeGrid, demo_generator, expm
@@ -371,7 +371,7 @@ def _series_support_front(args) -> tuple:
         DysonPhillipsConfig(max_terms=args.dp_terms) if args.dp_terms is not None else None,
     )
     q_max = int(round(t_max / h))
-    check_node_budget(provider.config.max_terms, q_max)
+    provider.check_orbit(q_max)
     grid = system.provider2.grid
     seed = ProductVector(np.ones(3), system.provider2.zero_vector())
     header = ["t", "support_front_x", "support_lo_cell", "predicted_x"]

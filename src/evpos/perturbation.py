@@ -12,10 +12,17 @@ composite rule on the carrier's own time lattice for providers that can
 only be evaluated at whole grid steps.  The lattice backend computes
 each (term, step) of an orbit once and fills later steps as they are
 asked for, so its results do not depend on the order of the calls.
-Each step's quadrature sums are one weighted reduction over the stacked
-summands, bit for bit the term-by-term fold, and a series past the node
-budget is refused before any work.  The term count reads each envelope
-term once.  The only series setting is the term cap,
+It sees the perturbation through its range, B = U Phi, and stores the
+coefficients Phi(V_n(p)) of each term.  A finite-rank coupling keeps the
+orbits T(m h) u_k of its r range vectors once per step, shared by every
+seed, so term n + 1 at step p is one weighted reduction over those
+orbits with weights w_j Phi_k(V_n(j)), and an orbit to step q applies
+the carrier at most (r + 1)(q + 1) times whatever its term count.  A
+dense B takes the identity factorisation (range orbit T(m h),
+coefficients B V), whose sums are bit for bit the term-by-term fold.
+A series past the node budget is refused before any work, and a term
+that leaves the double range raises ExpmOverflow.  The term count reads
+each envelope term once.  The only series setting is the term cap,
 DysonPhillipsConfig.max_terms; the quadrature density, tail target and
 node budget are module constants.
 On top of the series sit an order-theoretic domination check, the
@@ -33,6 +40,7 @@ import numpy as np
 from .errors import (
     ConsistencyViolation,
     CouplingPremiseWarning,
+    ExpmOverflow,
     InputError,
     PremiseViolation,
     QuadratureBudgetExceeded,
@@ -330,29 +338,118 @@ def _weighted_sums(vectors: list, rules: np.ndarray) -> list:
     return out
 
 
+def _all_finite(v) -> bool:
+    if isinstance(v, ProductVector):
+        return _all_finite(v.first) and _all_finite(v.second)
+    if isinstance(v, GridFunction):
+        return bool(np.isfinite(v.samples).all())
+    return bool(np.isfinite(v).all())
+
+
+class _FiniteRange:
+    """A finite-rank perturbation B = U Phi seen through its range.
+
+    B v is the sum of Phi_k(v) u_k over r range vectors u_k in the
+    carrier's own types; coefficients(v) is the length-r array Phi(v)
+    and range_step(m) the list [T(m h) u_k].  The range orbits are
+    computed once per step m and shared by every series that holds this
+    object, so a series needs no carrier work beyond its own seed orbit:
+    T(m h) B v is the sum of Phi_k(v) T(m h) u_k.  zero is the carrier's
+    zero vector.
+    """
+
+    def __init__(self, range_step, coefficients, zero):
+        self.range_step = range_step
+        self.coefficients = coefficients
+        self._zero = zero
+        self._orbits = []
+
+    def orbit(self, m: int) -> list:
+        """[T(m h) u_k for each k], filling the steps up to m once."""
+        while len(self._orbits) <= m:
+            self._orbits.append(self.range_step(len(self._orbits)))
+        return self._orbits[m]
+
+    def convolve(self, coeffs: list, rules: np.ndarray) -> list:
+        """[sum_j w[j] T((p - j) h) U coeffs[j] for w in rules], p = len(coeffs) - 1.
+
+        One weighted reduction over the range orbits per rule, weights
+        w[j] coeffs[j][k]; zero coefficients are skipped, so a support
+        floor only counts the range orbits that enter the sum.
+        """
+        p = len(coeffs) - 1
+        table = np.array(coeffs)
+        nodes, ks = np.nonzero(table)
+        if not nodes.size:
+            return [self._zero.copy() for _ in rules]
+        vectors = [self.orbit(p - j)[k] for j, k in zip(nodes.tolist(), ks.tolist())]
+        return _weighted_sums(vectors, rules[:, nodes] * table[nodes, ks])
+
+    def zero(self, c):
+        """A term at step 0: the integral over [0, 0] vanishes."""
+        return self._zero.copy()
+
+
+class _DenseRange:
+    """Identity factorisation of a dense B: the range orbit is the operator itself.
+
+    step_dense(m) is the unperturbed operator at m steps, built once when
+    first read; the coefficients of V are the image B V, so each summand
+    is the product T(m h) (B V) and the sums are the term-by-term ones.
+    """
+
+    def __init__(self, step_dense, B: np.ndarray):
+        self.step_dense = step_dense
+        self.B = B
+        self._ops = {}
+
+    def orbit(self, m: int) -> np.ndarray:
+        if m not in self._ops:
+            self._ops[m] = self.step_dense(m)
+        return self._ops[m]
+
+    def apply_t(self, m: int, x: np.ndarray) -> np.ndarray:
+        return self.orbit(m) @ x
+
+    def coefficients(self, v: np.ndarray) -> np.ndarray:
+        return self.B @ v
+
+    def convolve(self, coeffs: list, rules: np.ndarray) -> list:
+        p = len(coeffs) - 1
+        return _weighted_sums([self.orbit(p - j) @ c for j, c in enumerate(coeffs)], rules)
+
+    def zero(self, c: np.ndarray) -> np.ndarray:
+        return c * 0.0
+
+
 class _LatticeSeries:
     """Series terms of one orbit on a step-h lattice, each (term, step) computed once.
 
     values[n][q] is the n-th term at time q*h applied to the seed;
-    norms, images (under B), live (image nonzero) and gaps run parallel
-    to it, gaps[n][q] being the distance at step q between the used rule
-    and a plain trapezoid on the same samples.  Steps are filled in
-    order as later times are asked for, so no result depends on earlier
-    requests.  apply_t(m, v) applies the unperturbed family at m steps.
+    norms, coeffs (the range coefficients Phi(values[n][q]) of the
+    perturbation), live (B of the value is nonzero) and gaps run
+    parallel to it, gaps[n][q] being the distance at step q between the
+    used rule and a plain trapezoid on the same samples.  Term n + 1 at
+    step p is perturbation.convolve of the coefficients of term n at
+    steps 0..p, one weighted reduction over the range orbits; a term
+    n >= 1 at step 0 is perturbation.zero.  Steps are filled in order as
+    later times are asked for, so no result depends on earlier requests.
+    apply_t(m, v) applies the unperturbed family at m steps; it is
+    called for the seed orbit only.
     """
 
-    def __init__(self, apply_t, apply_b, seed, h: float, norm):
+    def __init__(self, apply_t, perturbation, seed, h: float, norm):
         self.apply_t = apply_t
-        self.apply_b = apply_b
+        self.perturbation = perturbation
         self.seed = seed
         self.h = h
         self.norm = norm
-        self.values, self.norms, self.images, self.live, self.gaps = [], [], [], [], []
+        self.values, self.norms, self.coeffs, self.live, self.gaps = [], [], [], [], []
 
     def _fill(self, n: int, q: int) -> None:
         """Extend term n through step q; term n - 1 already reaches step q."""
         if n == len(self.values):
-            for rows in (self.values, self.norms, self.images, self.live, self.gaps):
+            for rows in (self.values, self.norms, self.coeffs, self.live, self.gaps):
                 rows.append([])
         values = self.values[n]
         for p in range(len(values), q + 1):
@@ -360,26 +457,31 @@ class _LatticeSeries:
             if n == 0:
                 v = self.apply_t(p, self.seed)
             elif p == 0:
-                v = self.images[n - 1][0] * 0.0
+                v = self.perturbation.zero(self.coeffs[n - 1][0])
             else:
-                g = self.images[n - 1]
                 trap = np.full(p + 1, self.h)
                 trap[0] = trap[p] = 0.5 * self.h
-                applied = [self.apply_t(p - j, g[j]) for j in range(p + 1)]
-                v, tz = _weighted_sums(applied, np.stack([_lattice_weights(p, self.h), trap]))
+                rules = np.stack([_lattice_weights(p, self.h), trap])
+                v, tz = self.perturbation.convolve(self.coeffs[n - 1][: p + 1], rules)
                 gap = self.norm(v - tz)
-            image = self.apply_b(v)
+            norm = self.norm(v)
+            # a nonfinite entry makes the norm nonfinite, so only such norms need the scan
+            if not math.isfinite(norm) and not _all_finite(v):
+                raise ExpmOverflow(
+                    f"the series overflowed: term {n} at t = {p * self.h:g} left the double range"
+                )
+            c = self.perturbation.coefficients(v)
             values.append(v)
-            self.norms[n].append(self.norm(v))
-            self.images[n].append(image)
-            self.live[n].append(self.norm(image) != 0.0)
+            self.norms[n].append(norm)
+            self.coeffs[n].append(c)
+            self.live[n].append(bool(np.any(c)))
             self.gaps[n].append(gap)
 
     def at(self, q: int, n_terms: int):
         """(terms at step q, quadrature gauge) of the series truncated at n_terms.
 
         The series ends early, judged on steps 0..q only, at a term whose
-        B-images all vanish (every later term is then identically zero)
+        range coefficients all vanish (every later term is then identically zero)
         or after two consecutive terms below the floating floor relative
         to the unperturbed orbit.  The gauge sums the kept terms' gaps at
         step q.  A series past NODE_BUDGET is refused before any work.
@@ -410,16 +512,10 @@ def _dense_lattice_terms(step_dense, B: np.ndarray, h: float, q: int, n_terms: i
 
     Each operator is built once, when the series first reads it.
     """
-    ops = {}
-
-    def apply_t(m, x):
-        if m not in ops:
-            ops[m] = step_dense(m)
-        return ops[m] @ x
-
+    dense = _DenseRange(step_dense, B)
     series = _LatticeSeries(
-        apply_t,
-        lambda x: B @ x,
+        dense.apply_t,
+        dense,
         np.eye(B.shape[0]),
         h,
         lambda x: float(np.max(np.abs(x))) if x.size else 0.0,
@@ -835,7 +931,11 @@ def _zero_like_output(output):
 
 
 class RankOneCoupling:
-    """f |-> functional(f) * output, between possibly different carriers."""
+    """f |-> functional(f) * output, between possibly different carriers.
+
+    Seen through its range, the block is U Phi with the one range vector
+    output and the one coefficient functional; a zero output has rank 0.
+    """
 
     def __init__(self, output, functional):
         self.output = output
@@ -844,6 +944,11 @@ class RankOneCoupling:
         out_arr = _vector_array(output)
         self.nonneg = bool(np.min(out_arr) >= 0.0) and bool(getattr(functional, "nonneg", False))
         self.shape = (out_arr.size, functional.row().size)
+        self.range_vectors = (output,) if out_arr.any() else ()
+
+    def coefficients(self, f) -> np.ndarray:
+        """Phi(f): the coefficient of each range vector in the image of f."""
+        return np.array([self.functional(f) for _ in self.range_vectors])
 
     def apply(self, f):
         c = self.functional(f)
@@ -860,13 +965,24 @@ class RankOneCoupling:
 
 
 class DenseCoupling:
-    """Plain matrix block between two dense coordinate carriers."""
+    """Plain matrix block between two dense coordinate carriers.
+
+    Seen through its range, the block is U Phi with the unit vectors of
+    its nonzero rows as range vectors and those rows as functionals.
+    """
 
     def __init__(self, matrix):
         self.matrix = as_matrix(np.atleast_2d(np.asarray(matrix, dtype=float)))
         self.norm_bound = float(np.linalg.norm(self.matrix, 2))
         self.nonneg = bool(np.min(self.matrix) >= 0.0)
         self.shape = self.matrix.shape
+        rows = np.flatnonzero(self.matrix.any(axis=1))
+        self._rows = self.matrix[rows]
+        self.range_vectors = tuple(np.eye(self.shape[0])[rows])
+
+    def coefficients(self, f) -> np.ndarray:
+        """Phi(f): the nonzero rows applied to f."""
+        return self._rows @ as_vector(f)
 
     def apply(self, f):
         return self.matrix @ as_vector(f)
@@ -1016,7 +1132,9 @@ class CoupledProvider(SemigroupProvider):
     block-diagonal unperturbed family; orbits on mixed carriers run on
     the shared time lattice with native vector types so that support
     bookkeeping stays exact, while dense assembly flattens to the
-    stacked cell/coordinate basis.
+    stacked cell/coordinate basis.  The off-diagonal part is held as
+    U Phi through the blocks' range vectors, whose orbits every seed's
+    series shares, and the term count is chosen once per lattice step.
     """
 
     nilpotent_time = None
@@ -1035,6 +1153,14 @@ class CoupledProvider(SemigroupProvider):
         self._orbit_cache = {}
         self._dense_cache = {}
         self._last_series = {}
+        self._term_counts = {}
+        if self.lattice_h is not None:
+            b12, b21 = system.b12, system.b21
+            self._range = _FiniteRange(
+                self._range_step,
+                lambda v: np.concatenate([b12.coefficients(v.second), b21.coefficients(v.first)]),
+                self.zero_vector(),
+            )
 
     # -- carrier plumbing -------------------------------------------------
 
@@ -1112,8 +1238,45 @@ class CoupledProvider(SemigroupProvider):
             self.system.provider2.apply(t, v.second),
         )
 
-    def _apply_off(self, v: ProductVector) -> ProductVector:
-        return ProductVector(self.system.b12.apply(v.second), self.system.b21.apply(v.first))
+    def _apply_steps(self, m: int, v: ProductVector) -> ProductVector:
+        return self._apply_diag(m * self.lattice_h, v)
+
+    def _range_step(self, m: int) -> list:
+        """T(m h) of each off-diagonal range vector, flowed in its own carrier only."""
+        t = m * self.lattice_h
+        p1, p2 = self.system.provider1, self.system.provider2
+        z1, z2 = p1.zero_vector(), p2.zero_vector()
+        return [ProductVector(p1.apply(t, u), z2) for u in self.system.b12.range_vectors] + [
+            ProductVector(z1, p2.apply(t, u)) for u in self.system.b21.range_vectors
+        ]
+
+    def check_orbit(self, q: int) -> None:
+        """Refuse lattice orbits to step q before any series work.
+
+        Refused are a series past the node budget at the term cap and a
+        matrix carrier whose flow e^{tA} leaves the double range by step q.
+        """
+        check_node_budget(self.config.max_terms, q)
+        t = q * self.lattice_h
+        for carrier in (self.system.provider1, self.system.provider2):
+            if isinstance(carrier, MatrixSemigroup):
+                try:
+                    carrier.matrix(t)
+                except ExpmOverflow as exc:
+                    raise ExpmOverflow(f"the orbit to t = {t:g} overflows: {exc}") from None
+
+    def _term_count(self, q: int) -> tuple:
+        """(term count, certified tail) of the series at step q, chosen once per step."""
+        hit = self._term_counts.get(q)
+        if hit is None:
+            hit = choose_terms(
+                self.config,
+                self.system.diag_envelope(),
+                self.system.perturbation_norm(),
+                q * self.lattice_h,
+            )
+            self._term_counts[q] = hit
+        return hit
 
     def _fingerprint(self, f: ProductVector):
         return (
@@ -1129,15 +1292,12 @@ class CoupledProvider(SemigroupProvider):
         key = self._fingerprint(f)
         series = self._orbit_cache.get(key)
         if series is None:
-            h = self.lattice_h
             series = _LatticeSeries(
-                lambda m, v: self._apply_diag(m * h, v), self._apply_off, f.copy(), h, self.vec_norm
+                self._apply_steps, self._range, f.copy(), self.lattice_h, self.vec_norm
             )
             if len(self._orbit_cache) < 64:
                 self._orbit_cache[key] = series
-        n_terms, tail = choose_terms(
-            self.config, self.system.diag_envelope(), self.system.perturbation_norm(), q * self.lattice_h
-        )
+        n_terms, tail = self._term_count(q)
         terms, gauge = series.at(q, n_terms)
         self._last_series[("orbit", key)] = {
             "n_terms": len(terms) - 1,
@@ -1206,9 +1366,7 @@ class CoupledProvider(SemigroupProvider):
             }
         else:
             q = self._steps_of(t)
-            n_terms, tail = choose_terms(
-                self.config, self.system.diag_envelope(), self.system.perturbation_norm(), t
-            )
+            n_terms, tail = self._term_count(q)
             h = self.lattice_h
             terms, gauge = _dense_lattice_terms(lambda m: self._dense_diag(m * h), Bd, h, q, n_terms)
             dense = terms[0].copy()

@@ -31,7 +31,6 @@ from .perturbation import (
     GridFunctional,
     ProductVector,
     RankOneCoupling,
-    check_node_budget,
     coupling_irreducibility_check,
     coupling_premise_check,
     domination_check,
@@ -371,7 +370,7 @@ def run_coupled_demo(
     is quasi-interior; (4) sampled coupled operators act positively on
     positive seeds for large times (grid-limited evidence).  The last
     step t_max/h is checked against the series node budget at the term
-    cap before the first sample.
+    cap and the double range of the matrix flow before the first sample.
     """
     system = coupled_demo_system(L=L, h=h)
     if not 0.0 < t_max < math.inf or round(t_max / h) < 1:
@@ -379,7 +378,7 @@ def run_coupled_demo(
     provider = CoupledProvider(system, config)
     grid = system.provider2.grid
     q_max = int(round(t_max / h))
-    check_node_budget(provider.config.max_terms, q_max)
+    provider.check_orbit(q_max)
     checks = []
 
     premise = coupling_premise_check(system, tol=tol)

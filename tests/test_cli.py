@@ -342,6 +342,9 @@ class TestExamples:
             (["ex5_6", "--grid-h", "0"], "cell width"),
             (["ex5_6", "--L", "300"], "4800 cells, past the cap 4096"),
             (["ex5_6", "--t-max", "40"], "budget"),
+            # the demo matrix flow e^{9t} leaves the double range past t = 78.8
+            (["ex5_6", "--dp-terms", "8", "--t-max", "80"], "overflow"),
+            (["ex5_6", "--dp-terms", "1", "--t-max", "249"], "overflow"),
         ],
     )
     def test_unusable_suite_settings_rejected(self, capsys, argv, message):
@@ -446,6 +449,8 @@ class TestTimeseries:
             (["pairing", "--depth", "0"], "depth"),
             (["support-front", "--L", "4", "--grid-h", "0.0001"], "80000 cells"),
             (["support-front", "--t-max", "40"], "budget"),
+            (["support-front", "--dp-terms", "8", "--t-max", "80"], "overflow"),
+            (["support-front", "--dp-terms", "1", "--t-max", "249"], "overflow"),
         ],
     )
     def test_unusable_series_settings_rejected(self, capsys, argv, message):

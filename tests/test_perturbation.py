@@ -8,6 +8,7 @@ import pytest
 import evpos.perturbation as perturbation
 from evpos.errors import (
     CouplingPremiseWarning,
+    ExpmOverflow,
     InputError,
     PremiseViolation,
     QuadratureBudgetExceeded,
@@ -487,8 +488,23 @@ class TestCoupledLatticeCarrier:
 # --------------------------------------------------------------------------
 
 
-class LeftFoldSeries(perturbation._LatticeSeries):
-    """The lattice series with each quadrature sum folded one object at a time."""
+class LeftFoldSeries:
+    """The lattice series with B applied to every value and T to every summand.
+
+    Each quadrature sum is folded one object at a time.  apply_b is B as
+    a map; a dense identity factorisation of the package is read through
+    its coefficients, which are the image B V.
+    """
+
+    def __init__(self, apply_t, apply_b, seed, h, norm):
+        if isinstance(apply_b, perturbation._DenseRange):
+            apply_b = apply_b.coefficients
+        self.apply_t = apply_t
+        self.apply_b = apply_b
+        self.seed = seed
+        self.h = h
+        self.norm = norm
+        self.values, self.norms, self.images, self.live, self.gaps = [], [], [], [], []
 
     def _fill(self, n, q):
         if n == len(self.values):
@@ -519,6 +535,27 @@ class LeftFoldSeries(perturbation._LatticeSeries):
             self.images[n].append(image)
             self.live[n].append(self.norm(image) != 0.0)
             self.gaps[n].append(gap)
+
+    def at(self, q, n_terms):
+        perturbation.check_node_budget(n_terms, q)
+        self._fill(0, q)
+        floor = 1e-16 * max(max(self.norms[0][: q + 1]), 1e-300)
+        terms = [self.values[0][q]]
+        gauge = 0.0
+        tiny_streak = 0
+        for n in range(1, n_terms + 1):
+            if not any(self.live[n - 1][: q + 1]):
+                break
+            self._fill(n, q)
+            terms.append(self.values[n][q])
+            gauge += self.gaps[n][q]
+            if max(self.norms[n][: q + 1]) <= floor:
+                tiny_streak += 1
+                if tiny_streak >= 2:
+                    break
+            else:
+                tiny_streak = 0
+        return terms, gauge
 
 
 def reference_tail_bound(envelope, norm_b, t, n_terms):
@@ -570,8 +607,15 @@ def random_seed_vector(rng, system):
     return ProductVector(rng.normal(size=system.dim1), GridFunction(grid, samples))
 
 
+def fold(terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
 def observe_orbit(system, seeds, q_max):
-    """Per-step terms, sums and series reports of fresh providers, as bytes."""
+    """Per-step (terms, sum, series report, live pattern) of fresh providers."""
     h = system.provider2.grid.h
     seen = []
     for seed in seeds:
@@ -579,9 +623,62 @@ def observe_orbit(system, seeds, q_max):
         for q in range(1, q_max + 1):
             terms = provider.orbit_terms(seed, q * h)
             total = provider.apply(q * h, seed)
-            report = {k: float(v).hex() for k, v in provider.series_report().items()}
-            seen.append(([vector_bytes(v) for v in terms], vector_bytes(total), report))
+            series = provider._orbit_cache[provider._fingerprint(seed)]
+            live = [row[: q + 1] for row in series.live[: len(terms)]]
+            seen.append((terms, total, provider.series_report(), live))
+        # the terms past the first came from the shared range orbits
+        assert 0 < len(provider._range._orbits) <= q_max + 1
     return seen
+
+
+def reference_orbit(system, seeds, q_max):
+    """observe_orbit through LeftFoldSeries, B applied block by block."""
+    h = system.provider2.grid.h
+    p1, p2 = system.provider1, system.provider2
+
+    def apply_t(m, v):
+        return ProductVector(p1.apply(m * h, v.first), p2.apply(m * h, v.second))
+
+    def apply_b(v):
+        return ProductVector(system.b12.apply(v.second), system.b21.apply(v.first))
+
+    config = DysonPhillipsConfig()
+    seen = []
+    for seed in seeds:
+        series = LeftFoldSeries(apply_t, apply_b, seed.copy(), h, CoupledProvider(system).vec_norm)
+        for q in range(1, q_max + 1):
+            n_terms, tail = choose_terms(
+                config, system.diag_envelope(), system.perturbation_norm(), q * h
+            )
+            terms, gauge = series.at(q, n_terms)
+            report = {"n_terms": len(terms) - 1, "tail_bound": tail, "quadrature_estimate": gauge}
+            live = [row[: q + 1] for row in series.live[: len(terms)]]
+            seen.append((terms, fold(terms), report, live))
+    return seen
+
+
+def max_entry(v):
+    return max(float(np.max(np.abs(v.first))), float(np.max(np.abs(v.second.samples))))
+
+
+def assert_orbits_agree(got, want):
+    """Exact term counts, floors, live patterns and tails; values to 1e-12 relative."""
+    assert len(got) == len(want)
+    cases = 0
+    for (terms, total, report, live), (ref_terms, ref_total, ref_report, ref_live) in zip(got, want):
+        assert len(terms) == len(ref_terms)
+        assert live == ref_live
+        assert report["n_terms"] == ref_report["n_terms"]
+        assert report["tail_bound"].hex() == ref_report["tail_bound"].hex()
+        gauge, ref_gauge = report["quadrature_estimate"], ref_report["quadrature_estimate"]
+        assert abs(gauge - ref_gauge) <= 1e-12 * ref_gauge
+        for v, ref in zip([*terms, total], [*ref_terms, ref_total]):
+            assert v.second.support_lo == ref.second.support_lo
+            scale = 1e-12 * max_entry(ref)
+            assert float(np.max(np.abs(v.first - ref.first))) <= scale
+            assert float(np.max(np.abs(v.second.samples - ref.second.samples))) <= scale
+            cases += 1
+    return cases
 
 
 class TestLatticeSeriesAgainstLeftFold:
@@ -590,7 +687,11 @@ class TestLatticeSeriesAgainstLeftFold:
         [(lattice_system, 32), (coupled_demo_system, 32)],
         ids=["lattice_system", "coupled_demo_system"],
     )
-    def test_coupled_orbits_bitwise_equal(self, monkeypatch, make_system, q_max):
+    def test_coupled_orbits_bitwise_equal(self, make_system, q_max):
+        # bitwise in the integer bookkeeping: the package sums
+        # (w_j c_jk) T(u_k), the reference w_j T(c_jk u_k), the same
+        # products in another order, so support floors, term counts, live
+        # patterns and tails agree bit for bit and the values to rounding
         system = make_system()
         rng = np.random.default_rng(2024)
         zero = system.provider2.zero_vector()
@@ -602,11 +703,33 @@ class TestLatticeSeriesAgainstLeftFold:
             random_seed_vector(rng, system),
         ]
         fast = observe_orbit(system, seeds, q_max)
-        monkeypatch.setattr(perturbation, "_LatticeSeries", LeftFoldSeries)
-        slow = observe_orbit(system, seeds, q_max)
-        assert fast == slow
-        assert any(len(terms) <= 2 for terms, _, _ in fast)
-        assert any(len(terms) >= 4 for terms, _, _ in fast)
+        assert assert_orbits_agree(fast, reference_orbit(system, seeds, q_max)) > 300
+        assert any(len(terms) <= 2 for terms, _, _, _ in fast)
+        assert any(len(terms) >= 4 for terms, _, _, _ in fast)
+
+    def test_carrier_work_is_the_range_orbits(self, monkeypatch):
+        # rank-one blocks give r = 2 range vectors, so an orbit to step q
+        # applies the grid family (r + 1)(q + 1) times whatever the term
+        # count, and a second seed adds only its own term-0 orbit
+        system = coupled_demo_system()
+        h = system.provider2.grid.h
+        calls = []
+        apply = GammaShiftProvider.apply
+        monkeypatch.setattr(
+            GammaShiftProvider, "apply", lambda self, t, f: calls.append(t) or apply(self, t, f)
+        )
+        provider = CoupledProvider(system)
+        zero = system.provider2.zero_vector()
+        q, r = 32, 2
+        for seed, budget in (
+            (ProductVector(np.ones(3), zero), (r + 1) * (q + 1)),
+            (ProductVector(np.array([1.0, 2.0, 0.5]), zero), q + 1),
+        ):
+            before = len(calls)
+            for step in range(1, q + 1):
+                provider.apply(step * h, seed)
+            assert len(calls) - before <= budget
+            assert provider.series_report()["n_terms"] >= 3
 
     def test_weighted_sums_are_the_left_fold(self):
         # one-entry rows and entries that are -0.0 in every summand are the
@@ -749,6 +872,35 @@ class TestLatticeNodeBudget:
             provider.orbit_terms(seed, 2000 * 0.25)
         with pytest.raises(QuadratureBudgetExceeded):
             provider.to_dense(2000 * 0.25)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_series_overflow_is_typed(self):
+        # the flows stay in range, but a coupling of size 1e300 takes the
+        # third term of the round trip past the double range
+        grid = Grid1D(x_min=-2.0, h=0.25, count=16)
+        system = CoupledSystem(
+            MatrixSemigroup(demo_generator()),
+            GammaShiftProvider(grid),
+            RankOneCoupling(
+                output=np.array([0.0, 0.0, 1e300]), functional=GridFunctional(grid, -1.0, 0.0)
+            ),
+            RankOneCoupling(
+                output=GridFunction.indicator(grid, 0.5, 1.0), functional=CoordinateFunctional(2, 3)
+            ),
+        )
+        provider = CoupledProvider(system)
+        seed = ProductVector(np.zeros(3), GridFunction.indicator(grid, -1.0, 0.0))
+        provider.check_orbit(8)
+        with pytest.raises(ExpmOverflow, match="term 3 at t = 1 left the double range"):
+            for q in range(1, 9):
+                provider.apply(q * 0.25, seed)
+
+    def test_matrix_flow_overflow_refused(self):
+        # e^{9t} of the demo matrix leaves the double range between the two steps
+        provider = CoupledProvider(coupled_demo_system(L=4.0, h=0.25), DysonPhillipsConfig(8))
+        provider.check_orbit(315)  # t = 78.75
+        with pytest.raises(ExpmOverflow, match="the orbit to t = 79 overflows"):
+            provider.check_orbit(316)
 
     def test_budget_edge(self):
         perturbation.check_node_budget(40, 314)  # 1,990,800 nodes
