@@ -19,6 +19,7 @@ The environment variable EVPOS_THREADS caps worker threads.
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -34,12 +35,12 @@ from . import __version__
 from .errors import ConsistencyViolation, EvposError, InputError
 from .irreducibility import classify
 from .lattice import IdealMask
-from .perturbation import CoupledProvider, DysonPhillipsConfig, ProductVector
+from .perturbation import CoupledProvider, ProductVector
 from .positivity import certify_eventual_strong_positivity
 from .presets import MAX_GRID_POINTS, PRESETS, coupled_demo_system
 from .semigroup import TimeGrid, demo_generator, expm
 from .spectral import dominant_projection
-from .stepfun import pairing
+from .stepfun import rademacher, shifted_pairing
 
 MAX_MATRIX_DIM = 400
 
@@ -48,12 +49,12 @@ TIMESERIES_FLAGS = {
     "orbit": ("t_max", "grid_points"),
     "pairing": ("depth",),
     "rescaled-distance": ("t_max", "grid_points"),
-    "support-front": ("L", "grid_h", "t_max", "dp_terms"),
+    "support-front": ("L", "grid_h", "t_max"),
 }
 TIMESERIES_QUANTITIES = tuple(TIMESERIES_FLAGS)
 
 # Shared flags, by argparse attribute name.
-_COMMON_FLAGS = ("tol", "grid_points", "t_max", "depth", "grid_h", "L", "dp_terms")
+_COMMON_FLAGS = ("tol", "grid_points", "t_max", "depth", "grid_h", "L")
 
 
 # --------------------------------------------------------------------------
@@ -212,7 +213,7 @@ def cmd_analyze(args) -> int:
 
     tic = time.perf_counter()
     try:
-        proj = dominant_projection(A)
+        proj = dominant_projection(A, certificate=cert)
         projection = {
             "available": True,
             "eigenvalue": proj.eigenvalue,
@@ -270,13 +271,10 @@ def _reject_unread_flags(args, what: str, read) -> None:
 def _preset_kwargs(args, runner) -> dict:
     """Keyword arguments for a suite; a set flag the suite does not read is rejected."""
     params = inspect.signature(runner).parameters
-    names = {"grid_h": "h", "dp_terms": "config"}
+    names = {"grid_h": "h"}
     read = [attr for attr in _COMMON_FLAGS if names.get(attr, attr) in params]
     _reject_unread_flags(args, f"suite {args.name}", read)
-    kwargs = {names.get(a, a): getattr(args, a) for a in read if getattr(args, a) is not None}
-    if "config" in kwargs:
-        kwargs["config"] = DysonPhillipsConfig(max_terms=kwargs["config"])
-    return kwargs
+    return {names.get(a, a): getattr(args, a) for a in read if getattr(args, a) is not None}
 
 
 def cmd_examples(args) -> int:
@@ -353,10 +351,11 @@ def _series_pairing(args) -> tuple:
     if depth < 1 or depth > 20:
         raise InputError("depth must be in 1..20")
     header = ["t", "pairing_1_1", "pairing_1_1_exact"]
+    r1 = rademacher(1)  # its cell vector is computed once, on the first row
     rows = []
     for m in range(0, (1 << depth) + 1):
         t = Fraction(m, 1 << depth)
-        val = pairing(1, 1, t)
+        val = shifted_pairing(r1, r1, t)
         rows.append([float(t), float(val), str(val)])
     return header, rows
 
@@ -366,10 +365,7 @@ def _series_support_front(args) -> tuple:
     h = args.grid_h if args.grid_h is not None else 0.125
     t_max = _positive_t_max(args, 4.0)
     system = coupled_demo_system(L=L, h=h)
-    provider = CoupledProvider(
-        system,
-        DysonPhillipsConfig(max_terms=args.dp_terms) if args.dp_terms is not None else None,
-    )
+    provider = CoupledProvider(system)
     q_max = int(round(t_max / h))
     provider.check_orbit(q_max)
     grid = system.provider2.grid
@@ -435,14 +431,13 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "--L", type=float, default=None, help="window half-length for lattice carriers"
     )
     p.add_argument(
-        "--dp-terms", type=int, default=None, help="series term cap for perturbations"
-    )
-    p.add_argument(
         "--report-out", default=None, help="write the report/CSV here instead of stdout"
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="evpos",
         description="Positivity and irreducibility analysis of operator semigroups.",

@@ -9,28 +9,33 @@ with a certified truncation tail from the growth envelope.  Two
 quadrature backends share the recursion: an exact-moment panel
 collocation scheme for dense matrix carriers, and a positive-weight
 composite rule on the carrier's own time lattice for providers that can
-only be evaluated at whole grid steps.  The lattice backend computes
-each (term, step) of an orbit once and fills later steps as they are
-asked for, so its results do not depend on the order of the calls.
-It sees the perturbation through its range, B = U Phi, and stores the
-coefficients Phi(V_n(p)) of each term.  A finite-rank coupling keeps the
-orbits T(m h) u_k of its r range vectors once per step, shared by every
-seed, so term n + 1 at step p is one weighted reduction over those
-orbits with weights w_j Phi_k(V_n(j)), and an orbit to step q applies
-the carrier at most (r + 1)(q + 1) times whatever its term count.  A
-dense B takes the identity factorisation (range orbit T(m h),
-coefficients B V), whose sums are bit for bit the term-by-term fold.
-A series past the node budget is refused before any work, and a term
-that leaves the double range raises ExpmOverflow.  The term count reads
-each envelope term once.  The only series setting is the term cap,
-DysonPhillipsConfig.max_terms; the quadrature density, tail target and
-node budget are module constants.
+only be evaluated at whole grid steps.  The lattice series computes each
+(term, step) once and fills later steps as they are asked for, so its
+results do not depend on the order of the calls.  A series past the
+node budget is refused before any work, and a term that leaves the
+double range raises ExpmOverflow.  The only series setting is the term
+cap, DysonPhillipsConfig.max_terms; the quadrature density, tail target
+and node budget are module constants.
+
+Coupled lattice carriers need no term count.  Their coupling has finite
+rank, B = U Phi, so the coefficients c(p) = Phi S(p h) f of a perturbed
+orbit solve the r x r renewal equation
+
+    (I - w_p K(0)) c(p) = Phi T(p h) f + sum_{j<p} w_j K(p - j) c(j),
+
+K(m) = Phi T(m h) U, on the lattice's own weights w.  Its solution is
+the sum of every term of the lattice series, and
+S(p h) f = T(p h) f + sum_j w_j T((p - j) h) U c(j) is one weighted
+reduction over the seed flow and the range orbits T(m h) u_k, which
+every seed shares.  An orbit to step q applies the carrier (r + 1)(q + 1)
+times at most.
 On top of the series sit an order-theoretic domination check, the
 transfer of eventually invariant coordinate ideals to the perturbed
 family, and a two-carrier coupling constructor whose off-diagonal
 blocks feed each component into the other.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -293,16 +298,17 @@ def _lattice_weights(q: int, h: float) -> np.ndarray:
     return w * h
 
 
-def check_node_budget(n_terms: int, q: int) -> None:
-    """Refuse a lattice series of n_terms terms to step q past NODE_BUDGET nodes.
+def check_node_budget(width: int, q: int) -> None:
+    """Refuse a lattice sum of width summands per node to step q past NODE_BUDGET.
 
-    Term n at step p reads the p + 1 nodes 0..p, so the series fills
-    n_terms (q + 1)(q + 2) / 2 nodes at most.
+    Step p reads the p + 1 nodes 0..p, so steps 0..q read
+    width (q + 1)(q + 2) / 2 summands: width is the term count of a
+    series, or the rank r of a renewal's coupling.
     """
-    if n_terms * (q + 1) * (q + 2) // 2 > NODE_BUDGET:
+    if width * (q + 1) * (q + 2) // 2 > NODE_BUDGET:
         raise QuadratureBudgetExceeded(
-            f"series depth {n_terms} over {q + 1} lattice nodes exceeds "
-            f"the budget of {NODE_BUDGET}"
+            f"{width} x {(q + 1) * (q + 2) // 2} summands over {q + 1} lattice "
+            f"nodes exceed the budget of {NODE_BUDGET}"
         )
 
 
@@ -346,23 +352,31 @@ def _all_finite(v) -> bool:
     return bool(np.isfinite(v).all())
 
 
+def _renewal_rules(q: int, h: float) -> np.ndarray:
+    """Rows: the lattice weights of step q, and their distance to a plain trapezoid."""
+    w = _lattice_weights(q, h)
+    trap = np.full(q + 1, h)
+    trap[0] = trap[q] = 0.5 * h
+    return np.stack([w, w - trap])
+
+
 class _FiniteRange:
     """A finite-rank perturbation B = U Phi seen through its range.
 
-    B v is the sum of Phi_k(v) u_k over r range vectors u_k in the
+    B v is the sum of Phi_k(v) u_k over the r range vectors u_k in the
     carrier's own types; coefficients(v) is the length-r array Phi(v)
-    and range_step(m) the list [T(m h) u_k].  The range orbits are
-    computed once per step m and shared by every series that holds this
-    object, so a series needs no carrier work beyond its own seed orbit:
-    T(m h) B v is the sum of Phi_k(v) T(m h) u_k.  zero is the carrier's
-    zero vector.
+    and range_step(m) the list [T(m h) u_k].  The range orbits and the
+    r x r kernel K(m) = Phi T(m h) U are computed once per step m and
+    shared by every orbit that holds this object.
     """
 
-    def __init__(self, range_step, coefficients, zero):
+    def __init__(self, range_step, coefficients, rank: int):
         self.range_step = range_step
         self.coefficients = coefficients
-        self._zero = zero
+        self.rank = rank
         self._orbits = []
+        self._kernel = np.zeros((0, rank, rank))
+        self._inverses = {}
 
     def orbit(self, m: int) -> list:
         """[T(m h) u_k for each k], filling the steps up to m once."""
@@ -370,24 +384,118 @@ class _FiniteRange:
             self._orbits.append(self.range_step(len(self._orbits)))
         return self._orbits[m]
 
-    def convolve(self, coeffs: list, rules: np.ndarray) -> list:
-        """[sum_j w[j] T((p - j) h) U coeffs[j] for w in rules], p = len(coeffs) - 1.
+    def kernel(self, p: int) -> np.ndarray:
+        """K(0), ..., K(p) stacked; column k of K(m) is Phi(T(m h) u_k)."""
+        done = len(self._kernel)
+        if done <= p:
+            r = self.rank
+            new = [
+                np.array([self.coefficients(v) for v in self.orbit(m)]).reshape(r, r).T
+                for m in range(done, p + 1)
+            ]
+            self._kernel = np.concatenate([self._kernel, new])
+        return self._kernel[: p + 1]
 
-        One weighted reduction over the range orbits per rule, weights
-        w[j] coeffs[j][k]; zero coefficients are skipped, so a support
-        floor only counts the range orbits that enter the sum.
+    def step_inverse(self, w: float) -> np.ndarray:
+        """(I - w K(0))^-1, formed once per last lattice weight w.
+
+        The lattice series sums the powers of w K(0), so it diverges
+        unless their spectral radius is below one; that case is refused.
         """
-        p = len(coeffs) - 1
-        table = np.array(coeffs)
-        nodes, ks = np.nonzero(table)
-        if not nodes.size:
-            return [self._zero.copy() for _ in rules]
-        vectors = [self.orbit(p - j)[k] for j, k in zip(nodes.tolist(), ks.tolist())]
-        return _weighted_sums(vectors, rules[:, nodes] * table[nodes, ks])
+        inv = self._inverses.get(w)
+        if inv is None:
+            wk = w * self.kernel(0)[0]
+            rho = float(np.max(np.abs(np.linalg.eigvals(wk)), initial=0.0))
+            if rho >= 1.0:
+                raise PremiseViolation(
+                    f"the lattice series diverges: w K(0) has spectral radius {rho:.6g} >= 1 "
+                    f"at the weight w = {w:g}"
+                )
+            inv = np.linalg.inv(np.eye(self.rank) - wk)
+            self._inverses[w] = inv
+        return inv
 
-    def zero(self, c):
-        """A term at step 0: the integral over [0, 0] vanishes."""
-        return self._zero.copy()
+
+class _Renewal:
+    """Range coefficients c(p) = Phi S(p h) f of one perturbed orbit, each step solved once.
+
+    c(0) = Phi f and, for p >= 1,
+    (I - w_p K(0)) c(p) = Phi T(p h) f + sum_{j<p} w_j K(p - j) c(j),
+    w the lattice weights of step p.  base[p] is Phi T(p h) f, the
+    coefficient of the unperturbed flow.  flow(p) is T(p h) f and
+    coefficients applies Phi to it: to a vector, giving r numbers, or to
+    a dense operator, giving an r x D block.
+    """
+
+    def __init__(self, flow, coefficients, finite_range: _FiniteRange, h: float):
+        self.flow = flow
+        self.coefficients = coefficients
+        self.range = finite_range
+        self.h = h
+        self.base, self.coeffs = [], []
+
+    def fill(self, q: int) -> None:
+        for p in range(len(self.coeffs), q + 1):
+            b = self.coefficients(self.flow(p))
+            c = b
+            if p:
+                w = _lattice_weights(p, self.h)
+                history = np.array(self.coeffs)
+                kernel = self.range.kernel(p)[p:0:-1]  # K(p - j) for j = 0..p-1
+                c = b + np.einsum("j,jab,jb...->a...", w[:p], kernel, history)
+                c = self.range.step_inverse(float(w[p])) @ c
+            if not np.isfinite(c).all():
+                raise ExpmOverflow(
+                    f"the orbit overflowed: its coupling coefficients at t = {p * self.h:g} "
+                    "left the double range"
+                )
+            self.base.append(b)
+            self.coeffs.append(c)
+
+
+class _SeedOrbit(_Renewal):
+    """The renewal of one seed's orbit, with the values S(p h) f it gives.
+
+    apply_t(m, v) applies the unperturbed family at m steps; it is
+    called for the seed flow only, once per step.  Steps are solved in
+    order as later times are asked for, so no result depends on earlier
+    requests.
+    """
+
+    def __init__(self, apply_t, finite_range: _FiniteRange, seed, h: float, norm):
+        super().__init__(self._flow, finite_range.coefficients, finite_range, h)
+        self.apply_t, self.seed, self.norm = apply_t, seed, norm
+        self.flows = []
+
+    def _flow(self, p: int):
+        while len(self.flows) <= p:
+            self.flows.append(self.apply_t(len(self.flows), self.seed))
+        return self.flows[p]
+
+    def at(self, q: int):
+        """(S(q h) f, quadrature gauge).
+
+        One weighted reduction over T(q h) f and the range orbits
+        T((q - j) h) u_k with weights w_j c_k(j); zero coefficients are
+        skipped, so a support floor only counts the orbits that enter the
+        sum.  The gauge is the distance to the same sum with trapezoid
+        weights.
+        """
+        self.fill(q)
+        if q == 0:
+            return self.flows[0].copy(), 0.0
+        C = np.array(self.coeffs[: q + 1])
+        nodes, ks = np.nonzero(C)
+        vectors = [self.flows[q]] + [
+            self.range.orbit(q - j)[k] for j, k in zip(nodes.tolist(), ks.tolist())
+        ]
+        rules = np.hstack([[[1.0], [0.0]], _renewal_rules(q, self.h)[:, nodes] * C[nodes, ks]])
+        total, gap = _weighted_sums(vectors, rules)
+        if not _all_finite(total):
+            raise ExpmOverflow(
+                f"the orbit overflowed: its value at t = {q * self.h:g} left the double range"
+            )
+        return total, self.norm(gap)
 
 
 class _DenseRange:
@@ -950,6 +1058,12 @@ class RankOneCoupling:
         """Phi(f): the coefficient of each range vector in the image of f."""
         return np.array([self.functional(f) for _ in self.range_vectors])
 
+    def rows(self) -> np.ndarray:
+        """Phi as a dense r x n block."""
+        return np.array([self.functional.row() for _ in self.range_vectors]).reshape(
+            len(self.range_vectors), self.shape[1]
+        )
+
     def apply(self, f):
         c = self.functional(f)
         if c == 0.0:
@@ -983,6 +1097,10 @@ class DenseCoupling:
     def coefficients(self, f) -> np.ndarray:
         """Phi(f): the nonzero rows applied to f."""
         return self._rows @ as_vector(f)
+
+    def rows(self) -> np.ndarray:
+        """Phi as a dense r x n block."""
+        return self._rows
 
     def apply(self, f):
         return self.matrix @ as_vector(f)
@@ -1125,16 +1243,26 @@ def coupling_premise_check(
     )
 
 
+def _exact_record(gauge: float) -> dict:
+    """Series report of a renewal evaluation: nothing truncated, so no tail."""
+    return {"n_terms": 0, "tail_bound": 0.0, "quadrature_estimate": gauge}
+
+
 class CoupledProvider(SemigroupProvider):
     """Provider for the coupled family on the product carrier.
 
-    Evaluation always goes through the perturbation series around the
-    block-diagonal unperturbed family; orbits on mixed carriers run on
-    the shared time lattice with native vector types so that support
-    bookkeeping stays exact, while dense assembly flattens to the
-    stacked cell/coordinate basis.  The off-diagonal part is held as
-    U Phi through the blocks' range vectors, whose orbits every seed's
-    series shares, and the term count is chosen once per lattice step.
+    Two dense carriers are evaluated through the perturbation series
+    around the block-diagonal generator, with its term cap from config.
+    When a carrier is locked to a time lattice, the off-diagonal part is
+    held as U Phi through the blocks' range vectors, and every orbit
+    solves the r x r lattice renewal equation for its coefficients
+    c(p) = Phi S(p h) f: the sum of every series term, with no term
+    count and no truncation tail.  Orbits keep native vector types, so
+    support bookkeeping stays exact; dense assembly solves the same
+    equation for an r x D coefficient block in the stacked
+    cell/coordinate basis.  The range orbits and the kernel
+    K(m) = Phi T(m h) U are shared by every seed.  The growth envelope
+    is computed on its first read; no evaluation reads it.
     """
 
     nilpotent_time = None
@@ -1148,19 +1276,23 @@ class CoupledProvider(SemigroupProvider):
         if len(lattices) == 2 and abs(lattices[0].h - lattices[1].h) > 0:
             raise InputError("coupled carriers disagree on the time lattice step")
         self.lattice_h = lattices[0].h if lattices else None
-        m, w = system.diag_envelope()
-        self.envelope = (m, w + m * system.perturbation_norm())
         self._orbit_cache = {}
         self._dense_cache = {}
         self._last_series = {}
-        self._term_counts = {}
         if self.lattice_h is not None:
             b12, b21 = system.b12, system.b21
             self._range = _FiniteRange(
                 self._range_step,
                 lambda v: np.concatenate([b12.coefficients(v.second), b21.coefficients(v.first)]),
-                self.zero_vector(),
+                len(b12.range_vectors) + len(b21.range_vectors),
             )
+            self._dense_renewal = None
+
+    @functools.cached_property
+    def envelope(self) -> tuple:
+        """(M, omega + M |B|), the growth bound of the bounded perturbation."""
+        m, w = self.system.diag_envelope()
+        return (m, w + m * self.system.perturbation_norm())
 
     # -- carrier plumbing -------------------------------------------------
 
@@ -1251,12 +1383,12 @@ class CoupledProvider(SemigroupProvider):
         ]
 
     def check_orbit(self, q: int) -> None:
-        """Refuse lattice orbits to step q before any series work.
+        """Refuse lattice orbits to step q before any renewal work.
 
-        Refused are a series past the node budget at the term cap and a
-        matrix carrier whose flow e^{tA} leaves the double range by step q.
+        Refused are a renewal past the node budget and a matrix carrier
+        whose flow e^{tA} leaves the double range by step q.
         """
-        check_node_budget(self.config.max_terms, q)
+        check_node_budget(self._range.rank, q)
         t = q * self.lattice_h
         for carrier in (self.system.provider1, self.system.provider2):
             if isinstance(carrier, MatrixSemigroup):
@@ -1265,53 +1397,61 @@ class CoupledProvider(SemigroupProvider):
                 except ExpmOverflow as exc:
                     raise ExpmOverflow(f"the orbit to t = {t:g} overflows: {exc}") from None
 
-    def _term_count(self, q: int) -> tuple:
-        """(term count, certified tail) of the series at step q, chosen once per step."""
-        hit = self._term_counts.get(q)
-        if hit is None:
-            hit = choose_terms(
-                self.config,
-                self.system.diag_envelope(),
-                self.system.perturbation_norm(),
-                q * self.lattice_h,
-            )
-            self._term_counts[q] = hit
-        return hit
-
     def _fingerprint(self, f: ProductVector):
         return (
             _vector_array(f.first).tobytes(),
             _vector_array(f.second).tobytes(),
         )
 
-    def orbit_terms(self, f: ProductVector, t: float):
-        """Per-term orbit values at time t (native types, exact supports)."""
+    def _seed_orbit(self, f: ProductVector, t: float):
+        """(orbit of f, step of t), refused past the node budget before any work."""
         if self.lattice_h is None:
-            raise InputError("per-term orbits are exposed on lattice carriers only")
+            raise InputError("lattice orbits need a carrier locked to a time lattice")
         q = self._steps_of(t)
+        check_node_budget(self._range.rank, q)
         key = self._fingerprint(f)
-        series = self._orbit_cache.get(key)
-        if series is None:
-            series = _LatticeSeries(
+        orbit = self._orbit_cache.get(key)
+        if orbit is None:
+            orbit = _SeedOrbit(
                 self._apply_steps, self._range, f.copy(), self.lattice_h, self.vec_norm
             )
             if len(self._orbit_cache) < 64:
-                self._orbit_cache[key] = series
-        n_terms, tail = self._term_count(q)
-        terms, gauge = series.at(q, n_terms)
-        self._last_series[("orbit", key)] = {
-            "n_terms": len(terms) - 1,
-            "tail_bound": tail,
-            "quadrature_estimate": gauge,
-        }
-        return terms
+                self._orbit_cache[key] = orbit
+        return orbit, q
+
+    def terms_alive(self, f: ProductVector, t: float):
+        """How many leading series terms V_0, V_1, ... of the orbit of f survive to time t.
+
+        Term n + 1 is identically zero on steps 0..q exactly when the
+        range coefficients c_n of term n vanish there; they follow the
+        r-dimensional recursion c_0(p) = Phi T(p h) f,
+        c_{n+1}(p) = sum_{j<=p} w_j K(p - j) c_n(j) with c_{n+1}(0) = 0.
+        That recursion is a linear map on r (q + 1) numbers, so a history
+        still nonzero after r (q + 1) steps never vanishes: the count is
+        then None.
+        """
+        orbit, q = self._seed_orbit(f, t)
+        orbit.fill(q)
+        r, n = self._range.rank, q + 1
+        kernel = self._range.kernel(q)
+        step_map = np.zeros((n, r, n, r))
+        for p in range(1, n):
+            step_map[p, :, : p + 1, :] = np.einsum(
+                "j,jab->ajb", _lattice_weights(p, self.lattice_h), kernel[p::-1]
+            )
+        step_map = step_map.reshape(n * r, n * r)
+        c = np.array(orbit.base[:n]).reshape(n * r)
+        for alive in range(1, n * r + 2):
+            if not c.any():
+                return alive
+            c = step_map @ c
+        return None
 
     def apply(self, t, f: ProductVector) -> ProductVector:
         if self.lattice_h is not None:
-            terms = self.orbit_terms(f, t)
-            total = terms[0]
-            for term in terms[1:]:
-                total = total + term
+            orbit, q = self._seed_orbit(f, t)
+            total, gauge = orbit.at(q)
+            self._last_series[("orbit", self._fingerprint(f))] = _exact_record(gauge)
             return total
         dense = self.to_dense(t)
         stacked = dense @ self.stack(f)
@@ -1342,12 +1482,48 @@ class CoupledProvider(SemigroupProvider):
         out[n1:, n1:] = self.system.provider2.to_dense(t)
         return out
 
+    def _dense_lattice(self, q: int):
+        """(S(q h) in the stacked basis, quadrature gauge) from the renewal of an r x D block.
+
+        The coefficient block C(p) = Phi S(p h) solves the orbits' renewal
+        equation with Phi T(p h) in place of Phi T(p h) f, and
+        S(q h) = T(q h) + sum_j w_j T((q - j) h) U C(j) is one product of
+        the stacked range orbits with the weighted blocks.
+        """
+        check_node_budget(self._range.rank, q)
+        h, dim = self.lattice_h, self.carrier_dim
+        if self._dense_renewal is None:
+            n1, rows12, rows21 = self.system.dim1, self.system.b12.rows(), self.system.b21.rows()
+            phi = np.zeros((self._range.rank, dim))
+            phi[: len(rows12), n1:] = rows12
+            phi[len(rows12) :, :n1] = rows21
+            self._dense_renewal = _Renewal(
+                lambda p: self._dense_diag(p * h), lambda op: phi @ op, self._range, h
+            )
+        renewal = self._dense_renewal
+        renewal.fill(q)
+        dense = self._dense_diag(q * h)
+        if q == 0:
+            return dense, 0.0
+        orbits = np.hstack(
+            [
+                np.array([self.stack(v) for v in self._range.orbit(q - j)]).reshape(-1, dim).T
+                for j in range(q + 1)
+            ]
+        )
+        blocks = np.array(renewal.coeffs[: q + 1])
+        rule, diff = _renewal_rules(q, h)
+        dense += orbits @ (rule[:, None, None] * blocks).reshape(-1, dim)
+        gap = orbits @ (diff[:, None, None] * blocks).reshape(-1, dim)
+        if not np.isfinite(dense).all():
+            raise ExpmOverflow(f"the dense operator at t = {q * h:g} left the double range")
+        return dense, float(np.max(np.abs(gap), initial=0.0))
+
     def to_dense(self, t) -> np.ndarray:
         t = float(t)
         hit = self._dense_cache.get(t)
         if hit is not None:
             return hit
-        Bd = self.system.block_dense()
         if self.lattice_h is None:
             # both carriers dense: series around the block diagonal generator
             A1 = self.system.provider1.A
@@ -1357,7 +1533,7 @@ class CoupledProvider(SemigroupProvider):
             blockA[:n1, :n1] = A1
             blockA[n1:, n1:] = A2
             diag_provider = MatrixSemigroup(blockA, envelope=self.system.diag_envelope())
-            res = dyson_phillips_sum(diag_provider, Bd, t, self.config)
+            res = dyson_phillips_sum(diag_provider, self.system.block_dense(), t, self.config)
             dense = res.total
             self._last_series[("dense", t)] = {
                 "n_terms": res.n_terms,
@@ -1365,23 +1541,20 @@ class CoupledProvider(SemigroupProvider):
                 "quadrature_estimate": res.quadrature_estimate,
             }
         else:
-            q = self._steps_of(t)
-            n_terms, tail = self._term_count(q)
-            h = self.lattice_h
-            terms, gauge = _dense_lattice_terms(lambda m: self._dense_diag(m * h), Bd, h, q, n_terms)
-            dense = terms[0].copy()
-            for term in terms[1:]:
-                dense += term
-            self._last_series[("dense", t)] = {
-                "n_terms": len(terms) - 1,
-                "tail_bound": tail,
-                "quadrature_estimate": gauge,
-            }
+            dense, gauge = self._dense_lattice(self._steps_of(t))
+            self._last_series[("dense", t)] = _exact_record(gauge)
         if len(self._dense_cache) < 256:
             self._dense_cache[t] = dense
         return dense
 
     def series_report(self, t=None) -> dict:
+        """n_terms, tail_bound and quadrature_estimate of the dense operator at t.
+
+        Without t, the largest of each over every evaluation.  Lattice
+        evaluations sum every series term, so they report no truncated
+        terms and a zero tail; their gauge is the distance to the
+        trapezoid rule at the evaluated step.
+        """
         if t is not None:
             return dict(self._last_series.get(("dense", float(t)), {}))
         merged = {"n_terms": 0, "tail_bound": 0.0, "quadrature_estimate": 0.0}

@@ -335,7 +335,17 @@ class MatrixSemigroup(SemigroupProvider):
         return np.zeros(self.carrier_dim)
 
     def vec_norm(self, f) -> float:
-        return float(np.linalg.norm(f))
+        """Euclidean norm, as max|f| |f / max|f|| where squares would leave the double range.
+
+        A finite nonzero vector therefore never reads inf or 0.
+        """
+        x = np.asarray(f, dtype=float)
+        top = float(np.max(np.abs(x), initial=0.0))
+        if 1e-150 < top < 1e150:
+            return float(np.linalg.norm(x))
+        if top == 0.0 or not math.isfinite(top):
+            return top
+        return top * float(np.linalg.norm(x / top))
 
     def pair(self, phi, f):
         return float(np.dot(as_vector(phi), as_vector(f)))

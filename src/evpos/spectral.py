@@ -149,7 +149,7 @@ def _inverse_iteration(A: np.ndarray, s: float, v0: np.ndarray, iters: int = 3) 
 
 
 def dominant_projection(
-    A, expect_positive_eigenvectors: bool = False, tol: float = 1e-8
+    A, expect_positive_eigenvectors: bool = False, tol: float = 1e-8, certificate=None
 ) -> ProjectionReport:
     """Rank-one spectral projection for the dominant eigenvalue of `A`.
 
@@ -162,10 +162,12 @@ def dominant_projection(
     sorted real Schur route is kept in the tests as the oracle.  With
     `expect_positive_eigenvectors` (appropriate for persistently
     irreducible, eventually positive inputs) both vectors are
-    additionally asserted strictly positive.
+    additionally asserted strictly positive.  `certificate`, when given,
+    is spectral_certificate(A) as the caller already holds it (the
+    positivity certificate of the same A), and saves its decompositions.
     """
     A = as_matrix(A)
-    cert = spectral_certificate(A)
+    cert = spectral_certificate(A) if certificate is None else certificate
     if not cert.dominant_is_real_simple:
         raise CertificateMissing(
             "dominant eigenvalue is not certified real and simple"

@@ -14,6 +14,7 @@ import evpos.cli as cli
 from evpos.cli import main
 from evpos.presets import CheckResult, PresetReport
 from evpos.semigroup import demo_generator
+from evpos.spectral import dominant_projection
 
 
 def write_doc(tmp_path, name, payload) -> str:
@@ -122,6 +123,21 @@ class TestAnalyze:
         assert coarse["evidence"] != default["evidence"]
         assert max(row[0] for row in default["evidence"]) == 20.0
         assert max(row[0] for row in coarse["evidence"]) == 0.5
+
+    def test_projection_reuses_the_certificate_decompositions(self, tmp_path, capsys, monkeypatch):
+        # eig(A) and eig(A^T) of the positivity certificate also seed the
+        # projection, which comes out as from a fresh decomposition
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        rc, out, _ = run(capsys, ["analyze", "--matrix", write_demo(tmp_path)])
+        assert rc == 0
+        assert calls == [(3, 3), (3, 3)]
+        monkeypatch.undo()
+        fresh = dominant_projection(demo_generator())
+        projection = json.loads(out)["projection"]
+        assert projection["projection"] == fresh.projection.tolist()
+        assert projection["residuals"] == fresh.residuals
 
     def test_report_is_deterministic_apart_from_timings(self, tmp_path, capsys):
         path = write_demo(tmp_path)
@@ -319,7 +335,7 @@ class TestExamples:
         [
             (["ex5_2", "--depth", "3"], 1),
             (["ex3_10", "--depth", "3"], 0),
-            (["ex5_6", "--dp-terms", "10"], 0),
+            (["ex5_6", "--t-max", "2"], 0),
         ],
     )
     def test_flags_a_suite_does_not_read_are_rejected(self, capsys, argv, code):
@@ -341,10 +357,11 @@ class TestExamples:
             (["ex5_6", "--t-max", "-1"], "t_max"),
             (["ex5_6", "--grid-h", "0"], "cell width"),
             (["ex5_6", "--L", "300"], "4800 cells, past the cap 4096"),
-            (["ex5_6", "--t-max", "40"], "budget"),
+            # 2 x 1601 x 1602 / 2 renewal summands
+            (["ex5_6", "--grid-h", "0.03125", "--t-max", "50"], "budget"),
             # the demo matrix flow e^{9t} leaves the double range past t = 78.8
-            (["ex5_6", "--dp-terms", "8", "--t-max", "80"], "overflow"),
-            (["ex5_6", "--dp-terms", "1", "--t-max", "249"], "overflow"),
+            (["ex5_6", "--t-max", "80"], "overflow"),
+            (["ex5_6", "--grid-h", "0.25", "--t-max", "249"], "overflow"),
         ],
     )
     def test_unusable_suite_settings_rejected(self, capsys, argv, message):
@@ -419,7 +436,7 @@ class TestTimeseries:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["orbit", "--depth", "3", "--dp-terms", "5"], "--depth"),
+            (["orbit", "--depth", "3", "--L", "5"], "--depth"),
             (["orbit", "--tol", "1e-6"], "--tol"),
             (["rescaled-distance", "--L", "5"], "--L"),
             (["pairing", "--t-max", "3", "--grid-h", "0.5"], "--t-max"),
@@ -445,12 +462,12 @@ class TestTimeseries:
             (["rescaled-distance", "--grid-points", str(cli.MAX_GRID_POINTS + 1)], "grid points"),
             (["support-front", "--grid-h", "0"], "cell width"),
             (["support-front", "--t-max", "-1"], "t_max"),
-            (["support-front", "--dp-terms", "0"], "max_terms"),
+            (["support-front", "--L", "3"], "window half-length"),
             (["pairing", "--depth", "0"], "depth"),
             (["support-front", "--L", "4", "--grid-h", "0.0001"], "80000 cells"),
-            (["support-front", "--t-max", "40"], "budget"),
-            (["support-front", "--dp-terms", "8", "--t-max", "80"], "overflow"),
-            (["support-front", "--dp-terms", "1", "--t-max", "249"], "overflow"),
+            (["support-front", "--grid-h", "0.03125", "--t-max", "50"], "budget"),
+            (["support-front", "--t-max", "80"], "overflow"),
+            (["support-front", "--grid-h", "0.25", "--t-max", "249"], "overflow"),
         ],
     )
     def test_unusable_series_settings_rejected(self, capsys, argv, message):
@@ -501,6 +518,29 @@ class TestUsageAndEnvironment:
         rc, _, err = run(capsys, ["--version"])
         assert rc == 1
         assert "EVPOS_THREADS" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["timeseries", "support-front", "--dp-terms", "8"],
+            ["examples", "run", "ex5_6", "--dp-terms", "10"],
+        ],
+    )
+    def test_removed_dp_terms_flag_is_a_usage_error(self, capsys, argv):
+        # coupled orbits sum every series term, so no term cap is read
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert "unrecognized arguments: --dp-terms" in err
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        # the parser is built once per process and keeps no state between calls
+        assert main(["--version"]) == 0
+        assert main(["timeseries", "pairing", "--depth", "2"]) == 0
+        assert main(["timeseries", "pairing", "--bogus"]) == 1
+        assert main(["timeseries"]) == 1
+        assert main(["timeseries", "pairing", "--depth", "2"]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        capsys.readouterr()
 
     def test_thread_cap_accepts_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("EVPOS_THREADS", "2")

@@ -121,6 +121,18 @@ class TestShowcaseMatrix:
 
 
 class TestMatrixSemigroup:
+    def test_vec_norm_of_huge_and_tiny_entries_is_finite(self):
+        # x . x leaves the double range both ways, the vector does not
+        prov = MatrixSemigroup(np.eye(3))
+        for scale in (1e200, 1e-200):
+            x = np.array([3.0, -4.0, 0.0]) * scale
+            assert prov.vec_norm(x) == pytest.approx(5.0 * scale, rel=1e-15)
+        assert prov.vec_norm(np.array([1e200, np.inf, 0.0])) == np.inf
+        assert prov.vec_norm(np.zeros(3)) == 0.0
+        # within range it is the plain Euclidean norm, bit for bit
+        x = np.array([0.1, 2.0, -7.5])
+        assert prov.vec_norm(x) == float(np.linalg.norm(x))
+
     def test_matrix_not_metzler_for_demo(self):
         prov = MatrixSemigroup(demo_generator())
         assert not prov.is_metzler()
