@@ -1,34 +1,37 @@
 """Additive bounded perturbations of semigroup generators.
 
-The perturbed family e^{t(A+B)} is evaluated as the series of iterated
-convolution terms around the unperturbed flow,
+The perturbed family e^{t(A+B)} is compared with e^{tA} through the
+Dyson-Phillips series
 
     V_0(t) = T(t),    V_{n+1}(t) = integral_0^t T(t-s) B V_n(s) ds,
 
-with a certified truncation tail from the growth envelope.  Two
-quadrature backends share the recursion: an exact-moment panel
-collocation scheme for dense matrix carriers, and a positive-weight
-composite rule on the carrier's own time lattice for providers that can
-only be evaluated at whole grid steps.  The lattice series computes each
-(term, step) once and fills later steps as they are asked for, so its
-results do not depend on the order of the calls.  A series past the
-node budget is refused before any work, and a term that leaves the
-double range raises ExpmOverflow.  The only series setting is the term
-cap, DysonPhillipsConfig.max_terms; the quadrature density, tail target
-and node budget are module constants.
+truncated after N terms with a certified tail from the growth envelope.
+Each carrier has one exact construction of the terms.  For a matrix
+carrier, V_0(t)..V_N(t) are the first block row of e^{tG}, G the block
+upper-bidiagonal matrix with A on the diagonal and B above it (Van
+Loan's block exponential); a block past BLOCK_BUDGET is refused before
+any work.  For a carrier locked to a time lattice, B = U Phi is factored
+through its nonzero rows, the coefficients C_n(p) = Phi V_n(p h) follow
+C_{n+1}(p) = sum_j w_j K(p - j) C_n(j), K(m) = Phi T(m h) U, on the
+lattice's own weights w, and V_{n+1}(q h) = sum_j w_j T((q - j) h) U C_n(j)
+is one product of the stacked range orbits with the weighted blocks; a
+series past NODE_BUDGET is refused before any work.  A term that leaves
+the double range raises ExpmOverflow.  The only series setting is the
+term cap, DysonPhillipsConfig.max_terms; the tail target and both
+budgets are module constants.
 
 Coupled lattice carriers need no term count.  Their coupling has finite
 rank, B = U Phi, so the coefficients c(p) = Phi S(p h) f of a perturbed
 orbit solve the r x r renewal equation
 
-    (I - w_p K(0)) c(p) = Phi T(p h) f + sum_{j<p} w_j K(p - j) c(j),
+    (I - w_p K(0)) c(p) = Phi T(p h) f + sum_{j<p} w_j K(p - j) c(j).
 
-K(m) = Phi T(m h) U, on the lattice's own weights w.  Its solution is
-the sum of every term of the lattice series, and
+Its solution is the sum of every term of the lattice series, and
 S(p h) f = T(p h) f + sum_j w_j T((p - j) h) U c(j) is one weighted
 reduction over the seed flow and the range orbits T(m h) u_k, which
 every seed shares.  An orbit to step q applies the carrier (r + 1)(q + 1)
-times at most.
+times at most.  Two coupled dense carriers are one exponential of the
+block generator.
 On top of the series sit an order-theoretic domination check, the
 transfer of eventually invariant coordinate ideals to the perturbed
 family, and a two-carrier coupling constructor whose off-diagonal
@@ -57,12 +60,11 @@ from .lattice import IdealMask, as_matrix, as_vector
 from .semigroup import MatrixSemigroup, SemigroupProvider, TimeGrid, expm
 
 
-# Series constants: the composite Gauss-Legendre panels of the matrix
-# backend, the tail target that fixes the term count, and the abort
-# threshold on recursion depth times node count.
-NODES_PER_UNIT = 16
-GL_ORDER = 8
+# Series constants: the tail target that fixes the term count, the
+# largest block generator (N + 1) n of a matrix carrier, and the abort
+# threshold on recursion depth times node count of a lattice carrier.
 TAIL_TOLERANCE = 1e-10
+BLOCK_BUDGET = 1024
 NODE_BUDGET = 2_000_000
 
 
@@ -72,7 +74,9 @@ class DysonPhillipsConfig:
 
     The actual count is the smallest one whose envelope tail bound meets
     TAIL_TOLERANCE, auto-increased up to max_terms, after which the
-    larger tail is simply reported.
+    smaller capped tail is simply reported.  A matrix carrier takes the
+    count of whichever of its two envelopes passes first: the provider's
+    growth pair and the log-norm pair (1, mu_2(A)).
     """
 
     max_terms: int = 40
@@ -83,24 +87,25 @@ class DysonPhillipsConfig:
 
 
 class _EnvelopeSeries:
-    """Terms M^{n+1} e^{omega t} (|B| M t)^n / n! of the envelope bound, each computed once.
+    """Terms M^{n+1} |B|^n t^n e^{omega t} / n! of the envelope bound, each computed once.
 
-    (M, omega) is the growth pair; a term whose logarithm reaches 700
-    reads inf, the bound having left floating range.
+    (M, omega) is the growth pair, so |V_n(t)| is at most term n: n + 1
+    flows of norm M e^{omega s} and n factors B over the simplex of
+    volume t^n / n!.  A term whose logarithm reaches 700 reads inf, the
+    bound having left floating range.
     """
 
     def __init__(self, envelope, norm_b: float, t: float):
         M, omega = float(envelope[0]), float(envelope[1])
-        self.x = norm_b * M * t
-        self._log_m = math.log(M) if M > 0 else float("-inf")
-        self._base = omega * t
+        self.x = norm_b * M * t  # ratio of consecutive terms, times n + 1
+        self._head = math.log(M) + omega * t
         self._log_x = math.log(self.x)
         self._terms = []
 
     def term(self, n: int) -> float:
         while len(self._terms) <= n:
             k = len(self._terms)
-            log_term = (k + 1) * self._log_m + self._base + k * self._log_x - math.lgamma(k + 1)
+            log_term = self._head + k * self._log_x - math.lgamma(k + 1)
             self._terms.append(math.inf if log_term >= 700.0 else math.exp(log_term))
         return self._terms[n]
 
@@ -123,7 +128,7 @@ class _EnvelopeSeries:
 def perturbation_tail_bound(envelope, norm_b: float, t: float, n_terms: int) -> float:
     """Certified bound on the dropped series remainder past n_terms.
 
-    Sums M^{n+1} e^{omega t} (|B| M t)^n / n! over n > n_terms for the
+    Sums M^{n+1} |B|^n t^n e^{omega t} / n! over n > n_terms for the
     growth pair (M, omega).  Conservative by construction; returns inf
     when the bound itself leaves floating range.
     """
@@ -153,120 +158,31 @@ def choose_terms(config: DysonPhillipsConfig, envelope, norm_b: float, t: float)
     return config.max_terms, series.tail(config.max_terms)
 
 
-# --------------------------------------------------------------------------
-# matrix backend: exact-moment panel collocation
-# --------------------------------------------------------------------------
+def _log_norm_envelope(A: np.ndarray) -> tuple:
+    """(1, mu_2(A)): |e^{tA}|_2 <= e^{mu_2(A) t}, mu_2(A) the top eigenvalue of (A + A^T) / 2.
+
+    A theorem for every A, defective ones included (Soederlind, BIT 46, 2006).
+    """
+    return (1.0, float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1]))
 
 
-def _reference_nodes(order: int) -> np.ndarray:
-    x, _ = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) * 0.5
+def _block_terms(A: np.ndarray, B: np.ndarray, t: float, n_terms: int) -> list:
+    """V_0(t)..V_N(t) as the first block row of e^{tG}, refused past BLOCK_BUDGET.
 
-
-def _lagrange_monomial_coeffs(nodes: np.ndarray) -> np.ndarray:
-    """Row j holds the ascending monomial coefficients of the j-th cardinal."""
-    m = nodes.size
-    coeffs = np.zeros((m, m))
-    for j in range(m):
-        others = np.delete(nodes, j)
-        denom = float(np.prod(nodes[j] - others))
-        coeffs[j] = np.polynomial.polynomial.polyfromroots(others).real / denom
-    return coeffs
-
-
-def _panel_operators(A: np.ndarray, width: float, order: int):
-    """Propagators and exact Lagrange moments for one panel width.
-
-    For each target offset d (the panel's collocation nodes plus the
-    width itself) this returns e^{dA} together with the stacked moment
-    block [L_1(d) ... L_m(d)], where L_j(d) = integral_0^d e^{(d-s)A}
-    ell_j(s) ds is computed exactly from a block-exponential whose
-    nilpotent chain generates the monomials.  Interpolating the
-    integrand at the nodes is then the only approximation in the level
-    recursion.
+    G has A in every diagonal block and B in every block just above it, so
+    block (0, k) of e^{tG} is the k-th series term (Van Loan, IEEE TAC
+    23, 1978).
     """
     n = A.shape[0]
-    m = order
-    nodes = _reference_nodes(order) * width
-    coeffs = _lagrange_monomial_coeffs(nodes)
-    eye = np.eye(n)
-    G = np.zeros(((m + 1) * n, (m + 1) * n))
-    G[:n, :n] = A
-    for b in range(m):
-        G[b * n : (b + 1) * n, (b + 1) * n : (b + 2) * n] = eye
-    factorials = [math.factorial(k) for k in range(m)]
-    prop, lam = [], []
-    for d in list(nodes) + [width]:
-        top = expm(G, float(d))[:n]
-        prop.append(np.ascontiguousarray(top[:, :n]))
-        thetas = [top[:, (k + 1) * n : (k + 2) * n] for k in range(m)]
-        blocks = []
-        for j in range(m):
-            lam_j = np.zeros((n, n))
-            for k in range(m):
-                lam_j += coeffs[j, k] * factorials[k] * thetas[k]
-            blocks.append(lam_j)
-        lam.append(np.ascontiguousarray(np.hstack(blocks)))
-    return nodes, prop, lam
-
-
-def _matrix_terms_fixed(A, B, t, n_terms, panels, order):
-    """Series terms at time t with a fixed panel count (no error estimate)."""
-    n = A.shape[0]
-    width = t / panels
-    _, prop, lam = _panel_operators(A, width, order)
-    step = prop[order]
-    lefts = [np.eye(n)]
-    for _ in range(1, panels):
-        lefts.append(step @ lefts[-1])
-    v_nodes = [[prop[i] @ lefts[p] for i in range(order)] for p in range(panels)]
-    terms = [step @ lefts[-1]]
-    zero = np.zeros((n, n))
-    for _ in range(n_terms):
-        cur_nodes = []
-        left = zero
-        alive = False
-        for p in range(panels):
-            bv = np.vstack([B @ v_nodes[p][j] for j in range(order)])
-            if bv.any():
-                alive = True
-                panel_vals = [prop[i] @ left + lam[i] @ bv for i in range(order)]
-                left = prop[order] @ left + lam[order] @ bv
-            else:
-                panel_vals = [prop[i] @ left for i in range(order)]
-                left = prop[order] @ left
-            cur_nodes.append(panel_vals)
-        terms.append(left)
-        v_nodes = cur_nodes
-        if not alive and not left.any():
-            # a vanished level makes every later term exactly zero
-            break
-    while len(terms) < n_terms + 1:
-        terms.append(zero)
-    return terms
-
-
-def _matrix_dp(A: np.ndarray, B: np.ndarray, t: float, n_terms: int):
-    """(terms, quadrature estimate) for a dense matrix carrier.
-
-    Runs the panel recursion at the configured density and at twice the
-    density; the finer terms are returned and the per-term differences,
-    summed in the 2-norm, serve as the reported quadrature gauge.
-    """
-    n = A.shape[0]
-    if t == 0.0:
-        return [np.eye(n)] + [np.zeros((n, n))] * n_terms, 0.0
-    panels = max(1, math.ceil(t * NODES_PER_UNIT / GL_ORDER))
-    node_count = n_terms * 3 * panels * GL_ORDER
-    if node_count > NODE_BUDGET:
+    size = (n_terms + 1) * n
+    if size > BLOCK_BUDGET:
         raise QuadratureBudgetExceeded(
-            f"series depth {n_terms} x {3 * panels * GL_ORDER} nodes exceeds "
-            f"the budget of {NODE_BUDGET}"
+            f"the block generator of {n_terms + 1} terms of a {n}x{n} carrier has "
+            f"dimension {size}, past the budget of {BLOCK_BUDGET}"
         )
-    coarse = _matrix_terms_fixed(A, B, t, n_terms, panels, GL_ORDER)
-    fine = _matrix_terms_fixed(A, B, t, n_terms, 2 * panels, GL_ORDER)
-    est = float(sum(np.linalg.norm(f - c, 2) for f, c in zip(fine, coarse)))
-    return fine, est
+    G = np.kron(np.eye(n_terms + 1), A) + np.kron(np.eye(n_terms + 1, k=1), B)
+    row = expm(G, t)[:n]
+    return [row[:, k * n : (k + 1) * n].copy() for k in range(n_terms + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -415,6 +331,40 @@ class _FiniteRange:
             self._inverses[w] = inv
         return inv
 
+    def next_coefficients(self, coeffs: np.ndarray, h: float) -> np.ndarray:
+        """C_{n+1} from C_n on steps 0..q by the coefficient recursion.
+
+        C_{n+1}(0) = 0 and C_{n+1}(p) = sum_{j<=p} w_j K(p - j) C_n(j).
+        coeffs stacks C_n(0..q) on its first axis: r numbers per step for
+        an orbit's term, an r x D block per step for a dense operator's.
+        w are the lattice weights of step p; the kernel enters at K(0).
+        """
+        q = len(coeffs) - 1
+        kernel = self.kernel(q)
+        out = np.zeros_like(coeffs)
+        for p in range(1, q + 1):
+            weighted = _lattice_weights(p, h)[:, None, None] * kernel[p::-1]
+            out[p] = np.tensordot(weighted, coeffs[: p + 1], axes=([0, 2], [0, 1]))
+        return out
+
+    def stacked(self, q: int, stack, dim: int) -> np.ndarray:
+        """[T(q h) U, T((q - 1) h) U, ..., U] side by side, stack(v) the dim coordinates of v."""
+        out = np.empty((dim, (q + 1) * self.rank))
+        for j in range(q + 1):
+            for k, v in enumerate(self.orbit(q - j)):
+                out[:, j * self.rank + k] = stack(v)
+        return out
+
+
+def _convolve_blocks(orbits: np.ndarray, blocks: np.ndarray, rules: np.ndarray) -> list:
+    """[sum_j w_j T((q - j) h) U C(j) for w in rules], one product per rule.
+
+    orbits is _FiniteRange.stacked(q, ...) and blocks stacks C(0..q),
+    r x D each; the weighted blocks are stacked in the same order.
+    """
+    dim = blocks.shape[-1]
+    return [orbits @ (w[:, None, None] * blocks).reshape(-1, dim) for w in rules]
+
 
 class _Renewal:
     """Range coefficients c(p) = Phi S(p h) f of one perturbed orbit, each step solved once.
@@ -498,144 +448,43 @@ class _SeedOrbit(_Renewal):
         return total, self.norm(gap)
 
 
-class _DenseRange:
-    """Identity factorisation of a dense B: the range orbit is the operator itself.
+def _lattice_terms(provider, B: np.ndarray, t: float, n_terms: int):
+    """(dense terms at t, quadrature gauge) for a provider restricted to a time lattice.
 
-    step_dense(m) is the unperturbed operator at m steps, built once when
-    first read; the coefficients of V are the image B V, so each summand
-    is the product T(m h) (B V) and the sums are the term-by-term ones.
+    B = U Phi through its nonzero rows, as DenseCoupling factors it;
+    C_0(p) = Phi T(p h), each later C_n follows the coefficient
+    recursion, and term n + 1 at step q is the stacked product of the
+    range orbits T(m h) U with w_j C_n(j).  The series ends once C_n
+    vanishes on steps 0..q, every later term being identically zero
+    there; the remaining terms are zero blocks.  The gauge sums, over
+    the kept terms, the largest entry of the same product with the
+    trapezoid rule's distance as weights.  A series past NODE_BUDGET is
+    refused before any work.
     """
-
-    def __init__(self, step_dense, B: np.ndarray):
-        self.step_dense = step_dense
-        self.B = B
-        self._ops = {}
-
-    def orbit(self, m: int) -> np.ndarray:
-        if m not in self._ops:
-            self._ops[m] = self.step_dense(m)
-        return self._ops[m]
-
-    def apply_t(self, m: int, x: np.ndarray) -> np.ndarray:
-        return self.orbit(m) @ x
-
-    def coefficients(self, v: np.ndarray) -> np.ndarray:
-        return self.B @ v
-
-    def convolve(self, coeffs: list, rules: np.ndarray) -> list:
-        p = len(coeffs) - 1
-        return _weighted_sums([self.orbit(p - j) @ c for j, c in enumerate(coeffs)], rules)
-
-    def zero(self, c: np.ndarray) -> np.ndarray:
-        return c * 0.0
-
-
-class _LatticeSeries:
-    """Series terms of one orbit on a step-h lattice, each (term, step) computed once.
-
-    values[n][q] is the n-th term at time q*h applied to the seed;
-    norms, coeffs (the range coefficients Phi(values[n][q]) of the
-    perturbation), live (B of the value is nonzero) and gaps run
-    parallel to it, gaps[n][q] being the distance at step q between the
-    used rule and a plain trapezoid on the same samples.  Term n + 1 at
-    step p is perturbation.convolve of the coefficients of term n at
-    steps 0..p, one weighted reduction over the range orbits; a term
-    n >= 1 at step 0 is perturbation.zero.  Steps are filled in order as
-    later times are asked for, so no result depends on earlier requests.
-    apply_t(m, v) applies the unperturbed family at m steps; it is
-    called for the seed orbit only.
-    """
-
-    def __init__(self, apply_t, perturbation, seed, h: float, norm):
-        self.apply_t = apply_t
-        self.perturbation = perturbation
-        self.seed = seed
-        self.h = h
-        self.norm = norm
-        self.values, self.norms, self.coeffs, self.live, self.gaps = [], [], [], [], []
-
-    def _fill(self, n: int, q: int) -> None:
-        """Extend term n through step q; term n - 1 already reaches step q."""
-        if n == len(self.values):
-            for rows in (self.values, self.norms, self.coeffs, self.live, self.gaps):
-                rows.append([])
-        values = self.values[n]
-        for p in range(len(values), q + 1):
-            gap = 0.0
-            if n == 0:
-                v = self.apply_t(p, self.seed)
-            elif p == 0:
-                v = self.perturbation.zero(self.coeffs[n - 1][0])
-            else:
-                trap = np.full(p + 1, self.h)
-                trap[0] = trap[p] = 0.5 * self.h
-                rules = np.stack([_lattice_weights(p, self.h), trap])
-                v, tz = self.perturbation.convolve(self.coeffs[n - 1][: p + 1], rules)
-                gap = self.norm(v - tz)
-            norm = self.norm(v)
-            # a nonfinite entry makes the norm nonfinite, so only such norms need the scan
-            if not math.isfinite(norm) and not _all_finite(v):
-                raise ExpmOverflow(
-                    f"the series overflowed: term {n} at t = {p * self.h:g} left the double range"
-                )
-            c = self.perturbation.coefficients(v)
-            values.append(v)
-            self.norms[n].append(norm)
-            self.coeffs[n].append(c)
-            self.live[n].append(bool(np.any(c)))
-            self.gaps[n].append(gap)
-
-    def at(self, q: int, n_terms: int):
-        """(terms at step q, quadrature gauge) of the series truncated at n_terms.
-
-        The series ends early, judged on steps 0..q only, at a term whose
-        range coefficients all vanish (every later term is then identically zero)
-        or after two consecutive terms below the floating floor relative
-        to the unperturbed orbit.  The gauge sums the kept terms' gaps at
-        step q.  A series past NODE_BUDGET is refused before any work.
-        """
-        check_node_budget(n_terms, q)
-        self._fill(0, q)
-        floor = 1e-16 * max(max(self.norms[0][: q + 1]), 1e-300)
-        terms = [self.values[0][q]]
-        gauge = 0.0
-        tiny_streak = 0
-        for n in range(1, n_terms + 1):
-            if not any(self.live[n - 1][: q + 1]):
-                break
-            self._fill(n, q)
-            terms.append(self.values[n][q])
-            gauge += self.gaps[n][q]
-            if max(self.norms[n][: q + 1]) <= floor:
-                tiny_streak += 1
-                if tiny_streak >= 2:
-                    break
-            else:
-                tiny_streak = 0
-        return terms, gauge
-
-
-def _dense_lattice_terms(step_dense, B: np.ndarray, h: float, q: int, n_terms: int):
-    """(dense terms at step q, gauge); step_dense(m) is the unperturbed operator at m steps.
-
-    Each operator is built once, when the series first reads it.
-    """
-    dense = _DenseRange(step_dense, B)
-    series = _LatticeSeries(
-        dense.apply_t,
-        dense,
-        np.eye(B.shape[0]),
-        h,
-        lambda x: float(np.max(np.abs(x))) if x.size else 0.0,
-    )
-    return series.at(q, n_terms)
-
-
-def _lattice_dp_dense(provider, B: np.ndarray, t: float, n_terms: int):
-    """(dense terms, gauge) for a provider restricted to a time lattice."""
     h = provider.grid.h
     q = provider.grid.steps_of(t)
-    terms, gauge = _dense_lattice_terms(lambda m: provider.to_dense(m * h), B, h, q, n_terms)
+    check_node_budget(n_terms, q)
+    ops = [provider.to_dense(m * h) for m in range(q + 1)]
+    coupling = DenseCoupling(B)
+    units = coupling.range_vectors
+    finite_range = _FiniteRange(
+        lambda m: [ops[m] @ u for u in units], coupling.coefficients, len(units)
+    )
+    terms = [ops[q].copy()]
+    gauge = 0.0
+    coeffs = np.array([coupling.rows() @ op for op in ops])
+    if q:
+        orbits = finite_range.stacked(q, np.asarray, B.shape[0])
+        rules = _renewal_rules(q, h)
+        while len(terms) <= n_terms and coeffs.any():
+            term, gap = _convolve_blocks(orbits, coeffs, rules)
+            if not np.isfinite(term).all():
+                raise ExpmOverflow(
+                    f"the series overflowed: term {len(terms)} at t = {t:g} left the double range"
+                )
+            terms.append(term)
+            gauge += float(np.max(np.abs(gap)))
+            coeffs = finite_range.next_coefficients(coeffs, h)
     terms += [np.zeros_like(terms[0])] * (n_terms + 1 - len(terms))
     return terms, gauge
 
@@ -679,9 +528,14 @@ def dyson_phillips_terms(providerA, B, t, config: DysonPhillipsConfig | None = N
 def dyson_phillips_sum(providerA, B, t, config: DysonPhillipsConfig | None = None) -> DysonPhillipsResult:
     """Summed series evaluation with tail and quadrature certificates.
 
-    Matrix carriers use the exact-moment panel scheme; carriers locked
-    to a time lattice use the positive-weight composite rule on their
-    own grid.
+    The term count is the smallest whose envelope tail meets
+    TAIL_TOLERANCE (see DysonPhillipsConfig).  A matrix carrier's terms
+    are the first block row of one block exponential, exact up to
+    rounding, so its quadrature_estimate is 0.0; a block past
+    BLOCK_BUDGET raises QuadratureBudgetExceeded before it is formed.  A
+    carrier locked to a time lattice sums the coefficient recursion of
+    B = U Phi with the lattice's own weights, and its quadrature_estimate
+    is the distance to the trapezoid rule on the same samples.
     """
     if float(t) < 0.0:
         raise InputError("time must be nonnegative")
@@ -689,13 +543,18 @@ def dyson_phillips_sum(providerA, B, t, config: DysonPhillipsConfig | None = Non
     provider = _as_provider(providerA)
     Bd = _perturbation_dense(B, provider.carrier_dim)
     t = float(t)
-    n_terms, tail = choose_terms(config, provider.envelope, float(np.linalg.norm(Bd, 2)), t)
-    if isinstance(provider, MatrixSemigroup):
-        terms, est = _matrix_dp(provider.A, Bd, t, n_terms)
-    elif hasattr(provider, "grid"):
-        terms, est = _lattice_dp_dense(provider, Bd, t, n_terms)
-    else:
+    matrix_case = isinstance(provider, MatrixSemigroup)
+    if not matrix_case and not hasattr(provider, "grid"):
         raise InputError("carrier supports neither dense nor lattice evaluation")
+    envelopes = [provider.envelope]
+    if matrix_case:
+        envelopes.append(_log_norm_envelope(provider.A))
+    norm_b = float(np.linalg.norm(Bd, 2))
+    n_terms, tail = min(choose_terms(config, env, norm_b, t) for env in envelopes)
+    if matrix_case:
+        terms, est = _block_terms(provider.A, Bd, t, n_terms), 0.0
+    else:
+        terms, est = _lattice_terms(provider, Bd, t, n_terms)
     total = terms[0].copy()
     for term in terms[1:]:
         total = total + term
@@ -1244,16 +1103,16 @@ def coupling_premise_check(
 
 
 def _exact_record(gauge: float) -> dict:
-    """Series report of a renewal evaluation: nothing truncated, so no tail."""
+    """Series report of a renewal or of one exponential: nothing truncated, so no tail."""
     return {"n_terms": 0, "tail_bound": 0.0, "quadrature_estimate": gauge}
 
 
 class CoupledProvider(SemigroupProvider):
     """Provider for the coupled family on the product carrier.
 
-    Two dense carriers are evaluated through the perturbation series
-    around the block-diagonal generator, with its term cap from config.
-    When a carrier is locked to a time lattice, the off-diagonal part is
+    Two dense carriers are one exponential of the block generator,
+    diag(A1, A2) plus the off-diagonal blocks, with no series.  When a
+    carrier is locked to a time lattice, the off-diagonal part is
     held as U Phi through the blocks' range vectors, and every orbit
     solves the r x r lattice renewal equation for its coefficients
     c(p) = Phi S(p h) f: the sum of every series term, with no term
@@ -1267,9 +1126,8 @@ class CoupledProvider(SemigroupProvider):
 
     nilpotent_time = None
 
-    def __init__(self, system: CoupledSystem, config: DysonPhillipsConfig | None = None):
+    def __init__(self, system: CoupledSystem):
         self.system = system
-        self.config = config or DysonPhillipsConfig()
         g1 = getattr(system.provider1, "grid", None)
         g2 = getattr(system.provider2, "grid", None)
         lattices = [g for g in (g1, g2) if isinstance(g, Grid1D)]
@@ -1432,16 +1290,12 @@ class CoupledProvider(SemigroupProvider):
         """
         orbit, q = self._seed_orbit(f, t)
         orbit.fill(q)
-        r, n = self._range.rank, q + 1
-        kernel = self._range.kernel(q)
-        step_map = np.zeros((n, r, n, r))
-        for p in range(1, n):
-            step_map[p, :, : p + 1, :] = np.einsum(
-                "j,jab->ajb", _lattice_weights(p, self.lattice_h), kernel[p::-1]
-            )
-        step_map = step_map.reshape(n * r, n * r)
-        c = np.array(orbit.base[:n]).reshape(n * r)
-        for alive in range(1, n * r + 2):
+        c = np.array(orbit.base[: q + 1]).ravel()
+        n = c.size
+        # the recursion applied to every unit history is its matrix
+        basis = np.eye(n).reshape(q + 1, self._range.rank, n)
+        step_map = self._range.next_coefficients(basis, self.lattice_h).reshape(n, n)
+        for alive in range(1, n + 2):
             if not c.any():
                 return alive
             c = step_map @ c
@@ -1505,16 +1359,10 @@ class CoupledProvider(SemigroupProvider):
         dense = self._dense_diag(q * h)
         if q == 0:
             return dense, 0.0
-        orbits = np.hstack(
-            [
-                np.array([self.stack(v) for v in self._range.orbit(q - j)]).reshape(-1, dim).T
-                for j in range(q + 1)
-            ]
-        )
+        orbits = self._range.stacked(q, self.stack, dim)
         blocks = np.array(renewal.coeffs[: q + 1])
-        rule, diff = _renewal_rules(q, h)
-        dense += orbits @ (rule[:, None, None] * blocks).reshape(-1, dim)
-        gap = orbits @ (diff[:, None, None] * blocks).reshape(-1, dim)
+        total, gap = _convolve_blocks(orbits, blocks, _renewal_rules(q, h))
+        dense += total
         if not np.isfinite(dense).all():
             raise ExpmOverflow(f"the dense operator at t = {q * h:g} left the double range")
         return dense, float(np.max(np.abs(gap), initial=0.0))
@@ -1525,21 +1373,12 @@ class CoupledProvider(SemigroupProvider):
         if hit is not None:
             return hit
         if self.lattice_h is None:
-            # both carriers dense: series around the block diagonal generator
-            A1 = self.system.provider1.A
-            A2 = self.system.provider2.A
-            blockA = np.zeros((self.carrier_dim, self.carrier_dim))
             n1 = self.system.dim1
-            blockA[:n1, :n1] = A1
-            blockA[n1:, n1:] = A2
-            diag_provider = MatrixSemigroup(blockA, envelope=self.system.diag_envelope())
-            res = dyson_phillips_sum(diag_provider, self.system.block_dense(), t, self.config)
-            dense = res.total
-            self._last_series[("dense", t)] = {
-                "n_terms": res.n_terms,
-                "tail_bound": res.tail_bound,
-                "quadrature_estimate": res.quadrature_estimate,
-            }
+            generator = self.system.block_dense()
+            generator[:n1, :n1] += self.system.provider1.A
+            generator[n1:, n1:] += self.system.provider2.A
+            dense = expm(generator, t)
+            self._last_series[("dense", t)] = _exact_record(0.0)
         else:
             dense, gauge = self._dense_lattice(self._steps_of(t))
             self._last_series[("dense", t)] = _exact_record(gauge)
@@ -1550,10 +1389,12 @@ class CoupledProvider(SemigroupProvider):
     def series_report(self, t=None) -> dict:
         """n_terms, tail_bound and quadrature_estimate of the dense operator at t.
 
-        Without t, the largest of each over every evaluation.  Lattice
-        evaluations sum every series term, so they report no truncated
-        terms and a zero tail; their gauge is the distance to the
-        trapezoid rule at the evaluated step.
+        Without t, the largest of each over every evaluation.  Every
+        evaluation is exact in the series: lattice ones sum every term
+        and two dense carriers take one exponential, so they report no
+        truncated terms and a zero tail.  A lattice gauge is the
+        distance to the trapezoid rule at the evaluated step; a dense
+        one is 0.0.
         """
         if t is not None:
             return dict(self._last_series.get(("dense", float(t)), {}))
@@ -1575,7 +1416,6 @@ class CoupledProvider(SemigroupProvider):
 def couple(
     system: CoupledSystem,
     t,
-    config: DysonPhillipsConfig | None = None,
     tol: float = 1e-9,
     check_premise: bool = True,
 ) -> np.ndarray:
@@ -1585,7 +1425,7 @@ def couple(
     surfaced as a CouplingPremiseWarning (the order conclusions are then
     not asserted) and evaluation proceeds regardless.
     """
-    provider = CoupledProvider(system, config)
+    provider = CoupledProvider(system)
     if check_premise:
         report = coupling_premise_check(system, tol=tol)
         if not report.ok:

@@ -117,6 +117,7 @@ def test_criterion_05_series_matches_perturbed_exponential():
             prov = MatrixSemigroup(A)
             for t in (0.5, 1.0, 2.0):
                 res = dyson_phillips_sum(prov, B, t)
+                assert res.tail_bound <= 1e-8  # finite, and a bound with content
                 err = float(np.linalg.norm(res.total - expm(A + B, t), 2))
                 assert err <= res.tail_bound + 1e-8
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import evpos.perturbation as perturbation
 from evpos.errors import (
@@ -50,6 +51,21 @@ def random_pair(rng, n_max=8, scale=2.0):
     return A, B
 
 
+def taylor_terms(A, B, t, count, samples=64):
+    """(coefficients of eps^0..eps^{count-1} in e^{t(A + eps B)}, their scale).
+
+    A discrete Fourier transform of the complex exponentials at the
+    samples-th roots of unity: the coefficient of eps^k is V_k(t), up to
+    the aliased coefficients of eps^{k + samples}, which are negligible
+    for |B| t of a few units, and to the rounding of the largest sample,
+    the returned scale.
+    """
+    eps = np.exp(2j * np.pi * np.arange(samples) / samples)
+    flows = np.array([scipy.linalg.expm(t * (A + e * B)) for e in eps])
+    coeffs = np.fft.fft(flows, axis=0) / samples
+    return coeffs[:count], float(np.max(np.abs(flows)))
+
+
 class TestSeries:
     def test_zero_perturbation_terminates_immediately(self):
         A = demo_generator()
@@ -66,9 +82,9 @@ class TestSeries:
         assert np.max(np.abs(terms[2] - (0.7 * B) @ (0.7 * B) / 2.0)) <= 1e-12
 
     def test_first_two_terms_against_block_exponential(self):
-        # independent oracle: exp(t[[A,B],[0,A]]) carries the first-order
-        # term in its top-right block, and the 3x3 block version carries
-        # the second-order term
+        # exp(t[[A,B],[0,A]]) carries the first-order term in its top-right
+        # block, and the 3x3 block version carries the second-order term:
+        # the package's construction, here at the smallest block sizes
         rng = np.random.default_rng(31)
         for _ in range(5):
             A, B = random_pair(rng, n_max=5)
@@ -91,6 +107,20 @@ class TestSeries:
             v2 = expm(block2, t)[:n, 2 * n :]
             assert np.max(np.abs(terms[2] - v2)) <= 1e-10
 
+    def test_terms_are_taylor_coefficients_in_epsilon(self):
+        # independent oracle: V_k(t) is the coefficient of eps^k in
+        # e^{t(A + eps B)}, taken from complex exponentials on |eps| = 1
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            A, B = random_pair(rng, n_max=6)
+            for t in (0.5, 2.0):
+                res = dyson_phillips_sum(MatrixSemigroup(A), B, t)
+                assert res.n_terms >= 8
+                want, scale = taylor_terms(A, B, t, res.n_terms + 1)
+                for got, coeff in zip(res.terms, want):
+                    assert float(np.max(np.abs(coeff.imag))) <= 1e-12 * scale
+                    assert float(np.max(np.abs(got - coeff.real))) <= 1e-12 * scale
+
     def test_sum_matches_perturbed_exponential_small_norms(self):
         rng = np.random.default_rng(1234)
         for _ in range(12):
@@ -98,6 +128,7 @@ class TestSeries:
             prov = MatrixSemigroup(A)
             for t in (0.5, 1.0, 2.0):
                 res = dyson_phillips_sum(prov, B, t)
+                assert res.tail_bound <= 1e-8  # finite, and a bound with content
                 err = float(np.linalg.norm(res.total - expm(A + B, t), 2))
                 assert err <= res.tail_bound + 1e-8
 
@@ -107,8 +138,11 @@ class TestSeries:
             A, B = random_pair(rng, scale=5.0)
             prov = MatrixSemigroup(A)
             res = dyson_phillips_sum(prov, B, 2.0)
+            # at the term cap the log-norm tail is at most about 1e-5 here
+            assert math.isfinite(res.tail_bound)
+            assert res.quadrature_estimate == 0.0
             err = float(np.linalg.norm(res.total - expm(A + B, 2.0), 2))
-            assert err <= res.tail_bound + 10.0 * res.quadrature_estimate + 1e-8
+            assert err <= res.tail_bound + 1e-8
 
     def test_terms_positive_under_positive_data(self):
         A = np.array([[-2.0, 1.0], [0.5, -3.0]])  # off-diagonal nonnegative
@@ -136,10 +170,22 @@ class TestSeries:
         assert n <= 4
         assert tail > 0
 
-    def test_node_budget_guard(self):
-        # at t = 2000 the term count hits its cap of 40, so the panel
-        # recursion would need 40 x 3 x 4000 x 8 = 3.84e6 nodes
-        with pytest.raises(QuadratureBudgetExceeded):
+    def test_node_budget_guard(self, monkeypatch):
+        # a 30 x 30 carrier whose tail needs all 40 terms would take a
+        # block generator of 41 x 30 = 1230 > BLOCK_BUDGET rows: refused
+        # before the block is formed
+        rng = np.random.default_rng(8)
+        A, B = rng.normal(size=(30, 30)), 10.0 * np.eye(30)
+
+        def no_work(*args):
+            raise AssertionError("the block exponential was formed past its budget")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(perturbation, "expm", no_work)
+            with pytest.raises(QuadratureBudgetExceeded, match="past the budget of 1024"):
+                dyson_phillips_sum(MatrixSemigroup(A), B, 1.0)
+        # at t = 2000 the demo's e^{9t} leaves the double range: typed too
+        with pytest.raises(ExpmOverflow):
             dyson_phillips_sum(MatrixSemigroup(demo_generator()), np.eye(3), 2000.0)
 
     def test_config_validation(self):
@@ -492,14 +538,11 @@ class TestCoupledLatticeCarrier:
 class LeftFoldSeries:
     """The lattice series with B applied to every value and T to every summand.
 
-    Each quadrature sum is folded one object at a time.  apply_b is B as
-    a map; a dense identity factorisation of the package is read through
-    its coefficients, which are the image B V.
+    Each quadrature sum is folded one object at a time; apply_b is B as
+    a map.
     """
 
     def __init__(self, apply_t, apply_b, seed, h, norm):
-        if isinstance(apply_b, perturbation._DenseRange):
-            apply_b = apply_b.coefficients
         self.apply_t = apply_t
         self.apply_b = apply_b
         self.seed = seed
@@ -560,18 +603,20 @@ class LeftFoldSeries:
 
 
 def reference_tail_bound(envelope, norm_b, t, n_terms):
-    """The envelope tail, every term recomputed from its logarithm."""
+    """The envelope tail, each term M^{n+1} |B|^n t^n e^{omega t} / n! from its logarithm.
+
+    The logarithm is log M + omega t + n log(|B| M t) - log n!, summed
+    in the package's order, so the sums agree bit for bit.
+    """
     M, omega = float(envelope[0]), float(envelope[1])
     t = float(t)
     if t <= 0.0 or norm_b <= 0.0:
         return 0.0
     x = norm_b * M * t
-    log_m = math.log(M) if M > 0 else float("-inf")
-    base = omega * t
     total = 0.0
     n = n_terms + 1
     while True:
-        log_term = (n + 1) * log_m + base + n * math.log(x) - math.lgamma(n + 1)
+        log_term = math.log(M) + omega * t + n * math.log(x) - math.lgamma(n + 1)
         if log_term >= 700.0:
             return math.inf
         term = math.exp(log_term)
@@ -768,7 +813,9 @@ class TestLatticeSeriesAgainstLeftFold:
         assert vector_bytes(got) == vector_bytes(want)
         assert got.second.support_lo == 2 and got.second.samples[2] == 0.0
 
-    def test_dense_lattice_terms_bitwise_equal(self):
+    def test_dense_lattice_terms_match_left_fold(self):
+        # the range recursion of B = U Phi against B and T applied to every
+        # summand: the same 13 terms, entries and gauge to rounding
         grid = Grid1D(x_min=-2.0, h=0.25, count=16)
         prov = GammaShiftProvider(grid)
         rng = np.random.default_rng(7)
@@ -776,9 +823,7 @@ class TestLatticeSeriesAgainstLeftFold:
         B[:, :5] = 0.0  # images of the low cells vanish
         ops = [prov.to_dense(m * grid.h) for m in range(25)]
         for q in (1, 2, 3, 7, 24):
-            terms, gauge = perturbation._dense_lattice_terms(
-                lambda m: ops[m], B, grid.h, q, 12
-            )
+            terms, gauge = perturbation._lattice_terms(prov, B, q * grid.h, 12)
             ref = LeftFoldSeries(
                 lambda m, x: ops[m] @ x,
                 lambda x: B @ x,
@@ -787,8 +832,11 @@ class TestLatticeSeriesAgainstLeftFold:
                 lambda x: float(np.max(np.abs(x))) if x.size else 0.0,
             )
             ref_terms, ref_gauge = ref.at(q, 12)
-            assert [t.tobytes() for t in terms] == [t.tobytes() for t in ref_terms]
-            assert gauge.hex() == ref_gauge.hex()
+            assert len(terms) == len(ref_terms) == 13
+            scale = max(float(np.max(np.abs(t))) for t in ref_terms)
+            for got, want in zip(terms, ref_terms):
+                assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+            assert abs(gauge - ref_gauge) <= 1e-12 * ref_gauge
 
     def test_lattice_to_dense_matches_full_depth(self):
         # the r x D coefficient block against the dense series with the
@@ -814,18 +862,30 @@ class TestLatticeSeriesAgainstLeftFold:
             assert report["tail_bound"] == 0.0
             assert report["quadrature_estimate"] <= ref_gauge * (1.0 + 1e-12)
 
-    def test_lattice_dp_sum_bitwise_equal(self, monkeypatch):
+    def test_lattice_dp_sum_matches_left_fold(self):
         grid = Grid1D(x_min=-2.0, h=0.25, count=16)
+        prov = GammaShiftProvider(grid)
         B = np.zeros((16, 16))
         B[3, 12] = 0.5
-
-        def observe():
-            res = dyson_phillips_sum(GammaShiftProvider(grid), B, 2.0)
-            return [t.tobytes() for t in res.terms], res.total.tobytes(), res.quadrature_estimate
-
-        fast = observe()
-        monkeypatch.setattr(perturbation, "_LatticeSeries", LeftFoldSeries)
-        assert fast == observe()
+        res = dyson_phillips_sum(prov, B, 2.0)
+        ops = [prov.to_dense(m * grid.h) for m in range(9)]
+        ref = LeftFoldSeries(
+            lambda m, x: ops[m] @ x,
+            lambda x: B @ x,
+            np.eye(16),
+            grid.h,
+            lambda x: float(np.max(np.abs(x))),
+        )
+        ref_terms, ref_gauge = ref.at(8, res.n_terms)
+        # the reference stops after two terms below the floating floor;
+        # the package's terms past that point are compared with zero blocks
+        ref_terms += [ref_terms[0] * 0.0] * (res.n_terms + 1 - len(ref_terms))
+        assert len(res.terms) == len(ref_terms) == res.n_terms + 1
+        scale = float(np.max(np.abs(fold(ref_terms))))
+        for got, want in zip(res.terms, ref_terms):
+            assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+        assert float(np.max(np.abs(res.total - fold(ref_terms)))) <= 1e-12 * scale
+        assert abs(res.quadrature_estimate - ref_gauge) <= 1e-12 * ref_gauge
 
 
 class TestTermCountAgainstLinearScan:
@@ -950,7 +1010,7 @@ class TestLatticeNodeBudget:
 
     def test_matrix_flow_overflow_refused(self):
         # e^{9t} of the demo matrix leaves the double range between the two steps
-        provider = CoupledProvider(coupled_demo_system(L=4.0, h=0.25), DysonPhillipsConfig(8))
+        provider = CoupledProvider(coupled_demo_system(L=4.0, h=0.25))
         provider.check_orbit(315)  # t = 78.75
         with pytest.raises(ExpmOverflow, match="the orbit to t = 79 overflows"):
             provider.check_orbit(316)
