@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PremiseViolation, ShiftNotOnGrid
-from .semigroup import SemigroupProvider
+from .semigroup import PairingSupport, SemigroupProvider
 
 __all__ = [
     "Grid1D",
@@ -234,6 +234,7 @@ class GammaShiftProvider(SemigroupProvider):
 
     envelope = (1.0, 0.0)
     nilpotent_time = None
+    positive_by_construction = True
 
     def __init__(self, grid: Grid1D):
         self.grid = grid
@@ -277,6 +278,22 @@ class GammaShiftProvider(SemigroupProvider):
         weights, _ = self.weights(t)
         idx = np.arange(count)[:, None] + q - np.arange(count)[None, :]
         return np.where(idx >= 0, weights[np.clip(idx, 0, weights.size - 1)], 0.0)
+
+    def pairing_support(self, f: GridFunction, phi: GridFunction) -> PairingSupport:
+        """Exact support of q -> <phi, T(q h) f> for f, phi >= 0, read from the band.
+
+        M_q[i, j] = w_q[i + q - j] > 0 for i + q >= j (the Gamma(qh, 1)
+        density is positive; an underflowed weight does not count), so at
+        q >= 1 the pairing is nonzero exactly when q >= lo(f) - hi(phi),
+        and at q = 0 exactly when the supports meet.
+        """
+        self.check_positive(f, "f")
+        self.check_positive(phi, "phi")
+        f_cells, phi_cells = np.flatnonzero(f.samples), np.flatnonzero(phi.samples)
+        q = max(1, int(f_cells[0] - phi_cells[-1]))
+        meet = ((0.0, 0.0, True, True),) if np.intersect1d(f_cells, phi_cells).size else ()
+        reason = f"band of T(q h): lo(f) = {f_cells[0]}, hi(phi) = {phi_cells[-1]}"
+        return PairingSupport(meet + ((q * self.grid.h, math.inf, True, False),), reason, self.grid.h)
 
     def zero_vector(self):
         return GridFunction.zero(self.grid)

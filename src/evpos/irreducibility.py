@@ -17,17 +17,17 @@ Three nested conditions are tracked:
                           {0} union [t0, inf)
   * large-times:          for every threshold t0 there is such a t >= t0
 
-(the third implies the second implies the first).  A carrier that knows
-the knots of a pairing (the shift on step functions: linear between the
-points of the joint lattice, zero from t = 1 on) has each condition
-decided exactly by the knot values, and a violation carries that knot
-certificate.  Other carriers are sampled, which can witness a condition
-or leave it open ("grid-limited"), never refute it.
+(the third implies the second implies the first).  Each carrier gives
+the exact set of times at which a pair is nonzero (pairing_support): the
+step shift from the knot values of a pairing that is linear between
+knots and zero from t = 1 on, the Gamma-shift from the band of its cell
+matrices.  Every status, witness and violation is read from that set,
+so each condition is decided, never sampled; a carrier without one is
+refused.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -281,10 +281,9 @@ class ConditionEntry:
     """Aggregated outcome of one duality condition over all test pairs."""
 
     key: str
-    status: str  # "holds" | "violated" | "grid-limited"
+    status: str  # "holds" | "violated"
     witnesses: tuple = ()  # (f_label, phi_label, t0, t, value)
     violations: tuple = ()  # (f_label, phi_label, t0, certificate)
-    unresolved: tuple = ()  # (f_label, phi_label, t0)
 
 
 @dataclass(frozen=True)
@@ -293,8 +292,7 @@ class ConditionsTable:
     diagram_consistent: bool
     pair_labels: tuple
     t0_list: tuple
-    times: tuple  # every probed time, sorted
-    tol: float
+    supports: tuple  # PairingSupport of each pair, in pair_labels order
 
     def entry(self, key: str) -> ConditionEntry:
         for e in self.entries:
@@ -303,36 +301,19 @@ class ConditionsTable:
         raise KeyError(key)
 
 
-def _sampled_times(provider, t0_list, grid):
-    """Grid, thresholds and offsets past them, snapped by the carrier; 0 first."""
-    if grid is None:
-        grid = TimeGrid.default()
-    candidates = list(grid) + [0.0] + list(t0_list)
-    for t0 in t0_list:
-        candidates.extend([t0 + d for d in (0.0, 0.5, 1.0, 2.0)])
-    times = provider.admissible_times(candidates)
-    if not times or times[0] != 0:
-        times = [type(times[0])(0) if times else 0.0] + list(times)
-    return times
-
-
 def weak_conditions_test(
     provider,
     test_vectors=None,
     test_functionals=None,
     t0_list=(0.0, 1.0, 5.0),
-    grid: TimeGrid | None = None,
-    tol: float = 1e-9,
 ) -> ConditionsTable:
-    """Decide or sample the three weak duality conditions over positive test pairs.
+    """Decide the three weak duality conditions over positive test pairs.
 
-    A pair whose carrier supplies pairing_knots() is probed at its knots
-    and at each t0; the pairing is linear between knots and zero from the
-    last one on, so a threshold with no nonzero probe at or after it is a
-    certified violation.  Every other pair is probed on the carrier's
-    admissible snap of `grid` and the thresholds, and a threshold without
-    a witness stays "grid-limited".  A probe with |<phi, T(t) f>| > tol
-    is a witness.  The aggregated table also re-checks the implication
+    Each pair is read from the carrier's exact pairing_support(): the
+    first time of the support at or after a threshold is the witness,
+    with its value <phi, T(t) f>, and a threshold without one is a
+    violation that the support certifies (CertificateMissing for a
+    carrier without one).  The table also re-checks the implication
     chain large-times => large-times-or-zero => some-time on its rows.
     """
     defaults_used = test_vectors is None and test_functionals is None
@@ -348,90 +329,47 @@ def weak_conditions_test(
 
     t0_list = tuple(float(t0) for t0 in t0_list)
     # thresholds in the number type of the probes, converted once per table
-    num = Fraction if getattr(provider, "exact_arithmetic", False) else float
-    tol_x = num(tol)
+    num = Fraction if provider.exact_arithmetic else float
     lows = [num(t0) for t0 in t0_list]
-    t0_probes = {Fraction(t0) for t0 in t0_list if t0 > 0}
-    sampled = None
-    probed = set()
 
-    pair_labels = []
-    some_wit, some_vio, some_unres = [], [], []
-    large_wit, large_vio, large_unres = [], [], []
-    orzero_wit, orzero_vio, orzero_unres = [], [], []
+    pair_labels, supports = [], []
+    rows = {key: ([], []) for key in (COND_SOME_TIME, COND_LARGE_TIMES_OR_ZERO, COND_LARGE_TIMES)}
     for i, f in enumerate(test_vectors):
         for j, phi in enumerate(test_functionals):
             label = (f"f{i}", f"phi{j}")
+            support = provider.pairing_support(f, phi)
             pair_labels.append(label)
-            knots = provider.pairing_knots(f, phi)
-            if knots is None:
-                if sampled is None:
-                    sampled = _sampled_times(provider, t0_list, grid)
-                times = sampled
-            else:
-                times = sorted(t0_probes.union(knots))
-            probed.update(times)
-            vals = [(t, provider.condition_probe(t, f, phi)) for t in times]
-            hits = [(t, v) for t, v in vals if abs(v) > tol_x]
-            hit_times = [t for t, _ in hits]
-            cert = last = None
-            if knots is not None:
-                last = max((t for t, v in vals if v != 0), default=None)
-                cert = (
-                    "exact knot values: the pairing is linear between its knots, "
-                    f"zero from t = {knots[-1]} on, and exactly 0 at every knot "
-                    "the condition admits"
-                )
-            val0 = vals[0][1]
-
-            if hits:
-                some_wit.append(label + (None,) + hits[0])
-            elif cert is not None and last is None:
-                some_vio.append(label + (None, cert))
-            else:
-                some_unres.append(label + (None,))
-
+            supports.append(support)
+            first = support.first_at_or_after(num(0))
+            checks = [(COND_SOME_TIME, None, first, "at no time")]
             for t0, lo in zip(t0_list, lows):
-                row = label + (t0,)
-                k = bisect_left(hit_times, lo)
-                w = hits[k] if k < len(hits) else None
-                dead = cert is not None and (last is None or last < lo)
-                # large-times: some witness t >= t0
-                if w is not None:
-                    large_wit.append(row + w)
-                elif dead:
-                    large_vio.append(row + (cert,))
-                else:
-                    large_unres.append(row)
+                t = support.first_at_or_after(lo)
+                checks.append((COND_LARGE_TIMES, t0, t, f"at no t >= {t0}"))
                 # large-times-or-zero: t = 0 also qualifies
-                if abs(val0) > tol_x:
-                    orzero_wit.append(row + vals[0])
-                elif w is not None:
-                    orzero_wit.append(row + w)
-                elif dead and val0 == 0:
-                    orzero_vio.append(row + (cert,))
-                else:
-                    orzero_unres.append(row)
-
-    def status(wit, vio, unres):
-        return "violated" if vio else "grid-limited" if unres else "holds"
+                where = f"neither at t = 0 nor at any t >= {t0}"
+                checks.append((COND_LARGE_TIMES_OR_ZERO, t0, first if first == 0 else t, where))
+            values = {}
+            for key, t0, t, where in checks:
+                wit, vio = rows[key]
+                if t is None:
+                    vio.append(label + (t0, f"{support.reason}; the pairing is nonzero {where}"))
+                    continue
+                if t not in values:
+                    values[t] = provider.condition_probe(t, f, phi)
+                wit.append(label + (t0, t, values[t]))
 
     entries = tuple(
-        ConditionEntry(key, status(*rows), *map(tuple, rows))
-        for key, rows in (
-            (COND_SOME_TIME, (some_wit, some_vio, some_unres)),
-            (COND_LARGE_TIMES_OR_ZERO, (orzero_wit, orzero_vio, orzero_unres)),
-            (COND_LARGE_TIMES, (large_wit, large_vio, large_unres)),
-        )
+        ConditionEntry(key, "violated" if vio else "holds", tuple(wit), tuple(vio))
+        for key, (wit, vio) in rows.items()
     )
 
     # implication chain on the table's rows: every large-times witness row
     # must also be witnessed for large-times-or-zero, and every witnessed
     # row of that condition must have a some-time witness for its pair.
-    witnessed_orzero = {r[:3] for r in orzero_wit}
-    witnessed_some = {r[:2] for r in some_wit}
-    diagram = all(r[:3] in witnessed_orzero for r in large_wit) and all(
-        r[:2] in witnessed_some for r in orzero_wit
+    witnessed_orzero = {r[:3] for r in rows[COND_LARGE_TIMES_OR_ZERO][0]}
+    witnessed_some = {r[:2] for r in rows[COND_SOME_TIME][0]}
+    diagram = all(r[:3] in witnessed_orzero for r in rows[COND_LARGE_TIMES][0]) and all(
+        r[:2] in witnessed_some for r in witnessed_orzero
     )
     by_key = {e.key: e for e in entries}
     if (
@@ -447,8 +385,7 @@ def weak_conditions_test(
         diagram_consistent=diagram,
         pair_labels=tuple(pair_labels),
         t0_list=t0_list,
-        times=tuple(sorted(probed)),
-        tol=tol,
+        supports=tuple(supports),
     )
 
 
@@ -463,7 +400,7 @@ class IrreducibilityReport:
     witness_onset: float | None
     conditions: ConditionsTable | None
     diagram_consistent: bool
-    evidence_mode: str  # "certified" | "grid-limited"
+    evidence_mode: str  # "certified": both routes decide exactly
     near_threshold: tuple = ()
     notes: str = ""
 
@@ -471,7 +408,6 @@ class IrreducibilityReport:
 def classify(
     provider=None,
     A=None,
-    grid: TimeGrid | None = None,
     tol: float = 1e-9,
     t0_list=(0.0, 1.0, 5.0),
 ) -> IrreducibilityReport:
@@ -486,13 +422,11 @@ def classify(
     conditions coincide pair by pair, irreducibility and persistent
     irreducibility coincide, and `diagram_consistent` is True.
 
-    Function-space carriers are assessed from the duality table of
-    weak_conditions_test (which also serves the tests as an oracle for the
-    matrix route); `grid` and `t0_list` apply to them only.  A nilpotent
-    family can never be persistently irreducible (in dimension > 1); with
-    exact arithmetic, a some-time witness for every pair certifies plain
-    irreducibility.  Everything else is grid-limited evidence, recorded as
-    such in evidence_mode.
+    Function-space carriers are decided from the exact table of
+    weak_conditions_test (`t0_list` applies to them only).  A pair that
+    is zero at every time makes the family reducible; otherwise it is
+    irreducible, and persistently so exactly when every pair's support
+    is unbounded, which a nilpotent family (dimension > 1) never has.
     """
     if A is None and isinstance(provider, MatrixSemigroup):
         A = provider.A
@@ -534,55 +468,33 @@ def classify(
     if provider is None:
         raise ValueError("provide a generator matrix or a semigroup provider")
 
-    table = weak_conditions_test(provider, t0_list=t0_list, grid=grid, tol=tol)
-    some = table.entry(COND_SOME_TIME)
-    large = table.entry(COND_LARGE_TIMES)
-    nil = getattr(provider, "nilpotent_time", None)
-    dim = provider.carrier_dim
-    exact = bool(getattr(provider, "exact_arithmetic", False))
-
-    if nil is not None and (dim is None or dim > 1):
-        mode = "certified" if exact and some.status == "holds" else "grid-limited"
-        basis_count = len(provider.condition_basis())
+    table = weak_conditions_test(provider, t0_list=t0_list)
+    nil, dim = provider.nilpotent_time, provider.carrier_dim
+    witness_ideal = witness_onset = None
+    if table.entry(COND_SOME_TIME).status == "violated":
+        classification, notes = REDUCIBLE, "a test pair is exactly zero at every time"
+    elif nil is not None and (dim is None or dim > 1):
+        classification = IRREDUCIBLE_NOT_PERSISTENT
+        witness_ideal = IdealMask.of([0], len(provider.condition_basis()))
+        witness_onset = float(nil)
         notes = (
             f"family vanishes identically for t >= {nil}, so every coordinate "
-            "ideal is invariant from that time on; pairing witnesses "
+            "ideal is invariant from that time on; pairing witnesses certify "
+            "plain irreducibility exactly"
         )
-        notes += (
-            "certify plain irreducibility exactly"
-            if mode == "certified"
-            else "do not cover every test pair"
-        )
-        return IrreducibilityReport(
-            classification=IRREDUCIBLE_NOT_PERSISTENT,
-            witness_ideal=IdealMask.of([0], basis_count),
-            witness_onset=float(nil),
-            conditions=table,
-            diagram_consistent=table.diagram_consistent,
-            evidence_mode=mode,
-            notes=notes,
-        )
-
-    if large.status == "holds" and some.status == "holds":
-        return IrreducibilityReport(
-            classification=PERSISTENTLY_IRREDUCIBLE,
-            witness_ideal=None,
-            witness_onset=None,
-            conditions=table,
-            diagram_consistent=table.diagram_consistent,
-            evidence_mode="grid-limited",
-            notes="all sampled thresholds witnessed; the quantifier over all "
-            "thresholds cannot be exhausted by sampling",
-        )
+    elif all(support.tail_from is not None for support in table.supports):
+        classification = PERSISTENTLY_IRREDUCIBLE
+        notes = "every test pair has an unbounded exact support, so a witness past every threshold"
+    else:
+        classification, notes = IRREDUCIBLE_NOT_PERSISTENT, "a test pair has a bounded exact support"
     return IrreducibilityReport(
-        classification=IRREDUCIBLE_NOT_PERSISTENT,
-        witness_ideal=None,
-        witness_onset=None,
+        classification=classification,
+        witness_ideal=witness_ideal,
+        witness_onset=witness_onset,
         conditions=table,
         diagram_consistent=table.diagram_consistent,
-        evidence_mode="grid-limited",
-        notes="incomplete sampling: irreducibility evidence without a "
-        "persistent-irreducibility verdict",
+        evidence_mode="certified",
+        notes=notes,
     )
 
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CertificateMissing,
     ConsistencyViolation,
     CouplingPremiseWarning,
     ExpmOverflow,
@@ -858,6 +859,10 @@ class GridFunctional:
         out[lo:hi] = self.grid.h
         return out
 
+    def indicator(self) -> GridFunction:
+        """The window's cell indicator, whose grid pairing with f is this functional's value."""
+        return GridFunction(self.grid, self.row() / self.grid.h)
+
 
 class CoordinateFunctional:
     """z |-> z[index] on a dense coordinate carrier."""
@@ -1441,7 +1446,7 @@ def couple(
 
 @dataclass(frozen=True)
 class CouplingIrreducibilityReport:
-    """Witness-based exclusion of the two mixed product ideals."""
+    """Certificate-based exclusion of the two mixed product ideals."""
 
     asserted: bool
     sub_classifications: tuple
@@ -1451,57 +1456,86 @@ class CouplingIrreducibilityReport:
     notes: str = ""
 
 
-def _mixed_witness(src_provider, block, tgt_provider, tgt_norm, grid, tol: float):
-    """(t0, s) with block(T_src(s) f) nonzero and still nonzero after T_tgt(t0)."""
-    seeds = src_provider.default_test_vectors()
-    s_candidates = [s for s in src_provider.admissible_times(list(grid.points)) if s > 0.0]
-    t0_candidates = [u for u in tgt_provider.admissible_times(list(grid.points)) if u > 0.0][:3]
-    for fi, f in enumerate(seeds):
-        f_norm = src_provider.vec_norm(f)
-        ztol = tol * max(1.0, f_norm)
-        for t0 in t0_candidates:
-            for s in s_candidates:
-                if s < t0:
-                    continue
-                y = block.apply(src_provider.apply(s, f))
-                ny = tgt_norm(y)
-                if ny <= ztol:
-                    continue
-                z = tgt_provider.apply(t0, y)
-                nz = tgt_norm(z)
-                if nz > ztol:
-                    return {
-                        "seed_index": fi,
-                        "s": float(s),
-                        "t0": float(t0),
-                        "block_output_norm": ny,
-                        "flowed_norm": nz,
-                    }
-    raise WitnessSearchFailure(
-        "no witness on the sampled grid for the mixed product ideal "
-        "(grid-limited; extend the time grid or the seed set)"
-    )
+def _krylov_order(A, B, f, tol: float):
+    """Least k < n with B A^k f != 0, or None: then B e^{sA} f = 0 for every s.
+
+    By Cayley-Hamilton every A^k f, k >= n, is a combination of the first
+    n.  A value below tol times |B| |A|^k |f| (entrywise), which bounds
+    its rounding, counts as zero.
+    """
+    v, w = as_vector(f), np.abs(as_vector(f))
+    for k in range(A.shape[0]):
+        if np.max(np.abs(B @ v)) > tol * np.max(np.abs(B) @ w):
+            return k
+        v, w = A @ v, np.abs(A) @ w
+    return None
+
+
+def _block_witness(src, block, tgt, tol: float):
+    """A seed f of src with block(T_src(s) f) nonzero under T_tgt(t0) for all
+    s >= s_from and t0 >= t0_from, as a dict; None when no seed has one."""
+    if isinstance(tgt, MatrixSemigroup):
+        t0_from, target = 0.0, "e^(t0 A) is invertible"
+    elif len(block.range_vectors) == 1:
+        (u,) = block.range_vectors
+        support = tgt.pairing_support(u, u)
+        t0_from, target = support.tail_from, f"<u, T(t0) u> != 0 on {support}, so T(t0) u != 0"
+        if t0_from is None:
+            return None
+    else:
+        raise CertificateMissing("a block into a lattice carrier needs one range vector")
+    window = getattr(getattr(block, "functional", None), "indicator", None)
+    for fi, f in enumerate(src.default_test_vectors()):
+        if isinstance(src, MatrixSemigroup):
+            k = _krylov_order(src.A, block.to_dense(), f, tol)
+            s_from = None if k is None else 0.0
+            source = f"B A^{k} f != 0, {k} < n = {src.carrier_dim}: B e^(sA) f is analytic"
+            source += ", so zero at isolated s only"
+        elif window is not None:
+            support = src.pairing_support(f, window())
+            s_from = support.tail_from
+            source = f"the window pairs with T(s) f nonzero exactly on {support} ({support.reason})"
+        else:
+            raise CertificateMissing("a block out of a lattice carrier needs a window functional")
+        if s_from is not None:
+            ranges = {"s_from": float(s_from), "t0_from": float(t0_from)}
+            return {"seed_index": fi, **ranges, "source": source, "target": target}
+    return None
+
+
+def _positivity_class(provider, tol: float) -> str:
+    """Certified positivity class of a sub-family, else Inconclusive."""
+    from .positivity import PositivityClass, certify_eventual_strong_positivity
+
+    if isinstance(provider, MatrixSemigroup):
+        verdict = certify_eventual_strong_positivity(provider.A, tol=tol)[1]
+        if verdict.certified:
+            return verdict.verdict.value
+    elif provider.positive_by_construction:
+        return PositivityClass.POSITIVE.value
+    return PositivityClass.INCONCLUSIVE.value
 
 
 def coupling_irreducibility_check(
     system: CoupledSystem,
-    grid: TimeGrid | None = None,
     tol: float = 1e-9,
 ) -> CouplingIrreducibilityReport:
-    """Exclude both mixed product ideals of the coupled family by witnesses.
+    """Exclude both mixed product ideals of the coupled family by exact witnesses.
 
     The premises (both sub-families persistently irreducible and
-    eventually positive, both off-diagonal blocks nonzero) are verified
-    first; a failed premise yields a report with asserted=False rather
-    than an exception.  Each mixed ideal (all of one carrier paired with
-    zero in the other) is then excluded by a sampled witness: a seed
-    whose image under the off-diagonal block is nonzero at some time s
-    and stays nonzero after flowing in the target carrier.
+    certified eventually positive, both off-diagonal blocks nonzero) are
+    verified first; a failed premise yields a report with asserted=False
+    rather than an exception.  A matrix sub-family's positivity is its
+    certified certify_eventual_strong_positivity verdict, a Gamma-shift's
+    its construction.  Each mixed ideal (all of one carrier paired with
+    zero in the other) is then excluded by a seed whose block image is
+    nonzero on a range of times s and stays so under the target flow:
+    from the Krylov vectors B A^k f of a matrix source, from the exact
+    pairing support against the block's window of a lattice source.
     """
     from .irreducibility import PERSISTENTLY_IRREDUCIBLE, classify
-    from .positivity import PositivityClass, classify_on_grid
+    from .positivity import _ONSET_CLASSES  # the (eventually) positive classes
 
-    grid = grid or TimeGrid.default()
     notes = []
     eligible = True
     if system.b12.is_zero or system.b21.is_zero:
@@ -1511,20 +1545,13 @@ def coupling_irreducibility_check(
     pos_classes = []
     if eligible:
         for provider in (system.provider1, system.provider2):
-            rep = classify(provider, grid=grid, tol=tol)
-            sub_classes.append(rep.classification)
-            verdict = classify_on_grid(provider, grid=grid, tol=tol)
-            pos_classes.append(verdict.verdict.value)
-        eventually_positive = {
-            PositivityClass.POSITIVE.value,
-            PositivityClass.UNIFORMLY_EVENTUALLY_STRONGLY_POSITIVE.value,
-            PositivityClass.UNIFORMLY_EVENTUALLY_POSITIVE.value,
-        }
+            sub_classes.append(classify(provider, tol=tol).classification)
+            pos_classes.append(_positivity_class(provider, tol))
         if any(c != PERSISTENTLY_IRREDUCIBLE for c in sub_classes):
             notes.append("a sub-family is not persistently irreducible")
             eligible = False
-        if any(c not in eventually_positive for c in pos_classes):
-            notes.append("a sub-family is not eventually positive on the grid")
+        if any(c not in _ONSET_CLASSES for c in pos_classes):
+            notes.append("a sub-family is not certified eventually positive")
             eligible = False
     if not eligible:
         return CouplingIrreducibilityReport(
@@ -1535,27 +1562,18 @@ def coupling_irreducibility_check(
             witness_21=None,
             notes="; ".join(notes),
         )
-    witness_21 = _mixed_witness(
-        system.provider1,
-        system.b21,
-        system.provider2,
-        lambda v: system.provider2.vec_norm(v),
-        grid,
-        tol,
-    )
-    witness_12 = _mixed_witness(
-        system.provider2,
-        system.b12,
-        system.provider1,
-        lambda v: system.provider1.vec_norm(v),
-        grid,
-        tol,
-    )
+    witness_21 = _block_witness(system.provider1, system.b21, system.provider2, tol)
+    witness_12 = _block_witness(system.provider2, system.b12, system.provider1, tol)
+    if witness_12 is None or witness_21 is None:
+        raise WitnessSearchFailure(
+            "no default seed's block image stays nonzero: a mixed product ideal is not excluded"
+        )
     return CouplingIrreducibilityReport(
         asserted=True,
         sub_classifications=tuple(sub_classes),
         positivity_classes=tuple(pos_classes),
         witness_12=witness_12,
         witness_21=witness_21,
-        notes="witnesses are sampled evidence on the given grid",
+        notes="witnesses are exact: Krylov vectors of a matrix carrier, "
+        "pairing supports of a lattice carrier",
     )

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     ConsistencyViolation,
     EigenSolverFailure,
+    ExpmOverflow,
     InputError,
     PremiseViolation,
 )
@@ -249,7 +250,8 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     dominant eigenvalue with entrywise-positive eigenvectors certifies
     eventual strong positivity with onset
     t0 = log(C / min entry of u phi^T) / gap.  When neither route
-    applies the grid-sampled classification is returned uncertified.
+    applies, or a sampled deviation exceeds the constant C, the
+    grid-sampled classification is returned uncertified, with the reason.
 
     A is decomposed once; the certificate, its deviation constant (read
     from the condition number of the eigenbasis) and the spectral bound
@@ -269,7 +271,10 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     if flow.is_metzler(tol=0.0):
         evidence = []
         for t in (0.0, 1.0, 10.0):
-            mn, idx, _ = flow.positivity_probe(t)
+            try:
+                mn, idx, _ = flow.positivity_probe(t)
+            except ExpmOverflow:
+                continue  # the sign criterion is exact; a sample past the double range is dropped
             if mn < -1e-12 * (1.0 + abs(mn)):
                 raise ConsistencyViolation(
                     "off-diagonal sign criterion contradicts a sampled operator",
@@ -289,16 +294,18 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     M = eigenbasis_growth_constant(evecs)
     positive_pair = cert.dominant_is_real_simple and cert.min_entry_outer > 0.0
     if positive_pair and M < math.inf:
-        return _certified_strong_verdict(flow, cert, M, n)
-
-    sampled = classify_on_grid(flow, grid=grid, tol=tol)
-    if positive_pair:
+        certified = _certified_strong_verdict(flow, cert, M, n)
+        if not isinstance(certified, str):
+            return certified
+        reason = certified
+    elif positive_pair:
         reason = (
             "condition number kappa_2(V) of the eigenbasis is above the cutoff "
             f"{_KAPPA_CUTOFF:g} or not finite, so no deviation constant"
         )
     else:
         reason = cert.notes or "no positive eigenvector certificate"
+    sampled = classify_on_grid(flow, grid=grid, tol=tol)
     sampled = replace(
         sampled,
         notes=(sampled.notes + "; " if sampled.notes else "")
@@ -308,6 +315,7 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
 
 
 def _certified_strong_verdict(flow, cert, M, n):
+    """(certificate, verdict), or the reason a sampled deviation refuses the constant C."""
     gap = cert.spectral_gap
     u = cert.right_vec
     phi_hat = cert.left_vec
@@ -316,10 +324,6 @@ def _certified_strong_verdict(flow, cert, M, n):
     m_outer = cert.min_entry_outer
 
     C = M * (1.0 + proj_max) * n
-    notes = [
-        f"deviation constant C = envelope {M:.6g} * (1 + projection max"
-        f" {proj_max:.6g}) * dimension {n}"
-    ]
 
     # Spot verification of |e^{t(A-sI)} - P| <= C e^{-gap t}, restricted to
     # times where the target bound sits above the floating-point floor.
@@ -332,8 +336,7 @@ def _certified_strong_verdict(flow, cert, M, n):
         dev = float(np.max(np.abs(flow.matrix(t) - proj)))
         target = C * math.exp(-gap * float(t))
         if dev > max(target, floor):
-            C = dev * math.exp(gap * float(t)) * 1.1
-            notes.append(f"constant inflated to {C:.6g} by the sample at t = {t:.4g}")
+            return f"sampled deviation exceeded the deviation constant at t = {t:.4g}"
 
     t0 = max(0.0, math.log(C / m_outer) / gap) if math.isfinite(gap) else 0.0
 
@@ -350,7 +353,9 @@ def _certified_strong_verdict(flow, cert, M, n):
     cert = replace(
         cert,
         onset_constant=C,
-        notes=(cert.notes + "; " if cert.notes else "") + "; ".join(notes),
+        notes=(cert.notes + "; " if cert.notes else "")
+        + f"deviation constant C = envelope {M:.6g} * (1 + projection max"
+        f" {proj_max:.6g}) * dimension {n}",
     )
     verdict = PositivityVerdict(
         verdict=PositivityClass.UNIFORMLY_EVENTUALLY_STRONGLY_POSITIVE,

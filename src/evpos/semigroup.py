@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpmOverflow
+from .errors import CertificateMissing, ExpmOverflow
 from .lattice import as_matrix, as_vector
 from .parallel import parallel_map
 
 __all__ = [
     "expm",
     "TimeGrid",
+    "PairingSupport",
     "SemigroupProvider",
     "MatrixSemigroup",
     "default_envelope",
@@ -180,6 +181,42 @@ class TimeGrid:
         return self.points.size
 
 
+@dataclass(frozen=True)
+class PairingSupport:
+    """The exact set of times t >= 0 at which a pairing <phi, T(t) f> is nonzero.
+
+    `spans` are sorted intervals (lo, hi, lo_in, hi_in) meeting at most at
+    an end; each holds one of its ends, and only the last may be unbounded
+    (hi = inf, closed at lo).  With `step` set, the set is the lattice
+    times q * step in the spans.  `reason` names what it was read from.
+    """
+
+    spans: tuple
+    reason: str
+    step: float | None = None
+
+    def first_at_or_after(self, t0):
+        """t0 (snapped up to the lattice) if the set holds it, else the least
+        time of the next span (its right end if the left is open), or None."""
+        for lo, hi, lo_in, hi_in in self.spans:
+            t = t0 if t0 > lo or (t0 == lo and lo_in) else lo if lo_in else hi
+            if self.step is not None:
+                t = math.ceil(t / self.step - 1e-9) * self.step
+            if t < hi or (t == hi and hi_in):
+                return t
+        return None
+
+    @property
+    def tail_from(self):
+        """Start of the unbounded last span, or None when the set is bounded."""
+        return self.spans[-1][0] if self.spans and self.spans[-1][1] == math.inf else None
+
+    def __str__(self):
+        return " u ".join(
+            f"{'[' if a_in else '('}{a}, {b}{']' if b_in else ')'}" for a, b, a_in, b_in in self.spans
+        ) or "no time"
+
+
 class SemigroupProvider:
     """Base contract for a time-indexed operator family T(t), t >= 0.
 
@@ -192,6 +229,7 @@ class SemigroupProvider:
     envelope: tuple = (1.0, 0.0)
     nilpotent_time = None  # exact time past which T(t) = 0, if any
     exact_arithmetic: bool = False  # pairings are exact rationals
+    positive_by_construction: bool = False  # every T(t) maps the positive cone into itself
 
     def apply(self, t, f):
         raise NotImplementedError
@@ -225,14 +263,16 @@ class SemigroupProvider:
         """Duality sample <phi, T(t) f>."""
         return self.pair(phi, self.apply(t, f))
 
-    def pairing_knots(self, f, phi):
-        """Exact knot times of t -> <phi, T(t) f>, or None to sample it.
+    def pairing_support(self, f, phi) -> PairingSupport:
+        """The exact set of times at which <phi, T(t) f> is nonzero.
 
-        A carrier that returns knots promises that the pairing is linear
-        between consecutive knots (the first is 0) and zero from the last
-        one on, so its values there decide every weak condition exactly.
+        It decides every weak condition exactly.  A carrier that cannot
+        give it raises CertificateMissing; its pairings are not sampled.
         """
-        return None
+        raise CertificateMissing(
+            f"{type(self).__name__} gives no exact pairing support; "
+            "a matrix generator is decided by classify(A=...)"
+        )
 
     def check_positive(self, f, label: str = "vector"):
         """Raise PremiseViolation unless f is positive and nonzero in the carrier lattice."""

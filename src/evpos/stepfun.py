@@ -29,7 +29,7 @@ from itertools import islice
 from operator import mul
 
 from .errors import DepthExceeded, PremiseViolation
-from .semigroup import SemigroupProvider
+from .semigroup import PairingSupport, SemigroupProvider
 
 __all__ = [
     "PiecewiseConstantFn",
@@ -354,10 +354,9 @@ class ShiftStepProvider(SemigroupProvider):
     element of condition_basis() therefore *represents* a positive
     sequence-side basis vector, and condition_probe() returns the exact
     rational matrix entry <e_j, T(t) e_k> of the conjugated semigroup,
-    read from the lattice correlation of the two waves (shifted_pairing).
-    pairing_knots() hands the weak-conditions table the joint lattice of
-    each pair, whose knot values decide the table exactly at any depth;
-    `depth` sets the dense cell matrices and the sampled time lattice.
+    read from the lattice correlation of the two waves (shifted_pairing);
+    pairing_support() reads each pair's nonzero times from its knots.
+    `depth` sets the dense cell matrices and admissible_times().
     """
 
     envelope = (1.0, 0.0)
@@ -410,17 +409,22 @@ class ShiftStepProvider(SemigroupProvider):
         """Exact <phi, S(t) f> from the lattice correlation of f and phi."""
         return shifted_pairing(f, phi, t)
 
-    def pairing_knots(self, f, phi):
-        """The knots m/L, m = 0..L, of the joint lattice of f and phi.
+    def pairing_support(self, f, phi) -> PairingSupport:
+        """Exact support of t -> <phi, S(t) f>, read from its knot values.
 
-        t -> <phi, S(t) f> is linear between them and zero from t = 1 on.
-        None (sample instead) when the lattice is finer than 2^MAX_DEPTH
-        cells, where shifted_pairing itself falls back to the product.
+        The pairing is linear between its knots, the differences in [0, 1]
+        of a breakpoint of f and one of phi, and zero from t = 1 on.
         """
-        L = math.lcm(f.cells()[0], phi.cells()[0])
-        if L > 1 << MAX_DEPTH:
-            return None
-        return [Fraction(m, L) for m in range(L + 1)]
+        knots = sorted({a - b for a in f.breakpoints for b in phi.breakpoints if 0 <= a - b <= 1})
+        values = [self.condition_probe(t, f, phi) for t in knots]
+        spans = []
+        for a, b, va, vb in zip(knots, knots[1:], values, values[1:]):
+            if va and vb and (va > 0) != (vb > 0):  # one zero inside, where the sign changes
+                c = a + (b - a) * va / (va - vb)
+                spans += [(a, c, True, False), (c, b, False, True)]
+            elif va or vb:
+                spans.append((a, b, va != 0, vb != 0))
+        return PairingSupport(tuple(spans), "exact knot values of a pairing linear between knots")
 
     def admissible_times(self, candidates):
         """Round each candidate to the nearest dyadic t = m / 2**depth."""

@@ -1,0 +1,117 @@
+"""Sampled oracles for the exact irreducibility routes.
+
+These are the sampled searches that the package once ran in production:
+the weak-conditions table probed on a time grid, and the grid search for
+a coupled system's mixed-ideal witness.  They share no code with the
+exact routes (pairing supports, Krylov vectors), so the tests compare
+the two.  Sampling can witness a condition but never refute it: a
+threshold without a sampled witness is left unresolved.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from evpos.irreducibility import COND_LARGE_TIMES, COND_LARGE_TIMES_OR_ZERO, COND_SOME_TIME
+from evpos.semigroup import TimeGrid
+
+
+@dataclass(frozen=True)
+class SampledEntry:
+    status: str  # "holds" | "grid-limited"
+    witnesses: tuple  # (f_label, phi_label, t0, t, value)
+    unresolved: tuple  # (f_label, phi_label, t0)
+
+
+@dataclass(frozen=True)
+class SampledTable:
+    entries: dict  # condition key -> SampledEntry
+    diagram_consistent: bool
+
+
+def sampled_times(provider, t0_list, grid=None):
+    """Grid, thresholds and offsets past them, snapped by the carrier; 0 first."""
+    if grid is None:
+        grid = TimeGrid.default()
+    candidates = list(grid) + [0.0] + list(t0_list)
+    for t0 in t0_list:
+        candidates.extend([t0 + d for d in (0.0, 0.5, 1.0, 2.0)])
+    times = provider.admissible_times(candidates)
+    if not times or times[0] != 0:
+        times = [type(times[0])(0) if times else 0.0] + list(times)
+    return times
+
+
+def sampled_conditions_table(
+    provider,
+    test_vectors=None,
+    test_functionals=None,
+    t0_list=(0.0, 1.0, 5.0),
+    grid=None,
+    tol: float = 1e-9,
+) -> SampledTable:
+    """The three weak conditions probed on sampled times; |<phi, T(t) f>| > tol is a witness."""
+    if test_vectors is None:
+        test_vectors = list(provider.condition_basis())
+    if test_functionals is None:
+        test_functionals = list(test_vectors)
+    t0_list = tuple(float(t0) for t0 in t0_list)
+    times = sampled_times(provider, t0_list, grid)
+    rows = {key: ([], []) for key in (COND_SOME_TIME, COND_LARGE_TIMES_OR_ZERO, COND_LARGE_TIMES)}
+    for i, f in enumerate(test_vectors):
+        for j, phi in enumerate(test_functionals):
+            label = (f"f{i}", f"phi{j}")
+            vals = [(t, provider.condition_probe(t, f, phi)) for t in times]
+            hits = [(t, v) for t, v in vals if abs(v) > tol]
+            wit, unres = rows[COND_SOME_TIME]
+            if hits:
+                wit.append(label + (None,) + hits[0])
+            else:
+                unres.append(label + (None,))
+            for t0 in t0_list:
+                row = label + (t0,)
+                later = [h for h in hits if h[0] >= t0]
+                wit, unres = rows[COND_LARGE_TIMES]
+                if later:
+                    wit.append(row + later[0])
+                else:
+                    unres.append(row)
+                # large-times-or-zero: t = 0 also qualifies
+                wit, unres = rows[COND_LARGE_TIMES_OR_ZERO]
+                if abs(vals[0][1]) > tol:
+                    wit.append(row + vals[0])
+                elif later:
+                    wit.append(row + later[0])
+                else:
+                    unres.append(row)
+    entries = {
+        key: SampledEntry("grid-limited" if unres else "holds", tuple(wit), tuple(unres))
+        for key, (wit, unres) in rows.items()
+    }
+    witnessed_orzero = {r[:3] for r in entries[COND_LARGE_TIMES_OR_ZERO].witnesses}
+    witnessed_some = {r[:2] for r in entries[COND_SOME_TIME].witnesses}
+    diagram = all(r[:3] in witnessed_orzero for r in entries[COND_LARGE_TIMES].witnesses) and all(
+        r[:2] in witnessed_some for r in entries[COND_LARGE_TIMES_OR_ZERO].witnesses
+    )
+    return SampledTable(entries, diagram)
+
+
+def sampled_mixed_witness(src_provider, block, tgt_provider, grid=None, tol: float = 1e-9):
+    """(seed index, s, t0) with block(T_src(s) f) nonzero and still nonzero after T_tgt(t0), or None."""
+    if grid is None:
+        grid = TimeGrid.default()
+    seeds = src_provider.default_test_vectors()
+    s_candidates = [s for s in src_provider.admissible_times(list(grid.points)) if s > 0.0]
+    t0_candidates = [u for u in tgt_provider.admissible_times(list(grid.points)) if u > 0.0][:3]
+    for fi, f in enumerate(seeds):
+        ztol = tol * max(1.0, src_provider.vec_norm(f))
+        for t0 in t0_candidates:
+            for s in s_candidates:
+                if s < t0:
+                    continue
+                y = block.apply(src_provider.apply(s, f))
+                if tgt_provider.vec_norm(y) <= ztol:
+                    continue
+                if tgt_provider.vec_norm(tgt_provider.apply(t0, y)) > ztol:
+                    return fi, float(s), float(t0)
+    return None

@@ -86,18 +86,32 @@ class TestAnalyze:
         assert max(row[0] for row in rep["positivity"]["evidence"]) == 20.0
 
     def test_overflow_is_a_one_line_error(self, tmp_path, capsys):
-        # 10 A is not finite, so the sign-criterion probe at t = 10 overflows;
-        # e^{t(A - sI)} of the second is a rotation at frequency 1e300, whose
-        # squarings overflow
-        for A in ([[0.0, 1e308], [0.0, 0.0]], [[1e300, -1e300], [1e300, 1e300]]):
-            path = write_doc(tmp_path, "inf.json", {"matrix": A})
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a warning would print to stderr
-                rc, out, err = run(capsys, ["analyze", "--matrix", path])
-            assert rc == 1
-            assert out == ""
-            assert "Traceback" not in err
-            assert err.startswith("error: exp(tA) overflowed") and err.count("\n") == 1
+        # e^{t(A - sI)} is a rotation at frequency 1e300, whose squarings overflow
+        path = write_doc(tmp_path, "inf.json", {"matrix": [[1e300, -1e300], [1e300, 1e300]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print to stderr
+            rc, out, err = run(capsys, ["analyze", "--matrix", path])
+        assert rc == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: exp(tA) overflowed") and err.count("\n") == 1
+
+    def test_metzler_overflow_keeps_the_exact_verdicts(self, tmp_path, capsys):
+        # 10 A is not finite, so the sign-criterion sample at t = 10
+        # overflows; the criterion is exact, so the sample is dropped
+        path = write_doc(tmp_path, "inf.json", {"matrix": [[0.0, 1e308], [0.0, 0.0]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, ["analyze", "--matrix", path])
+        assert rc == 0, err
+        rep = json.loads(out)
+        assert rep["positivity"]["class"] == "Positive"
+        assert rep["positivity"]["certified"] is True
+        assert [row[0] for row in rep["positivity"]["evidence"]] == [0.0, 1.0]
+        assert rep["irreducibility"]["classification"] == "Reducible"
+        assert rep["irreducibility"]["evidence_mode"] == "certified"
+        assert rep["projection"]["available"] is False
+        assert "spectral gap 0.000e+00" in rep["projection"]["notes"]
 
     def test_large_spectral_bound_eventually_positive_certified(self, tmp_path, capsys):
         # s = 40, so e^{20 A} overflows; the certificate samples e^{t(A - sI)} only

@@ -1,10 +1,12 @@
 """Grid carrier driven by the smoothing/left-shift kernel family."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from evpos.errors import ShiftNotOnGrid
+from evpos.errors import PremiseViolation, ShiftNotOnGrid
 from evpos.gammashift import (
     GammaShiftProvider,
     Grid1D,
@@ -12,6 +14,9 @@ from evpos.gammashift import (
     gamma_kernel_weights,
     gamma_shift_apply,
 )
+from evpos.irreducibility import classify, weak_conditions_test
+from evpos.presets import coupled_demo_system
+from sampled_oracles import sampled_conditions_table
 
 
 @pytest.fixture
@@ -161,3 +166,115 @@ class TestProvider:
                     acc += weights[m] * samples[j]
             manual[i] = acc
         assert np.max(np.abs(np.asarray(out.samples) - manual)) <= 1e-14
+
+
+def band_disagreements(provider, f, phi, qs):
+    """(q, kind) for each q where the exact support and the computed cell matrix disagree.
+
+    The pairing at q h is nonzero exactly when some entry M_q[i, j], i in
+    supp phi, j in supp f, is.  kind "underflow": the support holds q h
+    and the band M_q[i, j] = w_q[i + q - j], i + q >= j, reaches those
+    cells, but every computed weight there is 0 although the Gamma(qh, 1)
+    density is positive on each cell; "mismatch": any other disagreement.
+    """
+    support = provider.pairing_support(f, phi)
+    h = provider.grid.h
+    f_cells, phi_cells = np.flatnonzero(f.samples), np.flatnonzero(phi.samples)
+    out = []
+    for q in qs:
+        held = support.first_at_or_after(q * h) == q * h
+        computed = bool(provider.to_dense(q * h)[np.ix_(phi_cells, f_cells)].any())
+        if held == computed:
+            continue
+        offsets = (phi_cells[:, None] + q - f_cells[None, :]).ravel()
+        band = offsets[offsets >= 0]
+        density = scipy.stats.gamma.logpdf((band + 0.5) * h, a=q * h) if q > 0 else []
+        underflow = held and band.size > 0 and bool(np.isfinite(density).all())
+        out.append((q, "underflow" if underflow else "mismatch"))
+    return out
+
+
+def random_grid_function(rng, grid):
+    samples = rng.random(grid.count) * (rng.random(grid.count) < rng.uniform(0.05, 0.5))
+    samples[rng.integers(grid.count)] = rng.uniform(0.1, 1.0)
+    return GridFunction(grid, samples)
+
+
+BAND_GRIDS = [
+    Grid1D(x_min=-2.0, h=0.25, count=16),
+    Grid1D(x_min=-6.0, h=0.125, count=96),
+    Grid1D(x_min=0.0, h=0.5, count=40),
+]
+
+
+class TestPairingSupport:
+    @pytest.mark.parametrize("grid", BAND_GRIDS, ids=lambda g: f"h={g.h},count={g.count}")
+    def test_band_matches_the_dense_pattern(self, grid):
+        provider = GammaShiftProvider(grid)
+        rng = np.random.default_rng(int(grid.count))
+        for _ in range(12):
+            f, phi = random_grid_function(rng, grid), random_grid_function(rng, grid)
+            assert band_disagreements(provider, f, phi, range(grid.count + 3)) == []
+
+    def test_threshold_one_cell_off_is_caught(self, monkeypatch):
+        grid = BAND_GRIDS[1]
+        provider = GammaShiftProvider(grid)
+        f, phi = provider.cell_indicator(80), provider.cell_indicator(20)
+        qs = range(55, 66)
+        assert band_disagreements(provider, f, phi, qs) == []
+        exact = GammaShiftProvider.pairing_support
+        for step in (-1, 1):
+
+            def mutant(self, f, phi, step=step):
+                support = exact(self, f, phi)
+                lo, hi, lo_in, hi_in = support.spans[-1]
+                shifted = (lo + step * self.grid.h, hi, lo_in, hi_in)
+                return dataclasses.replace(support, spans=support.spans[:-1] + (shifted,))
+
+            monkeypatch.setattr(GammaShiftProvider, "pairing_support", mutant)
+            threshold = 60 if step == 1 else 59
+            assert band_disagreements(provider, f, phi, qs) == [(threshold, "mismatch")]
+
+    def test_underflowed_weight_is_reported_as_underflow(self):
+        # f at cell 410, phi at cell 10: the support starts at q = 400,
+        # where the one banded weight w_400[0] = P(200, 0.5) underflows
+        grid = Grid1D(x_min=0.0, h=0.5, count=420)
+        provider = GammaShiftProvider(grid)
+        f, phi = provider.cell_indicator(410), provider.cell_indicator(10)
+        assert provider.pairing_support(f, phi).tail_from == 400 * 0.5
+        found = band_disagreements(provider, f, phi, range(398, 403))
+        assert found == [(400, "underflow"), (401, "underflow"), (402, "underflow")]
+
+    @pytest.mark.parametrize("grid", BAND_GRIDS, ids=lambda g: f"h={g.h},count={g.count}")
+    def test_exact_table_covers_the_sampled_table(self, grid):
+        # sampling can only witness: every sampled witness lies in the exact
+        # support, no earlier than the exact witness of its row
+        provider = GammaShiftProvider(grid)
+        rng = np.random.default_rng(7 + int(grid.count))
+        for _ in range(4):
+            fs = [random_grid_function(rng, grid) for _ in range(2)]
+            phis = [random_grid_function(rng, grid) for _ in range(2)]
+            exact = weak_conditions_test(provider, test_vectors=fs, test_functionals=phis)
+            sampled = sampled_conditions_table(provider, test_vectors=fs, test_functionals=phis)
+            supports = dict(zip(exact.pair_labels, exact.supports))
+            for entry in exact.entries:
+                assert entry.status == "holds" and not entry.violations
+                rows = {row[:3]: row[3] for row in entry.witnesses}
+                for row in sampled.entries[entry.key].witnesses:
+                    t = row[3]
+                    assert supports[row[:2]].first_at_or_after(t) == t
+                    assert rows[row[:3]] <= t
+
+    def test_demo_carrier_is_certified_at_the_band_threshold(self):
+        # f1 is the cell indicator at 38, phi0 the one at 19: 19 cells apart
+        rep = classify(coupled_demo_system().provider2)
+        assert rep.classification == "PersistentlyIrreducible"
+        assert rep.evidence_mode == "certified"
+        some = rep.conditions.entry("some-time")
+        (row,) = [w for w in some.witnesses if w[:2] == ("f1", "phi0")]
+        assert row[3] == 2.375 == 19 * 0.125
+
+    def test_refuses_signed_vectors(self, provider, grid):
+        f = GridFunction.indicator(grid, 0.0, 1.0)
+        with pytest.raises(PremiseViolation, match="positive"):
+            provider.pairing_support(f * -1.0, f)

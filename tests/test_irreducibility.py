@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from evpos.errors import PremiseViolation, SpectralBoundNotNegative
+from evpos.errors import CertificateMissing, PremiseViolation, SpectralBoundNotNegative
 from evpos.gammashift import GammaShiftProvider, Grid1D
 from evpos.irreducibility import (
     IRREDUCIBLE_NOT_PERSISTENT,
@@ -25,6 +25,7 @@ from evpos.irreducibility import (
 )
 from evpos.semigroup import MatrixSemigroup, demo_generator
 from evpos.stepfun import PiecewiseConstantFn, ShiftStepProvider, shift_apply
+from sampled_oracles import sampled_conditions_table
 
 
 def random_pattern(rng) -> np.ndarray:
@@ -159,13 +160,13 @@ class TestClassify:
             A = random_pattern(rng)
             rep = classify(A=A)
             s = float(np.max(np.linalg.eigvals(A).real))
-            table = weak_conditions_test(MatrixSemigroup(A - s * np.eye(A.shape[0])))
-            statuses = {e.key: e.status for e in table.entries}
+            table = sampled_conditions_table(MatrixSemigroup(A - s * np.eye(A.shape[0])))
+            statuses = {key: e.status for key, e in table.entries.items()}
             both_hold = statuses["some-time"] == statuses["large-times"] == "holds"
             assert (rep.classification == PERSISTENTLY_IRREDUCIBLE) == both_hold
             if rep.classification == REDUCIBLE:
                 inside = set(rep.witness_ideal.sorted_members())
-                for entry in table.entries:
+                for entry in table.entries.values():
                     for f_label, phi_label, *_ in entry.witnesses:
                         i, j = int(f_label[1:]), int(phi_label[3:])
                         assert not (i in inside and j not in inside)
@@ -180,20 +181,22 @@ class TestClassify:
 
 class TestWeakConditions:
     def test_diagram_consistency_across_carriers(self):
+        # a matrix carrier has no exact pairing support: its table is the
+        # sampled oracle's
         grid = Grid1D(x_min=-2.0, h=0.25, count=16)
-        providers = [
-            MatrixSemigroup(demo_generator()),
-            ShiftStepProvider(depth=4),
-            GammaShiftProvider(grid),
-        ]
-        for p in providers:
+        assert sampled_conditions_table(MatrixSemigroup(demo_generator())).diagram_consistent
+        for p in (ShiftStepProvider(depth=4), GammaShiftProvider(grid)):
             table = weak_conditions_test(p)
             assert table.diagram_consistent
 
+    def test_matrix_carrier_is_refused(self):
+        with pytest.raises(CertificateMissing, match="classify"):
+            weak_conditions_test(MatrixSemigroup(demo_generator()))
+
     def test_statuses_respect_implication_chain(self):
         # large-times holding forces the weaker conditions to hold
-        table = weak_conditions_test(MatrixSemigroup(demo_generator()))
-        statuses = {e.key: e.status for e in table.entries}
+        table = sampled_conditions_table(MatrixSemigroup(demo_generator()))
+        statuses = {key: e.status for key, e in table.entries.items()}
         assert statuses["large-times"] == "holds"
         assert statuses["large-times-or-zero"] == "holds"
         assert statuses["some-time"] == "holds"
@@ -216,7 +219,6 @@ class TestWeakConditions:
         # cannot refute, so its unwitnessed rows at t0 >= 1 are read as the
         # violations they are (the shift is zero from t = 1 on)
         knot_tables = {d: weak_conditions_test(ShiftStepProvider(depth=d)) for d in range(4, 9)}
-        monkeypatch.setattr(ShiftStepProvider, "pairing_knots", lambda self, f, phi: None)
         monkeypatch.setattr(
             ShiftStepProvider,
             "condition_probe",
@@ -224,8 +226,9 @@ class TestWeakConditions:
         )
         for d, table in knot_tables.items():
             basis = ShiftStepProvider(depth=d).condition_basis()
-            sampled = weak_conditions_test(ShiftStepProvider(depth=d))
-            for exact, ref in zip(table.entries, sampled.entries):
+            sampled = sampled_conditions_table(ShiftStepProvider(depth=d))
+            for exact in table.entries:
+                ref = sampled.entries[exact.key]
                 dead = {r for r in ref.unresolved if r[2] is not None and r[2] >= 1}
                 still_open = set(ref.unresolved) - dead
                 ref_status = "violated" if dead else "grid-limited" if still_open else "holds"
@@ -242,11 +245,8 @@ class TestWeakConditions:
         assert rep.classification == IRREDUCIBLE_NOT_PERSISTENT
         assert rep.evidence_mode == "certified"
         assert rep.witness_onset == 1
-        counts = [
-            (len(e.witnesses), len(e.violations), len(e.unresolved))
-            for e in rep.conditions.entries
-        ]
-        assert counts == [(16, 0, 0), (24, 24, 0), (16, 32, 0)]
+        counts = [(len(e.witnesses), len(e.violations)) for e in rep.conditions.entries]
+        assert counts == [(16, 0), (24, 24), (16, 32)]
 
     def test_pairing_that_never_meets_is_a_certified_violation(self):
         # the left shift moves 1_[0,1/8) away from 1_[7/8,1)
@@ -257,7 +257,7 @@ class TestWeakConditions:
         )
         for entry in table.entries:
             assert entry.status == "violated"
-            assert not entry.witnesses and not entry.unresolved
+            assert not entry.witnesses
             assert all(row[3].startswith("exact knot values") for row in entry.violations)
 
     def test_witness_between_the_carrier_dyadics(self):
@@ -272,22 +272,40 @@ class TestWeakConditions:
         assert some.status == "holds"
         assert some.witnesses == (("f0", "phi0", None, Fraction(3, 8), Fraction(1, 8)),)
 
-    def test_nonzero_below_tol_is_neither_witness_nor_violation(self):
-        # <1, S(t) c> = c (1 - t) with c = 1e-12: no witness, and no
-        # certificate before t = 1, where the pairing becomes exactly 0; the
-        # t = 0 value keeps every large-times-or-zero row open
-        f = PiecewiseConstantFn.constant(Fraction(1, 10**12))
+    def test_tiny_exact_pairing_is_a_witness(self):
+        # <1, S(t) c> = c (1 - t) with c = 1e-12 is nonzero exactly on
+        # [0, 1): an exact support has no tolerance, so t = 0 witnesses
+        # it, and every threshold from t = 1 on is a certified violation
+        c = Fraction(1, 10**12)
+        f = PiecewiseConstantFn.constant(c)
         phi = PiecewiseConstantFn.constant(1)
         table = weak_conditions_test(
             ShiftStepProvider(depth=2), test_vectors=[f], test_functionals=[phi]
         )
-        assert table.entry("some-time").status == "grid-limited"
+        assert table.supports[0].spans == ((0, 1, True, False),)
+        assert table.entry("some-time").witnesses == (("f0", "phi0", None, 0, c),)
         large = table.entry("large-times")
-        assert large.unresolved == (("f0", "phi0", 0.0),)
+        assert large.witnesses == (("f0", "phi0", 0.0, 0, c),)
         assert [row[2] for row in large.violations] == [1.0, 5.0]
         orzero = table.entry("large-times-or-zero")
-        assert [row[2] for row in orzero.unresolved] == [0.0, 1.0, 5.0]
-        assert not orzero.witnesses and not orzero.violations
+        assert orzero.status == "holds"
+        assert [row[2:] for row in orzero.witnesses] == [(t0, 0, c) for t0 in (0.0, 1.0, 5.0)]
+
+    def test_pair_past_the_lattice_cap_is_exact(self):
+        # the joint lattice of 1/3 and 2^-21 exceeds 2^20 cells; the knots,
+        # differences of breakpoints, do not: <phi, S(t) f> rises on
+        # (1/3 - 2^-21, 1/3] and is nonzero until t = 2/3
+        eps = Fraction(1, 2**21)
+        f = PiecewiseConstantFn([0, Fraction(1, 3), Fraction(2, 3), 1], [0, 1, 0])
+        phi = PiecewiseConstantFn([0, eps, 1], [1, 0])
+        table = weak_conditions_test(
+            ShiftStepProvider(depth=2), test_vectors=[f], test_functionals=[phi]
+        )
+        (support,) = table.supports
+        assert support.spans[0][:3] == (Fraction(1, 3) - eps, Fraction(1, 3), False)
+        assert support.spans[-1][1:] == (Fraction(2, 3), True, False)
+        assert table.entry("some-time").witnesses == (("f0", "phi0", None, Fraction(1, 3), eps),)
+        assert [row[2] for row in table.entry("large-times").violations] == [1.0, 5.0]
 
     def test_nilpotent_family_violates_large_times_definitely(self):
         table = weak_conditions_test(ShiftStepProvider(depth=4))

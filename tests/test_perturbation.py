@@ -9,6 +9,7 @@ import scipy.linalg
 
 import evpos.perturbation as perturbation
 from evpos.errors import (
+    CertificateMissing,
     CouplingPremiseWarning,
     ExpmOverflow,
     InputError,
@@ -38,8 +39,10 @@ from evpos.perturbation import (
     invariance_transfer_check,
     perturbation_tail_bound,
 )
+from evpos.positivity import PositivityClass, classify_on_grid
 from evpos.presets import coupled_demo_system
 from evpos.semigroup import MatrixSemigroup, demo_generator, expm
+from sampled_oracles import sampled_mixed_witness
 
 
 def random_pair(rng, n_max=8, scale=2.0):
@@ -422,6 +425,72 @@ class TestCoupledMatrixCarriers:
         block[3:, :3] = 0.1
         assert classify(A=block).classification == "PersistentlyIrreducible"
         assert coupling_irreducibility_check(system).asserted
+
+
+COUPLED_SYSTEMS = {
+    "matrix-matrix": matrix_matrix_system,
+    "demo": coupled_demo_system,
+    "demo-L4-h0.25": lambda: coupled_demo_system(L=4.0, h=0.25),
+}
+
+
+class TestCoupledWitnesses:
+    @pytest.mark.parametrize("name", COUPLED_SYSTEMS)
+    def test_sampled_witnesses_lie_in_the_exact_ranges(self, name):
+        # the grid search the check once ran is the oracle: whatever
+        # (s, t0) it finds lies in the range the exact witness certifies,
+        # for the same seed, and the sampled positivity classes agree
+        system = COUPLED_SYSTEMS[name]()
+        rep = coupling_irreducibility_check(system)
+        assert rep.asserted
+        directions = (
+            (system.provider1, system.b21, system.provider2, rep.witness_21),
+            (system.provider2, system.b12, system.provider1, rep.witness_12),
+        )
+        for src, block, tgt, exact in directions:
+            seed, s, t0 = sampled_mixed_witness(src, block, tgt)
+            assert seed == exact["seed_index"]
+            assert s > 0.0 and s >= exact["s_from"] and t0 >= exact["t0_from"]
+        eventually_positive = {
+            PositivityClass.POSITIVE,
+            PositivityClass.UNIFORMLY_EVENTUALLY_STRONGLY_POSITIVE,
+            PositivityClass.UNIFORMLY_EVENTUALLY_POSITIVE,
+        }
+        for provider, exact_class in zip((system.provider1, system.provider2), rep.positivity_classes):
+            assert exact_class in {c.value for c in eventually_positive}
+            assert classify_on_grid(provider).verdict in eventually_positive
+
+    def test_demo_witnesses_are_exact(self):
+        rep = coupling_irreducibility_check(coupled_demo_system())
+        assert rep.asserted
+        assert rep.sub_classifications == ("PersistentlyIrreducible", "PersistentlyIrreducible")
+        assert rep.positivity_classes == ("UniformlyEventuallyStronglyPositive", "Positive")
+        # the grid feed: first window cell 32, last 39; seed 0 starts at cell 56
+        assert rep.witness_12["s_from"] == (56 - 39) * 0.125 == 2.125
+        assert rep.witness_12["t0_from"] == 0.0
+        # the matrix feed reads e_3: (A e_1)_3 = 3 is the first Krylov coefficient
+        assert rep.witness_21["source"].startswith("B A^1 f != 0")
+        assert rep.witness_21["s_from"] == 0.0 and rep.witness_21["t0_from"] == 0.125
+        assert "sampled" not in repr(rep)
+
+    def test_krylov_order_on_a_reducible_generator(self):
+        # e_1 never reaches e_2 under a lower triangular A, so e_1^T A^k e_2
+        # vanishes for every k < n and so does e_1^T e^{sA} e_2
+        A = np.array([[1.0, 0.0, 0.0], [2.0, -1.0, 0.0], [0.5, 3.0, 2.0]])
+        row = np.array([[1.0, 0.0, 0.0]])
+        assert perturbation._krylov_order(A, row, np.array([0.0, 1.0, 0.0]), 1e-9) is None
+        assert perturbation._krylov_order(A, row, np.array([1.0, 0.0, 0.0]), 1e-9) == 0
+        last = np.array([[0.0, 0.0, 1.0]])
+        assert perturbation._krylov_order(A, last, np.array([1.0, 0.0, 0.0]), 1e-9) == 1
+        assert perturbation._krylov_order(A, last, np.array([0.0, 1.0, 0.0]), 1e-9) == 1
+        chain = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        assert perturbation._krylov_order(chain, row, np.array([0.0, 0.0, 1.0]), 1e-9) == 2
+
+    def test_lattice_source_without_a_window_is_refused(self):
+        system = coupled_demo_system()
+        block = RankOneCoupling(output=np.ones(3), functional=CoordinateFunctional(0, 96))
+        with pytest.raises(CertificateMissing, match="window"):
+            perturbation._block_witness(system.provider2, block, system.provider1, 1e-9)
 
 
 class TestCoupledLatticeCarrier:

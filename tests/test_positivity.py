@@ -1,6 +1,7 @@
 """Positivity classification: certificates, grid evidence, and constructions."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -175,6 +176,23 @@ class TestCertificateRoute:
         assert not verdict.certified
         assert "kappa_2(V)" in verdict.notes and "1e+12" in verdict.notes
         assert "no positive eigenvector certificate" not in verdict.notes
+
+    def test_fitted_constant_does_not_certify(self, monkeypatch):
+        # a constant C below a sampled deviation is refused, not inflated:
+        # the verdict is the uncertified grid fallback, with the reason
+        monkeypatch.setattr(positivity, "eigenbasis_growth_constant", lambda evecs: 1e-3)
+        cert, verdict = certify_eventual_strong_positivity(demo_generator())
+        assert not verdict.certified
+        assert verdict.verdict == PositivityClass.UNIFORMLY_EVENTUALLY_POSITIVE
+        assert "sampled deviation exceeded the deviation constant at t = 0.01" in verdict.notes
+        assert "inflated" not in verdict.notes + cert.notes
+        assert math.isnan(cert.onset_constant)
+
+    def test_metzler_sample_past_the_double_range_is_dropped(self):
+        # e^{10 A} overflows; the sign criterion is exact, so the verdict stands
+        _, verdict = certify_eventual_strong_positivity(np.array([[0.0, 1e308], [0.0, 0.0]]))
+        assert verdict.verdict == PositivityClass.POSITIVE and verdict.certified
+        assert [row[0] for row in verdict.evidence] == [0.0, 1.0]
 
     def test_certificate_reports_outer_projection_data(self):
         cert = spectral_certificate(demo_generator())

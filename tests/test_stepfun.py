@@ -238,15 +238,21 @@ class TestShiftStepProvider:
         assert val == Fraction(1, 8)
 
     def test_pairing_is_linear_between_its_knots(self):
+        # the support's span ends are knots or sign changes of the pairing:
+        # it is linear between consecutive ends, and the support holds a
+        # dyadic time exactly when the pairing is nonzero there
         p = ShiftStepProvider(depth=2)
         f, phi = rademacher(1), rademacher(3)
-        knots = p.pairing_knots(f, phi)
-        assert knots == [Fraction(m, 8) for m in range(9)]
-        for a, b in zip(knots, knots[1:]):
+        support = p.pairing_support(f, phi)
+        ends = sorted({end for span in support.spans for end in span[:2]} | {0, 1})
+        for a, b in zip(ends, ends[1:]):
             mid = shifted_pairing(f, phi, (a + b) / 2)
-            ends = shifted_pairing(f, phi, a) + shifted_pairing(f, phi, b)
-            assert mid == ends / 2
-        assert shifted_pairing(f, phi, knots[-1]) == 0
+            assert mid == (shifted_pairing(f, phi, a) + shifted_pairing(f, phi, b)) / 2
+        assert shifted_pairing(f, phi, ends[-1]) == 0
+        for m in range(129):
+            t = Fraction(m, 64)
+            held = support.first_at_or_after(t) == t
+            assert held == (shifted_pairing(f, phi, t) != 0)
 
     def test_classifies_irreducible_not_persistent(self):
         rep = classify(ShiftStepProvider(depth=6))
