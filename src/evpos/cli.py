@@ -38,7 +38,7 @@ from .lattice import IdealMask
 from .perturbation import CoupledProvider, ProductVector
 from .positivity import certify_eventual_strong_positivity
 from .presets import MAX_GRID_POINTS, PRESETS, coupled_demo_system
-from .semigroup import TimeGrid, demo_generator, expm
+from .semigroup import MatrixSemigroup, TimeGrid, demo_generator
 from .spectral import dominant_projection
 from .stepfun import rademacher, shifted_pairing
 
@@ -327,9 +327,10 @@ def _times_linear(args) -> np.ndarray:
 def _series_orbit(A: np.ndarray, args) -> tuple:
     seed = np.ones(A.shape[0])
     header = ["t"] + [f"x_{i}" for i in range(A.shape[0])]
+    times = _times_linear(args)
     rows = []
-    for t in _times_linear(args):
-        v = expm(A, float(t)) @ seed
+    for t, E in zip(times, MatrixSemigroup(A, cache=False).matrices(times)):
+        v = E @ seed
         rows.append([float(t), *(float(x) for x in v)])
     return header, rows
 
@@ -339,9 +340,10 @@ def _series_rescaled_distance(A: np.ndarray, args) -> tuple:
     proj = dominant_projection(A)
     s = proj.eigenvalue
     header = ["t", "rescaled_distance"]
+    flow = MatrixSemigroup(A - s * np.eye(A.shape[0]), cache=False)
     rows = []
-    for t in times:
-        D = expm(A - s * np.eye(A.shape[0]), float(t)) - proj.projection
+    for t, E in zip(times, flow.matrices(times)):
+        D = E - proj.projection
         rows.append([float(t), float(np.max(np.abs(D)))])
     return header, rows
 

@@ -27,7 +27,15 @@ class NotInIdeal(EvposError):
 
 
 class ExpmOverflow(EvposError):
-    """exp(tA) left the representable floating-point range."""
+    """exp(tA) left the representable floating-point range.
+
+    When semigroup.expm raises it for a list of times, `evaluated` is the
+    stack of e^{tA} at the times before the first one that overflowed.
+    """
+
+    def __init__(self, message, evaluated=()):
+        super().__init__(message)
+        self.evaluated = evaluated
 
 
 class EigenSolverFailure(EvposError):

@@ -17,8 +17,9 @@ lattice's own weights w, and V_{n+1}(q h) = sum_j w_j T((q - j) h) U C_n(j)
 is one product of the stacked range orbits with the weighted blocks; a
 series past NODE_BUDGET is refused before any work.  A term that leaves
 the double range raises ExpmOverflow.  The only series setting is the
-term cap, DysonPhillipsConfig.max_terms; the tail target and both
-budgets are module constants.
+term cap, DysonPhillipsConfig.max_terms, by default the most terms a
+matrix carrier's block holds; the tail target, both budgets and the
+lattice carrier's cap are module constants.
 
 Coupled lattice carriers need no term count.  Their coupling has finite
 rank, B = U Phi, so the coefficients c(p) = Phi S(p h) f of a perturbed
@@ -62,11 +63,13 @@ from .semigroup import MatrixSemigroup, SemigroupProvider, TimeGrid, expm
 
 
 # Series constants: the tail target that fixes the term count, the
-# largest block generator (N + 1) n of a matrix carrier, and the abort
-# threshold on recursion depth times node count of a lattice carrier.
+# largest block generator (N + 1) n of a matrix carrier, the abort
+# threshold on recursion depth times node count of a lattice carrier,
+# and a lattice carrier's term cap.
 TAIL_TOLERANCE = 1e-10
 BLOCK_BUDGET = 1024
 NODE_BUDGET = 2_000_000
+LATTICE_MAX_TERMS = 40
 
 
 @dataclass(frozen=True)
@@ -74,16 +77,19 @@ class DysonPhillipsConfig:
     """Term cap for the series evaluation.
 
     The actual count is the smallest one whose envelope tail bound meets
-    TAIL_TOLERANCE, auto-increased up to max_terms, after which the
+    TAIL_TOLERANCE, auto-increased up to the cap, after which the
     smaller capped tail is simply reported.  A matrix carrier takes the
     count of whichever of its two envelopes passes first: the provider's
-    growth pair and the log-norm pair (1, mu_2(A)).
+    growth pair and the log-norm pair (1, mu_2(A)).  Without max_terms
+    an n x n matrix carrier is capped at BLOCK_BUDGET // n - 1 terms,
+    the most its block generator holds, and a lattice carrier at
+    LATTICE_MAX_TERMS.
     """
 
-    max_terms: int = 40
+    max_terms: int | None = None
 
     def __post_init__(self):
-        if self.max_terms < 1:
+        if self.max_terms is not None and self.max_terms < 1:
             raise InputError("max_terms must be >= 1")
 
 
@@ -140,7 +146,10 @@ def perturbation_tail_bound(envelope, norm_b: float, t: float, n_terms: int) -> 
 
 
 def choose_terms(config: DysonPhillipsConfig, envelope, norm_b: float, t: float):
-    """(term count, certified tail) meeting TAIL_TOLERANCE, capped at max_terms.
+    """(term count, certified tail) meeting TAIL_TOLERANCE, capped at config.max_terms.
+
+    config.max_terms must be set; dyson_phillips_sum sets the carrier's
+    default cap before calling here.
 
     The smallest passing count, as a scan of perturbation_tail_bound over
     n = 0, 1, ... finds it; each series term is computed once, and only a
@@ -550,6 +559,9 @@ def dyson_phillips_sum(providerA, B, t, config: DysonPhillipsConfig | None = Non
     envelopes = [provider.envelope]
     if matrix_case:
         envelopes.append(_log_norm_envelope(provider.A))
+    if config.max_terms is None:
+        cap = max(1, BLOCK_BUDGET // provider.carrier_dim - 1) if matrix_case else LATTICE_MAX_TERMS
+        config = DysonPhillipsConfig(max_terms=cap)
     norm_b = float(np.linalg.norm(Bd, 2))
     n_terms, tail = min(choose_terms(config, env, norm_b, t) for env in envelopes)
     if matrix_case:

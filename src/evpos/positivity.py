@@ -332,8 +332,9 @@ def _certified_strong_verdict(flow, cert, M, n):
         t_hi = min(20.0, math.log(max(C / floor, 2.0)) / gap)
     else:
         t_hi = 20.0
-    for t in np.geomspace(1e-2, max(t_hi, 2e-2), 16):
-        dev = float(np.max(np.abs(flow.matrix(t) - proj)))
+    times = np.geomspace(1e-2, max(t_hi, 2e-2), 16)
+    for t, m in zip(times, flow.matrices(times)):
+        dev = float(np.max(np.abs(m - proj)))
         target = C * math.exp(-gap * float(t))
         if dev > max(target, floor):
             return f"sampled deviation exceeded the deviation constant at t = {t:.4g}"
@@ -341,8 +342,8 @@ def _certified_strong_verdict(flow, cert, M, n):
     t0 = max(0.0, math.log(C / m_outer) / gap) if math.isfinite(gap) else 0.0
 
     evidence = []
-    for t in np.geomspace(max(t0, 1e-3), max(2.0 * t0 + 1.0, t0 + 5.0), 8):
-        mn, idx, _ = flow.positivity_probe(t)
+    times = np.geomspace(max(t0, 1e-3), max(2.0 * t0 + 1.0, t0 + 5.0), 8)
+    for t, (mn, idx, _) in zip(times, flow.positivity_probes(times)):
         if mn < -1e-12 * (1.0 + proj_max):
             raise ConsistencyViolation(
                 "certified onset contradicted by a sampled rescaled operator",
@@ -387,10 +388,9 @@ def classify_on_grid(provider, grid: TimeGrid | None = None, tol: float = 1e-9) 
     if float(times[0]) != 0.0:
         times.insert(0, type(times[0])(0))
 
-    samples = []
-    for t in times:
-        mn, idx, _ = provider.positivity_probe(t)
-        samples.append((t, float(mn), idx))
+    samples = [
+        (t, float(mn), idx) for t, (mn, idx, _) in zip(times, provider.positivity_probes(times))
+    ]
     violations = [(float(t), idx, mn) for (t, mn, idx) in samples if mn < -tol]
 
     pos_times = [float(t) for t in times if float(t) > 0.0]

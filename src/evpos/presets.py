@@ -134,8 +134,7 @@ def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20
 
     times = np.geomspace(t_max / 10**4, t_max, grid_points)
     edge_min = math.inf
-    for t in times:
-        E = expm(A, float(t))
+    for E in MatrixSemigroup(A, cache=False).matrices(times):
         edge_min = min(edge_min, float(np.min(E[2, :])), float(np.min(E[:, 2])))
     checks.append(
         CheckResult(

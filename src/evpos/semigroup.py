@@ -3,7 +3,13 @@
 e^{tA} is computed by scaling and squaring with the degree-13 Pade
 approximant (norm-gated squaring count); diagonalization is deliberately
 not used for evaluation, only as a cross-check oracle in the test suite.
-Orbits are always evaluated from t = 0, never by stepping, so per-sample
+expm takes one time or a 1-D array of times.  An array is evaluated as
+one (k, n, n) stack, each time with its own squaring count, and every
+slice is bit for bit the single-time call, which runs the same code on
+an n x n array.  MatrixSemigroup.matrices streams a time list through
+expm in stacks of at most _CHUNK_BYTES (64 KB), one stack at a time,
+and raises a time's overflow only when the caller reaches that time.
+Every sample is evaluated from t = 0, never by stepping, so per-sample
 error does not accumulate along a trajectory.
 
 A MatrixSemigroup builds its growth envelope on first read; the
@@ -71,11 +77,20 @@ _ENVELOPE_SAFETY = 1.1
 # n = 128, 6 at n = 400, and every sample of a small generator.
 _CACHE_BUDGET_BYTES = 8 << 20
 
+# Array bytes of one stack that MatrixSemigroup.matrices evaluates at once:
+# the whole default grid of 257 times up to n = 5, one matrix from n = 65.
+_CHUNK_BYTES = 64 << 10
+
 
 def _pade13(M: np.ndarray):
-    # Terms accumulate in place, in the order of the textbook sums: fewer
-    # n x n temporaries are alive at once, and the bits are the same.
+    # M is one n x n matrix or a C-contiguous (k, n, n) stack.  Terms
+    # accumulate in place, in the order of the textbook sums: fewer
+    # temporaries are alive at once, and the bits are the same.  The
+    # diagonal shifts go through a strided view, which costs a single-time
+    # call less than an index array would.
     b = _B13
+    n = M.shape[-1]
+    flat = M.shape[:-2] + (n * n,)  # a matrix as one row: its diagonal is every (n+1)-th entry
     M2 = M @ M
     M4 = M2 @ M2
     M6 = M4 @ M2
@@ -86,7 +101,7 @@ def _pade13(M: np.ndarray):
     U += b[7] * M6
     U += b[5] * M4
     U += b[3] * M2
-    U.flat[:: U.shape[0] + 1] += b[1]
+    U.reshape(flat)[..., :: n + 1] += b[1]
     U = M @ U
     W = b[12] * M6
     W += b[10] * M4
@@ -96,36 +111,75 @@ def _pade13(M: np.ndarray):
     V += b[6] * M6
     V += b[4] * M4
     V += b[2] * M2
-    V.flat[:: V.shape[0] + 1] += b[0]
+    V.reshape(flat)[..., :: n + 1] += b[0]
     return U, V
 
 
-def expm(A, t: float = 1.0) -> np.ndarray:
-    """e^{tA} by Pade-13 scaling and squaring.
+def expm(A, t=1.0) -> np.ndarray:
+    """e^{tA} by Pade-13 scaling and squaring, for one time or a 1-D array of times.
 
-    Raises ExpmOverflow when tA or the result leaves the double range.
+    An array of k times gives the C-contiguous (k, n, n) stack of
+    e^{t_i A}, evaluated together: one Pade-13 on the stack of scaled
+    t_i A, then each slice squared its own number of times.  One time is
+    the same arithmetic on an n x n array, so every slice is bit for bit
+    the call at its single time.  t = 0 gives the exact identity.
+
+    Raises ExpmOverflow when some t_i A or its exponential leaves the
+    double range, with the single-time message of the first such time;
+    the exception's `evaluated` is the stack of the times before it.
     """
     A = as_matrix(A)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("times must be a scalar or a 1-d array")
+    k, n = times.size, A.shape[0]
     # overflow is reported once, as ExpmOverflow, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        M = A * float(t)
-        norm = float(np.max(np.sum(np.abs(M), axis=0)))  # induced 1-norm
-        if norm == 0.0:
-            return np.eye(A.shape[0])
-        if not math.isfinite(norm):
-            raise ExpmOverflow("exp(tA) overflowed: |tA|_1 is not finite")
-        s = max(0, int(math.ceil(math.log2(norm / _THETA13)))) if norm > _THETA13 else 0
-        M /= 2.0**s
-        U, V = _pade13(M)
-        del M
-        W = V + U
-        V -= U
-        del U  # the solve's own LU copy and result come on top
-        R = np.linalg.solve(V, W)
-        for _ in range(s):
-            R = R @ R
-    if not np.isfinite(R).all():
-        raise ExpmOverflow(f"exp(tA) overflowed (|tA|_1 = {norm:.3e}, squarings = {s})")
+        M = A * times[..., None, None]
+        norms = np.abs(M).sum(axis=-2).max(axis=-1).ravel().tolist()  # induced 1-norms
+        # t_i A = 0 gives the identity, and a norm that is not finite is refused
+        live, s = [], []
+        for i, x in enumerate(norms):
+            if 0.0 < x < math.inf:
+                live.append(i)
+                s.append(max(0, math.ceil(math.log2(x / _THETA13))) if x > _THETA13 else 0)
+        if live:
+            if len(live) < k:
+                M = M[live]
+            fewest, most = min(s), max(s)
+            # dividing by 2^0 would change no bit, and equal counts share one divisor
+            if most > fewest:
+                M /= np.array([2.0**x for x in s])[:, None, None]
+            elif most > 0:
+                M /= 2.0**most
+            U, V = _pade13(M)
+            del M
+            W = V + U
+            V -= U
+            del U  # the solve's own LU copy and result come on top
+            R = np.linalg.solve(V, W)
+            for _ in range(fewest):
+                R = R @ R
+            for i in range(fewest, most):  # only a stack has unequal counts
+                sel = np.array(s) > i
+                part = R[sel]
+                R[sel] = part @ part
+        if not live or len(live) < k:
+            out = np.zeros(times.shape + (n, n))
+            out.reshape(-1, n * n)[:, :: n + 1] = 1.0
+            if live:
+                out[live] = R
+            R = out
+    refused = len(live) + norms.count(0.0) < k
+    if refused or not np.isfinite(R).all():
+        finite = np.isfinite(R).reshape(k, -1).all(axis=1).tolist()
+        i = next(i for i, x in enumerate(norms) if not (x < math.inf and finite[i]))
+        if norms[i] < math.inf:
+            squarings = s[live.index(i)]
+            msg = f"exp(tA) overflowed (|tA|_1 = {norms[i]:.3e}, squarings = {squarings})"
+        else:
+            msg = "exp(tA) overflowed: |tA|_1 is not finite"
+        raise ExpmOverflow(msg, evaluated=R[:i] if times.ndim else ())
     return R
 
 
@@ -292,6 +346,10 @@ class SemigroupProvider:
         """(min entry of T(t) in its natural basis, witness index, exact?)."""
         raise NotImplementedError
 
+    def positivity_probes(self, times):
+        """positivity_probe at each of `times`, in order, each when it is reached."""
+        return (self.positivity_probe(t) for t in times)
+
 
 def eigenbasis_growth_constant(evecs: np.ndarray) -> float:
     """M = 1.1 max(1, kappa_2(V)), so |e^{tA}|_2 <= M e^{st} for A = V D V^-1.
@@ -319,8 +377,8 @@ def default_envelope(A) -> tuple:
         M = _ENVELOPE_SAFETY  # defective case: rely on the spot check below
     B = A - omega * np.eye(A.shape[0])
     worst = 1.0
-    for t in np.geomspace(1e-2, 20.0, 16):
-        worst = max(worst, float(np.linalg.norm(expm(B, t), 2)))
+    for m in MatrixSemigroup(B, cache=False).matrices(np.geomspace(1e-2, 20.0, 16)):
+        worst = max(worst, float(np.linalg.norm(m, 2)))
     if worst > M:
         M = worst * _ENVELOPE_SAFETY
     return (M, omega)
@@ -411,10 +469,35 @@ class MatrixSemigroup(SemigroupProvider):
         off = self.A - np.diag(np.diag(self.A))
         return bool(np.min(off) >= -tol)
 
+    def matrices(self, times):
+        """e^{tA} for each of `times`, in order, bit for bit matrix(t).
+
+        The times are evaluated by expm in stacks of at most _CHUNK_BYTES,
+        the next one only once the caller has taken every matrix of the
+        last.  A time whose e^{tA} overflows raises expm's ExpmOverflow
+        when the caller reaches it, after the matrices of the times before
+        it.  The cache is neither read nor filled.
+        """
+        times = np.asarray(times, dtype=float)
+        step = max(1, _CHUNK_BYTES // self.A.nbytes)
+        for lo in range(0, times.size, step):
+            try:
+                stack = expm(self.A, times[lo : lo + step])
+            except ExpmOverflow as exc:
+                yield from exc.evaluated
+                raise
+            yield from stack
+
     def positivity_probe(self, t):
-        m = self.matrix(t)
-        idx = np.unravel_index(int(np.argmin(m)), m.shape)
-        return float(m[idx]), (int(idx[0]), int(idx[1])), True
+        return _min_entry(self.matrix(t))
+
+    def positivity_probes(self, times):
+        return map(_min_entry, self.matrices(times))
+
+
+def _min_entry(m: np.ndarray):
+    idx = np.unravel_index(int(np.argmin(m)), m.shape)
+    return float(m[idx]), (int(idx[0]), int(idx[1])), True
 
 
 def orbit(provider, f, grid: TimeGrid):

@@ -442,6 +442,15 @@ class TestTimeseries:
         assert lines[0] == "t,x_0,x_1,x_2"
         assert len(lines) == 5
 
+    def test_orbit_overflow_is_the_scalar_error(self, tmp_path, capsys):
+        # e^{41 t} leaves the double range at t = 17.34 of the 256 times; the
+        # rows before it are evaluated in the same stack, but only the error shows
+        path = write_doc(tmp_path, "big.json", {"matrix": [[40.0, 1.0], [1.0, 40.0]]})
+        rc, out, err = run(capsys, ["timeseries", "orbit", path])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: exp(tA) overflowed (|tA|_1 = 7.111e+02, squarings = 8)\n"
+
     def test_orbit_rejects_non_matrix_presets(self, capsys):
         rc, _, err = run(capsys, ["timeseries", "orbit", "ex3_10"])
         assert rc == 1

@@ -141,8 +141,8 @@ class TestSeries:
             A, B = random_pair(rng, scale=5.0)
             prov = MatrixSemigroup(A)
             res = dyson_phillips_sum(prov, B, 2.0)
-            # at the term cap the log-norm tail is at most about 1e-5 here
-            assert math.isfinite(res.tail_bound)
+            # the default cap lets the block hold the 44-48 terms the tail needs
+            assert res.tail_bound <= TAIL_TOLERANCE
             assert res.quadrature_estimate == 0.0
             err = float(np.linalg.norm(res.total - expm(A + B, 2.0), 2))
             assert err <= res.tail_bound + 1e-8
@@ -174,9 +174,9 @@ class TestSeries:
         assert tail > 0
 
     def test_node_budget_guard(self, monkeypatch):
-        # a 30 x 30 carrier whose tail needs all 40 terms would take a
-        # block generator of 41 x 30 = 1230 > BLOCK_BUDGET rows: refused
-        # before the block is formed
+        # a 30 x 30 carrier whose tail needs all of an explicit cap of 40
+        # terms would take a block generator of 41 x 30 = 1230 >
+        # BLOCK_BUDGET rows: refused before the block is formed
         rng = np.random.default_rng(8)
         A, B = rng.normal(size=(30, 30)), 10.0 * np.eye(30)
 
@@ -186,7 +186,7 @@ class TestSeries:
         with monkeypatch.context() as patch:
             patch.setattr(perturbation, "expm", no_work)
             with pytest.raises(QuadratureBudgetExceeded, match="past the budget of 1024"):
-                dyson_phillips_sum(MatrixSemigroup(A), B, 1.0)
+                dyson_phillips_sum(MatrixSemigroup(A), B, 1.0, DysonPhillipsConfig(max_terms=40))
         # at t = 2000 the demo's e^{9t} leaves the double range: typed too
         with pytest.raises(ExpmOverflow):
             dyson_phillips_sum(MatrixSemigroup(demo_generator()), np.eye(3), 2000.0)

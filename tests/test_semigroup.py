@@ -1,5 +1,9 @@
 """Matrix exponential engine, time grids, and the showcase generator."""
 
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -205,3 +209,163 @@ class TestMatrixSemigroup:
             assert np.array_equal(prov.matrix(t), expm(A, t))
             assert prov.positivity_probe(t)[0] == float(np.min(expm(A, t)))
         assert prov._cache == {}
+
+
+# ---------------------------------------------------------------------------
+# Stacked evaluation: bit identity with one time at a time
+
+
+def reference_expm(A, t):
+    """(e^{tA}, squarings): Pade-13 scaling and squaring of one time on 2-D arrays.
+
+    The arithmetic of expm, operation for operation, without stacks; it is
+    the oracle every stacked slice must equal bit for bit.
+    """
+    b = semigroup._B13
+    M = np.asarray(A, dtype=float) * float(t)
+    norm = float(np.max(np.sum(np.abs(M), axis=0)))
+    if norm == 0.0:
+        return np.eye(M.shape[0]), 0
+    theta = semigroup._THETA13
+    s = max(0, math.ceil(math.log2(norm / theta))) if norm > theta else 0
+    M /= 2.0**s
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    W = b[13] * M6
+    W += b[11] * M4
+    W += b[9] * M2
+    U = M6 @ W
+    U += b[7] * M6
+    U += b[5] * M4
+    U += b[3] * M2
+    U.flat[:: U.shape[0] + 1] += b[1]
+    U = M @ U
+    W = b[12] * M6
+    W += b[10] * M4
+    W += b[8] * M2
+    V = M6 @ W
+    V += b[6] * M6
+    V += b[4] * M4
+    V += b[2] * M2
+    V.flat[:: V.shape[0] + 1] += b[0]
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R, s
+
+
+def mixed_times(n, rng):
+    """Two chunks and a half of times for an n x n generator, shuffled.
+
+    The list holds t = 0 three times, times small enough for no squaring
+    and times up to 20, in an order where squaring counts go up and down.
+    """
+    step = max(1, semigroup._CHUNK_BYTES // (8 * n * n))
+    k = max(2 * step + step // 2 + 1, 13)
+    times = np.concatenate(([0.0, 0.0, 0.0], np.geomspace(1e-4, 20.0, k - 3)))
+    return rng.permutation(times), step
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 64])
+def test_stacked_expm_is_the_scalar_call_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    A = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+    times, step = mixed_times(n, rng)
+    assert len(times) % step != 0 or step == 1
+    stack = expm(A, times)
+    assert stack.shape == (len(times), n, n) and stack.flags.c_contiguous
+    assert np.array_equal(np.stack(list(MatrixSemigroup(A).matrices(times))), stack)
+    counts = set()
+    for i in range(0, len(times), max(1, len(times) // 400)):
+        want, s = reference_expm(A, times[i])
+        counts.add(s)
+        assert np.array_equal(stack[i], want)
+        assert np.array_equal(expm(A, times[i]), want)
+    assert 0 in counts and len(counts) >= 4
+    assert np.array_equal(expm(A, np.zeros(2)), np.stack([np.eye(n)] * 2))
+
+
+def test_matrices_evaluate_one_chunk_at_a_time(monkeypatch):
+    A = np.random.default_rng(3).normal(size=(40, 40))
+    step = semigroup._CHUNK_BYTES // A.nbytes
+    stacks = []
+
+    def recording_expm(A, t):
+        out = expm(A, t)
+        stacks.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(semigroup, "expm", recording_expm)
+    it = MatrixSemigroup(A).matrices(np.linspace(0.1, 5.0, 2 * step + 1))
+    for _ in range(step):
+        next(it)
+    assert len(stacks) == 1
+    next(it)
+    assert len(stacks) == 2
+    assert len(list(it)) == step
+    assert stacks == [step * A.nbytes, step * A.nbytes, A.nbytes]
+    assert max(stacks) <= semigroup._CHUNK_BYTES
+
+
+@pytest.mark.parametrize(
+    "A, times, first_bad",
+    [
+        # e^{41 t} leaves the double range past t = 17.3
+        ([[40.0, 1.0], [1.0, 40.0]], [0.0, 1.0, 5.0, 17.0, 17.5, 3.0, 20.0], 4),
+        # 10 A has an infinite entry, so its |tA|_1 is not finite
+        ([[0.0, 1e308], [0.0, 0.0]], [0.0, 1.0, 10.0, 0.5], 2),
+    ],
+)
+def test_overflow_is_raised_when_its_time_is_reached(A, times, first_bad):
+    A = np.array(A)
+    with pytest.raises(ExpmOverflow) as err:
+        expm(A, times[first_bad])
+    message = str(err.value)
+    with pytest.raises(ExpmOverflow, match=re.escape(message)) as err:
+        expm(A, times)
+    assert len(err.value.evaluated) == first_bad
+    for chunk_bytes in (semigroup._CHUNK_BYTES, A.nbytes):
+        # one stack for the whole list, then one stack per time
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(semigroup, "_CHUNK_BYTES", chunk_bytes)
+            it = MatrixSemigroup(A).matrices(times)
+            for t in times[:first_bad]:
+                assert np.array_equal(next(it), reference_expm(A, t)[0])
+            with pytest.raises(ExpmOverflow) as err:
+                next(it)
+        assert str(err.value) == message
+
+
+def certificate_fields(cert):
+    return [
+        value.tobytes() if isinstance(value, np.ndarray) else value
+        for value in dataclasses.astuple(cert)
+    ]
+
+
+def test_certificate_routes_match_scalar_probes(monkeypatch):
+    from evpos.positivity import certify_eventual_strong_positivity
+
+    rng = np.random.default_rng(14)
+    inputs = [np.array([[1.0, -1.0], [0.0, 1.0]])]  # defective: no certificate
+    for n in (3, 8, 16):
+        metzler = rng.uniform(0.0, 1.0, (n, n)) - 2.0 * np.eye(n)
+        eventually = rng.uniform(0.5, 1.5, (n, n))
+        eventually[0, n - 1] = -0.1
+        indefinite = rng.normal(size=(n, n))
+        inputs += [metzler, eventually, indefinite]
+    stacked = [certify_eventual_strong_positivity(A) for A in inputs]
+    with monkeypatch.context() as patch:
+        # every sample through matrix(t): one expm call per time
+        patch.setattr(MatrixSemigroup, "matrices", lambda self, times: map(self.matrix, times))
+        patch.setattr(
+            MatrixSemigroup, "positivity_probes", semigroup.SemigroupProvider.positivity_probes
+        )
+        looped = [certify_eventual_strong_positivity(A) for A in inputs]
+    routes = set()
+    for (cert, verdict), (cert_ref, verdict_ref) in zip(stacked, looped):
+        assert verdict == verdict_ref
+        assert certificate_fields(cert) == certificate_fields(cert_ref)
+        routes.add(verdict.verdict.value if verdict.certified else "grid")
+    assert routes == {"Positive", "UniformlyEventuallyStronglyPositive", "grid"}
