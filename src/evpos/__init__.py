@@ -38,7 +38,6 @@ from .perturbation import (
     CoupledProvider,
     CoupledSystem,
     DenseCoupling,
-    DysonPhillipsConfig,
     DysonPhillipsResult,
     GridFunctional,
     ProductVector,
@@ -141,7 +140,6 @@ __all__ = [
     "CoupledProvider",
     "CoupledSystem",
     "DenseCoupling",
-    "DysonPhillipsConfig",
     "DysonPhillipsResult",
     "GridFunctional",
     "ProductVector",

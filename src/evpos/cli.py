@@ -14,7 +14,6 @@ Exit codes: 0 all asserted claims hold, 1 usage or input error, 2 an
 internal-consistency violation or a failed must-pass claim (always with
 a witness dump on stderr).  Reports are byte-identical across runs for
 identical inputs and flags, apart from the wall-clock timing block.
-The environment variable EVPOS_THREADS caps worker threads.
 """
 
 import argparse
@@ -23,7 +22,6 @@ import functools
 import inspect
 import json
 import math
-import os
 import sys
 import time
 from enum import Enum
@@ -443,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evpos",
         description="Positivity and irreducibility analysis of operator semigroups.",
-        epilog="EVPOS_THREADS caps worker threads (default 1).",
     )
     parser.add_argument("--version", action="version", version=f"evpos {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -474,13 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if os.environ.get("EVPOS_THREADS"):
-        # modules read the variable themselves; validate early for a clean error
-        try:
-            int(os.environ["EVPOS_THREADS"])
-        except ValueError:
-            sys.stderr.write("EVPOS_THREADS must be an integer\n")
-            return 1
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,8 +5,9 @@ spans, so a subset S of indices stands for the ideal span{e_i : i in S}.
 Invariance of that ideal under e^{tA} for every t >= 0 reduces, for matrix
 generators, to a zero pattern of A: no entry may carry mass from S into its
 complement.  Irreducibility is then strong connectivity of the entry
-digraph, which this module decides by strongly connected components and
-cross-checks against brute-force subset enumeration.
+digraph, which this module decides by strongly connected components; the
+invariant ideals are the closed sets of the condensation.  A brute-force
+subset scan is the test suite's oracle for that enumeration.
 
 For function-space carriers the module tabulates duality pairings
 <phi, T(t) f> over positive test pairs and increasing time thresholds.
@@ -208,19 +209,18 @@ def _ideal_sort_key(mask: IdealMask):
     return (len(mask), mask.sorted_members())
 
 
-def _enumerate_brute(A, tol: float):
-    n = A.shape[0]
-    found = []
-    for bits in range(1 << n):
-        members = [i for i in range(n) if bits >> i & 1]
-        mask = IdealMask.of(members, n)
-        if ideal_invariant_under_generator(A, mask, tol):
-            found.append(mask)
-    return sorted(found, key=_ideal_sort_key)
+def enumerate_invariant_ideals(A, tol: float = 0.0):
+    """All invariant coordinate ideals of A, as sorted IdealMasks.
 
-
-def _enumerate_graph(A, tol: float):
+    An ideal is invariant exactly when it is a union of strong components
+    of the entry digraph closed under the condensation's edges, so the
+    closed component sets are enumerated; the trivial ideals (empty,
+    full) are included.  Refused past dimension 24 or 20 components.
+    """
+    A = as_matrix(A)
     n = A.shape[0]
+    if n > 24:
+        raise DimensionTooLarge(f"dimension {n} exceeds the enumeration cap of 24")
     comps, out_mask = _condensation(sign_pattern_adjacency(A, tol))
     k = len(comps)
     if k > 20:
@@ -238,38 +238,6 @@ def _enumerate_graph(A, tol: float):
         members = [v for ci in range(k) if bits >> ci & 1 for v in comps[ci]]
         found.append(IdealMask.of(members, n))
     return sorted(found, key=_ideal_sort_key)
-
-
-def enumerate_invariant_ideals(A, tol: float = 0.0, method: str = "auto"):
-    """All invariant coordinate ideals of A, as sorted IdealMasks.
-
-    method "auto" runs both the brute-force subset scan (n <= 16) and the
-    component-closure graph method and cross-checks them; "brute"/"graph"
-    force a single route.  The trivial ideals (empty, full) are included.
-    """
-    A = as_matrix(A)
-    n = A.shape[0]
-    if n > 24:
-        raise DimensionTooLarge(f"dimension {n} exceeds the enumeration cap of 24")
-    if method not in ("auto", "brute", "graph"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "graph":
-        return _enumerate_graph(A, tol)
-    if method == "brute":
-        if n > 16:
-            raise DimensionTooLarge(f"brute-force enumeration capped at 16, got {n}")
-        return _enumerate_brute(A, tol)
-    graph = _enumerate_graph(A, tol)
-    if n > 16:
-        return graph
-    brute = _enumerate_brute(A, tol)
-    if brute != graph:
-        sym = set(brute).symmetric_difference(graph)
-        raise ConsistencyViolation(
-            "brute-force and graph-closure ideal enumerations disagree",
-            witnesses=[m.sorted_members() for m in sorted(sym, key=_ideal_sort_key)],
-        )
-    return brute
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ C_{n+1}(p) = sum_j w_j K(p - j) C_n(j), K(m) = Phi T(m h) U, on the
 lattice's own weights w, and V_{n+1}(q h) = sum_j w_j T((q - j) h) U C_n(j)
 is one product of the stacked range orbits with the weighted blocks; a
 series past NODE_BUDGET is refused before any work.  A term that leaves
-the double range raises ExpmOverflow.  The only series setting is the
-term cap, DysonPhillipsConfig.max_terms, by default the most terms a
-matrix carrier's block holds; the tail target, both budgets and the
-lattice carrier's cap are module constants.
+the double range raises ExpmOverflow.  The series has no settings: the
+term cap is the most terms a matrix carrier's block holds, or
+LATTICE_MAX_TERMS on a lattice, and the tail target, both budgets and
+the premise sample times are module constants.
 
 Coupled lattice carriers need no term count.  Their coupling has finite
 rank, B = U Phi, so the coefficients c(p) = Phi S(p h) f of a perturbed
@@ -70,27 +70,6 @@ TAIL_TOLERANCE = 1e-10
 BLOCK_BUDGET = 1024
 NODE_BUDGET = 2_000_000
 LATTICE_MAX_TERMS = 40
-
-
-@dataclass(frozen=True)
-class DysonPhillipsConfig:
-    """Term cap for the series evaluation.
-
-    The actual count is the smallest one whose envelope tail bound meets
-    TAIL_TOLERANCE, auto-increased up to the cap, after which the
-    smaller capped tail is simply reported.  A matrix carrier takes the
-    count of whichever of its two envelopes passes first: the provider's
-    growth pair and the log-norm pair (1, mu_2(A)).  Without max_terms
-    an n x n matrix carrier is capped at BLOCK_BUDGET // n - 1 terms,
-    the most its block generator holds, and a lattice carrier at
-    LATTICE_MAX_TERMS.
-    """
-
-    max_terms: int | None = None
-
-    def __post_init__(self):
-        if self.max_terms is not None and self.max_terms < 1:
-            raise InputError("max_terms must be >= 1")
 
 
 class _EnvelopeSeries:
@@ -145,27 +124,25 @@ def perturbation_tail_bound(envelope, norm_b: float, t: float, n_terms: int) -> 
     return _EnvelopeSeries(envelope, norm_b, t).tail(n_terms)
 
 
-def choose_terms(config: DysonPhillipsConfig, envelope, norm_b: float, t: float):
-    """(term count, certified tail) meeting TAIL_TOLERANCE, capped at config.max_terms.
-
-    config.max_terms must be set; dyson_phillips_sum sets the carrier's
-    default cap before calling here.
+def choose_terms(cap: int, envelope, norm_b: float, t: float):
+    """(term count, certified tail) meeting TAIL_TOLERANCE, capped at cap terms.
 
     The smallest passing count, as a scan of perturbation_tail_bound over
     n = 0, 1, ... finds it; each series term is computed once, and only a
     count whose first dropped term meets the tolerance is summed, since a
-    sum of nonnegative terms is at least its first.
+    sum of nonnegative terms is at least its first.  Past the cap, the
+    capped tail is reported.
     """
     t = float(t)
     if t <= 0.0 or norm_b <= 0.0:
         return 0, 0.0
     series = _EnvelopeSeries(envelope, norm_b, t)
-    for n in range(config.max_terms + 1):
+    for n in range(cap + 1):
         if series.term(n + 1) <= TAIL_TOLERANCE:
             tail = series.tail(n)
             if tail <= TAIL_TOLERANCE:
                 return n, tail
-    return config.max_terms, series.tail(config.max_terms)
+    return cap, series.tail(cap)
 
 
 def _log_norm_envelope(A: np.ndarray) -> tuple:
@@ -525,31 +502,36 @@ def _perturbation_dense(B, dim: int) -> np.ndarray:
     return mat
 
 
-def dyson_phillips_terms(providerA, B, t, config: DysonPhillipsConfig | None = None):
+def dyson_phillips_terms(providerA, B, t):
     """(series terms V_0(t)..V_N(t), certified truncation tail bound).
 
     The terms and tail of dyson_phillips_sum; the tail bound comes from
     the provider's growth envelope and covers every dropped term.
     """
-    res = dyson_phillips_sum(providerA, B, t, config)
+    res = dyson_phillips_sum(providerA, B, t)
     return list(res.terms), res.tail_bound
 
 
-def dyson_phillips_sum(providerA, B, t, config: DysonPhillipsConfig | None = None) -> DysonPhillipsResult:
+def dyson_phillips_sum(providerA, B, t) -> DysonPhillipsResult:
     """Summed series evaluation with tail and quadrature certificates.
 
     The term count is the smallest whose envelope tail meets
-    TAIL_TOLERANCE (see DysonPhillipsConfig).  A matrix carrier's terms
-    are the first block row of one block exponential, exact up to
-    rounding, so its quadrature_estimate is 0.0; a block past
-    BLOCK_BUDGET raises QuadratureBudgetExceeded before it is formed.  A
-    carrier locked to a time lattice sums the coefficient recursion of
-    B = U Phi with the lattice's own weights, and its quadrature_estimate
-    is the distance to the trapezoid rule on the same samples.
+    TAIL_TOLERANCE, up to a cap past which the capped tail is reported.
+    An n x n matrix carrier is capped at BLOCK_BUDGET // n - 1 terms, the
+    most its block generator holds, and takes the count of whichever of
+    its two envelopes passes first: the provider's growth pair and the
+    log-norm pair (1, mu_2(A)).  Its terms are the first block row of one
+    block exponential, exact up to rounding, so its quadrature_estimate
+    is 0.0; when both envelopes' tails are inf at the cap, no count
+    certifies anything and ExpmOverflow is raised before the block is
+    formed, and a block past BLOCK_BUDGET raises QuadratureBudgetExceeded
+    likewise.  A carrier locked to a time lattice is capped at
+    LATTICE_MAX_TERMS and sums the coefficient recursion of B = U Phi
+    with the lattice's own weights; its quadrature_estimate is the
+    distance to the trapezoid rule on the same samples.
     """
     if float(t) < 0.0:
         raise InputError("time must be nonnegative")
-    config = config or DysonPhillipsConfig()
     provider = _as_provider(providerA)
     Bd = _perturbation_dense(B, provider.carrier_dim)
     t = float(t)
@@ -557,14 +539,20 @@ def dyson_phillips_sum(providerA, B, t, config: DysonPhillipsConfig | None = Non
     if not matrix_case and not hasattr(provider, "grid"):
         raise InputError("carrier supports neither dense nor lattice evaluation")
     envelopes = [provider.envelope]
+    cap = LATTICE_MAX_TERMS
     if matrix_case:
         envelopes.append(_log_norm_envelope(provider.A))
-    if config.max_terms is None:
-        cap = max(1, BLOCK_BUDGET // provider.carrier_dim - 1) if matrix_case else LATTICE_MAX_TERMS
-        config = DysonPhillipsConfig(max_terms=cap)
+        cap = max(1, BLOCK_BUDGET // provider.carrier_dim - 1)
     norm_b = float(np.linalg.norm(Bd, 2))
-    n_terms, tail = min(choose_terms(config, env, norm_b, t) for env in envelopes)
+    n_terms, tail = min(choose_terms(cap, env, norm_b, t) for env in envelopes)
     if matrix_case:
+        if tail == math.inf:
+            (M, omega), (_, mu) = envelopes
+            raise ExpmOverflow(
+                f"the series at t = {t:g} has no certified term count: the envelope tail "
+                f"is inf at the cap of {cap} terms for the growth pair ({M:.6g}, {omega:.6g}) "
+                f"and the log-norm pair (1, {mu:.6g})"
+            )
         terms, est = _block_terms(provider.A, Bd, t, n_terms), 0.0
     else:
         terms, est = _lattice_terms(provider, Bd, t, n_terms)
@@ -592,9 +580,8 @@ def dyson_phillips_sum(providerA, B, t, config: DysonPhillipsConfig | None = Non
 # --------------------------------------------------------------------------
 
 
-def premise_times(samples: int = 32, t_lo: float = 1e-3, t_hi: float = 10.0):
-    """Log-spaced premise sample times plus the zero axis."""
-    return [0.0] + [float(x) for x in np.geomspace(t_lo, t_hi, samples)]
+# Premise sample times: 32 log-spaced points on [1e-3, 10] plus the zero axis.
+PREMISE_TIMES = (0.0,) + tuple(float(x) for x in np.geomspace(1e-3, 10.0, 32))
 
 
 def _sandwich_min(left: dict, B: np.ndarray, right: dict):
@@ -615,13 +602,13 @@ def _sandwich_min(left: dict, B: np.ndarray, right: dict):
     return best
 
 
-def _premise_scan(provider, Bd: np.ndarray, tol: float, samples: int = 32):
+def _premise_scan(provider, Bd: np.ndarray, tol: float):
     """Minimum entry of T(t) B T(s) over the sampled (s, t) square.
 
     Returns (times, min_entry, witness) and raises PremiseViolation when
     the minimum drops below -tol, witness = (s, t, row, col, value).
     """
-    times = provider.admissible_times(premise_times(samples))
+    times = provider.admissible_times(PREMISE_TIMES)
     dense = {t: provider.to_dense(t) for t in times}
     worst, t, s, row, col = _sandwich_min(dense, Bd, dense)
     witness = None if t is None else (s, t, row, col, worst)
@@ -652,7 +639,6 @@ def domination_check(
     providerA,
     B,
     grid: TimeGrid | None = None,
-    config: DysonPhillipsConfig | None = None,
     tol: float = 1e-9,
 ) -> DominationReport:
     """Sample T(t) B T(s) >= -tol; if it holds, assert e^{t(A+B)} >= e^{tA} - tol.
@@ -665,7 +651,6 @@ def domination_check(
     conclusion would contradict the theory and raises
     ConsistencyViolation.
     """
-    config = config or DysonPhillipsConfig()
     provider = _as_provider(providerA)
     Bd = _perturbation_dense(B, provider.carrier_dim)
     _, premise_min, premise_witness = _premise_scan(provider, Bd, tol)
@@ -681,7 +666,7 @@ def domination_check(
             perturbed = expm(provider.A + Bd, float(t))
             budget = tol
         else:
-            res = dyson_phillips_sum(provider, Bd, t, config)
+            res = dyson_phillips_sum(provider, Bd, t)
             perturbed = res.total
             budget = tol + res.tail_bound + res.quadrature_estimate
             max_tail = max(max_tail, res.tail_bound)
@@ -1096,17 +1081,15 @@ class PremiseSampleReport:
     tol: float
 
 
-def coupling_premise_check(
-    system: CoupledSystem, tol: float = 1e-9, samples: int = 32, t_hi: float = 10.0
-) -> PremiseSampleReport:
+def coupling_premise_check(system: CoupledSystem, tol: float = 1e-9) -> PremiseSampleReport:
     """Sample T1(t) B12 T2(s) and T2(t) B21 T1(s) for entries below -tol.
 
     The witness is (direction, t, s, row, col, value); on a tie the "12"
     direction wins.
     """
-    base = premise_times(samples, t_hi=t_hi)
-    d1 = {t: system.provider1.to_dense(t) for t in system.provider1.admissible_times(base)}
-    d2 = {t: system.provider2.to_dense(t) for t in system.provider2.admissible_times(base)}
+    p1, p2 = system.provider1, system.provider2
+    d1 = {t: p1.to_dense(t) for t in p1.admissible_times(PREMISE_TIMES)}
+    d2 = {t: p2.to_dense(t) for t in p2.admissible_times(PREMISE_TIMES)}
     m12 = _sandwich_min(d1, system.b12.to_dense(), d2)
     m21 = _sandwich_min(d2, system.b21.to_dense(), d1)
     label, (worst, t, s, row, col) = ("21", m21) if m21[0] < m12[0] else ("12", m12)
@@ -1301,21 +1284,17 @@ class CoupledProvider(SemigroupProvider):
         range coefficients c_n of term n vanish there; they follow the
         r-dimensional recursion c_0(p) = Phi T(p h) f,
         c_{n+1}(p) = sum_{j<=p} w_j K(p - j) c_n(j) with c_{n+1}(0) = 0.
-        That recursion is a linear map on r (q + 1) numbers, so a history
-        still nonzero after r (q + 1) steps never vanishes: the count is
-        then None.
+        That recursion is a linear map on the (q + 1) x r history, so a
+        history still nonzero after r (q + 1) steps never vanishes: the
+        count is then None.
         """
         orbit, q = self._seed_orbit(f, t)
         orbit.fill(q)
-        c = np.array(orbit.base[: q + 1]).ravel()
-        n = c.size
-        # the recursion applied to every unit history is its matrix
-        basis = np.eye(n).reshape(q + 1, self._range.rank, n)
-        step_map = self._range.next_coefficients(basis, self.lattice_h).reshape(n, n)
-        for alive in range(1, n + 2):
+        c = np.array(orbit.base[: q + 1])
+        for alive in range(1, c.size + 2):
             if not c.any():
                 return alive
-            c = step_map @ c
+            c = self._range.next_coefficients(c, self.lattice_h)
         return None
 
     def apply(self, t, f: ProductVector) -> ProductVector:

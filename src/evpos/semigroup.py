@@ -1,4 +1,4 @@
-"""Matrix semigroups t -> e^{tA}: evaluation, growth envelopes, orbits.
+"""Matrix semigroups t -> e^{tA}: evaluation and growth envelopes.
 
 e^{tA} is computed by scaling and squaring with the degree-13 Pade
 approximant (norm-gated squaring count); diagonalization is deliberately
@@ -18,9 +18,10 @@ certificate never does.  The envelope's spot check and every route of
 the positivity certificate sample a rescaled flow e^{t(A - cI)}, c at
 the spectral bound, which keeps the signs of e^{tA} and stays in range
 for any finite spectral bound.  Evaluated e^{tA} are cached per
-provider up to a fixed byte budget; the certificate's flow, which reads
-each time once, keeps none.  A |tA| that is not finite, or a
-result that leaves the double range, raises ExpmOverflow.
+provider up to a fixed byte budget; the certificate's flow and the
+Cesaro means of mean_ergodic_projection, which take their samples
+through MatrixSemigroup.matrices, keep none.  A |tA| that is not
+finite, or a result that leaves the double range, raises ExpmOverflow.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from .errors import CertificateMissing, ExpmOverflow
 from .lattice import as_matrix, as_vector
-from .parallel import parallel_map
 
 __all__ = [
     "expm",
@@ -43,7 +43,6 @@ __all__ = [
     "MatrixSemigroup",
     "default_envelope",
     "eigenbasis_growth_constant",
-    "orbit",
     "demo_generator",
     "demo_eigensystem",
     "power_formula_matrix",
@@ -498,13 +497,6 @@ class MatrixSemigroup(SemigroupProvider):
 def _min_entry(m: np.ndarray):
     idx = np.unravel_index(int(np.argmin(m)), m.shape)
     return float(m[idx]), (int(idx[0]), int(idx[1])), True
-
-
-def orbit(provider, f, grid: TimeGrid):
-    """[(t, T(t)f)] with each sample evaluated independently from t = 0."""
-    times = list(grid)
-    vals = parallel_map(lambda t: provider.apply(t, f), times)
-    return list(zip(times, vals))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .errors import (
     PremiseViolation,
 )
 from .lattice import as_matrix, as_vector
-from .parallel import parallel_map
 from .positivity import spectral_certificate
 from .semigroup import MatrixSemigroup
 
@@ -238,13 +237,16 @@ def _trapezoid(samples: list, h: float, stride: int) -> np.ndarray:
     return (h * stride) * (acc + 0.5 * (sel[0] + sel[-1]))
 
 
-def _cesaro_mean(A: np.ndarray, provider: MatrixSemigroup, T: float, nodes_per_unit: int) -> np.ndarray:
-    """(1/T) int_0^T e^{tA} dt by nested trapezoid + two Richardson levels."""
+def _cesaro_mean(provider: MatrixSemigroup, T: float, nodes_per_unit: int) -> np.ndarray:
+    """(1/T) int_0^T e^{tA} dt by nested trapezoid + two Richardson levels.
+
+    The samples are one stacked time list, bit for bit provider.matrix(t).
+    """
     coarse = max(4, int(math.ceil(T * nodes_per_unit)))
     n_fine = 4 * coarse
     h = T / n_fine
     ts = [i * h for i in range(n_fine + 1)]
-    samples = parallel_map(lambda t: provider.matrix(t), ts)
+    samples = list(provider.matrices(ts))
     t1 = _trapezoid(samples, h, 4)
     t2 = _trapezoid(samples, h, 2)
     t4 = _trapezoid(samples, h, 1)
@@ -289,7 +291,7 @@ def mean_ergodic_projection(
     schedule = [1.0]
     while schedule[-1] * 2.0 <= T_max:
         schedule.append(schedule[-1] * 2.0)
-    means = {T: _cesaro_mean(A, provider, T, nodes_per_unit) for T in schedule}
+    means = {T: _cesaro_mean(provider, T, nodes_per_unit) for T in schedule}
 
     deltas = [
         float(np.max(np.abs(means[schedule[i + 1]] - means[schedule[i]])))

@@ -41,6 +41,7 @@ from evpos.irreducibility import (
 from evpos.positivity import spr_lower_bound_check
 from evpos.presets import coupled_demo_system
 from evpos.stepfun import ShiftStepProvider
+from brute_oracles import brute_force_ideals
 from sampled_oracles import sampled_conditions_table
 
 
@@ -131,8 +132,8 @@ def test_criterion_06_ideal_enumeration_routes_agree():
             n = int(rng.integers(2, 9))
             A = (rng.random((n, n)) < 0.35) * rng.uniform(0.5, 3.0, size=(n, n))
             np.fill_diagonal(A, rng.uniform(-2.0, 2.0, size=n))
-            brute = [m.sorted_members() for m in enumerate_invariant_ideals(A, method="brute")]
-            graph = [m.sorted_members() for m in enumerate_invariant_ideals(A, method="graph")]
+            brute = [m.sorted_members() for m in brute_force_ideals(A)]
+            graph = [m.sorted_members() for m in enumerate_invariant_ideals(A)]
             if brute != graph:
                 mismatches += 1
         assert mismatches == 0

@@ -5,6 +5,9 @@ stderr can be asserted without spawning subprocesses.
 """
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -536,12 +539,6 @@ class TestUsageAndEnvironment:
         assert rc == 0
         assert out.startswith("evpos ")
 
-    def test_thread_cap_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("EVPOS_THREADS", "abc")
-        rc, _, err = run(capsys, ["--version"])
-        assert rc == 1
-        assert "EVPOS_THREADS" in err
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -565,7 +562,16 @@ class TestUsageAndEnvironment:
         assert cli.build_parser() is cli.build_parser()
         capsys.readouterr()
 
-    def test_thread_cap_accepts_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("EVPOS_THREADS", "2")
-        assert main(["--version"]) == 0
-        capsys.readouterr()
+    def test_import_loads_no_thread_pool(self):
+        # no command fans out over threads, so a fresh interpreter that
+        # imports the CLI never loads the pool or its concurrency module
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, evpos.cli; "
+            "print(sorted({'evpos.parallel', 'concurrent.futures'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

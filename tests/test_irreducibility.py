@@ -25,6 +25,7 @@ from evpos.irreducibility import (
 )
 from evpos.semigroup import MatrixSemigroup, demo_generator
 from evpos.stepfun import PiecewiseConstantFn, ShiftStepProvider, shift_apply
+from brute_oracles import brute_force_ideals
 from sampled_oracles import sampled_conditions_table
 
 
@@ -40,8 +41,8 @@ class TestEnumeration:
         rng = np.random.default_rng(2024)
         for _ in range(200):
             A = random_pattern(rng)
-            brute = enumerate_invariant_ideals(A, method="brute")
-            graph = enumerate_invariant_ideals(A, method="graph")
+            brute = brute_force_ideals(A)
+            graph = enumerate_invariant_ideals(A)
             assert [m.sorted_members() for m in brute] == [
                 m.sorted_members() for m in graph
             ]

@@ -25,7 +25,6 @@ from evpos.perturbation import (
     CoupledProvider,
     CoupledSystem,
     DenseCoupling,
-    DysonPhillipsConfig,
     GridFunctional,
     ProductVector,
     RankOneCoupling,
@@ -154,46 +153,51 @@ class TestSeries:
         for term in terms:
             assert float(np.min(term)) >= -1e-12
 
-    def test_tail_bound_decreases_and_covers_remainder(self):
+    def test_tail_bound_decreases_and_covers_remainder(self, monkeypatch):
         env = (1.0, 9.0)
         tails = [perturbation_tail_bound(env, 1.0, 1.0, n) for n in (2, 5, 10, 20)]
         assert all(tails[i] > tails[i + 1] for i in range(len(tails) - 1))
-        # conservative: must dominate the actual remainder of a sample series
+        # conservative: must dominate the actual remainder of a sample series;
+        # a block budget of 12 rows caps a 3 x 3 carrier at 3 terms
         A, B = demo_generator(), np.diag([0.0, 0.0, 1.0])
-        prov = MatrixSemigroup(A)
-        short_terms, short_tail = dyson_phillips_terms(
-            prov, B, 1.0, DysonPhillipsConfig(max_terms=3)
-        )
+        monkeypatch.setattr(perturbation, "BLOCK_BUDGET", 12)
+        short_terms, short_tail = dyson_phillips_terms(MatrixSemigroup(A), B, 1.0)
+        assert len(short_terms) == 4
         remainder = float(np.linalg.norm(expm(A + B, 1.0) - sum(short_terms), 2))
         assert remainder <= short_tail
 
     def test_term_cap_respected(self):
-        cfg = DysonPhillipsConfig(max_terms=4)
-        n, tail = choose_terms(cfg, (1.0, 9.0), 1.0, 1.0)
+        n, tail = choose_terms(4, (1.0, 9.0), 1.0, 1.0)
         assert n <= 4
         assert tail > 0
 
     def test_node_budget_guard(self, monkeypatch):
-        # a 30 x 30 carrier whose tail needs all of an explicit cap of 40
-        # terms would take a block generator of 41 x 30 = 1230 >
-        # BLOCK_BUDGET rows: refused before the block is formed
+        # 41 terms of a 30 x 30 carrier take a block generator of
+        # 41 x 30 = 1230 > BLOCK_BUDGET rows: refused before it is formed
         rng = np.random.default_rng(8)
         A, B = rng.normal(size=(30, 30)), 10.0 * np.eye(30)
 
         def no_work(*args):
             raise AssertionError("the block exponential was formed past its budget")
 
-        with monkeypatch.context() as patch:
-            patch.setattr(perturbation, "expm", no_work)
-            with pytest.raises(QuadratureBudgetExceeded, match="past the budget of 1024"):
-                dyson_phillips_sum(MatrixSemigroup(A), B, 1.0, DysonPhillipsConfig(max_terms=40))
-        # at t = 2000 the demo's e^{9t} leaves the double range: typed too
-        with pytest.raises(ExpmOverflow):
-            dyson_phillips_sum(MatrixSemigroup(demo_generator()), np.eye(3), 2000.0)
+        monkeypatch.setattr(perturbation, "expm", no_work)
+        with pytest.raises(QuadratureBudgetExceeded, match="past the budget of 1024"):
+            perturbation._block_terms(A, B, 1.0, 40)
+        # the series caps a carrier at the block it holds, but at least one
+        # term: past half the budget even that block is refused
+        monkeypatch.setattr(perturbation, "BLOCK_BUDGET", 50)
+        with pytest.raises(QuadratureBudgetExceeded, match="past the budget of 50"):
+            dyson_phillips_sum(MatrixSemigroup(A), B, 1.0)
 
-    def test_config_validation(self):
-        with pytest.raises(InputError):
-            DysonPhillipsConfig(max_terms=0)
+    def test_infinite_tail_refused_before_the_block(self, monkeypatch):
+        # at t = 2000 both envelopes of the demo grow like e^{9t}, so the
+        # tail is inf at every count up to the cap: no block is formed
+        def no_work(*args):
+            raise AssertionError("the block exponential was formed for an inf tail")
+
+        monkeypatch.setattr(perturbation, "expm", no_work)
+        with pytest.raises(ExpmOverflow, match="envelope tail is inf at the cap of 340 terms"):
+            dyson_phillips_sum(MatrixSemigroup(demo_generator()), np.eye(3), 2000.0)
 
 
 class TestDomination:
@@ -695,13 +699,13 @@ def reference_tail_bound(envelope, norm_b, t, n_terms):
         n += 1
 
 
-def reference_choose_terms(config, envelope, norm_b, t):
+def reference_choose_terms(cap, envelope, norm_b, t):
     """The first n = 0, 1, ... whose tail passes, each tail summed from scratch."""
-    for n in range(config.max_terms + 1):
+    for n in range(cap + 1):
         tail = reference_tail_bound(envelope, norm_b, t, n)
         if tail <= TAIL_TOLERANCE:
             return n, tail
-    return config.max_terms, reference_tail_bound(envelope, norm_b, t, config.max_terms)
+    return cap, reference_tail_bound(envelope, norm_b, t, cap)
 
 
 def vector_bytes(v):
@@ -720,6 +724,26 @@ def random_seed_vector(rng, system):
     samples[:lo] = 0.0
     samples[rng.uniform(size=grid.count) < 0.2] = 0.0
     return ProductVector(rng.normal(size=system.dim1), GridFunction(grid, samples))
+
+
+def square_map_terms_alive(provider, f, t):
+    """terms_alive from the recursion's r(q+1)-square matrix, built on unit histories.
+
+    The matrix of the coefficient recursion on steps 0..q is its image of
+    every unit history; the count is the first power that maps the seed's
+    history to zero, None when r(q+1) + 1 powers do not.
+    """
+    orbit, q = provider._seed_orbit(f, t)
+    orbit.fill(q)
+    c = np.array(orbit.base[: q + 1]).ravel()
+    n = c.size
+    basis = np.eye(n).reshape(q + 1, provider._range.rank, n)
+    step_map = provider._range.next_coefficients(basis, provider.lattice_h).reshape(n, n)
+    for alive in range(1, n + 2):
+        if not c.any():
+            return alive
+        c = step_map @ c
+    return None
 
 
 def fold(terms):
@@ -848,6 +872,20 @@ class TestLatticeSeriesAgainstLeftFold:
             assert provider.terms_alive(seed, q * h) >= 3
             assert len(calls) - before <= budget
 
+    def test_terms_alive_matches_the_square_step_map(self):
+        rng = np.random.default_rng(56)
+        system = coupled_demo_system()
+        h = system.provider2.grid.h
+        counts = set()
+        for _ in range(8):
+            seed = random_seed_vector(rng, system)
+            provider = CoupledProvider(system)
+            for q in (1, 2, 4, 8, 15, 16, 32):
+                got = provider.terms_alive(seed, q * h)
+                assert got == square_map_terms_alive(provider, seed, q * h)
+                counts.add(got)
+        assert len(counts) > 1
+
     def test_weighted_sums_are_the_left_fold(self):
         # one-entry rows and entries that are -0.0 in every summand are the
         # two cases where a plain np.add.reduce departs from the fold
@@ -966,9 +1004,8 @@ class TestTermCountAgainstLinearScan:
                 for norm_b in (0.0, 1e-3, 0.5, 1.0, 3.0):
                     for t in (0.0, 0.125, 1.0, 4.0, 32.0):
                         for cap in (1, 4, 40):
-                            cfg = DysonPhillipsConfig(max_terms=cap)
-                            got = choose_terms(cfg, (M, omega), norm_b, t)
-                            want = reference_choose_terms(cfg, (M, omega), norm_b, t)
+                            got = choose_terms(cap, (M, omega), norm_b, t)
+                            want = reference_choose_terms(cap, (M, omega), norm_b, t)
                             assert got[0] == want[0]
                             assert got[1].hex() == want[1].hex()
                             cases += 1
@@ -989,9 +1026,9 @@ class TestTermCountAgainstLinearScan:
             env = (float(rng.uniform(1.0, 3.0)), float(rng.uniform(-2.0, 12.0)))
             norm_b = float(10.0 ** rng.uniform(-4.0, 1.0))
             t = float(rng.integers(0, 64)) * 0.125
-            cfg = DysonPhillipsConfig(max_terms=int(rng.integers(1, 41)))
-            got = choose_terms(cfg, env, norm_b, t)
-            want = reference_choose_terms(cfg, env, norm_b, t)
+            cap = int(rng.integers(1, 41))
+            got = choose_terms(cap, env, norm_b, t)
+            want = reference_choose_terms(cap, env, norm_b, t)
             assert got[0] == want[0] and got[1].hex() == want[1].hex()
             n = int(rng.integers(0, 41))
             assert perturbation_tail_bound(env, norm_b, t, n).hex() == reference_tail_bound(

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import schur
 
+import evpos.spectral as spectral
 from evpos.errors import (
     CertificateMissing,
     NoConvergence,
     NotAnEigenpair,
     PremiseViolation,
 )
-from evpos.semigroup import demo_eigensystem, demo_generator, expm
+from evpos.semigroup import MatrixSemigroup, demo_eigensystem, demo_generator, expm
 from evpos.spectral import (
     algebraic_simplicity_test,
     dominant_projection,
@@ -160,6 +161,26 @@ class TestMeanErgodic:
             for i, lam in enumerate((-9.0, -1.0)):
                 C_T += (np.exp(lam * T) - 1.0) / (lam * T) * np.outer(U[:, i], U[:, i])
             assert np.max(np.abs(C_T - P)) <= 10.0 / T
+
+    @pytest.mark.parametrize(
+        "A", [demo_generator() - 9.0 * np.eye(3), ROTATION, JORDAN - np.eye(2)]
+    )
+    def test_cesaro_samples_are_the_per_time_exponentials(self, monkeypatch, A):
+        # the stacked samples against one expm call per time, bit for bit
+        seen = []
+        trapezoid = spectral._trapezoid
+        monkeypatch.setattr(
+            spectral,
+            "_trapezoid",
+            lambda samples, h, stride: seen.append((samples, h)) or trapezoid(samples, h, stride),
+        )
+        for T in (1.0, 4.0):
+            seen.clear()
+            spectral._cesaro_mean(MatrixSemigroup(A), T, 32)
+            samples, h = seen[0]
+            assert len(samples) == 4 * 32 * int(T) + 1
+            for i, got in enumerate(samples):
+                assert got.tobytes() == expm(A, i * h).tobytes()
 
     def test_rotation_group_means_vanish(self):
         rep = mean_ergodic_projection(ROTATION)
