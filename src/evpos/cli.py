@@ -3,7 +3,9 @@
 Three subcommands:
 
 * ``analyze --matrix FILE``    full positivity/irreducibility/projection
-  analysis of a matrix generator described by a JSON document.
+  analysis of a matrix generator described by a JSON document; it reads
+  ``--tol``, ``--grid-points`` and ``--t-max`` and rejects the other
+  common flags.
 * ``examples run NAME``        scripted verification suites; NAME is one
   of ``ex5_2``, ``ex3_10``, ``ex5_6``.
 * ``timeseries QUANTITY INPUT`` plot-ready CSV series; QUANTITY is one
@@ -195,6 +197,7 @@ def _effective_settings(doc: dict, args) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    _reject_unread_flags(args, "analyze", ("tol", "grid_points", "t_max"))
     doc = _load_matrix_document(args.matrix)
     settings = _effective_settings(doc, args)
     A = doc["matrix"]

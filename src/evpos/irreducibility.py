@@ -37,17 +37,19 @@ import numpy as np
 from .errors import (
     ConsistencyViolation,
     DimensionTooLarge,
+    InputError,
     PremiseViolation,
     SpectralBoundNotNegative,
 )
 from .lattice import GaugeContext, IdealMask, as_matrix, as_vector, gauge_norm
-from .semigroup import MatrixSemigroup, TimeGrid, expm
+from .semigroup import MatrixSemigroup, TimeGrid
 
 __all__ = [
     "structural_threshold",
     "sign_pattern_adjacency",
     "near_threshold_entries",
     "tarjan_scc",
+    "ideal_leak",
     "ideal_invariant_under_generator",
     "enumerate_invariant_ideals",
     "ConditionEntry",
@@ -189,20 +191,36 @@ def _as_mask(S, dim: int) -> IdealMask:
     return IdealMask.of(S, dim)
 
 
+def ideal_leak(A, S, threshold: float = 0.0):
+    """(i, j, A_ij) of the largest |A_ij| with i outside S and j in S, or None.
+
+    None when no such entry exceeds `threshold`, which is always the case
+    for a trivial S.  Each entry t -> (e^{tA})_ij is real-analytic, so the
+    coordinate ideal S is invariant under every e^{tA}, and eventually
+    invariant, exactly when this is None at threshold 0; callers pass
+    structural_threshold(A, tol), as classify does.
+    """
+    A = as_matrix(A)
+    mask = _as_mask(S, A.shape[0])
+    if mask.is_trivial:
+        return None
+    rows = mask.complement().sorted_members()
+    cols = mask.sorted_members()
+    block = np.abs(A[np.ix_(rows, cols)])
+    r, c = np.unravel_index(int(np.argmax(block)), block.shape)
+    if block[r, c] <= threshold:
+        return None
+    i, j = rows[r], cols[c]
+    return (i, j, float(A[i, j]))
+
+
 def ideal_invariant_under_generator(A, S, tol: float = 0.0) -> bool:
     """True iff the coordinate ideal S is invariant under every e^{tA}.
 
     For matrix semigroups (analytic) this is equivalent to A itself leaving
     the span invariant: |A_ij| <= tol for all i outside S, j in S.
     """
-    A = as_matrix(A)
-    mask = _as_mask(S, A.shape[0])
-    if mask.is_trivial:
-        return True
-    members = mask.sorted_members()
-    comp = sorted(mask.complement().members)
-    block = np.abs(A[np.ix_(comp, members)])
-    return bool(np.max(block) <= tol)
+    return ideal_leak(A, S, tol) is None
 
 
 def _ideal_sort_key(mask: IdealMask):
@@ -476,7 +494,7 @@ class PrincipalIdealReport:
     premise_ok: bool
     premise_times: tuple
     onset: float | None
-    mask_checks: tuple  # (t, max leak into the complement)
+    leak: tuple | None  # (i, j, A_ij) carrying the support out, or None
     gauge_checks: tuple  # (t, gauge in, gauge out)
     gauge_bound_ok: bool
     bound_constant: float
@@ -495,11 +513,18 @@ def eventual_invariance_of_principal_ideal(
 ) -> PrincipalIdealReport:
     """Check that the ideal generated by h is eventually invariant.
 
-    Premise: T(t) h <= h on all sampled t >= t0_premise (PremiseViolation
-    otherwise).  Conclusions checked on the sampled tail: (a) T(t) maps the
-    support-coordinate span into itself, (b) the gauge bound
-    gauge(T(t) f, h) <= 2 gauge(f, h) + 1e-9 for random f in the ideal.
+    Matrix carriers only (InputError otherwise).  Premise: T(t) h <= h on
+    all sampled t >= t0_premise (PremiseViolation otherwise).  The ideal
+    generated by h is the coordinate ideal of its support, and matrix
+    semigroups are analytic, so it is eventually invariant exactly when it
+    is invariant from t = 0: the onset is 0.0 when ideal_leak finds no
+    entry of A above structural_threshold(A, tol) carrying the support out,
+    and None otherwise, with that entry as `leak`.  Past the onset the
+    gauge bound gauge(T(t) f, h) <= 2 gauge(f, h) + 1e-9 is probed for
+    random f in the ideal on the sampled times.
     """
+    if not isinstance(provider, MatrixSemigroup):
+        raise InputError("principal-ideal invariance requires a dense matrix carrier")
     h = as_vector(h)
     if np.min(h) < 0:
         raise PremiseViolation("h must be >= 0", witnesses=[h.tolist()])
@@ -510,7 +535,7 @@ def eventual_invariance_of_principal_ideal(
             premise_ok=True,
             premise_times=(),
             onset=0.0,
-            mask_checks=(),
+            leak=None,
             gauge_checks=(),
             gauge_bound_ok=True,
             bound_constant=2.0,
@@ -525,7 +550,7 @@ def eventual_invariance_of_principal_ideal(
     scale = float(np.max(h))
     slack = tol * (1.0 + scale)
 
-    mats = {t: np.asarray(provider.to_dense(t), dtype=float) for t in times}
+    mats = dict(zip(times, provider.matrices(times)))
     for t in times:
         v = mats[t] @ h
         worst = float(np.max(v - h))
@@ -537,30 +562,21 @@ def eventual_invariance_of_principal_ideal(
             )
 
     support = IdealMask.of([int(i) for i in np.nonzero(h > 0)[0]], n)
-    comp = sorted(support.complement().members)
-    members = support.sorted_members()
-    mask_checks = []
-    for t in times:
-        if comp:
-            leak = float(np.max(np.abs(mats[t][np.ix_(comp, members)])))
-        else:
-            leak = 0.0
-        mask_checks.append((float(t), leak))
-    leak_tol = tol * (1.0 + max(float(np.max(np.abs(mats[t]))) for t in times))
-    onset = None
-    for k in range(len(times)):
-        if all(leak <= leak_tol for _, leak in mask_checks[k:]):
-            onset = float(times[k])
-            break
-
+    leak = ideal_leak(provider.A, support, structural_threshold(provider.A, tol))
     gauge_checks = []
     gauge_ok = True
-    if onset is not None:
+    notes = ""
+    if leak is not None:
+        notes = (
+            f"A[{leak[0]}, {leak[1]}] = {leak[2]:.6g} carries the support of h into "
+            "its complement, so the ideal is invariant on no interval of times"
+        )
+    else:
         if rng is None:
             rng = np.random.default_rng(20260816)
         ctx = GaugeContext.from_vector(h)
-        tail = [t for t in times if t >= onset]
-        probe_times = tail[:: max(1, len(tail) // 8)]
+        leak_tol = tol * (1.0 + max(float(np.max(np.abs(mats[t]))) for t in times))
+        probe_times = times[:: max(1, len(times) // 8)]
         for _ in range(n_random):
             coeffs = rng.uniform(-1.0, 1.0, size=n)
             f = coeffs * h
@@ -576,12 +592,12 @@ def eventual_invariance_of_principal_ideal(
         support=support,
         premise_ok=True,
         premise_times=tuple(float(t) for t in times),
-        onset=onset,
-        mask_checks=tuple(mask_checks),
+        onset=None if leak else 0.0,
+        leak=leak,
         gauge_checks=tuple(gauge_checks),
         gauge_bound_ok=gauge_ok,
         bound_constant=2.0,
-        notes="" if onset is not None else "support mask never stabilized on the sampled grid",
+        notes=notes,
     )
 
 
@@ -604,30 +620,32 @@ def build_super_fixed_vector(A, f, t1: float = 0.0, grid: TimeGrid | None = None
         raise PremiseViolation("f must be positive and nonzero", witnesses=[f.tolist()])
     if grid is None:
         grid = TimeGrid.default()
+    flow = MatrixSemigroup(A, cache=False)
     scale_f = float(np.max(f))
-    for t in grid:
-        t_shift = float(t) + float(t1)
-        v = expm(A, t_shift) @ f
+    shifts = [float(t) + float(t1) for t in grid]
+    for t_shift, m in zip(shifts, flow.matrices(shifts)):
+        v = m @ f
         if float(np.min(v)) < -tol * (1.0 + scale_f):
             i = int(np.argmin(v))
             raise PremiseViolation(
                 f"orbit of f leaves the positive cone at t = {t_shift:.6g}",
                 witnesses=[(t_shift, i, float(v[i]))],
             )
-    h = expm(A, float(t1)) @ np.linalg.solve(-A, f)
+    h = flow.matrix(t1) @ np.linalg.solve(-A, f)
     scale_h = float(np.max(np.abs(h)))
     if float(np.min(h)) < -tol * (1.0 + scale_h) or not np.any(h > 0):
         raise ConsistencyViolation(
             "constructed h is not positive-nonzero", witnesses=[h.tolist()]
         )
     h = np.maximum(h, 0.0)
-    for t in grid:
-        v = expm(A, float(t)) @ h
+    times = [float(t) for t in grid]
+    for t, m in zip(times, flow.matrices(times)):
+        v = m @ h
         if float(np.max(v - h)) > tol * (1.0 + scale_h):
             i = int(np.argmax(v - h))
             raise ConsistencyViolation(
-                f"T({float(t):.6g}) h exceeds h",
-                witnesses=[(float(t), i, float(v[i]), float(h[i]))],
+                f"T({t:.6g}) h exceeds h",
+                witnesses=[(t, i, float(v[i]), float(h[i]))],
             )
     return h
 

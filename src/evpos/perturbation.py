@@ -34,9 +34,10 @@ every seed shares.  An orbit to step q applies the carrier (r + 1)(q + 1)
 times at most.  Two coupled dense carriers are one exponential of the
 block generator.
 On top of the series sit an order-theoretic domination check, the
-transfer of eventually invariant coordinate ideals to the perturbed
-family, and a two-carrier coupling constructor whose off-diagonal
-blocks feed each component into the other.
+transfer of coordinate-ideal invariance from the perturbed family back
+to A and B, decided from the generators' zero patterns because matrix
+semigroups are analytic, and a two-carrier coupling constructor whose
+off-diagonal blocks feed each component into the other.
 """
 
 import functools
@@ -58,6 +59,7 @@ from .errors import (
     WitnessSearchFailure,
 )
 from .gammashift import Grid1D, GridFunction
+from .irreducibility import ideal_leak, structural_threshold
 from .lattice import IdealMask, as_matrix, as_vector
 from .semigroup import MatrixSemigroup, SemigroupProvider, TimeGrid, expm
 
@@ -584,33 +586,52 @@ def dyson_phillips_sum(providerA, B, t) -> DysonPhillipsResult:
 PREMISE_TIMES = (0.0,) + tuple(float(x) for x in np.geomspace(1e-3, 10.0, 32))
 
 
-def _sandwich_min(left: dict, B: np.ndarray, right: dict):
+def _premise_flow(provider):
+    """(times, stack): T(t) at each premise sample time the carrier admits, one (k, n, n) array.
+
+    A matrix carrier evaluates the times as stacked lists; the stack is
+    filled in place, so no second copy of the operators is held.
+    """
+    times = provider.admissible_times(PREMISE_TIMES)
+    if isinstance(provider, MatrixSemigroup):
+        flow = provider.matrices(times)
+    else:
+        flow = map(provider.to_dense, times)
+    n = provider.carrier_dim
+    stack = np.empty((len(times), n, n))
+    for row, m in zip(stack, flow):
+        row[...] = m
+    return times, stack
+
+
+def _sandwich_min(left, B: np.ndarray, right):
     """(value, t, s, row, col) of the smallest entry of L(t) B R(s) over every sampled pair.
 
-    left and right map sample times to dense operators; ties keep the
-    first pair in sampling order, and t is None when nothing was sampled.
+    left and right are (times, stack) pairs of _premise_flow; ties keep
+    the first pair in sampling order, and t is None when nothing was
+    sampled.
     """
     best = (math.inf, None, None, None, None)
-    for t, lt in left.items():
-        lb = lt @ B
-        for s, rs in right.items():
-            prod = lb @ rs
-            idx = np.unravel_index(int(np.argmin(prod)), prod.shape)
-            val = float(prod[idx])
-            if val < best[0]:
-                best = (val, float(t), float(s), int(idx[0]), int(idx[1]))
+    right_times, rights = right
+    if not right_times:
+        return best
+    for t, lt in zip(*left):
+        prod = (lt @ B) @ rights
+        idx = np.unravel_index(int(np.argmin(prod)), prod.shape)
+        val = float(prod[idx])
+        if val < best[0]:
+            best = (val, float(t), float(right_times[idx[0]]), int(idx[1]), int(idx[2]))
     return best
 
 
 def _premise_scan(provider, Bd: np.ndarray, tol: float):
     """Minimum entry of T(t) B T(s) over the sampled (s, t) square.
 
-    Returns (times, min_entry, witness) and raises PremiseViolation when
-    the minimum drops below -tol, witness = (s, t, row, col, value).
+    Returns (min_entry, witness) and raises PremiseViolation when the
+    minimum drops below -tol, witness = (s, t, row, col, value).
     """
-    times = provider.admissible_times(PREMISE_TIMES)
-    dense = {t: provider.to_dense(t) for t in times}
-    worst, t, s, row, col = _sandwich_min(dense, Bd, dense)
+    flow = _premise_flow(provider)
+    worst, t, s, row, col = _sandwich_min(flow, Bd, flow)
     witness = None if t is None else (s, t, row, col, worst)
     if worst < -tol:
         raise PremiseViolation(
@@ -618,7 +639,7 @@ def _premise_scan(provider, Bd: np.ndarray, tol: float):
             f"({witness[0]:.6g}, {witness[1]:.6g})",
             witnesses=[witness],
         )
-    return times, worst, witness
+    return worst, witness
 
 
 @dataclass(frozen=True)
@@ -633,6 +654,24 @@ class DominationReport:
     tol: float
     tail_bound: float = 0.0
     notes: str = ""
+
+
+def _conclusion_samples(provider, Bd: np.ndarray, times, tol: float):
+    """(t, e^{tA}, perturbed, budget, tail) at each time, in order.
+
+    A matrix carrier reads both exponentials from stacked time lists; a
+    lattice carrier sums the truncated series, its tail and quadrature
+    estimate folded into the budget.
+    """
+    if isinstance(provider, MatrixSemigroup):
+        flows = [MatrixSemigroup(M, cache=False) for M in (provider.A, provider.A + Bd)]
+        for t, base, perturbed in zip(times, *(flow.matrices(times) for flow in flows)):
+            yield t, base, perturbed, tol, 0.0
+        return
+    for t in times:
+        res = dyson_phillips_sum(provider, Bd, t)
+        budget = tol + res.tail_bound + res.quadrature_estimate
+        yield t, provider.to_dense(t), res.total, budget, res.tail_bound
 
 
 def domination_check(
@@ -653,23 +692,14 @@ def domination_check(
     """
     provider = _as_provider(providerA)
     Bd = _perturbation_dense(B, provider.carrier_dim)
-    _, premise_min, premise_witness = _premise_scan(provider, Bd, tol)
+    premise_min, premise_witness = _premise_scan(provider, Bd, tol)
     grid = grid or TimeGrid.default()
     times = provider.admissible_times(list(grid.points))
-    matrix_case = isinstance(provider, MatrixSemigroup)
     worst = math.inf
     worst_witness = None
     max_tail = 0.0
-    for t in times:
-        base = provider.to_dense(t)
-        if matrix_case:
-            perturbed = expm(provider.A + Bd, float(t))
-            budget = tol
-        else:
-            res = dyson_phillips_sum(provider, Bd, t)
-            perturbed = res.total
-            budget = tol + res.tail_bound + res.quadrature_estimate
-            max_tail = max(max_tail, res.tail_bound)
+    for t, base, perturbed, budget, tail in _conclusion_samples(provider, Bd, times, tol):
+        max_tail = max(max_tail, tail)
         diff = perturbed - base
         idx = np.unravel_index(int(np.argmin(diff)), diff.shape)
         val = float(diff[idx])
@@ -693,52 +723,37 @@ def domination_check(
     )
 
 
-def _leak(mat: np.ndarray, mask: IdealMask) -> float:
-    """Largest magnitude routed from the masked coordinates to the rest."""
-    if mask.is_trivial:
-        return 0.0
-    rows = mask.complement().sorted_members()
-    cols = mask.sorted_members()
-    return float(np.max(np.abs(mat[np.ix_(rows, cols)])))
-
-
-def _eventual_onset(times, values, tol: float):
-    """First sampled time after the last violation; None when violations persist."""
-    bad = [t for t, v in zip(times, values) if v > tol]
-    if not bad:
-        return 0.0
-    later = [t for t in times if t > bad[-1]]
-    return float(later[0]) if later else None
-
-
 @dataclass(frozen=True)
 class TransferReport:
-    """Onsets past which the ideal stays invariant for every checked family."""
+    """Onsets past which the ideal stays invariant for every checked family.
+
+    Matrix semigroups are analytic, so each onset is 0.0.
+    """
 
     ideal: IdealMask
     perturbed_onset: float
     unperturbed_onset: float
     family_onset: tuple
-    max_leak_past_onset: float
     tol: float
     notes: str = ""
 
 
-def invariance_transfer_check(
-    providerA,
-    B,
-    ideal,
-    grid: TimeGrid | None = None,
-    tol: float = 1e-9,
-) -> TransferReport:
+def invariance_transfer_check(providerA, B, ideal, tol: float = 1e-9) -> TransferReport:
     """Invariance of a coordinate ideal transfers from e^{t(A+B)} back to A.
 
-    Premises checked on the grid: T(t) B T(s) >= -tol on the sampled
-    square, and the ideal eventually invariant under the perturbed
-    family.  The asserted conclusions are eventual invariance under the
-    unperturbed family and under T(t) B T(s) jointly past a product-order
-    onset; a conclusion failure raises TransferViolation, which must
-    never fire on sound inputs.
+    Matrix carriers only (InputError otherwise).  Each entry of e^{tM} is
+    real-analytic in t, so a coordinate ideal I is eventually invariant
+    under e^{tM} exactly when M[I^c, I] = 0, and then invariant from t = 0:
+    every invariance below is decided by ideal_leak on the generator at
+    structural_threshold(M, tol), the threshold of classify, and every
+    onset is 0.0.  Premises: the ideal is invariant under A + B
+    (PremiseViolation with the leaking entry (i, j, value) otherwise), and
+    T(t) B T(s) >= -tol on the sampled square.  Conclusions: the ideal is
+    invariant under A, and under B, which is the whole family T(t) B T(s):
+    once A[I^c, I] = 0, (T(t) B T(s))[I^c, I] = T(t)[I^c, I^c] B[I^c, I]
+    T(s)[I, I] with both outer factors invertible.  A failed conclusion
+    raises TransferViolation with its entry; it must never fire on sound
+    inputs.
     """
     provider = _as_provider(providerA)
     if not isinstance(provider, MatrixSemigroup):
@@ -748,76 +763,28 @@ def invariance_transfer_check(
     if mask.dim != n:
         raise InputError("ideal mask dimension does not match the carrier")
     Bd = _perturbation_dense(B, n)
-    grid = grid or TimeGrid.default()
-    times = [float(t) for t in grid.points]
-
-    perturbed_leaks = [_leak(expm(provider.A + Bd, t), mask) for t in times]
-    perturbed_onset = _eventual_onset(times, perturbed_leaks, tol)
-    if perturbed_onset is None:
-        worst = max(zip(perturbed_leaks, times))
+    perturbed = provider.A + Bd
+    leak = ideal_leak(perturbed, mask, structural_threshold(perturbed, tol))
+    if leak is not None:
         raise PremiseViolation(
-            "ideal is not eventually invariant under the perturbed family "
-            f"on the sampled grid (leak {worst[0]:.3e} at t = {worst[1]:.6g})",
-            witnesses=[(worst[1], worst[0])],
+            f"(A + B)[{leak[0]}, {leak[1]}] = {leak[2]:.3e} carries the ideal into its "
+            "complement, so it is invariant under e^{t(A+B)} on no interval of times",
+            witnesses=[leak],
         )
-
-    sq_times, _, _ = _premise_scan(provider, Bd, tol)
-
-    unperturbed_leaks = [_leak(provider.to_dense(t), mask) for t in times]
-    unperturbed_onset = _eventual_onset(times, unperturbed_leaks, tol)
-    if unperturbed_onset is None:
-        worst = max(zip(unperturbed_leaks, times))
-        raise TransferViolation(
-            "ideal fails to become invariant under the unperturbed family "
-            f"(leak {worst[0]:.3e} at t = {worst[1]:.6g})",
-            witnesses=[(worst[1], worst[0])],
-        )
-
-    cache = {t: provider.to_dense(t) for t in sq_times}
-    k = len(sq_times)
-    leaks = np.zeros((k, k))
-    for i, t in enumerate(sq_times):
-        left = cache[t] @ Bd
-        for j, s in enumerate(sq_times):
-            leaks[i, j] = _leak(left @ cache[s], mask)
-    ok = leaks <= tol
-    corner = np.zeros((k + 1, k + 1), dtype=bool)
-    corner[k, :] = True
-    corner[:, k] = True
-    for i in range(k - 1, -1, -1):
-        for j in range(k - 1, -1, -1):
-            corner[i, j] = ok[i, j] and corner[i + 1, j] and corner[i, j + 1]
-    family_onset = None
-    best = math.inf
-    for i in range(k):
-        for j in range(k):
-            if corner[i, j]:
-                score = max(sq_times[i], sq_times[j])
-                if score < best:
-                    best = score
-                    family_onset = (float(sq_times[i]), float(sq_times[j]))
-    if family_onset is None:
-        i, j = np.unravel_index(int(np.argmax(leaks)), leaks.shape)
-        raise TransferViolation(
-            "operator family T(t) B T(s) never becomes jointly invariant on "
-            f"the ideal (leak {leaks[i, j]:.3e} at t = {sq_times[i]:.6g}, "
-            f"s = {sq_times[j]:.6g})",
-            witnesses=[(sq_times[i], sq_times[j], float(leaks[i, j]))],
-        )
-    i0 = sq_times.index(family_onset[0])
-    j0 = sq_times.index(family_onset[1])
-    residual = float(np.max(leaks[i0:, j0:])) if leaks[i0:, j0:].size else 0.0
-    residual = max(
-        residual,
-        max((v for t, v in zip(times, perturbed_leaks) if t >= perturbed_onset), default=0.0),
-        max((v for t, v in zip(times, unperturbed_leaks) if t >= unperturbed_onset), default=0.0),
-    )
+    _premise_scan(provider, Bd, tol)
+    for name, M in (("A", provider.A), ("B", Bd)):
+        leak = ideal_leak(M, mask, structural_threshold(M, tol))
+        if leak is not None:
+            raise TransferViolation(
+                f"{name}[{leak[0]}, {leak[1]}] = {leak[2]:.3e} carries the ideal into "
+                "its complement although A + B leaves it invariant",
+                witnesses=[leak],
+            )
     return TransferReport(
         ideal=mask,
-        perturbed_onset=perturbed_onset,
-        unperturbed_onset=unperturbed_onset,
-        family_onset=family_onset,
-        max_leak_past_onset=residual,
+        perturbed_onset=0.0,
+        unperturbed_onset=0.0,
+        family_onset=(0.0, 0.0),
         tol=tol,
     )
 
@@ -1088,8 +1055,7 @@ def coupling_premise_check(system: CoupledSystem, tol: float = 1e-9) -> PremiseS
     direction wins.
     """
     p1, p2 = system.provider1, system.provider2
-    d1 = {t: p1.to_dense(t) for t in p1.admissible_times(PREMISE_TIMES)}
-    d2 = {t: p2.to_dense(t) for t in p2.admissible_times(PREMISE_TIMES)}
+    d1, d2 = _premise_flow(p1), _premise_flow(p2)
     m12 = _sandwich_min(d1, system.b12.to_dense(), d2)
     m21 = _sandwich_min(d2, system.b21.to_dense(), d1)
     label, (worst, t, s, row, col) = ("21", m21) if m21[0] < m12[0] else ("12", m12)
@@ -1097,7 +1063,7 @@ def coupling_premise_check(system: CoupledSystem, tol: float = 1e-9) -> PremiseS
         ok=bool(worst >= -tol),
         min_entry=worst,
         witness=None if t is None else (label, t, s, row, col, worst),
-        pairs_checked=2 * len(d1) * len(d2),
+        pairs_checked=2 * len(d1[0]) * len(d2[0]),
         tol=tol,
     )
 

@@ -237,16 +237,11 @@ def _trapezoid(samples: list, h: float, stride: int) -> np.ndarray:
     return (h * stride) * (acc + 0.5 * (sel[0] + sel[-1]))
 
 
-def _cesaro_mean(provider: MatrixSemigroup, T: float, nodes_per_unit: int) -> np.ndarray:
+def _cesaro_mean(samples: list, h: float, T: float) -> np.ndarray:
     """(1/T) int_0^T e^{tA} dt by nested trapezoid + two Richardson levels.
 
-    The samples are one stacked time list, bit for bit provider.matrix(t).
+    `samples` are e^{tA} at t = i h, i = 0 .. T / h, with T / h a multiple of 4.
     """
-    coarse = max(4, int(math.ceil(T * nodes_per_unit)))
-    n_fine = 4 * coarse
-    h = T / n_fine
-    ts = [i * h for i in range(n_fine + 1)]
-    samples = list(provider.matrices(ts))
     t1 = _trapezoid(samples, h, 4)
     t2 = _trapezoid(samples, h, 2)
     t4 = _trapezoid(samples, h, 1)
@@ -265,9 +260,12 @@ def mean_ergodic_projection(
     |C_T - L| <= C/T is reported.  A rank-one limit is factored as
     u phi^T and cross-checked against dominant_projection when the
     dominant-eigenvalue certificate is available; a vanishing limit is
-    reported as P = 0 with rank 0.
+    reported as P = 0 with rank 0.  Every mean samples e^{tA} at
+    t = i / (4 nodes_per_unit), so the samples of each T are a prefix of
+    one list at the largest T, evaluated once.
 
-    Raises PremiseViolation when s(A) is not ~0 or the family is
+    Raises InputError for T_max < 4 or nodes_per_unit not an integer of
+    at least 4, PremiseViolation when s(A) is not ~0 or the family is
     unbounded on the horizon, and NoConvergence when the means do not
     stabilise within T_max.
     """
@@ -287,11 +285,19 @@ def mean_ergodic_projection(
         )
     if T_max < 4.0:
         raise InputError("T_max must allow at least two doublings (>= 4)")
+    if nodes_per_unit < 4 or nodes_per_unit != int(nodes_per_unit):
+        raise InputError("nodes_per_unit must be an integer of at least 4")
 
+    # Every T of the schedule is a power of two, so its fine step
+    # T / (4 T nodes_per_unit) is the same double and its samples are a
+    # prefix of the largest T's, which are evaluated once as a stack.
     schedule = [1.0]
     while schedule[-1] * 2.0 <= T_max:
         schedule.append(schedule[-1] * 2.0)
-    means = {T: _cesaro_mean(provider, T, nodes_per_unit) for T in schedule}
+    steps = {T: 4 * int(math.ceil(T * nodes_per_unit)) for T in schedule}
+    h = schedule[-1] / steps[schedule[-1]]
+    samples = list(provider.matrices([i * h for i in range(steps[schedule[-1]] + 1)]))
+    means = {T: _cesaro_mean(samples[: steps[T] + 1], h, T) for T in schedule}
 
     deltas = [
         float(np.max(np.abs(means[schedule[i + 1]] - means[schedule[i]])))

@@ -1,19 +1,24 @@
 """Sampled oracles for the exact irreducibility routes.
 
 These are the sampled searches that the package once ran in production:
-the weak-conditions table probed on a time grid, and the grid search for
-a coupled system's mixed-ideal witness.  They share no code with the
-exact routes (pairing supports, Krylov vectors), so the tests compare
-the two.  Sampling can witness a condition but never refute it: a
-threshold without a sampled witness is left unresolved.
+the weak-conditions table probed on a time grid, the grid search for a
+coupled system's mixed-ideal witness, and the per-time scan of how much
+e^{tA} carries out of a coordinate ideal.  They share no code with the
+exact routes (pairing supports, Krylov vectors, generator zero
+patterns), so the tests compare the two.  Sampling can witness a
+condition but never refute it: a threshold without a sampled witness is
+left unresolved, and a leak that decays below the tolerance reads as
+invariance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from evpos.irreducibility import COND_LARGE_TIMES, COND_LARGE_TIMES_OR_ZERO, COND_SOME_TIME
-from evpos.semigroup import TimeGrid
+from evpos.semigroup import MatrixSemigroup, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -115,3 +120,22 @@ def sampled_mixed_witness(src_provider, block, tgt_provider, grid=None, tol: flo
                 if tgt_provider.vec_norm(tgt_provider.apply(t0, y)) > ztol:
                     return fi, float(s), float(t0)
     return None
+
+
+def sampled_leak_onset(A, mask, times=None, tol: float = 1e-9):
+    """First sampled time from which no e^{tA} carries more than tol out of the ideal.
+
+    `times` defaults to the default grid; None when the last sample
+    still leaks.
+    """
+    if times is None:
+        times = [float(t) for t in TimeGrid.default().points]
+    if mask.is_trivial:
+        return times[0]
+    rows = mask.complement().sorted_members()
+    cols = mask.sorted_members()
+    flow = np.array(list(MatrixSemigroup(A, cache=False).matrices(times)))
+    leaks = np.max(np.abs(flow[:, rows][:, :, cols]), axis=(1, 2))
+    leaking = np.flatnonzero(leaks > tol)
+    start = int(leaking[-1]) + 1 if leaking.size else 0
+    return times[start] if start < len(times) else None

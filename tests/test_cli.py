@@ -243,6 +243,9 @@ class TestAnalyzeInputErrors:
             (["--t-max", "inf"], "t_max"),
             (["--grid-points", "1"], "grid points"),
             (["--grid-points", str(cli.MAX_GRID_POINTS + 1)], "cap"),
+            (["--depth", "3", "--L", "7", "--grid-h", "0.3"], "analyze does not read --depth\n"),
+            (["--grid-h", "0.3"], "analyze does not read --grid-h\n"),
+            (["--tol", "1e-6", "--L", "7"], "analyze does not read --L\n"),
         ],
     )
     def test_unusable_settings_rejected(self, tmp_path, capsys, flags, message):

@@ -5,7 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from evpos.errors import CertificateMissing, PremiseViolation, SpectralBoundNotNegative
+from evpos.errors import (
+    CertificateMissing,
+    InputError,
+    PremiseViolation,
+    SpectralBoundNotNegative,
+)
 from evpos.gammashift import GammaShiftProvider, Grid1D
 from evpos.irreducibility import (
     IRREDUCIBLE_NOT_PERSISTENT,
@@ -16,6 +21,7 @@ from evpos.irreducibility import (
     enumerate_invariant_ideals,
     eventual_invariance_of_principal_ideal,
     ideal_invariant_under_generator,
+    ideal_leak,
     near_threshold_entries,
     sign_pattern_adjacency,
     strict_nonvanishing_check,
@@ -26,7 +32,7 @@ from evpos.irreducibility import (
 from evpos.semigroup import MatrixSemigroup, demo_generator
 from evpos.stepfun import PiecewiseConstantFn, ShiftStepProvider, shift_apply
 from brute_oracles import brute_force_ideals
-from sampled_oracles import sampled_conditions_table
+from sampled_oracles import sampled_conditions_table, sampled_leak_onset
 
 
 def random_pattern(rng) -> np.ndarray:
@@ -53,6 +59,13 @@ class TestEnumeration:
             A = random_pattern(rng)
             for mask in enumerate_invariant_ideals(A):
                 assert ideal_invariant_under_generator(A, mask)
+
+    def test_ideal_leak_names_the_largest_entry(self):
+        A = np.array([[1.0, 0.0, 0.0], [-3.0, 1.0, 0.0], [2.0, 0.5, 1.0]])
+        assert ideal_leak(A, [0]) == (1, 0, -3.0)
+        assert ideal_leak(A, [0], threshold=3.0) is None
+        assert ideal_leak(A, [2]) is None
+        assert ideal_leak(A, []) is None and ideal_leak(A, [0, 1, 2]) is None
 
     def test_trivial_ideals_always_present(self):
         ideals = enumerate_invariant_ideals(np.zeros((3, 3)))
@@ -347,8 +360,26 @@ class TestPrincipalIdeals:
         assert rep.premise_ok and rep.gauge_bound_ok
         assert rep.bound_constant == 2.0
         assert rep.onset == 0.0
+        assert rep.leak is None
         for _t, gin, gout in rep.gauge_checks:
             assert gout <= 2.0 * gin + 1e-9
+
+    def test_decaying_leak_has_no_onset(self):
+        # e^{tA}[1, 0] = t e^{-3t} > 0 carries e_0 out at every t > 0; from
+        # t = 8 on it is below 1e-9, which the sampled scan reads as an onset
+        A = np.array([[-3.0, 0.0], [1.0, -3.0]])
+        rep = eventual_invariance_of_principal_ideal(
+            MatrixSemigroup(A), np.array([1.0, 0.0]), t0_premise=8.0
+        )
+        assert rep.onset is None
+        assert rep.leak == (1, 0, 1.0)
+        assert "A[1, 0]" in rep.notes
+        assert rep.gauge_checks == ()
+        assert sampled_leak_onset(A, rep.support, list(rep.premise_times)) == 8.0
+
+    def test_non_matrix_carrier_refused(self):
+        with pytest.raises(InputError):
+            eventual_invariance_of_principal_ideal(ShiftStepProvider(depth=4), np.ones(16))
 
     def test_growing_orbit_violates_premise(self):
         with pytest.raises(PremiseViolation):

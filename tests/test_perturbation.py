@@ -16,6 +16,7 @@ from evpos.errors import (
     PremiseViolation,
     QuadratureBudgetExceeded,
     ShiftNotOnGrid,
+    TransferViolation,
 )
 from evpos.gammashift import GammaShiftProvider, Grid1D, GridFunction
 from evpos.lattice import IdealMask
@@ -41,7 +42,7 @@ from evpos.perturbation import (
 from evpos.positivity import PositivityClass, classify_on_grid
 from evpos.presets import coupled_demo_system
 from evpos.semigroup import MatrixSemigroup, demo_generator, expm
-from sampled_oracles import sampled_mixed_witness
+from sampled_oracles import sampled_leak_onset, sampled_mixed_witness
 
 
 def random_pair(rng, n_max=8, scale=2.0):
@@ -207,6 +208,27 @@ class TestDomination:
         assert rep.premise_min >= -1e-9
         assert rep.conclusion_min >= -1e-9
 
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (3, 3), (2, 5), (7, 4)])
+    def test_sandwich_min_matches_the_pairwise_loop(self, n1, n2):
+        # the batched products against one product per (t, s) pair, bit for
+        # bit; ties keep the first pair in sampling order
+        rng = np.random.default_rng(10 * n1 + n2)
+        left = {0.1 * k: rng.normal(size=(n1, n1)) for k in range(6)}
+        right = {0.2 * k: rng.normal(size=(n2, n2)) for k in range(5)}
+        zeros = {s: np.zeros((n2, n2)) for s in right}
+        B = rng.normal(size=(n1, n2))
+        for R in (right, zeros):
+            best = (math.inf, None, None, None, None)
+            for t, lt in left.items():
+                for s, rs in R.items():
+                    prod = lt @ B @ rs
+                    i, j = np.unravel_index(int(np.argmin(prod)), prod.shape)
+                    if prod[i, j] < best[0]:
+                        best = (float(prod[i, j]), t, s, int(i), int(j))
+            flows = [(list(d), np.array(list(d.values()))) for d in (left, R)]
+            assert perturbation._sandwich_min(flows[0], B, flows[1]) == best
+        assert best[1:] == (0.0, 0.0, 0, 0)  # the zero product's first pair
+
     def test_perturbing_the_wrong_coordinate_breaks_the_premise(self):
         with pytest.raises(PremiseViolation) as exc:
             domination_check(demo_generator(), np.diag([1.0, 0.0, 0.0]))
@@ -248,27 +270,67 @@ class TestInvarianceTransfer:
         assert rep.perturbed_onset == 0.0
         assert rep.unperturbed_onset == 0.0
         assert rep.family_onset == (0.0, 0.0)
-        assert rep.max_leak_past_onset == 0.0
 
     def test_trivial_ideals_accepted(self):
         A = demo_generator()
         B = np.diag([0.0, 0.0, 1.0])
         for mask in (IdealMask.empty(3), IdealMask.full(3)):
             rep = invariance_transfer_check(A, B, mask)
-            assert rep.max_leak_past_onset == 0.0
+            assert (rep.perturbed_onset, rep.unperturbed_onset) == (0.0, 0.0)
+            assert rep.family_onset == (0.0, 0.0)
 
     def test_leaky_perturbation_violates_premise(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         B = np.array([[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(PremiseViolation):
+        with pytest.raises(PremiseViolation) as info:
             invariance_transfer_check(A, B, IdealMask.of([0], 2))
+        assert info.value.witnesses == [(1, 0, 1.0)]
+        # a leak that grows: the sampled scan agrees that it never stops
+        assert sampled_leak_onset(A + B, IdealMask.of([0], 2)) is None
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [
+            ([[-3.0, 0.0], [1.0, -3.0]], [[0.0, 0.0], [0.0, 0.0]]),
+            ([[-3.0, 0.0], [0.0, -3.0]], [[0.0, 0.0], [1.0, 0.0]]),
+        ],
+    )
+    def test_decaying_leak_is_refused_at_the_premise(self, A, B):
+        # e^{t(A+B)}[1, 0] = t e^{-3t} > 0 for every t > 0; the sampled scan
+        # reads its decay below 1e-9 as invariance from t ~ 7.87 on
+        A, B = np.array(A), np.array(B)
+        mask = IdealMask.of([0], 2)
+        with pytest.raises(PremiseViolation) as info:
+            invariance_transfer_check(A, B, mask)
+        assert info.value.witnesses == [(1, 0, 1.0)]
+        assert 7.0 < sampled_leak_onset(A + B, mask) < 8.0
+
+    def test_leak_only_in_b_is_refused_at_the_premise(self):
+        A = np.array([[-1.0, 1.0], [0.0, -2.0]])
+        B = np.array([[0.0, 0.0], [0.5, 0.0]])
+        mask = IdealMask.of([0], 2)
+        assert sampled_leak_onset(A, mask) == 0.0
+        with pytest.raises(PremiseViolation) as info:
+            invariance_transfer_check(A, B, mask)
+        assert info.value.witnesses == [(1, 0, 0.5)]
+
+    def test_conclusion_failure_names_the_generator_entry(self):
+        # A + B = -I leaves every ideal invariant and T(t) B T(s) =
+        # e^{-t-s} B >= 0, but e^{tA} is not positive and A[1, 0] leaks
+        A = np.array([[-1.0, 0.0], [-1.0, -1.0]])
+        B = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(TransferViolation) as info:
+            invariance_transfer_check(A, B, IdealMask.of([0], 2))
+        assert info.value.witnesses == [(1, 0, -1.0)]
 
     def test_transfer_never_fires_on_block_triangular_inputs(self):
         # whenever the perturbed family leaves the ideal invariant the
         # transfer back to the unperturbed family is a theorem; random
         # positivity-preserving block-upper-triangular generators must
         # never raise (general sign patterns would trip the mixed
-        # positivity premise instead of exercising the transfer)
+        # positivity premise instead of exercising the transfer).  These
+        # leaks are exactly zero, so the sampled scan agrees with the
+        # zero pattern.
         rng = np.random.default_rng(53)
         for _ in range(25):
             n = int(rng.integers(2, 7))
@@ -278,8 +340,11 @@ class TestInvarianceTransfer:
             B = np.abs(rng.normal(size=(n, n)))
             A[k:, :k] = 0.0
             B[k:, :k] = 0.0
-            rep = invariance_transfer_check(A, B, IdealMask.of(range(k), n))
-            assert rep.max_leak_past_onset <= 1e-9
+            mask = IdealMask.of(range(k), n)
+            rep = invariance_transfer_check(A, B, mask)
+            assert (rep.perturbed_onset, rep.unperturbed_onset) == (0.0, 0.0)
+            assert rep.family_onset == (0.0, 0.0)
+            assert sampled_leak_onset(A + B, mask) == sampled_leak_onset(A, mask) == 0.0
 
     def test_lattice_carrier_rejected(self):
         grid = Grid1D(x_min=-2.0, h=0.25, count=16)

@@ -7,6 +7,7 @@ from scipy.linalg import schur
 import evpos.spectral as spectral
 from evpos.errors import (
     CertificateMissing,
+    InputError,
     NoConvergence,
     NotAnEigenpair,
     PremiseViolation,
@@ -174,13 +175,45 @@ class TestMeanErgodic:
             "_trapezoid",
             lambda samples, h, stride: seen.append((samples, h)) or trapezoid(samples, h, stride),
         )
-        for T in (1.0, 4.0):
-            seen.clear()
-            spectral._cesaro_mean(MatrixSemigroup(A), T, 32)
-            samples, h = seen[0]
-            assert len(samples) == 4 * 32 * int(T) + 1
+        try:
+            spectral.mean_ergodic_projection(A, T_max=4.0)
+        except NoConvergence:
+            pass  # the verdict is not what this test checks
+        # three trapezoid rules per mean, for T = 1, 2, 4
+        for T, (samples, h) in zip((1, 2, 4), seen[::3]):
+            assert len(samples) == 4 * 32 * T + 1
             for i, got in enumerate(samples):
                 assert got.tobytes() == expm(A, i * h).tobytes()
+
+    @pytest.mark.parametrize("A", [demo_generator() - 9.0 * np.eye(3), ROTATION])
+    def test_cesaro_means_share_one_sample_list(self, monkeypatch, A):
+        # one list of 4 * 32 * 64 + 1 times; each T's means are bit for bit
+        # the means of a list evaluated afresh for that T alone
+        lengths = []
+        matrices = MatrixSemigroup.matrices
+        monkeypatch.setattr(
+            MatrixSemigroup,
+            "matrices",
+            lambda self, times: lengths.append(len(times)) or matrices(self, times),
+        )
+        means = []
+        cesaro = spectral._cesaro_mean
+        monkeypatch.setattr(
+            spectral,
+            "_cesaro_mean",
+            lambda samples, h, T: means.append((T, cesaro(samples, h, T))) or means[-1][1],
+        )
+        spectral.mean_ergodic_projection(A)
+        assert lengths == [16, 8193]  # the growth envelope's samples, then the means'
+        assert [T for T, _ in means] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        for T, got in means:
+            n = 128 * int(T)
+            fresh = list(matrices(MatrixSemigroup(A), [i * (T / n) for i in range(n + 1)]))
+            assert got.tobytes() == cesaro(fresh, T / n, T).tobytes()
+
+    def test_nodes_per_unit_below_four_rejected(self):
+        with pytest.raises(InputError):
+            mean_ergodic_projection(demo_generator() - 9.0 * np.eye(3), nodes_per_unit=2)
 
     def test_rotation_group_means_vanish(self):
         rep = mean_ergodic_projection(ROTATION)
