@@ -3,14 +3,15 @@
 Three subcommands:
 
 * ``analyze --matrix FILE``    full positivity/irreducibility/projection
-  analysis of a matrix generator described by a JSON document; it reads
-  ``--tol``, ``--grid-points`` and ``--t-max`` and rejects the other
-  common flags.
+  analysis of a matrix generator described by a JSON document.
 * ``examples run NAME``        scripted verification suites; NAME is one
   of ``ex5_2``, ``ex3_10``, ``ex5_6``.
-* ``timeseries QUANTITY INPUT`` plot-ready CSV series; QUANTITY is one
-  of ``orbit``, ``pairing``, ``rescaled-distance``, ``support-front``
-  and INPUT is a preset name or a JSON matrix file.
+* ``timeseries QUANTITY [INPUT]`` plot-ready CSV series; QUANTITY is one
+  of ``orbit``, ``pairing``, ``rescaled-distance``, ``support-front``.
+
+Each command, down to each suite and each quantity, has its own parser
+that declares only the flags the command reads, taken from the one table
+``FLAGS``: ``--help`` lists them, and any other flag is a usage error.
 
 Exit codes: 0 all asserted claims hold, 1 usage or input error, 2 an
 internal-consistency violation or a failed must-pass claim (always with
@@ -21,7 +22,6 @@ identical inputs and flags, apart from the wall-clock timing block.
 import argparse
 import dataclasses
 import functools
-import inspect
 import json
 import math
 import sys
@@ -37,24 +37,23 @@ from .irreducibility import classify
 from .lattice import IdealMask
 from .perturbation import CoupledProvider, ProductVector
 from .positivity import certify_eventual_strong_positivity
-from .presets import MAX_GRID_POINTS, PRESETS, coupled_demo_system
+from .presets import MAX_GRID_POINTS, PRESETS, check_depth, check_tol, coupled_demo_system
 from .semigroup import MatrixSemigroup, TimeGrid, demo_generator
 from .spectral import dominant_projection
 from .stepfun import rademacher, shifted_pairing
 
 MAX_MATRIX_DIM = 400
 
-# Flags each timeseries quantity reads; any other set flag is rejected.
-TIMESERIES_FLAGS = {
-    "orbit": ("t_max", "grid_points"),
-    "pairing": ("depth",),
-    "rescaled-distance": ("t_max", "grid_points"),
-    "support-front": ("L", "grid_h", "t_max"),
+# Each flag once, by argparse dest (the suite runners' keyword): spelling,
+# type and help.  A command lists the ones it reads.
+FLAGS = {
+    "tol": ("--tol", float, "verdict tolerance"),
+    "grid_points": ("--grid-points", int, "number of sampled times"),
+    "t_max": ("--t-max", float, "largest sampled time"),
+    "depth": ("--depth", int, "dyadic depth for exact scans"),
+    "h": ("--grid-h", float, "cell width for lattice carriers"),
+    "L": ("--L", float, "window half-length for lattice carriers"),
 }
-TIMESERIES_QUANTITIES = tuple(TIMESERIES_FLAGS)
-
-# Shared flags, by argparse attribute name.
-_COMMON_FLAGS = ("tol", "grid_points", "t_max", "depth", "grid_h", "L")
 
 
 # --------------------------------------------------------------------------
@@ -182,8 +181,9 @@ def _effective_settings(doc: dict, args) -> dict:
         t_max = args.t_max if args.t_max is not None else float(grid.get("t_max", 20.0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"tolerance and grid settings must be numbers: {exc}") from exc
-    if not tol > 0 or points < 2:
-        raise InputError("tolerance must be positive and grid points at least 2")
+    check_tol(tol)
+    if points < 2:
+        raise InputError(f"grid points must be at least 2, got {points}")
     if points > MAX_GRID_POINTS:
         raise InputError(f"grid points {points} exceed the cap {MAX_GRID_POINTS}")
     if not 1e-3 < t_max < math.inf:
@@ -197,7 +197,6 @@ def _effective_settings(doc: dict, args) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    _reject_unread_flags(args, "analyze", ("tol", "grid_points", "t_max"))
     doc = _load_matrix_document(args.matrix)
     settings = _effective_settings(doc, args)
     A = doc["matrix"]
@@ -262,27 +261,11 @@ def cmd_analyze(args) -> int:
 # examples
 
 
-def _reject_unread_flags(args, what: str, read) -> None:
-    """InputError naming the first set flag that `what` does not read."""
-    for attr in _COMMON_FLAGS:
-        if getattr(args, attr) is not None and attr not in read:
-            raise InputError(f"{what} does not read --{attr.replace('_', '-')}")
-
-
-def _preset_kwargs(args, runner) -> dict:
-    """Keyword arguments for a suite; a set flag the suite does not read is rejected."""
-    params = inspect.signature(runner).parameters
-    names = {"grid_h": "h"}
-    read = [attr for attr in _COMMON_FLAGS if names.get(attr, attr) in params]
-    _reject_unread_flags(args, f"suite {args.name}", read)
-    return {names.get(a, a): getattr(args, a) for a in read if getattr(args, a) is not None}
-
-
 def cmd_examples(args) -> int:
-    runner = PRESETS[args.name]
-    kwargs = _preset_kwargs(args, runner)
+    # a suite's parser leaves unset flags out, so the runner's defaults hold
+    kwargs = {k: v for k, v in vars(args).items() if k in FLAGS}
     tic = time.perf_counter()
-    rep = runner(**kwargs)
+    rep = PRESETS[args.name](**kwargs)
     elapsed = time.perf_counter() - tic
     report = {
         "tool": {"name": "evpos", "version": __version__},
@@ -309,8 +292,7 @@ def cmd_examples(args) -> int:
 # timeseries
 
 
-def _positive_t_max(args, default: float) -> float:
-    t_max = args.t_max if args.t_max is not None else default
+def _positive_t_max(t_max: float) -> float:
     if not 0.0 < t_max < math.inf:
         raise InputError(f"t_max must be finite and positive, got {t_max:g}")
     return t_max
@@ -318,14 +300,25 @@ def _positive_t_max(args, default: float) -> float:
 
 def _times_linear(args) -> np.ndarray:
     """grid-points equally spaced times on (0, t-max]."""
-    t_max = _positive_t_max(args, 20.0)
-    points = args.grid_points if args.grid_points is not None else 256
+    t_max, points = _positive_t_max(args.t_max), args.grid_points
     if not 1 <= points <= MAX_GRID_POINTS:
         raise InputError(f"grid points must lie in 1..{MAX_GRID_POINTS}, got {points}")
     return np.linspace(t_max / points, t_max, points)
 
 
-def _series_orbit(A: np.ndarray, args) -> tuple:
+def _matrix_input(args) -> np.ndarray:
+    if args.input in (None, "ex5_2"):
+        return demo_generator()
+    if args.input in PRESETS:
+        raise InputError(
+            f"the {args.quantity} series needs a matrix input (a JSON file or ex5_2)"
+        )
+    return _load_matrix_document(args.input)["matrix"]
+
+
+def _series_orbit(args) -> tuple:
+    """Coordinates of e^{tA} 1 at grid-points times on (0, t-max]."""
+    A = _matrix_input(args)
     seed = np.ones(A.shape[0])
     header = ["t"] + [f"x_{i}" for i in range(A.shape[0])]
     times = _times_linear(args)
@@ -336,7 +329,9 @@ def _series_orbit(A: np.ndarray, args) -> tuple:
     return header, rows
 
 
-def _series_rescaled_distance(A: np.ndarray, args) -> tuple:
+def _series_rescaled_distance(args) -> tuple:
+    """Largest entry of e^{t(A - sI)} - P, P the dominant projection."""
+    A = _matrix_input(args)
     times = _times_linear(args)
     proj = dominant_projection(A)
     s = proj.eigenvalue
@@ -350,9 +345,10 @@ def _series_rescaled_distance(A: np.ndarray, args) -> tuple:
 
 
 def _series_pairing(args) -> tuple:
-    depth = args.depth if args.depth is not None else 8
-    if depth < 1 or depth > 20:
-        raise InputError("depth must be in 1..20")
+    """Exact pairings of r_1 with its shifts at the dyadic knots of --depth."""
+    if args.input not in (None, "ex3_10"):
+        raise InputError("the pairing series is defined for the ex3_10 preset")
+    depth = check_depth(args.depth)
     header = ["t", "pairing_1_1", "pairing_1_1_exact"]
     r1 = rademacher(1)  # its cell vector is computed once, on the first row
     rows = []
@@ -364,10 +360,12 @@ def _series_pairing(args) -> tuple:
 
 
 def _series_support_front(args) -> tuple:
-    L = args.L if args.L is not None else 6.0
-    h = args.grid_h if args.grid_h is not None else 0.125
-    t_max = _positive_t_max(args, 4.0)
-    system = coupled_demo_system(L=L, h=h)
+    """Support floor of the coupled ex5_6 orbit against the front 1 - t."""
+    if args.input not in (None, "ex5_6"):
+        raise InputError("the support-front series is defined for the ex5_6 preset")
+    h = args.h
+    t_max = _positive_t_max(args.t_max)
+    system = coupled_demo_system(L=args.L, h=h)
     provider = CoupledProvider(system)
     q_max = int(round(t_max / h))
     provider.check_orbit(q_max)
@@ -383,59 +381,32 @@ def _series_support_front(args) -> tuple:
     return header, rows
 
 
-def cmd_timeseries(args) -> int:
-    quantity = args.quantity
-    source = args.input
-    _reject_unread_flags(args, f"timeseries {quantity}", TIMESERIES_FLAGS[quantity])
-    if quantity == "pairing":
-        if source not in (None, "ex3_10"):
-            raise InputError("the pairing series is defined for the ex3_10 preset")
-        header, rows = _series_pairing(args)
-    elif quantity == "support-front":
-        if source not in (None, "ex5_6"):
-            raise InputError("the support-front series is defined for the ex5_6 preset")
-        header, rows = _series_support_front(args)
-    elif quantity in ("orbit", "rescaled-distance"):
-        if source in (None, "ex5_2"):
-            A = demo_generator()
-        elif source in PRESETS:
-            raise InputError(
-                f"the {quantity} series needs a matrix input (a JSON file or ex5_2)"
-            )
-        else:
-            A = _load_matrix_document(source)["matrix"]
-        if quantity == "orbit":
-            header, rows = _series_orbit(A, args)
-        else:
-            header, rows = _series_rescaled_distance(A, args)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown quantity {quantity!r}")
-    _write_csv(rows, header, args.report_out)
-    return 0
+def _csv_command(series):
+    """The timeseries command writing `series(args)`, a (header, rows) pair, as CSV."""
+
+    def command(args) -> int:
+        header, rows = series(args)
+        _write_csv(rows, header, args.report_out)
+        return 0
+
+    return command
 
 
 # --------------------------------------------------------------------------
 # parser
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
-    p.add_argument(
-        "--grid-points", type=int, default=None, help="number of sampled times"
-    )
-    p.add_argument("--t-max", type=float, default=None, help="largest sampled time")
-    p.add_argument(
-        "--depth", type=int, default=None, help="dyadic depth for exact scans"
-    )
-    p.add_argument(
-        "--grid-h", type=float, default=None, help="cell width for lattice carriers"
-    )
-    p.add_argument(
-        "--L", type=float, default=None, help="window half-length for lattice carriers"
-    )
+def _leaf(sub, name: str, text: str, func, flags: dict) -> argparse.ArgumentParser:
+    """A command reading `flags` (dest -> default) and --report-out, and no other flag."""
+    p = sub.add_parser(name, help=text)
+    for dest, default in flags.items():
+        spelling, kind, flag_help = FLAGS[dest]
+        p.add_argument(spelling, dest=dest, type=kind, default=default, help=flag_help)
     p.add_argument(
         "--report-out", default=None, help="write the report/CSV here instead of stdout"
     )
+    p.set_defaults(func=func)
+    return p
 
 
 @functools.cache
@@ -448,28 +419,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"evpos {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", help="analyze a matrix generator")
+    # None defaults: a flag wins over the document, which wins over the default
+    settings = dict.fromkeys(("tol", "grid_points", "t_max"))
+    p_an = _leaf(sub, "analyze", "analyze a matrix generator", cmd_analyze, settings)
     p_an.add_argument("--matrix", required=True, help="JSON document with the matrix")
-    _add_common_flags(p_an)
-    p_an.set_defaults(func=cmd_analyze)
 
     p_ex = sub.add_parser("examples", help="scripted verification suites")
     ex_sub = p_ex.add_subparsers(dest="examples_command", required=True)
-    p_run = ex_sub.add_parser("run", help="run one suite")
-    p_run.add_argument("name", choices=sorted(PRESETS))
-    _add_common_flags(p_run)
-    p_run.set_defaults(func=cmd_examples)
+    suites = ex_sub.add_parser("run", help="run one suite").add_subparsers(
+        dest="name", required=True
+    )
+    for name, text, flags in (
+        ("ex5_2", "the 3x3 showcase matrix", ("tol", "grid_points", "t_max")),
+        ("ex3_10", "the nilpotent shift on step functions", ("depth",)),
+        ("ex5_6", "the coupled matrix and lattice system", ("L", "h", "t_max", "tol")),
+    ):
+        _leaf(suites, name, text, cmd_examples, dict.fromkeys(flags, argparse.SUPPRESS))
 
     p_ts = sub.add_parser("timeseries", help="plot-ready CSV series")
-    p_ts.add_argument("quantity", choices=TIMESERIES_QUANTITIES)
-    p_ts.add_argument(
-        "input",
-        nargs="?",
-        default=None,
-        help="preset name or JSON matrix file (defaults per quantity)",
-    )
-    _add_common_flags(p_ts)
-    p_ts.set_defaults(func=cmd_timeseries)
+    quantities = p_ts.add_subparsers(dest="quantity", required=True)
+    sampled = {"t_max": 20.0, "grid_points": 256}
+    lattice = {"L": 6.0, "h": 0.125, "t_max": 4.0}
+    matrix_input = "ex5_2 (the default) or a JSON matrix file"
+    for name, series, flags, source in (
+        ("orbit", _series_orbit, sampled, matrix_input),
+        ("rescaled-distance", _series_rescaled_distance, sampled, matrix_input),
+        ("pairing", _series_pairing, {"depth": 8}, "ex3_10, the default and only input"),
+        ("support-front", _series_support_front, lattice, "ex5_6, the default and only input"),
+    ):
+        p = _leaf(quantities, name, series.__doc__, _csv_command(series), flags)
+        # no choices=: argparse would take the value of an undeclared flag
+        # ("pairing --t-max 3") as INPUT and name the value, not the flag
+        p.add_argument("input", nargs="?", default=None, help=source)
     return parser
 
 
@@ -487,10 +468,7 @@ def main(argv=None) -> int:
     except ConsistencyViolation as exc:
         _witness_dump(exc)
         return 2
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except EvposError as exc:
+    except EvposError as exc:  # InputError and the typed refusals
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

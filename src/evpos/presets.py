@@ -58,6 +58,20 @@ from .stepfun import (
 MAX_GRID_POINTS = 4096
 
 
+def check_tol(tol: float) -> float:
+    """`tol` if it is finite and positive; an InputError otherwise."""
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"tol must be finite and positive, got {tol:g}")
+    return tol
+
+
+def check_depth(depth: int) -> int:
+    """`depth` if it lies in 1..MAX_DEPTH; an InputError otherwise."""
+    if not 1 <= depth <= MAX_DEPTH:
+        raise InputError(f"--depth must be in 1..{MAX_DEPTH}, got {depth}")
+    return depth
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One named verification step inside a preset suite."""
@@ -104,10 +118,11 @@ def _finish(preset: str, checks: list, notes: str = "") -> PresetReport:
 
 def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20.0, seed: int = 20240816) -> PresetReport:
     """Full verification suite for the showcase generator."""
+    check_tol(tol)
     if not 0.0 < t_max < math.inf:
         raise InputError(f"t_max must be finite and positive, got {t_max:g}")
-    if grid_points < 1:
-        raise InputError("grid_points must be >= 1")
+    if not 1 <= grid_points <= MAX_GRID_POINTS:
+        raise InputError(f"grid_points must lie in 1..{MAX_GRID_POINTS}, got {grid_points}")
     A = demo_generator()
     checks = []
 
@@ -220,8 +235,7 @@ def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20
 
 def run_shift_demo(depth: int = 8, pair_max: int = 4) -> PresetReport:
     """Exact-arithmetic suite for the nilpotent shift family."""
-    if not 1 <= depth <= MAX_DEPTH:
-        raise InputError(f"--depth must be in 1..{MAX_DEPTH}, got {depth}")
+    check_depth(depth)
     checks = []
 
     r1 = rademacher(1)
@@ -370,6 +384,7 @@ def run_coupled_demo(
     last step t_max/h is checked against its node budget and the double
     range of the matrix flow before the first sample.
     """
+    check_tol(tol)
     system = coupled_demo_system(L=L, h=h)
     if not 0.0 < t_max < math.inf or round(t_max / h) < 1:
         raise InputError(f"t_max must be finite and reach the first step h = {h:g}")

@@ -4,6 +4,8 @@ All tests call ``evpos.cli.main`` in-process so exit codes, stdout and
 stderr can be asserted without spawning subprocesses.
 """
 
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -18,6 +20,7 @@ from evpos.cli import main
 from evpos.presets import CheckResult, PresetReport
 from evpos.semigroup import demo_generator
 from evpos.spectral import dominant_projection
+from evpos.stepfun import MAX_DEPTH
 
 
 def write_doc(tmp_path, name, payload) -> str:
@@ -243,15 +246,27 @@ class TestAnalyzeInputErrors:
             (["--t-max", "inf"], "t_max"),
             (["--grid-points", "1"], "grid points"),
             (["--grid-points", str(cli.MAX_GRID_POINTS + 1)], "cap"),
-            (["--depth", "3", "--L", "7", "--grid-h", "0.3"], "analyze does not read --depth\n"),
-            (["--grid-h", "0.3"], "analyze does not read --grid-h\n"),
-            (["--tol", "1e-6", "--L", "7"], "analyze does not read --L\n"),
+            (["--depth", "3", "--L", "7", "--grid-h", "0.3"], "unrecognized arguments: --depth"),
+            (["--grid-h", "0.3"], "unrecognized arguments: --grid-h"),
+            (["--tol", "1e-6", "--L", "7"], "unrecognized arguments: --L"),
+            # an infinite tolerance would certify every sampled entry
+            (["--tol", "inf"], "positive"),
         ],
     )
     def test_unusable_settings_rejected(self, tmp_path, capsys, flags, message):
-        rc, _, err = run(capsys, ["analyze", "--matrix", write_demo(tmp_path), *flags])
-        assert rc == 1
+        rc, out, err = run(capsys, ["analyze", "--matrix", write_demo(tmp_path), *flags])
+        assert (rc, out) == (1, "")
         assert message in err
+
+    def test_infinite_document_tolerance_rejected(self, tmp_path, capsys):
+        # JSON reads 1e999 as inf, the value of --tol inf
+        path = tmp_path / "inf_tol.json"
+        path.write_text(
+            '{"matrix": [[1, 2, 0], [2, 1, 0.5], [0, 1, 1]], "tolerances": {"tol": 1e999}}'
+        )
+        rc, out, err = run(capsys, ["analyze", "--matrix", str(path)])
+        assert (rc, out) == (1, "")
+        assert err == "error: tol must be finite and positive, got inf\n"
 
     def test_non_numeric_document_grid_rejected(self, tmp_path, capsys):
         doc = {"matrix": demo_generator().tolist(), "grid": {"points": "many"}}
@@ -363,7 +378,7 @@ class TestExamples:
         assert rc == code
         if code:
             assert out == ""
-            assert "does not read --depth" in err
+            assert "unrecognized arguments: --depth" in err
         else:
             assert json.loads(out)["ok"] is True
 
@@ -382,6 +397,13 @@ class TestExamples:
             # the demo matrix flow e^{9t} leaves the double range past t = 78.8
             (["ex5_6", "--t-max", "80"], "overflow"),
             (["ex5_6", "--grid-h", "0.25", "--t-max", "249"], "overflow"),
+            (["ex5_2", "--tol", "nan"], "positive"),
+            (["ex5_2", "--tol", "inf"], "positive"),
+            (["ex5_2", "--tol", "-1"], "positive"),
+            (["ex5_6", "--tol", "nan"], "positive"),
+            (["ex5_6", "--tol", "-1"], "positive"),
+            # np.geomspace allocates every sampled time up front
+            (["ex5_2", "--grid-points", str(cli.MAX_GRID_POINTS + 1)], "grid_points"),
         ],
     )
     def test_unusable_suite_settings_rejected(self, capsys, argv, message):
@@ -478,7 +500,7 @@ class TestTimeseries:
         rc, out, err = run(capsys, ["timeseries", *argv])
         assert rc == 1
         assert out == ""
-        assert f"timeseries {argv[0]} does not read {flag}\n" in err
+        assert f"unrecognized arguments: {flag}" in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -497,6 +519,7 @@ class TestTimeseries:
             (["support-front", "--grid-h", "0.03125", "--t-max", "50"], "budget"),
             (["support-front", "--t-max", "80"], "overflow"),
             (["support-front", "--grid-h", "0.25", "--t-max", "249"], "overflow"),
+            (["pairing", "--depth", str(MAX_DEPTH + 1)], f"--depth must be in 1..{MAX_DEPTH}, got"),
         ],
     )
     def test_unusable_series_settings_rejected(self, capsys, argv, message):
@@ -578,3 +601,95 @@ class TestUsageAndEnvironment:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+def leaf_parsers(parser, path=()):
+    """(command words, parser) for each command that runs, walking the subparsers."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*path, name))
+
+
+def declared_flags(leaf) -> dict:
+    """dest -> action of each flag a command declares, apart from -h and --report-out."""
+    return {
+        a.dest: a
+        for a in leaf._actions
+        if a.option_strings and a.dest not in ("help", "report_out")
+    }
+
+
+QUANTITIES = ("orbit", "rescaled-distance", "pairing", "support-front")
+# a usable value, other than every default, for each flag of the table
+NON_DEFAULT = {"tol": "1e-6", "grid_points": "8", "t_max": "3", "depth": "3", "h": "0.25", "L": "5"}
+
+
+class TestFlagContract:
+    """Every flag a command accepts reaches what the command runs."""
+
+    LEAVES = dict(leaf_parsers(cli.build_parser()))
+
+    def test_leaves_are_the_commands(self):
+        assert set(self.LEAVES) == {
+            ("analyze",),
+            *(("examples", "run", name) for name in cli.PRESETS),
+            *(("timeseries", q) for q in QUANTITIES),
+        }
+
+    def test_every_flag_comes_from_the_one_table(self):
+        assert set(NON_DEFAULT) == set(cli.FLAGS)
+        for path, leaf in self.LEAVES.items():
+            for dest, action in declared_flags(leaf).items():
+                if path == ("analyze",) and dest == "matrix":
+                    assert action.required  # the input document, not a setting
+                    continue
+                assert (action.option_strings[0], action.type, action.help) == cli.FLAGS[dest]
+
+    def test_analyze_flags_reach_the_echoed_settings(self, tmp_path, capsys):
+        path = write_demo(tmp_path)
+        other = write_doc(tmp_path, "other.json", {"matrix": [[1.0, 0.0], [0.0, 2.0]]})
+        values = dict(NON_DEFAULT, matrix=other)
+        for dest, action in declared_flags(self.LEAVES[("analyze",)]).items():
+            argv = ["analyze", "--matrix", path, action.option_strings[0], values[dest]]
+            rc, out, err = run(capsys, argv)  # a repeated --matrix: the last one wins
+            assert rc == 0, err
+            echo = json.loads(out)["input"]
+            echo = dict(echo["settings"], matrix=echo["matrix"])
+            expected = [[1.0, 0.0], [0.0, 2.0]] if dest == "matrix" else action.type(values[dest])
+            assert echo[dest] == expected, dest
+
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_series_flags_change_the_csv(self, capsys, quantity):
+        rc, default, err = run(capsys, ["timeseries", quantity])
+        assert rc == 0, err
+        flags = declared_flags(self.LEAVES[("timeseries", quantity)])
+        assert flags
+        for dest, action in flags.items():
+            argv = ["timeseries", quantity, action.option_strings[0], NON_DEFAULT[dest]]
+            rc, out, err = run(capsys, argv)
+            assert rc == 0, err
+            assert out != default, dest
+
+    @pytest.mark.parametrize("suite", sorted(cli.PRESETS))
+    def test_suite_flags_reach_the_runner(self, capsys, monkeypatch, suite):
+        params = inspect.signature(cli.PRESETS[suite]).parameters
+        received = []
+
+        def recorder(**kwargs):
+            received.append(kwargs)
+            return PresetReport(preset=suite, ok=True, checks=())
+
+        monkeypatch.setitem(cli.PRESETS, suite, recorder)
+        assert run(capsys, ["examples", "run", suite])[0] == 0
+        assert received.pop() == {}  # unset flags leave the runner's defaults
+        flags = declared_flags(self.LEAVES[("examples", "run", suite)])
+        assert flags
+        for dest, action in flags.items():
+            value = action.type(NON_DEFAULT[dest])
+            assert dest in params and params[dest].default != value, dest
+            argv = ["examples", "run", suite, action.option_strings[0], NON_DEFAULT[dest]]
+            assert run(capsys, argv)[0] == 0
+            assert received.pop() == {dest: value}
