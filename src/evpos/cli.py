@@ -32,12 +32,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import ConsistencyViolation, EvposError, InputError
+from .errors import ConsistencyViolation, EvposError, InputError, check_tol
 from .irreducibility import classify
 from .lattice import IdealMask
 from .perturbation import CoupledProvider, ProductVector
 from .positivity import certify_eventual_strong_positivity
-from .presets import MAX_GRID_POINTS, PRESETS, check_depth, check_tol, coupled_demo_system
+from .presets import MAX_GRID_POINTS, PRESETS, check_depth, coupled_demo_system
 from .semigroup import MatrixSemigroup, TimeGrid, demo_generator
 from .spectral import dominant_projection
 from .stepfun import rademacher, shifted_pairing

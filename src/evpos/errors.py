@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the tolerance check that raises one."""
+
+import math
 
 
 class EvposError(Exception):
@@ -7,6 +9,13 @@ class EvposError(Exception):
 
 class InputError(EvposError):
     """Malformed user input; maps to CLI exit code 1."""
+
+
+def check_tol(tol: float) -> float:
+    """`tol` if it is finite and positive; an InputError otherwise."""
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"tol must be finite and positive, got {tol:g}")
+    return tol
 
 
 class ConsistencyViolation(EvposError):

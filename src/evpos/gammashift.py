@@ -206,19 +206,26 @@ def gamma_shift_apply(f: GridFunction, t: float, weights: np.ndarray | None = No
     """
     grid = f.grid
     q = grid.steps_of(t)
+    if q and weights is None and not f.is_zero:
+        weights, _ = gamma_kernel_weights(t, grid, grid.count + q)
+    return _shift_smooth(f, q, weights)
+
+
+def _shift_smooth(f: GridFunction, q: int, weights) -> GridFunction:
+    """gamma_shift_apply at q whole cells, weights the kernel of time q h (unread when f is zero).
+
+    The output's floor is declared, and the constructor refuses a nonzero
+    sample below it.
+    """
+    grid = f.grid
     if q == 0:
         return f.copy()
     if f.is_zero:
         return GridFunction.zero(grid)
-    if weights is None:
-        weights, _ = gamma_kernel_weights(t, grid, grid.count + q)
     conv = np.convolve(f.samples, weights)
     shifted = conv[q : q + grid.count].copy()
     support_lo = min(max(f.support_lo - q, 0), grid.count)
-    out = GridFunction(grid, shifted, support_lo)
-    if __debug__:
-        out.assert_support_sound()
-    return out
+    return GridFunction(grid, shifted, support_lo)
 
 
 class GammaShiftProvider(SemigroupProvider):
@@ -245,7 +252,9 @@ class GammaShiftProvider(SemigroupProvider):
         return self.grid.count
 
     def weights(self, t: float):
-        q = self.grid.steps_of(t)
+        return self._weights_at(self.grid.steps_of(t))
+
+    def _weights_at(self, q: int):
         hit = self._weight_cache.get(q)
         if hit is None:
             hit = gamma_kernel_weights(q * self.grid.h, self.grid, self.grid.count + q)
@@ -256,8 +265,7 @@ class GammaShiftProvider(SemigroupProvider):
         q = self.grid.steps_of(t)
         if q == 0:
             return f.copy()
-        weights, _ = self.weights(t)
-        return gamma_shift_apply(f, t, weights)
+        return _shift_smooth(f, q, self._weights_at(q)[0])
 
     def apply_adjoint(self, t, phi: GridFunction) -> GridFunction:
         """Transpose of the cell-basis matrix M[i, j] = w[i + q - j]."""

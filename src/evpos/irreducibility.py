@@ -40,6 +40,7 @@ from .errors import (
     InputError,
     PremiseViolation,
     SpectralBoundNotNegative,
+    check_tol,
 )
 from .lattice import GaugeContext, IdealMask, as_matrix, as_vector, gauge_norm
 from .semigroup import MatrixSemigroup, TimeGrid
@@ -413,7 +414,9 @@ def classify(
     is zero at every time makes the family reducible; otherwise it is
     irreducible, and persistently so exactly when every pair's support
     is unbounded, which a nilpotent family (dimension > 1) never has.
+    A `tol` that is not finite and positive is refused with InputError.
     """
+    check_tol(tol)
     if A is None and isinstance(provider, MatrixSemigroup):
         A = provider.A
     if A is not None:

@@ -30,9 +30,15 @@ orbit solve the r x r renewal equation
 Its solution is the sum of every term of the lattice series, and
 S(p h) f = T(p h) f + sum_j w_j T((p - j) h) U c(j) is one weighted
 reduction over the seed flow and the range orbits T(m h) u_k, which
-every seed shares.  An orbit to step q applies the carrier (r + 1)(q + 1)
-times at most.  Two coupled dense carriers are one exponential of the
-block generator.
+every seed shares.  Range orbits, seed flows and coefficients are kept
+as rows of arrays that grow by doubling, in the stacked coordinates of
+CoupledProvider.stack with an integer support floor per carrier; a
+value gathers its summands with one index and adds them in one
+reduction, bit for bit the componentwise sum of the carrier vectors.
+Its quadrature gauge, the norm of its distance to the trapezoid sum,
+is taken when series_report reads it.  An orbit to step q applies the
+carrier (r + 1)(q + 1) times at most and evaluates each e^{t A} once.
+Two coupled dense carriers are one exponential of the block generator.
 On top of the series sit an order-theoretic domination check, the
 transfer of coordinate-ideal invariance from the perturbed family back
 to A and B, decided from the generators' zero patterns because matrix
@@ -55,6 +61,7 @@ from .errors import (
     InputError,
     PremiseViolation,
     QuadratureBudgetExceeded,
+    ShiftNotOnGrid,
     TransferViolation,
     WitnessSearchFailure,
 )
@@ -179,28 +186,27 @@ def _block_terms(A: np.ndarray, B: np.ndarray, t: float, n_terms: int) -> list:
 # --------------------------------------------------------------------------
 
 
-def _lattice_weights(q: int, h: float) -> np.ndarray:
-    """Positive quadrature weights on the nodes 0..q of a step-h lattice.
+def _unit_weights(q: int) -> list:
+    """The lattice weights of step q on a unit lattice, as floats.
 
     Composite Simpson for even q, Simpson plus a 3/8 tail for odd
     q >= 3, plain trapezoid at q = 1.  Positivity of every weight is
     what lets sampled operator positivity flow through the recursion.
     """
     if q < 1:
-        return np.zeros(max(q + 1, 1))
+        return [0.0]
     if q == 1:
-        return np.array([0.5, 0.5]) * h
-    w = np.zeros(q + 1)
-    if q % 2 == 0:
-        w[0] = w[q] = 1.0 / 3.0
-        w[1:q:2] = 4.0 / 3.0
-        w[2 : q - 1 : 2] = 2.0 / 3.0
-        return w * h
-    if q == 3:
-        return np.array([3.0, 9.0, 9.0, 3.0]) / 8.0 * h
-    w[: q - 2] = _lattice_weights(q - 3, 1.0)
-    w[q - 3 :] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
-    return w * h
+        return [0.5, 0.5]
+    simpson = q - 3 if q % 2 else q  # Simpson covers the nodes 0..simpson
+    w = []
+    if simpson:
+        w = [1.0 / 3.0] + [4.0 / 3.0, 2.0 / 3.0] * (simpson // 2 - 1) + [4.0 / 3.0, 1.0 / 3.0]
+    if q % 2:
+        tail = [3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0]
+        if w:
+            tail[0] += w.pop()
+        w += tail
+    return w
 
 
 def check_node_budget(width: int, q: int) -> None:
@@ -217,110 +223,132 @@ def check_node_budget(width: int, q: int) -> None:
         )
 
 
-def _weighted_sums(vectors: list, rules: np.ndarray) -> list:
-    """[sum_j w[j] vectors[j] for w in rules], each bitwise the left fold w[0] v_0 + w[1] v_1 + ...
+def _weighted_sums(stack, rules: np.ndarray) -> np.ndarray:
+    """[sum_j w[j] stack[j] for w in rules], each bitwise the left fold w[0] s_0 + w[1] s_1 + ...
 
-    The summands are stacked once and every rule reduces the stack over
-    its first axis, which numpy adds row after row.  The sum starts at
-    -0.0 so that an entry that is -0.0 in every summand keeps its sign, and
-    one-entry rows go through the sequential accumulate, because numpy
-    sums a lone contiguous axis pairwise.  Grid functions keep the
-    smallest support floor of their summands; product vectors are summed
-    componentwise.
+    One product holds every rule's weighted summands, and one reduction
+    over the summand axis adds them row after row, one column at a
+    time.  The sum starts at -0.0 so that an entry that is -0.0 in every
+    summand keeps its sign, and one-entry rows go through the sequential
+    accumulate, because numpy sums a lone contiguous axis pairwise.  A
+    list of equal-shape arrays is stacked first.
     """
-    head = vectors[0]
-    if isinstance(head, ProductVector):
-        firsts = _weighted_sums([v.first for v in vectors], rules)
-        seconds = _weighted_sums([v.second for v in vectors], rules)
-        return [ProductVector(a, b) for a, b in zip(firsts, seconds)]
-    if isinstance(head, GridFunction):
-        floor = min(v.support_lo for v in vectors)
-        sums = _weighted_sums([v.samples for v in vectors], rules)
-        return [GridFunction(head.grid, x, floor) for x in sums]
-    stack = np.stack(vectors).reshape(len(vectors), -1)
-    out = []
-    for w in rules:
-        scaled = stack * w[:, None]
-        if stack.shape[1] < 2:
-            total = np.add.accumulate(scaled, axis=0)[-1]
-        else:
-            total = np.add.reduce(scaled, axis=0, initial=-0.0)
-        out.append(total.reshape(head.shape))
-    return out
-
-
-def _all_finite(v) -> bool:
-    if isinstance(v, ProductVector):
-        return _all_finite(v.first) and _all_finite(v.second)
-    if isinstance(v, GridFunction):
-        return bool(np.isfinite(v.samples).all())
-    return bool(np.isfinite(v).all())
+    stack = np.asarray(stack)
+    flat = stack.reshape(len(stack), -1)
+    scaled = rules[:, :, None] * flat
+    if flat.shape[1] < 2:
+        sums = np.add.accumulate(scaled, axis=1)[:, -1]
+    else:
+        sums = np.add.reduce(scaled, axis=1, initial=-0.0)
+    return sums.reshape((len(rules), *stack.shape[1:]))
 
 
 def _renewal_rules(q: int, h: float) -> np.ndarray:
-    """Rows: the lattice weights of step q, and their distance to a plain trapezoid."""
-    w = _lattice_weights(q, h)
-    trap = np.full(q + 1, h)
-    trap[0] = trap[q] = 0.5 * h
-    return np.stack([w, w - trap])
+    """Rows: the lattice weights of step q on a step-h lattice, and their distance to a plain trapezoid."""
+    w = [x * h for x in _unit_weights(q)]
+    gap = [x - h for x in w]
+    gap[0], gap[-1] = w[0] - 0.5 * h, w[-1] - 0.5 * h
+    return np.array([w, gap])
+
+
+class _Rows:
+    """Rows of one shape kept in order in an array whose capacity doubles when full.
+
+    push() hands out the next row to be written in place; `rows` views
+    the rows so far.
+    """
+
+    __slots__ = ("_buf", "size")
+
+    def __init__(self, shape: tuple, dtype=float):
+        self._buf = np.empty((8, *shape), dtype)
+        self.size = 0
+
+    def push(self) -> np.ndarray:
+        if self.size == len(self._buf):
+            grown = np.empty((2 * self.size, *self._buf.shape[1:]), self._buf.dtype)
+            grown[: self.size] = self._buf
+            self._buf = grown
+        self.size += 1
+        return self._buf[self.size - 1]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._buf[: self.size]
 
 
 class _FiniteRange:
     """A finite-rank perturbation B = U Phi seen through its range.
 
-    B v is the sum of Phi_k(v) u_k over the r range vectors u_k in the
-    carrier's own types; coefficients(v) is the length-r array Phi(v)
-    and range_step(m) the list [T(m h) u_k].  The range orbits and the
-    r x r kernel K(m) = Phi T(m h) U are computed once per step m and
-    shared by every orbit that holds this object.
+    B v is the sum of Phi_k(v) u_k over the r range vectors u_k;
+    range_step(m) gives [T(m h) u_k] in the carrier's own types and
+    coefficients(v) the length-r array Phi(v).  Each step m is computed
+    once, when fill first reaches it, and kept as one row of each store:
+    `orbits`, the r x D range orbits in the layout's stacked coordinates
+    (layout.put writes them; without a layout the vectors are arrays);
+    `floors`, their r x 2 support floors, one per carrier (kept only
+    with a layout); and `kernel`, K(m) = Phi T(m h) U, column k being
+    Phi of the native T(m h) u_k.
+    The rules of each step and the inverses (I - w K(0))^-1 are formed
+    once.  Every orbit that holds this object shares all of them.
     """
 
-    def __init__(self, range_step, coefficients, rank: int):
+    def __init__(self, range_step, coefficients, rank: int, h: float, dim: int, layout=None):
         self.range_step = range_step
         self.coefficients = coefficients
-        self.rank = rank
-        self._orbits = []
-        self._kernel = np.zeros((0, rank, rank))
+        self.rank, self.h, self.dim, self.layout = rank, h, dim, layout
+        self.orbits = _Rows((rank, dim))
+        self.floors = None if layout is None else _Rows((rank, 2), int)
+        self.kernel = _Rows((rank, rank))
+        self._rules = []
         self._inverses = {}
+        self._radius = None
 
-    def orbit(self, m: int) -> list:
-        """[T(m h) u_k for each k], filling the steps up to m once."""
-        while len(self._orbits) <= m:
-            self._orbits.append(self.range_step(len(self._orbits)))
-        return self._orbits[m]
+    def fill(self, m: int) -> None:
+        """Compute the steps up to m that are not yet kept."""
+        layout = self.layout
+        for step in range(self.kernel.size, m + 1):
+            vectors = self.range_step(step)
+            columns = [self.coefficients(v) for v in vectors]
+            kernel, rows = self.kernel.push(), self.orbits.push()
+            floors = None if layout is None else self.floors.push()
+            for k, (v, column) in enumerate(zip(vectors, columns)):
+                kernel[:, k] = column
+                if layout is None:
+                    rows[k] = v
+                else:
+                    layout.put(v, rows[k], floors[k])
 
-    def kernel(self, p: int) -> np.ndarray:
-        """K(0), ..., K(p) stacked; column k of K(m) is Phi(T(m h) u_k)."""
-        done = len(self._kernel)
-        if done <= p:
-            r = self.rank
-            new = [
-                np.array([self.coefficients(v) for v in self.orbit(m)]).reshape(r, r).T
-                for m in range(done, p + 1)
-            ]
-            self._kernel = np.concatenate([self._kernel, new])
-        return self._kernel[: p + 1]
+    def rules(self, p: int) -> np.ndarray:
+        """_renewal_rules(p, h), built once per step; row 0 is the lattice weights of step p."""
+        while len(self._rules) <= p:
+            self._rules.append(_renewal_rules(len(self._rules), self.h))
+        return self._rules[p]
 
     def step_inverse(self, w: float) -> np.ndarray:
         """(I - w K(0))^-1, formed once per last lattice weight w.
 
         The lattice series sums the powers of w K(0), so it diverges
-        unless their spectral radius is below one; that case is refused.
+        unless their spectral radius |w| rho(K(0)) is below one; that case
+        is refused.  rho(K(0)) is computed once.
         """
         inv = self._inverses.get(w)
         if inv is None:
-            wk = w * self.kernel(0)[0]
-            rho = float(np.max(np.abs(np.linalg.eigvals(wk)), initial=0.0))
+            self.fill(0)
+            if self._radius is None:
+                eigs = np.linalg.eigvals(self.kernel.rows[0])
+                self._radius = float(np.max(np.abs(eigs), initial=0.0))
+            rho = abs(w) * self._radius
             if rho >= 1.0:
                 raise PremiseViolation(
                     f"the lattice series diverges: w K(0) has spectral radius {rho:.6g} >= 1 "
                     f"at the weight w = {w:g}"
                 )
-            inv = np.linalg.inv(np.eye(self.rank) - wk)
+            inv = np.linalg.inv(np.eye(self.rank) - w * self.kernel.rows[0])
             self._inverses[w] = inv
         return inv
 
-    def next_coefficients(self, coeffs: np.ndarray, h: float) -> np.ndarray:
+    def next_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
         """C_{n+1} from C_n on steps 0..q by the coefficient recursion.
 
         C_{n+1}(0) = 0 and C_{n+1}(p) = sum_{j<=p} w_j K(p - j) C_n(j).
@@ -329,26 +357,24 @@ class _FiniteRange:
         w are the lattice weights of step p; the kernel enters at K(0).
         """
         q = len(coeffs) - 1
-        kernel = self.kernel(q)
+        self.fill(q)
+        kernel = self.kernel.rows
         out = np.zeros_like(coeffs)
         for p in range(1, q + 1):
-            weighted = _lattice_weights(p, h)[:, None, None] * kernel[p::-1]
+            weighted = self.rules(p)[0][:, None, None] * kernel[p::-1]
             out[p] = np.tensordot(weighted, coeffs[: p + 1], axes=([0, 2], [0, 1]))
         return out
 
-    def stacked(self, q: int, stack, dim: int) -> np.ndarray:
-        """[T(q h) U, T((q - 1) h) U, ..., U] side by side, stack(v) the dim coordinates of v."""
-        out = np.empty((dim, (q + 1) * self.rank))
-        for j in range(q + 1):
-            for k, v in enumerate(self.orbit(q - j)):
-                out[:, j * self.rank + k] = stack(v)
-        return out
+    def stacked(self, q: int) -> np.ndarray:
+        """[T(q h) U, T((q - 1) h) U, ..., U] side by side, a D x (q + 1) r array."""
+        self.fill(q)
+        return np.ascontiguousarray(self.orbits.rows[q::-1].reshape(-1, self.dim).T)
 
 
 def _convolve_blocks(orbits: np.ndarray, blocks: np.ndarray, rules: np.ndarray) -> list:
     """[sum_j w_j T((q - j) h) U C(j) for w in rules], one product per rule.
 
-    orbits is _FiniteRange.stacked(q, ...) and blocks stacks C(0..q),
+    orbits is _FiniteRange.stacked(q) and blocks stacks C(0..q),
     r x D each; the weighted blocks are stacked in the same order.
     """
     dim = blocks.shape[-1]
@@ -363,78 +389,92 @@ class _Renewal:
     w the lattice weights of step p.  base[p] is Phi T(p h) f, the
     coefficient of the unperturbed flow.  flow(p) is T(p h) f and
     coefficients applies Phi to it: to a vector, giving r numbers, or to
-    a dense operator, giving an r x D block.
+    a dense operator, giving an r x D block (block = (D,)).  base and
+    coeffs keep one row per solved step.
     """
 
-    def __init__(self, flow, coefficients, finite_range: _FiniteRange, h: float):
+    def __init__(self, flow, coefficients, finite_range: _FiniteRange, block: tuple = ()):
         self.flow = flow
         self.coefficients = coefficients
         self.range = finite_range
-        self.h = h
-        self.base, self.coeffs = [], []
+        shape = (finite_range.rank, *block)
+        self.base, self.coeffs = _Rows(shape), _Rows(shape)
 
     def fill(self, q: int) -> None:
-        for p in range(len(self.coeffs), q + 1):
-            b = self.coefficients(self.flow(p))
+        rng = self.range
+        for p in range(self.coeffs.size, q + 1):
+            flow = self.flow(p)
+            b = self.coefficients(flow)
             c = b
             if p:
-                w = _lattice_weights(p, self.h)
-                history = np.array(self.coeffs)
-                kernel = self.range.kernel(p)[p:0:-1]  # K(p - j) for j = 0..p-1
-                c = b + np.einsum("j,jab,jb...->a...", w[:p], kernel, history)
-                c = self.range.step_inverse(float(w[p])) @ c
+                rng.fill(p)
+                w = rng.rules(p)[0]
+                kernel = rng.kernel.rows[p:0:-1]  # K(p - j) for j = 0..p-1
+                c = b + np.einsum("j,jab,jb...->a...", w[:p], kernel, self.coeffs.rows)
+                c = rng.step_inverse(float(w[p])) @ c
             if not np.isfinite(c).all():
                 raise ExpmOverflow(
-                    f"the orbit overflowed: its coupling coefficients at t = {p * self.h:g} "
+                    f"the orbit overflowed: its coupling coefficients at t = {p * rng.h:g} "
                     "left the double range"
                 )
-            self.base.append(b)
-            self.coeffs.append(c)
+            self._keep(flow, b, c)
+
+    def _keep(self, flow, b, c) -> None:
+        self.base.push()[...] = b
+        self.coeffs.push()[...] = c
+
+
+# the weight of the seed flow T(q h) f in an orbit's sum and in its trapezoid gap
+_FLOW_WEIGHTS = np.array([[1.0], [0.0]])
 
 
 class _SeedOrbit(_Renewal):
     """The renewal of one seed's orbit, with the values S(p h) f it gives.
 
     apply_t(m, v) applies the unperturbed family at m steps; it is
-    called for the seed flow only, once per step.  Steps are solved in
-    order as later times are asked for, so no result depends on earlier
-    requests.
+    called for the seed flow only, once per step.  Each solved step keeps
+    its flow T(p h) f as a row in the range's layout, with one support
+    floor per carrier.  Steps are solved in order as later times are
+    asked for, so no result depends on earlier requests.
     """
 
-    def __init__(self, apply_t, finite_range: _FiniteRange, seed, h: float, norm):
-        super().__init__(self._flow, finite_range.coefficients, finite_range, h)
-        self.apply_t, self.seed, self.norm = apply_t, seed, norm
-        self.flows = []
+    def __init__(self, apply_t, finite_range: _FiniteRange, seed):
+        super().__init__(lambda p: apply_t(p, seed), finite_range.coefficients, finite_range)
+        self.flows = _Rows((finite_range.dim,))
+        self.flow_floors = _Rows((2,), int)
 
-    def _flow(self, p: int):
-        while len(self.flows) <= p:
-            self.flows.append(self.apply_t(len(self.flows), self.seed))
-        return self.flows[p]
+    def _keep(self, flow, b, c) -> None:
+        super()._keep(flow, b, c)
+        self.range.layout.put(flow, self.flows.push(), self.flow_floors.push())
 
     def at(self, q: int):
-        """(S(q h) f, quadrature gauge).
+        """(S(q h) f, (gap, floors)): the value and its gap to the trapezoid rule.
 
-        One weighted reduction over T(q h) f and the range orbits
-        T((q - j) h) u_k with weights w_j c_k(j); zero coefficients are
-        skipped, so a support floor only counts the orbits that enter the
-        sum.  The gauge is the distance to the same sum with trapezoid
-        weights.
+        One weighted reduction over the stack of T(q h) f and the range
+        orbits T((q - j) h) u_k, gathered by one index, with weights
+        w_j c_k(j); zero coefficients are skipped, so the support floor,
+        the least floor of the gathered rows, only counts the orbits that
+        enter the sum.  The gap is the same sum with the trapezoid rule's
+        distance as weights, in stacked coordinates with the value's
+        floors; the norm of its vector is the quadrature gauge.
         """
         self.fill(q)
+        rng, layout = self.range, self.range.layout
+        flow, floors = self.flows.rows[q], self.flow_floors.rows[q]
         if q == 0:
-            return self.flows[0].copy(), 0.0
-        C = np.array(self.coeffs[: q + 1])
-        nodes, ks = np.nonzero(C)
-        vectors = [self.flows[q]] + [
-            self.range.orbit(q - j)[k] for j, k in zip(nodes.tolist(), ks.tolist())
-        ]
-        rules = np.hstack([[[1.0], [0.0]], _renewal_rules(q, self.h)[:, nodes] * C[nodes, ks]])
-        total, gap = _weighted_sums(vectors, rules)
-        if not _all_finite(total):
+            return layout.unstack(flow.copy(), floors), (np.zeros_like(flow), floors)
+        C = self.coeffs.rows[: q + 1]
+        nodes, ks = C.nonzero()
+        steps = q - nodes
+        stack = np.concatenate((flow[None], rng.orbits.rows[steps, ks]))
+        floors = np.concatenate((floors[None], rng.floors.rows[steps, ks])).min(axis=0)
+        weights = np.concatenate((_FLOW_WEIGHTS, rng.rules(q)[:, nodes] * C[nodes, ks]), axis=1)
+        total, gap = _weighted_sums(stack, weights)
+        if not np.isfinite(total).all():
             raise ExpmOverflow(
-                f"the orbit overflowed: its value at t = {q * self.h:g} left the double range"
+                f"the orbit overflowed: its value at t = {q * rng.h:g} left the double range"
             )
-        return total, self.norm(gap)
+        return layout.unstack(total, floors), (gap, floors)
 
 
 def _lattice_terms(provider, B: np.ndarray, t: float, n_terms: int):
@@ -457,14 +497,14 @@ def _lattice_terms(provider, B: np.ndarray, t: float, n_terms: int):
     coupling = DenseCoupling(B)
     units = coupling.range_vectors
     finite_range = _FiniteRange(
-        lambda m: [ops[m] @ u for u in units], coupling.coefficients, len(units)
+        lambda m: [ops[m] @ u for u in units], coupling.coefficients, len(units), h, B.shape[0]
     )
     terms = [ops[q].copy()]
     gauge = 0.0
     coeffs = np.array([coupling.rows() @ op for op in ops])
     if q:
-        orbits = finite_range.stacked(q, np.asarray, B.shape[0])
-        rules = _renewal_rules(q, h)
+        orbits = finite_range.stacked(q)
+        rules = finite_range.rules(q)
         while len(terms) <= n_terms and coeffs.any():
             term, gap = _convolve_blocks(orbits, coeffs, rules)
             if not np.isfinite(term).all():
@@ -473,7 +513,7 @@ def _lattice_terms(provider, B: np.ndarray, t: float, n_terms: int):
                 )
             terms.append(term)
             gauge += float(np.max(np.abs(gap)))
-            coeffs = finite_range.next_coefficients(coeffs, h)
+            coeffs = finite_range.next_coefficients(coeffs)
     terms += [np.zeros_like(terms[0])] * (n_terms + 1 - len(terms))
     return terms, gauge
 
@@ -815,7 +855,7 @@ class GridFunctional:
         lo, hi = self._cells
         if f.support_lo >= hi:
             return 0.0  # exact: every window cell sits below the support floor
-        return float(self.grid.h * np.sum(f.samples[lo:hi]))
+        return float(self.grid.h * f.samples[lo:hi].sum())
 
     def row(self) -> np.ndarray:
         out = np.zeros(self.grid.count)
@@ -860,6 +900,13 @@ def _vector_array(value) -> np.ndarray:
     return as_vector(value)
 
 
+def _samples_and_floor(value):
+    """(coordinates, support floor) of a carrier vector; a coordinate vector's floor is 0."""
+    if isinstance(value, GridFunction):
+        return value.samples, value.support_lo
+    return value, 0
+
+
 def _zero_like_output(output):
     if isinstance(output, GridFunction):
         return GridFunction.zero(output.grid)
@@ -884,7 +931,7 @@ class RankOneCoupling:
 
     def coefficients(self, f) -> np.ndarray:
         """Phi(f): the coefficient of each range vector in the image of f."""
-        return np.array([self.functional(f) for _ in self.range_vectors])
+        return np.array([self.functional(f)] if self.range_vectors else [])
 
     def rows(self) -> np.ndarray:
         """Phi as a dense r x n block."""
@@ -1082,9 +1129,11 @@ class CoupledProvider(SemigroupProvider):
     held as U Phi through the blocks' range vectors, and every orbit
     solves the r x r lattice renewal equation for its coefficients
     c(p) = Phi S(p h) f: the sum of every series term, with no term
-    count and no truncation tail.  Orbits keep native vector types, so
-    support bookkeeping stays exact; dense assembly solves the same
-    equation for an r x D coefficient block in the stacked
+    count and no truncation tail.  Range orbits and seed flows are kept
+    as rows in the stacked coordinates of stack(), each with one integer
+    support floor per carrier, and unstack() rebuilds a value's native
+    vectors with the least floor of its summands.  Dense assembly solves
+    the same equation for an r x D coefficient block in the stacked
     cell/coordinate basis.  The range orbits and the kernel
     K(m) = Phi T(m h) U are shared by every seed.  The growth envelope
     is computed on its first read; no evaluation reads it.
@@ -1100,15 +1149,21 @@ class CoupledProvider(SemigroupProvider):
         if len(lattices) == 2 and abs(lattices[0].h - lattices[1].h) > 0:
             raise InputError("coupled carriers disagree on the time lattice step")
         self.lattice_h = lattices[0].h if lattices else None
+        self._grids = tuple(g if isinstance(g, Grid1D) else None for g in (g1, g2))
+        self._n1 = system.dim1
         self._orbit_cache = {}
         self._dense_cache = {}
         self._last_series = {}
         if self.lattice_h is not None:
             b12, b21 = system.b12, system.b21
+            self._zeros = (system.provider1.zero_vector(), system.provider2.zero_vector())
             self._range = _FiniteRange(
                 self._range_step,
                 lambda v: np.concatenate([b12.coefficients(v.second), b21.coefficients(v.first)]),
                 len(b12.range_vectors) + len(b21.range_vectors),
+                self.lattice_h,
+                self.carrier_dim,
+                layout=self,
             )
             self._dense_renewal = None
 
@@ -1141,6 +1196,24 @@ class CoupledProvider(SemigroupProvider):
 
     def stack(self, f: ProductVector) -> np.ndarray:
         return np.concatenate([_vector_array(f.first), _vector_array(f.second)])
+
+    def put(self, f: ProductVector, row: np.ndarray, floors: np.ndarray) -> None:
+        """Write stack(f) into row and each carrier's support floor into floors.
+
+        A grid function's floor is its support_lo; a coordinate vector has none and gets 0.
+        """
+        n1 = self._n1
+        row[:n1], floors[0] = _samples_and_floor(f.first)
+        row[n1:], floors[1] = _samples_and_floor(f.second)
+
+    def unstack(self, row: np.ndarray, floors) -> ProductVector:
+        """The product vector with stacked coordinates row and the given support floors."""
+        (g1, g2), n1 = self._grids, self._n1
+        first, second = row[:n1], row[n1:]
+        return ProductVector(
+            first if g1 is None else GridFunction(g1, first, floors[0]),
+            second if g2 is None else GridFunction(g2, second, floors[1]),
+        )
 
     def default_test_vectors(self):
         u1 = self.system.provider1.default_test_vectors()[0]
@@ -1181,8 +1254,6 @@ class CoupledProvider(SemigroupProvider):
     # -- series evaluation -------------------------------------------------
 
     def _steps_of(self, t: float) -> int:
-        from .errors import ShiftNotOnGrid
-
         q = int(round(float(t) / self.lattice_h))
         if abs(q * self.lattice_h - float(t)) > 1e-9 * max(1.0, abs(float(t))) or q < 0:
             raise ShiftNotOnGrid(f"time {t} is not a whole number of lattice steps")
@@ -1201,7 +1272,7 @@ class CoupledProvider(SemigroupProvider):
         """T(m h) of each off-diagonal range vector, flowed in its own carrier only."""
         t = m * self.lattice_h
         p1, p2 = self.system.provider1, self.system.provider2
-        z1, z2 = p1.zero_vector(), p2.zero_vector()
+        z1, z2 = self._zeros
         return [ProductVector(p1.apply(t, u), z2) for u in self.system.b12.range_vectors] + [
             ProductVector(z1, p2.apply(t, u)) for u in self.system.b21.range_vectors
         ]
@@ -1227,18 +1298,20 @@ class CoupledProvider(SemigroupProvider):
             _vector_array(f.second).tobytes(),
         )
 
-    def _seed_orbit(self, f: ProductVector, t: float):
-        """(orbit of f, step of t), refused past the node budget before any work."""
+    def _seed_orbit(self, f: ProductVector, t: float, key=None):
+        """(orbit of f, step of t), refused past the node budget before any work.
+
+        key is f's fingerprint, when the caller has it.
+        """
         if self.lattice_h is None:
             raise InputError("lattice orbits need a carrier locked to a time lattice")
         q = self._steps_of(t)
         check_node_budget(self._range.rank, q)
-        key = self._fingerprint(f)
+        if key is None:
+            key = self._fingerprint(f)
         orbit = self._orbit_cache.get(key)
         if orbit is None:
-            orbit = _SeedOrbit(
-                self._apply_steps, self._range, f.copy(), self.lattice_h, self.vec_norm
-            )
+            orbit = _SeedOrbit(self._apply_steps, self._range, f.copy())
             if len(self._orbit_cache) < 64:
                 self._orbit_cache[key] = orbit
         return orbit, q
@@ -1256,18 +1329,18 @@ class CoupledProvider(SemigroupProvider):
         """
         orbit, q = self._seed_orbit(f, t)
         orbit.fill(q)
-        c = np.array(orbit.base[: q + 1])
+        c = np.array(orbit.base.rows[: q + 1])
         for alive in range(1, c.size + 2):
             if not c.any():
                 return alive
-            c = self._range.next_coefficients(c, self.lattice_h)
+            c = self._range.next_coefficients(c)
         return None
 
     def apply(self, t, f: ProductVector) -> ProductVector:
         if self.lattice_h is not None:
-            orbit, q = self._seed_orbit(f, t)
-            total, gauge = orbit.at(q)
-            self._last_series[("orbit", self._fingerprint(f))] = _exact_record(gauge)
+            key = self._fingerprint(f)
+            orbit, q = self._seed_orbit(f, t, key)
+            total, self._last_series[("orbit", key)] = orbit.at(q)
             return total
         dense = self.to_dense(t)
         stacked = dense @ self.stack(f)
@@ -1314,16 +1387,15 @@ class CoupledProvider(SemigroupProvider):
             phi[: len(rows12), n1:] = rows12
             phi[len(rows12) :, :n1] = rows21
             self._dense_renewal = _Renewal(
-                lambda p: self._dense_diag(p * h), lambda op: phi @ op, self._range, h
+                lambda p: self._dense_diag(p * h), lambda op: phi @ op, self._range, (dim,)
             )
         renewal = self._dense_renewal
         renewal.fill(q)
         dense = self._dense_diag(q * h)
         if q == 0:
             return dense, 0.0
-        orbits = self._range.stacked(q, self.stack, dim)
-        blocks = np.array(renewal.coeffs[: q + 1])
-        total, gap = _convolve_blocks(orbits, blocks, _renewal_rules(q, h))
+        orbits = self._range.stacked(q)
+        total, gap = _convolve_blocks(orbits, renewal.coeffs.rows[: q + 1], self._range.rules(q))
         dense += total
         if not np.isfinite(dense).all():
             raise ExpmOverflow(f"the dense operator at t = {q * h:g} left the double range")
@@ -1356,12 +1428,15 @@ class CoupledProvider(SemigroupProvider):
         and two dense carriers take one exponential, so they report no
         truncated terms and a zero tail.  A lattice gauge is the
         distance to the trapezoid rule at the evaluated step; a dense
-        one is 0.0.
+        one is 0.0.  An orbit keeps the gap of its last value, and its
+        gauge, the norm of the gap's vector, is taken here.
         """
         if t is not None:
             return dict(self._last_series.get(("dense", float(t)), {}))
         merged = {"n_terms": 0, "tail_bound": 0.0, "quadrature_estimate": 0.0}
-        for rec in self._last_series.values():
+        for (kind, _), rec in self._last_series.items():
+            if kind == "orbit":
+                rec = _exact_record(self.vec_norm(self.unstack(*rec)))
             merged["n_terms"] = max(merged["n_terms"], rec["n_terms"])
             merged["tail_bound"] = max(merged["tail_bound"], rec["tail_bound"])
             merged["quadrature_estimate"] = max(

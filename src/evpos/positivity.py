@@ -41,6 +41,7 @@ from .errors import (
     ExpmOverflow,
     InputError,
     PremiseViolation,
+    check_tol,
 )
 from .gammashift import GridFunction
 from .lattice import as_matrix, as_vector
@@ -259,8 +260,10 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     flow e^{t(A - s I)}: it has the signs, ideals and onsets of e^{tA}
     (the two differ by the factor e^{-st} > 0) and stays in floating
     point range for any finite s.  Evidence values and the grid
-    fallback's `tol` therefore refer to entries of e^{t(A - s I)}.
+    fallback's `tol` therefore refer to entries of e^{t(A - s I)}.  A
+    `tol` that is not finite and positive is refused with InputError.
     """
+    check_tol(tol)
     A = as_matrix(A)
     n = A.shape[0]
     evals, evecs = np.linalg.eig(A)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_tol
 from .gammashift import GammaShiftProvider, Grid1D, GridFunction
 from .irreducibility import PERSISTENTLY_IRREDUCIBLE, classify
 from .perturbation import (
@@ -56,13 +56,6 @@ from .stepfun import (
 # Grids (sampled times or window cells) are allocated up front; the cap
 # keeps a typo from exhausting memory.
 MAX_GRID_POINTS = 4096
-
-
-def check_tol(tol: float) -> float:
-    """`tol` if it is finite and positive; an InputError otherwise."""
-    if not 0.0 < tol < math.inf:
-        raise InputError(f"tol must be finite and positive, got {tol:g}")
-    return tol
 
 
 def check_depth(depth: int) -> int:

@@ -8,7 +8,9 @@ one (k, n, n) stack, each time with its own squaring count, and every
 slice is bit for bit the single-time call, which runs the same code on
 an n x n array.  MatrixSemigroup.matrices streams a time list through
 expm in stacks of at most _CHUNK_BYTES (64 KB), one stack at a time,
-and raises a time's overflow only when the caller reaches that time.
+and raises a time's overflow only when the caller reaches that time;
+positivity_probes reads the smallest entry of every matrix of a stack
+with one argmin.
 Every sample is evaluated from t = 0, never by stepping, so per-sample
 error does not accumulate along a trajectory.
 
@@ -468,6 +470,23 @@ class MatrixSemigroup(SemigroupProvider):
         off = self.A - np.diag(np.diag(self.A))
         return bool(np.min(off) >= -tol)
 
+    def _stacks(self, times):
+        """e^{tA} of `times` as expm stacks of at most _CHUNK_BYTES, each when the last is used.
+
+        A stack that overflows is cut to the times before the first
+        overflowing one, and expm's ExpmOverflow is raised once the caller
+        asks for the stack after it.  The cache is neither read nor filled.
+        """
+        times = np.asarray(times, dtype=float)
+        step = max(1, _CHUNK_BYTES // self.A.nbytes)
+        for lo in range(0, times.size, step):
+            try:
+                stack = expm(self.A, times[lo : lo + step])
+            except ExpmOverflow as exc:
+                yield exc.evaluated
+                raise
+            yield stack
+
     def matrices(self, times):
         """e^{tA} for each of `times`, in order, bit for bit matrix(t).
 
@@ -477,26 +496,33 @@ class MatrixSemigroup(SemigroupProvider):
         when the caller reaches it, after the matrices of the times before
         it.  The cache is neither read nor filled.
         """
-        times = np.asarray(times, dtype=float)
-        step = max(1, _CHUNK_BYTES // self.A.nbytes)
-        for lo in range(0, times.size, step):
-            try:
-                stack = expm(self.A, times[lo : lo + step])
-            except ExpmOverflow as exc:
-                yield from exc.evaluated
-                raise
+        for stack in self._stacks(times):
             yield from stack
 
     def positivity_probe(self, t):
         return _min_entry(self.matrix(t))
 
     def positivity_probes(self, times):
-        return map(_min_entry, self.matrices(times))
+        """positivity_probe at each of `times`, in order: one argmin per stack of matrices.
+
+        An overflow is raised as matrices raises it, after the probes of
+        the times before it.
+        """
+        for stack in self._stacks(times):
+            yield from _min_entries(stack)
+
+
+def _min_entries(stack: np.ndarray) -> list:
+    """(value, (i, j), True) per matrix of a (k, n, n) stack: its first smallest entry, row-major."""
+    k, n, _ = stack.shape
+    flat = stack.reshape(k, n * n)
+    cells = flat.argmin(axis=1)
+    values = flat[np.arange(k), cells].tolist()
+    return [(value, divmod(cell, n), True) for value, cell in zip(values, cells.tolist())]
 
 
 def _min_entry(m: np.ndarray):
-    idx = np.unravel_index(int(np.argmin(m)), m.shape)
-    return float(m[idx]), (int(idx[0]), int(idx[1])), True
+    return _min_entries(m[None])[0]
 
 
 # ---------------------------------------------------------------------------

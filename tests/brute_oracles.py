@@ -1,15 +1,27 @@
-"""Brute-force oracle for the invariant-ideal enumeration.
+"""Brute-force and frozen oracles.
 
-The package enumerates the closed component sets of the entry digraph's
-condensation.  This oracle instead tests every one of the 2^n coordinate
-subsets against the zero-pattern criterion, sharing no graph code with
-the production route.
+Invariant ideals: the package enumerates the closed component sets of the
+entry digraph's condensation.  brute_force_ideals instead tests every one
+of the 2^n coordinate subsets against the zero-pattern criterion, sharing
+no graph code with the production route.
+
+Coupled lattice orbits: ListOrbitProvider is the lattice path of
+CoupledProvider as first written, with every range orbit, seed flow and
+coefficient kept as a Python list of carrier vectors and every sum taken
+componentwise over product vectors.  The package keeps the same numbers
+in stacked arrays; its values, support floors and gauges must equal
+these bit for bit.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from evpos.errors import ExpmOverflow, PremiseViolation
+from evpos.gammashift import GridFunction
 from evpos.irreducibility import ideal_invariant_under_generator
 from evpos.lattice import IdealMask, as_matrix
+from evpos.perturbation import ProductVector
 
 
 def brute_force_ideals(A, tol: float = 0.0) -> list:
@@ -22,3 +34,270 @@ def brute_force_ideals(A, tol: float = 0.0) -> list:
         if ideal_invariant_under_generator(A, mask, tol):
             found.append(mask)
     return sorted(found, key=lambda m: (len(m), m.sorted_members()))
+
+
+# --------------------------------------------------------------------------
+# coupled lattice orbits from per-step vector lists
+# --------------------------------------------------------------------------
+
+
+def _lattice_weights(q: int, h: float) -> np.ndarray:
+    """Simpson weights for even q, Simpson plus a 3/8 tail for odd q >= 3, trapezoid at q = 1."""
+    if q < 1:
+        return np.zeros(max(q + 1, 1))
+    if q == 1:
+        return np.array([0.5, 0.5]) * h
+    w = np.zeros(q + 1)
+    if q % 2 == 0:
+        w[0] = w[q] = 1.0 / 3.0
+        w[1:q:2] = 4.0 / 3.0
+        w[2 : q - 1 : 2] = 2.0 / 3.0
+        return w * h
+    if q == 3:
+        return np.array([3.0, 9.0, 9.0, 3.0]) / 8.0 * h
+    w[: q - 2] = _lattice_weights(q - 3, 1.0)
+    w[q - 3 :] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
+    return w * h
+
+
+def _renewal_rules(q: int, h: float) -> np.ndarray:
+    """Rows: the lattice weights of step q, and their distance to a plain trapezoid."""
+    w = _lattice_weights(q, h)
+    trap = np.full(q + 1, h)
+    trap[0] = trap[q] = 0.5 * h
+    return np.stack([w, w - trap])
+
+
+def list_weighted_sums(vectors: list, rules: np.ndarray) -> list:
+    """[sum_j w[j] vectors[j] for w in rules], reduced component by component.
+
+    Product vectors are summed per carrier, grid functions keep the
+    smallest support floor of their summands, and each array component is
+    stacked and reduced over its first axis from -0.0 (one-entry rows by
+    the sequential accumulate).
+    """
+    head = vectors[0]
+    if isinstance(head, ProductVector):
+        firsts = list_weighted_sums([v.first for v in vectors], rules)
+        seconds = list_weighted_sums([v.second for v in vectors], rules)
+        return [ProductVector(a, b) for a, b in zip(firsts, seconds)]
+    if isinstance(head, GridFunction):
+        floor = min(v.support_lo for v in vectors)
+        sums = list_weighted_sums([v.samples for v in vectors], rules)
+        return [GridFunction(head.grid, x, floor) for x in sums]
+    stack = np.stack(vectors).reshape(len(vectors), -1)
+    out = []
+    for w in rules:
+        scaled = stack * w[:, None]
+        if stack.shape[1] < 2:
+            total = np.add.accumulate(scaled, axis=0)[-1]
+        else:
+            total = np.add.reduce(scaled, axis=0, initial=-0.0)
+        out.append(total.reshape(head.shape))
+    return out
+
+
+def _all_finite(v) -> bool:
+    if isinstance(v, ProductVector):
+        return _all_finite(v.first) and _all_finite(v.second)
+    if isinstance(v, GridFunction):
+        return bool(np.isfinite(v.samples).all())
+    return bool(np.isfinite(v).all())
+
+
+class ListFiniteRange:
+    """B = U Phi through its range: orbits [T(m h) u_k] as one list per step."""
+
+    def __init__(self, range_step, coefficients, rank: int):
+        self.range_step = range_step
+        self.coefficients = coefficients
+        self.rank = rank
+        self.orbits = []
+        self._kernel = np.zeros((0, rank, rank))
+        self._inverses = {}
+
+    def orbit(self, m: int) -> list:
+        while len(self.orbits) <= m:
+            self.orbits.append(self.range_step(len(self.orbits)))
+        return self.orbits[m]
+
+    def kernel(self, p: int) -> np.ndarray:
+        done = len(self._kernel)
+        if done <= p:
+            r = self.rank
+            new = [
+                np.array([self.coefficients(v) for v in self.orbit(m)]).reshape(r, r).T
+                for m in range(done, p + 1)
+            ]
+            self._kernel = np.concatenate([self._kernel, new])
+        return self._kernel[: p + 1]
+
+    def step_inverse(self, w: float) -> np.ndarray:
+        inv = self._inverses.get(w)
+        if inv is None:
+            wk = w * self.kernel(0)[0]
+            rho = float(np.max(np.abs(np.linalg.eigvals(wk)), initial=0.0))
+            if rho >= 1.0:
+                raise PremiseViolation(f"w K(0) has spectral radius {rho:.6g} >= 1")
+            inv = np.linalg.inv(np.eye(self.rank) - wk)
+            self._inverses[w] = inv
+        return inv
+
+    def next_coefficients(self, coeffs: np.ndarray, h: float) -> np.ndarray:
+        q = len(coeffs) - 1
+        kernel = self.kernel(q)
+        out = np.zeros_like(coeffs)
+        for p in range(1, q + 1):
+            weighted = _lattice_weights(p, h)[:, None, None] * kernel[p::-1]
+            out[p] = np.tensordot(weighted, coeffs[: p + 1], axes=([0, 2], [0, 1]))
+        return out
+
+    def stacked(self, q: int, stack, dim: int) -> np.ndarray:
+        out = np.empty((dim, (q + 1) * self.rank))
+        for j in range(q + 1):
+            for k, v in enumerate(self.orbit(q - j)):
+                out[:, j * self.rank + k] = stack(v)
+        return out
+
+
+class ListRenewal:
+    """c(p) = Phi S(p h) f step by step, the history re-stacked from a list at every step."""
+
+    def __init__(self, flow, coefficients, finite_range: ListFiniteRange, h: float):
+        self.flow = flow
+        self.coefficients = coefficients
+        self.range = finite_range
+        self.h = h
+        self.base, self.coeffs = [], []
+
+    def fill(self, q: int) -> None:
+        for p in range(len(self.coeffs), q + 1):
+            b = self.coefficients(self.flow(p))
+            c = b
+            if p:
+                w = _lattice_weights(p, self.h)
+                history = np.array(self.coeffs)
+                kernel = self.range.kernel(p)[p:0:-1]
+                c = b + np.einsum("j,jab,jb...->a...", w[:p], kernel, history)
+                c = self.range.step_inverse(float(w[p])) @ c
+            if not np.isfinite(c).all():
+                raise ExpmOverflow(f"coupling coefficients at t = {p * self.h:g} overflowed")
+            self.base.append(b)
+            self.coeffs.append(c)
+
+
+class ListSeedOrbit(ListRenewal):
+    """One seed's renewal, its flows a list of product vectors."""
+
+    def __init__(self, apply_t, finite_range: ListFiniteRange, seed, h: float, norm):
+        super().__init__(self._flow, finite_range.coefficients, finite_range, h)
+        self.apply_t, self.seed, self.norm = apply_t, seed, norm
+        self.flows = []
+
+    def _flow(self, p: int):
+        while len(self.flows) <= p:
+            self.flows.append(self.apply_t(len(self.flows), self.seed))
+        return self.flows[p]
+
+    def at(self, q: int):
+        self.fill(q)
+        if q == 0:
+            return self.flows[0].copy(), 0.0
+        C = np.array(self.coeffs[: q + 1])
+        nodes, ks = np.nonzero(C)
+        vectors = [self.flows[q]] + [
+            self.range.orbit(q - j)[k] for j, k in zip(nodes.tolist(), ks.tolist())
+        ]
+        rules = np.hstack([[[1.0], [0.0]], _renewal_rules(q, self.h)[:, nodes] * C[nodes, ks]])
+        total, gap = list_weighted_sums(vectors, rules)
+        if not _all_finite(total):
+            raise ExpmOverflow(f"the orbit at t = {q * self.h:g} overflowed")
+        return total, self.norm(gap)
+
+
+class ListOrbitProvider:
+    """The lattice evaluations of CoupledProvider(system), kept in lists.
+
+    apply(t, f) and to_dense(t) return (value, quadrature gauge);
+    terms_alive(f, t) counts the surviving series terms.  The carriers
+    of `system` are applied directly.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        self.h = system.provider2.grid.h if hasattr(system.provider2, "grid") else system.provider1.grid.h
+        b12, b21 = system.b12, system.b21
+        self.range = ListFiniteRange(
+            self._range_step,
+            lambda v: np.concatenate([b12.coefficients(v.second), b21.coefficients(v.first)]),
+            len(b12.range_vectors) + len(b21.range_vectors),
+        )
+        self.orbits = {}
+        self.dense = None
+
+    def _apply_steps(self, m, v):
+        p1, p2 = self.system.provider1, self.system.provider2
+        return ProductVector(p1.apply(m * self.h, v.first), p2.apply(m * self.h, v.second))
+
+    def _range_step(self, m):
+        t = m * self.h
+        p1, p2 = self.system.provider1, self.system.provider2
+        z1, z2 = p1.zero_vector(), p2.zero_vector()
+        return [ProductVector(p1.apply(t, u), z2) for u in self.system.b12.range_vectors] + [
+            ProductVector(z1, p2.apply(t, u)) for u in self.system.b21.range_vectors
+        ]
+
+    def _vec_norm(self, f):
+        return max(self.system.provider1.vec_norm(f.first), self.system.provider2.vec_norm(f.second))
+
+    def _stack(self, f):
+        parts = [x.samples if isinstance(x, GridFunction) else np.asarray(x) for x in (f.first, f.second)]
+        return np.concatenate(parts)
+
+    def _orbit(self, f):
+        key = (self._stack(f).tobytes(),)
+        if key not in self.orbits:
+            self.orbits[key] = ListSeedOrbit(self._apply_steps, self.range, f.copy(), self.h, self._vec_norm)
+        return self.orbits[key]
+
+    def apply(self, t, f):
+        return self._orbit(f).at(int(round(t / self.h)))
+
+    def terms_alive(self, f, t):
+        q = int(round(t / self.h))
+        orbit = self._orbit(f)
+        orbit.fill(q)
+        c = np.array(orbit.base[: q + 1])
+        for alive in range(1, c.size + 2):
+            if not c.any():
+                return alive
+            c = self.range.next_coefficients(c, self.h)
+        return None
+
+    def _dense_diag(self, t):
+        n1 = self.system.dim1
+        dim = n1 + self.system.dim2
+        out = np.zeros((dim, dim))
+        out[:n1, :n1] = self.system.provider1.to_dense(t)
+        out[n1:, n1:] = self.system.provider2.to_dense(t)
+        return out
+
+    def to_dense(self, t):
+        q, h = int(round(t / self.h)), self.h
+        n1 = self.system.dim1
+        dim = n1 + self.system.dim2
+        if self.dense is None:
+            rows12, rows21 = self.system.b12.rows(), self.system.b21.rows()
+            phi = np.zeros((self.range.rank, dim))
+            phi[: len(rows12), n1:] = rows12
+            phi[len(rows12) :, :n1] = rows21
+            self.dense = ListRenewal(lambda p: self._dense_diag(p * h), lambda op: phi @ op, self.range, h)
+        self.dense.fill(q)
+        dense = self._dense_diag(q * h)
+        if q == 0:
+            return dense, 0.0
+        orbits = self.range.stacked(q, self._stack, dim)
+        blocks = np.array(self.dense.coeffs[: q + 1])
+        total, gap = [orbits @ (w[:, None, None] * blocks).reshape(-1, dim) for w in _renewal_rules(q, h)]
+        dense += total
+        return dense, float(np.max(np.abs(gap), initial=0.0))

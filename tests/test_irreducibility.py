@@ -124,6 +124,14 @@ class TestGraphPrimitives:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_unusable_tolerance_refused(self, tol):
+        # with tol = inf every entry fell below the threshold and this
+        # irreducible matrix read as a certified Reducible
+        A = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 1.0, 1.0]])
+        with pytest.raises(InputError, match="tol must be finite and positive"):
+            classify(A=A, tol=tol)
+
     def test_showcase_matrix_is_persistently_irreducible(self):
         rep = classify(A=demo_generator())
         assert rep.classification == PERSISTENTLY_IRREDUCIBLE

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import evpos.perturbation as perturbation
+import evpos.semigroup as semigroup
 from evpos.errors import (
     CertificateMissing,
     CouplingPremiseWarning,
@@ -42,6 +43,7 @@ from evpos.perturbation import (
 from evpos.positivity import PositivityClass, classify_on_grid
 from evpos.presets import coupled_demo_system
 from evpos.semigroup import MatrixSemigroup, demo_generator, expm
+from brute_oracles import ListOrbitProvider, list_weighted_sums
 from sampled_oracles import sampled_leak_onset, sampled_mixed_witness
 
 
@@ -701,7 +703,7 @@ class LeftFoldSeries:
                 v = self.images[n - 1][0] * 0.0
             else:
                 g = self.images[n - 1]
-                wts = perturbation._lattice_weights(p, self.h)
+                wts = perturbation._renewal_rules(p, self.h)[0]
                 trap = np.full(p + 1, self.h)
                 trap[0] = trap[p] = 0.5 * self.h
                 applied = [self.apply_t(p - j, g[j]) for j in range(p + 1)]
@@ -800,10 +802,10 @@ def square_map_terms_alive(provider, f, t):
     """
     orbit, q = provider._seed_orbit(f, t)
     orbit.fill(q)
-    c = np.array(orbit.base[: q + 1]).ravel()
+    c = np.array(orbit.base.rows[: q + 1]).ravel()
     n = c.size
     basis = np.eye(n).reshape(q + 1, provider._range.rank, n)
-    step_map = provider._range.next_coefficients(basis, provider.lattice_h).reshape(n, n)
+    step_map = provider._range.next_coefficients(basis).reshape(n, n)
     for alive in range(1, n + 2):
         if not c.any():
             return alive
@@ -831,10 +833,11 @@ def observe_orbit(system, seeds, q_max):
         provider = CoupledProvider(system)
         for q in range(1, q_max + 1):
             total = provider.apply(q * h, seed)
-            flow = provider._orbit_cache[provider._fingerprint(seed)].flows[q]
+            orbit = provider._orbit_cache[provider._fingerprint(seed)]
+            flow = provider.unstack(orbit.flows.rows[q], orbit.flow_floors.rows[q])
             seen.append((total, provider.series_report(), total - flow))
         # the sums past the seed flow came from the shared range orbits
-        assert 0 < len(provider._range._orbits) <= q_max + 1
+        assert 0 < provider._range.orbits.size <= q_max + 1
     return seen
 
 
@@ -916,14 +919,17 @@ class TestLatticeSeriesAgainstLeftFold:
     def test_carrier_work_is_the_range_orbits(self, monkeypatch):
         # rank-one blocks give r = 2 range vectors, so an orbit to step q
         # applies the grid family (r + 1)(q + 1) times however many series
-        # terms survive, and a second seed adds only its own flow
+        # terms survive, and a second seed adds only its own flow; the
+        # matrix family evaluates each e^{t A}, t = 0, h, .., q h, once
+        # per provider, whatever the number of seeds
         system = coupled_demo_system()
         h = system.provider2.grid.h
-        calls = []
-        apply = GammaShiftProvider.apply
+        calls, exps = [], []
+        apply, expm = GammaShiftProvider.apply, semigroup.expm
         monkeypatch.setattr(
             GammaShiftProvider, "apply", lambda self, t, f: calls.append(t) or apply(self, t, f)
         )
+        monkeypatch.setattr(semigroup, "expm", lambda A, t=1.0: exps.append(t) or expm(A, t))
         provider = CoupledProvider(system)
         zero = system.provider2.zero_vector()
         q, r = 32, 2
@@ -936,6 +942,8 @@ class TestLatticeSeriesAgainstLeftFold:
                 provider.apply(step * h, seed)
             assert provider.terms_alive(seed, q * h) >= 3
             assert len(calls) - before <= budget
+            assert 0 < len(exps) <= q + 1
+        assert sorted(exps) == [m * h for m in range(q + 1)]
 
     def test_terms_alive_matches_the_square_step_map(self):
         rng = np.random.default_rng(56)
@@ -971,19 +979,49 @@ class TestLatticeSeriesAgainstLeftFold:
                         want = want + rows[j] * float(w[j])
                     assert got.tobytes() == want.tobytes()
                     assert np.signbit(got.flat[-1]) or rows[0].size == 1
-        # the floor is bookkept, not read off the samples: the first
-        # cells of these three summands cancel exactly
+        # one reduction over stacked product vectors is the componentwise
+        # sum of the list-based oracle
         funcs = [
             GridFunction(grid, np.r_[np.zeros(2), 1.0, rng.normal(size=5)], 2),
             GridFunction(grid, np.r_[np.zeros(2), -2.0, rng.normal(size=5)], 2),
             GridFunction(grid, np.r_[np.zeros(5), rng.normal(size=3)], 5),
         ]
         vecs = [ProductVector(rng.normal(size=3), f) for f in funcs]
-        w = np.array([[1.0, 0.5, 0.25]])
-        (got,) = perturbation._weighted_sums(vecs, w)
-        want = vecs[0] * 1.0 + vecs[1] * 0.5 + vecs[2] * 0.25
-        assert vector_bytes(got) == vector_bytes(want)
-        assert got.second.support_lo == 2 and got.second.samples[2] == 0.0
+        w = np.array([[1.0, 0.5, 0.25], [0.0, -0.5, 2.0]])
+        rows = [np.concatenate([v.first, v.second.samples]) for v in vecs]
+        for got, want in zip(perturbation._weighted_sums(rows, w), list_weighted_sums(vecs, w)):
+            assert got.tobytes() == np.concatenate([want.first, want.second.samples]).tobytes()
+
+    def test_exact_cancellation_keeps_the_bookkept_floor(self):
+        # a seed orbit at step 1 sums its flow T(h) f with weight 1, the
+        # range orbit T(h) u with w_0 c(0) = 0.125 * 4 and u with
+        # w_1 c(1) = 0.125 * 2; their cell 2 entries 1, -2 and 0 cancel
+        # exactly, and the value keeps the least floor of its summands
+        # instead of one read off its samples
+        layout = CoupledProvider(lattice_system())
+        grid = layout._grids[1]
+        rng = np.random.default_rng(12)
+
+        def vector(first, samples, floor):
+            return ProductVector(np.array(first), GridFunction(grid, np.array(samples), floor))
+
+        zeros = [0.0, 0.0, 0.0]
+        flows = [
+            vector([4.0, 0.0, 0.0], rng.normal(size=16), 0),
+            vector([2.0, 0.0, 0.0], np.r_[np.zeros(2), 1.0, rng.normal(size=13)], 2),
+        ]
+        ranges = [
+            vector(zeros, np.r_[np.zeros(5), rng.normal(size=11)], 5),
+            vector(zeros, np.r_[np.zeros(2), -2.0, rng.normal(size=13)], 2),
+        ]
+        finite_range = perturbation._FiniteRange(
+            lambda m: [ranges[m]], lambda v: v.first[:1].copy(), 1, grid.h, 19, layout=layout
+        )
+        orbit = perturbation._SeedOrbit(lambda p, seed: flows[p], finite_range, None)
+        value, _ = orbit.at(1)
+        want = flows[1] * 1.0 + ranges[1] * 0.5 + ranges[0] * 0.25
+        assert vector_bytes(value) == vector_bytes(want)
+        assert value.second.support_lo == 2 and value.second.samples[2] == 0.0
 
     def test_dense_lattice_terms_match_left_fold(self):
         # the range recursion of B = U Phi against B and T applied to every
@@ -1058,6 +1096,60 @@ class TestLatticeSeriesAgainstLeftFold:
             assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
         assert float(np.max(np.abs(res.total - fold(ref_terms)))) <= 1e-12 * scale
         assert abs(res.quadrature_estimate - ref_gauge) <= 1e-12 * ref_gauge
+
+
+def assert_same_array(got, want):
+    """Equal values and equal sign bits, so -0.0 and 0.0 differ."""
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_same_vector(got, want):
+    assert_same_array(got.first, want.first)
+    assert_same_array(got.second.samples, want.second.samples)
+    assert got.second.support_lo == want.second.support_lo
+
+
+def demo_system_l4() -> CoupledSystem:
+    return coupled_demo_system(L=4.0, h=0.25)
+
+
+class TestOrbitStoreAgainstLists:
+    """The stacked orbit store against the list-based lattice path, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_system",
+        [coupled_demo_system, demo_system_l4, lattice_system],
+        ids=["demo-L6-h0.125", "demo-L4-h0.25", "lattice"],
+    )
+    def test_orbits_are_the_list_orbits(self, make_system):
+        # three seeds share one provider and its range orbits, and the
+        # steps are asked out of order: 16, then 3, then 0..32
+        system = make_system()
+        h = system.provider2.grid.h
+        zero = system.provider2.zero_vector()
+        seeds = [
+            ProductVector(np.array([0.0, 1.0, 0.0]), zero),
+            ProductVector(np.ones(3), zero),
+            random_seed_vector(np.random.default_rng(18), system),
+        ]
+        provider, oracle = CoupledProvider(system), ListOrbitProvider(system)
+        last_gauges = {}
+        for q in [16, 3, *range(33)]:
+            for i, seed in enumerate(seeds):
+                want, last_gauges[i] = oracle.apply(q * h, seed)
+                assert_same_vector(provider.apply(q * h, seed), want)
+                orbit, _ = provider._seed_orbit(seed, q * h)
+                gap = provider.unstack(*orbit.at(q)[1])
+                assert_same_array(np.array(provider.vec_norm(gap)), np.array(last_gauges[i]))
+                report = provider.series_report()
+                assert report["quadrature_estimate"] == max(last_gauges.values())
+                assert report["tail_bound"] == 0.0 and report["n_terms"] == 0
+        for q in (1, 2, 5, 16, 32):
+            for seed in seeds:
+                assert provider.terms_alive(seed, q * h) == oracle.terms_alive(seed, q * h)
+            dense, gauge = oracle.to_dense(q * h)
+            assert_same_array(provider.to_dense(q * h), dense)
+            assert provider.series_report(q * h)["quadrature_estimate"] == gauge
 
 
 class TestTermCountAgainstLinearScan:

@@ -28,6 +28,13 @@ METZLER = np.array([[-1.0, 2.0], [3.0, -4.0]])
 
 
 class TestCertificateRoute:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_unusable_tolerance_refused(self, tol):
+        # with tol = inf this matrix read as a certified Positive
+        A = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 1.0, 1.0]])
+        with pytest.raises(InputError, match="tol must be finite and positive"):
+            certify_eventual_strong_positivity(A, tol=tol)
+
     def test_showcase_matrix_certified_strongly_positive(self):
         cert, verdict = certify_eventual_strong_positivity(demo_generator())
         assert verdict.verdict == PositivityClass.UNIFORMLY_EVENTUALLY_STRONGLY_POSITIVE

@@ -337,6 +337,26 @@ def test_overflow_is_raised_when_its_time_is_reached(A, times, first_bad):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("chunk_bytes", [semigroup._CHUNK_BYTES, 2 * 4 * 8, 4 * 8])
+def test_probes_are_each_matrix_first_minimum(chunk_bytes, monkeypatch):
+    # e^{tA} is symmetric, so its two off-diagonal minima tie and the
+    # first in row-major order wins; e^{41 t} overflows past t = 17.3,
+    # after the probes of the times before it.  With 32-byte stacks the
+    # overflowing time is alone in its stack, and with 64-byte ones second
+    monkeypatch.setattr(semigroup, "_CHUNK_BYTES", chunk_bytes)
+    A = np.array([[40.0, 1.0], [1.0, 40.0]])
+    times = [0.0, 0.5, 1.0, 5.0, 17.0, 17.5, 1.0]
+    flow = MatrixSemigroup(A, cache=False)
+    it = flow.positivity_probes(times)
+    for t in times[:5]:
+        value, cell, exact = next(it)
+        want = semigroup._min_entry(expm(A, t))
+        assert (value, cell, exact) == want and cell == (0, 1)
+        assert type(value) is float and all(type(i) is int for i in cell)
+    with pytest.raises(ExpmOverflow):
+        next(it)
+
+
 def certificate_fields(cert):
     return [
         value.tobytes() if isinstance(value, np.ndarray) else value
