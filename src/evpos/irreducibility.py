@@ -517,7 +517,8 @@ def eventual_invariance_of_principal_ideal(
     """Check that the ideal generated by h is eventually invariant.
 
     Matrix carriers only (InputError otherwise).  Premise: T(t) h <= h on
-    all sampled t >= t0_premise (PremiseViolation otherwise).  The ideal
+    all sampled t >= t0_premise, up to tol ((|T(t)| h)_i + h_i) in each
+    coordinate i (PremiseViolation otherwise).  The ideal
     generated by h is the coordinate ideal of its support, and matrix
     semigroups are analytic, so it is eventually invariant exactly when it
     is invariant from t = 0: the onset is 0.0 when ideal_leak finds no
@@ -550,15 +551,13 @@ def eventual_invariance_of_principal_ideal(
     times = [t for t in provider.admissible_times(list(grid) + [t0_premise]) if t >= t0_premise]
     if not times:
         raise ValueError("no sampled times at or beyond t0_premise")
-    scale = float(np.max(h))
-    slack = tol * (1.0 + scale)
-
     mats = dict(zip(times, provider.matrices(times)))
     for t in times:
         v = mats[t] @ h
-        worst = float(np.max(v - h))
-        if worst > slack:
-            i = int(np.argmax(v - h))
+        # per coordinate, the rounding bound of T(t) h and of h itself
+        excess = v - h - tol * (np.abs(mats[t]) @ h + h)
+        if float(np.max(excess)) > 0.0:
+            i = int(np.argmax(excess))
             raise PremiseViolation(
                 f"T({float(t):.6g}) h exceeds h at coordinate {i}",
                 witnesses=[(float(t), i, float(v[i]), float(h[i]))],

@@ -17,13 +17,6 @@ from .errors import NotInIdeal
 __all__ = [
     "as_vector",
     "as_matrix",
-    "is_positive",
-    "is_quasi_interior",
-    "meet",
-    "join",
-    "modulus",
-    "pos_part",
-    "lattice_ops",
     "IdealMask",
     "GaugeContext",
     "gauge_norm",
@@ -46,41 +39,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
-
-
-def is_positive(v, tol: float = 0.0) -> bool:
-    """Cone membership up to slack: every entry >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return bool(np.min(as_vector(v)) >= -tol)
-
-
-def is_quasi_interior(v, tol: float = 0.0) -> bool:
-    """Strictly positive vector: every entry > tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return bool(np.min(as_vector(v)) > tol)
-
-
-def meet(f, g) -> np.ndarray:
-    return np.minimum(as_vector(f), as_vector(g))
-
-
-def join(f, g) -> np.ndarray:
-    return np.maximum(as_vector(f), as_vector(g))
-
-
-def modulus(f) -> np.ndarray:
-    return np.abs(as_vector(f))
-
-
-def pos_part(f) -> np.ndarray:
-    return np.maximum(as_vector(f), 0.0)
-
-
-def lattice_ops(f, g):
-    """Bundle (meet(f,g), join(f,g), modulus(f), pos_part(f))."""
-    return meet(f, g), join(f, g), modulus(f), pos_part(f)
 
 
 @dataclass(frozen=True)

@@ -424,6 +424,26 @@ class _Renewal:
         self.coeffs.push()[...] = c
 
 
+class _DenseRenewal(_Renewal):
+    """The renewal of the dense operator's r x D coefficient block.
+
+    Its flow is the unperturbed operator T(p h); the one of the newest
+    solved step is handed out once by take_flow, so the caller adds the
+    perturbation to it instead of building T(q h) again.
+    """
+
+    newest = None
+
+    def _keep(self, flow, b, c) -> None:
+        super()._keep(flow, b, c)
+        self.newest = (self.coeffs.size - 1, flow)
+
+    def take_flow(self, q: int):
+        """T(q h) when step q was the newest solved and not yet taken, else None."""
+        newest, self.newest = self.newest, None
+        return newest[1] if newest is not None and newest[0] == q else None
+
+
 # the weight of the seed flow T(q h) f in an orbit's sum and in its trapezoid gap
 _FLOW_WEIGHTS = np.array([[1.0], [0.0]])
 
@@ -1026,18 +1046,13 @@ def _carrier_dim(provider) -> int:
 class CoupledSystem:
     """Two carriers tied together by off-diagonal blocks.
 
-    b12 maps the second carrier into the first, b21 the other way.  An
-    optional factorization (B, G, C) for either block records a
-    gain-style decomposition; when supplied, the dense product must
-    reproduce the block to 1e-12.
+    b12 maps the second carrier into the first, b21 the other way.
     """
 
     provider1: SemigroupProvider
     provider2: SemigroupProvider
     b12: object
     b21: object
-    factorization12: tuple | None = None
-    factorization21: tuple | None = None
 
     def __post_init__(self):
         n1 = _carrier_dim(self.provider1)
@@ -1048,17 +1063,6 @@ class CoupledSystem:
             raise InputError(f"b12 must be {n1}x{n2}, got {d12.shape}")
         if d21.shape != (n2, n1):
             raise InputError(f"b21 must be {n2}x{n1}, got {d21.shape}")
-        for name, fac, target in (
-            ("factorization12", self.factorization12, d12),
-            ("factorization21", self.factorization21, d21),
-        ):
-            if fac is None:
-                continue
-            if len(fac) != 3:
-                raise InputError(f"{name} must be a (B, G, C) triple")
-            prod = as_matrix(fac[0]) @ as_matrix(fac[1]) @ as_matrix(fac[2])
-            if prod.shape != target.shape or float(np.max(np.abs(prod - target))) > 1e-12:
-                raise InputError(f"{name} does not reproduce the block to 1e-12")
 
     @property
     def dim1(self) -> int:
@@ -1386,12 +1390,14 @@ class CoupledProvider(SemigroupProvider):
             phi = np.zeros((self._range.rank, dim))
             phi[: len(rows12), n1:] = rows12
             phi[len(rows12) :, :n1] = rows21
-            self._dense_renewal = _Renewal(
+            self._dense_renewal = _DenseRenewal(
                 lambda p: self._dense_diag(p * h), lambda op: phi @ op, self._range, (dim,)
             )
         renewal = self._dense_renewal
         renewal.fill(q)
-        dense = self._dense_diag(q * h)
+        dense = renewal.take_flow(q)
+        if dense is None:
+            dense = self._dense_diag(q * h)
         if q == 0:
             return dense, 0.0
         orbits = self._range.stacked(q)
@@ -1450,12 +1456,7 @@ class CoupledProvider(SemigroupProvider):
         return float(dense[idx]), (int(idx[0]), int(idx[1])), False
 
 
-def couple(
-    system: CoupledSystem,
-    t,
-    tol: float = 1e-9,
-    check_premise: bool = True,
-) -> np.ndarray:
+def couple(system: CoupledSystem, t, tol: float = 1e-9) -> np.ndarray:
     """Dense product-carrier operator of the coupled family at time t.
 
     Samples the two mixed premise families first; a violation is
@@ -1463,16 +1464,15 @@ def couple(
     not asserted) and evaluation proceeds regardless.
     """
     provider = CoupledProvider(system)
-    if check_premise:
-        report = coupling_premise_check(system, tol=tol)
-        if not report.ok:
-            warnings.warn(
-                "coupling premise fails on samples "
-                f"(entry {report.min_entry:.3e} at {report.witness[:3]}); "
-                "order conclusions are not asserted",
-                CouplingPremiseWarning,
-                stacklevel=2,
-            )
+    report = coupling_premise_check(system, tol=tol)
+    if not report.ok:
+        warnings.warn(
+            "coupling premise fails on samples "
+            f"(entry {report.min_entry:.3e} at {report.witness[:3]}); "
+            "order conclusions are not asserted",
+            CouplingPremiseWarning,
+            stacklevel=2,
+        )
     return provider.to_dense(t)
 
 

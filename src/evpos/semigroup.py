@@ -15,15 +15,14 @@ Every sample is evaluated from t = 0, never by stepping, so per-sample
 error does not accumulate along a trajectory.
 
 A MatrixSemigroup builds its growth envelope on first read; the
-perturbation series and mean_ergodic_projection read it, the positivity
-certificate never does.  The envelope's spot check and every route of
-the positivity certificate sample a rescaled flow e^{t(A - cI)}, c at
-the spectral bound, which keeps the signs of e^{tA} and stays in range
-for any finite spectral bound.  Evaluated e^{tA} are cached per
-provider up to a fixed byte budget; the certificate's flow and the
-Cesaro means of mean_ergodic_projection, which take their samples
-through MatrixSemigroup.matrices, keep none.  A |tA| that is not
-finite, or a result that leaves the double range, raises ExpmOverflow.
+perturbation series reads it, the positivity certificate never does.
+The envelope's spot check and every route of the positivity
+certificate sample a rescaled flow e^{t(A - cI)}, c at the spectral
+bound, which keeps the signs of e^{tA} and stays in range for any
+finite spectral bound.  Evaluated e^{tA} are cached per provider up to
+a fixed byte budget; the certificate's flow keeps none.  A |tA| that
+is not finite, or a result that leaves the double range, raises
+ExpmOverflow.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ eigendecomposition, refines both eigenvectors by inverse iteration, and
 returns the rank-one spectral projection P = u phi^T normalised to
 <phi, u> = 1, comparing it against the unrefined outer product; an
 independent sorted-Schur route lives in the test suite as the oracle.
-Finally, `mean_ergodic_projection` forms Cesaro means
-(1/T) int_0^T e^{tA} dt by nested trapezoid quadrature with two
-Richardson levels, doubles T up to a horizon, extrapolates the 1/T
-tail, and reports the limiting projection together with a fitted decay
-constant.
+Finally, `mean_ergodic_projection` gives the limit of the Cesaro means
+of e^{tA} when s(A) = 0 exactly: the projection onto ker A along ran A,
+from one SVD of A, which exists when every imaginary-axis eigenvalue is
+semisimple (left and right kernels of A - lam I pair nonsingularly);
+a defective one is refused.  Sampled Cesaro quadrature is its
+independent oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ from .errors import (
     CertificateMissing,
     ConsistencyViolation,
     EigenSolverFailure,
-    InputError,
     NoConvergence,
     NotAnEigenpair,
     PremiseViolation,
 )
 from .lattice import as_matrix, as_vector
 from .positivity import spectral_certificate
-from .semigroup import MatrixSemigroup
 
 __all__ = [
     "ProjectionReport",
@@ -228,168 +227,84 @@ def dominant_projection(
 
 
 # ---------------------------------------------------------------------------
-# Cesaro / mean-ergodic projection
+# Mean ergodic projection
 
 
-def _trapezoid(samples: list, h: float, stride: int) -> np.ndarray:
-    sel = samples[::stride]
-    acc = sum(sel[1:-1], np.zeros_like(sel[0]))
-    return (h * stride) * (acc + 0.5 * (sel[0] + sel[-1]))
+def _kernels(M: np.ndarray, tol: float):
+    """(R, L, |M|_2): right and left kernels of M, spanned by its singular
+    vectors with singular value at most tol (1 + |M|_2)."""
+    U, sig, Vh = np.linalg.svd(M)
+    small = sig <= tol * (1.0 + sig[0])
+    return Vh[small].conj().T, U[:, small], float(sig[0])
 
 
-def _cesaro_mean(samples: list, h: float, T: float) -> np.ndarray:
-    """(1/T) int_0^T e^{tA} dt by nested trapezoid + two Richardson levels.
+def mean_ergodic_projection(A, tol: float = 1e-8) -> ProjectionReport:
+    """Limit P of the Cesaro means (1/T) int_0^T e^{tA} dt for s(A) = 0.
 
-    `samples` are e^{tA} at t = i h, i = 0 .. T / h, with T / h a multiple of 4.
-    """
-    t1 = _trapezoid(samples, h, 4)
-    t2 = _trapezoid(samples, h, 2)
-    t4 = _trapezoid(samples, h, 1)
-    r1 = (4.0 * t2 - t1) / 3.0
-    r2 = (4.0 * t4 - t2) / 3.0
-    return ((16.0 * r2 - r1) / 15.0) / T
+    The limit exists exactly when every imaginary-axis eigenvalue is
+    semisimple, and it is then the projection onto ker A along ran A:
+    P = U (W^T U)^-1 W^T, with U = ker A and W = ker A^T from one SVD of
+    A, so rank P = dim ker A (P = 0 when 0 is no eigenvalue); rank 1 is
+    factored as u phi^T with <phi, u> = 1.  Eigenvalues within
+    max(10 tol, 1e-6) of the axis form clusters of nearby imaginary
+    parts; a cluster at mean lam is semisimple when the kernels R, L of
+    A - lam I and of its adjoint have one column per eigenvalue and
+    L^H R is nonsingular (least singular value above tol).
 
-
-def mean_ergodic_projection(
-    A, T_max: float = 64.0, tol: float = 1e-8, nodes_per_unit: int = 32
-) -> ProjectionReport:
-    """Limit of the Cesaro means of e^{tA} for a generator with s(A) = 0.
-
-    T doubles from 1 up to `T_max`; the 1/T tail is removed by the
-    extrapolation L = 2 C_{2T} - C_T, and the fitted constant in
-    |C_T - L| <= C/T is reported.  A rank-one limit is factored as
-    u phi^T and cross-checked against dominant_projection when the
-    dominant-eigenvalue certificate is available; a vanishing limit is
-    reported as P = 0 with rank 0.  Every mean samples e^{tA} at
-    t = i / (4 nodes_per_unit), so the samples of each T are a prefix of
-    one list at the largest T, evaluated once.
-
-    Raises InputError for T_max < 4 or nodes_per_unit not an integer of
-    at least 4, PremiseViolation when s(A) is not ~0 or the family is
-    unbounded on the horizon, and NoConvergence when the means do not
-    stabilise within T_max.
+    Raises PremiseViolation when s(A) is not ~0, NoConvergence when an
+    axis cluster is defective (the means then oscillate or grow), and
+    EigenSolverFailure when P misses the residual bounds.
     """
     A = as_matrix(A)
-    provider = MatrixSemigroup(A)
     evals = np.linalg.eigvals(A)
+    axis_tol = max(10.0 * tol, 1e-6)
     s = float(np.max(evals.real))
-    if abs(s) > max(10.0 * tol, 1e-6):
-        raise PremiseViolation(
-            f"spectral bound {s:.3e} is not zero; shift the generator first"
-        )
-    M_env, _ = provider.envelope
-    norm_at_horizon = float(np.linalg.norm(provider.matrix(T_max), 2))
-    if norm_at_horizon > 100.0 * max(M_env, 1.0):
-        raise PremiseViolation(
-            f"family is not bounded on the horizon: |T({T_max:g})| = {norm_at_horizon:.3e}"
-        )
-    if T_max < 4.0:
-        raise InputError("T_max must allow at least two doublings (>= 4)")
-    if nodes_per_unit < 4 or nodes_per_unit != int(nodes_per_unit):
-        raise InputError("nodes_per_unit must be an integer of at least 4")
-
-    # Every T of the schedule is a power of two, so its fine step
-    # T / (4 T nodes_per_unit) is the same double and its samples are a
-    # prefix of the largest T's, which are evaluated once as a stack.
-    schedule = [1.0]
-    while schedule[-1] * 2.0 <= T_max:
-        schedule.append(schedule[-1] * 2.0)
-    steps = {T: 4 * int(math.ceil(T * nodes_per_unit)) for T in schedule}
-    h = schedule[-1] / steps[schedule[-1]]
-    samples = list(provider.matrices([i * h for i in range(steps[schedule[-1]] + 1)]))
-    means = {T: _cesaro_mean(samples[: steps[T] + 1], h, T) for T in schedule}
-
-    deltas = [
-        float(np.max(np.abs(means[schedule[i + 1]] - means[schedule[i]])))
-        for i in range(len(schedule) - 1)
-    ]
-
-    # A vanishing limit shows up as max|C_T| = O(1/T); decide this on the raw
-    # means before extrapolating, since an oscillatory O(1/T) tail (rotation
-    # groups) is not removed by the smooth-tail extrapolation below.
-    norms = {T: float(np.max(np.abs(means[T]))) for T in schedule}
-    half = schedule[: max(2, len(schedule) // 2)]
-    c_half = max(T * norms[T] for T in half)
-    if norms[schedule[-1]] <= max(100.0 * tol, 4.0 * c_half / schedule[-1]):
-        fit_constant = max(T * norms[T] for T in schedule)
-        residuals = {"idempotent": 0.0, "eigen_commute": 0.0, "outer_form": math.nan}
-        return ProjectionReport(
-            eigenvalue=0.0,
-            projection=np.zeros_like(means[schedule[-1]]),
-            rank=0,
-            right_vec=None,
-            left_vec=None,
-            residuals=residuals,
-            notes=f"means decay to zero; fitted max|C_T| <= {fit_constant:.3g}/T",
-        )
-
-    limit = 2.0 * means[schedule[-1]] - means[schedule[-2]]
-    lim_scale = 1.0 + float(np.max(np.abs(limit)))
-    if deltas[-1] > 10.0 * tol * lim_scale and deltas[-1] > 0.6 * deltas[-2]:
-        raise NoConvergence(
-            f"Cesaro means did not stabilise within T_max = {T_max:g}"
-            f" (last increments {deltas[-2]:.3e}, {deltas[-1]:.3e})"
-        )
-
-    fit_rows = [(T, float(np.max(np.abs(means[T] - limit)))) for T in schedule]
-    fit_constant = max(T * dev for (T, dev) in fit_rows)
-    for T, dev in fit_rows[len(fit_rows) // 2 :]:
-        if dev > (fit_constant / T) * (1.0 + 1e-9) + 10.0 * tol:
+    if abs(s) > axis_tol:
+        raise PremiseViolation(f"spectral bound {s:.3e} is not zero; shift the generator first")
+    U, W, norm = _kernels(A, tol)
+    scale = 1.0 + norm
+    # one cluster per conjugate pair; the first is the one at 0, empty if 0 is no eigenvalue
+    axis = evals[(evals.real >= -axis_tol) & (evals.imag >= -axis_tol)]
+    axis = axis[np.argsort(axis.imag)]
+    clusters = np.split(axis, np.flatnonzero(np.diff(axis.imag) > axis_tol) + 1)
+    if axis.size and axis[0].imag > axis_tol:
+        clusters.insert(0, axis[:0])
+    for i, cluster in enumerate(clusters):
+        if i == 0:
+            lam, R, L = 0j, U, W
+        else:
+            lam = complex(np.mean(cluster))
+            R, L, _ = _kernels(A - lam * np.eye(len(A)), tol)
+        pairing = np.linalg.svd(L.conj().T @ R, compute_uv=False)
+        if R.shape[1] != cluster.size or (cluster.size and pairing[-1] <= tol):
             raise NoConvergence(
-                f"deviation at T = {T:g} does not follow the fitted C/T decay"
+                f"imaginary-axis eigenvalue {lam:.6g} of multiplicity {cluster.size} is not"
+                f" semisimple: kernel dimension {R.shape[1]}, pairing {min(pairing, default=0):.3e}"
             )
 
-    U, sig, Vt = np.linalg.svd(limit)
-    rank = int(np.sum(sig > max(10.0 * tol, 1e-7) * sig[0]))
+    rank = U.shape[1]
+    P = U @ np.linalg.solve(W.T @ U, W.T)
     right = left = None
     outer_res = math.nan
-    notes = f"fitted |C_T - P| <= {fit_constant:.3g}/T over T in [1, {T_max:g}]"
     if rank == 1:
-        right = np.asarray(U[:, 0], dtype=float)
-        k = int(np.argmax(np.abs(right)))
-        if right[k] < 0:
-            right = -right
-        left = np.asarray(Vt[0, :], dtype=float) * float(sig[0])
-        pairing = float(np.dot(left, right))
-        if abs(pairing) < 1e-12:
-            raise ConsistencyViolation(
-                "rank-one mean-ergodic limit is not a projection", witnesses=[pairing]
-            )
-        left = left / pairing
-        outer_res = float(np.linalg.norm(limit - np.outer(right, left), 2))
-        try:
-            dom = dominant_projection(A)
-            agree = float(np.max(np.abs(limit - dom.projection)))
-            if agree > max(100.0 * tol, 3.0 * fit_constant / T_max):
-                raise NoConvergence(
-                    f"mean-ergodic limit disagrees with the dominant projection"
-                    f" by {agree:.3e}"
-                )
-            notes += f"; agrees with the dominant projection to {agree:.2e}"
-        except CertificateMissing:
-            notes += "; no dominant-eigenvalue certificate to compare against"
-
+        right = U[:, 0] if U[np.argmax(np.abs(U[:, 0])), 0] > 0 else -U[:, 0]
+        left = W[:, 0] / float(W[:, 0] @ right)
+        outer_res = float(np.linalg.norm(P - np.outer(right, left), 2))
     residuals = {
-        "idempotent": float(np.linalg.norm(limit @ limit - limit, 2)),
-        "eigen_commute": max(
-            float(np.linalg.norm(A @ limit, 2)), float(np.linalg.norm(limit @ A, 2))
-        ),
+        "idempotent": float(np.linalg.norm(P @ P - P, 2)),
+        "eigen_commute": max(float(np.linalg.norm(A @ P, 2)), float(np.linalg.norm(P @ A, 2))),
         "outer_form": outer_res,
     }
-    scale = 1.0 + float(np.linalg.norm(A, 2))
-    bad = {
-        k_: v
-        for k_, v in residuals.items()
-        if k_ != "outer_form" and not (v <= max(1e-8 * scale, 20.0 * fit_constant / T_max))
-    }
+    bad = {k: v for k, v in residuals.items() if not (math.isnan(v) or v <= tol * scale)}
     if bad:
-        raise NoConvergence(f"limiting matrix fails projection residuals: {bad}")
+        raise EigenSolverFailure(f"projection residuals exceed tolerance: {bad}")
     return ProjectionReport(
         eigenvalue=0.0,
-        projection=limit,
+        projection=P,
         rank=rank,
         right_vec=right,
         left_vec=left,
         residuals=residuals,
-        notes=notes,
+        notes=f"projection onto ker A (dimension {rank}) along ran A;"
+        " every imaginary-axis eigenvalue is semisimple",
     )

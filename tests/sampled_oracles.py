@@ -2,10 +2,11 @@
 
 These are the sampled searches that the package once ran in production:
 the weak-conditions table probed on a time grid, the grid search for a
-coupled system's mixed-ideal witness, and the per-time scan of how much
-e^{tA} carries out of a coordinate ideal.  They share no code with the
-exact routes (pairing supports, Krylov vectors, generator zero
-patterns), so the tests compare the two.  Sampling can witness a
+coupled system's mixed-ideal witness, the per-time scan of how much
+e^{tA} carries out of a coordinate ideal, and the Cesaro means of e^{tA}
+by quadrature.  They share no code with the exact routes (pairing
+supports, Krylov vectors, generator zero patterns, kernels of A and
+A^T), so the tests compare the two.  Sampling can witness a
 condition but never refute it: a threshold without a sampled witness is
 left unresolved, and a leak that decays below the tolerance reads as
 invariance.
@@ -13,6 +14,7 @@ invariance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,3 +141,44 @@ def sampled_leak_onset(A, mask, times=None, tol: float = 1e-9):
     leaking = np.flatnonzero(leaks > tol)
     start = int(leaking[-1]) + 1 if leaking.size else 0
     return times[start] if start < len(times) else None
+
+
+def _trapezoid(samples: list, h: float, stride: int) -> np.ndarray:
+    sel = samples[::stride]
+    acc = sum(sel[1:-1], np.zeros_like(sel[0]))
+    return (h * stride) * (acc + 0.5 * (sel[0] + sel[-1]))
+
+
+def _cesaro_mean(samples: list, h: float, T: float) -> np.ndarray:
+    """(1/T) int_0^T e^{tA} dt by nested trapezoid + two Richardson levels.
+
+    `samples` are e^{tA} at t = i h, i = 0 .. T / h, with T / h a multiple of 4.
+    """
+    t1 = _trapezoid(samples, h, 4)
+    t2 = _trapezoid(samples, h, 2)
+    t4 = _trapezoid(samples, h, 1)
+    r1 = (4.0 * t2 - t1) / 3.0
+    r2 = (4.0 * t4 - t2) / 3.0
+    return ((16.0 * r2 - r1) / 15.0) / T
+
+
+def sampled_cesaro_limit(A, T_max: float = 64.0, nodes_per_unit: int = 32):
+    """(L, C): the extrapolated limit of the Cesaro means of e^{tA} and the
+    fitted constant C in max|C_T - L| <= C / T.
+
+    T doubles from 1 up to T_max; each mean samples e^{tA} at
+    t = i / (4 nodes_per_unit), and L = 2 C_{T_max} - C_{T_max / 2}
+    removes a smooth 1/T tail.  An oscillating tail is not removed, so L
+    is accurate to about C / T_max only.
+    """
+    schedule = [1.0]
+    while schedule[-1] * 2.0 <= T_max:
+        schedule.append(schedule[-1] * 2.0)
+    steps = {T: 4 * int(math.ceil(T * nodes_per_unit)) for T in schedule}
+    h = schedule[-1] / steps[schedule[-1]]
+    times = [i * h for i in range(steps[schedule[-1]] + 1)]
+    samples = list(MatrixSemigroup(A, cache=False).matrices(times))
+    means = {T: _cesaro_mean(samples[: steps[T] + 1], h, T) for T in schedule}
+    limit = 2.0 * means[schedule[-1]] - means[schedule[-2]]
+    fit_constant = max(T * float(np.max(np.abs(means[T] - limit))) for T in schedule)
+    return limit, fit_constant

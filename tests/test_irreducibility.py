@@ -373,14 +373,15 @@ class TestPrincipalIdeals:
             assert gout <= 2.0 * gin + 1e-9
 
     def test_decaying_leak_has_no_onset(self):
-        # e^{tA}[1, 0] = t e^{-3t} > 0 carries e_0 out at every t > 0; from
-        # t = 8 on it is below 1e-9, which the sampled scan reads as an onset
-        A = np.array([[-3.0, 0.0], [1.0, -3.0]])
+        # e^{tA}[1, 0] = -t e^{-3t} < 0 carries e_0 out at every t > 0 and
+        # keeps the premise; from t = 8 on it is below 1e-9, which the
+        # sampled scan reads as an onset
+        A = np.array([[-3.0, 0.0], [-1.0, -3.0]])
         rep = eventual_invariance_of_principal_ideal(
             MatrixSemigroup(A), np.array([1.0, 0.0]), t0_premise=8.0
         )
         assert rep.onset is None
-        assert rep.leak == (1, 0, 1.0)
+        assert rep.leak == (1, 0, -1.0)
         assert "A[1, 0]" in rep.notes
         assert rep.gauge_checks == ()
         assert sampled_leak_onset(A, rep.support, list(rep.premise_times)) == 8.0
@@ -388,6 +389,15 @@ class TestPrincipalIdeals:
     def test_non_matrix_carrier_refused(self):
         with pytest.raises(InputError):
             eventual_invariance_of_principal_ideal(ShiftStepProvider(depth=4), np.ones(16))
+
+    def test_tiny_excess_over_a_zero_coordinate_violates_premise(self):
+        # (e^{8A} e_0)_1 = 8 e^{-24} = 3.0e-10 exceeds h_1 = 0, and its
+        # rounding bound is about 3e-19, far below an absolute 1e-9 slack
+        A = np.array([[-3.0, 0.0], [1.0, -3.0]])
+        with pytest.raises(PremiseViolation):
+            eventual_invariance_of_principal_ideal(
+                MatrixSemigroup(A), np.array([1.0, 0.0]), t0_premise=8.0
+            )
 
     def test_growing_orbit_violates_premise(self):
         with pytest.raises(PremiseViolation):

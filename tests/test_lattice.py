@@ -1,4 +1,4 @@
-"""Vector-lattice primitives: order operations, ideals, gauge norms."""
+"""Vector-lattice primitives: ideals and gauge norms."""
 
 import numpy as np
 import pytest
@@ -6,58 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evpos.errors import NotInIdeal
-from evpos.lattice import (
-    GaugeContext,
-    IdealMask,
-    gauge_norm,
-    is_positive,
-    is_quasi_interior,
-    join,
-    lattice_ops,
-    meet,
-    modulus,
-    pos_part,
-)
-
-finite = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-vectors = st.lists(finite, min_size=1, max_size=12).map(np.array)
-
-
-@given(vectors)
-def test_modulus_decomposition(f):
-    assert np.array_equal(modulus(f), pos_part(f) + pos_part(-f))
-    assert np.array_equal(f, pos_part(f) - pos_part(-f))
-
-
-@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=12))
-def test_meet_join_bracket(pairs):
-    f = np.array([p[0] for p in pairs])
-    g = np.array([p[1] for p in pairs])
-    lo = meet(f, g)
-    hi = join(f, g)
-    assert np.all(lo <= f) and np.all(lo <= g)
-    assert np.all(hi >= f) and np.all(hi >= g)
-    # lattice identity: f + g = meet + join
-    assert np.allclose(f + g, lo + hi)
-
-
-def test_lattice_ops_bundles_everything():
-    f = np.array([1.0, -2.0])
-    g = np.array([0.0, 5.0])
-    lo, hi, absf, plusf = lattice_ops(f, g)
-    assert np.array_equal(lo, meet(f, g))
-    assert np.array_equal(hi, join(f, g))
-    assert np.array_equal(absf, modulus(f))
-    assert np.array_equal(plusf, pos_part(f))
-
-
-def test_positivity_predicates():
-    assert is_positive(np.array([0.0, 1.0]))
-    assert not is_positive(np.array([-1e-9, 1.0]))
-    assert is_quasi_interior(np.array([0.5, 2.0]))
-    assert not is_quasi_interior(np.array([0.0, 2.0]))
+from evpos.lattice import GaugeContext, IdealMask, gauge_norm
 
 
 class TestIdealMask:

@@ -409,18 +409,6 @@ class TestCouplingBlocks:
         func = CoordinateFunctional(2, 3)
         assert func(np.array([5.0, 6.0, 7.0])) == 7.0
 
-    def test_factorization_mismatch_rejected(self):
-        A = demo_generator()
-        bad = (np.ones((3, 1)), np.ones((1, 3)))
-        with pytest.raises(InputError):
-            CoupledSystem(
-                MatrixSemigroup(A),
-                MatrixSemigroup(A),
-                DenseCoupling(0.1 * np.ones((3, 3))),
-                DenseCoupling(0.1 * np.ones((3, 3))),
-                factorization12=bad,
-            )
-
     def test_product_vector_arithmetic(self):
         grid = Grid1D(x_min=-2.0, h=0.25, count=16)
         v = ProductVector(np.ones(3), GridFunction.indicator(grid, 0.0, 1.0))
@@ -1150,6 +1138,25 @@ class TestOrbitStoreAgainstLists:
             dense, gauge = oracle.to_dense(q * h)
             assert_same_array(provider.to_dense(q * h), dense)
             assert provider.series_report(q * h)["quadrature_estimate"] == gauge
+
+    def test_dense_steps_build_each_flow_once(self, monkeypatch):
+        # to_dense at steps 1..8 builds the block-diagonal flow once for
+        # each step 0..8, and every value to step 16 is the list path's
+        system = demo_system_l4()
+        h = system.provider2.grid.h
+        provider, oracle = CoupledProvider(system), ListOrbitProvider(system)
+        times = []
+        dense_diag = CoupledProvider._dense_diag
+        monkeypatch.setattr(
+            CoupledProvider,
+            "_dense_diag",
+            lambda self, t: times.append(t) or dense_diag(self, t),
+        )
+        for q in range(1, 9):
+            provider.to_dense(q * h)
+        assert times == [p * h for p in range(9)]
+        for q in range(17):
+            assert_same_array(provider.to_dense(q * h), oracle.to_dense(q * h)[0])
 
 
 class TestTermCountAgainstLinearScan:

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import schur
+from scipy.linalg import block_diag, schur
 
+import evpos.semigroup as semigroup
 import evpos.spectral as spectral
 from evpos.errors import (
     CertificateMissing,
-    InputError,
     NoConvergence,
     NotAnEigenpair,
     PremiseViolation,
@@ -18,6 +18,7 @@ from evpos.spectral import (
     dominant_projection,
     mean_ergodic_projection,
 )
+from sampled_oracles import sampled_cesaro_limit
 
 JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -144,12 +145,17 @@ class TestSchurOracle:
             assert err <= 1e-10, (stratum, A.shape[0], err)
 
 
+I2, Z2 = np.eye(2), np.zeros((2, 2))
+
+
 class TestMeanErgodic:
     def test_shifted_showcase_converges_to_averaging(self):
-        rep = mean_ergodic_projection(demo_generator() - 9.0 * np.eye(3))
+        A = demo_generator() - 9.0 * np.eye(3)
+        rep = mean_ergodic_projection(A)
         assert rep.rank == 1
-        assert np.max(np.abs(rep.projection - TARGET)) <= 1e-8
-        assert max(v for v in rep.residuals.values() if not np.isnan(v)) <= 1e-8
+        assert np.max(np.abs(rep.projection - TARGET)) <= 1e-13
+        assert np.allclose(np.outer(rep.right_vec, rep.left_vec), rep.projection, atol=1e-15)
+        assert rep.right_vec @ rep.left_vec == pytest.approx(1.0)
 
     def test_cesaro_distance_obeys_ten_over_T(self):
         # independent oracle: with the exact symmetric eigensystem the
@@ -164,56 +170,23 @@ class TestMeanErgodic:
             assert np.max(np.abs(C_T - P)) <= 10.0 / T
 
     @pytest.mark.parametrize(
-        "A", [demo_generator() - 9.0 * np.eye(3), ROTATION, JORDAN - np.eye(2)]
+        "A, rank",
+        [
+            (demo_generator() - 9.0 * np.eye(3), 1),
+            (np.diag([0.0, 0.0, -1.0]), 2),
+            # a defective stable block beside a simple 0
+            (np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]]), 1),
+        ],
     )
-    def test_cesaro_samples_are_the_per_time_exponentials(self, monkeypatch, A):
-        # the stacked samples against one expm call per time, bit for bit
-        seen = []
-        trapezoid = spectral._trapezoid
-        monkeypatch.setattr(
-            spectral,
-            "_trapezoid",
-            lambda samples, h, stride: seen.append((samples, h)) or trapezoid(samples, h, stride),
-        )
-        try:
-            spectral.mean_ergodic_projection(A, T_max=4.0)
-        except NoConvergence:
-            pass  # the verdict is not what this test checks
-        # three trapezoid rules per mean, for T = 1, 2, 4
-        for T, (samples, h) in zip((1, 2, 4), seen[::3]):
-            assert len(samples) == 4 * 32 * T + 1
-            for i, got in enumerate(samples):
-                assert got.tobytes() == expm(A, i * h).tobytes()
-
-    @pytest.mark.parametrize("A", [demo_generator() - 9.0 * np.eye(3), ROTATION])
-    def test_cesaro_means_share_one_sample_list(self, monkeypatch, A):
-        # one list of 4 * 32 * 64 + 1 times; each T's means are bit for bit
-        # the means of a list evaluated afresh for that T alone
-        lengths = []
-        matrices = MatrixSemigroup.matrices
-        monkeypatch.setattr(
-            MatrixSemigroup,
-            "matrices",
-            lambda self, times: lengths.append(len(times)) or matrices(self, times),
-        )
-        means = []
-        cesaro = spectral._cesaro_mean
-        monkeypatch.setattr(
-            spectral,
-            "_cesaro_mean",
-            lambda samples, h, T: means.append((T, cesaro(samples, h, T))) or means[-1][1],
-        )
-        spectral.mean_ergodic_projection(A)
-        assert lengths == [16, 8193]  # the growth envelope's samples, then the means'
-        assert [T for T, _ in means] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-        for T, got in means:
-            n = 128 * int(T)
-            fresh = list(matrices(MatrixSemigroup(A), [i * (T / n) for i in range(n + 1)]))
-            assert got.tobytes() == cesaro(fresh, T / n, T).tobytes()
-
-    def test_nodes_per_unit_below_four_rejected(self):
-        with pytest.raises(InputError):
-            mean_ergodic_projection(demo_generator() - 9.0 * np.eye(3), nodes_per_unit=2)
+    def test_projection_onto_the_kernel(self, A, rank):
+        rep = mean_ergodic_projection(A)
+        P = rep.projection
+        assert rep.rank == rank
+        assert np.linalg.matrix_rank(P) == rank
+        bound = 1e-8 * (1.0 + np.linalg.norm(A, 2))
+        assert rep.residuals["idempotent"] <= bound
+        assert rep.residuals["eigen_commute"] <= bound
+        assert np.max(np.abs(A @ P)) <= bound and np.max(np.abs(P @ A)) <= bound
 
     def test_rotation_group_means_vanish(self):
         rep = mean_ergodic_projection(ROTATION)
@@ -224,9 +197,56 @@ class TestMeanErgodic:
         with pytest.raises(NoConvergence):
             mean_ergodic_projection(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.diag([1.0, 1.0], 1),
+            np.block([[ROTATION, I2], [Z2, ROTATION]]),
+            np.block([[ROTATION, I2, Z2], [Z2, ROTATION, I2], [Z2, Z2, ROTATION]]),
+        ],
+        ids=["nilpotent3", "rotation-pair-4x4", "rotation-pair-6x6"],
+    )
+    def test_defective_axis_eigenvalue_refused(self, A):
+        # e^{tA} grows polynomially on a defective axis eigenvalue, so the
+        # means grow or oscillate without a limit
+        with pytest.raises(NoConvergence):
+            mean_ergodic_projection(A)
+
     def test_nonzero_spectral_bound_rejected(self):
         with pytest.raises(PremiseViolation):
             mean_ergodic_projection(demo_generator())
+
+    def test_no_exponential_is_evaluated(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact route evaluated a sampled quantity")
+
+        monkeypatch.setattr(semigroup, "expm", refuse)
+        monkeypatch.setattr(MatrixSemigroup, "envelope", property(refuse))
+        monkeypatch.setattr(spectral, "dominant_projection", refuse)
+        rep = mean_ergodic_projection(demo_generator() - 9.0 * np.eye(3))
+        assert rep.rank == 1
+
+    def test_matches_the_sampled_cesaro_oracle(self):
+        # seeded shifted Metzler generators, some with a rotation block
+        # beside them, and one rank-2 kernel; the oracle's own fit bounds
+        # its error by about C / T_max
+        rng = np.random.default_rng(2020)
+        shifted = {}
+        corpus = []
+        for n in range(3, 13):
+            M = rng.uniform(0.0, 1.0, (n, n)) - rng.uniform(0.0, 2.0) * np.eye(n)
+            shifted[n] = M - float(np.max(np.linalg.eigvals(M).real)) * np.eye(n)
+            corpus.append((shifted[n], 1))
+            if n % 3 == 0:
+                corpus.append((block_diag(shifted[n], ROTATION), 1))
+        corpus.append((block_diag(shifted[3], shifted[4]), 2))
+        assert len(corpus) == 15
+        for A, rank in corpus:
+            rep = mean_ergodic_projection(A)
+            limit, fit_constant = sampled_cesaro_limit(A)
+            assert rep.rank == rank
+            err = float(np.max(np.abs(rep.projection - limit)))
+            assert err <= 3.0 * fit_constant / 64.0, (A.shape[0], err, fit_constant)
 
     def test_agreement_with_dominant_projection(self):
         A = demo_generator() - 9.0 * np.eye(3)
