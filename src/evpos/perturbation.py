@@ -1233,6 +1233,14 @@ class CoupledProvider(SemigroupProvider):
         out += [ProductVector(z1, w) for w in self.system.provider2.condition_basis()]
         return out
 
+    def vanishing_time(self, f: ProductVector, adjoint: bool):
+        """None for f != 0 on two dense carriers, whose family is one invertible exponential.
+
+        A lattice orbit has no exact vanishing time here (CertificateMissing)."""
+        if self.lattice_h is not None:
+            return super().vanishing_time(f, adjoint)
+        return None if self.stack(f).any() else 0.0
+
     def check_positive(self, f, label: str = "vector"):
         if not isinstance(f, ProductVector):
             raise PremiseViolation(f"{label} must be a product vector")

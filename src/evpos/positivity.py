@@ -78,6 +78,9 @@ _ONSET_CLASSES = (
     PositivityClass.UNIFORMLY_EVENTUALLY_POSITIVE,
 )
 
+_GAP_MARGIN = 1e-8  # least gap, and largest imaginary part, of a certified dominant eigenvalue
+_RESIDUAL_TOL = 1e-9  # eigenvector residual bound, scaled by 1 + max|A_ij|
+
 
 @dataclass(frozen=True)
 class SpectralCertificate:
@@ -132,15 +135,13 @@ class PositivityVerdict:
 # Spectral certificate
 
 
-def spectral_certificate(
-    A, gap_margin: float = 1e-8, residual_tol: float = 1e-9
-) -> SpectralCertificate:
+def spectral_certificate(A) -> SpectralCertificate:
     """Extract dominant-eigenvalue data for the generator `A`.
 
     `dominant_is_real_simple` is only claimed when the top eigenvalue is
     real, separated from the rest of the spectrum by at least
-    `gap_margin`, and both eigenvectors meet the residual tolerance,
-    scaled by 1 + max|A_ij|; anything closer is left uncertified rather
+    _GAP_MARGIN, and both eigenvectors meet _RESIDUAL_TOL, scaled by
+    1 + max|A_ij|; anything closer is left uncertified rather
     than guessed.
 
     Raises EigenSolverFailure when a residual check fails on a spectrum
@@ -148,15 +149,13 @@ def spectral_certificate(
     """
     A = as_matrix(A)
     evals, evecs = np.linalg.eig(A)
-    return _certificate_from_eig(A, evals, evecs, gap_margin, residual_tol)
+    return _certificate_from_eig(A, evals, evecs)
 
 
-def _certificate_from_eig(
-    A: np.ndarray, evals, evecs, gap_margin: float = 1e-8, residual_tol: float = 1e-9
-) -> SpectralCertificate:
+def _certificate_from_eig(A: np.ndarray, evals, evecs) -> SpectralCertificate:
     """spectral_certificate on a precomputed eigendecomposition of `A`."""
     n = A.shape[0]
-    residual_tol = residual_tol * (1.0 + float(np.max(np.abs(A))))
+    residual_tol = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(A))))
     order = np.argsort(evals.real)[::-1]
     i0 = int(order[0])
     s = float(evals[i0].real)
@@ -166,12 +165,12 @@ def _certificate_from_eig(
         gap = math.inf
     notes = []
     simple = True
-    if abs(float(evals[i0].imag)) > gap_margin:
+    if abs(float(evals[i0].imag)) > _GAP_MARGIN:
         simple = False
         notes.append("dominant eigenvalue is not real")
-    if gap < gap_margin:
+    if gap < _GAP_MARGIN:
         simple = False
-        notes.append(f"spectral gap {gap:.3e} is below the {gap_margin:.0e} margin")
+        notes.append(f"spectral gap {gap:.3e} is below the {_GAP_MARGIN:.0e} margin")
 
     u = None
     phi = None

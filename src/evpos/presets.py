@@ -109,7 +109,7 @@ def _finish(preset: str, checks: list, notes: str = "") -> PresetReport:
 # --------------------------------------------------------------------------
 
 
-def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20.0, seed: int = 20240816) -> PresetReport:
+def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20.0) -> PresetReport:
     """Full verification suite for the showcase generator."""
     check_tol(tol)
     if not 0.0 < t_max < math.inf:
@@ -159,7 +159,7 @@ def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20
         and verdict.certified
         and t0 is not None
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240816)
     min_past_onset = math.inf
     if cert_ok:
         for t in t0 + rng.uniform(0.0, t_max, size=50):
@@ -226,7 +226,7 @@ def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20
 # --------------------------------------------------------------------------
 
 
-def run_shift_demo(depth: int = 8, pair_max: int = 4) -> PresetReport:
+def run_shift_demo(depth: int = 8) -> PresetReport:
     """Exact-arithmetic suite for the nilpotent shift family."""
     check_depth(depth)
     checks = []
@@ -265,20 +265,20 @@ def run_shift_demo(depth: int = 8, pair_max: int = 4) -> PresetReport:
     checks.append(CheckResult("composition law at quarter steps", law_ok))
 
     nil_ok = all(
-        pairing(k, j, 1) == 0 for k in range(1, pair_max + 1) for j in range(1, pair_max + 1)
+        pairing(k, j, 1) == 0 for k in range(1, 5) for j in range(1, 5)
     )
     checks.append(
         CheckResult(
             "nilpotency at t=1",
             nil_ok,
-            details={"pairs": pair_max * pair_max},
+            details={"pairs": 16},
         )
     )
 
     witnesses = {}
     witness_ok = True
-    for k in range(1, pair_max + 1):
-        for j in range(1, pair_max + 1):
+    for k in range(1, 5):
+        for j in range(1, 5):
             found = None
             for d in range(depth, max(depth, 10) + 1):
                 found = irreducibility_witness_search(k, j, d)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateMissing, ExpmOverflow
+from .errors import CertificateMissing, ExpmOverflow, PremiseViolation
 from .lattice import as_matrix, as_vector
 
 __all__ = [
@@ -202,31 +202,17 @@ class TimeGrid:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def from_points(cls, points) -> "TimeGrid":
-        pts = np.asarray(sorted(set(float(p) for p in points)), dtype=float)
-        return cls(points=pts, t_start=float(pts[0]), t_end=float(pts[-1]))
-
-    @classmethod
-    def logspace(
-        cls, t_min: float = 1e-3, t_max: float = 20.0, n: int = 256, include_zero: bool = True
-    ) -> "TimeGrid":
-        if not (0 < t_min < t_max) or n < 2:
-            raise ValueError("need 0 < t_min < t_max and n >= 2")
-        pts = np.geomspace(t_min, t_max, n)
-        if include_zero:
-            pts = np.concatenate(([0.0], pts))
+    def logspace(cls, t_max: float = 20.0, n: int = 256) -> "TimeGrid":
+        """t = 0 and n log-spaced points on [1e-3, t_max]."""
+        if not (1e-3 < t_max) or n < 2:
+            raise ValueError("need t_max > 1e-3 and n >= 2")
+        pts = np.concatenate(([0.0], np.geomspace(1e-3, t_max, n)))
         return cls(points=pts, t_start=float(pts[0]), t_end=float(pts[-1]))
 
     @classmethod
     def default(cls) -> "TimeGrid":
         # 256 log-spaced points on [1e-3, 20] plus t = 0.
         return cls.logspace()
-
-    def tail(self, fraction: float = 0.25) -> np.ndarray:
-        """The last `fraction` of the positive sample times."""
-        pos = self.points[self.points > 0]
-        k = max(1, int(math.ceil(fraction * pos.size)))
-        return pos[-k:]
 
     def __iter__(self):
         return iter(self.points)
@@ -327,6 +313,13 @@ class SemigroupProvider:
             f"{type(self).__name__} gives no exact pairing support; "
             "a matrix generator is decided by classify(A=...)"
         )
+
+    def vanishing_time(self, f, adjoint: bool):
+        """The exact least t with T(t) f = 0 (T(t)' f = 0 if `adjoint`), None if none.
+
+        A carrier that cannot give it raises CertificateMissing; orbits are not sampled.
+        """
+        raise CertificateMissing(f"{type(self).__name__} gives no exact vanishing time")
 
     def check_positive(self, f, label: str = "vector"):
         """Raise PremiseViolation unless f is positive and nonzero in the carrier lattice."""
@@ -448,6 +441,10 @@ class MatrixSemigroup(SemigroupProvider):
     def pair(self, phi, f):
         return float(np.dot(as_vector(phi), as_vector(f)))
 
+    def vanishing_time(self, f, adjoint: bool):
+        """None for f != 0 (0.0 for f = 0): e^{tA} is invertible, so no orbit vanishes."""
+        return None if as_vector(f).any() else 0.0
+
     def default_test_vectors(self):
         return [np.eye(self.carrier_dim)[i] for i in range(self.carrier_dim)]
 
@@ -455,8 +452,6 @@ class MatrixSemigroup(SemigroupProvider):
         return self.default_test_vectors()
 
     def check_positive(self, f, label: str = "vector"):
-        from .errors import PremiseViolation
-
         v = as_vector(f)
         if v.size != self.carrier_dim:
             raise PremiseViolation(f"{label} has dimension {v.size}, expected {self.carrier_dim}")

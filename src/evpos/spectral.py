@@ -147,7 +147,7 @@ def _inverse_iteration(A: np.ndarray, s: float, v0: np.ndarray, iters: int = 3) 
 
 
 def dominant_projection(
-    A, expect_positive_eigenvectors: bool = False, tol: float = 1e-8, certificate=None
+    A, expect_positive_eigenvectors: bool = False, certificate=None
 ) -> ProjectionReport:
     """Rank-one spectral projection for the dominant eigenvalue of `A`.
 
@@ -179,7 +179,7 @@ def dominant_projection(
     scale = 1.0 + float(np.linalg.norm(A, 2)) + abs(s)
     for vec, mat, side in ((u, A, "right"), (phi, A.T, "left")):
         resid = float(np.linalg.norm(mat @ vec - s * vec))
-        if resid > tol * scale:
+        if resid > 1e-8 * scale:
             raise EigenSolverFailure(f"{side} eigenvector residual {resid:.3e} after refinement")
 
     k = int(np.argmax(np.abs(u)))

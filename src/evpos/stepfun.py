@@ -28,6 +28,8 @@ from fractions import Fraction
 from itertools import islice
 from operator import mul
 
+import numpy as np
+
 from .errors import DepthExceeded, PremiseViolation
 from .semigroup import PairingSupport, SemigroupProvider
 
@@ -158,14 +160,6 @@ class PiecewiseConstantFn:
         bps.append(_ONE)
         return PiecewiseConstantFn(bps, vals)
 
-    def abs(self) -> "PiecewiseConstantFn":
-        return PiecewiseConstantFn(self.breakpoints, [abs(v) for v in self.values])
-
-    def pos_part(self) -> "PiecewiseConstantFn":
-        return PiecewiseConstantFn(
-            self.breakpoints, [v if v > 0 else _ZERO for v in self.values]
-        )
-
     def integral(self) -> Fraction:
         total = _ZERO
         for a, b, v in self.pieces():
@@ -217,19 +211,19 @@ class PiecewiseConstantFn:
         return f"PiecewiseConstantFn({parts})"
 
 
-def rademacher(n: int, max_depth: int = MAX_DEPTH) -> PiecewiseConstantFn:
+def rademacher(n: int) -> PiecewiseConstantFn:
     """Square wave with sign flips at k/2^n: +1 on [0, 2^-n), then alternating."""
     if n < 1:
         raise ValueError("index must be >= 1")
-    if n > max_depth:
-        raise DepthExceeded(f"index {n} exceeds depth cap {max_depth}")
+    if n > MAX_DEPTH:
+        raise DepthExceeded(f"index {n} exceeds depth cap {MAX_DEPTH}")
     pieces = 1 << n
     bps = [Fraction(k, pieces) for k in range(pieces + 1)]
     vals = [Fraction(1) if k % 2 == 0 else Fraction(-1) for k in range(pieces)]
     return PiecewiseConstantFn(bps, vals)
 
 
-def walsh(n: int, max_depth: int = MAX_DEPTH) -> PiecewiseConstantFn:
+def walsh(n: int) -> PiecewiseConstantFn:
     """Binary-product family: bit i of n (value 2^i) contributes factor r_{i+1}."""
     if n < 0:
         raise ValueError("index must be >= 0")
@@ -238,7 +232,7 @@ def walsh(n: int, max_depth: int = MAX_DEPTH) -> PiecewiseConstantFn:
     m = n
     while m:
         if m & 1:
-            out = out.product(rademacher(bit + 1, max_depth=max_depth))
+            out = out.product(rademacher(bit + 1))
         m >>= 1
         bit += 1
     return out
@@ -397,8 +391,6 @@ class ShiftStepProvider(SemigroupProvider):
         return PiecewiseConstantFn.zero()
 
     def vec_norm(self, f) -> float:
-        import math
-
         return math.sqrt(float(f.l2_norm_sq()))
 
     def pair(self, phi: PiecewiseConstantFn, f: PiecewiseConstantFn) -> Fraction:
@@ -425,6 +417,12 @@ class ShiftStepProvider(SemigroupProvider):
             elif va or vb:
                 spans.append((a, b, va != 0, vb != 0))
         return PairingSupport(tuple(spans), "exact knot values of a pairing linear between knots")
+
+    def vanishing_time(self, f: PiecewiseConstantFn, adjoint: bool) -> Fraction:
+        """sup supp f; 1 - inf supp f for the adjoint right shift; 0 for f = 0."""
+        if not adjoint or f.is_zero:
+            return vanishing_time(f)
+        return _ONE - next(a for a, _b, v in f.pieces() if v)
 
     def admissible_times(self, candidates):
         """Round each candidate to the nearest dyadic t = m / 2**depth."""
@@ -475,8 +473,6 @@ class ShiftStepProvider(SemigroupProvider):
 
     def to_dense(self, t):
         """Shift matrix on the 2^depth dyadic cells; t must be a multiple of the cell width."""
-        import numpy as np
-
         t = _frac(t)
         cells = 1 << self.depth
         steps = t * cells
@@ -492,9 +488,9 @@ class ShiftStepProvider(SemigroupProvider):
     def default_test_vectors(self):
         return [self.cell_indicator(0), PiecewiseConstantFn.constant(1)]
 
-    def condition_basis(self, count: int = 4):
-        """Square-wave indices used for weak-duality condition sampling."""
-        return [rademacher(k) for k in range(1, count + 1)]
+    def condition_basis(self):
+        """The first four square waves, the weak conditions' test vectors."""
+        return [rademacher(k) for k in range(1, 5)]
 
     def positivity_probe(self, t):
         # The shift maps nonnegative step functions to nonnegative ones by
@@ -503,8 +499,6 @@ class ShiftStepProvider(SemigroupProvider):
         cells = 1 << self.depth
         if (t * cells).denominator == 1:
             M = self.to_dense(t)
-            import numpy as np
-
             idx = np.unravel_index(int(np.argmin(M)), M.shape)
             return float(M[idx]), (int(idx[0]), int(idx[1])), True
         return 0.0, None, True

@@ -3,13 +3,16 @@
 These are the sampled searches that the package once ran in production:
 the weak-conditions table probed on a time grid, the grid search for a
 coupled system's mixed-ideal witness, the per-time scan of how much
-e^{tA} carries out of a coordinate ideal, and the Cesaro means of e^{tA}
-by quadrature.  They share no code with the exact routes (pairing
-supports, Krylov vectors, generator zero patterns, kernels of A and
-A^T), so the tests compare the two.  Sampling can witness a
+e^{tA} carries out of a coordinate ideal, the Cesaro means of e^{tA}
+by quadrature, the orbit-norm scan for vanishing orbits and the random
+probes of a principal ideal's gauge bound.  They share no code with the
+exact routes (pairing supports, Krylov vectors, generator zero
+patterns, kernels of A and A^T, vanishing times, gauge operator norms),
+so the tests compare the two.  Sampling can witness a
 condition but never refute it: a threshold without a sampled witness is
-left unresolved, and a leak that decays below the tolerance reads as
-invariance.
+left unresolved, a leak that decays below the tolerance reads as
+invariance, an orbit that decays below it reads as vanished, and a
+random probe only bounds the gauge norm from below.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from evpos.irreducibility import COND_LARGE_TIMES, COND_LARGE_TIMES_OR_ZERO, COND_SOME_TIME
+from evpos.lattice import GaugeContext, gauge_norm
 from evpos.semigroup import MatrixSemigroup, TimeGrid
 
 
@@ -182,3 +186,45 @@ def sampled_cesaro_limit(A, T_max: float = 64.0, nodes_per_unit: int = 32):
     limit = 2.0 * means[schedule[-1]] - means[schedule[-2]]
     fit_constant = max(T * float(np.max(np.abs(means[T] - limit))) for T in schedule)
     return limit, fit_constant
+
+
+def sampled_vanishing(provider, basis=None, grid=None, tol: float = 1e-9):
+    """(t, label, norm) of each sampled orbit point with norm <= tol.
+
+    The labels are f<i> for T(t) f_i and phi<i> for T(t)' f_i, over the
+    carrier's condition basis unless `basis` is given.
+    """
+    if basis is None:
+        basis = list(provider.condition_basis())
+    if grid is None:
+        grid = TimeGrid.default()
+    flagged = []
+    for t in provider.admissible_times(grid):
+        for idx, f in enumerate(basis):
+            fwd = provider.vec_norm(provider.apply(t, f))
+            if fwd <= tol:
+                flagged.append((float(t), f"f{idx}", float(fwd)))
+            adj = provider.vec_norm(provider.apply_adjoint(t, f))
+            if adj <= tol:
+                flagged.append((float(t), f"phi{idx}", float(adj)))
+    return flagged
+
+
+def sampled_gauge_probes(provider, h, times, rng, n_random: int = 5, tol: float = 1e-9):
+    """(t, gauge(f, h), gauge(T(t) f, h)) for random f = c h, c uniform in [-1, 1]^n.
+
+    Every eighth of `times` is probed; T(t) f may leave the ideal by the
+    rounding of the flow, tol (1 + max |T(t)|)(1 + |f|_1).
+    """
+    ctx = GaugeContext.from_vector(h)
+    mats = dict(zip(times, provider.matrices(times)))
+    leak_tol = tol * (1.0 + max(float(np.max(np.abs(m))) for m in mats.values()))
+    probe_times = times[:: max(1, len(times) // 8)]
+    probes = []
+    for _ in range(n_random):
+        f = rng.uniform(-1.0, 1.0, size=h.size) * h
+        g_in = gauge_norm(f, ctx)
+        membership_tol = leak_tol * (1.0 + float(np.sum(np.abs(f))))
+        for t in probe_times:
+            probes.append((float(t), g_in, gauge_norm(mats[t] @ f, ctx, tol=membership_tol)))
+    return probes

@@ -238,9 +238,7 @@ def test_criterion_11_cross_module_invariant_bundle():
         # gauge bound: dominated orbits stay inside twice the ideal
         A = demo_generator() - 10.0 * np.eye(3)
         fixed = build_super_fixed_vector(A, np.ones(3))
-        rep = eventual_invariance_of_principal_ideal(
-            MatrixSemigroup(A), fixed, rng=np.random.default_rng(11)
-        )
+        rep = eventual_invariance_of_principal_ideal(MatrixSemigroup(A), fixed)
         assert rep.premise_ok and rep.gauge_bound_ok
         assert rep.bound_constant == 2.0
         for _t, gauge_in, gauge_out in rep.gauge_checks:

@@ -29,10 +29,29 @@ from evpos.irreducibility import (
     tarjan_scc,
     weak_conditions_test,
 )
-from evpos.semigroup import MatrixSemigroup, demo_generator
+from evpos import semigroup
+from evpos.lattice import GaugeContext, gauge_norm
+from evpos.perturbation import CoupledProvider, CoupledSystem, DenseCoupling
+from evpos.presets import coupled_demo_system
+from evpos.semigroup import MatrixSemigroup, TimeGrid, demo_generator
 from evpos.stepfun import PiecewiseConstantFn, ShiftStepProvider, shift_apply
 from brute_oracles import brute_force_ideals
-from sampled_oracles import sampled_conditions_table, sampled_leak_onset
+from sampled_oracles import (
+    sampled_conditions_table,
+    sampled_gauge_probes,
+    sampled_leak_onset,
+    sampled_vanishing,
+)
+
+
+def gauge_case(seed: int):
+    """(A, h): a random sign pattern shifted to s(A) = -0.5 and its super-fixed h."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    M = rng.uniform(0, 1, (n, n))
+    M -= rng.uniform(0, 0.6, (n, n)) * (rng.uniform(size=(n, n)) < 0.4)
+    A = M - (max(np.linalg.eigvals(M).real) + 0.5) * np.eye(n)
+    return A, build_super_fixed_vector(A, np.ones(n))
 
 
 def random_pattern(rng) -> np.ndarray:
@@ -362,15 +381,55 @@ class TestPrincipalIdeals:
     def test_gauge_bound_two_on_dominated_orbit(self):
         A = demo_generator() - 10.0 * np.eye(3)
         h = build_super_fixed_vector(A, np.ones(3))
-        rep = eventual_invariance_of_principal_ideal(
-            MatrixSemigroup(A), h, rng=np.random.default_rng(1)
-        )
+        rep = eventual_invariance_of_principal_ideal(MatrixSemigroup(A), h)
         assert rep.premise_ok and rep.gauge_bound_ok
         assert rep.bound_constant == 2.0
         assert rep.onset == 0.0
         assert rep.leak is None
         for _t, gin, gout in rep.gauge_checks:
             assert gout <= 2.0 * gin + 1e-9
+
+    def test_gauge_bound_fails_where_random_probes_miss_it(self):
+        # the maximiser f = sign(T(t)[1, :]) h has gauge 1 and T(t) f has
+        # gauge 2.067 at t = 0.339; the 45 random probes of the sampled
+        # route, with its seed, peak at 1.106
+        A, h = gauge_case(1352)
+        assert A.shape == (8, 8)
+        rep = eventual_invariance_of_principal_ideal(MatrixSemigroup(A), h)
+        assert rep.gauge_bound_ok is False
+        assert len(rep.gauge_checks) == len(rep.premise_times) == 257
+        t, gauge_in, norm = max(rep.gauge_checks, key=lambda row: row[2])
+        assert (t, gauge_in, norm) == pytest.approx((0.339, 1.0, 2.067), abs=1e-3)
+        assert sum(row[2] > 2.0 for row in rep.gauge_checks) == 17
+        rng = np.random.default_rng(20260816)
+        probes = sampled_gauge_probes(MatrixSemigroup(A), h, list(rep.premise_times), rng)
+        assert max(g_out / g_in for _t, g_in, g_out in probes) < 2.0
+
+    def test_gauge_norm_bounds_random_probes_and_is_attained(self):
+        # a seeded corpus of dominated orbits: every probe's ratio is below
+        # the exact norm at its time, and the maximiser attains the norm
+        cases = 0
+        for seed in range(40):
+            try:
+                A, h = gauge_case(seed)
+            except PremiseViolation:
+                continue  # the orbit of ones leaves the cone; no super-fixed h
+            cases += 1
+            provider = MatrixSemigroup(A)
+            rep = eventual_invariance_of_principal_ideal(provider, h)
+            assert rep.onset == 0.0 and len(rep.support) == h.size
+            norms = {t: norm for t, _g, norm in rep.gauge_checks}
+            rng = np.random.default_rng(seed)
+            for t, g_in, g_out in sampled_gauge_probes(provider, h, list(rep.premise_times), rng):
+                assert g_out <= norms[t] * g_in * (1.0 + 1e-12)
+            ctx = GaugeContext.from_vector(h)
+            for t, _g, norm in rep.gauge_checks[::16]:
+                T = provider.matrix(t)
+                i = int(np.argmax(np.abs(T) @ h / h))
+                f = np.sign(T[i]) * h
+                assert gauge_norm(f, ctx) == 1.0
+                assert gauge_norm(T @ f, ctx) == pytest.approx(norm, rel=1e-12)
+        assert cases >= 10
 
     def test_decaying_leak_has_no_onset(self):
         # e^{tA}[1, 0] = -t e^{-3t} < 0 carries e_0 out at every t > 0 and
@@ -416,8 +475,68 @@ class TestNonvanishing:
         assert rep.violations == ()
         assert rep.consistent
 
+    def test_decaying_invertible_family_never_vanishes(self, monkeypatch):
+        # |e^{tA} e_0| drops below 1e-9 from t = 6.74 on, which the sampled
+        # scan reads as vanishing; e^{tA} is invertible, and no exponential
+        # is evaluated to say so
+        provider = MatrixSemigroup(demo_generator() - 12.0 * np.eye(3))
+        assert sampled_vanishing(provider)[0][:2] == (pytest.approx(6.7416, abs=1e-4), "f0")
+
+        def refuse(*_args):
+            raise AssertionError("an exponential was evaluated")
+
+        monkeypatch.setattr(semigroup, "expm", refuse)
+        rep = strict_nonvanishing_check(provider, classification=PERSISTENTLY_IRREDUCIBLE)
+        assert rep.violations == ()
+        assert rep.consistent and rep.checked == 6
+
     def test_nilpotent_family_vanishes_consistently(self):
         rep = strict_nonvanishing_check(ShiftStepProvider(depth=4))
         assert not rep.applicable
-        assert len(rep.violations) > 0
+        labels = [f"{side}{k}" for k in range(4) for side in ("f", "phi")]
+        assert rep.violations == tuple((1.0, label) for label in labels)
+        assert rep.checked == 8
         assert rep.consistent
+
+    def test_sampled_vanishing_starts_at_exact_onset(self):
+        # on random step functions each sampled zero lies at or past the
+        # exact onset of its orbit, and every sampled time past it is zero
+        rng = np.random.default_rng(21)
+        for depth in (2, 3, 4, 5):
+            provider = ShiftStepProvider(depth=depth)
+            cells = 1 << depth
+            basis = []
+            for _ in range(6):
+                vals = [Fraction(int(v)) for v in rng.integers(-2, 3, size=cells)]
+                bps = [Fraction(k, cells) for k in range(cells + 1)]
+                basis.append(PiecewiseConstantFn(bps, vals))
+            onsets = {}
+            for idx, f in enumerate(basis):
+                onsets[f"f{idx}"] = provider.vanishing_time(f, False)
+                onsets[f"phi{idx}"] = provider.vanishing_time(f, True)
+            flagged = sampled_vanishing(provider, basis=basis)
+            for t, label, _norm in flagged:
+                assert onsets[label] is not None and t >= onsets[label]
+            times = provider.admissible_times(TimeGrid.default())
+            expected = sum(t >= onset for onset in onsets.values() for t in times)
+            assert len(flagged) == expected
+
+    @pytest.mark.parametrize("count", [16, 96])
+    def test_gamma_shift_orbits_never_vanish(self, count):
+        provider = GammaShiftProvider(Grid1D(x_min=-2.0, h=0.25, count=count))
+        rep = strict_nonvanishing_check(provider)
+        assert rep.applicable and rep.consistent
+        assert rep.violations == ()
+        assert rep.checked == 8
+
+    def test_dense_coupled_family_never_vanishes(self):
+        A = demo_generator()
+        block = DenseCoupling(0.1 * np.ones((3, 3)))
+        system = CoupledSystem(MatrixSemigroup(A), MatrixSemigroup(A), block, block)
+        provider = CoupledProvider(system)
+        rep = strict_nonvanishing_check(provider, classification=PERSISTENTLY_IRREDUCIBLE)
+        assert rep.violations == () and rep.consistent and rep.checked == 12
+
+    def test_lattice_coupled_family_refused(self):
+        with pytest.raises(CertificateMissing):
+            strict_nonvanishing_check(CoupledProvider(coupled_demo_system()))

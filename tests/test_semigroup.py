@@ -62,11 +62,6 @@ class TestTimeGrid:
         assert pts == sorted(pts)
         assert pts[-1] == pytest.approx(20.0)
 
-    def test_tail_keeps_last_fraction_of_positive_times(self):
-        g = TimeGrid.from_points([0.0, 0.1, 0.5, 1.0])
-        assert list(g.tail(0.5)) == [0.5, 1.0]
-        assert list(g.tail(0.01)) == [1.0]  # at least one point survives
-
     def test_rejects_non_increasing_points(self):
         with pytest.raises(ValueError):
             TimeGrid(points=np.array([0.5, 0.5]), t_start=0.0, t_end=1.0)
