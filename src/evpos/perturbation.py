@@ -37,7 +37,9 @@ value gathers its summands with one index and adds them in one
 reduction, bit for bit the componentwise sum of the carrier vectors.
 Its quadrature gauge, the norm of its distance to the trapezoid sum,
 is taken when series_report reads it.  An orbit to step q applies the
-carrier (r + 1)(q + 1) times at most and evaluates each e^{t A} once.
+carrier (r + 1)(q + 1) times at most, and a matrix carrier's flows
+e^{m h A} come from one store per provider, filled in doubling stacks
+of one expm call each.
 Two coupled dense carriers are one exponential of the block generator.
 On top of the series sit an order-theoretic domination check, the
 transfer of coordinate-ideal invariance from the perturbed family back
@@ -1119,6 +1121,38 @@ def coupling_premise_check(system: CoupledSystem, tol: float = 1e-9) -> PremiseS
     )
 
 
+class _MatrixFlows:
+    """e^{m h A} of one matrix carrier by lattice step m, evaluated in doubling stacks.
+
+    The first read of a step p past the `size` kept ones evaluates
+    steps size..max(p, 2 size - 1) (step 0 alone) with one
+    carrier.matrices call at the times m * h, so each is bit for bit
+    carrier.matrix(m * h).  A stack that overflows keeps the steps
+    before its first overflowing one, and every step from there on is
+    carrier.matrix's, which raises the single-time ExpmOverflow.  The
+    carrier's cache is neither read nor filled.  Every evaluated step
+    is kept, n x n doubles each.
+    """
+
+    def __init__(self, carrier: MatrixSemigroup, h: float):
+        self.carrier, self.h = carrier, h
+        self.kept = []
+        self.overflow = None  # the first step whose flow overflowed
+
+    def at(self, m: int) -> np.ndarray:
+        size = len(self.kept)
+        if m >= size and self.overflow is None:
+            times = [k * self.h for k in range(size, max(m + 1, 2 * size))]
+            try:
+                for flow in self.carrier.matrices(times):
+                    self.kept.append(flow)
+            except ExpmOverflow:
+                self.overflow = len(self.kept)
+        if m < len(self.kept):
+            return self.kept[m]
+        return self.carrier.matrix(m * self.h)
+
+
 def _exact_record(gauge: float) -> dict:
     """Series report of a renewal or of one exponential: nothing truncated, so no tail."""
     return {"n_terms": 0, "tail_bound": 0.0, "quadrature_estimate": gauge}
@@ -1139,8 +1173,12 @@ class CoupledProvider(SemigroupProvider):
     vectors with the least floor of its summands.  Dense assembly solves
     the same equation for an r x D coefficient block in the stacked
     cell/coordinate basis.  The range orbits and the kernel
-    K(m) = Phi T(m h) U are shared by every seed.  The growth envelope
-    is computed on its first read; no evaluation reads it.
+    K(m) = Phi T(m h) U are shared by every seed.  Every flow e^{m h A}
+    of a matrix carrier, for range orbits, seed flows and dense
+    operators alike, is read from that carrier's _MatrixFlows, which
+    evaluates the steps in doubling stacks (0, 1, 2..3, 4..7, ...), so
+    a sweep to step q takes ceil(log2(q + 1)) + 1 expm calls.  The growth
+    envelope is computed on its first read; no evaluation reads it.
     """
 
     nilpotent_time = None
@@ -1154,12 +1192,17 @@ class CoupledProvider(SemigroupProvider):
             raise InputError("coupled carriers disagree on the time lattice step")
         self.lattice_h = lattices[0].h if lattices else None
         self._grids = tuple(g if isinstance(g, Grid1D) else None for g in (g1, g2))
+        self._carriers = (system.provider1, system.provider2)
         self._n1 = system.dim1
         self._orbit_cache = {}
         self._dense_cache = {}
         self._last_series = {}
         if self.lattice_h is not None:
             b12, b21 = system.b12, system.b21
+            self._flows = tuple(
+                _MatrixFlows(p, self.lattice_h) if isinstance(p, MatrixSemigroup) else None
+                for p in self._carriers
+            )
             self._zeros = (system.provider1.zero_vector(), system.provider2.zero_vector())
             self._range = _FiniteRange(
                 self._range_step,
@@ -1271,37 +1314,47 @@ class CoupledProvider(SemigroupProvider):
             raise ShiftNotOnGrid(f"time {t} is not a whole number of lattice steps")
         return q
 
-    def _apply_diag(self, t: float, v: ProductVector) -> ProductVector:
-        return ProductVector(
-            self.system.provider1.apply(t, v.first),
-            self.system.provider2.apply(t, v.second),
-        )
+    def _carrier_apply(self, i: int, m: int, v):
+        """T(m h) v in carrier i alone; a matrix carrier's flow comes from its store."""
+        flows = self._flows[i]
+        if flows is None:
+            return self._carriers[i].apply(m * self.lattice_h, v)
+        return flows.at(m) @ as_vector(v)
+
+    def _carrier_dense(self, i: int, m: int) -> np.ndarray:
+        """T(m h) of carrier i as a matrix; a matrix carrier's flow comes from its store."""
+        flows = self._flows[i]
+        if flows is None:
+            return self._carriers[i].to_dense(m * self.lattice_h)
+        return flows.at(m)
 
     def _apply_steps(self, m: int, v: ProductVector) -> ProductVector:
-        return self._apply_diag(m * self.lattice_h, v)
+        return ProductVector(
+            self._carrier_apply(0, m, v.first), self._carrier_apply(1, m, v.second)
+        )
 
     def _range_step(self, m: int) -> list:
         """T(m h) of each off-diagonal range vector, flowed in its own carrier only."""
-        t = m * self.lattice_h
-        p1, p2 = self.system.provider1, self.system.provider2
         z1, z2 = self._zeros
-        return [ProductVector(p1.apply(t, u), z2) for u in self.system.b12.range_vectors] + [
-            ProductVector(z1, p2.apply(t, u)) for u in self.system.b21.range_vectors
-        ]
+        return [
+            ProductVector(self._carrier_apply(0, m, u), z2) for u in self.system.b12.range_vectors
+        ] + [ProductVector(z1, self._carrier_apply(1, m, u)) for u in self.system.b21.range_vectors]
 
     def check_orbit(self, q: int) -> None:
         """Refuse lattice orbits to step q before any renewal work.
 
         Refused are a renewal past the node budget and a matrix carrier
-        whose flow e^{tA} leaves the double range by step q.
+        whose flow e^{tA} leaves the double range by step q.  The check
+        fills each matrix carrier's flow store to step q in one stacked
+        call, so an orbit sweep to q evaluates no further exponential.
         """
         check_node_budget(self._range.rank, q)
-        t = q * self.lattice_h
-        for carrier in (self.system.provider1, self.system.provider2):
-            if isinstance(carrier, MatrixSemigroup):
+        for flows in self._flows:
+            if flows is not None:
                 try:
-                    carrier.matrix(t)
+                    flows.at(q)
                 except ExpmOverflow as exc:
+                    t = q * self.lattice_h
                     raise ExpmOverflow(f"the orbit to t = {t:g} overflows: {exc}") from None
 
     def _fingerprint(self, f: ProductVector):
@@ -1376,11 +1429,11 @@ class CoupledProvider(SemigroupProvider):
             second = stacked[n1:]
         return ProductVector(stacked[:n1], second)
 
-    def _dense_diag(self, t: float) -> np.ndarray:
+    def _dense_diag(self, m: int) -> np.ndarray:
         n1 = self.system.dim1
         out = np.zeros((self.carrier_dim, self.carrier_dim))
-        out[:n1, :n1] = self.system.provider1.to_dense(t)
-        out[n1:, n1:] = self.system.provider2.to_dense(t)
+        out[:n1, :n1] = self._carrier_dense(0, m)
+        out[n1:, n1:] = self._carrier_dense(1, m)
         return out
 
     def _dense_lattice(self, q: int):
@@ -1399,13 +1452,13 @@ class CoupledProvider(SemigroupProvider):
             phi[: len(rows12), n1:] = rows12
             phi[len(rows12) :, :n1] = rows21
             self._dense_renewal = _DenseRenewal(
-                lambda p: self._dense_diag(p * h), lambda op: phi @ op, self._range, (dim,)
+                self._dense_diag, lambda op: phi @ op, self._range, (dim,)
             )
         renewal = self._dense_renewal
         renewal.fill(q)
         dense = renewal.take_flow(q)
         if dense is None:
-            dense = self._dense_diag(q * h)
+            dense = self._dense_diag(q)
         if q == 0:
             return dense, 0.0
         orbits = self._range.stacked(q)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import evpos.cli as cli
 import evpos.perturbation as perturbation
 import evpos.semigroup as semigroup
 from evpos.errors import (
@@ -909,7 +910,8 @@ class TestLatticeSeriesAgainstLeftFold:
         # applies the grid family (r + 1)(q + 1) times however many series
         # terms survive, and a second seed adds only its own flow; the
         # matrix family evaluates each e^{t A}, t = 0, h, .., q h, once
-        # per provider, whatever the number of seeds
+        # per provider, whatever the number of seeds, in doubling stacks:
+        # steps 0, 1, 2..3, 4..7, .., 32..63 take ceil(log2(q + 1)) + 1 calls
         system = coupled_demo_system()
         h = system.provider2.grid.h
         calls, exps = [], []
@@ -917,7 +919,9 @@ class TestLatticeSeriesAgainstLeftFold:
         monkeypatch.setattr(
             GammaShiftProvider, "apply", lambda self, t, f: calls.append(t) or apply(self, t, f)
         )
-        monkeypatch.setattr(semigroup, "expm", lambda A, t=1.0: exps.append(t) or expm(A, t))
+        monkeypatch.setattr(
+            semigroup, "expm", lambda A, t=1.0: exps.append(np.atleast_1d(t).tolist()) or expm(A, t)
+        )
         provider = CoupledProvider(system)
         zero = system.provider2.zero_vector()
         q, r = 32, 2
@@ -930,8 +934,10 @@ class TestLatticeSeriesAgainstLeftFold:
                 provider.apply(step * h, seed)
             assert provider.terms_alive(seed, q * h) >= 3
             assert len(calls) - before <= budget
-            assert 0 < len(exps) <= q + 1
-        assert sorted(exps) == [m * h for m in range(q + 1)]
+            assert 0 < len(exps) <= math.ceil(math.log2(q + 1)) + 1
+        times = [t for stack in exps for t in stack]
+        assert len(times) == len(set(times))
+        assert set(times) >= {m * h for m in range(q + 1)}
 
     def test_terms_alive_matches_the_square_step_map(self):
         rng = np.random.default_rng(56)
@@ -1045,7 +1051,7 @@ class TestLatticeSeriesAgainstLeftFold:
         h = 0.25
         for q in (1, 5, 16, 32):
             ref = LeftFoldSeries(
-                lambda m, x: provider._dense_diag(m * h) @ x,
+                lambda m, x: provider._dense_diag(m) @ x,
                 lambda x: Bd @ x,
                 np.eye(provider.carrier_dim),
                 h,
@@ -1145,18 +1151,72 @@ class TestOrbitStoreAgainstLists:
         system = demo_system_l4()
         h = system.provider2.grid.h
         provider, oracle = CoupledProvider(system), ListOrbitProvider(system)
-        times = []
+        steps = []
         dense_diag = CoupledProvider._dense_diag
         monkeypatch.setattr(
             CoupledProvider,
             "_dense_diag",
-            lambda self, t: times.append(t) or dense_diag(self, t),
+            lambda self, m: steps.append(m) or dense_diag(self, m),
         )
         for q in range(1, 9):
             provider.to_dense(q * h)
-        assert times == [p * h for p in range(9)]
+        assert steps == list(range(9))
         for q in range(17):
             assert_same_array(provider.to_dense(q * h), oracle.to_dense(q * h)[0])
+
+
+class TestMatrixFlowStore:
+    """The doubling store of e^{m h A} against the single-time route of the list oracle."""
+
+    @pytest.mark.parametrize(
+        "L, h, steps", [(6.0, 0.125, 16), (4.0, 0.25, 12)], ids=["L6-h0.125", "L4-h0.25"]
+    )
+    def test_orbits_are_the_single_time_orbits(self, L, h, steps):
+        # the benchmark's orbit sweeps from three positive seeds: values,
+        # support floors, gauges and dense operators byte for byte the
+        # oracle's, whose matrix carrier takes one expm call per time
+        provider = CoupledProvider(coupled_demo_system(L=L, h=h))
+        oracle = ListOrbitProvider(coupled_demo_system(L=L, h=h))
+        zero = provider.system.provider2.zero_vector()
+        rng = np.random.default_rng(22)
+        last_gauges = []
+        for _ in range(3):
+            seed = ProductVector(rng.uniform(0.1, 1.0, 3), zero)
+            for q in range(1, steps + 1):
+                want, gauge = oracle.apply(q * h, seed)
+                assert vector_bytes(provider.apply(q * h, seed)) == vector_bytes(want)
+            last_gauges.append(gauge)
+        report = provider.series_report()
+        assert report["n_terms"] == 0 and report["tail_bound"] == 0.0
+        assert report["quadrature_estimate"].hex() == max(last_gauges).hex()
+        for q in (1, 5, 16):
+            dense, gauge = oracle.to_dense(q * h)
+            assert provider.to_dense(q * h).tobytes() == dense.tobytes()
+            assert provider.series_report(q * h)["quadrature_estimate"].hex() == gauge.hex()
+
+    def test_a_block_past_the_overflow_defers_it(self):
+        # e^{9t} of the demo matrix leaves the double range between steps
+        # 315 and 316 (h = 1/4); step 256 asks for the block 256..511, which
+        # keeps steps 256..315 and raises nothing until step 316 is read
+        system = coupled_demo_system(L=4.0, h=0.25)
+        provider = CoupledProvider(system)
+        seed = ProductVector(np.ones(3), system.provider2.zero_vector())
+        for q in range(1, 301):
+            out = provider.apply(q * 0.25, seed)
+        assert np.isfinite(out.first).all() and np.isfinite(out.second.samples).all()
+        provider.check_orbit(315)
+        with pytest.raises(ExpmOverflow) as single:
+            MatrixSemigroup(demo_generator()).matrix(79.0)
+        with pytest.raises(ExpmOverflow) as refused:
+            provider.check_orbit(316)
+        assert str(refused.value) == f"the orbit to t = 79 overflows: {single.value}"
+
+    def test_support_front_overflow_exits_one(self, tmp_path, capsys):
+        argv = ["timeseries", "support-front", "--t-max", "80"]
+        assert cli.main([*argv, "--report-out", str(tmp_path / "over.csv")]) == 1
+        with pytest.raises(ExpmOverflow) as single:
+            MatrixSemigroup(demo_generator()).matrix(80.0)
+        assert capsys.readouterr().err == f"error: the orbit to t = 80 overflows: {single.value}\n"
 
 
 class TestTermCountAgainstLinearScan:
