@@ -323,7 +323,7 @@ def _series_orbit(args) -> tuple:
     header = ["t"] + [f"x_{i}" for i in range(A.shape[0])]
     times = _times_linear(args)
     rows = []
-    for t, E in zip(times, MatrixSemigroup(A, cache=False).matrices(times)):
+    for t, E in zip(times, MatrixSemigroup(A).matrices(times)):
         v = E @ seed
         rows.append([float(t), *(float(x) for x in v)])
     return header, rows
@@ -336,7 +336,7 @@ def _series_rescaled_distance(args) -> tuple:
     proj = dominant_projection(A)
     s = proj.eigenvalue
     header = ["t", "rescaled_distance"]
-    flow = MatrixSemigroup(A - s * np.eye(A.shape[0]), cache=False)
+    flow = MatrixSemigroup(A - s * np.eye(A.shape[0]))
     rows = []
     for t, E in zip(times, flow.matrices(times)):
         D = E - proj.projection

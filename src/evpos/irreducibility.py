@@ -611,7 +611,7 @@ def build_super_fixed_vector(A, f, t1: float = 0.0, grid: TimeGrid | None = None
         raise PremiseViolation("f must be positive and nonzero", witnesses=[f.tolist()])
     if grid is None:
         grid = TimeGrid.default()
-    flow = MatrixSemigroup(A, cache=False)
+    flow = MatrixSemigroup(A)
     scale_f = float(np.max(f))
     shifts = [float(t) + float(t1) for t in grid]
     for t_shift, m in zip(shifts, flow.matrices(shifts)):

@@ -70,7 +70,7 @@ from .errors import (
 from .gammashift import Grid1D, GridFunction
 from .irreducibility import ideal_leak, structural_threshold
 from .lattice import IdealMask, as_matrix, as_vector
-from .semigroup import MatrixSemigroup, SemigroupProvider, TimeGrid, expm
+from .semigroup import MatrixSemigroup, SemigroupProvider, TimeGrid, expm, log_norm_envelope
 
 
 # Series constants: the tail target that fixes the term count, the
@@ -154,14 +154,6 @@ def choose_terms(cap: int, envelope, norm_b: float, t: float):
             if tail <= TAIL_TOLERANCE:
                 return n, tail
     return cap, series.tail(cap)
-
-
-def _log_norm_envelope(A: np.ndarray) -> tuple:
-    """(1, mu_2(A)): |e^{tA}|_2 <= e^{mu_2(A) t}, mu_2(A) the top eigenvalue of (A + A^T) / 2.
-
-    A theorem for every A, defective ones included (Soederlind, BIT 46, 2006).
-    """
-    return (1.0, float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1]))
 
 
 def _block_terms(A: np.ndarray, B: np.ndarray, t: float, n_terms: int) -> list:
@@ -605,7 +597,7 @@ def dyson_phillips_sum(providerA, B, t) -> DysonPhillipsResult:
     envelopes = [provider.envelope]
     cap = LATTICE_MAX_TERMS
     if matrix_case:
-        envelopes.append(_log_norm_envelope(provider.A))
+        envelopes.append(log_norm_envelope(provider.A))
         cap = max(1, BLOCK_BUDGET // provider.carrier_dim - 1)
     norm_b = float(np.linalg.norm(Bd, 2))
     n_terms, tail = min(choose_terms(cap, env, norm_b, t) for env in envelopes)
@@ -726,7 +718,7 @@ def _conclusion_samples(provider, Bd: np.ndarray, times, tol: float):
     estimate folded into the budget.
     """
     if isinstance(provider, MatrixSemigroup):
-        flows = [MatrixSemigroup(M, cache=False) for M in (provider.A, provider.A + Bd)]
+        flows = [MatrixSemigroup(M) for M in (provider.A, provider.A + Bd)]
         for t, base, perturbed in zip(times, *(flow.matrices(times) for flow in flows)):
             yield t, base, perturbed, tol, 0.0
         return
@@ -871,7 +863,6 @@ class GridFunctional:
             raise InputError("window does not meet the grid")
         self._cells = (lo, hi)
         self.norm = 1.0  # |integral over a window| <= L^1 norm
-        self.nonneg = True
 
     def __call__(self, f: GridFunction) -> float:
         lo, hi = self._cells
@@ -899,7 +890,6 @@ class CoordinateFunctional:
         self.index = index
         self.dim = dim
         self.norm = 1.0
-        self.nonneg = True
 
     def __call__(self, z) -> float:
         return float(as_vector(z)[self.index])
@@ -947,7 +937,6 @@ class RankOneCoupling:
         self.functional = functional
         self.norm_bound = _vector_norm_for(output) * float(functional.norm)
         out_arr = _vector_array(output)
-        self.nonneg = bool(np.min(out_arr) >= 0.0) and bool(getattr(functional, "nonneg", False))
         self.shape = (out_arr.size, functional.row().size)
         self.range_vectors = (output,) if out_arr.any() else ()
 
@@ -985,7 +974,6 @@ class DenseCoupling:
     def __init__(self, matrix):
         self.matrix = as_matrix(np.atleast_2d(np.asarray(matrix, dtype=float)))
         self.norm_bound = float(np.linalg.norm(self.matrix, 2))
-        self.nonneg = bool(np.min(self.matrix) >= 0.0)
         self.shape = self.matrix.shape
         rows = np.flatnonzero(self.matrix.any(axis=1))
         self._rows = self.matrix[rows]
@@ -1129,9 +1117,8 @@ class _MatrixFlows:
     carrier.matrices call at the times m * h, so each is bit for bit
     carrier.matrix(m * h).  A stack that overflows keeps the steps
     before its first overflowing one, and every step from there on is
-    carrier.matrix's, which raises the single-time ExpmOverflow.  The
-    carrier's cache is neither read nor filled.  Every evaluated step
-    is kept, n x n doubles each.
+    carrier.matrix's, which raises the single-time ExpmOverflow.  Every
+    evaluated step is kept, n x n doubles each.
     """
 
     def __init__(self, carrier: MatrixSemigroup, h: float):

@@ -267,10 +267,9 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     n = A.shape[0]
     evals, evecs = np.linalg.eig(A)
     cert = _certificate_from_eig(A, evals, evecs)
-    # every route reads each sample time once, so the flow keeps nothing
-    flow = MatrixSemigroup(A - cert.spectral_bound * np.eye(n), cache=False)
+    flow = MatrixSemigroup(A - cert.spectral_bound * np.eye(n))
 
-    if flow.is_metzler(tol=0.0):
+    if flow.is_metzler():
         evidence = []
         for t in (0.0, 1.0, 10.0):
             try:
@@ -614,19 +613,23 @@ def nonempty_spectrum_construction(
     support = [int(i) for i in np.nonzero(h_vals > supp_tol)[0]]
 
     times = [t for t in provider.admissible_times(list(g.points)) if float(t) >= t0 - 1e-12]
-    failures = []
-    witness_times = []
-    for x in support:
-        found = None
-        for t in times:
-            val = float(_coordinate_values(provider, provider.apply(t, h))[x])
-            if val > supp_tol:
-                found = t
-                break
-        if found is None:
-            failures.append((x, f"no sampled time >= {t0:.6g} keeps the orbit positive here"))
-        else:
-            witness_times.append((x, float(found)))
+    found = {}  # support coordinate -> its first sampled time with a positive orbit value
+    operators = []  # T(t) at each time that is some coordinate's first
+    for t in times:
+        if len(found) == len(support):
+            break
+        op = np.asarray(provider.to_dense(t), dtype=float)
+        orbit = op @ h_vals
+        new = [x for x in support if x not in found and float(orbit[x]) > supp_tol]
+        if new:
+            found.update((x, float(t)) for x in new)
+            operators.append(op)
+    witness_times = [(x, found[x]) for x in support if x in found]
+    failures = [
+        (x, f"no sampled time >= {t0:.6g} keeps the orbit positive here")
+        for x in support
+        if x not in found
+    ]
 
     if failures:
         return SpectrumConstructionReport(
@@ -641,7 +644,7 @@ def nonempty_spectrum_construction(
         )
 
     used = sorted({t for (_, t) in witness_times})
-    T = sum(np.asarray(provider.to_dense(t), dtype=float) for t in used)
+    T = sum(operators)
     Th = T @ h_vals
     delta = min(float(Th[x]) / float(h_vals[x]) for x in support)
     if delta <= tol:

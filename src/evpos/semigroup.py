@@ -14,20 +14,21 @@ with one argmin.
 Every sample is evaluated from t = 0, never by stepping, so per-sample
 error does not accumulate along a trajectory.
 
-A MatrixSemigroup builds its growth envelope on first read; the
-perturbation series reads it, the positivity certificate never does.
-The envelope's spot check and every route of the positivity
-certificate sample a rescaled flow e^{t(A - cI)}, c at the spectral
+A MatrixSemigroup holds its generator and nothing else: no evaluated
+e^{tA} is kept, and matrix(t) is expm(A, t).  Its growth envelope is
+read on each use from one eigendecomposition, with no exponential:
+(1.1 kappa_2(V), s + 1e-8) when the eigenbasis V has kappa_2(V) <= 1e12,
+s the spectral bound, otherwise the log-norm pair (1, mu_2(A)).  Both
+are theorems, not samples.  The perturbation series reads the
+envelope, the positivity certificate never does; every route of the
+certificate samples a rescaled flow e^{t(A - cI)}, c at the spectral
 bound, which keeps the signs of e^{tA} and stays in range for any
-finite spectral bound.  Evaluated e^{tA} are cached per provider up to
-a fixed byte budget; the certificate's flow keeps none.  A |tA| that
-is not finite, or a result that leaves the double range, raises
-ExpmOverflow.
+finite spectral bound.  A |tA| that is not finite, or a result that
+leaves the double range, raises ExpmOverflow.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ __all__ = [
     "SemigroupProvider",
     "MatrixSemigroup",
     "default_envelope",
+    "log_norm_envelope",
     "eigenbasis_growth_constant",
     "demo_generator",
     "demo_eigensystem",
@@ -72,10 +74,6 @@ _THETA13 = 5.371920351148152
 # Largest usable eigenbasis condition number, and the safety factor on it.
 _KAPPA_CUTOFF = 1e12
 _ENVELOPE_SAFETY = 1.1
-
-# Array bytes a MatrixSemigroup keeps of evaluated e^{tA}: 64 matrices at
-# n = 128, 6 at n = 400, and every sample of a small generator.
-_CACHE_BUDGET_BYTES = 8 << 20
 
 # Array bytes of one stack that MatrixSemigroup.matrices evaluates at once:
 # the whole default grid of 257 times up to n = 5, one matrix from n = 65.
@@ -261,9 +259,9 @@ class SemigroupProvider:
     """Base contract for a time-indexed operator family T(t), t >= 0.
 
     Subclasses fill in apply() and carrier plumbing.  `envelope` is a
-    validated growth pair (M, omega) with |T(t)| <= M e^{omega t} spot-
-    checked on a coarse grid; T(0) must act as the identity and the
-    composition law T(s)T(t) = T(s+t) must hold up to carrier tolerance.
+    proved growth pair (M, omega) with |T(t)| <= M e^{omega t} for every
+    t >= 0; T(0) must act as the identity and the composition law
+    T(s)T(t) = T(s+t) must hold up to carrier tolerance.
     """
 
     envelope: tuple = (1.0, 0.0)
@@ -353,50 +351,45 @@ def eigenbasis_growth_constant(evecs: np.ndarray) -> float:
     return max(1.0, kappa) * _ENVELOPE_SAFETY if kappa <= _KAPPA_CUTOFF else math.inf
 
 
-def default_envelope(A) -> tuple:
-    """Growth pair (M, omega) for e^{tA}.
+def log_norm_envelope(A) -> tuple:
+    """(1, mu_2(A)): |e^{tA}|_2 <= e^{mu_2(A) t}, mu_2(A) the top eigenvalue of (A + A^T) / 2.
 
-    omega is the spectral bound plus 1e-8; M starts from
-    eigenbasis_growth_constant and is inflated if a spot check on a
-    coarse grid finds a larger |e^{t(A - omega I)}| = |e^{tA}| / e^{omega t}.
-    The check samples the rescaled flow, so it stays in range for any
-    finite spectral bound.
+    A theorem for every A, defective ones included (Soederlind, BIT 46, 2006).
+    The halves are taken before the sum, so entries near the double range
+    do not overflow.
+    """
+    A = as_matrix(A)
+    return (1.0, float(np.linalg.eigvalsh(0.5 * A + 0.5 * A.T)[-1]))
+
+
+def default_envelope(A) -> tuple:
+    """Proved growth pair (M, omega) with |e^{tA}|_2 <= M e^{omega t} for t >= 0, from one eig.
+
+    (eigenbasis_growth_constant(V), s + 1e-8), s the spectral bound, when
+    the eigenbasis V of A = V D V^-1 has kappa_2(V) <= 1e12; otherwise,
+    defective A included, the log-norm pair (1, mu_2(A)).  No exponential
+    is evaluated.
     """
     A = as_matrix(A)
     evals, evecs = np.linalg.eig(A)
-    omega = float(np.max(evals.real)) + 1e-8
     M = eigenbasis_growth_constant(evecs)
     if M == math.inf:
-        M = _ENVELOPE_SAFETY  # defective case: rely on the spot check below
-    B = A - omega * np.eye(A.shape[0])
-    worst = 1.0
-    for m in MatrixSemigroup(B, cache=False).matrices(np.geomspace(1e-2, 20.0, 16)):
-        worst = max(worst, float(np.linalg.norm(m, 2)))
-    if worst > M:
-        M = worst * _ENVELOPE_SAFETY
-    return (M, omega)
+        return log_norm_envelope(A)
+    return (M, float(np.max(evals.real)) + 1e-8)
 
 
 class MatrixSemigroup(SemigroupProvider):
-    """Provider for t -> e^{tA} on R^n with a validated growth envelope.
+    """Provider for t -> e^{tA} on R^n; it holds A and nothing else.
 
-    An explicit `envelope` is stored as given; otherwise default_envelope(A)
-    runs on the first read of `envelope` and may raise ExpmOverflow there;
-    the positivity certificate never reads it.
-    matrix(t) keeps evaluated e^{tA} while their array bytes stay within
-    a fixed budget; later times are evaluated afresh on every call.  With
-    `cache=False` nothing is kept, for a caller that reads each time once.
+    matrix(t) is expm(A, t), evaluated afresh on every call.  `envelope`
+    is default_envelope(A), read on each use without an exponential; the
+    positivity certificate never reads it.
     """
 
-    def __init__(self, A, envelope: tuple | None = None, cache: bool = True):
+    def __init__(self, A):
         self.A = as_matrix(A)
-        if envelope is not None:
-            self.envelope = envelope
-        self._cache = {}
-        # every e^{tA} has the shape and dtype of A
-        self._cache_slots = _CACHE_BUDGET_BYTES // self.A.nbytes if cache else 0
 
-    @functools.cached_property
+    @property
     def envelope(self) -> tuple:
         return default_envelope(self.A)
 
@@ -405,13 +398,7 @@ class MatrixSemigroup(SemigroupProvider):
         return self.A.shape[0]
 
     def matrix(self, t) -> np.ndarray:
-        t = float(t)
-        hit = self._cache.get(t)
-        if hit is None:
-            hit = expm(self.A, t)
-            if len(self._cache) < self._cache_slots:
-                self._cache[t] = hit
-        return hit
+        return expm(self.A, float(t))
 
     def apply(self, t, f):
         return self.matrix(t) @ as_vector(f)
@@ -460,16 +447,16 @@ class MatrixSemigroup(SemigroupProvider):
                 f"{label} must be positive and nonzero", witnesses=[v.tolist()]
             )
 
-    def is_metzler(self, tol: float = 0.0) -> bool:
+    def is_metzler(self) -> bool:
         off = self.A - np.diag(np.diag(self.A))
-        return bool(np.min(off) >= -tol)
+        return bool(np.min(off) >= 0.0)
 
     def _stacks(self, times):
         """e^{tA} of `times` as expm stacks of at most _CHUNK_BYTES, each when the last is used.
 
         A stack that overflows is cut to the times before the first
         overflowing one, and expm's ExpmOverflow is raised once the caller
-        asks for the stack after it.  The cache is neither read nor filled.
+        asks for the stack after it.
         """
         times = np.asarray(times, dtype=float)
         step = max(1, _CHUNK_BYTES // self.A.nbytes)
@@ -488,7 +475,7 @@ class MatrixSemigroup(SemigroupProvider):
         the next one only once the caller has taken every matrix of the
         last.  A time whose e^{tA} overflows raises expm's ExpmOverflow
         when the caller reaches it, after the matrices of the times before
-        it.  The cache is neither read nor filled.
+        it.
         """
         for stack in self._stacks(times):
             yield from stack

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from evpos.irreducibility import COND_LARGE_TIMES, COND_LARGE_TIMES_OR_ZERO, COND_SOME_TIME
-from evpos.lattice import GaugeContext, gauge_norm
+from evpos.lattice import GaugeContext, as_vector, gauge_norm
 from evpos.semigroup import MatrixSemigroup, TimeGrid
 
 
@@ -53,6 +53,28 @@ def sampled_times(provider, t0_list, grid=None):
     return times
 
 
+def _condition_probes(provider, times, test_vectors, test_functionals) -> list:
+    """probes[i][j]: <phi_j, T(t) f_i> at each of `times`, bit for bit condition_probe.
+
+    A matrix carrier evaluates each e^{tA} once, from stacked time lists,
+    and applies it once per test vector; other carriers are probed pair
+    by pair.
+    """
+    if not isinstance(provider, MatrixSemigroup):
+        return [
+            [[provider.condition_probe(t, f, phi) for t in times] for phi in test_functionals]
+            for f in test_vectors
+        ]
+    fs = [as_vector(f) for f in test_vectors]
+    probes = [[[] for _ in test_functionals] for _ in fs]
+    for flow in provider.matrices(times):
+        for f, row in zip(fs, probes):
+            image = flow @ f
+            for phi, vals in zip(test_functionals, row):
+                vals.append(provider.pair(phi, image))
+    return probes
+
+
 def sampled_conditions_table(
     provider,
     test_vectors=None,
@@ -68,11 +90,12 @@ def sampled_conditions_table(
         test_functionals = list(test_vectors)
     t0_list = tuple(float(t0) for t0 in t0_list)
     times = sampled_times(provider, t0_list, grid)
+    probes = _condition_probes(provider, times, test_vectors, test_functionals)
     rows = {key: ([], []) for key in (COND_SOME_TIME, COND_LARGE_TIMES_OR_ZERO, COND_LARGE_TIMES)}
     for i, f in enumerate(test_vectors):
         for j, phi in enumerate(test_functionals):
             label = (f"f{i}", f"phi{j}")
-            vals = [(t, provider.condition_probe(t, f, phi)) for t in times]
+            vals = list(zip(times, probes[i][j]))
             hits = [(t, v) for t, v in vals if abs(v) > tol]
             wit, unres = rows[COND_SOME_TIME]
             if hits:
@@ -140,7 +163,7 @@ def sampled_leak_onset(A, mask, times=None, tol: float = 1e-9):
         return times[0]
     rows = mask.complement().sorted_members()
     cols = mask.sorted_members()
-    flow = np.array(list(MatrixSemigroup(A, cache=False).matrices(times)))
+    flow = np.array(list(MatrixSemigroup(A).matrices(times)))
     leaks = np.max(np.abs(flow[:, rows][:, :, cols]), axis=(1, 2))
     leaking = np.flatnonzero(leaks > tol)
     start = int(leaking[-1]) + 1 if leaking.size else 0
@@ -181,7 +204,7 @@ def sampled_cesaro_limit(A, T_max: float = 64.0, nodes_per_unit: int = 32):
     steps = {T: 4 * int(math.ceil(T * nodes_per_unit)) for T in schedule}
     h = schedule[-1] / steps[schedule[-1]]
     times = [i * h for i in range(steps[schedule[-1]] + 1)]
-    samples = list(MatrixSemigroup(A, cache=False).matrices(times))
+    samples = list(MatrixSemigroup(A).matrices(times))
     means = {T: _cesaro_mean(samples[: steps[T] + 1], h, T) for T in schedule}
     limit = 2.0 * means[schedule[-1]] - means[schedule[-2]]
     fit_constant = max(T * float(np.max(np.abs(means[T] - limit))) for T in schedule)

@@ -106,7 +106,7 @@ class TestCertificateRoute:
     )
     def test_certificate_flow_keeps_no_samples(self, monkeypatch, A):
         # one flow per certificate (Metzler, spectral and grid route), and
-        # no sample time is read twice, so it holds no evaluated matrices
+        # it holds its generator and no evaluated matrices
         flows = []
 
         class RecordingFlow(MatrixSemigroup):
@@ -117,7 +117,7 @@ class TestCertificateRoute:
         monkeypatch.setattr(positivity, "MatrixSemigroup", RecordingFlow)
         certify_eventual_strong_positivity(A)
         assert len(flows) == 1
-        assert flows[0]._cache == {}
+        assert list(vars(flows[0])) == ["A"]
 
     def test_spectral_route_builds_no_growth_envelope(self, monkeypatch):
         # C is read from kappa_2(V) of the certificate's eigenbasis and equals
@@ -281,6 +281,25 @@ class TestSpectrumConstruction:
         assert rep.delta > 0
         assert rep.support == (0, 1, 2)
         assert rep.radius_report is not None
+
+    def test_each_sampled_time_is_evaluated_once(self, monkeypatch):
+        # the onset comes from stacked probes of the grid; the search then
+        # evaluates each time it scans once, and its operator sum reuses
+        # the operators it scanned
+        stacks, singles = [], []
+        expm = semigroup.expm
+
+        def recording(A, t=1.0):
+            (singles if np.ndim(t) == 0 else stacks).append(t)
+            return expm(A, t)
+
+        monkeypatch.setattr(semigroup, "expm", recording)
+        rep = nonempty_spectrum_construction(MatrixSemigroup(demo_generator()), np.ones(3))
+        assert rep.succeeded
+        grid = set(TimeGrid.default().points.tolist())
+        assert sum(len(t) for t in stacks) == len(grid)
+        assert len(singles) == len(set(singles)) and set(singles) <= grid
+        assert set(rep.times_used) <= set(singles)
 
     def test_rotation_has_no_anchor(self):
         rep = nonempty_spectrum_construction(MatrixSemigroup(ROTATION), np.ones(2))

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from evpos import semigroup
+from evpos import perturbation, semigroup
 from evpos.errors import ExpmOverflow
+from evpos.perturbation import dyson_phillips_sum
 from evpos.semigroup import (
     MatrixSemigroup,
     TimeGrid,
@@ -78,7 +79,7 @@ def test_default_envelope_bounds_family():
 
 
 def test_default_envelope_finite_at_large_spectral_bound():
-    # e^{10 A} overflows at s = 81; the spot check samples e^{t(A - omega I)}
+    # e^{10 A} overflows at s = 81; the envelope takes no exponential
     A = np.array([[80.0, 1.0], [1.0, 80.0]])
     M, w = default_envelope(A)
     assert np.isfinite(M) and M >= 1.0
@@ -86,6 +87,41 @@ def test_default_envelope_finite_at_large_spectral_bound():
     for t in (0.5, 2.0, 20.0):
         rescaled = scipy.linalg.expm(t * (A - w * np.eye(2)))
         assert np.linalg.norm(rescaled, 2) <= M * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "A", [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1e-30, 0.0]]], ids=["jordan", "perturbed-jordan"]
+)
+def test_envelope_bounds_unusable_eigenbasis_at_long_times(A):
+    # kappa_2(V) > 1e12, so the envelope is the log-norm pair (1, 1/2);
+    # |e^{tA}|_2 grows like t, past any constant an early sample finds
+    A = np.array(A)
+    M, w = MatrixSemigroup(A).envelope
+    assert (M, w) == (1.0, 0.5)
+    for t in (50.0, 100.0, 200.0):
+        assert np.linalg.norm(scipy.linalg.expm(t * A), 2) <= M * math.exp(w * t)
+
+
+def test_log_norm_envelope_near_the_double_range():
+    # A + A^T would overflow; the halves are summed instead
+    A = np.array([[1e308, 1e308], [0.0, 1e308]])
+    assert default_envelope(A) == semigroup.log_norm_envelope(A) == (1.0, 1.5e308)
+
+
+def test_default_envelope_takes_no_exponential(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exponential was evaluated")
+
+    monkeypatch.setattr(semigroup, "expm", refuse)
+    rng = np.random.default_rng(23)
+    inputs = [rng.normal(size=(n, n)) for n in (2, 5, 9)] + [
+        demo_generator(),
+        np.array([[80.0, 1.0], [1.0, 80.0]]),
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+    ]
+    for A in inputs:
+        M, w = default_envelope(A)
+        assert math.isfinite(M) and M >= 1.0 and math.isfinite(w)
 
 
 class TestShowcaseMatrix:
@@ -168,42 +204,21 @@ class TestMatrixSemigroup:
         for t in (0.0, 1.0, 3.0):
             assert np.linalg.norm(prov.matrix(t), 2) <= M * np.exp(w * t) * (1 + 1e-9)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_envelope_built_on_first_read(self):
-        # t A is not finite for t >= 2, so the envelope's spot check
-        # overflows even on the rescaled flow: construction succeeds, the
-        # first read raises
+    def test_envelope_takes_no_exponential_and_the_series_refuses(self, monkeypatch):
+        # t A is not finite for t >= 2 and A is defective, so the envelope
+        # is the log-norm pair (1, 5e307), read without an exponential;
+        # the series at t = 1 has an inf tail and is refused before any
+        # exponential is formed
         prov = MatrixSemigroup(np.array([[0.0, 1e308], [0.0, 0.0]]))
-        with pytest.raises(ExpmOverflow):
-            prov.envelope
 
-    def test_explicit_envelope_returned_unchanged(self):
-        env = (2.5, -0.75)
-        prov = MatrixSemigroup(demo_generator(), envelope=env)
-        assert prov.envelope is env
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exponential was evaluated")
 
-    def test_cache_stays_within_byte_budget_and_exact(self):
-        rng = np.random.default_rng(5)
-        A = rng.normal(scale=0.05, size=(128, 128))
-        prov = MatrixSemigroup(A)
-        times = list(TimeGrid.default())
-        first = [prov.matrix(t) for t in times]
-        cached = sum(m.nbytes for m in prov._cache.values())
-        assert 0 < cached <= semigroup._CACHE_BUDGET_BYTES
-        assert len(prov._cache) < len(times)
-        second = [prov.matrix(t) for t in times]
-        for t, m1, m2 in zip(times, first, second):
-            ref = expm(A, t)
-            assert np.array_equal(m1, ref)
-            assert np.array_equal(m2, ref)
-
-    def test_uncached_provider_keeps_nothing_and_agrees(self):
-        A = np.random.default_rng(6).normal(scale=0.3, size=(6, 6))
-        prov = MatrixSemigroup(A, cache=False)
-        for t in (0.0, 0.5, 0.5, 3.0):
-            assert np.array_equal(prov.matrix(t), expm(A, t))
-            assert prov.positivity_probe(t)[0] == float(np.min(expm(A, t)))
-        assert prov._cache == {}
+        monkeypatch.setattr(semigroup, "expm", refuse)
+        monkeypatch.setattr(perturbation, "expm", refuse)
+        assert prov.envelope == (1.0, 5e307)
+        with pytest.raises(ExpmOverflow, match="no certified term count"):
+            dyson_phillips_sum(prov, np.eye(2), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +356,7 @@ def test_probes_are_each_matrix_first_minimum(chunk_bytes, monkeypatch):
     monkeypatch.setattr(semigroup, "_CHUNK_BYTES", chunk_bytes)
     A = np.array([[40.0, 1.0], [1.0, 40.0]])
     times = [0.0, 0.5, 1.0, 5.0, 17.0, 17.5, 1.0]
-    flow = MatrixSemigroup(A, cache=False)
+    flow = MatrixSemigroup(A)
     it = flow.positivity_probes(times)
     for t in times[:5]:
         value, cell, exact = next(it)
