@@ -4,10 +4,11 @@ In R^n with the entrywise order, closed ideals are exactly the coordinate
 spans, so a subset S of indices stands for the ideal span{e_i : i in S}.
 Invariance of that ideal under e^{tA} for every t >= 0 reduces, for matrix
 generators, to a zero pattern of A: no entry may carry mass from S into its
-complement.  Irreducibility is then strong connectivity of the entry
-digraph, which this module decides by strongly connected components; the
-invariant ideals are the closed sets of the condensation.  A brute-force
-subset scan is the test suite's oracle for that enumeration.
+complement.  One reachability matrix of the entry digraph answers both
+matrix questions: irreducibility is every coordinate reaching every
+other, and the invariant ideals are the unions of its columns, each
+column the coordinates reachable from one index.  A brute-force subset
+scan is the test suite's oracle for that enumeration.
 
 For function-space carriers the module tabulates duality pairings
 <phi, T(t) f> over positive test pairs and increasing time thresholds.
@@ -47,11 +48,8 @@ from .semigroup import MatrixSemigroup, TimeGrid
 
 __all__ = [
     "structural_threshold",
-    "sign_pattern_adjacency",
     "near_threshold_entries",
-    "tarjan_scc",
     "ideal_leak",
-    "ideal_invariant_under_generator",
     "enumerate_invariant_ideals",
     "ConditionEntry",
     "ConditionsTable",
@@ -87,18 +85,6 @@ def structural_threshold(A, tol: float) -> float:
     return float(tol) * (1.0 + float(np.max(np.abs(A))))
 
 
-def sign_pattern_adjacency(A, threshold: float = 0.0):
-    """Adjacency lists of the entry digraph: edge j -> i iff |A_ij| > threshold.
-
-    An edge j -> i means mass can flow from coordinate j to coordinate i,
-    so an invariant coordinate set must be closed under out-edges.
-    """
-    A = as_matrix(A)
-    edge = np.abs(A) > threshold
-    np.fill_diagonal(edge, False)
-    return [np.flatnonzero(col).tolist() for col in edge.T]
-
-
 def near_threshold_entries(A, threshold: float):
     """Off-diagonal entries within a factor 10 of the structural-zero cutoff.
 
@@ -112,72 +98,21 @@ def near_threshold_entries(A, threshold: float):
     return tuple((int(i), int(j), float(A[i, j])) for i, j in np.argwhere(near))
 
 
-def tarjan_scc(adj):
-    """Strongly connected components (iterative Tarjan), members sorted."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
+def _reach(A, threshold: float) -> np.ndarray:
+    """R[i, j] iff i is reachable from j in the entry digraph, every j reaching itself.
 
-
-def _condensation(adj):
-    """Strong components of `adj` and their out-neighbour bitmasks.
-
-    out_mask[c] has bit d set iff an edge leaves component c into component
-    d != c, so a sink component is one with out_mask 0.
+    Edge j -> i iff |A_ij| > threshold: mass can flow from coordinate j to
+    coordinate i.  The 0/1 matrix is squared as floats until it stops
+    changing, at most ceil(log2 n) + 1 products; every count stays <= n,
+    so each product is exact.
     """
-    comps = tarjan_scc(adj)
-    comp_of = [0] * len(adj)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    out_mask = [0] * len(comps)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            for w in adj[v]:
-                if comp_of[w] != ci:
-                    out_mask[ci] |= 1 << comp_of[w]
-    return comps, out_mask
+    A = as_matrix(A)
+    R = ((np.abs(A) > threshold) | np.eye(A.shape[0], dtype=bool)).astype(float)
+    while True:
+        step = (R @ R > 0.0).astype(float)
+        if np.array_equal(step, R):
+            return R > 0.0
+        R = step
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +150,6 @@ def ideal_leak(A, S, threshold: float = 0.0):
     return (i, j, float(A[i, j]))
 
 
-def ideal_invariant_under_generator(A, S, tol: float = 0.0) -> bool:
-    """True iff the coordinate ideal S is invariant under every e^{tA}.
-
-    For matrix semigroups (analytic) this is equivalent to A itself leaving
-    the span invariant: |A_ij| <= tol for all i outside S, j in S.
-    """
-    return ideal_leak(A, S, tol) is None
-
-
 def _ideal_sort_key(mask: IdealMask):
     return (len(mask), mask.sorted_members())
 
@@ -231,31 +157,29 @@ def _ideal_sort_key(mask: IdealMask):
 def enumerate_invariant_ideals(A, tol: float = 0.0):
     """All invariant coordinate ideals of A, as sorted IdealMasks.
 
-    An ideal is invariant exactly when it is a union of strong components
-    of the entry digraph closed under the condensation's edges, so the
-    closed component sets are enumerated; the trivial ideals (empty,
-    full) are included.  Refused past dimension 24 or 20 components.
+    An ideal is invariant exactly when it is closed under reachability in
+    the entry digraph (edge j -> i iff |A_ij| > tol), that is, a union of
+    columns of the one reachability matrix _reach(A, tol); column j is the
+    least invariant ideal holding j, and its distinct columns are the
+    strong components' closures.  Each distinct column is folded into the
+    set of unions, bitmasks over the coordinates; the trivial ideals
+    (empty, full) are included.  Refused past dimension 24 or 20
+    components.
     """
     A = as_matrix(A)
     n = A.shape[0]
     if n > 24:
         raise DimensionTooLarge(f"dimension {n} exceeds the enumeration cap of 24")
-    comps, out_mask = _condensation(sign_pattern_adjacency(A, tol))
-    k = len(comps)
+    columns = {sum(1 << int(i) for i in np.flatnonzero(col)) for col in _reach(A, tol).T}
+    k = len(columns)
     if k > 20:
         raise DimensionTooLarge(
             f"{k} strongly connected components; closed-set enumeration capped at 20"
         )
-    found = []
-    for bits in range(1 << k):
-        closure = 0
-        for ci in range(k):
-            if bits >> ci & 1:
-                closure |= out_mask[ci]
-        if closure & ~bits:
-            continue
-        members = [v for ci in range(k) if bits >> ci & 1 for v in comps[ci]]
-        found.append(IdealMask.of(members, n))
+    unions = {0}
+    for col in columns:
+        unions |= {u | col for u in unions}
+    found = [IdealMask.of([i for i in range(n) if bits >> i & 1], n) for bits in unions]
     return sorted(found, key=_ideal_sort_key)
 
 
@@ -401,8 +325,10 @@ def classify(
     """Classify a semigroup as persistently irreducible / irreducible / reducible.
 
     Matrix generators (`A` given, or a MatrixSemigroup provider) are decided
-    exactly from the strong components of the thresholded entry digraph; the
-    reducible witness is the sink component holding the smallest index.  No
+    exactly from one reachability matrix R = _reach(A, threshold) of the
+    thresholded entry digraph: irreducible when every coordinate reaches
+    every other (R all true), and otherwise reducible with the witness
+    R[:, j], the sink component holding the smallest index j.  No
     semigroup is built and nothing is sampled, so `conditions` is None.
     Each pairing t -> <e_j, e^{tA} e_i> is real-analytic, hence either
     identically zero or nonzero at all but isolated t: the three weak
@@ -422,9 +348,9 @@ def classify(
     if A is not None:
         A = as_matrix(A)
         thr = structural_threshold(A, tol)
-        comps, out_mask = _condensation(sign_pattern_adjacency(A, thr))
+        R = _reach(A, thr)
         near = near_threshold_entries(A, thr)
-        if len(comps) == 1:
+        if R.all():
             return IrreducibilityReport(
                 classification=PERSISTENTLY_IRREDUCIBLE,
                 witness_ideal=None,
@@ -436,9 +362,12 @@ def classify(
                 notes="entry digraph strongly connected; matrix semigroups are "
                 "analytic, so irreducible and persistently irreducible coincide",
             )
-        sink = min(comp for comp, out in zip(comps, out_mask) if out == 0)
-        witness = IdealMask.of(sink, A.shape[0])
-        if not ideal_invariant_under_generator(A, witness, thr):
+        # j is in a sink component exactly when all it reaches reaches it
+        # back, R[:, j] within R[j, :]; the least such j picks the sink
+        # component holding the smallest index
+        j = int(np.flatnonzero(~(R & ~R.T).any(axis=0))[0])
+        witness = IdealMask.of(np.flatnonzero(R[:, j]), A.shape[0])
+        if ideal_leak(A, witness, thr) is not None:
             raise ConsistencyViolation(
                 "sink-component witness failed re-verification",
                 witnesses=[witness.sorted_members()],

@@ -576,15 +576,16 @@ def dyson_phillips_sum(providerA, B, t) -> DysonPhillipsResult:
     An n x n matrix carrier is capped at BLOCK_BUDGET // n - 1 terms, the
     most its block generator holds, and takes the count of whichever of
     its two envelopes passes first: the provider's growth pair and the
-    log-norm pair (1, mu_2(A)).  Its terms are the first block row of one
-    block exponential, exact up to rounding, so its quadrature_estimate
-    is 0.0; when both envelopes' tails are inf at the cap, no count
-    certifies anything and ExpmOverflow is raised before the block is
-    formed, and a block past BLOCK_BUDGET raises QuadratureBudgetExceeded
-    likewise.  A carrier locked to a time lattice is capped at
-    LATTICE_MAX_TERMS and sums the coefficient recursion of B = U Phi
-    with the lattice's own weights; its quadrature_estimate is the
-    distance to the trapezoid rule on the same samples.
+    log-norm pair (1, mu_2(A)), tried once when they are the same pair.
+    Its terms are the first block row of one block exponential, exact up
+    to rounding, so its quadrature_estimate is 0.0; when every envelope's
+    tail is inf at the cap, no count certifies anything and ExpmOverflow
+    is raised before the block is formed, and a block past BLOCK_BUDGET
+    raises QuadratureBudgetExceeded likewise.  A carrier locked to a time
+    lattice is capped at LATTICE_MAX_TERMS and sums the coefficient
+    recursion of B = U Phi with the lattice's own weights; its
+    quadrature_estimate is the distance to the trapezoid rule on the same
+    samples.
     """
     if float(t) < 0.0:
         raise InputError("time must be nonnegative")
@@ -594,20 +595,26 @@ def dyson_phillips_sum(providerA, B, t) -> DysonPhillipsResult:
     matrix_case = isinstance(provider, MatrixSemigroup)
     if not matrix_case and not hasattr(provider, "grid"):
         raise InputError("carrier supports neither dense nor lattice evaluation")
-    envelopes = [provider.envelope]
+    envelopes = {"growth": provider.envelope}
     cap = LATTICE_MAX_TERMS
     if matrix_case:
-        envelopes.append(log_norm_envelope(provider.A))
         cap = max(1, BLOCK_BUDGET // provider.carrier_dim - 1)
+        # default_envelope's eigenbasis pair has M >= 1.1, so M = 1 means
+        # the growth pair already is the log-norm pair
+        if envelopes["growth"][0] == 1.0:
+            envelopes = {"log-norm": envelopes["growth"]}
+        else:
+            envelopes["log-norm"] = log_norm_envelope(provider.A)
     norm_b = float(np.linalg.norm(Bd, 2))
-    n_terms, tail = min(choose_terms(cap, env, norm_b, t) for env in envelopes)
+    n_terms, tail = min(choose_terms(cap, env, norm_b, t) for env in envelopes.values())
     if matrix_case:
         if tail == math.inf:
-            (M, omega), (_, mu) = envelopes
+            pairs = " and ".join(
+                f"the {name} pair ({M:.6g}, {w:.6g})" for name, (M, w) in envelopes.items()
+            )
             raise ExpmOverflow(
                 f"the series at t = {t:g} has no certified term count: the envelope tail "
-                f"is inf at the cap of {cap} terms for the growth pair ({M:.6g}, {omega:.6g}) "
-                f"and the log-norm pair (1, {mu:.6g})"
+                f"is inf at the cap of {cap} terms for {pairs}"
             )
         terms, est = _block_terms(provider.A, Bd, t, n_terms), 0.0
     else:

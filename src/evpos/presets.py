@@ -152,7 +152,7 @@ def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20
         )
     )
 
-    _cert, verdict = certify_eventual_strong_positivity(A, tol=tol)
+    cert, verdict = certify_eventual_strong_positivity(A, tol=tol)
     t0 = verdict.onset_t0
     cert_ok = (
         verdict.verdict == PositivityClass.UNIFORMLY_EVENTUALLY_STRONGLY_POSITIVE
@@ -208,7 +208,7 @@ def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20
         )
     )
 
-    proj = dominant_projection(A, expect_positive_eigenvectors=True)
+    proj = dominant_projection(A, expect_positive_eigenvectors=True, certificate=cert)
     perr = float(np.max(np.abs(proj.projection - target)))
     checks.append(
         CheckResult(

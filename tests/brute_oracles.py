@@ -1,9 +1,10 @@
 """Brute-force and frozen oracles.
 
-Invariant ideals: the package enumerates the closed component sets of the
-entry digraph's condensation.  brute_force_ideals instead tests every one
-of the 2^n coordinate subsets against the zero-pattern criterion, sharing
-no graph code with the production route.
+Invariant ideals: the package reads them as the unions of the columns of
+one reachability matrix of the entry digraph.  brute_force_ideals instead
+tests every one of the 2^n coordinate subsets against the zero-pattern
+criterion (ideal_leak), sharing no reachability code with the production
+route.
 
 Coupled lattice orbits: ListOrbitProvider is the lattice path of
 CoupledProvider as first written, with every range orbit, seed flow and
@@ -19,7 +20,7 @@ import numpy as np
 
 from evpos.errors import ExpmOverflow, PremiseViolation
 from evpos.gammashift import GridFunction
-from evpos.irreducibility import ideal_invariant_under_generator
+from evpos.irreducibility import ideal_leak
 from evpos.lattice import IdealMask, as_matrix
 from evpos.perturbation import ProductVector
 
@@ -31,7 +32,7 @@ def brute_force_ideals(A, tol: float = 0.0) -> list:
     found = []
     for bits in range(1 << n):
         mask = IdealMask.of([i for i in range(n) if bits >> i & 1], n)
-        if ideal_invariant_under_generator(A, mask, tol):
+        if ideal_leak(A, mask, tol) is None:
             found.append(mask)
     return sorted(found, key=lambda m: (len(m), m.sorted_members()))
 

@@ -292,6 +292,16 @@ class TestExamples:
         assert rep["preset"] == "ex5_2"
         assert all(c["passed"] for c in rep["checks"] if c["must_pass"])
 
+    def test_matrix_suite_projection_reuses_the_certificate(self, capsys, monkeypatch):
+        # the suite's positivity certificate seeds the rank-one projection,
+        # so eig(A) and eig(A^T) each run once
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        rc, _, _ = run(capsys, ["examples", "run", "ex5_2"])
+        assert rc == 0
+        assert calls == [(3, 3), (3, 3)]
+
     def test_shift_suite_passes(self, capsys):
         rc, out, _ = run(capsys, ["examples", "run", "ex3_10"])
         assert rc == 0

@@ -16,17 +16,15 @@ from evpos.irreducibility import (
     IRREDUCIBLE_NOT_PERSISTENT,
     PERSISTENTLY_IRREDUCIBLE,
     REDUCIBLE,
+    _reach,
     build_super_fixed_vector,
     classify,
     enumerate_invariant_ideals,
     eventual_invariance_of_principal_ideal,
-    ideal_invariant_under_generator,
     ideal_leak,
     near_threshold_entries,
-    sign_pattern_adjacency,
     strict_nonvanishing_check,
     structural_threshold,
-    tarjan_scc,
     weak_conditions_test,
 )
 from evpos import semigroup
@@ -61,6 +59,16 @@ def random_pattern(rng) -> np.ndarray:
     return A
 
 
+def near_threshold_pattern(rng, tol: float = 1e-9) -> np.ndarray:
+    """random_pattern with some entries at half or twice the structural threshold."""
+    A = random_pattern(rng)
+    n = A.shape[0]
+    thr = structural_threshold(A, tol)
+    near = rng.random((n, n)) < 0.2
+    A[near] = rng.choice([-2.0, -0.5, 0.5, 2.0], size=int(near.sum())) * thr
+    return A
+
+
 class TestEnumeration:
     def test_brute_force_agrees_with_graph_route(self):
         rng = np.random.default_rng(2024)
@@ -77,7 +85,7 @@ class TestEnumeration:
         for _ in range(25):
             A = random_pattern(rng)
             for mask in enumerate_invariant_ideals(A):
-                assert ideal_invariant_under_generator(A, mask)
+                assert ideal_leak(A, mask) is None
 
     def test_ideal_leak_names_the_largest_entry(self):
         A = np.array([[1.0, 0.0, 0.0], [-3.0, 1.0, 0.0], [2.0, 0.5, 1.0]])
@@ -105,17 +113,41 @@ class TestEnumeration:
         ideals = enumerate_invariant_ideals(np.array([[1.0, 0.0], [1.0, 1.0]]))
         assert [m.sorted_members() for m in ideals] == [[], [1], [0, 1]]
 
+    def test_chain_of_twenty_components_gives_its_tails(self):
+        # edge i -> i + 1: the closed sets are the 21 tails {k, ..., 19}
+        ideals = enumerate_invariant_ideals(np.diag(np.ones(19), -1))
+        tails = [list(range(k, 20)) for k in range(20, -1, -1)]
+        assert [m.sorted_members() for m in ideals] == tails
+
 
 class TestGraphPrimitives:
     def test_cycle_is_one_component(self):
-        adj = sign_pattern_adjacency(
-            np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        )
-        assert tarjan_scc(adj) == [[0, 1, 2]]
+        R = _reach(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 0.0)
+        assert R.all()
 
     def test_dag_splits_into_singletons(self):
-        adj = sign_pattern_adjacency(np.triu(np.ones((3, 3)), k=1))
-        assert sorted(tarjan_scc(adj)) == [[0], [1], [2]]
+        # edge j -> i for i < j: j reaches exactly 0..j, and only itself back
+        R = _reach(np.triu(np.ones((3, 3)), k=1), 0.0)
+        assert np.array_equal(R, np.triu(np.ones((3, 3), dtype=bool)))
+        assert np.array_equal(R & R.T, np.eye(3, dtype=bool))
+
+    def test_reach_matches_breadth_first_search(self):
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            A = near_threshold_pattern(rng)
+            n = A.shape[0]
+            thr = structural_threshold(A, 1e-9)
+            expected = np.zeros((n, n), dtype=bool)
+            for j in range(n):
+                seen, frontier = {j}, [j]
+                while frontier:
+                    k = frontier.pop()
+                    for i in range(n):
+                        if abs(A[i, k]) > thr and i not in seen:
+                            seen.add(i)
+                            frontier.append(i)
+                expected[sorted(seen), j] = True
+            assert np.array_equal(_reach(A, thr), expected)
 
     def test_vectorised_pattern_matches_loop_reference(self):
         rng = np.random.default_rng(31)
@@ -124,14 +156,12 @@ class TestGraphPrimitives:
             n = A.shape[0]
             A[rng.random((n, n)) < 0.2] = 1e-9
             thr = structural_threshold(A, 1e-9)
-            adj = [[i for i in range(n) if i != j and abs(A[i, j]) > thr] for j in range(n)]
             near = tuple(
                 (i, j, float(A[i, j]))
                 for i in range(n)
                 for j in range(n)
                 if i != j and A[i, j] != 0.0 and thr / 10.0 <= abs(A[i, j]) <= thr * 10.0
             )
-            assert sign_pattern_adjacency(A, thr) == adj
             assert near_threshold_entries(A, thr) == near
 
     def test_threshold_scales_with_matrix(self):
@@ -163,9 +193,25 @@ class TestClassify:
         assert rep.classification == REDUCIBLE
         assert rep.witness_ideal.sorted_members() == [1]
         assert rep.witness_onset == 0.0
-        assert ideal_invariant_under_generator(
-            np.array([[1.0, 0.0], [1.0, 1.0]]), rep.witness_ideal
-        )
+        assert ideal_leak(np.array([[1.0, 0.0], [1.0, 1.0]]), rep.witness_ideal) is None
+
+    def test_reducible_witness_is_the_brute_force_choice(self):
+        # the witness is the minimal nonempty invariant ideal with the
+        # smallest least member, read off the brute-force subset scan
+        rng = np.random.default_rng(61)
+        for _ in range(150):
+            A = near_threshold_pattern(rng)
+            n = A.shape[0]
+            rep = classify(A=A, tol=1e-9)
+            brute = [set(m.members) for m in brute_force_ideals(A, structural_threshold(A, 1e-9))]
+            proper = [I for I in brute if 0 < len(I) < n]
+            if not proper:
+                assert rep.classification == PERSISTENTLY_IRREDUCIBLE
+                continue
+            nonempty = [I for I in brute if I]
+            minimal = [I for I in nonempty if not any(J < I for J in nonempty)]
+            assert rep.classification == REDUCIBLE
+            assert set(rep.witness_ideal.members) == min(minimal, key=min)
 
     def test_nilpotent_carrier_cannot_be_persistent(self):
         rep = classify(ShiftStepProvider(depth=5))

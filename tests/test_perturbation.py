@@ -203,6 +203,30 @@ class TestSeries:
         with pytest.raises(ExpmOverflow, match="envelope tail is inf at the cap of 340 terms"):
             dyson_phillips_sum(MatrixSemigroup(demo_generator()), np.eye(3), 2000.0)
 
+    def test_each_distinct_envelope_pair_is_tried_once(self, monkeypatch):
+        # a Jordan block has no usable eigenbasis, so its growth pair is the
+        # log-norm pair: the series computes it once and names it once
+        log_norm, calls = semigroup.log_norm_envelope, []
+
+        def counted(A):
+            calls.append(1)
+            return log_norm(A)
+
+        monkeypatch.setattr(semigroup, "log_norm_envelope", counted)
+        monkeypatch.setattr(perturbation, "log_norm_envelope", counted)
+        res = dyson_phillips_sum(MatrixSemigroup(np.array([[0.0, 1.0], [0.0, 0.0]])), np.eye(2), 1.0)
+        assert len(calls) == 1 and res.tail_bound <= TAIL_TOLERANCE
+        calls.clear()
+        with pytest.raises(ExpmOverflow) as shared:
+            dyson_phillips_sum(MatrixSemigroup(np.array([[0.0, 1e308], [0.0, 0.0]])), np.eye(2), 1.0)
+        assert len(calls) == 1
+        assert str(shared.value).endswith("terms for the log-norm pair (1, 5e+307)")
+        # the demo's eigenbasis pair differs from its log-norm pair: both are named
+        with pytest.raises(ExpmOverflow) as distinct:
+            dyson_phillips_sum(MatrixSemigroup(demo_generator()), np.eye(3), 2000.0)
+        assert "for the growth pair (" in str(distinct.value)
+        assert ") and the log-norm pair (1, " in str(distinct.value)
+
 
 class TestDomination:
     @pytest.mark.parametrize("b", [0.0, 1.0, 5.0])
