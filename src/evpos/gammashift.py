@@ -3,9 +3,12 @@
 The time-t operator convolves with the Gamma(t, 1) density and then
 shifts left by t, discretized on a uniform cell grid over [x_min,
 x_min + count*h).  Cell weights are differences of the regularized lower
-incomplete gamma function P(a, x), scipy.special.gammainc, evaluated
-once on the vector of cell edges.  Mass leaving the right edge is
-dropped; the kernel deficit beyond the window is reported.
+incomplete gamma function P(a, x), scipy.special.gammainc.  A provider
+keeps each step's kernel once evaluated, and fills the kernels of a block
+of steps with one gammainc call on the 2-D broadcast of their times and
+the cell edges, each row bit for bit the single-time evaluation.  Mass
+leaving the right edge is dropped; the kernel deficit beyond the window
+is reported.
 
 Support bookkeeping is exact: every grid function carries an integer
 `support_lo` below which all samples are bitwise zero, maintained through
@@ -166,27 +169,31 @@ class GridFunction:
         return GridFunction(self.grid, self.samples.copy(), self.support_lo)
 
 
-def gamma_kernel_weights(t: float, grid: Grid1D, n_cells: int | None = None):
+def gamma_kernel_weights(t, grid: Grid1D, n_cells=None):
     """(cell weights of the Gamma(t,1) density over [0, n_cells*h), deficit).
 
     weights[m] = P(t, (m+1)h) - P(t, m*h); tiny negative differences from
     rounding are clipped to zero so positivity of the discrete operator
     is exact.  The deficit 1 - P(t, n_cells*h) is the kernel mass beyond
     the covered offsets.  n_cells defaults to the grid cell count
-    (offsets spanning one window length).
+    (offsets spanning one window length).  A 1-D array of times, with
+    n_cells one count or one per time, gives the list of their pairs
+    from one gammainc call on the times against the longest edge vector;
+    each is bit for bit its single-time pair.
     """
     # imported here, not with the package: on its own scipy.special costs
     # about 25 MB resident and 0.3 s, and only a Gamma kernel needs it
     from scipy.special import gammainc
 
-    if t <= 0:
+    times = np.asarray(t, dtype=float)
+    if (times <= 0).any():
         raise ValueError("kernel shape (= time) must be positive")
-    if n_cells is None:
-        n_cells = grid.count
-    edges = gammainc(t, np.arange(n_cells + 1) * grid.h)
-    weights = np.maximum(np.diff(edges), 0.0)
-    deficit = float(1.0 - edges[-1])
-    return weights, deficit
+    counts = np.ones(times.shape, int).ravel() * (grid.count if n_cells is None else n_cells)
+    edges = gammainc(times.reshape(-1, 1), np.arange(counts.max() + 1) * grid.h)
+    weights = np.maximum(edges[:, 1:] - edges[:, :-1], 0.0)
+    deficits = (1.0 - edges[np.arange(len(edges)), counts]).tolist()
+    pairs = [(w[:n], d) for w, n, d in zip(weights, counts.tolist(), deficits)]
+    return pairs if times.ndim else pairs[0]
 
 
 def gamma_shift_apply(f: GridFunction, t: float, weights: np.ndarray | None = None) -> GridFunction:
@@ -252,17 +259,50 @@ class GammaShiftProvider(SemigroupProvider):
         return self._weights_at(self.grid.steps_of(t))
 
     def _weights_at(self, q: int):
-        hit = self._weight_cache.get(q)
-        if hit is None:
-            hit = gamma_kernel_weights(q * self.grid.h, self.grid, self.grid.count + q)
-            self._weight_cache[q] = hit
-        return hit
+        return self._kernels([q])[q]
+
+    def _kernels(self, steps) -> dict:
+        """The kept (weights, deficit) pairs by step, holding every step q >= 1 of steps.
+
+        The steps not yet kept are evaluated with one gamma_kernel_weights
+        call at the times q * h.
+        """
+        cache = self._weight_cache
+        missing = [q for q in steps if q not in cache]
+        if missing:
+            qs = np.array(missing)
+            pairs = gamma_kernel_weights(qs * self.grid.h, self.grid, self.grid.count + qs)
+            cache.update(zip(missing, pairs))
+        return cache
 
     def apply(self, t, f: GridFunction) -> GridFunction:
         q = self.grid.steps_of(t)
         if q == 0:
             return f.copy()
         return _shift_smooth(f, q, self._weights_at(q)[0])
+
+    def apply_steps(self, steps, fs, samples: np.ndarray, floors: np.ndarray) -> None:
+        """Write apply(m h, f) for each step m of steps and each f of fs, bit for bit.
+
+        Row r, column j of samples (len(steps), len(fs), count) takes the
+        cells of step steps[r] applied to fs[j], and of floors its integer
+        support floor, set arithmetically as _shift_smooth sets it.  The
+        kernels come from _kernels, one gamma_kernel_weights call for the
+        steps not yet kept, and each (step, nonzero f) past step 0 is one
+        np.convolve.
+        """
+        count = self.grid.count
+        samples[...], floors[...] = 0.0, count
+        live = [(j, f) for j, f in enumerate(fs) if not f.is_zero]
+        kernels = self._kernels([m for m in steps if m]) if live else {}
+        for row, m in enumerate(steps):
+            if m == 0:
+                for j, f in enumerate(fs):
+                    samples[row, j], floors[row, j] = f.samples, f.support_lo
+                continue
+            for j, f in live:
+                samples[row, j] = np.convolve(f.samples, kernels[m][0])[m : m + count]
+                floors[row, j] = max(f.support_lo - m, 0)
 
     def apply_adjoint(self, t, phi: GridFunction) -> GridFunction:
         """Transpose of the cell-basis matrix M[i, j] = w[i + q - j]."""

@@ -154,23 +154,26 @@ def _ideal_sort_key(mask: IdealMask):
     return (len(mask), mask.sorted_members())
 
 
-def enumerate_invariant_ideals(A, tol: float = 0.0):
+def enumerate_invariant_ideals(A, tol: float = 1e-9):
     """All invariant coordinate ideals of A, as sorted IdealMasks.
 
     An ideal is invariant exactly when it is closed under reachability in
-    the entry digraph (edge j -> i iff |A_ij| > tol), that is, a union of
-    columns of the one reachability matrix _reach(A, tol); column j is the
-    least invariant ideal holding j, and its distinct columns are the
-    strong components' closures.  Each distinct column is folded into the
-    set of unions, bitmasks over the coordinates; the trivial ideals
-    (empty, full) are included.  Refused past dimension 24 or 20
-    components.
+    the entry digraph that classify reads (edge j -> i iff |A_ij| exceeds
+    structural_threshold(A, tol)), that is, a union of columns of its one
+    reachability matrix; column j is the least invariant ideal holding j,
+    and its distinct columns are the strong components' closures.  Each
+    distinct column is folded into the set of unions, bitmasks over the
+    coordinates; the trivial ideals (empty, full) are included.  Refused
+    past dimension 24 or 20 components, and for a `tol` that is not
+    finite and positive.
     """
+    check_tol(tol)
     A = as_matrix(A)
     n = A.shape[0]
     if n > 24:
         raise DimensionTooLarge(f"dimension {n} exceeds the enumeration cap of 24")
-    columns = {sum(1 << int(i) for i in np.flatnonzero(col)) for col in _reach(A, tol).T}
+    R = _reach(A, structural_threshold(A, tol))
+    columns = {sum(1 << int(i) for i in np.flatnonzero(col)) for col in R.T}
     k = len(columns)
     if k > 20:
         raise DimensionTooLarge(

@@ -36,10 +36,13 @@ CoupledProvider.stack with an integer support floor per carrier; a
 value gathers its summands with one index and adds them in one
 reduction, bit for bit the componentwise sum of the carrier vectors.
 Its quadrature gauge, the norm of its distance to the trapezoid sum,
-is taken when series_report reads it.  An orbit to step q applies the
-carrier (r + 1)(q + 1) times at most, and a matrix carrier's flows
-e^{m h A} come from one store per provider, filled in doubling stacks
-of one expm call each.
+is taken when series_report reads it.  The range orbits, their kernel
+and each seed's flows are filled in doubling blocks of steps (0..1,
+2..3, 4..7, ...): each carrier applies a whole block at once, a matrix
+carrier as one product of its stack of flows e^{m h A}, which come from
+one store per provider in doubling stacks of one expm call each, and
+the Gamma-shift carrier with one kernel evaluation per block.  The
+renewal is solved one step at a time, on demand.
 Two coupled dense carriers are one exponential of the block generator.
 On top of the series sit an order-theoretic domination check, the
 transfer of coordinate-ideal invariance from the perturbed family back
@@ -67,7 +70,7 @@ from .errors import (
     TransferViolation,
     WitnessSearchFailure,
 )
-from .gammashift import Grid1D, GridFunction
+from .gammashift import GammaShiftProvider, Grid1D, GridFunction
 from .irreducibility import ideal_leak, structural_threshold
 from .lattice import IdealMask, as_matrix, as_vector
 from .semigroup import MatrixSemigroup, SemigroupProvider, TimeGrid, expm, log_norm_envelope
@@ -239,8 +242,8 @@ def _weighted_sums(stack, rules: np.ndarray) -> np.ndarray:
 
 def _renewal_rules(q: int, h: float) -> np.ndarray:
     """Rows: the lattice weights of step q on a step-h lattice, and their distance to a plain trapezoid."""
-    w = [x * h for x in _unit_weights(q)]
-    gap = [x - h for x in w]
+    w = np.array(_unit_weights(q)) * h
+    gap = w - h
     gap[0], gap[-1] = w[0] - 0.5 * h, w[-1] - 0.5 * h
     return np.array([w, gap])
 
@@ -248,70 +251,85 @@ def _renewal_rules(q: int, h: float) -> np.ndarray:
 class _Rows:
     """Rows of one shape kept in order in an array whose capacity doubles when full.
 
-    push() hands out the next row to be written in place; `rows` views
-    the rows so far.
+    reserve(k) hands out the next k rows to be written in place and
+    commit(k) keeps the first k of them; push() does both for one row.
+    `rows` views the rows kept so far.
     """
 
-    __slots__ = ("_buf", "size")
+    __slots__ = ("_buf", "size", "rows")
 
     def __init__(self, shape: tuple, dtype=float):
         self._buf = np.empty((8, *shape), dtype)
         self.size = 0
+        self.rows = self._buf[:0]
+
+    def reserve(self, k: int) -> np.ndarray:
+        if self.size + k > len(self._buf):
+            shape = (max(self.size + k, 2 * len(self._buf)), *self._buf.shape[1:])
+            grown = np.empty(shape, self._buf.dtype)
+            grown[: self.size] = self.rows
+            self._buf = grown
+        return self._buf[self.size : self.size + k]
+
+    def commit(self, k: int) -> None:
+        self.size += k
+        self.rows = self._buf[: self.size]
 
     def push(self) -> np.ndarray:
-        if self.size == len(self._buf):
-            grown = np.empty((2 * self.size, *self._buf.shape[1:]), self._buf.dtype)
-            grown[: self.size] = self._buf
-            self._buf = grown
-        self.size += 1
-        return self._buf[self.size - 1]
+        row = self.reserve(1)[0]
+        self.commit(1)
+        return row
 
-    @property
-    def rows(self) -> np.ndarray:
-        return self._buf[: self.size]
+
+def _fill_blocks(block, stores: tuple, m: int, ahead: int) -> None:
+    """Extend the stores to step m in doubling blocks of steps: 0..1, 2..3, 4..7, ...
+
+    ahead >= m is the step the caller is heading for; the block from the
+    kept size lo ends at max(ahead, 2 lo - 1), at least step 1.
+    block(lo, hi, *rows) writes the steps lo, lo + 1, ... straight into
+    rows reserved in each store and returns how many it wrote: every step
+    before hi, or the steps before the first one a step-by-step
+    evaluation would refuse; when that step is the first, block raises
+    its error, so a refusal is raised only when its step is needed.
+    """
+    while stores[0].size <= m:
+        lo = stores[0].size
+        hi = max(ahead + 1, 2 * lo, 2)
+        k = block(lo, hi, *(store.reserve(hi - lo) for store in stores))
+        for store in stores:
+            store.commit(k)
 
 
 class _FiniteRange:
     """A finite-rank perturbation B = U Phi seen through its range.
 
-    B v is the sum of Phi_k(v) u_k over the r range vectors u_k;
-    range_step(m) gives [T(m h) u_k] in the carrier's own types and
-    coefficients(v) the length-r array Phi(v).  Each step m is computed
-    once, when fill first reaches it, and kept as one row of each store:
-    `orbits`, the r x D range orbits in the layout's stacked coordinates
-    (layout.put writes them; without a layout the vectors are arrays);
-    `floors`, their r x 2 support floors, one per carrier (kept only
-    with a layout); and `kernel`, K(m) = Phi T(m h) U, column k being
-    Phi of the native T(m h) u_k.
-    The rules of each step and the inverses (I - w K(0))^-1 are formed
-    once.  Every orbit that holds this object shares all of them.
+    B v is the sum of Phi_k(v) u_k over the r range vectors u_k.
+    range_block(lo, hi, orbits, floors, kernel) evaluates a block of
+    steps m at once, as _fill_blocks asks, writing the r x D range orbits
+    T(m h) u_k in stacked coordinates, their r x 2 integer support
+    floors, one per carrier, and the kernel K(m) = Phi T(m h) U, column
+    k being Phi of T(m h) u_k.
+    Each step is computed once, when fill first reaches its block, and
+    kept as one row of `orbits`, `floors` and `kernel`.  The rules of
+    each step and the inverses (I - w K(0))^-1 are formed once.  Every
+    orbit that holds this object shares all of them.
     """
 
-    def __init__(self, range_step, coefficients, rank: int, h: float, dim: int, layout=None):
-        self.range_step = range_step
-        self.coefficients = coefficients
-        self.rank, self.h, self.dim, self.layout = rank, h, dim, layout
+    def __init__(self, range_block, rank: int, h: float, dim: int):
+        self.range_block = range_block
+        self.rank, self.h, self.dim = rank, h, dim
         self.orbits = _Rows((rank, dim))
-        self.floors = None if layout is None else _Rows((rank, 2), int)
+        self.floors = _Rows((rank, 2), int)
         self.kernel = _Rows((rank, rank))
         self._rules = []
         self._inverses = {}
         self._radius = None
 
-    def fill(self, m: int) -> None:
-        """Compute the steps up to m that are not yet kept."""
-        layout = self.layout
-        for step in range(self.kernel.size, m + 1):
-            vectors = self.range_step(step)
-            columns = [self.coefficients(v) for v in vectors]
-            kernel, rows = self.kernel.push(), self.orbits.push()
-            floors = None if layout is None else self.floors.push()
-            for k, (v, column) in enumerate(zip(vectors, columns)):
-                kernel[:, k] = column
-                if layout is None:
-                    rows[k] = v
-                else:
-                    layout.put(v, rows[k], floors[k])
+    def fill(self, m: int, ahead: int = 0) -> None:
+        """Compute the steps up to m not yet kept, in doubling blocks heading for step ahead."""
+        if self.kernel.size <= m:
+            stores = (self.orbits, self.floors, self.kernel)
+            _fill_blocks(self.range_block, stores, m, max(m, ahead))
 
     def rules(self, p: int) -> np.ndarray:
         """_renewal_rules(p, h), built once per step; row 0 is the lattice weights of step p."""
@@ -380,28 +398,22 @@ class _Renewal:
 
     c(0) = Phi f and, for p >= 1,
     (I - w_p K(0)) c(p) = Phi T(p h) f + sum_{j<p} w_j K(p - j) c(j),
-    w the lattice weights of step p.  base[p] is Phi T(p h) f, the
-    coefficient of the unperturbed flow.  flow(p) is T(p h) f and
-    coefficients applies Phi to it: to a vector, giving r numbers, or to
-    a dense operator, giving an r x D block (block = (D,)).  base and
-    coeffs keep one row per solved step.
+    w the lattice weights of step p.  base_at(p, q) is Phi T(p h) f, the
+    coefficient of the unperturbed flow, while filling to step q: r
+    numbers for a vector, an r x D block for a dense operator
+    (block = (D,)).  coeffs keeps one row per solved step.
     """
 
-    def __init__(self, flow, coefficients, finite_range: _FiniteRange, block: tuple = ()):
-        self.flow = flow
-        self.coefficients = coefficients
+    def __init__(self, finite_range: _FiniteRange, block: tuple = ()):
         self.range = finite_range
-        shape = (finite_range.rank, *block)
-        self.base, self.coeffs = _Rows(shape), _Rows(shape)
+        self.coeffs = _Rows((finite_range.rank, *block))
 
     def fill(self, q: int) -> None:
         rng = self.range
         for p in range(self.coeffs.size, q + 1):
-            flow = self.flow(p)
-            b = self.coefficients(flow)
-            c = b
+            c = b = self.base_at(p, q)
             if p:
-                rng.fill(p)
+                rng.fill(p, q)
                 w = rng.rules(p)[0]
                 kernel = rng.kernel.rows[p:0:-1]  # K(p - j) for j = 0..p-1
                 c = b + np.einsum("j,jab,jb...->a...", w[:p], kernel, self.coeffs.rows)
@@ -411,26 +423,28 @@ class _Renewal:
                     f"the orbit overflowed: its coupling coefficients at t = {p * rng.h:g} "
                     "left the double range"
                 )
-            self._keep(flow, b, c)
-
-    def _keep(self, flow, b, c) -> None:
-        self.base.push()[...] = b
-        self.coeffs.push()[...] = c
+            self.coeffs.push()[...] = c
 
 
 class _DenseRenewal(_Renewal):
     """The renewal of the dense operator's r x D coefficient block.
 
-    Its flow is the unperturbed operator T(p h); the one of the newest
-    solved step is handed out once by take_flow, so the caller adds the
-    perturbation to it instead of building T(q h) again.
+    flow(p) is the unperturbed operator T(p h), built one step at a time,
+    and phi @ T(p h) its base; the flow of the newest solved step is
+    handed out once by take_flow, so the caller adds the perturbation to
+    it instead of building T(q h) again.
     """
 
     newest = None
 
-    def _keep(self, flow, b, c) -> None:
-        super()._keep(flow, b, c)
-        self.newest = (self.coeffs.size - 1, flow)
+    def __init__(self, flow, phi: np.ndarray, finite_range: _FiniteRange):
+        super().__init__(finite_range, (phi.shape[1],))
+        self.flow, self.phi = flow, phi
+
+    def base_at(self, p: int, q: int) -> np.ndarray:
+        flow = self.flow(p)
+        self.newest = (p, flow)
+        return self.phi @ flow
 
     def take_flow(self, q: int):
         """T(q h) when step q was the newest solved and not yet taken, else None."""
@@ -445,21 +459,28 @@ _FLOW_WEIGHTS = np.array([[1.0], [0.0]])
 class _SeedOrbit(_Renewal):
     """The renewal of one seed's orbit, with the values S(p h) f it gives.
 
-    apply_t(m, v) applies the unperturbed family at m steps; it is
-    called for the seed flow only, once per step.  Each solved step keeps
-    its flow T(p h) f as a row in the range's layout, with one support
-    floor per carrier.  Steps are solved in order as later times are
-    asked for, so no result depends on earlier requests.
+    flow_block(lo, hi, flows, floors, base) evaluates a block of steps as
+    _fill_blocks asks, writing the seed flows T(p h) f in stacked
+    coordinates, their support floors, one per carrier, and the base
+    coefficients Phi T(p h) f into rows of `flows`, `flow_floors` and
+    `base`.  The flows are filled in
+    doubling blocks, the renewal is solved one step at a time, in order,
+    as later times are asked for, so no result depends on earlier
+    requests.  unstack(row, floors) rebuilds a value's carrier vectors.
     """
 
-    def __init__(self, apply_t, finite_range: _FiniteRange, seed):
-        super().__init__(lambda p: apply_t(p, seed), finite_range.coefficients, finite_range)
+    def __init__(self, flow_block, finite_range: _FiniteRange, unstack):
+        super().__init__(finite_range)
+        self.flow_block, self.unstack = flow_block, unstack
         self.flows = _Rows((finite_range.dim,))
         self.flow_floors = _Rows((2,), int)
+        self.base = _Rows((finite_range.rank,))
 
-    def _keep(self, flow, b, c) -> None:
-        super()._keep(flow, b, c)
-        self.range.layout.put(flow, self.flows.push(), self.flow_floors.push())
+    def base_at(self, p: int, q: int) -> np.ndarray:
+        """Phi T(p h) f, its block heading for step q."""
+        if self.base.size <= p:
+            _fill_blocks(self.flow_block, (self.flows, self.flow_floors, self.base), p, q)
+        return self.base.rows[p]
 
     def at(self, q: int):
         """(S(q h) f, (gap, floors)): the value and its gap to the trapezoid rule.
@@ -473,10 +494,10 @@ class _SeedOrbit(_Renewal):
         floors; the norm of its vector is the quadrature gauge.
         """
         self.fill(q)
-        rng, layout = self.range, self.range.layout
+        rng = self.range
         flow, floors = self.flows.rows[q], self.flow_floors.rows[q]
         if q == 0:
-            return layout.unstack(flow.copy(), floors), (np.zeros_like(flow), floors)
+            return self.unstack(flow.copy(), floors), (np.zeros_like(flow), floors)
         C = self.coeffs.rows[: q + 1]
         nodes, ks = C.nonzero()
         steps = q - nodes
@@ -488,7 +509,7 @@ class _SeedOrbit(_Renewal):
             raise ExpmOverflow(
                 f"the orbit overflowed: its value at t = {q * rng.h:g} left the double range"
             )
-        return layout.unstack(total, floors), (gap, floors)
+        return self.unstack(total, floors), (gap, floors)
 
 
 def _lattice_terms(provider, B: np.ndarray, t: float, n_terms: int):
@@ -509,10 +530,19 @@ def _lattice_terms(provider, B: np.ndarray, t: float, n_terms: int):
     check_node_budget(n_terms, q)
     ops = [provider.to_dense(m * h) for m in range(q + 1)]
     coupling = DenseCoupling(B)
-    units = coupling.range_vectors
-    finite_range = _FiniteRange(
-        lambda m: [ops[m] @ u for u in units], coupling.coefficients, len(units), h, B.shape[0]
-    )
+    units, dim = coupling.range_vectors, B.shape[0]
+    rank = len(units)
+
+    def range_block(lo, hi, orbits, floors, kernel):
+        steps = range(lo, min(hi, q + 1))
+        for row, m in enumerate(steps):
+            for k, u in enumerate(units):
+                orbits[row, k] = ops[m] @ u
+                kernel[row, :, k] = coupling.coefficients(orbits[row, k])
+        floors[...] = 0
+        return len(steps)
+
+    finite_range = _FiniteRange(range_block, rank, h, dim)
     terms = [ops[q].copy()]
     gauge = 0.0
     coeffs = np.array([coupling.rows() @ op for op in ops])
@@ -877,6 +907,14 @@ class GridFunctional:
             return 0.0  # exact: every window cell sits below the support floor
         return float(self.grid.h * f.samples[lo:hi].sum())
 
+    def values(self, samples: np.ndarray, floors: np.ndarray) -> np.ndarray:
+        """This functional on each grid function of a (steps, vectors, count) stack, bit for bit.
+
+        floors holds their support floors; a window below a floor reads 0.0.
+        """
+        lo, hi = self._cells
+        return np.where(floors >= hi, 0.0, self.grid.h * samples[..., lo:hi].sum(axis=-1))
+
     def row(self) -> np.ndarray:
         out = np.zeros(self.grid.count)
         lo, hi = self._cells
@@ -900,6 +938,22 @@ class CoordinateFunctional:
 
     def __call__(self, z) -> float:
         return float(as_vector(z)[self.index])
+
+    def values(self, samples: np.ndarray, floors: np.ndarray) -> np.ndarray:
+        """This functional on each vector of a (steps, vectors, dim) stack, step by step.
+
+        floors is unread: a coordinate vector has none.  The steps end
+        before the first one holding a vector with an entry that is not
+        finite, which __call__ refuses; when that step is the first, it is
+        refused here with the same error.
+        """
+        if not np.isfinite(samples).all():
+            refused = ~np.isfinite(samples).all(axis=-1)
+            step = int(refused.any(axis=1).argmax())
+            if step == 0:
+                as_vector(samples[0, refused[0].argmax()])
+            samples = samples[:step]
+        return samples[..., self.index]
 
     def row(self) -> np.ndarray:
         out = np.zeros(self.dim)
@@ -926,6 +980,15 @@ def _samples_and_floor(value):
     return value, 0
 
 
+def _is_zero_function(value) -> bool:
+    """None, or a grid function bitwise GridFunction.zero: samples all +0.0, floor at the top."""
+    return value is None or (
+        isinstance(value, GridFunction)
+        and value.support_lo == value.grid.count
+        and not np.signbit(value.samples).any()
+    )
+
+
 def _zero_like_output(output):
     if isinstance(output, GridFunction):
         return GridFunction.zero(output.grid)
@@ -950,6 +1013,16 @@ class RankOneCoupling:
     def coefficients(self, f) -> np.ndarray:
         """Phi(f): the coefficient of each range vector in the image of f."""
         return np.array([self.functional(f)] if self.range_vectors else [])
+
+    def block_coefficients(self, samples: np.ndarray, floors: np.ndarray) -> np.ndarray:
+        """coefficients() of each vector of a (steps, vectors, n) stack, as (steps, vectors, r).
+
+        floors holds the vectors' support floors.  The steps may end early
+        where the functional's values() stops.
+        """
+        if not self.range_vectors:
+            return np.zeros((*samples.shape[:2], 0))
+        return self.functional.values(samples, floors)[..., None]
 
     def rows(self) -> np.ndarray:
         """Phi as a dense r x n block."""
@@ -1119,32 +1192,37 @@ def coupling_premise_check(system: CoupledSystem, tol: float = 1e-9) -> PremiseS
 class _MatrixFlows:
     """e^{m h A} of one matrix carrier by lattice step m, evaluated in doubling stacks.
 
-    The first read of a step p past the `size` kept ones evaluates
-    steps size..max(p, 2 size - 1) (step 0 alone) with one
+    The first read of steps lo..hi - 1 past the `size` kept ones
+    evaluates steps size..max(hi - 1, 2 size - 1) with one
     carrier.matrices call at the times m * h, so each is bit for bit
-    carrier.matrix(m * h).  A stack that overflows keeps the steps
-    before its first overflowing one, and every step from there on is
-    carrier.matrix's, which raises the single-time ExpmOverflow.  Every
-    evaluated step is kept, n x n doubles each.
+    carrier.matrix(m * h).
+    A stack that overflows keeps the steps before its first overflowing
+    one, and every step from there on is carrier.matrix's, which raises
+    the single-time ExpmOverflow.  Every evaluated step is kept, n x n
+    doubles each, in one array, so a block of steps is one slice.
     """
 
     def __init__(self, carrier: MatrixSemigroup, h: float):
         self.carrier, self.h = carrier, h
-        self.kept = []
+        self.kept = _Rows(carrier.A.shape)
         self.overflow = None  # the first step whose flow overflowed
 
-    def at(self, m: int) -> np.ndarray:
-        size = len(self.kept)
-        if m >= size and self.overflow is None:
-            times = [k * self.h for k in range(size, max(m + 1, 2 * size))]
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """e^{m h A} for the steps m = lo..hi - 1 as one (k, n, n) stack, k < hi - lo past an overflow."""
+        size = self.kept.size
+        if hi > size and self.overflow is None:
+            times = [k * self.h for k in range(size, max(hi, 2 * size))]
             try:
                 for flow in self.carrier.matrices(times):
-                    self.kept.append(flow)
+                    self.kept.push()[...] = flow
             except ExpmOverflow:
-                self.overflow = len(self.kept)
-        if m < len(self.kept):
-            return self.kept[m]
-        return self.carrier.matrix(m * self.h)
+                self.overflow = self.kept.size
+        if lo < self.kept.size:
+            return self.kept.rows[lo:hi]
+        return self.carrier.matrix(lo * self.h)[None]
+
+    def at(self, m: int) -> np.ndarray:
+        return self.block(m, m + 1)[0]
 
 
 def _exact_record(gauge: float) -> dict:
@@ -1164,15 +1242,21 @@ class CoupledProvider(SemigroupProvider):
     count and no truncation tail.  Range orbits and seed flows are kept
     as rows in the stacked coordinates of stack(), each with one integer
     support floor per carrier, and unstack() rebuilds a value's native
-    vectors with the least floor of its summands.  Dense assembly solves
+    vectors with the least floor of its summands.  They are filled in
+    doubling blocks of steps (0..1, 2..3, 4..7, ...) by _flow_block,
+    which applies each carrier to a whole block at once and writes the
+    rows, the floors (set arithmetically) and the coefficients Phi
+    directly; no carrier vector is built per step.  Dense assembly solves
     the same equation for an r x D coefficient block in the stacked
-    cell/coordinate basis.  The range orbits and the kernel
-    K(m) = Phi T(m h) U are shared by every seed.  Every flow e^{m h A}
-    of a matrix carrier, for range orbits, seed flows and dense
-    operators alike, is read from that carrier's _MatrixFlows, which
-    evaluates the steps in doubling stacks (0, 1, 2..3, 4..7, ...), so
-    a sweep to step q takes ceil(log2(q + 1)) + 1 expm calls.  The growth
-    envelope is computed on its first read; no evaluation reads it.
+    cell/coordinate basis, one step at a time.  The range orbits and the
+    kernel K(m) = Phi T(m h) U are shared by every seed.  Every flow
+    e^{m h A} of a matrix carrier, for range orbits, seed flows and
+    dense operators alike, is read from that carrier's _MatrixFlows,
+    which evaluates the steps in doubling stacks, and a Gamma-shift
+    carrier evaluates the kernels of a block in one call, so a fresh
+    sweep to step q takes at most ceil(log2(q + 1)) + 1 expm calls and
+    as many kernel evaluations.  The growth envelope is computed on its
+    first read; no evaluation reads it.
     """
 
     nilpotent_time = None
@@ -1197,16 +1281,23 @@ class CoupledProvider(SemigroupProvider):
                 _MatrixFlows(p, self.lattice_h) if isinstance(p, MatrixSemigroup) else None
                 for p in self._carriers
             )
-            self._zeros = (system.provider1.zero_vector(), system.provider2.zero_vector())
+            self._zero_floors = [_samples_and_floor(p.zero_vector())[1] for p in self._carriers]
+            # b12 reads the second carrier into coefficients 0..r12 - 1, b21 the first into the rest
+            r12 = len(b12.range_vectors)
+            self._readers = ((b12, slice(0, r12), 1), (b21, slice(r12, None), 0))
+            # each range vector u_k flows in its own carrier; the other component stays zero
+            pairs = [(u, None) for u in b12.range_vectors] + [(None, u) for u in b21.range_vectors]
+            ranges = self._block_plan(pairs)
             self._range = _FiniteRange(
-                self._range_step,
-                lambda v: np.concatenate([b12.coefficients(v.second), b21.coefficients(v.first)]),
-                len(b12.range_vectors) + len(b21.range_vectors),
+                lambda lo, hi, orbits, floors, kernel: self._flow_block(
+                    ranges, lo, hi, orbits, floors, kernel.transpose(0, 2, 1)
+                ),
+                len(pairs),
                 self.lattice_h,
                 self.carrier_dim,
-                layout=self,
             )
             self._dense_renewal = None
+            self._sweep_end = -1  # the last step check_orbit passed
 
     @functools.cached_property
     def envelope(self) -> tuple:
@@ -1237,15 +1328,6 @@ class CoupledProvider(SemigroupProvider):
 
     def stack(self, f: ProductVector) -> np.ndarray:
         return np.concatenate([_vector_array(f.first), _vector_array(f.second)])
-
-    def put(self, f: ProductVector, row: np.ndarray, floors: np.ndarray) -> None:
-        """Write stack(f) into row and each carrier's support floor into floors.
-
-        A grid function's floor is its support_lo; a coordinate vector has none and gets 0.
-        """
-        n1 = self._n1
-        row[:n1], floors[0] = _samples_and_floor(f.first)
-        row[n1:], floors[1] = _samples_and_floor(f.second)
 
     def unstack(self, row: np.ndarray, floors) -> ProductVector:
         """The product vector with stacked coordinates row and the given support floors."""
@@ -1308,13 +1390,6 @@ class CoupledProvider(SemigroupProvider):
             raise ShiftNotOnGrid(f"time {t} is not a whole number of lattice steps")
         return q
 
-    def _carrier_apply(self, i: int, m: int, v):
-        """T(m h) v in carrier i alone; a matrix carrier's flow comes from its store."""
-        flows = self._flows[i]
-        if flows is None:
-            return self._carriers[i].apply(m * self.lattice_h, v)
-        return flows.at(m) @ as_vector(v)
-
     def _carrier_dense(self, i: int, m: int) -> np.ndarray:
         """T(m h) of carrier i as a matrix; a matrix carrier's flow comes from its store."""
         flows = self._flows[i]
@@ -1322,17 +1397,72 @@ class CoupledProvider(SemigroupProvider):
             return self._carriers[i].to_dense(m * self.lattice_h)
         return flows.at(m)
 
-    def _apply_steps(self, m: int, v: ProductVector) -> ProductVector:
-        return ProductVector(
-            self._carrier_apply(0, m, v.first), self._carrier_apply(1, m, v.second)
-        )
+    def _block_plan(self, pairs: list) -> tuple:
+        """What _flow_block flows for a list of J (first, second) carrier vector pairs.
 
-    def _range_step(self, m: int) -> list:
-        """T(m h) of each off-diagonal range vector, flowed in its own carrier only."""
-        z1, z2 = self._zeros
-        return [
-            ProductVector(self._carrier_apply(0, m, u), z2) for u in self.system.b12.range_vectors
-        ] + [ProductVector(z1, self._carrier_apply(1, m, u)) for u in self.system.b21.range_vectors]
+        (zero floors, parts): the J x 2 support floors of zero vector
+        pairs, and for each carrier the slice of the pairs whose
+        components it flows (None for none), with those components.  None
+        marks a zero component that is not flowed; so does a grid function
+        that is bitwise the zero function, whose flow is that function at
+        every step.  The flowed pairs of a carrier are consecutive, as a
+        seed's one pair and the range pairs (b12's, then b21's) are.  A
+        matrix carrier's vectors pass as_vector once here.
+        """
+        parts = []
+        for i, flows in enumerate(self._flows):
+            js = [j for j, pair in enumerate(pairs) if not _is_zero_function(pair[i])]
+            vs = [pairs[j][i] if flows is None else as_vector(pairs[j][i]) for j in js]
+            parts.append((slice(js[0], js[-1] + 1) if js else None, vs))
+        return np.full((len(pairs), 2), self._zero_floors), parts
+
+    def _flow_block(self, plan: tuple, lo: int, hi: int, values, floors, coeffs) -> int:
+        """Write T(m h) f for each pair f of a block plan and the steps m = lo, lo + 1, ...
+
+        values (k, J, D) takes the flows in stack() coordinates, floors
+        (k, J, 2) their integer support floors (a grid function's
+        support_lo, 0 for a coordinate vector) and coeffs (k, J, r) Phi of
+        each; the number of steps written is returned.  Each carrier
+        applies the block at once: a matrix carrier is one product of its
+        flow stack per vector, a Gamma-shift carrier its apply_steps, any
+        other its own apply, step by step.  The block holds every step
+        before hi, or ends before the first step that a step-by-step
+        evaluation refuses (a matrix flow past the double range, a vector
+        a coupling refuses), refused itself when it is the first.  A block
+        that starts before the last step passed to check_orbit ends there.
+        """
+        zero_floors, parts = plan
+        n1 = self._n1
+        if lo <= self._sweep_end:
+            hi = min(hi, self._sweep_end + 1)
+        stacks = [None if flows is None else flows.block(lo, hi) for flows in self._flows]
+        k = min([hi - lo] + [len(stack) for stack in stacks if stack is not None])
+        values, floors, coeffs = values[:k], floors[:k], coeffs[:k]
+        values[...], floors[...], coeffs[...] = 0.0, zero_floors, 0.0
+        for i, (carrier, stack, (js, vs)) in enumerate(zip(self._carriers, stacks, parts)):
+            if js is None:
+                continue
+            cols = slice(0, n1) if i == 0 else slice(n1, None)
+            if stack is not None:
+                for j, v in enumerate(vs, js.start):
+                    values[:, j, cols] = stack[:k] @ v
+            elif isinstance(carrier, GammaShiftProvider):
+                carrier.apply_steps(range(lo, lo + k), vs, values[:, js, cols], floors[:, js, i])
+            else:
+                for row in range(k):
+                    for j, v in enumerate(vs, js.start):
+                        values[row, j, cols], floors[row, j, i] = _samples_and_floor(
+                            carrier.apply((lo + row) * self.lattice_h, v)
+                        )
+        # each coupling reads its carrier's flowed components; a zero one reads 0.0
+        for coupling, out, i in self._readers:
+            js = parts[i][0]
+            if js is not None:
+                cols = slice(0, n1) if i == 0 else slice(n1, None)
+                part = coupling.block_coefficients(values[:k, js, cols], floors[:k, js, i])
+                k = len(part)
+                coeffs[:k, js, out] = part
+        return k
 
     def check_orbit(self, q: int) -> None:
         """Refuse lattice orbits to step q before any renewal work.
@@ -1340,7 +1470,8 @@ class CoupledProvider(SemigroupProvider):
         Refused are a renewal past the node budget and a matrix carrier
         whose flow e^{tA} leaves the double range by step q.  The check
         fills each matrix carrier's flow store to step q in one stacked
-        call, so an orbit sweep to q evaluates no further exponential.
+        call, and the blocks of steps that start before q end at q, so an
+        orbit sweep to q evaluates no further exponential or kernel.
         """
         check_node_budget(self._range.rank, q)
         for flows in self._flows:
@@ -1350,6 +1481,7 @@ class CoupledProvider(SemigroupProvider):
                 except ExpmOverflow as exc:
                     t = q * self.lattice_h
                     raise ExpmOverflow(f"the orbit to t = {t:g} overflows: {exc}") from None
+        self._sweep_end = max(q, self._sweep_end)
 
     def _fingerprint(self, f: ProductVector):
         return (
@@ -1370,7 +1502,15 @@ class CoupledProvider(SemigroupProvider):
             key = self._fingerprint(f)
         orbit = self._orbit_cache.get(key)
         if orbit is None:
-            orbit = _SeedOrbit(self._apply_steps, self._range, f.copy())
+            seed = f.copy()
+            plan = self._block_plan([(seed.first, seed.second)])
+            orbit = _SeedOrbit(
+                lambda lo, hi, flows, floors, base: self._flow_block(
+                    plan, lo, hi, flows[:, None], floors[:, None], base[:, None]
+                ),
+                self._range,
+                self.unstack,
+            )
             if len(self._orbit_cache) < 64:
                 self._orbit_cache[key] = orbit
         return orbit, q
@@ -1445,9 +1585,7 @@ class CoupledProvider(SemigroupProvider):
             phi = np.zeros((self._range.rank, dim))
             phi[: len(rows12), n1:] = rows12
             phi[len(rows12) :, :n1] = rows21
-            self._dense_renewal = _DenseRenewal(
-                self._dense_diag, lambda op: phi @ op, self._range, (dim,)
-            )
+            self._dense_renewal = _DenseRenewal(self._dense_diag, phi, self._range)
         renewal = self._dense_renewal
         renewal.fill(q)
         dense = renewal.take_flow(q)

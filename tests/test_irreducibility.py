@@ -113,6 +113,19 @@ class TestEnumeration:
         ideals = enumerate_invariant_ideals(np.array([[1.0, 0.0], [1.0, 1.0]]))
         assert [m.sorted_members() for m in ideals] == [[], [1], [0, 1]]
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_enumeration_reads_the_threshold_classify_reads(self, scale):
+        # the entry 1e-12 lies below structural_threshold(A, 1e-9) at every
+        # scale, so both routes drop it: only 0 -> 1 is left, {1} is the
+        # one nontrivial invariant ideal and the classify witness
+        A = scale * np.array([[0.0, 1e-12], [1.0, 0.0]])
+        report = classify(A=A)
+        ideals = [m.sorted_members() for m in enumerate_invariant_ideals(A)]
+        assert report.classification == "Reducible"
+        assert ideals == [[], report.witness_ideal.sorted_members(), [0, 1]] == [[], [1], [0, 1]]
+        with pytest.raises(InputError):
+            enumerate_invariant_ideals(A, tol=0.0)
+
     def test_chain_of_twenty_components_gives_its_tails(self):
         # edge i -> i + 1: the closed sets are the 21 tails {k, ..., 19}
         ideals = enumerate_invariant_ideals(np.diag(np.ones(19), -1))

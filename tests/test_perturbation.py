@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import evpos.cli as cli
+import evpos.gammashift as gammashift
 import evpos.perturbation as perturbation
 import evpos.semigroup as semigroup
 from evpos.errors import (
@@ -849,8 +850,9 @@ def observe_orbit(system, seeds, q_max):
             orbit = provider._orbit_cache[provider._fingerprint(seed)]
             flow = provider.unstack(orbit.flows.rows[q], orbit.flow_floors.rows[q])
             seen.append((total, provider.series_report(), total - flow))
-        # the sums past the seed flow came from the shared range orbits
-        assert 0 < provider._range.orbits.size <= q_max + 1
+        # the sums past the seed flow came from the shared range orbits,
+        # filled in doubling blocks of steps to the end of the block of q_max
+        assert provider._range.orbits.size == 2 ** q_max.bit_length()
     return seen
 
 
@@ -930,38 +932,41 @@ class TestLatticeSeriesAgainstLeftFold:
         assert assert_orbits_agree(fast, reference_orbit(system, seeds, q_max)) == 3 * q_max
 
     def test_carrier_work_is_the_range_orbits(self, monkeypatch):
-        # rank-one blocks give r = 2 range vectors, so an orbit to step q
-        # applies the grid family (r + 1)(q + 1) times however many series
-        # terms survive, and a second seed adds only its own flow; the
-        # matrix family evaluates each e^{t A}, t = 0, h, .., q h, once
-        # per provider, whatever the number of seeds, in doubling stacks:
-        # steps 0, 1, 2..3, 4..7, .., 32..63 take ceil(log2(q + 1)) + 1 calls
+        # the grid family's kernel of each step and the matrix family's
+        # e^{t A}, t = 0, h, .., are evaluated once per provider, whatever
+        # the number of seeds, in the doubling blocks of steps 0..1, 2..3,
+        # 4..7, .., 32..63 of the stores: one call per block, so at most
+        # ceil(log2(q + 1)) + 1 calls each; a second seed whose grid
+        # component is zero adds no kernel and no exponential
         system = coupled_demo_system()
         h = system.provider2.grid.h
-        calls, exps = [], []
-        apply, expm = GammaShiftProvider.apply, semigroup.expm
+        kernels, exps = [], []
+        weights, expm = gammashift.gamma_kernel_weights, semigroup.expm
         monkeypatch.setattr(
-            GammaShiftProvider, "apply", lambda self, t, f: calls.append(t) or apply(self, t, f)
+            gammashift,
+            "gamma_kernel_weights",
+            lambda *a: kernels.append(np.atleast_1d(a[0]).tolist()) or weights(*a),
         )
         monkeypatch.setattr(
             semigroup, "expm", lambda A, t=1.0: exps.append(np.atleast_1d(t).tolist()) or expm(A, t)
         )
         provider = CoupledProvider(system)
         zero = system.provider2.zero_vector()
-        q, r = 32, 2
-        for seed, budget in (
-            (ProductVector(np.ones(3), zero), (r + 1) * (q + 1)),
-            (ProductVector(np.array([1.0, 2.0, 0.5]), zero), q + 1),
-        ):
-            before = len(calls)
+        q = 32
+        bound = math.ceil(math.log2(q + 1)) + 1
+        counts = []
+        for z in (np.ones(3), np.array([1.0, 2.0, 0.5])):
+            seed = ProductVector(z, zero)
             for step in range(1, q + 1):
                 provider.apply(step * h, seed)
             assert provider.terms_alive(seed, q * h) >= 3
-            assert len(calls) - before <= budget
-            assert 0 < len(exps) <= math.ceil(math.log2(q + 1)) + 1
-        times = [t for stack in exps for t in stack]
-        assert len(times) == len(set(times))
-        assert set(times) >= {m * h for m in range(q + 1)}
+            counts.append((len(kernels), len(exps)))
+        assert counts[0] == counts[1]
+        assert 0 < len(kernels) <= bound and 0 < len(exps) <= bound
+        for calls, first in ((kernels, 1), (exps, 0)):
+            times = [t for block in calls for t in block]
+            assert len(times) == len(set(times))
+            assert set(times) >= {m * h for m in range(first, q + 1)}
 
     def test_terms_alive_matches_the_square_step_map(self):
         rng = np.random.default_rng(56)
@@ -1032,10 +1037,20 @@ class TestLatticeSeriesAgainstLeftFold:
             vector(zeros, np.r_[np.zeros(5), rng.normal(size=11)], 5),
             vector(zeros, np.r_[np.zeros(2), -2.0, rng.normal(size=13)], 2),
         ]
-        finite_range = perturbation._FiniteRange(
-            lambda m: [ranges[m]], lambda v: v.first[:1].copy(), 1, grid.h, 19, layout=layout
-        )
-        orbit = perturbation._SeedOrbit(lambda p, seed: flows[p], finite_range, None)
+
+        def block(vectors):
+            # writes the stacked row, the floors and Phi(v) = v.first[0] of each step's vector
+            def rows(lo, hi, values, floors, coeffs):
+                part = vectors[lo:hi]
+                for row, v in enumerate(part):
+                    values[row], coeffs[row] = layout.stack(v), v.first[0]
+                    floors[row] = (0, v.second.support_lo)
+                return len(part)
+
+            return rows
+
+        finite_range = perturbation._FiniteRange(block(ranges), 1, grid.h, 19)
+        orbit = perturbation._SeedOrbit(block(flows), finite_range, layout.unstack)
         value, _ = orbit.at(1)
         want = flows[1] * 1.0 + ranges[1] * 0.5 + ranges[0] * 0.25
         assert vector_bytes(value) == vector_bytes(want)
@@ -1217,6 +1232,129 @@ class TestMatrixFlowStore:
             dense, gauge = oracle.to_dense(q * h)
             assert provider.to_dense(q * h).tobytes() == dense.tobytes()
             assert provider.series_report(q * h)["quadrature_estimate"].hex() == gauge.hex()
+
+    @pytest.mark.parametrize(
+        "make_system",
+        [coupled_demo_system, demo_system_l4, lattice_system],
+        ids=["demo-L6-h0.125", "demo-L4-h0.25", "lattice"],
+    )
+    def test_grid_seeds_at_the_block_edges(self, make_system):
+        # seeds whose grid component is nonzero, the indicator of [-1, 0]
+        # and a seeded positive grid function, each on a fresh provider:
+        # the stores fill in blocks 0..1, 2..3, 4..7, .., and values,
+        # floors, gauges and dense operators at q = 2^k - 1, 2^k and
+        # 2^k + 1 are byte for byte those of the list oracle
+        system = make_system()
+        grid = system.provider2.grid
+        h = grid.h
+        positive = np.random.default_rng(25).uniform(0.0, 1.0, grid.count)
+        positive[: grid.count // 3] = 0.0
+        seeds = [
+            ProductVector(np.array([0.2, 0.7, 0.4]), GridFunction.indicator(grid, -1.0, 0.0)),
+            ProductVector(np.zeros(3), GridFunction(grid, positive)),
+        ]
+        steps = sorted({q for k in range(1, 6) for q in (2**k - 1, 2**k, 2**k + 1)})
+        oracle = ListOrbitProvider(system)
+        for seed in seeds:
+            provider = CoupledProvider(system)
+            for q in steps:
+                want, gauge = oracle.apply(q * h, seed)
+                assert vector_bytes(provider.apply(q * h, seed)) == vector_bytes(want)
+                orbit, _ = provider._seed_orbit(seed, q * h)
+                gap = provider.unstack(*orbit.at(q)[1])
+                assert float(provider.vec_norm(gap)).hex() == float(gauge).hex()
+        for q in steps:
+            dense, gauge = oracle.to_dense(q * h)
+            assert provider.to_dense(q * h).tobytes() == dense.tobytes()
+            assert provider.series_report(q * h)["quadrature_estimate"].hex() == gauge.hex()
+
+    @pytest.mark.parametrize(
+        "feed, back", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], ids=["r0", "b12", "b21"]
+    )
+    def test_lower_rank_couplings_are_the_list_orbits(self, feed, back):
+        # a zero output gives its block rank 0, so the range holds 0 or 1
+        # vectors instead of the 2 of lattice_system(); values and dense
+        # operators stay byte for byte the list oracle's
+        grid = Grid1D(x_min=-2.0, h=0.25, count=16)
+        system = CoupledSystem(
+            MatrixSemigroup(demo_generator()),
+            GammaShiftProvider(grid),
+            RankOneCoupling(
+                output=np.array([0.0, 0.0, feed]), functional=GridFunctional(grid, -1.0, 0.0)
+            ),
+            RankOneCoupling(
+                output=GridFunction.indicator(grid, 0.5, 1.0) * back,
+                functional=CoordinateFunctional(2, 3),
+            ),
+        )
+        provider, oracle = CoupledProvider(system), ListOrbitProvider(system)
+        assert provider._range.rank == int(feed) + int(back)
+        seed = ProductVector(np.ones(3), GridFunction.indicator(grid, -1.0, 0.0))
+        for q in range(12):
+            want, _ = oracle.apply(q * 0.25, seed)
+            assert vector_bytes(provider.apply(q * 0.25, seed)) == vector_bytes(want)
+            assert provider.to_dense(q * 0.25).tobytes() == oracle.to_dense(q * 0.25)[0].tobytes()
+
+    def test_other_carriers_apply_step_by_step(self):
+        # a grid carrier known only through its own apply (neither a matrix
+        # nor a Gamma-shift provider) is applied one step at a time inside
+        # each block, with the floors it reports; values and dense
+        # operators are still the list oracle's, byte for byte
+        class OwnApply:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        base = lattice_system()
+        system = CoupledSystem(base.provider1, OwnApply(base.provider2), base.b12, base.b21)
+        provider, oracle = CoupledProvider(system), ListOrbitProvider(system)
+        grid = base.provider2.grid
+        seed = ProductVector(np.ones(3), GridFunction.indicator(grid, -1.0, 0.0))
+        for q in range(12):
+            want, _ = oracle.apply(q * 0.25, seed)
+            assert vector_bytes(provider.apply(q * 0.25, seed)) == vector_bytes(want)
+        assert provider.to_dense(2.75).tobytes() == oracle.to_dense(2.75)[0].tobytes()
+
+    def test_a_checked_sweep_evaluates_nothing_past_its_end(self, monkeypatch):
+        # check_orbit(q) fills the matrix flows to q, and the blocks that
+        # start before q end there: the sweep to q takes no exponential
+        # and no kernel past step q
+        system = coupled_demo_system(L=6.0, h=0.125)
+        provider = CoupledProvider(system)
+        provider.check_orbit(20)
+        kernels, exps = [], []
+        weights, expm = gammashift.gamma_kernel_weights, semigroup.expm
+        monkeypatch.setattr(
+            gammashift,
+            "gamma_kernel_weights",
+            lambda *a: kernels.append(np.atleast_1d(a[0]).tolist()) or weights(*a),
+        )
+        monkeypatch.setattr(semigroup, "expm", lambda A, t=1.0: exps.append(t) or expm(A, t))
+        seed = ProductVector(np.ones(3), GridFunction.indicator(system.provider2.grid, -1.0, 0.0))
+        for q in range(1, 21):
+            provider.apply(q * 0.125, seed)
+        assert exps == []
+        assert sorted(t for block in kernels for t in block) == [m * 0.125 for m in range(1, 21)]
+
+    def test_a_fresh_sweep_takes_one_kernel_and_one_exponential_per_block(self, monkeypatch):
+        # 16 steps fill the blocks 0..1, 2..3, 4..7, 8..15 and 16..31, one
+        # gamma_kernel_weights call (counted through the module attribute,
+        # as the benchmark tracer wraps it) and one expm call each
+        kernels, exps = [], []
+        weights, expm = gammashift.gamma_kernel_weights, semigroup.expm
+        monkeypatch.setattr(
+            gammashift, "gamma_kernel_weights", lambda *a: kernels.append(a) or weights(*a)
+        )
+        monkeypatch.setattr(semigroup, "expm", lambda A, t=1.0: exps.append(t) or expm(A, t))
+        system = coupled_demo_system(L=6.0, h=0.125)
+        provider = CoupledProvider(system)
+        seed = ProductVector(np.ones(3), system.provider2.zero_vector())
+        for q in range(1, 17):
+            provider.apply(q * 0.125, seed)
+        bound = math.ceil(math.log2(17)) + 1
+        assert bound == 6 and 0 < len(kernels) <= bound and 0 < len(exps) <= bound
 
     def test_a_block_past_the_overflow_defers_it(self):
         # e^{9t} of the demo matrix leaves the double range between steps
