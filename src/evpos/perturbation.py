@@ -1433,6 +1433,7 @@ class CoupledProvider(SemigroupProvider):
         """
         zero_floors, parts = plan
         n1 = self._n1
+        carrier_cols = (slice(0, n1), slice(n1, None))
         if lo <= self._sweep_end:
             hi = min(hi, self._sweep_end + 1)
         stacks = [None if flows is None else flows.block(lo, hi) for flows in self._flows]
@@ -1442,7 +1443,7 @@ class CoupledProvider(SemigroupProvider):
         for i, (carrier, stack, (js, vs)) in enumerate(zip(self._carriers, stacks, parts)):
             if js is None:
                 continue
-            cols = slice(0, n1) if i == 0 else slice(n1, None)
+            cols = carrier_cols[i]
             if stack is not None:
                 for j, v in enumerate(vs, js.start):
                     values[:, j, cols] = stack[:k] @ v
@@ -1458,7 +1459,7 @@ class CoupledProvider(SemigroupProvider):
         for coupling, out, i in self._readers:
             js = parts[i][0]
             if js is not None:
-                cols = slice(0, n1) if i == 0 else slice(n1, None)
+                cols = carrier_cols[i]
                 part = coupling.block_coefficients(values[:k, js, cols], floors[:k, js, i])
                 k = len(part)
                 coeffs[:k, js, out] = part
