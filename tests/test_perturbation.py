@@ -1373,6 +1373,24 @@ class TestMatrixFlowStore:
             provider.check_orbit(316)
         assert str(refused.value) == f"the orbit to t = 79 overflows: {single.value}"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_flow_is_refused_at_its_own_step(self):
+        # e^{9t} (1e300, ...) leaves the double range at step 9 (h = 1/4):
+        # the block 8..15 holds step 8 and stops before step 9, which the
+        # coordinate functional refuses, as the single-step evaluation did,
+        # only when the sweep reaches it; a range filled ahead by another
+        # seed changes nothing
+        system = coupled_demo_system(L=4.0, h=0.25)
+        zero = system.provider2.zero_vector()
+        warm = CoupledProvider(system)
+        warm.apply(3.0, ProductVector(np.ones(3), zero))
+        for provider in (CoupledProvider(system), warm):
+            seed = ProductVector(np.full(3, 1e300), zero)
+            for q in range(9):
+                provider.apply(q * 0.25, seed)
+            with pytest.raises(ValueError, match="vector entries must be finite"):
+                provider.apply(9 * 0.25, seed)
+
     def test_support_front_overflow_exits_one(self, tmp_path, capsys):
         argv = ["timeseries", "support-front", "--t-max", "80"]
         assert cli.main([*argv, "--report-out", str(tmp_path / "over.csv")]) == 1
