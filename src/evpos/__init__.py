@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .errors import (
     CertificateMissing,
     ConsistencyViolation,
-    CouplingPremiseWarning,
     DepthExceeded,
     EvposError,
     InputError,
@@ -42,12 +41,10 @@ from .perturbation import (
     GridFunctional,
     ProductVector,
     RankOneCoupling,
-    couple,
     coupling_irreducibility_check,
     coupling_premise_check,
     domination_check,
     dyson_phillips_sum,
-    dyson_phillips_terms,
     invariance_transfer_check,
 )
 from .positivity import (
@@ -93,7 +90,6 @@ __all__ = [
     # errors
     "CertificateMissing",
     "ConsistencyViolation",
-    "CouplingPremiseWarning",
     "DepthExceeded",
     "EvposError",
     "InputError",
@@ -144,12 +140,10 @@ __all__ = [
     "GridFunctional",
     "ProductVector",
     "RankOneCoupling",
-    "couple",
     "coupling_irreducibility_check",
     "coupling_premise_check",
     "domination_check",
     "dyson_phillips_sum",
-    "dyson_phillips_terms",
     "invariance_transfer_check",
     # exact step functions
     "irreducibility_witness_search",

@@ -37,7 +37,7 @@ from .irreducibility import classify
 from .lattice import IdealMask
 from .perturbation import CoupledProvider, ProductVector
 from .positivity import certify_eventual_strong_positivity
-from .presets import MAX_GRID_POINTS, PRESETS, check_depth, coupled_demo_system
+from .presets import MAX_GRID_POINTS, PRESETS, check_depth, coupled_demo_system, lattice_steps
 from .semigroup import MatrixSemigroup, TimeGrid, demo_generator
 from .spectral import dominant_projection
 from .stepfun import rademacher, shifted_pairing
@@ -364,10 +364,9 @@ def _series_support_front(args) -> tuple:
     if args.input not in (None, "ex5_6"):
         raise InputError("the support-front series is defined for the ex5_6 preset")
     h = args.h
-    t_max = _positive_t_max(args.t_max)
     system = coupled_demo_system(L=args.L, h=h)
+    q_max = lattice_steps(args.t_max, h)
     provider = CoupledProvider(system)
-    q_max = int(round(t_max / h))
     provider.check_orbit(q_max)
     grid = system.provider2.grid
     seed = ProductVector(np.ones(3), system.provider2.zero_vector())

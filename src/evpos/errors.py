@@ -101,7 +101,3 @@ class NoConvergence(EvposError):
 
 class TransferViolation(ConsistencyViolation):
     """Invariance failed to transfer where the theory says it must."""
-
-
-class CouplingPremiseWarning(UserWarning):
-    """Coupling premise failed on samples; order conclusions are not asserted."""

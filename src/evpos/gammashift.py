@@ -8,7 +8,7 @@ keeps each step's kernel once evaluated, and fills the kernels of a block
 of steps with one gammainc call on the 2-D broadcast of their times and
 the cell edges, each row bit for bit the single-time evaluation.  Mass
 leaving the right edge is dropped; the kernel deficit beyond the window
-is reported.
+is returned with the weights.
 
 Support bookkeeping is exact: every grid function carries an integer
 `support_lo` below which all samples are bitwise zero, maintained through
@@ -33,7 +33,6 @@ __all__ = [
     "Grid1D",
     "GridFunction",
     "gamma_kernel_weights",
-    "gamma_shift_apply",
     "GammaShiftProvider",
 ]
 
@@ -196,29 +195,15 @@ def gamma_kernel_weights(t, grid: Grid1D, n_cells=None):
     return pairs if times.ndim else pairs[0]
 
 
-def gamma_shift_apply(f: GridFunction, t: float, weights: np.ndarray | None = None) -> GridFunction:
-    """Apply the time-t operator: Gamma(t,1) convolution, then left shift by t.
-
-    t must be a whole number q of cells.  The window acts as a viewport on
-    the line dynamics: output cell i reads the convolution at offset i + q,
-    so kernel mass that crosses the window top and is pulled back by the
-    shift re-enters, and only mass whose *final* position lies outside the
-    window is dropped.  The kernel therefore spans count + q offset cells.
-    Output support floor is exactly input floor minus the shift (clamped
-    at 0); nonnegative inputs give nonnegative outputs since every kernel
-    weight is >= 0.
-    """
-    grid = f.grid
-    q = grid.steps_of(t)
-    if q and weights is None and not f.is_zero:
-        weights, _ = gamma_kernel_weights(t, grid, grid.count + q)
-    return _shift_smooth(f, q, weights)
-
-
 def _shift_smooth(f: GridFunction, q: int, weights) -> GridFunction:
-    """gamma_shift_apply at q whole cells, weights the kernel of time q h (unread when f is zero).
+    """The time-q h operator on f: Gamma(q h, 1) convolution, then left shift by q cells.
 
-    The output's floor is declared, and the constructor refuses a nonzero
+    weights is the kernel of time q h over count + q offset cells (unread
+    when f is zero): output cell i reads the convolution at offset i + q,
+    so kernel mass that crosses the window top and is pulled back by the
+    shift re-enters, and only mass whose final position lies outside the
+    window is dropped.  The output's floor is the input floor minus q,
+    clamped at 0, and is declared, so the constructor refuses a nonzero
     sample below it.
     """
     grid = f.grid
@@ -404,13 +389,3 @@ class GammaShiftProvider(SemigroupProvider):
             # below-band entries M[i, j] with j > i + q are structural zeros
             return 0.0, ("below-band", 0, q + 1), True
         return wmin, ("kernel-cell", m), True
-
-    def mass_report(self, t) -> dict:
-        if self.grid.steps_of(t) == 0:
-            return {"t": float(t), "weight_sum": 1.0, "window_deficit": 0.0}
-        weights, deficit = self.weights(t)
-        return {
-            "t": float(t),
-            "weight_sum": float(np.sum(weights)),
-            "window_deficit": deficit,
-        }

@@ -74,6 +74,11 @@ PERSISTENTLY_IRREDUCIBLE = "PersistentlyIrreducible"
 IRREDUCIBLE_NOT_PERSISTENT = "IrreducibleNotPersistent"
 REDUCIBLE = "Reducible"
 
+# The thresholds t0 of the two large-times conditions in every table.
+THRESHOLDS = (0.0, 1.0, 5.0)
+# The principal-ideal checks' relative rounding slack and structural-threshold tolerance.
+PRINCIPAL_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # Sign-pattern digraph
@@ -215,20 +220,16 @@ class ConditionsTable:
         raise KeyError(key)
 
 
-def weak_conditions_test(
-    provider,
-    test_vectors=None,
-    test_functionals=None,
-    t0_list=(0.0, 1.0, 5.0),
-) -> ConditionsTable:
+def weak_conditions_test(provider, test_vectors=None, test_functionals=None) -> ConditionsTable:
     """Decide the three weak duality conditions over positive test pairs.
 
     Each pair is read from the carrier's exact pairing_support(): the
     first time of the support at or after a threshold is the witness,
     with its value <phi, T(t) f>, and a threshold without one is a
     violation that the support certifies (CertificateMissing for a
-    carrier without one).  The table also re-checks the implication
-    chain large-times => large-times-or-zero => some-time on its rows.
+    carrier without one); the thresholds are THRESHOLDS.  The table also
+    re-checks the implication chain large-times => large-times-or-zero =>
+    some-time on its rows.
     """
     defaults_used = test_vectors is None and test_functionals is None
     if test_vectors is None:
@@ -241,10 +242,9 @@ def weak_conditions_test(
         for j, phi in enumerate(test_functionals):
             provider.check_positive(phi, label=f"phi{j}")
 
-    t0_list = tuple(float(t0) for t0 in t0_list)
     # thresholds in the number type of the probes, converted once per table
     num = Fraction if provider.exact_arithmetic else float
-    lows = [num(t0) for t0 in t0_list]
+    lows = [num(t0) for t0 in THRESHOLDS]
 
     pair_labels, supports = [], []
     rows = {key: ([], []) for key in (COND_SOME_TIME, COND_LARGE_TIMES_OR_ZERO, COND_LARGE_TIMES)}
@@ -256,7 +256,7 @@ def weak_conditions_test(
             supports.append(support)
             first = support.first_at_or_after(num(0))
             checks = [(COND_SOME_TIME, None, first, "at no time")]
-            for t0, lo in zip(t0_list, lows):
+            for t0, lo in zip(THRESHOLDS, lows):
                 t = support.first_at_or_after(lo)
                 checks.append((COND_LARGE_TIMES, t0, t, f"at no t >= {t0}"))
                 # large-times-or-zero: t = 0 also qualifies
@@ -298,7 +298,7 @@ def weak_conditions_test(
         entries=entries,
         diagram_consistent=diagram,
         pair_labels=tuple(pair_labels),
-        t0_list=t0_list,
+        t0_list=THRESHOLDS,
         supports=tuple(supports),
     )
 
@@ -319,12 +319,7 @@ class IrreducibilityReport:
     notes: str = ""
 
 
-def classify(
-    provider=None,
-    A=None,
-    tol: float = 1e-9,
-    t0_list=(0.0, 1.0, 5.0),
-) -> IrreducibilityReport:
+def classify(provider=None, A=None, tol: float = 1e-9) -> IrreducibilityReport:
     """Classify a semigroup as persistently irreducible / irreducible / reducible.
 
     Matrix generators (`A` given, or a MatrixSemigroup provider) are decided
@@ -339,10 +334,10 @@ def classify(
     irreducibility coincide, and `diagram_consistent` is True.
 
     Function-space carriers are decided from the exact table of
-    weak_conditions_test (`t0_list` applies to them only).  A pair that
-    is zero at every time makes the family reducible; otherwise it is
-    irreducible, and persistently so exactly when every pair's support
-    is unbounded, which a nilpotent family (dimension > 1) never has.
+    weak_conditions_test.  A pair that is zero at every time makes the
+    family reducible; otherwise it is irreducible, and persistently so
+    exactly when every pair's support is unbounded, which a nilpotent
+    family (dimension > 1) never has.
     A `tol` that is not finite and positive is refused with InputError.
     """
     check_tol(tol)
@@ -389,7 +384,7 @@ def classify(
     if provider is None:
         raise ValueError("provide a generator matrix or a semigroup provider")
 
-    table = weak_conditions_test(provider, t0_list=t0_list)
+    table = weak_conditions_test(provider)
     nil, dim = provider.nilpotent_time, provider.carrier_dim
     witness_ideal = witness_onset = None
     if table.entry(COND_SOME_TIME).status == "violated":
@@ -438,18 +433,15 @@ class PrincipalIdealReport:
 
 
 def eventual_invariance_of_principal_ideal(
-    provider,
-    h,
-    t0_premise: float = 0.0,
-    grid: TimeGrid | None = None,
-    tol: float = 1e-9,
+    provider, h, t0_premise: float = 0.0
 ) -> PrincipalIdealReport:
     """Check that the ideal generated by h is eventually invariant.
 
-    Matrix carriers only (InputError otherwise).  Premise: T(t) h <= h on
-    all sampled t >= t0_premise, up to tol ((|T(t)| h)_i + h_i) in each
-    coordinate i (PremiseViolation otherwise).  The ideal
-    generated by h is the coordinate ideal of its support, and matrix
+    Matrix carriers only (InputError otherwise).  Premise: T(t) h <= h at
+    the times of TimeGrid.default() and t0_premise from t0_premise on, up
+    to tol ((|T(t)| h)_i + h_i) in each coordinate i, tol = PRINCIPAL_TOL
+    (PremiseViolation otherwise).  The ideal generated by h is the
+    coordinate ideal of its support, and matrix
     semigroups are analytic, so it is eventually invariant exactly when it
     is invariant from t = 0: the onset is 0.0 when ideal_leak finds no
     entry of A above structural_threshold(A, tol) carrying the support out,
@@ -478,9 +470,9 @@ def eventual_invariance_of_principal_ideal(
             trivial=True,
             notes="h = 0 generates the zero ideal, which is invariant",
         )
-    if grid is None:
-        grid = TimeGrid.default()
-    times = [t for t in provider.admissible_times(list(grid) + [t0_premise]) if t >= t0_premise]
+    tol = PRINCIPAL_TOL
+    candidates = list(TimeGrid.default()) + [t0_premise]
+    times = [t for t in provider.admissible_times(candidates) if t >= t0_premise]
     if not times:
         raise ValueError("no sampled times at or beyond t0_premise")
     mats = dict(zip(times, provider.matrices(times)))
@@ -524,13 +516,14 @@ def eventual_invariance_of_principal_ideal(
     )
 
 
-def build_super_fixed_vector(A, f, t1: float = 0.0, grid: TimeGrid | None = None, tol: float = 1e-9):
+def build_super_fixed_vector(A, f, t1: float = 0.0):
     """h with T(t) h <= h for all t >= 0, built from the tail orbit of f.
 
     h = e^{t1 A} (-A)^{-1} f is the closed form of the integral of the
     orbit of f from t1 on; it requires the spectral bound to be negative
-    and the orbit to stay positive past t1 (both checked).  The returned h
-    is asserted positive-nonzero and dominated along its own orbit.
+    and the orbit to stay positive past t1 (both checked on the times of
+    TimeGrid.default()).  The returned h is asserted positive-nonzero and
+    dominated along its own orbit, each up to PRINCIPAL_TOL relative slack.
     """
     A = as_matrix(A)
     sb = float(np.max(np.linalg.eigvals(A).real))
@@ -541,8 +534,7 @@ def build_super_fixed_vector(A, f, t1: float = 0.0, grid: TimeGrid | None = None
     f = as_vector(f)
     if np.min(f) < 0 or not np.any(f > 0):
         raise PremiseViolation("f must be positive and nonzero", witnesses=[f.tolist()])
-    if grid is None:
-        grid = TimeGrid.default()
+    grid, tol = TimeGrid.default(), PRINCIPAL_TOL
     flow = MatrixSemigroup(A)
     scale_f = float(np.max(f))
     shifts = [float(t) + float(t1) for t in grid]

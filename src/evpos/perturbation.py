@@ -6,20 +6,13 @@ Dyson-Phillips series
     V_0(t) = T(t),    V_{n+1}(t) = integral_0^t T(t-s) B V_n(s) ds,
 
 truncated after N terms with a certified tail from the growth envelope.
-Each carrier has one exact construction of the terms.  For a matrix
-carrier, V_0(t)..V_N(t) are the first block row of e^{tG}, G the block
-upper-bidiagonal matrix with A on the diagonal and B above it (Van
-Loan's block exponential); a block past BLOCK_BUDGET is refused before
-any work.  For a carrier locked to a time lattice, B = U Phi is factored
-through its nonzero rows, the coefficients C_n(p) = Phi V_n(p h) follow
-C_{n+1}(p) = sum_j w_j K(p - j) C_n(j), K(m) = Phi T(m h) U, on the
-lattice's own weights w, and V_{n+1}(q h) = sum_j w_j T((q - j) h) U C_n(j)
-is one product of the stacked range orbits with the weighted blocks; a
-series past NODE_BUDGET is refused before any work.  A term that leaves
-the double range raises ExpmOverflow.  The series has no settings: the
-term cap is the most terms a matrix carrier's block holds, or
-LATTICE_MAX_TERMS on a lattice, and the tail target, both budgets and
-the premise sample times are module constants.
+The series is a matrix-carrier tool: V_0(t)..V_N(t) are the first block
+row of e^{tG}, G the block upper-bidiagonal matrix with A on the
+diagonal and B above it (Van Loan's block exponential); a block past
+BLOCK_BUDGET is refused before any work, and any other carrier is
+refused with InputError.  The series has no settings: the term cap is
+the most terms the block holds, and the tail target, the block budget
+and the premise sample times are module constants.
 
 Coupled lattice carriers need no term count.  Their coupling has finite
 rank, B = U Phi, so the coefficients c(p) = Phi S(p h) f of a perturbed
@@ -27,7 +20,9 @@ orbit solve the r x r renewal equation
 
     (I - w_p K(0)) c(p) = Phi T(p h) f + sum_{j<p} w_j K(p - j) c(j).
 
-Its solution is the sum of every term of the lattice series, and
+Its solution is the sum of every term of the lattice series, on the
+lattice's own weights w with the kernel K(m) = Phi T(m h) U; an orbit
+past NODE_BUDGET is refused before any work, and
 S(p h) f = T(p h) f + sum_j w_j T((p - j) h) U c(j) is one weighted
 reduction over the seed flow and the range orbits T(m h) u_k, which
 every seed shares.  Range orbits, seed flows and coefficients are kept
@@ -44,16 +39,15 @@ one store per provider in doubling stacks of one expm call each, and
 the Gamma-shift carrier with one kernel evaluation per block.  The
 renewal is solved one step at a time, on demand.
 Two coupled dense carriers are one exponential of the block generator.
-On top of the series sit an order-theoretic domination check, the
-transfer of coordinate-ideal invariance from the perturbed family back
-to A and B, decided from the generators' zero patterns because matrix
-semigroups are analytic, and a two-carrier coupling constructor whose
-off-diagonal blocks feed each component into the other.
+On top of the series sit an order-theoretic domination check of matrix
+carriers, the transfer of coordinate-ideal invariance from the perturbed
+family back to A and B, decided from the generators' zero patterns
+because matrix semigroups are analytic, and two-carrier coupled systems
+whose off-diagonal blocks feed each component into the other.
 """
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +55,6 @@ import numpy as np
 from .errors import (
     CertificateMissing,
     ConsistencyViolation,
-    CouplingPremiseWarning,
     ExpmOverflow,
     InputError,
     PremiseViolation,
@@ -77,13 +70,11 @@ from .semigroup import MatrixSemigroup, SemigroupProvider, TimeGrid, expm, log_n
 
 
 # Series constants: the tail target that fixes the term count, the
-# largest block generator (N + 1) n of a matrix carrier, the abort
-# threshold on recursion depth times node count of a lattice carrier,
-# and a lattice carrier's term cap.
+# largest block generator (N + 1) n of a matrix carrier, and the abort
+# threshold on coupling rank times node count of a lattice renewal.
 TAIL_TOLERANCE = 1e-10
 BLOCK_BUDGET = 1024
 NODE_BUDGET = 2_000_000
-LATTICE_MAX_TERMS = 40
 
 
 class _EnvelopeSeries:
@@ -210,8 +201,8 @@ def check_node_budget(width: int, q: int) -> None:
     """Refuse a lattice sum of width summands per node to step q past NODE_BUDGET.
 
     Step p reads the p + 1 nodes 0..p, so steps 0..q read
-    width (q + 1)(q + 2) / 2 summands: width is the term count of a
-    series, or the rank r of a renewal's coupling.
+    width (q + 1)(q + 2) / 2 summands: width is the rank r of a
+    renewal's coupling.
     """
     if width * (q + 1) * (q + 2) // 2 > NODE_BUDGET:
         raise QuadratureBudgetExceeded(
@@ -365,7 +356,7 @@ class _FiniteRange:
 
         C_{n+1}(0) = 0 and C_{n+1}(p) = sum_{j<=p} w_j K(p - j) C_n(j).
         coeffs stacks C_n(0..q) on its first axis: r numbers per step for
-        an orbit's term, an r x D block per step for a dense operator's.
+        an orbit's term, an r x k block per step for k histories at once.
         w are the lattice weights of step p; the kernel enters at K(0).
         """
         q = len(coeffs) - 1
@@ -512,56 +503,6 @@ class _SeedOrbit(_Renewal):
         return self.unstack(total, floors), (gap, floors)
 
 
-def _lattice_terms(provider, B: np.ndarray, t: float, n_terms: int):
-    """(dense terms at t, quadrature gauge) for a provider restricted to a time lattice.
-
-    B = U Phi through its nonzero rows, as DenseCoupling factors it;
-    C_0(p) = Phi T(p h), each later C_n follows the coefficient
-    recursion, and term n + 1 at step q is the stacked product of the
-    range orbits T(m h) U with w_j C_n(j).  The series ends once C_n
-    vanishes on steps 0..q, every later term being identically zero
-    there; the remaining terms are zero blocks.  The gauge sums, over
-    the kept terms, the largest entry of the same product with the
-    trapezoid rule's distance as weights.  A series past NODE_BUDGET is
-    refused before any work.
-    """
-    h = provider.grid.h
-    q = provider.grid.steps_of(t)
-    check_node_budget(n_terms, q)
-    ops = [provider.to_dense(m * h) for m in range(q + 1)]
-    coupling = DenseCoupling(B)
-    units, dim = coupling.range_vectors, B.shape[0]
-    rank = len(units)
-
-    def range_block(lo, hi, orbits, floors, kernel):
-        steps = range(lo, min(hi, q + 1))
-        for row, m in enumerate(steps):
-            for k, u in enumerate(units):
-                orbits[row, k] = ops[m] @ u
-                kernel[row, :, k] = coupling.coefficients(orbits[row, k])
-        floors[...] = 0
-        return len(steps)
-
-    finite_range = _FiniteRange(range_block, rank, h, dim)
-    terms = [ops[q].copy()]
-    gauge = 0.0
-    coeffs = np.array([coupling.rows() @ op for op in ops])
-    if q:
-        orbits = finite_range.stacked(q)
-        rules = finite_range.rules(q)
-        while len(terms) <= n_terms and coeffs.any():
-            term, gap = _convolve_blocks(orbits, coeffs, rules)
-            if not np.isfinite(term).all():
-                raise ExpmOverflow(
-                    f"the series overflowed: term {len(terms)} at t = {t:g} left the double range"
-                )
-            terms.append(term)
-            gauge += float(np.max(np.abs(gap)))
-            coeffs = finite_range.next_coefficients(coeffs)
-    terms += [np.zeros_like(terms[0])] * (n_terms + 1 - len(terms))
-    return terms, gauge
-
-
 @dataclass(frozen=True)
 class DysonPhillipsResult:
     """Summed series with its certificates."""
@@ -574,10 +515,13 @@ class DysonPhillipsResult:
     notes: str = ""
 
 
-def _as_provider(providerA) -> SemigroupProvider:
-    if isinstance(providerA, SemigroupProvider):
-        return providerA
-    return MatrixSemigroup(as_matrix(providerA))
+def _matrix_carrier(providerA, what: str) -> MatrixSemigroup:
+    """A generator matrix or MatrixSemigroup as a MatrixSemigroup; other carriers are refused."""
+    if not isinstance(providerA, SemigroupProvider):
+        return MatrixSemigroup(as_matrix(providerA))
+    if not isinstance(providerA, MatrixSemigroup):
+        raise InputError(f"{what} requires a dense matrix carrier")
+    return providerA
 
 
 def _perturbation_dense(B, dim: int) -> np.ndarray:
@@ -588,67 +532,46 @@ def _perturbation_dense(B, dim: int) -> np.ndarray:
     return mat
 
 
-def dyson_phillips_terms(providerA, B, t):
-    """(series terms V_0(t)..V_N(t), certified truncation tail bound).
-
-    The terms and tail of dyson_phillips_sum; the tail bound comes from
-    the provider's growth envelope and covers every dropped term.
-    """
-    res = dyson_phillips_sum(providerA, B, t)
-    return list(res.terms), res.tail_bound
-
-
 def dyson_phillips_sum(providerA, B, t) -> DysonPhillipsResult:
-    """Summed series evaluation with tail and quadrature certificates.
+    """Summed series evaluation of a matrix carrier with its tail certificate.
 
-    The term count is the smallest whose envelope tail meets
-    TAIL_TOLERANCE, up to a cap past which the capped tail is reported.
-    An n x n matrix carrier is capped at BLOCK_BUDGET // n - 1 terms, the
-    most its block generator holds, and takes the count of whichever of
-    its two envelopes passes first: the provider's growth pair and the
+    Matrix carriers only: any other carrier is refused with InputError
+    before any work.  The term count is the smallest whose envelope tail
+    meets TAIL_TOLERANCE, up to a cap past which the capped tail is
+    reported.  An n x n carrier is capped at BLOCK_BUDGET // n - 1 terms,
+    the most its block generator holds, and takes the count of whichever
+    of its two envelopes passes first: the provider's growth pair and the
     log-norm pair (1, mu_2(A)), tried once when they are the same pair.
     Its terms are the first block row of one block exponential, exact up
     to rounding, so its quadrature_estimate is 0.0; when every envelope's
     tail is inf at the cap, no count certifies anything and ExpmOverflow
     is raised before the block is formed, and a block past BLOCK_BUDGET
-    raises QuadratureBudgetExceeded likewise.  A carrier locked to a time
-    lattice is capped at LATTICE_MAX_TERMS and sums the coefficient
-    recursion of B = U Phi with the lattice's own weights; its
-    quadrature_estimate is the distance to the trapezoid rule on the same
-    samples.
+    raises QuadratureBudgetExceeded likewise.
     """
     if float(t) < 0.0:
         raise InputError("time must be nonnegative")
-    provider = _as_provider(providerA)
+    provider = _matrix_carrier(providerA, "the Dyson-Phillips series")
     Bd = _perturbation_dense(B, provider.carrier_dim)
     t = float(t)
-    matrix_case = isinstance(provider, MatrixSemigroup)
-    if not matrix_case and not hasattr(provider, "grid"):
-        raise InputError("carrier supports neither dense nor lattice evaluation")
     envelopes = {"growth": provider.envelope}
-    cap = LATTICE_MAX_TERMS
-    if matrix_case:
-        cap = max(1, BLOCK_BUDGET // provider.carrier_dim - 1)
-        # default_envelope's eigenbasis pair has M >= 1.1, so M = 1 means
-        # the growth pair already is the log-norm pair
-        if envelopes["growth"][0] == 1.0:
-            envelopes = {"log-norm": envelopes["growth"]}
-        else:
-            envelopes["log-norm"] = log_norm_envelope(provider.A)
+    cap = max(1, BLOCK_BUDGET // provider.carrier_dim - 1)
+    # default_envelope's eigenbasis pair has M >= 1.1, so M = 1 means
+    # the growth pair already is the log-norm pair
+    if envelopes["growth"][0] == 1.0:
+        envelopes = {"log-norm": envelopes["growth"]}
+    else:
+        envelopes["log-norm"] = log_norm_envelope(provider.A)
     norm_b = float(np.linalg.norm(Bd, 2))
     n_terms, tail = min(choose_terms(cap, env, norm_b, t) for env in envelopes.values())
-    if matrix_case:
-        if tail == math.inf:
-            pairs = " and ".join(
-                f"the {name} pair ({M:.6g}, {w:.6g})" for name, (M, w) in envelopes.items()
-            )
-            raise ExpmOverflow(
-                f"the series at t = {t:g} has no certified term count: the envelope tail "
-                f"is inf at the cap of {cap} terms for {pairs}"
-            )
-        terms, est = _block_terms(provider.A, Bd, t, n_terms), 0.0
-    else:
-        terms, est = _lattice_terms(provider, Bd, t, n_terms)
+    if tail == math.inf:
+        pairs = " and ".join(
+            f"the {name} pair ({M:.6g}, {w:.6g})" for name, (M, w) in envelopes.items()
+        )
+        raise ExpmOverflow(
+            f"the series at t = {t:g} has no certified term count: the envelope tail "
+            f"is inf at the cap of {cap} terms for {pairs}"
+        )
+    terms = _block_terms(provider.A, Bd, t, n_terms)
     total = terms[0].copy()
     for term in terms[1:]:
         total = total + term
@@ -662,7 +585,7 @@ def dyson_phillips_sum(providerA, B, t) -> DysonPhillipsResult:
         total=total,
         terms=tuple(terms),
         tail_bound=tail,
-        quadrature_estimate=est,
+        quadrature_estimate=0.0,
         n_terms=len(terms) - 1,
         notes=notes,
     )
@@ -675,6 +598,8 @@ def dyson_phillips_sum(providerA, B, t) -> DysonPhillipsResult:
 
 # Premise sample times: 32 log-spaced points on [1e-3, 10] plus the zero axis.
 PREMISE_TIMES = (0.0,) + tuple(float(x) for x in np.geomspace(1e-3, 10.0, 32))
+# The transfer check's entry tolerance, for its premise and its structural thresholds.
+TRANSFER_TOL = 1e-9
 
 
 def _premise_flow(provider):
@@ -743,61 +668,35 @@ class DominationReport:
     conclusion_witness: tuple
     times: tuple
     tol: float
-    tail_bound: float = 0.0
     notes: str = ""
 
 
-def _conclusion_samples(provider, Bd: np.ndarray, times, tol: float):
-    """(t, e^{tA}, perturbed, budget, tail) at each time, in order.
-
-    A matrix carrier reads both exponentials from stacked time lists; a
-    lattice carrier sums the truncated series, its tail and quadrature
-    estimate folded into the budget.
-    """
-    if isinstance(provider, MatrixSemigroup):
-        flows = [MatrixSemigroup(M) for M in (provider.A, provider.A + Bd)]
-        for t, base, perturbed in zip(times, *(flow.matrices(times) for flow in flows)):
-            yield t, base, perturbed, tol, 0.0
-        return
-    for t in times:
-        res = dyson_phillips_sum(provider, Bd, t)
-        budget = tol + res.tail_bound + res.quadrature_estimate
-        yield t, provider.to_dense(t), res.total, budget, res.tail_bound
-
-
-def domination_check(
-    providerA,
-    B,
-    grid: TimeGrid | None = None,
-    tol: float = 1e-9,
-) -> DominationReport:
+def domination_check(providerA, B, tol: float = 1e-9) -> DominationReport:
     """Sample T(t) B T(s) >= -tol; if it holds, assert e^{t(A+B)} >= e^{tA} - tol.
 
-    The premise is scanned on a log-spaced square plus its axes; a
-    violation raises PremiseViolation with the offending (s, t) pair.
-    When the premise holds, the conclusion is checked at every grid time
-    (dense matrix carriers via the exponential, lattice carriers via the
-    truncated series with its tail folded into the tolerance); a failed
-    conclusion would contradict the theory and raises
-    ConsistencyViolation.
+    Matrix carriers only: any other carrier is refused with InputError
+    before any work.  The premise is scanned on a log-spaced square plus
+    its axes; a violation raises PremiseViolation with the offending
+    (s, t) pair.  When the premise holds, the conclusion is checked at
+    every time of TimeGrid.default(), both exponentials read from stacked
+    time lists; a failed conclusion would contradict the theory and
+    raises ConsistencyViolation.
     """
-    provider = _as_provider(providerA)
+    provider = _matrix_carrier(providerA, "the domination check")
     Bd = _perturbation_dense(B, provider.carrier_dim)
     premise_min, premise_witness = _premise_scan(provider, Bd, tol)
-    grid = grid or TimeGrid.default()
-    times = provider.admissible_times(list(grid.points))
+    times = provider.admissible_times(list(TimeGrid.default().points))
+    flows = [MatrixSemigroup(M) for M in (provider.A, provider.A + Bd)]
     worst = math.inf
     worst_witness = None
-    max_tail = 0.0
-    for t, base, perturbed, budget, tail in _conclusion_samples(provider, Bd, times, tol):
-        max_tail = max(max_tail, tail)
+    for t, base, perturbed in zip(times, *(flow.matrices(times) for flow in flows)):
         diff = perturbed - base
         idx = np.unravel_index(int(np.argmin(diff)), diff.shape)
         val = float(diff[idx])
         if val < worst:
             worst = val
             worst_witness = (float(t), int(idx[0]), int(idx[1]), val)
-        if val < -budget:
+        if val < -tol:
             raise ConsistencyViolation(
                 "perturbed semigroup fails to dominate the unperturbed one "
                 f"at t = {t:.6g} despite a clean premise (entry {val:.3e})",
@@ -810,7 +709,6 @@ def domination_check(
         conclusion_witness=worst_witness,
         times=tuple(float(t) for t in times),
         tol=tol,
-        tail_bound=max_tail,
     )
 
 
@@ -829,26 +727,25 @@ class TransferReport:
     notes: str = ""
 
 
-def invariance_transfer_check(providerA, B, ideal, tol: float = 1e-9) -> TransferReport:
+def invariance_transfer_check(providerA, B, ideal) -> TransferReport:
     """Invariance of a coordinate ideal transfers from e^{t(A+B)} back to A.
 
     Matrix carriers only (InputError otherwise).  Each entry of e^{tM} is
     real-analytic in t, so a coordinate ideal I is eventually invariant
     under e^{tM} exactly when M[I^c, I] = 0, and then invariant from t = 0:
     every invariance below is decided by ideal_leak on the generator at
-    structural_threshold(M, tol), the threshold of classify, and every
-    onset is 0.0.  Premises: the ideal is invariant under A + B
+    structural_threshold(M, TRANSFER_TOL), the threshold of classify, and
+    every onset is 0.0.  Premises: the ideal is invariant under A + B
     (PremiseViolation with the leaking entry (i, j, value) otherwise), and
-    T(t) B T(s) >= -tol on the sampled square.  Conclusions: the ideal is
-    invariant under A, and under B, which is the whole family T(t) B T(s):
-    once A[I^c, I] = 0, (T(t) B T(s))[I^c, I] = T(t)[I^c, I^c] B[I^c, I]
-    T(s)[I, I] with both outer factors invertible.  A failed conclusion
+    T(t) B T(s) >= -TRANSFER_TOL on the sampled square.  Conclusions: the
+    ideal is invariant under A, and under B, which is the whole family
+    T(t) B T(s): once A[I^c, I] = 0, (T(t) B T(s))[I^c, I] =
+    T(t)[I^c, I^c] B[I^c, I] T(s)[I, I] with both outer factors invertible.  A failed conclusion
     raises TransferViolation with its entry; it must never fire on sound
     inputs.
     """
-    provider = _as_provider(providerA)
-    if not isinstance(provider, MatrixSemigroup):
-        raise InputError("coordinate-ideal transfer requires a dense matrix carrier")
+    provider = _matrix_carrier(providerA, "coordinate-ideal transfer")
+    tol = TRANSFER_TOL
     n = provider.carrier_dim
     mask = ideal if isinstance(ideal, IdealMask) else IdealMask.of(ideal, n)
     if mask.dim != n:
@@ -1047,8 +944,7 @@ class RankOneCoupling:
 class DenseCoupling:
     """Plain matrix block between two dense coordinate carriers.
 
-    Seen through its range, the block is U Phi with the unit vectors of
-    its nonzero rows as range vectors and those rows as functionals.
+    Its range vectors are the unit vectors of its nonzero rows.
     """
 
     def __init__(self, matrix):
@@ -1056,16 +952,7 @@ class DenseCoupling:
         self.norm_bound = float(np.linalg.norm(self.matrix, 2))
         self.shape = self.matrix.shape
         rows = np.flatnonzero(self.matrix.any(axis=1))
-        self._rows = self.matrix[rows]
         self.range_vectors = tuple(np.eye(self.shape[0])[rows])
-
-    def coefficients(self, f) -> np.ndarray:
-        """Phi(f): the nonzero rows applied to f."""
-        return self._rows @ as_vector(f)
-
-    def rows(self) -> np.ndarray:
-        """Phi as a dense r x n block."""
-        return self._rows
 
     def apply(self, f):
         return self.matrix @ as_vector(f)
@@ -1648,26 +1535,6 @@ class CoupledProvider(SemigroupProvider):
         dense = self.to_dense(t)
         idx = np.unravel_index(int(np.argmin(dense)), dense.shape)
         return float(dense[idx]), (int(idx[0]), int(idx[1])), False
-
-
-def couple(system: CoupledSystem, t, tol: float = 1e-9) -> np.ndarray:
-    """Dense product-carrier operator of the coupled family at time t.
-
-    Samples the two mixed premise families first; a violation is
-    surfaced as a CouplingPremiseWarning (the order conclusions are then
-    not asserted) and evaluation proceeds regardless.
-    """
-    provider = CoupledProvider(system)
-    report = coupling_premise_check(system, tol=tol)
-    if not report.ok:
-        warnings.warn(
-            "coupling premise fails on samples "
-            f"(entry {report.min_entry:.3e} at {report.witness[:3]}); "
-            "order conclusions are not asserted",
-            CouplingPremiseWarning,
-            stacklevel=2,
-        )
-    return provider.to_dense(t)
 
 
 @dataclass(frozen=True)

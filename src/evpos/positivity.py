@@ -80,6 +80,9 @@ _ONSET_CLASSES = (
 
 _GAP_MARGIN = 1e-8  # least gap, and largest imaginary part, of a certified dominant eigenvalue
 _RESIDUAL_TOL = 1e-9  # eigenvector residual bound, scaled by 1 + max|A_ij|
+# relative slack of the sampled premises of the spectral-radius bound, the
+# spectrum construction and the approximation from below
+_PREMISE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -447,12 +450,11 @@ class SpectralRadiusReport:
     notes: str = ""
 
 
-def spr_lower_bound_check(
-    T, h, delta: float, n_max: int = 12, tol: float = 1e-9
-) -> SpectralRadiusReport:
+def spr_lower_bound_check(T, h, delta: float, n_max: int = 12) -> SpectralRadiusReport:
     """Verify that T h >= delta h forces spr(T) >= delta.
 
-    Premises checked: h >= 0 and h != 0; T h >= delta h - tol; T^n h != 0
+    Premises checked, with tol = _PREMISE_TOL relative slack: h >= 0 and
+    h != 0; T h >= delta h - tol; T^n h != 0
     for n <= n_max; and some window [n0, n_max] on which the powers T^n
     are entrywise nonnegative.  The proof's chain
     T^{n0+k} h >= delta^k T^{n0} h is re-verified for k <= 10, and the
@@ -471,6 +473,7 @@ def spr_lower_bound_check(
     if n_max < 1:
         raise InputError("n_max must be at least 1")
 
+    tol = _PREMISE_TOL
     failures = []
     if float(np.min(v)) < -tol:
         i = int(np.argmin(v))
@@ -568,47 +571,39 @@ def _coordinate_values(provider, v) -> np.ndarray:
     return as_vector(v)
 
 
-def nonempty_spectrum_construction(
-    provider,
-    h,
-    grid: TimeGrid | None = None,
-    t0: float | None = None,
-    n_max: int = 12,
-    tol: float = 1e-9,
-) -> SpectrumConstructionReport:
+def nonempty_spectrum_construction(provider, h) -> SpectrumConstructionReport:
     """Build T = sum of sampled operators with T h >= delta h, delta > 0.
 
-    For each support coordinate x of the positive vector `h` the sampled
-    times >= t0 are scanned for one where the orbit stays positive at x;
-    the operators at the collected times are summed, delta is the
-    smallest ratio (T h)_x / h_x over the support, and the result is
-    handed to spr_lower_bound_check.  A positive delta bounds the
-    spectral radius away from zero, so the discretised family cannot
+    For each support coordinate x of the positive vector `h` the times of
+    TimeGrid.default() from t0 on are scanned for one where the orbit
+    stays positive at x; the operators at the collected times are summed,
+    delta is the smallest ratio (T h)_x / h_x over the support, and the
+    result is handed to spr_lower_bound_check.  A positive delta bounds
+    the spectral radius away from zero, so the discretised family cannot
     have empty spectrum.
 
-    `t0` defaults to the sampled eventual-positivity onset, so the
-    operators entering the sum are positive ones and the power premise
-    downstream is verifiable.  Search failures (no usable time for some
-    coordinate, a non-eventually-positive family, or a premise failure
-    downstream) are recorded in the report, not raised.
+    t0 is the sampled eventual-positivity onset of classify_on_grid, so
+    the operators entering the sum are positive ones and the power
+    premise downstream is verifiable.  Search failures (no usable time
+    for some coordinate, a non-eventually-positive family, or a premise
+    failure downstream) are recorded in the report, not raised.
     """
     provider.check_positive(h, "h")
-    g = grid if grid is not None else TimeGrid.default()
+    g, tol = TimeGrid.default(), _PREMISE_TOL
     h_vals = _coordinate_values(provider, h)
-    if t0 is None:
-        sampled = classify_on_grid(provider, grid=g, tol=tol)
-        if sampled.onset_t0 is None:
-            return SpectrumConstructionReport(
-                succeeded=False,
-                support=(),
-                witness_times=(),
-                times_used=(),
-                delta=None,
-                radius_report=None,
-                failures=((None, "family is not eventually positive on the sampled grid"),),
-                notes="no onset time to anchor the search",
-            )
-        t0 = float(sampled.onset_t0)
+    sampled = classify_on_grid(provider, grid=g, tol=tol)
+    if sampled.onset_t0 is None:
+        return SpectrumConstructionReport(
+            succeeded=False,
+            support=(),
+            witness_times=(),
+            times_used=(),
+            delta=None,
+            radius_report=None,
+            failures=((None, "family is not eventually positive on the sampled grid"),),
+            notes="no onset time to anchor the search",
+        )
+    t0 = float(sampled.onset_t0)
     supp_tol = tol * (1.0 + float(np.max(np.abs(h_vals))))
     support = [int(i) for i in np.nonzero(h_vals > supp_tol)[0]]
 
@@ -660,7 +655,7 @@ def nonempty_spectrum_construction(
         )
 
     try:
-        report = spr_lower_bound_check(T, h_vals, delta, n_max=n_max, tol=tol)
+        report = spr_lower_bound_check(T, h_vals, delta)
     except PremiseViolation as exc:
         return SpectrumConstructionReport(
             succeeded=False,
@@ -689,7 +684,7 @@ def nonempty_spectrum_construction(
 # Monotone approximation from below
 
 
-def approximate_from_below(provider, g, times, tol: float = 1e-9) -> list:
+def approximate_from_below(provider, g, times) -> list:
     """Increasing positive approximants g_n of a vector with positive orbit.
 
     g_n = positive part of (g - sum over k >= n of (g - T(t_k) g)^+) for a
@@ -700,7 +695,7 @@ def approximate_from_below(provider, g, times, tol: float = 1e-9) -> list:
 
     Carriers must expose coordinates (matrix vectors or grid functions).
     Raises PremiseViolation when a sampled orbit point has a negative
-    coordinate beyond tol.
+    coordinate beyond tol = _PREMISE_TOL relative slack.
     """
     ts = [float(t) for t in times]
     if not ts:
@@ -711,6 +706,7 @@ def approximate_from_below(provider, g, times, tol: float = 1e-9) -> list:
         raise InputError("times must decrease towards zero")
     if isinstance(g, PiecewiseConstantFn):
         raise InputError("approximation from below needs a coordinate carrier")
+    tol = _PREMISE_TOL
 
     g_vals = _coordinate_values(provider, g)
     scale = 1.0 + float(np.max(np.abs(g_vals))) if g_vals.size else 1.0

@@ -177,7 +177,7 @@ def run_matrix_demo(tol: float = 1e-9, grid_points: int = 256, t_max: float = 20
     )
 
     target = np.ones((3, 3)) / 3.0
-    drift = float(np.max(np.abs(expm(A - 9.0 * np.eye(3), t_max) - target)))
+    drift = float(np.max(np.abs(expm(A - 9.0 * np.eye(3), 20.0) - target)))
     checks.append(
         CheckResult(
             "rescaled limit at t=20",
@@ -355,6 +355,13 @@ def coupled_demo_system(L: float = 6.0, h: float = 0.125) -> CoupledSystem:
     return CoupledSystem(provider1, provider2, b12, b21)
 
 
+def lattice_steps(t_max: float, h: float) -> int:
+    """The number of whole steps h up to t_max, refused below one step with InputError."""
+    if not 0.0 < t_max < math.inf or round(t_max / h) < 1:
+        raise InputError(f"t_max must be finite and reach the first step h = {h:g}")
+    return int(round(t_max / h))
+
+
 def run_coupled_demo(
     L: float = 6.0,
     h: float = 0.125,
@@ -377,11 +384,9 @@ def run_coupled_demo(
     """
     check_tol(tol)
     system = coupled_demo_system(L=L, h=h)
-    if not 0.0 < t_max < math.inf or round(t_max / h) < 1:
-        raise InputError(f"t_max must be finite and reach the first step h = {h:g}")
+    q_max = lattice_steps(t_max, h)
     provider = CoupledProvider(system)
     grid = system.provider2.grid
-    q_max = int(round(t_max / h))
     provider.check_orbit(q_max)
     checks = []
 

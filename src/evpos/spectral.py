@@ -42,6 +42,9 @@ __all__ = [
     "mean_ergodic_projection",
 ]
 
+SIMPLICITY_TOL = 1e-9  # relative residual and singular-value cutoff of the simplicity test
+ERGODIC_TOL = 1e-8  # kernel, pairing and residual tolerance of the mean ergodic projection
+
 
 @dataclass(frozen=True)
 class ProjectionReport:
@@ -75,7 +78,7 @@ def _rank_by_svd(M: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(sig > rel_tol * sig[0]))
 
 
-def algebraic_simplicity_test(A, lam: float, u, phi, tol: float = 1e-9) -> bool:
+def algebraic_simplicity_test(A, lam: float, u, phi) -> bool:
     """True iff `lam` is an algebraically simple eigenvalue of `A`.
 
     The direct route requires geometric simplicity (exactly one small
@@ -86,8 +89,10 @@ def algebraic_simplicity_test(A, lam: float, u, phi, tol: float = 1e-9) -> bool:
     ConsistencyViolation.
 
     Raises NotAnEigenpair when the supplied vectors fail their residual
-    preconditions.
+    preconditions.  Residuals and singular values are measured against
+    tol = SIMPLICITY_TOL, relative to 1 + |A|_2 + |lam|.
     """
+    tol = SIMPLICITY_TOL
     A = as_matrix(A)
     u = as_vector(u)
     phi = as_vector(phi)
@@ -127,11 +132,12 @@ def algebraic_simplicity_test(A, lam: float, u, phi, tol: float = 1e-9) -> bool:
 # Dominant rank-one projection
 
 
-def _inverse_iteration(A: np.ndarray, s: float, v0: np.ndarray, iters: int = 3) -> np.ndarray:
+def _inverse_iteration(A: np.ndarray, s: float, v0: np.ndarray) -> np.ndarray:
+    """v0 refined by three steps of inverse iteration at a shift just above s."""
     n = A.shape[0]
     shift = s + 1e-11 * (1.0 + abs(s))
     v = v0 / float(np.linalg.norm(v0))
-    for _ in range(iters):
+    for _ in range(3):
         try:
             w = np.linalg.solve(A - shift * np.eye(n), v)
         except np.linalg.LinAlgError:  # pragma: no cover - exact-singularity fallback
@@ -238,23 +244,24 @@ def _kernels(M: np.ndarray, tol: float):
     return Vh[small].conj().T, U[:, small], float(sig[0])
 
 
-def mean_ergodic_projection(A, tol: float = 1e-8) -> ProjectionReport:
+def mean_ergodic_projection(A) -> ProjectionReport:
     """Limit P of the Cesaro means (1/T) int_0^T e^{tA} dt for s(A) = 0.
 
     The limit exists exactly when every imaginary-axis eigenvalue is
     semisimple, and it is then the projection onto ker A along ran A:
     P = U (W^T U)^-1 W^T, with U = ker A and W = ker A^T from one SVD of
     A, so rank P = dim ker A (P = 0 when 0 is no eigenvalue); rank 1 is
-    factored as u phi^T with <phi, u> = 1.  Eigenvalues within
-    max(10 tol, 1e-6) of the axis form clusters of nearby imaginary
-    parts; a cluster at mean lam is semisimple when the kernels R, L of
-    A - lam I and of its adjoint have one column per eigenvalue and
-    L^H R is nonsingular (least singular value above tol).
+    factored as u phi^T with <phi, u> = 1.  With tol = ERGODIC_TOL,
+    eigenvalues within max(10 tol, 1e-6) of the axis form clusters of
+    nearby imaginary parts; a cluster at mean lam is semisimple when the
+    kernels R, L of A - lam I and of its adjoint have one column per
+    eigenvalue and L^H R is nonsingular (least singular value above tol).
 
     Raises PremiseViolation when s(A) is not ~0, NoConvergence when an
     axis cluster is defective (the means then oscillate or grow), and
     EigenSolverFailure when P misses the residual bounds.
     """
+    tol = ERGODIC_TOL
     A = as_matrix(A)
     evals = np.linalg.eigvals(A)
     axis_tol = max(10.0 * tol, 1e-6)

@@ -302,6 +302,15 @@ class TestExamples:
         assert rc == 0
         assert calls == [(3, 3), (3, 3)]
 
+    def test_matrix_suite_passes_at_a_short_horizon(self, capsys):
+        # the rescaled limit is a claim about t = 20, whatever the sampled
+        # horizon: at --t-max 5 the deviation there would be 3.4e-3
+        rc, out, err = run(capsys, ["examples", "run", "ex5_2", "--t-max", "5"])
+        assert (rc, err) == (0, "")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        limit = checks["rescaled limit at t=20"]
+        assert limit["passed"] and limit["details"]["max_abs_deviation"] <= 1e-6
+
     def test_shift_suite_passes(self, capsys):
         rc, out, _ = run(capsys, ["examples", "run", "ex3_10"])
         assert rc == 0
@@ -414,6 +423,7 @@ class TestExamples:
             (["ex5_6", "--tol", "-1"], "positive"),
             # np.geomspace allocates every sampled time up front
             (["ex5_2", "--grid-points", str(cli.MAX_GRID_POINTS + 1)], "grid_points"),
+            (["ex5_6", "--t-max", "0.01"], "t_max must be finite and reach the first step"),
         ],
     )
     def test_unusable_suite_settings_rejected(self, capsys, argv, message):
@@ -530,6 +540,8 @@ class TestTimeseries:
             (["support-front", "--t-max", "80"], "overflow"),
             (["support-front", "--grid-h", "0.25", "--t-max", "249"], "overflow"),
             (["pairing", "--depth", str(MAX_DEPTH + 1)], f"--depth must be in 1..{MAX_DEPTH}, got"),
+            # below one lattice step, with the message of ex5_6
+            (["support-front", "--t-max", "0.01"], "t_max must be finite and reach the first step"),
         ],
     )
     def test_unusable_series_settings_rejected(self, capsys, argv, message):

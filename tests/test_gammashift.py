@@ -12,7 +12,6 @@ from evpos.gammashift import (
     Grid1D,
     GridFunction,
     gamma_kernel_weights,
-    gamma_shift_apply,
 )
 from evpos.irreducibility import classify, weak_conditions_test
 from evpos.presets import coupled_demo_system
@@ -129,8 +128,7 @@ class TestProvider:
         assert np.array_equal(np.asarray(out.samples), np.asarray(f.samples))
         mn, _witness, definite = provider.positivity_probe(0.0)
         assert mn == 0.0 and definite
-        rep = provider.mass_report(0.0)
-        assert rep["weight_sum"] == 1.0 and rep["window_deficit"] == 0.0
+        assert np.array_equal(provider.to_dense(0.0), np.eye(grid.count))
 
     def test_off_lattice_time_rejected(self, provider):
         f = GridFunction.indicator(provider.grid, 1.0, 2.0)
@@ -144,18 +142,16 @@ class TestProvider:
 
     def test_mass_never_exceeds_one(self, provider):
         for q in (1, 2, 8, 16):
-            rep = provider.mass_report(q * provider.grid.h)
-            assert rep["weight_sum"] <= 1.0 + 1e-12
-            assert rep["weight_sum"] + rep["window_deficit"] == pytest.approx(
-                1.0, abs=1e-12
-            )
+            weights, deficit = provider.weights(q * provider.grid.h)
+            assert float(np.sum(weights)) <= 1.0 + 1e-12
+            assert float(np.sum(weights)) + deficit == pytest.approx(1.0, abs=1e-12)
 
-    def test_gamma_shift_apply_agrees_with_manual_convolution(self, grid):
+    def test_shift_smoothing_agrees_with_manual_convolution(self, provider, grid):
         f = GridFunction.indicator(grid, 1.0, 2.0)
         t = 0.375
         q = grid.steps_of(t)
         weights, _ = gamma_kernel_weights(t, grid, grid.count + q)
-        out = gamma_shift_apply(f, t, weights)
+        out = provider.apply(t, f)
         samples = np.asarray(f.samples)
         manual = np.zeros(grid.count)
         for i in range(grid.count):

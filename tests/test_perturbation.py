@@ -13,7 +13,6 @@ import evpos.perturbation as perturbation
 import evpos.semigroup as semigroup
 from evpos.errors import (
     CertificateMissing,
-    CouplingPremiseWarning,
     ExpmOverflow,
     InputError,
     PremiseViolation,
@@ -33,12 +32,10 @@ from evpos.perturbation import (
     ProductVector,
     RankOneCoupling,
     choose_terms,
-    couple,
     coupling_irreducibility_check,
     coupling_premise_check,
     domination_check,
     dyson_phillips_sum,
-    dyson_phillips_terms,
     invariance_transfer_check,
     perturbation_tail_bound,
 )
@@ -84,7 +81,7 @@ class TestSeries:
     def test_first_order_term_for_frozen_flow(self):
         # with A = 0 the recursion integrates B directly: term n is (tB)^n/n!
         B = np.array([[0.0, 1.0], [2.0, 0.0]])
-        terms, _tail = dyson_phillips_terms(MatrixSemigroup(np.zeros((2, 2))), B, 0.7)
+        terms = dyson_phillips_sum(MatrixSemigroup(np.zeros((2, 2))), B, 0.7).terms
         assert np.max(np.abs(terms[1] - 0.7 * B)) <= 1e-12
         assert np.max(np.abs(terms[2] - (0.7 * B) @ (0.7 * B) / 2.0)) <= 1e-12
 
@@ -97,7 +94,7 @@ class TestSeries:
             A, B = random_pair(rng, n_max=5)
             n = A.shape[0]
             t = 1.1
-            terms, _ = dyson_phillips_terms(MatrixSemigroup(A), B, t)
+            terms = dyson_phillips_sum(MatrixSemigroup(A), B, t).terms
 
             block1 = np.zeros((2 * n, 2 * n))
             block1[:n, :n] = A
@@ -154,8 +151,7 @@ class TestSeries:
     def test_terms_positive_under_positive_data(self):
         A = np.array([[-2.0, 1.0], [0.5, -3.0]])  # off-diagonal nonnegative
         B = np.array([[0.2, 0.1], [0.0, 0.4]])
-        terms, _ = dyson_phillips_terms(MatrixSemigroup(A), B, 1.0)
-        for term in terms:
+        for term in dyson_phillips_sum(MatrixSemigroup(A), B, 1.0).terms:
             assert float(np.min(term)) >= -1e-12
 
     def test_tail_bound_decreases_and_covers_remainder(self, monkeypatch):
@@ -166,10 +162,10 @@ class TestSeries:
         # a block budget of 12 rows caps a 3 x 3 carrier at 3 terms
         A, B = demo_generator(), np.diag([0.0, 0.0, 1.0])
         monkeypatch.setattr(perturbation, "BLOCK_BUDGET", 12)
-        short_terms, short_tail = dyson_phillips_terms(MatrixSemigroup(A), B, 1.0)
-        assert len(short_terms) == 4
-        remainder = float(np.linalg.norm(expm(A + B, 1.0) - sum(short_terms), 2))
-        assert remainder <= short_tail
+        short = dyson_phillips_sum(MatrixSemigroup(A), B, 1.0)
+        assert len(short.terms) == 4
+        remainder = float(np.linalg.norm(expm(A + B, 1.0) - sum(short.terms), 2))
+        assert remainder <= short.tail_bound
 
     def test_term_cap_respected(self):
         n, tail = choose_terms(4, (1.0, 9.0), 1.0, 1.0)
@@ -281,13 +277,22 @@ class TestDomination:
             gaps.append(float(np.min(expm(A + B, t) - expm(A, t))))
         assert gaps[0] <= gaps[1] <= gaps[2]
 
-    def test_lattice_carrier_domination(self):
-        grid = Grid1D(x_min=-2.0, h=0.25, count=16)
-        prov = GammaShiftProvider(grid)
+    def test_lattice_carrier_domination(self, monkeypatch):
+        # the domination check and the series are matrix-carrier tools: a
+        # Gamma-shift carrier is refused before any exponential or kernel
+        def no_work(*args, **kwargs):
+            raise AssertionError("an exponential or a kernel was evaluated")
+
+        for module in (semigroup, perturbation):
+            monkeypatch.setattr(module, "expm", no_work)
+        monkeypatch.setattr(gammashift, "gamma_kernel_weights", no_work)
+        prov = GammaShiftProvider(Grid1D(x_min=-2.0, h=0.25, count=16))
         B = np.zeros((16, 16))
         B[3, 12] = 0.5  # one positive mass route
-        rep = domination_check(prov, B, tol=1e-9)
-        assert rep.conclusion_min >= -1e-9
+        with pytest.raises(InputError, match="requires a dense matrix carrier"):
+            domination_check(prov, B)
+        with pytest.raises(InputError, match="requires a dense matrix carrier"):
+            dyson_phillips_sum(prov, B, 2.0)
 
 
 class TestInvarianceTransfer:
@@ -456,7 +461,7 @@ class TestCoupledMatrixCarriers:
         block[3:, 3:] = A
         block[:3, 3:] = 0.1
         block[3:, :3] = 0.1
-        dense = couple(system, 0.7)
+        dense = CoupledProvider(system).to_dense(0.7)
         ref = expm(block, 0.7)
         assert np.max(np.abs(dense - ref)) <= 1e-9 * float(np.max(np.abs(ref)))
 
@@ -466,16 +471,15 @@ class TestCoupledMatrixCarriers:
         assert rep.min_entry >= 0.0
         assert rep.pairs_checked > 0
 
-    def test_negative_coupling_warns_and_still_returns(self):
+    def test_negative_coupling_fails_the_premise_and_still_evaluates(self):
         system = CoupledSystem(
             MatrixSemigroup(demo_generator()),
             MatrixSemigroup(demo_generator()),
             DenseCoupling(-0.1 * np.ones((3, 3))),
             DenseCoupling(0.1 * np.ones((3, 3))),
         )
-        with pytest.warns(CouplingPremiseWarning):
-            dense = couple(system, 0.5)
-        assert dense.shape == (6, 6)
+        assert coupling_premise_check(system).ok is False
+        assert CoupledProvider(system).to_dense(0.5).shape == (6, 6)
 
     def test_irreducibility_asserted_for_positive_coupling(self):
         rep = coupling_irreducibility_check(matrix_matrix_system())
@@ -1056,31 +1060,6 @@ class TestLatticeSeriesAgainstLeftFold:
         assert vector_bytes(value) == vector_bytes(want)
         assert value.second.support_lo == 2 and value.second.samples[2] == 0.0
 
-    def test_dense_lattice_terms_match_left_fold(self):
-        # the range recursion of B = U Phi against B and T applied to every
-        # summand: the same 13 terms, entries and gauge to rounding
-        grid = Grid1D(x_min=-2.0, h=0.25, count=16)
-        prov = GammaShiftProvider(grid)
-        rng = np.random.default_rng(7)
-        B = rng.normal(size=(16, 16))
-        B[:, :5] = 0.0  # images of the low cells vanish
-        ops = [prov.to_dense(m * grid.h) for m in range(25)]
-        for q in (1, 2, 3, 7, 24):
-            terms, gauge = perturbation._lattice_terms(prov, B, q * grid.h, 12)
-            ref = LeftFoldSeries(
-                lambda m, x: ops[m] @ x,
-                lambda x: B @ x,
-                np.eye(16),
-                grid.h,
-                lambda x: float(np.max(np.abs(x))) if x.size else 0.0,
-            )
-            ref_terms, ref_gauge = ref.at(q, 12)
-            assert len(terms) == len(ref_terms) == 13
-            scale = max(float(np.max(np.abs(t))) for t in ref_terms)
-            for got, want in zip(terms, ref_terms):
-                assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
-            assert abs(gauge - ref_gauge) <= 1e-12 * ref_gauge
-
     def test_lattice_to_dense_matches_full_depth(self):
         # the r x D coefficient block against the dense series with the
         # identity factorisation, run until it ends
@@ -1104,31 +1083,6 @@ class TestLatticeSeriesAgainstLeftFold:
             report = provider.series_report(q * h)
             assert report["tail_bound"] == 0.0
             assert report["quadrature_estimate"] <= ref_gauge * (1.0 + 1e-12)
-
-    def test_lattice_dp_sum_matches_left_fold(self):
-        grid = Grid1D(x_min=-2.0, h=0.25, count=16)
-        prov = GammaShiftProvider(grid)
-        B = np.zeros((16, 16))
-        B[3, 12] = 0.5
-        res = dyson_phillips_sum(prov, B, 2.0)
-        ops = [prov.to_dense(m * grid.h) for m in range(9)]
-        ref = LeftFoldSeries(
-            lambda m, x: ops[m] @ x,
-            lambda x: B @ x,
-            np.eye(16),
-            grid.h,
-            lambda x: float(np.max(np.abs(x))),
-        )
-        ref_terms, ref_gauge = ref.at(8, res.n_terms)
-        # the reference stops after two terms below the floating floor;
-        # the package's terms past that point are compared with zero blocks
-        ref_terms += [ref_terms[0] * 0.0] * (res.n_terms + 1 - len(ref_terms))
-        assert len(res.terms) == len(ref_terms) == res.n_terms + 1
-        scale = float(np.max(np.abs(fold(ref_terms))))
-        for got, want in zip(res.terms, ref_terms):
-            assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
-        assert float(np.max(np.abs(res.total - fold(ref_terms)))) <= 1e-12 * scale
-        assert abs(res.quadrature_estimate - ref_gauge) <= 1e-12 * ref_gauge
 
 
 def assert_same_array(got, want):
