@@ -350,7 +350,7 @@ def _series_pairing(args) -> tuple:
         raise InputError("the pairing series is defined for the ex3_10 preset")
     depth = check_depth(args.depth)
     header = ["t", "pairing_1_1", "pairing_1_1_exact"]
-    r1 = rademacher(1)  # its cell vector is computed once, on the first row
+    r1 = rademacher(1)
     rows = []
     for m in range(0, (1 << depth) + 1):
         t = Fraction(m, 1 << depth)

@@ -510,7 +510,6 @@ class DysonPhillipsResult:
     total: object
     terms: tuple
     tail_bound: float
-    quadrature_estimate: float
     n_terms: int
     notes: str = ""
 
@@ -543,10 +542,10 @@ def dyson_phillips_sum(providerA, B, t) -> DysonPhillipsResult:
     of its two envelopes passes first: the provider's growth pair and the
     log-norm pair (1, mu_2(A)), tried once when they are the same pair.
     Its terms are the first block row of one block exponential, exact up
-    to rounding, so its quadrature_estimate is 0.0; when every envelope's
-    tail is inf at the cap, no count certifies anything and ExpmOverflow
-    is raised before the block is formed, and a block past BLOCK_BUDGET
-    raises QuadratureBudgetExceeded likewise.
+    to rounding; when every envelope's tail is inf at the cap, no count
+    certifies anything and ExpmOverflow is raised before the block is
+    formed, and a block past BLOCK_BUDGET raises QuadratureBudgetExceeded
+    likewise.
     """
     if float(t) < 0.0:
         raise InputError("time must be nonnegative")
@@ -585,7 +584,6 @@ def dyson_phillips_sum(providerA, B, t) -> DysonPhillipsResult:
         total=total,
         terms=tuple(terms),
         tail_bound=tail,
-        quadrature_estimate=0.0,
         n_terms=len(terms) - 1,
         notes=notes,
     )
@@ -1123,7 +1121,8 @@ class CoupledProvider(SemigroupProvider):
     Two dense carriers are one exponential of the block generator,
     diag(A1, A2) plus the off-diagonal blocks, with no series.  When a
     carrier is locked to a time lattice, the off-diagonal part is
-    held as U Phi through the blocks' range vectors, and every orbit
+    held as U Phi through the blocks' range vectors (a DenseCoupling is
+    refused with InputError), and every orbit
     solves the r x r lattice renewal equation for its coefficients
     c(p) = Phi S(p h) f: the sum of every series term, with no term
     count and no truncation tail.  Range orbits and seed flows are kept
@@ -1164,6 +1163,10 @@ class CoupledProvider(SemigroupProvider):
         self._last_series = {}
         if self.lattice_h is not None:
             b12, b21 = system.b12, system.b21
+            for name, block in (("b12", b12), ("b21", b21)):
+                if not hasattr(block, "block_coefficients"):
+                    kind = type(block).__name__
+                    raise InputError(f"{name} is a {kind}; a lattice carrier needs a RankOneCoupling")
             self._flows = tuple(
                 _MatrixFlows(p, self.lattice_h) if isinstance(p, MatrixSemigroup) else None
                 for p in self._carriers

@@ -12,9 +12,18 @@ coefficient kept as a Python list of carrier vectors and every sum taken
 componentwise over product vectors.  The package keeps the same numbers
 in stacked arrays; its values, support floors and gauges must equal
 these bit for bit.
+
+Step functions: FractionStepFn is the step-function arithmetic as first
+written, with every breakpoint and value a fractions.Fraction, products
+and sums over the merged breakpoint set, and a pairing <phi, S(t) f> as
+the integral of the shifted function times phi.  The package computes on
+integer lattices; its Fraction views and results must equal these.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -302,3 +311,98 @@ class ListOrbitProvider:
         total, gap = [orbits @ (w[:, None, None] * blocks).reshape(-1, dim) for w in _renewal_rules(q, h)]
         dense += total
         return dense, float(np.max(np.abs(gap), initial=0.0))
+
+
+# --------------------------------------------------------------------------
+# step functions in Fraction arithmetic
+# --------------------------------------------------------------------------
+
+
+class FractionStepFn:
+    """Step function on [0,1) as merged Fraction breakpoints and values."""
+
+    def __init__(self, breakpoints, values):
+        bps, vals = [Fraction(b) for b in breakpoints], [Fraction(v) for v in values]
+        assert len(bps) == len(vals) + 1 and bps[0] == 0 and bps[-1] == 1
+        assert all(b2 > b1 for b1, b2 in zip(bps, bps[1:]))
+        mb, mv = [bps[0]], []
+        for b, v in zip(bps[1:], vals):
+            if mv and v == mv[-1]:
+                mb[-1] = b
+            else:
+                mv.append(v)
+                mb.append(b)
+        self.breakpoints, self.values = tuple(mb), tuple(mv)
+
+    def __eq__(self, other):
+        return (self.breakpoints, self.values) == (other.breakpoints, other.values)
+
+    def pieces(self):
+        for i, v in enumerate(self.values):
+            yield self.breakpoints[i], self.breakpoints[i + 1], v
+
+    def value_at(self, x) -> Fraction:
+        return next(v for a, b, v in self.pieces() if a <= x < b)
+
+    def _zip(self, other, op) -> "FractionStepFn":
+        bps = sorted(set(self.breakpoints) | set(other.breakpoints))
+        vals = [op(self.value_at(a), other.value_at(a)) for a in bps[:-1]]
+        return FractionStepFn(bps, vals)
+
+    def __add__(self, other) -> "FractionStepFn":
+        return self._zip(other, lambda u, v: u + v)
+
+    def product(self, other) -> "FractionStepFn":
+        return self._zip(other, lambda u, v: u * v)
+
+    def scale(self, c) -> "FractionStepFn":
+        return FractionStepFn(self.breakpoints, [c * v for v in self.values])
+
+    def integral(self) -> Fraction:
+        return sum((v * (b - a) for a, b, v in self.pieces()), Fraction(0))
+
+    def inner(self, other) -> Fraction:
+        return self.product(other).integral()
+
+    def cells(self):
+        """(L, D, nums) on the L cells of the breakpoint lattice; nums None past 2^20 cells."""
+        L = math.lcm(*(b.denominator for b in self.breakpoints))
+        D = math.lcm(*(v.denominator for v in self.values))
+        if L > 1 << 20:
+            return L, D, None
+        nums = []
+        for a, b, v in self.pieces():
+            nums.extend([int(v * D)] * int((b - a) * L))
+        return L, D, tuple(nums)
+
+    def shift(self, t) -> "FractionStepFn":
+        """x -> f(x + t) on [0, 1 - t), zero beyond."""
+        if t >= 1:
+            return FractionStepFn([0, 1], [0])
+        bps, vals = [Fraction(0)], []
+        for a, b, v in self.pieces():
+            if b > t:
+                vals.append(v)
+                bps.append(b - t)
+        if bps[-1] != 1:
+            vals.append(Fraction(0))
+            bps.append(Fraction(1))
+        return FractionStepFn(bps, vals)
+
+    def shifted_pairing(self, phi, t) -> Fraction:
+        """<phi, S(t) f> as the integral of the shifted function times phi."""
+        return self.shift(t).inner(phi)
+
+    def pairing_support_spans(self, phi) -> tuple:
+        """Spans of the nonzero times of t -> <phi, S(t) f>, read from its values at
+        the breakpoint differences in [0, 1], between which it is linear."""
+        knots = sorted({a - b for a in self.breakpoints for b in phi.breakpoints if 0 <= a - b <= 1})
+        values = [self.shifted_pairing(phi, t) for t in knots]
+        spans = []
+        for a, b, va, vb in zip(knots, knots[1:], values, values[1:]):
+            if va and vb and (va > 0) != (vb > 0):
+                c = a + (b - a) * va / (va - vb)
+                spans += [(a, c, True, False), (c, b, False, True)]
+            elif va or vb:
+                spans.append((a, b, va != 0, vb != 0))
+        return tuple(spans)

@@ -144,7 +144,6 @@ class TestSeries:
             res = dyson_phillips_sum(prov, B, 2.0)
             # the default cap lets the block hold the 44-48 terms the tail needs
             assert res.tail_bound <= TAIL_TOLERANCE
-            assert res.quadrature_estimate == 0.0
             err = float(np.linalg.norm(res.total - expm(A + B, 2.0), 2))
             assert err <= res.tail_bound + 1e-8
 
@@ -583,6 +582,26 @@ class TestCoupledWitnesses:
 
 
 class TestCoupledLatticeCarrier:
+    @pytest.mark.parametrize("dense", ["b12", "b21"])
+    def test_dense_block_refused_before_any_evaluation(self, dense, monkeypatch):
+        grid = Grid1D(x_min=-2.0, h=0.25, count=16)
+        rng = np.random.default_rng(5)
+        A = rng.uniform(-1.0, 1.0, (16, 16))
+        blocks = {
+            "b12": RankOneCoupling(output=np.eye(16)[3], functional=GridFunctional(grid, -1.0, 0.0)),
+            "b21": RankOneCoupling(
+                output=GridFunction.indicator(grid, 0.5, 1.0), functional=CoordinateFunctional(2, 16)
+            ),
+        }
+        blocks[dense] = DenseCoupling(0.1 * np.ones((16, 16)))
+        system = CoupledSystem(MatrixSemigroup(A), GammaShiftProvider(grid), **blocks)
+        calls = []
+        monkeypatch.setattr(semigroup, "expm", lambda *a: calls.append(a))
+        monkeypatch.setattr(gammashift, "gamma_kernel_weights", lambda *a: calls.append(a))
+        with pytest.raises(InputError, match=f"{dense} is a DenseCoupling"):
+            CoupledProvider(system)
+        assert calls == []
+
     def test_series_terminates_when_return_window_is_unreachable(self):
         system = lattice_system()
         provider = CoupledProvider(system)

@@ -1,5 +1,6 @@
 """Exact step-function carrier: orthonormal waves, shifts, pairings."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evpos.errors import DepthExceeded
-from evpos.irreducibility import classify
+from evpos.errors import DepthExceeded, PremiseViolation
+from evpos.irreducibility import classify, weak_conditions_test
 from evpos.stepfun import (
+    MAX_DEPTH,
     PiecewiseConstantFn,
     ShiftStepProvider,
     irreducibility_witness_search,
@@ -20,6 +22,7 @@ from evpos.stepfun import (
     vanishing_time,
     walsh,
 )
+from brute_oracles import FractionStepFn
 
 dyadic = st.builds(
     Fraction,
@@ -164,19 +167,85 @@ class TestShiftedPairing:
         with pytest.raises(ValueError):
             shifted_pairing(walsh(1), walsh(1), Fraction(-1, 8))
 
-    def test_lattice_past_depth_cap_uses_product_route(self):
-        f = PiecewiseConstantFn([0, Fraction(1, 1021), 1], [1, 2])
-        phi = PiecewiseConstantFn([0, Fraction(1, 1031), 1], [3, 1])
-        assert f.cells()[0] * phi.cells()[0] > 1 << 20
-        t = Fraction(1, 7)
-        assert shifted_pairing(f, phi, t) == shift_apply(f, t).inner(phi)
-
     def test_cell_vector_computed_once(self):
         f = PiecewiseConstantFn([0, Fraction(1, 4), Fraction(2, 3), 1], [1, Fraction(-1, 2), 3])
         L, D, nums = f.cells()
         assert (L, D) == (12, 2)
         assert nums == (2, 2, 2, -1, -1, -1, -1, -1, 6, 6, 6, 6)
         assert f.cells() is f.cells()
+
+
+# breakpoint denominators per case; past_depth_cap puts the joint lattice past 2^20 cells
+ORACLE_DENS = {
+    "dyadic": (2, 4, 8, 16, 64),
+    "nondyadic": (3, 5, 6, 7, 9, 12),
+    "mixed": (4, 3, 12, 5, 10, 32),
+    "past_depth_cap": (1021, 1031, 1 << 21, 3 << 19),
+}
+
+
+def random_raw(rng, dens) -> tuple:
+    """(breakpoints, values) with breakpoints over mixed denominators and
+    small rational values, zero and repeated values included."""
+    cuts = {Fraction(rng.randint(1, q - 1), q) for q in rng.choices(dens, k=rng.randint(0, 6))}
+    bps = [Fraction(0), *sorted(cuts), Fraction(1)]
+    vals = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5, 8))) for _ in bps[1:]]
+    return bps, vals
+
+
+def oracle_times(rng, fo: FractionStepFn, po: FractionStepFn) -> list:
+    """Times on the pairing's knots, between two of them, at a random rational and past 1."""
+    knots = sorted({a - b for a in fo.breakpoints for b in po.breakpoints if 0 <= a - b <= 1})
+    i = rng.randrange(len(knots))
+    times = [knots[i], Fraction(rng.randint(0, 40), rng.choice((3, 7, 16, 1021))), Fraction(9, 8)]
+    if i + 1 < len(knots):
+        times.append((knots[i] + knots[i + 1]) / 2)
+    return times
+
+
+def assert_same_fn(fn: PiecewiseConstantFn, ref: FractionStepFn):
+    """Same views as the oracle, and the canonical lattice form of the same function."""
+    assert fn.breakpoints == ref.breakpoints and fn.values == ref.values
+    assert all(type(x) is Fraction for x in fn.breakpoints + fn.values)
+    assert fn == PiecewiseConstantFn(ref.breakpoints, ref.values)
+    assert fn.cells() == ref.cells()
+
+
+class TestFractionOracle:
+    @pytest.mark.parametrize("case", list(ORACLE_DENS))
+    def test_matches_fraction_oracle(self, case):
+        rng = random.Random(case)
+        raws = [random_raw(rng, ORACLE_DENS[case]) for _ in range(60)]
+        if case == "past_depth_cap":
+            # the two lattices multiply past 2^20 cells
+            raws[:2] = [
+                ([0, Fraction(1, 1021), 1], [1, 2]),
+                ([0, Fraction(1, 1031), 1], [3, 1]),
+            ]
+        provider = ShiftStepProvider(depth=3)
+        for (fb, fv), (pb, pv) in zip(raws[::2], raws[1::2]):
+            f, phi = PiecewiseConstantFn(fb, fv), PiecewiseConstantFn(pb, pv)
+            fo, po = FractionStepFn(fb, fv), FractionStepFn(pb, pv)
+            assert_same_fn(f, fo)
+            assert hash(f) == hash(PiecewiseConstantFn(fo.breakpoints, fo.values))
+            assert (f == phi) == (fo == po)
+            x = Fraction(rng.randint(0, 99), 100)
+            assert f.value_at(x) == fo.value_at(x)
+            assert f.integral() == fo.integral()
+            assert f.inner(phi) == fo.inner(po)
+            assert_same_fn(f.product(phi), fo.product(po))
+            assert_same_fn(f + phi, fo + po)
+            assert_same_fn(f.scale(Fraction(-2, 3)), fo.scale(Fraction(-2, 3)))
+            assert provider.pairing_support(f, phi).spans == fo.pairing_support_spans(po)
+            for t in oracle_times(rng, fo, po):
+                assert_same_fn(shift_apply(f, t), fo.shift(t))
+                value = shifted_pairing(f, phi, t)
+                assert type(value) is Fraction
+                assert value == fo.shifted_pairing(po, t)
+                assert provider.apply_adjoint(t, phi).inner(f) == value
+        if case == "past_depth_cap":
+            L = math.lcm(*(PiecewiseConstantFn(*raw).lattice for raw in raws[:2]))
+            assert L > 1 << 20
 
 
 def sorted_candidate_witness(k: int, j: int, depth: int):
@@ -253,6 +322,31 @@ class TestShiftStepProvider:
             t = Fraction(m, 64)
             held = support.first_at_or_after(t) == t
             assert held == (shifted_pairing(f, phi, t) != 0)
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_own_basis_is_admitted_at_every_depth(self, depth):
+        p = ShiftStepProvider(depth=depth)
+        basis = p.condition_basis()
+        table = weak_conditions_test(p, basis, basis)
+        assert table.diagram_consistent
+
+    def test_recognises_every_wave_up_to_the_depth_cap(self):
+        p = ShiftStepProvider(depth=2)
+        for k in (1, 5, 13, MAX_DEPTH):
+            p.check_positive(rademacher(k))
+        rng = random.Random(3)
+        for n in [0, 1, 63, 64, (1 << 12) - 1] + rng.sample(range(1 << 14), 20):
+            p.check_positive(walsh(n))
+
+    def test_refuses_sign_changing_non_waves(self):
+        p = ShiftStepProvider(depth=6)
+        r3 = rademacher(3)
+        flipped = PiecewiseConstantFn(r3.breakpoints, (1, 1) + r3.values[2:])
+        near = [r3.scale(-1), r3.scale(2), flipped, shift_apply(walsh(5), Fraction(1, 16))]
+        near.append(PiecewiseConstantFn([0, Fraction(1, 3), 1], [1, -1]))
+        for f in near:
+            with pytest.raises(PremiseViolation, match="not a recognized basis wave"):
+                p.check_positive(f)
 
     def test_classifies_irreducible_not_persistent(self):
         rep = classify(ShiftStepProvider(depth=6))
