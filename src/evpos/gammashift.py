@@ -6,9 +6,11 @@ x_min + count*h).  Cell weights are differences of the regularized lower
 incomplete gamma function P(a, x), scipy.special.gammainc.  A provider
 keeps each step's kernel once evaluated, and fills the kernels of a block
 of steps with one gammainc call on the 2-D broadcast of their times and
-the cell edges, each row bit for bit the single-time evaluation.  Mass
-leaving the right edge is dropped; the kernel deficit beyond the window
-is returned with the weights.
+the cell edges, each row bit for bit the single-time evaluation.  Every
+application goes through one convolution path, apply_steps: apply(t, f)
+is its one-step, one-vector case, and a coupled lattice orbit hands it a
+whole block of steps.  Mass leaving the right edge is dropped; the
+kernel deficit beyond the window is returned with the weights.
 
 Support bookkeeping is exact: every grid function carries an integer
 `support_lo` below which all samples are bitwise zero, maintained through
@@ -195,28 +197,6 @@ def gamma_kernel_weights(t, grid: Grid1D, n_cells=None):
     return pairs if times.ndim else pairs[0]
 
 
-def _shift_smooth(f: GridFunction, q: int, weights) -> GridFunction:
-    """The time-q h operator on f: Gamma(q h, 1) convolution, then left shift by q cells.
-
-    weights is the kernel of time q h over count + q offset cells (unread
-    when f is zero): output cell i reads the convolution at offset i + q,
-    so kernel mass that crosses the window top and is pulled back by the
-    shift re-enters, and only mass whose final position lies outside the
-    window is dropped.  The output's floor is the input floor minus q,
-    clamped at 0, and is declared, so the constructor refuses a nonzero
-    sample below it.
-    """
-    grid = f.grid
-    if q == 0:
-        return f.copy()
-    if f.is_zero:
-        return GridFunction.zero(grid)
-    conv = np.convolve(f.samples, weights)
-    shifted = conv[q : q + grid.count].copy()
-    support_lo = min(max(f.support_lo - q, 0), grid.count)
-    return GridFunction(grid, shifted, support_lo)
-
-
 class GammaShiftProvider(SemigroupProvider):
     """Semigroup provider for the discretized shift/Gamma-smoothing family.
 
@@ -241,9 +221,7 @@ class GammaShiftProvider(SemigroupProvider):
         return self.grid.count
 
     def weights(self, t: float):
-        return self._weights_at(self.grid.steps_of(t))
-
-    def _weights_at(self, q: int):
+        q = self.grid.steps_of(t)
         return self._kernels([q])[q]
 
     def _kernels(self, steps) -> dict:
@@ -261,20 +239,25 @@ class GammaShiftProvider(SemigroupProvider):
         return cache
 
     def apply(self, t, f: GridFunction) -> GridFunction:
-        q = self.grid.steps_of(t)
-        if q == 0:
-            return f.copy()
-        return _shift_smooth(f, q, self._weights_at(q)[0])
+        """The time-t operator on f, written by apply_steps for the one step t / h."""
+        samples, floors = np.empty((1, 1, self.grid.count)), np.empty((1, 1), int)
+        self.apply_steps([self.grid.steps_of(t)], [f], samples, floors)
+        return GridFunction(self.grid, samples[0, 0], floors[0, 0])
 
     def apply_steps(self, steps, fs, samples: np.ndarray, floors: np.ndarray) -> None:
-        """Write apply(m h, f) for each step m of steps and each f of fs, bit for bit.
+        """Write the time-m h operator on f for each step m of steps and each f of fs.
 
         Row r, column j of samples (len(steps), len(fs), count) takes the
         cells of step steps[r] applied to fs[j], and of floors its integer
-        support floor, set arithmetically as _shift_smooth sets it.  The
-        kernels come from _kernels, one gamma_kernel_weights call for the
-        steps not yet kept, and each (step, nonzero f) past step 0 is one
-        np.convolve.
+        support floor, set arithmetically.  Step 0 copies f.  Past it, the
+        Gamma(m h, 1) convolution, over count + m offset cells, is read at
+        offsets i + m for output cell i, so kernel mass that crosses the
+        window top and is pulled back by the shift re-enters, and only
+        mass whose final position lies outside the window is dropped; the
+        floor is max(lo(f) - m, 0), and a zero f (is_zero) gives the zero
+        function, floor count.  The kernels come from _kernels, one
+        gamma_kernel_weights call for the steps not yet kept, and each
+        (step, nonzero f) past step 0 is one np.convolve.
         """
         count = self.grid.count
         samples[...], floors[...] = 0.0, count

@@ -36,8 +36,10 @@ and each seed's flows are filled in doubling blocks of steps (0..1,
 2..3, 4..7, ...): each carrier applies a whole block at once, a matrix
 carrier as one product of its stack of flows e^{m h A}, which come from
 one store per provider in doubling stacks of one expm call each, and
-the Gamma-shift carrier with one kernel evaluation per block.  The
-renewal is solved one step at a time, on demand.
+the Gamma-shift carrier with one kernel evaluation per block; no other
+carrier is flowed on a lattice.  The renewal is solved one step at a
+time, on demand.  The dense operator S(q h) is its basis orbits: column
+j is the orbit of the j-th stacked unit vector.
 Two coupled dense carriers are one exponential of the block generator.
 On top of the series sit an order-theoretic domination check of matrix
 carriers, the transfer of coordinate-ideal invariance from the perturbed
@@ -368,46 +370,48 @@ class _FiniteRange:
             out[p] = np.tensordot(weighted, coeffs[: p + 1], axes=([0, 2], [0, 1]))
         return out
 
-    def stacked(self, q: int) -> np.ndarray:
-        """[T(q h) U, T((q - 1) h) U, ..., U] side by side, a D x (q + 1) r array."""
-        self.fill(q)
-        return np.ascontiguousarray(self.orbits.rows[q::-1].reshape(-1, self.dim).T)
+
+# the weight of the seed flow T(q h) f in an orbit's sum and in its trapezoid gap
+_FLOW_WEIGHTS = np.array([[1.0], [0.0]])
 
 
-def _convolve_blocks(orbits: np.ndarray, blocks: np.ndarray, rules: np.ndarray) -> list:
-    """[sum_j w_j T((q - j) h) U C(j) for w in rules], one product per rule.
-
-    orbits is _FiniteRange.stacked(q) and blocks stacks C(0..q),
-    r x D each; the weighted blocks are stacked in the same order.
-    """
-    dim = blocks.shape[-1]
-    return [orbits @ (w[:, None, None] * blocks).reshape(-1, dim) for w in rules]
-
-
-class _Renewal:
-    """Range coefficients c(p) = Phi S(p h) f of one perturbed orbit, each step solved once.
+class _SeedOrbit:
+    """One seed's orbit: its range coefficients c(p) = Phi S(p h) f and its values S(p h) f.
 
     c(0) = Phi f and, for p >= 1,
     (I - w_p K(0)) c(p) = Phi T(p h) f + sum_{j<p} w_j K(p - j) c(j),
-    w the lattice weights of step p.  base_at(p, q) is Phi T(p h) f, the
-    coefficient of the unperturbed flow, while filling to step q: r
-    numbers for a vector, an r x D block for a dense operator
-    (block = (D,)).  coeffs keeps one row per solved step.
+    w the lattice weights of step p.  flow_block(lo, hi, flows, floors,
+    base) evaluates a block of steps as _fill_blocks asks, writing the
+    seed flows T(p h) f in stacked coordinates, their support floors,
+    one per carrier, and the base coefficients Phi T(p h) f into rows of
+    `flows`, `flow_floors` and `base`.  The flows are filled in doubling
+    blocks, the renewal is solved one step at a time, in order, as later
+    times are asked for, each step once, into a row of `coeffs`, so no
+    result depends on earlier requests.  unstack(row, floors) rebuilds a
+    value's carrier vectors.  The seeds of apply and the stacked unit
+    vectors whose values are the columns of a dense operator have orbits
+    of this one kind.
     """
 
-    def __init__(self, finite_range: _FiniteRange, block: tuple = ()):
+    def __init__(self, flow_block, finite_range: _FiniteRange, unstack):
         self.range = finite_range
-        self.coeffs = _Rows((finite_range.rank, *block))
+        self.flow_block, self.unstack = flow_block, unstack
+        self.flows = _Rows((finite_range.dim,))
+        self.flow_floors = _Rows((2,), int)
+        self.base = _Rows((finite_range.rank,))
+        self.coeffs = _Rows((finite_range.rank,))
 
     def fill(self, q: int) -> None:
         rng = self.range
         for p in range(self.coeffs.size, q + 1):
-            c = b = self.base_at(p, q)
+            if self.base.size <= p:
+                _fill_blocks(self.flow_block, (self.flows, self.flow_floors, self.base), p, q)
+            c = b = self.base.rows[p]
             if p:
                 rng.fill(p, q)
                 w = rng.rules(p)[0]
                 kernel = rng.kernel.rows[p:0:-1]  # K(p - j) for j = 0..p-1
-                c = b + np.einsum("j,jab,jb...->a...", w[:p], kernel, self.coeffs.rows)
+                c = b + np.einsum("j,jab,jb->a", w[:p], kernel, self.coeffs.rows)
                 c = rng.step_inverse(float(w[p])) @ c
             if not np.isfinite(c).all():
                 raise ExpmOverflow(
@@ -415,63 +419,6 @@ class _Renewal:
                     "left the double range"
                 )
             self.coeffs.push()[...] = c
-
-
-class _DenseRenewal(_Renewal):
-    """The renewal of the dense operator's r x D coefficient block.
-
-    flow(p) is the unperturbed operator T(p h), built one step at a time,
-    and phi @ T(p h) its base; the flow of the newest solved step is
-    handed out once by take_flow, so the caller adds the perturbation to
-    it instead of building T(q h) again.
-    """
-
-    newest = None
-
-    def __init__(self, flow, phi: np.ndarray, finite_range: _FiniteRange):
-        super().__init__(finite_range, (phi.shape[1],))
-        self.flow, self.phi = flow, phi
-
-    def base_at(self, p: int, q: int) -> np.ndarray:
-        flow = self.flow(p)
-        self.newest = (p, flow)
-        return self.phi @ flow
-
-    def take_flow(self, q: int):
-        """T(q h) when step q was the newest solved and not yet taken, else None."""
-        newest, self.newest = self.newest, None
-        return newest[1] if newest is not None and newest[0] == q else None
-
-
-# the weight of the seed flow T(q h) f in an orbit's sum and in its trapezoid gap
-_FLOW_WEIGHTS = np.array([[1.0], [0.0]])
-
-
-class _SeedOrbit(_Renewal):
-    """The renewal of one seed's orbit, with the values S(p h) f it gives.
-
-    flow_block(lo, hi, flows, floors, base) evaluates a block of steps as
-    _fill_blocks asks, writing the seed flows T(p h) f in stacked
-    coordinates, their support floors, one per carrier, and the base
-    coefficients Phi T(p h) f into rows of `flows`, `flow_floors` and
-    `base`.  The flows are filled in
-    doubling blocks, the renewal is solved one step at a time, in order,
-    as later times are asked for, so no result depends on earlier
-    requests.  unstack(row, floors) rebuilds a value's carrier vectors.
-    """
-
-    def __init__(self, flow_block, finite_range: _FiniteRange, unstack):
-        super().__init__(finite_range)
-        self.flow_block, self.unstack = flow_block, unstack
-        self.flows = _Rows((finite_range.dim,))
-        self.flow_floors = _Rows((2,), int)
-        self.base = _Rows((finite_range.rank,))
-
-    def base_at(self, p: int, q: int) -> np.ndarray:
-        """Phi T(p h) f, its block heading for step q."""
-        if self.base.size <= p:
-            _fill_blocks(self.flow_block, (self.flows, self.flow_floors, self.base), p, q)
-        return self.base.rows[p]
 
     def at(self, q: int):
         """(S(q h) f, (gap, floors)): the value and its gap to the trapezoid rule.
@@ -868,13 +815,6 @@ def _vector_array(value) -> np.ndarray:
     return as_vector(value)
 
 
-def _samples_and_floor(value):
-    """(coordinates, support floor) of a carrier vector; a coordinate vector's floor is 0."""
-    if isinstance(value, GridFunction):
-        return value.samples, value.support_lo
-    return value, 0
-
-
 def _is_zero_function(value) -> bool:
     """None, or a grid function bitwise GridFunction.zero: samples all +0.0, floor at the top."""
     return value is None or (
@@ -918,12 +858,6 @@ class RankOneCoupling:
         if not self.range_vectors:
             return np.zeros((*samples.shape[:2], 0))
         return self.functional.values(samples, floors)[..., None]
-
-    def rows(self) -> np.ndarray:
-        """Phi as a dense r x n block."""
-        return np.array([self.functional.row() for _ in self.range_vectors]).reshape(
-            len(self.range_vectors), self.shape[1]
-        )
 
     def apply(self, f):
         c = self.functional(f)
@@ -1110,19 +1044,15 @@ class _MatrixFlows:
         return self.block(m, m + 1)[0]
 
 
-def _exact_record(gauge: float) -> dict:
-    """Series report of a renewal or of one exponential: nothing truncated, so no tail."""
-    return {"n_terms": 0, "tail_bound": 0.0, "quadrature_estimate": gauge}
-
-
 class CoupledProvider(SemigroupProvider):
     """Provider for the coupled family on the product carrier.
 
     Two dense carriers are one exponential of the block generator,
     diag(A1, A2) plus the off-diagonal blocks, with no series.  When a
-    carrier is locked to a time lattice, the off-diagonal part is
-    held as U Phi through the blocks' range vectors (a DenseCoupling is
-    refused with InputError), and every orbit
+    carrier is locked to a time lattice, each carrier must be a
+    MatrixSemigroup or a GammaShiftProvider, the off-diagonal part is
+    held as U Phi through the blocks' range vectors (anything else, a
+    DenseCoupling included, is refused with InputError), and every orbit
     solves the r x r lattice renewal equation for its coefficients
     c(p) = Phi S(p h) f: the sum of every series term, with no term
     count and no truncation tail.  Range orbits and seed flows are kept
@@ -1132,17 +1062,19 @@ class CoupledProvider(SemigroupProvider):
     doubling blocks of steps (0..1, 2..3, 4..7, ...) by _flow_block,
     which applies each carrier to a whole block at once and writes the
     rows, the floors (set arithmetically) and the coefficients Phi
-    directly; no carrier vector is built per step.  Dense assembly solves
-    the same equation for an r x D coefficient block in the stacked
-    cell/coordinate basis, one step at a time.  The range orbits and the
-    kernel K(m) = Phi T(m h) U are shared by every seed.  Every flow
-    e^{m h A} of a matrix carrier, for range orbits, seed flows and
-    dense operators alike, is read from that carrier's _MatrixFlows,
-    which evaluates the steps in doubling stacks, and a Gamma-shift
-    carrier evaluates the kernels of a block in one call, so a fresh
-    sweep to step q takes at most ceil(log2(q + 1)) + 1 expm calls and
-    as many kernel evaluations.  The growth envelope is computed on its
-    first read; no evaluation reads it.
+    directly; no carrier vector is built per step.  The dense operator
+    is its basis orbits: column j of to_dense(q h) is the orbit of the
+    j-th stacked unit vector at step q, bit for bit stack(apply(q h,
+    e_j)); those D orbits are kept once per provider, apart from the
+    seeds' cache and from series_report's orbit gauges.  The range
+    orbits and the kernel K(m) = Phi T(m h) U are shared by every orbit.
+    Every flow e^{m h A} of a matrix carrier is read from that carrier's
+    _MatrixFlows, which evaluates the steps in doubling stacks, and a
+    Gamma-shift carrier evaluates the kernels of a block in one call, so
+    a fresh sweep to step q, of orbits or of dense operators, takes at
+    most ceil(log2(q + 1)) + 1 expm calls and as many kernel
+    evaluations.  The growth envelope is computed on its first read; no
+    evaluation reads it.
     """
 
     nilpotent_time = None
@@ -1160,9 +1092,15 @@ class CoupledProvider(SemigroupProvider):
         self._n1 = system.dim1
         self._orbit_cache = {}
         self._dense_cache = {}
-        self._last_series = {}
+        self._gauges = {}  # ("dense", t): gauge, ("orbit", fingerprint): (gap, floors)
         if self.lattice_h is not None:
             b12, b21 = system.b12, system.b21
+            for name, carrier in zip(("provider1", "provider2"), self._carriers):
+                if not isinstance(carrier, (MatrixSemigroup, GammaShiftProvider)):
+                    raise InputError(
+                        f"{name} is a {type(carrier).__name__}; a lattice system flows only "
+                        "MatrixSemigroup and GammaShiftProvider carriers"
+                    )
             for name, block in (("b12", b12), ("b21", b21)):
                 if not hasattr(block, "block_coefficients"):
                     kind = type(block).__name__
@@ -1171,7 +1109,8 @@ class CoupledProvider(SemigroupProvider):
                 _MatrixFlows(p, self.lattice_h) if isinstance(p, MatrixSemigroup) else None
                 for p in self._carriers
             )
-            self._zero_floors = [_samples_and_floor(p.zero_vector())[1] for p in self._carriers]
+            # the support floor of each carrier's zero vector: a grid's top, 0 for coordinates
+            self._zero_floors = [0 if g is None else g.count for g in self._grids]
             # b12 reads the second carrier into coefficients 0..r12 - 1, b21 the first into the rest
             r12 = len(b12.range_vectors)
             self._readers = ((b12, slice(0, r12), 1), (b21, slice(r12, None), 0))
@@ -1186,7 +1125,7 @@ class CoupledProvider(SemigroupProvider):
                 self.lattice_h,
                 self.carrier_dim,
             )
-            self._dense_renewal = None
+            self._basis = None  # the orbits of the stacked unit vectors, built on the first dense read
             self._sweep_end = -1  # the last step check_orbit passed
 
     @functools.cached_property
@@ -1220,7 +1159,9 @@ class CoupledProvider(SemigroupProvider):
         return np.concatenate([_vector_array(f.first), _vector_array(f.second)])
 
     def unstack(self, row: np.ndarray, floors) -> ProductVector:
-        """The product vector with stacked coordinates row and the given support floors."""
+        """The product vector with stacked coordinates row and the given support floors.
+
+        A grid floor of None is read off the samples, as GridFunction reads it."""
         (g1, g2), n1 = self._grids, self._n1
         first, second = row[:n1], row[n1:]
         return ProductVector(
@@ -1280,13 +1221,6 @@ class CoupledProvider(SemigroupProvider):
             raise ShiftNotOnGrid(f"time {t} is not a whole number of lattice steps")
         return q
 
-    def _carrier_dense(self, i: int, m: int) -> np.ndarray:
-        """T(m h) of carrier i as a matrix; a matrix carrier's flow comes from its store."""
-        flows = self._flows[i]
-        if flows is None:
-            return self._carriers[i].to_dense(m * self.lattice_h)
-        return flows.at(m)
-
     def _block_plan(self, pairs: list) -> tuple:
         """What _flow_block flows for a list of J (first, second) carrier vector pairs.
 
@@ -1314,12 +1248,12 @@ class CoupledProvider(SemigroupProvider):
         support_lo, 0 for a coordinate vector) and coeffs (k, J, r) Phi of
         each; the number of steps written is returned.  Each carrier
         applies the block at once: a matrix carrier is one product of its
-        flow stack per vector, a Gamma-shift carrier its apply_steps, any
-        other its own apply, step by step.  The block holds every step
-        before hi, or ends before the first step that a step-by-step
-        evaluation refuses (a matrix flow past the double range, a vector
-        a coupling refuses), refused itself when it is the first.  A block
-        that starts before the last step passed to check_orbit ends there.
+        flow stack per vector, a Gamma-shift carrier its apply_steps.  The
+        block holds every step before hi, or ends before the first step
+        that a step-by-step evaluation refuses (a matrix flow past the
+        double range, a vector a coupling refuses), refused itself when it
+        is the first.  A block that starts before the last step passed to
+        check_orbit ends there.
         """
         zero_floors, parts = plan
         n1 = self._n1
@@ -1337,14 +1271,8 @@ class CoupledProvider(SemigroupProvider):
             if stack is not None:
                 for j, v in enumerate(vs, js.start):
                     values[:, j, cols] = stack[:k] @ v
-            elif isinstance(carrier, GammaShiftProvider):
-                carrier.apply_steps(range(lo, lo + k), vs, values[:, js, cols], floors[:, js, i])
             else:
-                for row in range(k):
-                    for j, v in enumerate(vs, js.start):
-                        values[row, j, cols], floors[row, j, i] = _samples_and_floor(
-                            carrier.apply((lo + row) * self.lattice_h, v)
-                        )
+                carrier.apply_steps(range(lo, lo + k), vs, values[:, js, cols], floors[:, js, i])
         # each coupling reads its carrier's flowed components; a zero one reads 0.0
         for coupling, out, i in self._readers:
             js = parts[i][0]
@@ -1393,18 +1321,21 @@ class CoupledProvider(SemigroupProvider):
             key = self._fingerprint(f)
         orbit = self._orbit_cache.get(key)
         if orbit is None:
-            seed = f.copy()
-            plan = self._block_plan([(seed.first, seed.second)])
-            orbit = _SeedOrbit(
-                lambda lo, hi, flows, floors, base: self._flow_block(
-                    plan, lo, hi, flows[:, None], floors[:, None], base[:, None]
-                ),
-                self._range,
-                self.unstack,
-            )
+            orbit = self._new_orbit(f.copy())
             if len(self._orbit_cache) < 64:
                 self._orbit_cache[key] = orbit
         return orbit, q
+
+    def _new_orbit(self, seed: ProductVector) -> _SeedOrbit:
+        """The orbit of seed, its flows written by _flow_block from a one-pair plan."""
+        plan = self._block_plan([(seed.first, seed.second)])
+        return _SeedOrbit(
+            lambda lo, hi, flows, floors, base: self._flow_block(
+                plan, lo, hi, flows[:, None], floors[:, None], base[:, None]
+            ),
+            self._range,
+            self.unstack,
+        )
 
     def terms_alive(self, f: ProductVector, t: float):
         """How many leading series terms V_0, V_1, ... of the orbit of f survive to time t.
@@ -1430,7 +1361,7 @@ class CoupledProvider(SemigroupProvider):
         if self.lattice_h is not None:
             key = self._fingerprint(f)
             orbit, q = self._seed_orbit(f, t, key)
-            total, self._last_series[("orbit", key)] = orbit.at(q)
+            total, self._gauges[("orbit", key)] = orbit.at(q)
             return total
         dense = self.to_dense(t)
         stacked = dense @ self.stack(f)
@@ -1454,42 +1385,24 @@ class CoupledProvider(SemigroupProvider):
             second = stacked[n1:]
         return ProductVector(stacked[:n1], second)
 
-    def _dense_diag(self, m: int) -> np.ndarray:
-        n1 = self.system.dim1
-        out = np.zeros((self.carrier_dim, self.carrier_dim))
-        out[:n1, :n1] = self._carrier_dense(0, m)
-        out[n1:, n1:] = self._carrier_dense(1, m)
-        return out
-
     def _dense_lattice(self, q: int):
-        """(S(q h) in the stacked basis, quadrature gauge) from the renewal of an r x D block.
+        """(S(q h) in the stacked basis, quadrature gauge) from the basis orbits.
 
-        The coefficient block C(p) = Phi S(p h) solves the orbits' renewal
-        equation with Phi T(p h) in place of Phi T(p h) f, and
-        S(q h) = T(q h) + sum_j w_j T((q - j) h) U C(j) is one product of
-        the stacked range orbits with the weighted blocks.
+        Column j is the value at step q of the orbit of the j-th stacked
+        unit vector e_j, and the gauge is the largest |entry| of the
+        trapezoid gaps of those values.  The D orbits are built once per
+        provider and share the range orbits with every seed.
         """
         check_node_budget(self._range.rank, q)
-        h, dim = self.lattice_h, self.carrier_dim
-        if self._dense_renewal is None:
-            n1, rows12, rows21 = self.system.dim1, self.system.b12.rows(), self.system.b21.rows()
-            phi = np.zeros((self._range.rank, dim))
-            phi[: len(rows12), n1:] = rows12
-            phi[len(rows12) :, :n1] = rows21
-            self._dense_renewal = _DenseRenewal(self._dense_diag, phi, self._range)
-        renewal = self._dense_renewal
-        renewal.fill(q)
-        dense = renewal.take_flow(q)
-        if dense is None:
-            dense = self._dense_diag(q)
-        if q == 0:
-            return dense, 0.0
-        orbits = self._range.stacked(q)
-        total, gap = _convolve_blocks(orbits, renewal.coeffs.rows[: q + 1], self._range.rules(q))
-        dense += total
-        if not np.isfinite(dense).all():
-            raise ExpmOverflow(f"the dense operator at t = {q * h:g} left the double range")
-        return dense, float(np.max(np.abs(gap), initial=0.0))
+        dim = self.carrier_dim
+        if self._basis is None:
+            self._basis = [self._new_orbit(self.unstack(e, (None, None))) for e in np.eye(dim)]
+        dense, gauge = np.empty((dim, dim)), 0.0
+        for j, orbit in enumerate(self._basis):
+            value, (gap, _) = orbit.at(q)
+            dense[:, j] = self.stack(value)
+            gauge = max(gauge, float(np.max(np.abs(gap), initial=0.0)))
+        return dense, gauge
 
     def to_dense(self, t) -> np.ndarray:
         t = float(t)
@@ -1501,11 +1414,10 @@ class CoupledProvider(SemigroupProvider):
             generator = self.system.block_dense()
             generator[:n1, :n1] += self.system.provider1.A
             generator[n1:, n1:] += self.system.provider2.A
-            dense = expm(generator, t)
-            self._last_series[("dense", t)] = _exact_record(0.0)
+            dense, gauge = expm(generator, t), 0.0
         else:
             dense, gauge = self._dense_lattice(self._steps_of(t))
-            self._last_series[("dense", t)] = _exact_record(gauge)
+        self._gauges[("dense", t)] = gauge
         if len(self._dense_cache) < 256:
             self._dense_cache[t] = dense
         return dense
@@ -1513,26 +1425,26 @@ class CoupledProvider(SemigroupProvider):
     def series_report(self, t=None) -> dict:
         """n_terms, tail_bound and quadrature_estimate of the dense operator at t.
 
-        Without t, the largest of each over every evaluation.  Every
-        evaluation is exact in the series: lattice ones sum every term
-        and two dense carriers take one exponential, so they report no
-        truncated terms and a zero tail.  A lattice gauge is the
-        distance to the trapezoid rule at the evaluated step; a dense
-        one is 0.0.  An orbit keeps the gap of its last value, and its
-        gauge, the norm of the gap's vector, is taken here.
+        Every evaluation is exact in the series: lattice ones sum every
+        term and two dense carriers take one exponential, so n_terms and
+        tail_bound are 0 by construction and only gauges are kept.  A
+        lattice gauge is the distance to the trapezoid rule at the
+        evaluated step; a dense one is 0.0.  An orbit keeps the gap of its
+        last value, and its gauge, the norm of the gap's vector, is taken
+        here.  Without t, the gauge is the largest over every evaluation;
+        a t never evaluated gives an empty dict.
         """
-        if t is not None:
-            return dict(self._last_series.get(("dense", float(t)), {}))
-        merged = {"n_terms": 0, "tail_bound": 0.0, "quadrature_estimate": 0.0}
-        for (kind, _), rec in self._last_series.items():
-            if kind == "orbit":
-                rec = _exact_record(self.vec_norm(self.unstack(*rec)))
-            merged["n_terms"] = max(merged["n_terms"], rec["n_terms"])
-            merged["tail_bound"] = max(merged["tail_bound"], rec["tail_bound"])
-            merged["quadrature_estimate"] = max(
-                merged["quadrature_estimate"], rec["quadrature_estimate"]
-            )
-        return merged
+        if t is None:
+            gauges = [
+                gauge if kind == "dense" else self.vec_norm(self.unstack(*gauge))
+                for (kind, _), gauge in self._gauges.items()
+            ]
+            gauge = max([0.0, *gauges])
+        else:
+            gauge = self._gauges.get(("dense", float(t)))
+            if gauge is None:
+                return {}
+        return {"n_terms": 0, "tail_bound": 0.0, "quadrature_estimate": gauge}
 
     def positivity_probe(self, t):
         dense = self.to_dense(t)

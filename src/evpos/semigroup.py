@@ -29,6 +29,8 @@ leaves the double range, raises ExpmOverflow.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -233,10 +235,20 @@ class PairingSupport:
     reason: str
     step: float | None = None
 
+    @functools.cached_property
+    def _ends(self) -> list:
+        return [span[1] for span in self.spans]
+
     def first_at_or_after(self, t0):
         """t0 (snapped up to the lattice) if the set holds it, else the least
-        time of the next span (its right end if the left is open), or None."""
-        for lo, hi, lo_in, hi_in in self.spans:
+        time of the next span (its right end if the left is open), or None.
+
+        A span that ends before t0 holds no time >= t0, snapped or not, so
+        the walk starts at the first span ending at or after t0, found by
+        bisection on the sorted span ends."""
+        spans = self.spans
+        for i in range(bisect.bisect_left(self._ends, t0), len(spans)):
+            lo, hi, lo_in, hi_in = spans[i]
             t = t0 if t0 > lo or (t0 == lo and lo_in) else lo if lo_in else hi
             if self.step is not None:
                 t = math.ceil(t / self.step - 1e-9) * self.step

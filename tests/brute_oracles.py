@@ -13,6 +13,10 @@ componentwise over product vectors.  The package keeps the same numbers
 in stacked arrays; its values, support floors and gauges must equal
 these bit for bit.
 
+Pairing supports: linear_first_at_or_after walks every span of a
+PairingSupport from the first, as first_at_or_after was first written;
+the package bisects on the span ends and must return the same time.
+
 Step functions: FractionStepFn is the step-function arithmetic as first
 written, with every breakpoint and value a fractions.Fraction, products
 and sums over the merged breakpoint set, and a pairing <phi, S(t) f> as
@@ -44,6 +48,17 @@ def brute_force_ideals(A, tol: float = 0.0) -> list:
         if ideal_leak(A, mask, tol) is None:
             found.append(mask)
     return sorted(found, key=lambda m: (len(m), m.sorted_members()))
+
+
+def linear_first_at_or_after(support, t0):
+    """support.first_at_or_after(t0) from a walk over every span, the first one first."""
+    for lo, hi, lo_in, hi_in in support.spans:
+        t = t0 if t0 > lo or (t0 == lo and lo_in) else lo if lo_in else hi
+        if support.step is not None:
+            t = math.ceil(t / support.step - 1e-9) * support.step
+        if t < hi or (t == hi and hi_in):
+            return t
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -162,27 +177,28 @@ class ListFiniteRange:
             out[p] = np.tensordot(weighted, coeffs[: p + 1], axes=([0, 2], [0, 1]))
         return out
 
-    def stacked(self, q: int, stack, dim: int) -> np.ndarray:
-        out = np.empty((dim, (q + 1) * self.rank))
-        for j in range(q + 1):
-            for k, v in enumerate(self.orbit(q - j)):
-                out[:, j * self.rank + k] = stack(v)
-        return out
 
+class ListSeedOrbit:
+    """One seed's renewal c(p) = Phi S(p h) f, solved step by step, and its values.
 
-class ListRenewal:
-    """c(p) = Phi S(p h) f step by step, the history re-stacked from a list at every step."""
+    The flows are a list of product vectors, and the history is re-stacked
+    from a list at every step.
+    """
 
-    def __init__(self, flow, coefficients, finite_range: ListFiniteRange, h: float):
-        self.flow = flow
-        self.coefficients = coefficients
+    def __init__(self, apply_t, finite_range: ListFiniteRange, seed, h: float):
+        self.apply_t, self.seed = apply_t, seed
         self.range = finite_range
         self.h = h
-        self.base, self.coeffs = [], []
+        self.flows, self.base, self.coeffs = [], [], []
+
+    def _flow(self, p: int):
+        while len(self.flows) <= p:
+            self.flows.append(self.apply_t(len(self.flows), self.seed))
+        return self.flows[p]
 
     def fill(self, q: int) -> None:
         for p in range(len(self.coeffs), q + 1):
-            b = self.coefficients(self.flow(p))
+            b = self.range.coefficients(self._flow(p))
             c = b
             if p:
                 w = _lattice_weights(p, self.h)
@@ -195,24 +211,11 @@ class ListRenewal:
             self.base.append(b)
             self.coeffs.append(c)
 
-
-class ListSeedOrbit(ListRenewal):
-    """One seed's renewal, its flows a list of product vectors."""
-
-    def __init__(self, apply_t, finite_range: ListFiniteRange, seed, h: float, norm):
-        super().__init__(self._flow, finite_range.coefficients, finite_range, h)
-        self.apply_t, self.seed, self.norm = apply_t, seed, norm
-        self.flows = []
-
-    def _flow(self, p: int):
-        while len(self.flows) <= p:
-            self.flows.append(self.apply_t(len(self.flows), self.seed))
-        return self.flows[p]
-
     def at(self, q: int):
+        """(S(q h) f, its gap to the trapezoid rule), the gap None at q = 0."""
         self.fill(q)
         if q == 0:
-            return self.flows[0].copy(), 0.0
+            return self.flows[0].copy(), None
         C = np.array(self.coeffs[: q + 1])
         nodes, ks = np.nonzero(C)
         vectors = [self.flows[q]] + [
@@ -222,7 +225,7 @@ class ListSeedOrbit(ListRenewal):
         total, gap = list_weighted_sums(vectors, rules)
         if not _all_finite(total):
             raise ExpmOverflow(f"the orbit at t = {q * self.h:g} overflowed")
-        return total, self.norm(gap)
+        return total, gap
 
 
 class ListOrbitProvider:
@@ -230,7 +233,9 @@ class ListOrbitProvider:
 
     apply(t, f) and to_dense(t) return (value, quadrature gauge);
     terms_alive(f, t) counts the surviving series terms.  The carriers
-    of `system` are applied directly.
+    of `system` are applied directly.  The dense operator is the column
+    stack of the list orbits of the stacked unit vectors, and its gauge
+    the largest |entry| of their gaps.
     """
 
     def __init__(self, system):
@@ -243,7 +248,6 @@ class ListOrbitProvider:
             len(b12.range_vectors) + len(b21.range_vectors),
         )
         self.orbits = {}
-        self.dense = None
 
     def _apply_steps(self, m, v):
         p1, p2 = self.system.provider1, self.system.provider2
@@ -267,11 +271,12 @@ class ListOrbitProvider:
     def _orbit(self, f):
         key = (self._stack(f).tobytes(),)
         if key not in self.orbits:
-            self.orbits[key] = ListSeedOrbit(self._apply_steps, self.range, f.copy(), self.h, self._vec_norm)
+            self.orbits[key] = ListSeedOrbit(self._apply_steps, self.range, f.copy(), self.h)
         return self.orbits[key]
 
     def apply(self, t, f):
-        return self._orbit(f).at(int(round(t / self.h)))
+        total, gap = self._orbit(f).at(int(round(t / self.h)))
+        return total, 0.0 if gap is None else self._vec_norm(gap)
 
     def terms_alive(self, f, t):
         q = int(round(t / self.h))
@@ -284,33 +289,27 @@ class ListOrbitProvider:
             c = self.range.next_coefficients(c, self.h)
         return None
 
-    def _dense_diag(self, t):
+    def _unit(self, j: int, dim: int):
+        """The j-th stacked unit vector as a product vector."""
+        row = np.eye(dim)[j]
         n1 = self.system.dim1
-        dim = n1 + self.system.dim2
-        out = np.zeros((dim, dim))
-        out[:n1, :n1] = self.system.provider1.to_dense(t)
-        out[n1:, n1:] = self.system.provider2.to_dense(t)
-        return out
+        carriers = (self.system.provider1, self.system.provider2)
+        parts = [
+            GridFunction(p.grid, x) if hasattr(p, "grid") else x
+            for p, x in zip(carriers, (row[:n1], row[n1:]))
+        ]
+        return ProductVector(*parts)
 
     def to_dense(self, t):
-        q, h = int(round(t / self.h)), self.h
-        n1 = self.system.dim1
-        dim = n1 + self.system.dim2
-        if self.dense is None:
-            rows12, rows21 = self.system.b12.rows(), self.system.b21.rows()
-            phi = np.zeros((self.range.rank, dim))
-            phi[: len(rows12), n1:] = rows12
-            phi[len(rows12) :, :n1] = rows21
-            self.dense = ListRenewal(lambda p: self._dense_diag(p * h), lambda op: phi @ op, self.range, h)
-        self.dense.fill(q)
-        dense = self._dense_diag(q * h)
-        if q == 0:
-            return dense, 0.0
-        orbits = self.range.stacked(q, self._stack, dim)
-        blocks = np.array(self.dense.coeffs[: q + 1])
-        total, gap = [orbits @ (w[:, None, None] * blocks).reshape(-1, dim) for w in _renewal_rules(q, h)]
-        dense += total
-        return dense, float(np.max(np.abs(gap), initial=0.0))
+        q = int(round(t / self.h))
+        dim = self.system.dim1 + self.system.dim2
+        dense, gauge = np.empty((dim, dim)), 0.0
+        for j in range(dim):
+            total, gap = self._orbit(self._unit(j, dim)).at(q)
+            dense[:, j] = self._stack(total)
+            if gap is not None:
+                gauge = max(gauge, float(np.max(np.abs(self._stack(gap)), initial=0.0)))
+        return dense, gauge
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Perturbation series, order comparisons, invariance transfer, coupling."""
 
+import functools
 import math
 import warnings
 
@@ -42,6 +43,7 @@ from evpos.perturbation import (
 from evpos.positivity import PositivityClass, classify_on_grid
 from evpos.presets import coupled_demo_system
 from evpos.semigroup import MatrixSemigroup, demo_generator, expm
+from evpos.stepfun import ShiftStepProvider
 from brute_oracles import ListOrbitProvider, list_weighted_sums
 from sampled_oracles import sampled_leak_onset, sampled_mixed_witness
 
@@ -1080,15 +1082,17 @@ class TestLatticeSeriesAgainstLeftFold:
         assert value.second.support_lo == 2 and value.second.samples[2] == 0.0
 
     def test_lattice_to_dense_matches_full_depth(self):
-        # the r x D coefficient block against the dense series with the
-        # identity factorisation, run until it ends
+        # the basis orbits against the dense series with the identity
+        # factorisation, run until it ends
         system = lattice_system()
         provider = CoupledProvider(system)
         Bd = system.block_dense()
         h = 0.25
+        p1, p2 = system.provider1, system.provider2
+        flow = functools.cache(lambda m: scipy.linalg.block_diag(p1.to_dense(m * h), p2.to_dense(m * h)))
         for q in (1, 5, 16, 32):
             ref = LeftFoldSeries(
-                lambda m, x: provider._dense_diag(m) @ x,
+                lambda m, x: flow(m) @ x,
                 lambda x: Bd @ x,
                 np.eye(provider.carrier_dim),
                 h,
@@ -1117,6 +1121,17 @@ def assert_same_vector(got, want):
 
 def demo_system_l4() -> CoupledSystem:
     return coupled_demo_system(L=4.0, h=0.25)
+
+
+def low_rank_system(feed: float, back: float) -> CoupledSystem:
+    """lattice_system() with its outputs scaled by feed and back; a zero output has rank 0."""
+    base = lattice_system()
+    return CoupledSystem(
+        base.provider1,
+        base.provider2,
+        RankOneCoupling(output=base.b12.output * feed, functional=base.b12.functional),
+        RankOneCoupling(output=base.b21.output * back, functional=base.b21.functional),
+    )
 
 
 class TestOrbitStoreAgainstLists:
@@ -1157,24 +1172,49 @@ class TestOrbitStoreAgainstLists:
             assert_same_array(provider.to_dense(q * h), dense)
             assert provider.series_report(q * h)["quadrature_estimate"] == gauge
 
-    def test_dense_steps_build_each_flow_once(self, monkeypatch):
-        # to_dense at steps 1..8 builds the block-diagonal flow once for
-        # each step 0..8, and every value to step 16 is the list path's
-        system = demo_system_l4()
-        h = system.provider2.grid.h
-        provider, oracle = CoupledProvider(system), ListOrbitProvider(system)
-        steps = []
-        dense_diag = CoupledProvider._dense_diag
+    def test_a_fresh_dense_sweep_takes_one_kernel_and_one_exponential_per_block(self, monkeypatch):
+        # to_dense at steps 1..16 fills the basis orbits, the range orbits
+        # and the flow stores in the blocks 0..1, 2..3, 4..7, 8..15 and
+        # 16..31: one expm stack and one gamma_kernel_weights call each
+        kernels, exps = [], []
+        weights, expm = gammashift.gamma_kernel_weights, semigroup.expm
         monkeypatch.setattr(
-            CoupledProvider,
-            "_dense_diag",
-            lambda self, m: steps.append(m) or dense_diag(self, m),
+            gammashift, "gamma_kernel_weights", lambda *a: kernels.append(a) or weights(*a)
         )
-        for q in range(1, 9):
+        monkeypatch.setattr(semigroup, "expm", lambda A, t=1.0: exps.append(t) or expm(A, t))
+        system = coupled_demo_system()
+        h = system.provider2.grid.h
+        provider = CoupledProvider(system)
+        for q in range(1, 17):
             provider.to_dense(q * h)
-        assert steps == list(range(9))
-        for q in range(17):
-            assert_same_array(provider.to_dense(q * h), oracle.to_dense(q * h)[0])
+        bound = math.ceil(math.log2(17)) + 1
+        assert bound == 6 and 0 < len(kernels) <= bound and 0 < len(exps) <= bound
+
+    @pytest.mark.parametrize(
+        "make_system",
+        [
+            coupled_demo_system,
+            demo_system_l4,
+            lattice_system,
+            *(functools.partial(low_rank_system, *scales) for scales in ((0, 0), (1, 0), (0, 1))),
+        ],
+        ids=["demo-L6-h0.125", "demo-L4-h0.25", "lattice", "r0", "b12", "b21"],
+    )
+    def test_dense_columns_are_the_basis_orbits(self, make_system):
+        # column j of to_dense(q h) is stack(apply(q h, e_j)) for the j-th
+        # stacked unit vector e_j, byte for byte, at q = 2^k - 1, 2^k and
+        # 2^k + 1; the orbits come from a second provider, seeded in turn
+        system = make_system()
+        grid = system.provider2.grid
+        h, n1 = grid.h, system.dim1
+        steps = sorted({q for k in range(1, 6) for q in (2**k - 1, 2**k, 2**k + 1)})
+        dense, orbits = CoupledProvider(system), CoupledProvider(system)
+        columns = {q: dense.to_dense(q * h) for q in steps}
+        for j, e in enumerate(np.eye(dense.carrier_dim)):
+            seed = ProductVector(e[:n1], GridFunction(grid, e[n1:]))
+            for q in steps:
+                want = orbits.stack(orbits.apply(q * h, seed))
+                assert columns[q][:, j].tobytes() == want.tobytes()
 
 
 class TestMatrixFlowStore:
@@ -1268,11 +1308,12 @@ class TestMatrixFlowStore:
             assert vector_bytes(provider.apply(q * 0.25, seed)) == vector_bytes(want)
             assert provider.to_dense(q * 0.25).tobytes() == oracle.to_dense(q * 0.25)[0].tobytes()
 
-    def test_other_carriers_apply_step_by_step(self):
-        # a grid carrier known only through its own apply (neither a matrix
-        # nor a Gamma-shift provider) is applied one step at a time inside
-        # each block, with the floors it reports; values and dense
-        # operators are still the list oracle's, byte for byte
+    @pytest.mark.parametrize("other", ["wrapped", "shift-step"])
+    def test_other_carriers_are_refused_before_any_evaluation(self, other, monkeypatch):
+        # a lattice system flows only matrix and Gamma-shift carriers: a
+        # carrier known only through its own apply (here a wrapper of a
+        # Gamma-shift carrier, or the shift on step functions) is refused
+        # when the provider is built, before any exponential or kernel
         class OwnApply:
             def __init__(self, inner):
                 self.inner = inner
@@ -1281,14 +1322,25 @@ class TestMatrixFlowStore:
                 return getattr(self.inner, name)
 
         base = lattice_system()
-        system = CoupledSystem(base.provider1, OwnApply(base.provider2), base.b12, base.b21)
-        provider, oracle = CoupledProvider(system), ListOrbitProvider(system)
-        grid = base.provider2.grid
-        seed = ProductVector(np.ones(3), GridFunction.indicator(grid, -1.0, 0.0))
-        for q in range(12):
-            want, _ = oracle.apply(q * 0.25, seed)
-            assert vector_bytes(provider.apply(q * 0.25, seed)) == vector_bytes(want)
-        assert provider.to_dense(2.75).tobytes() == oracle.to_dense(2.75)[0].tobytes()
+        if other == "wrapped":
+            system = CoupledSystem(base.provider1, OwnApply(base.provider2), base.b12, base.b21)
+            name, kind = "provider2", "OwnApply"
+        else:
+            shift = ShiftStepProvider(3)
+            grid = base.provider2.grid
+            system = CoupledSystem(
+                shift,
+                base.provider2,
+                RankOneCoupling(output=np.eye(8)[3], functional=GridFunctional(grid, -1.0, 0.0)),
+                RankOneCoupling(output=base.b21.output, functional=CoordinateFunctional(2, 8)),
+            )
+            name, kind = "provider1", "ShiftStepProvider"
+        calls = []
+        monkeypatch.setattr(semigroup, "expm", lambda *a: calls.append(a))
+        monkeypatch.setattr(gammashift, "gamma_kernel_weights", lambda *a: calls.append(a))
+        with pytest.raises(InputError, match=f"{name} is a {kind}; a lattice system flows only"):
+            CoupledProvider(system)
+        assert calls == []
 
     def test_a_checked_sweep_evaluates_nothing_past_its_end(self, monkeypatch):
         # check_orbit(q) fills the matrix flows to q, and the blocks that
@@ -1421,7 +1473,7 @@ class TestLatticeNodeBudget:
         def no_work(*args):
             raise AssertionError("the series was filled past its budget")
 
-        monkeypatch.setattr(perturbation._Renewal, "fill", no_work)
+        monkeypatch.setattr(perturbation._SeedOrbit, "fill", no_work)
         # r (q + 1)(q + 2) / 2 exceeds the budget at q = 2000
         with pytest.raises(QuadratureBudgetExceeded):
             provider.apply(2000 * 0.25, seed)

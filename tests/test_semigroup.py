@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from evpos.errors import ExpmOverflow
 from evpos.perturbation import dyson_phillips_sum
 from evpos.semigroup import (
     MatrixSemigroup,
+    PairingSupport,
     TimeGrid,
     default_envelope,
     demo_eigensystem,
@@ -21,6 +23,7 @@ from evpos.semigroup import (
     matrix_power_formula_check,
     power_formula_matrix,
 )
+from brute_oracles import linear_first_at_or_after
 
 
 def test_expm_against_scipy_random():
@@ -399,3 +402,46 @@ def test_certificate_routes_match_scalar_probes(monkeypatch):
         assert certificate_fields(cert) == certificate_fields(cert_ref)
         routes.add(verdict.verdict.value if verdict.certified else "grid")
     assert routes == {"Positive", "UniformlyEventuallyStronglyPositive", "grid"}
+
+
+def random_spans(rng, unit) -> list:
+    """Sorted spans on multiples of unit, each holding one of its ends or both.
+
+    Neighbours may meet at an end; a span may be one point, and the last
+    may be unbounded, closed at its left end.
+    """
+    spans, x = [], int(rng.integers(0, 3))
+    for _ in range(int(rng.integers(0, 8))):
+        if rng.uniform() < 0.2:
+            spans.append((x * unit, x * unit, True, True))
+            x += int(rng.integers(1, 4))
+            continue
+        hi = x + int(rng.integers(1, 4))
+        lo_in, hi_in = [(True, True), (True, False), (False, True)][int(rng.integers(0, 3))]
+        spans.append((x * unit, hi * unit, lo_in, hi_in))
+        x = hi + int(rng.integers(0, 3))
+    if rng.uniform() < 0.5:
+        spans.append((x * unit, math.inf, True, False))
+    return spans
+
+
+@pytest.mark.parametrize("step", [None, 0.25], ids=["exact", "lattice"])
+def test_first_at_or_after_is_the_linear_walk(step):
+    # a seeded corpus of supports, exact (Fraction ends, no lattice) and on
+    # the lattice of step h (ends on half steps, so snapping moves times),
+    # probed on every span end, between ends and past the last one
+    rng = np.random.default_rng(60)
+    found, cases = set(), 0
+    for _ in range(400):
+        unit = Fraction(1, int(rng.integers(1, 5))) if step is None else step / 2
+        spans = random_spans(rng, unit)
+        support = PairingSupport(tuple(spans), "seeded", step)
+        ends = sorted({x for span in spans for x in span[:2] if x != math.inf} | {0 * unit})
+        probes = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        probes += [ends[-1] + unit / 3, ends[-1] + 5 * unit]
+        for t0 in probes:
+            got = support.first_at_or_after(t0)
+            assert got == linear_first_at_or_after(support, t0)
+            found.add(got is None)
+            cases += 1
+    assert found == {True, False} and cases > 2000
