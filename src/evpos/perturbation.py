@@ -34,12 +34,14 @@ Its quadrature gauge, the norm of its distance to the trapezoid sum,
 is taken when series_report reads it.  The range orbits, their kernel
 and each seed's flows are filled in doubling blocks of steps (0..1,
 2..3, 4..7, ...): each carrier applies a whole block at once, a matrix
-carrier as one product of its stack of flows e^{m h A}, which come from
-one store per provider in doubling stacks of one expm call each, and
-the Gamma-shift carrier with one kernel evaluation per block; no other
-carrier is flowed on a lattice.  The renewal is solved one step at a
-time, on demand.  The dense operator S(q h) is its basis orbits: column
-j is the orbit of the j-th stacked unit vector.
+carrier as one product of its stack of flows e^{m h A}, kept in
+doubling stacks of one expm call each, and the Gamma-shift carrier
+with one kernel evaluation per block; no other carrier is flowed on a
+lattice.  The flows, kernels and range orbits depend on the system
+alone, and one engine holds them for every provider of an equal system
+(the last four systems flowed keep theirs).  The renewal is solved one
+step at a time, on demand.  The dense operator S(q h) is its basis
+orbits: column j is the orbit of the j-th stacked unit vector.
 Two coupled dense carriers are one exponential of the block generator.
 On top of the series sit an order-theoretic domination check of matrix
 carriers, the transfer of coordinate-ideal invariance from the perturbed
@@ -48,6 +50,7 @@ because matrix semigroups are analytic, and two-carrier coupled systems
 whose off-diagonal blocks feed each component into the other.
 """
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -304,8 +307,9 @@ class _FiniteRange:
     k being Phi of T(m h) u_k.
     Each step is computed once, when fill first reaches its block, and
     kept as one row of `orbits`, `floors` and `kernel`.  The rules of
-    each step and the inverses (I - w K(0))^-1 are formed once.  Every
-    orbit that holds this object shares all of them.
+    each step and the inverses (I - w K(0))^-1 are formed once.  One
+    object is held by the _LatticeEngine of each lattice system, so every
+    orbit of every provider of an equal system shares all of them.
     """
 
     def __init__(self, range_block, rank: int, h: float, dim: int):
@@ -728,7 +732,7 @@ def invariance_transfer_check(providerA, B, ideal) -> TransferReport:
 
 
 class GridFunctional:
-    """f |-> integral of a grid function over the window [a, b)."""
+    """f |-> integral of a grid function over the window [a, b); key is (grid, cells)."""
 
     def __init__(self, grid: Grid1D, a: float, b: float):
         if not (a < b):
@@ -741,6 +745,7 @@ class GridFunctional:
         if lo >= hi:
             raise InputError("window does not meet the grid")
         self._cells = (lo, hi)
+        self.key = (grid, lo, hi)
         self.norm = 1.0  # |integral over a window| <= L^1 norm
 
     def __call__(self, f: GridFunction) -> float:
@@ -769,13 +774,14 @@ class GridFunctional:
 
 
 class CoordinateFunctional:
-    """z |-> z[index] on a dense coordinate carrier."""
+    """z |-> z[index] on a dense coordinate carrier; key is (index, dim)."""
 
     def __init__(self, index: int, dim: int):
         if not (0 <= index < dim):
             raise InputError("coordinate index out of range")
         self.index = index
         self.dim = dim
+        self.key = (index, dim)
         self.norm = 1.0
 
     def __call__(self, z) -> float:
@@ -1018,7 +1024,8 @@ class _MatrixFlows:
     A stack that overflows keeps the steps before its first overflowing
     one, and every step from there on is carrier.matrix's, which raises
     the single-time ExpmOverflow.  Every evaluated step is kept, n x n
-    doubles each, in one array, so a block of steps is one slice.
+    doubles each, in one array, so a block of steps is one slice.  A
+    _LatticeEngine holds one per matrix carrier for every equal system.
     """
 
     def __init__(self, carrier: MatrixSemigroup, h: float):
@@ -1044,12 +1051,161 @@ class _MatrixFlows:
         return self.block(m, m + 1)[0]
 
 
+def _frozen(u):
+    """A read-only copy of a matrix or a carrier vector; a grid function keeps its support floor."""
+    arr = np.array(u.samples if isinstance(u, GridFunction) else u, dtype=float)
+    arr.flags.writeable = False
+    return GridFunction(u.grid, arr, u.support_lo) if isinstance(u, GridFunction) else arr
+
+
+class _LatticeEngine:
+    """What a lattice system computes whatever the seed: its flows, Gamma kernels and range orbits.
+
+    Its own carriers and couplings flow read-only copies of the system's
+    data; it holds a _MatrixFlows per matrix carrier, the _FiniteRange
+    and the last step check_orbit passed, and no provider.
+    """
+
+    def __init__(self, h: float, system: CoupledSystem):
+        self.h = h
+        self.carriers = [
+            MatrixSemigroup(_frozen(p.A)) if isinstance(p, MatrixSemigroup) else GammaShiftProvider(p.grid)
+            for p in (system.provider1, system.provider2)
+        ]
+        self.n1 = self.carriers[0].carrier_dim
+        self.flows = [_MatrixFlows(p, h) if isinstance(p, MatrixSemigroup) else None for p in self.carriers]
+        # the support floor of each carrier's zero vector: a grid's top, 0 for coordinates
+        self.zero_floors = [p.grid.count if f is None else 0 for p, f in zip(self.carriers, self.flows)]
+        blocks = (system.b12, system.b21)
+        b12, b21 = (RankOneCoupling(_frozen(b.output), copy.copy(b.functional)) for b in blocks)
+        # b12 reads the second carrier into coefficients 0..r12 - 1, b21 the first into the rest
+        r12 = len(b12.range_vectors)
+        self.readers = ((b12, slice(0, r12), 1), (b21, slice(r12, None), 0))
+        # each range vector u_k flows in its own carrier; the other component stays zero
+        pairs = [(u, None) for u in b12.range_vectors] + [(None, u) for u in b21.range_vectors]
+        ranges = self.block_plan(pairs)
+        self.range = _FiniteRange(
+            lambda lo, hi, orbits, floors, kernel: self.flow_block(
+                ranges, lo, hi, orbits, floors, kernel.transpose(0, 2, 1)
+            ),
+            len(pairs),
+            h,
+            self.n1 + self.carriers[1].carrier_dim,
+        )
+        self.sweep_end = -1
+
+    def block_plan(self, pairs: list) -> tuple:
+        """What flow_block flows for a list of J (first, second) carrier vector pairs.
+
+        (zero floors, parts): the J x 2 support floors of zero vector
+        pairs, and for each carrier the slice of the pairs whose
+        components it flows (None for none), with those components.  None
+        marks a zero component that is not flowed; so does a grid function
+        that is bitwise the zero function, whose flow is that function at
+        every step.  The flowed pairs of a carrier are consecutive, as a
+        seed's one pair and the range pairs (b12's, then b21's) are.  A
+        matrix carrier's vectors pass as_vector once here.
+        """
+        parts = []
+        for i, flows in enumerate(self.flows):
+            js = [j for j, pair in enumerate(pairs) if not _is_zero_function(pair[i])]
+            vs = [pairs[j][i] if flows is None else as_vector(pairs[j][i]) for j in js]
+            parts.append((slice(js[0], js[-1] + 1) if js else None, vs))
+        return np.full((len(pairs), 2), self.zero_floors), parts
+
+    def flow_block(self, plan: tuple, lo: int, hi: int, values, floors, coeffs) -> int:
+        """Write T(m h) f for each pair f of a block plan and the steps m = lo, lo + 1, ...
+
+        values (k, J, D) takes the flows in stacked coordinates, floors
+        (k, J, 2) their integer support floors (a grid function's
+        support_lo, 0 for a coordinate vector) and coeffs (k, J, r) Phi of
+        each; the number of steps written is returned.  Each carrier
+        applies the block at once: a matrix carrier is one product of its
+        flow stack per vector, a Gamma-shift carrier its apply_steps.  The
+        block holds every step before hi, or ends before the first step
+        that a step-by-step evaluation refuses (a matrix flow past the
+        double range, a vector a coupling refuses), refused itself when it
+        is the first.  A block that starts before the last step passed to
+        check_orbit ends there.
+        """
+        zero_floors, parts = plan
+        carrier_cols = (slice(0, self.n1), slice(self.n1, None))
+        if lo <= self.sweep_end:
+            hi = min(hi, self.sweep_end + 1)
+        stacks = [None if flows is None else flows.block(lo, hi) for flows in self.flows]
+        k = min([hi - lo] + [len(stack) for stack in stacks if stack is not None])
+        values, floors, coeffs = values[:k], floors[:k], coeffs[:k]
+        values[...], floors[...], coeffs[...] = 0.0, zero_floors, 0.0
+        for i, (carrier, stack, (js, vs)) in enumerate(zip(self.carriers, stacks, parts)):
+            if js is None:
+                continue
+            cols = carrier_cols[i]
+            if stack is not None:
+                for j, v in enumerate(vs, js.start):
+                    values[:, j, cols] = stack[:k] @ v
+            else:
+                carrier.apply_steps(range(lo, lo + k), vs, values[:, js, cols], floors[:, js, i])
+        # each coupling reads its carrier's flowed components; a zero one reads 0.0
+        for coupling, out, i in self.readers:
+            js = parts[i][0]
+            if js is not None:
+                cols = carrier_cols[i]
+                part = coupling.block_coefficients(values[:k, js, cols], floors[:k, js, i])
+                k = len(part)
+                coeffs[:k, js, out] = part
+        return k
+
+    def check_orbit(self, q: int) -> None:
+        """Refuse lattice orbits to step q before any renewal work.
+
+        Refused are a renewal past the node budget and a matrix carrier
+        whose flow e^{tA} leaves the double range by step q.  The check
+        fills each matrix carrier's flow store to step q in one stacked
+        call, and the blocks of steps that start before q end at q, so an
+        orbit sweep to q evaluates no further exponential or kernel.
+        """
+        check_node_budget(self.range.rank, q)
+        for flows in self.flows:
+            if flows is not None:
+                try:
+                    flows.at(q)
+                except ExpmOverflow as exc:
+                    raise ExpmOverflow(f"the orbit to t = {q * self.h:g} overflows: {exc}") from None
+        self.sweep_end = max(q, self.sweep_end)
+
+
+# The engines of the lattice systems flowed last, the least recently used
+# first: a command flows one system, the benchmark's batch two.
+_ENGINES = {}
+_KEPT_ENGINES = 4
+
+
+def _lattice_engine(h: float, system: CoupledSystem) -> _LatticeEngine:
+    """The engine of a lattice system from _ENGINES, keyed by the exact data it flows: h, each
+    carrier's generator (shape and bytes) or grid, each block's functional key and range vectors
+    (samples and support floor).  Past _KEPT_ENGINES the least recently used is dropped."""
+    carriers = [
+        (p.A.shape, p.A.tobytes()) if isinstance(p, MatrixSemigroup) else p.grid
+        for p in (system.provider1, system.provider2)
+    ]
+    ranges = [
+        tuple((_vector_array(u).tobytes(), getattr(u, "support_lo", None)) for u in b.range_vectors)
+        for b in (system.b12, system.b21)
+    ]
+    key = (h, *carriers, system.b12.functional.key, system.b21.functional.key, *ranges)
+    engine = _ENGINES.pop(key, None) or _LatticeEngine(h, system)
+    _ENGINES[key] = engine
+    if len(_ENGINES) > _KEPT_ENGINES:
+        del _ENGINES[next(iter(_ENGINES))]
+    return engine
+
+
 class CoupledProvider(SemigroupProvider):
     """Provider for the coupled family on the product carrier.
 
-    Two dense carriers are one exponential of the block generator,
-    diag(A1, A2) plus the off-diagonal blocks, with no series.  When a
-    carrier is locked to a time lattice, each carrier must be a
+    Two dense carriers, MatrixSemigroups both, are one exponential of
+    the block generator, diag(A1, A2) plus the off-diagonal blocks.  When
+    a carrier is locked to a time lattice, each carrier must be a
     MatrixSemigroup or a GammaShiftProvider, the off-diagonal part is
     held as U Phi through the blocks' range vectors (anything else, a
     DenseCoupling included, is refused with InputError), and every orbit
@@ -1059,22 +1215,20 @@ class CoupledProvider(SemigroupProvider):
     as rows in the stacked coordinates of stack(), each with one integer
     support floor per carrier, and unstack() rebuilds a value's native
     vectors with the least floor of its summands.  They are filled in
-    doubling blocks of steps (0..1, 2..3, 4..7, ...) by _flow_block,
-    which applies each carrier to a whole block at once and writes the
-    rows, the floors (set arithmetically) and the coefficients Phi
-    directly; no carrier vector is built per step.  The dense operator
-    is its basis orbits: column j of to_dense(q h) is the orbit of the
-    j-th stacked unit vector at step q, bit for bit stack(apply(q h,
-    e_j)); those D orbits are kept once per provider, apart from the
-    seeds' cache and from series_report's orbit gauges.  The range
-    orbits and the kernel K(m) = Phi T(m h) U are shared by every orbit.
-    Every flow e^{m h A} of a matrix carrier is read from that carrier's
-    _MatrixFlows, which evaluates the steps in doubling stacks, and a
-    Gamma-shift carrier evaluates the kernels of a block in one call, so
-    a fresh sweep to step q, of orbits or of dense operators, takes at
-    most ceil(log2(q + 1)) + 1 expm calls and as many kernel
-    evaluations.  The growth envelope is computed on its first read; no
-    evaluation reads it.
+    doubling blocks of steps (0..1, 2..3, 4..7, ...) by the engine's
+    flow_block, which applies each carrier to a whole block at once.
+    What depends on the system alone, the flows e^{m h A}, the Gamma
+    kernels, the range orbits and K(m) = Phi T(m h) U, is held by the
+    _LatticeEngine shared by every provider of an equal system: a sweep
+    to step q takes at most ceil(log2(q + 1)) + 1 expm calls and as many
+    kernel evaluations for a system not yet flowed that far, none for
+    one that was.  What depends on a provider's calls stays with it: the
+    seed orbits, the gauges and the dense operators.  Column j of
+    to_dense(q h) is the orbit of the j-th stacked unit vector at step
+    q, bit for bit stack(apply(q h, e_j)); those D basis orbits are kept
+    once per provider, apart from the seeds' cache and from
+    series_report's orbit gauges.  The growth envelope is computed on
+    its first read; no evaluation reads it.
     """
 
     nilpotent_time = None
@@ -1088,45 +1242,26 @@ class CoupledProvider(SemigroupProvider):
             raise InputError("coupled carriers disagree on the time lattice step")
         self.lattice_h = lattices[0].h if lattices else None
         self._grids = tuple(g if isinstance(g, Grid1D) else None for g in (g1, g2))
-        self._carriers = (system.provider1, system.provider2)
         self._n1 = system.dim1
         self._orbit_cache = {}
         self._dense_cache = {}
         self._gauges = {}  # ("dense", t): gauge, ("orbit", fingerprint): (gap, floors)
-        if self.lattice_h is not None:
-            b12, b21 = system.b12, system.b21
-            for name, carrier in zip(("provider1", "provider2"), self._carriers):
-                if not isinstance(carrier, (MatrixSemigroup, GammaShiftProvider)):
-                    raise InputError(
-                        f"{name} is a {type(carrier).__name__}; a lattice system flows only "
-                        "MatrixSemigroup and GammaShiftProvider carriers"
-                    )
-            for name, block in (("b12", b12), ("b21", b21)):
-                if not hasattr(block, "block_coefficients"):
+        lattice = self.lattice_h is not None
+        kinds = (MatrixSemigroup, GammaShiftProvider) if lattice else (MatrixSemigroup,)
+        for name, carrier in (("provider1", system.provider1), ("provider2", system.provider2)):
+            if not isinstance(carrier, kinds):
+                where = "a lattice system" if lattice else "a system off a lattice"
+                flowed = " and ".join(kind.__name__ for kind in kinds)
+                kind = type(carrier).__name__
+                raise InputError(f"{name} is a {kind}; {where} flows only {flowed} carriers")
+        if lattice:
+            for name, block in (("b12", system.b12), ("b21", system.b21)):
+                if not isinstance(block, RankOneCoupling):
                     kind = type(block).__name__
                     raise InputError(f"{name} is a {kind}; a lattice carrier needs a RankOneCoupling")
-            self._flows = tuple(
-                _MatrixFlows(p, self.lattice_h) if isinstance(p, MatrixSemigroup) else None
-                for p in self._carriers
-            )
-            # the support floor of each carrier's zero vector: a grid's top, 0 for coordinates
-            self._zero_floors = [0 if g is None else g.count for g in self._grids]
-            # b12 reads the second carrier into coefficients 0..r12 - 1, b21 the first into the rest
-            r12 = len(b12.range_vectors)
-            self._readers = ((b12, slice(0, r12), 1), (b21, slice(r12, None), 0))
-            # each range vector u_k flows in its own carrier; the other component stays zero
-            pairs = [(u, None) for u in b12.range_vectors] + [(None, u) for u in b21.range_vectors]
-            ranges = self._block_plan(pairs)
-            self._range = _FiniteRange(
-                lambda lo, hi, orbits, floors, kernel: self._flow_block(
-                    ranges, lo, hi, orbits, floors, kernel.transpose(0, 2, 1)
-                ),
-                len(pairs),
-                self.lattice_h,
-                self.carrier_dim,
-            )
+            self._engine = _lattice_engine(self.lattice_h, system)
+            self._range = self._engine.range
             self._basis = None  # the orbits of the stacked unit vectors, built on the first dense read
-            self._sweep_end = -1  # the last step check_orbit passed
 
     @functools.cached_property
     def envelope(self) -> tuple:
@@ -1221,86 +1356,9 @@ class CoupledProvider(SemigroupProvider):
             raise ShiftNotOnGrid(f"time {t} is not a whole number of lattice steps")
         return q
 
-    def _block_plan(self, pairs: list) -> tuple:
-        """What _flow_block flows for a list of J (first, second) carrier vector pairs.
-
-        (zero floors, parts): the J x 2 support floors of zero vector
-        pairs, and for each carrier the slice of the pairs whose
-        components it flows (None for none), with those components.  None
-        marks a zero component that is not flowed; so does a grid function
-        that is bitwise the zero function, whose flow is that function at
-        every step.  The flowed pairs of a carrier are consecutive, as a
-        seed's one pair and the range pairs (b12's, then b21's) are.  A
-        matrix carrier's vectors pass as_vector once here.
-        """
-        parts = []
-        for i, flows in enumerate(self._flows):
-            js = [j for j, pair in enumerate(pairs) if not _is_zero_function(pair[i])]
-            vs = [pairs[j][i] if flows is None else as_vector(pairs[j][i]) for j in js]
-            parts.append((slice(js[0], js[-1] + 1) if js else None, vs))
-        return np.full((len(pairs), 2), self._zero_floors), parts
-
-    def _flow_block(self, plan: tuple, lo: int, hi: int, values, floors, coeffs) -> int:
-        """Write T(m h) f for each pair f of a block plan and the steps m = lo, lo + 1, ...
-
-        values (k, J, D) takes the flows in stack() coordinates, floors
-        (k, J, 2) their integer support floors (a grid function's
-        support_lo, 0 for a coordinate vector) and coeffs (k, J, r) Phi of
-        each; the number of steps written is returned.  Each carrier
-        applies the block at once: a matrix carrier is one product of its
-        flow stack per vector, a Gamma-shift carrier its apply_steps.  The
-        block holds every step before hi, or ends before the first step
-        that a step-by-step evaluation refuses (a matrix flow past the
-        double range, a vector a coupling refuses), refused itself when it
-        is the first.  A block that starts before the last step passed to
-        check_orbit ends there.
-        """
-        zero_floors, parts = plan
-        n1 = self._n1
-        carrier_cols = (slice(0, n1), slice(n1, None))
-        if lo <= self._sweep_end:
-            hi = min(hi, self._sweep_end + 1)
-        stacks = [None if flows is None else flows.block(lo, hi) for flows in self._flows]
-        k = min([hi - lo] + [len(stack) for stack in stacks if stack is not None])
-        values, floors, coeffs = values[:k], floors[:k], coeffs[:k]
-        values[...], floors[...], coeffs[...] = 0.0, zero_floors, 0.0
-        for i, (carrier, stack, (js, vs)) in enumerate(zip(self._carriers, stacks, parts)):
-            if js is None:
-                continue
-            cols = carrier_cols[i]
-            if stack is not None:
-                for j, v in enumerate(vs, js.start):
-                    values[:, j, cols] = stack[:k] @ v
-            else:
-                carrier.apply_steps(range(lo, lo + k), vs, values[:, js, cols], floors[:, js, i])
-        # each coupling reads its carrier's flowed components; a zero one reads 0.0
-        for coupling, out, i in self._readers:
-            js = parts[i][0]
-            if js is not None:
-                cols = carrier_cols[i]
-                part = coupling.block_coefficients(values[:k, js, cols], floors[:k, js, i])
-                k = len(part)
-                coeffs[:k, js, out] = part
-        return k
-
     def check_orbit(self, q: int) -> None:
-        """Refuse lattice orbits to step q before any renewal work.
-
-        Refused are a renewal past the node budget and a matrix carrier
-        whose flow e^{tA} leaves the double range by step q.  The check
-        fills each matrix carrier's flow store to step q in one stacked
-        call, and the blocks of steps that start before q end at q, so an
-        orbit sweep to q evaluates no further exponential or kernel.
-        """
-        check_node_budget(self._range.rank, q)
-        for flows in self._flows:
-            if flows is not None:
-                try:
-                    flows.at(q)
-                except ExpmOverflow as exc:
-                    t = q * self.lattice_h
-                    raise ExpmOverflow(f"the orbit to t = {t:g} overflows: {exc}") from None
-        self._sweep_end = max(q, self._sweep_end)
+        """Refuse lattice orbits to step q before any renewal work, as _LatticeEngine.check_orbit does."""
+        self._engine.check_orbit(q)
 
     def _fingerprint(self, f: ProductVector):
         return (
@@ -1327,10 +1385,11 @@ class CoupledProvider(SemigroupProvider):
         return orbit, q
 
     def _new_orbit(self, seed: ProductVector) -> _SeedOrbit:
-        """The orbit of seed, its flows written by _flow_block from a one-pair plan."""
-        plan = self._block_plan([(seed.first, seed.second)])
+        """The orbit of seed, its flows written by the engine's flow_block from a one-pair plan."""
+        engine = self._engine
+        plan = engine.block_plan([(seed.first, seed.second)])
         return _SeedOrbit(
-            lambda lo, hi, flows, floors, base: self._flow_block(
+            lambda lo, hi, flows, floors, base: engine.flow_block(
                 plan, lo, hi, flows[:, None], floors[:, None], base[:, None]
             ),
             self._range,

@@ -48,6 +48,12 @@ from brute_oracles import ListOrbitProvider, list_weighted_sums
 from sampled_oracles import sampled_leak_onset, sampled_mixed_witness
 
 
+@pytest.fixture(autouse=True)
+def no_kept_engines():
+    """Each test starts with no lattice engine kept, so a fresh sweep does its own work."""
+    perturbation._ENGINES.clear()
+
+
 def random_pair(rng, n_max=8, scale=2.0):
     n = int(rng.integers(2, n_max + 1))
     A = rng.normal(size=(n, n))
@@ -1422,6 +1428,188 @@ class TestMatrixFlowStore:
         with pytest.raises(ExpmOverflow) as single:
             MatrixSemigroup(demo_generator()).matrix(80.0)
         assert capsys.readouterr().err == f"error: the orbit to t = 80 overflows: {single.value}\n"
+
+
+def count_carrier_work(monkeypatch):
+    """(kernel calls, expm calls): lists that grow with every Gamma-kernel and expm call."""
+    kernels, exps = [], []
+    weights, expm = gammashift.gamma_kernel_weights, semigroup.expm
+    monkeypatch.setattr(gammashift, "gamma_kernel_weights", lambda *a: kernels.append(a) or weights(*a))
+    monkeypatch.setattr(semigroup, "expm", lambda A, t=1.0: exps.append(t) or expm(A, t))
+    return kernels, exps
+
+
+def demo_like(A=None, x_min=-4.0, h=0.25, window=(-2.0, -1.0), scale=1.0, floor_drop=0):
+    """coupled_demo_system(L=4, h=0.25) with one piece of its data changed.
+
+    A replaces the generator, x_min and h move the grid, window is the
+    matrix-bound functional's, scale multiplies the grid-bound output and
+    floor_drop lowers that output's declared support floor.
+    """
+    grid = Grid1D(x_min=x_min, h=h, count=int(round(8.0 / h)))
+    out = GridFunction.indicator(grid, 1.0, 2.0) * scale
+    return CoupledSystem(
+        MatrixSemigroup(demo_generator() if A is None else A),
+        GammaShiftProvider(grid),
+        RankOneCoupling(output=np.array([0.0, 0.0, 1.0]), functional=GridFunctional(grid, *window)),
+        RankOneCoupling(
+            output=GridFunction(grid, out.samples, out.support_lo - floor_drop),
+            functional=CoordinateFunctional(2, 3),
+        ),
+    )
+
+
+def one_ulp_generator():
+    A = demo_generator()
+    A[0, 1] = np.nextafter(A[0, 1], np.inf)
+    return A
+
+
+class TestSharedEngines:
+    """Providers of equal lattice systems share one engine: its flows, kernels and range orbits."""
+
+    @pytest.mark.parametrize("L, h", [(6.0, 0.125), (4.0, 0.25)], ids=["L6-h0.125", "L4-h0.25"])
+    def test_equal_systems_share_one_engine(self, L, h, monkeypatch):
+        # a second coupled_demo_system(L, h) call builds a new but equal
+        # system: its provider reads the first one's engine, so its 16-step
+        # sweep takes no exponential and no kernel, and its values, floors
+        # and gauges at q = 2^k - 1, 2^k and 2^k + 1 are byte for byte
+        # those of a fresh engine and of the list oracle
+        grid = coupled_demo_system(L=L, h=h).provider2.grid
+        seeds = [
+            ProductVector(np.array([0.3, 0.9, 0.6]), GridFunction.zero(grid)),
+            ProductVector(np.array([0.2, 0.7, 0.4]), GridFunction.indicator(grid, -1.0, 0.0)),
+        ]
+        first = CoupledProvider(coupled_demo_system(L=L, h=h))
+        for q in range(1, 17):
+            first.apply(q * h, seeds[0])
+        kernels, exps = count_carrier_work(monkeypatch)
+        second = CoupledProvider(coupled_demo_system(L=L, h=h))
+        assert second._engine is first._engine
+        for q in range(1, 17):
+            second.apply(q * h, seeds[0])
+        assert (len(kernels), len(exps)) == (0, 0)
+        steps = sorted({q for k in range(1, 6) for q in (2**k - 1, 2**k, 2**k + 1)})
+        perturbation._ENGINES.clear()
+        fresh = CoupledProvider(coupled_demo_system(L=L, h=h))
+        assert fresh._engine is not second._engine
+        oracle = ListOrbitProvider(coupled_demo_system(L=L, h=h))
+        for seed in seeds:
+            for q in steps:
+                want, gauge = oracle.apply(q * h, seed)
+                for provider in (second, fresh):
+                    assert vector_bytes(provider.apply(q * h, seed)) == vector_bytes(want)
+                    orbit, _ = provider._seed_orbit(seed, q * h)
+                    gap = provider.unstack(*orbit.at(q)[1])
+                    assert float(provider.vec_norm(gap)).hex() == float(gauge).hex()
+        assert second.series_report() == fresh.series_report()
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"A": one_ulp_generator()},
+            {"x_min": -4.25},
+            {"h": 0.125},
+            {"window": (-2.0, -0.75)},
+            {"scale": 2.0},
+            {"floor_drop": 1},
+        ],
+        ids=["A-one-ulp", "x_min", "h", "window", "output-scaled", "support-floor"],
+    )
+    def test_each_change_of_data_gets_its_own_engine(self, changed):
+        base = CoupledProvider(demo_like())
+        assert CoupledProvider(coupled_demo_system(L=4.0, h=0.25))._engine is base._engine
+        system = demo_like(**changed)
+        other = CoupledProvider(system)
+        assert other._engine is not base._engine
+        assert CoupledProvider(demo_like(**changed))._engine is other._engine
+        # the engine flows the changed data: values and floors are the oracle's
+        oracle, h = ListOrbitProvider(system), system.provider2.grid.h
+        seed = ProductVector(np.ones(3), GridFunction.indicator(system.provider2.grid, -1.0, 0.0))
+        for q in (1, 5, 9):
+            assert vector_bytes(other.apply(q * h, seed)) == vector_bytes(oracle.apply(q * h, seed)[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_refusals_keep_their_step_on_a_shared_engine(self, monkeypatch):
+        # a second provider of an overflowing system refuses at the same
+        # step with the same message, whether the first one was swept or
+        # checked there; a seed whose own flow leaves the double range is
+        # refused at its own step; the node budget still refuses first
+        first = CoupledProvider(coupled_demo_system(L=4.0, h=0.25))
+        second = CoupledProvider(coupled_demo_system(L=4.0, h=0.25))
+        assert second._engine is first._engine
+        seed = ProductVector(np.ones(3), GridFunction.zero(first.system.provider2.grid))
+        with pytest.raises(ExpmOverflow) as single:
+            MatrixSemigroup(demo_generator()).matrix(79.0)
+        for provider in (first, second):
+            provider.check_orbit(315)
+            with pytest.raises(ExpmOverflow) as refused:
+                provider.check_orbit(316)
+            assert str(refused.value) == f"the orbit to t = 79 overflows: {single.value}"
+            with pytest.raises(ExpmOverflow) as refused:
+                provider.apply(79.0, seed)
+            assert str(refused.value) == str(single.value)
+        huge = ProductVector(np.full(3, 1e300), seed.second)
+        for provider in (first, second):
+            for q in range(9):
+                provider.apply(q * 0.25, huge)
+            with pytest.raises(ValueError, match="vector entries must be finite"):
+                provider.apply(9 * 0.25, huge)
+        calls = count_carrier_work(monkeypatch)
+
+        def no_work(*args):
+            raise AssertionError("the series was filled past its budget")
+
+        monkeypatch.setattr(perturbation._SeedOrbit, "fill", no_work)
+        third = CoupledProvider(coupled_demo_system(L=4.0, h=0.25))
+        with pytest.raises(QuadratureBudgetExceeded):
+            third.apply(2000 * 0.25, seed)
+        with pytest.raises(QuadratureBudgetExceeded):
+            third.to_dense(2000 * 0.25)
+        assert calls == ([], [])
+
+    def test_the_least_recently_used_engine_is_dropped(self):
+        # four engines are kept; a fifth distinct system drops the one
+        # least recently read, and a read moves an engine to the front
+        def system(i):
+            return coupled_demo_system(L=4.0 + i, h=0.25)
+
+        engines = [CoupledProvider(system(i))._engine for i in range(4)]
+        assert CoupledProvider(system(0))._engine is engines[0]
+        CoupledProvider(system(4))
+        assert len(perturbation._ENGINES) == 4
+        assert CoupledProvider(system(0))._engine is engines[0]
+        assert CoupledProvider(system(1))._engine is not engines[1]
+        assert CoupledProvider(system(3))._engine is engines[3]
+
+    def test_editing_the_callers_data_after_construction_changes_no_result(self):
+        # the engine flows its own read-only copies: an in-place edit of
+        # the caller's generator and range output after the provider is
+        # built reaches neither that provider nor a later one of equal data
+        system = coupled_demo_system(L=4.0, h=0.25)
+        edited = CoupledProvider(system)
+        system.provider1.A[0, 0] += 1.0
+        system.b21.output.samples[:] *= 2.0
+        later = CoupledProvider(coupled_demo_system(L=4.0, h=0.25))
+        assert later._engine is edited._engine
+        oracle = ListOrbitProvider(coupled_demo_system(L=4.0, h=0.25))
+        seed = ProductVector(np.array([0.3, 0.9, 0.6]), GridFunction.zero(system.provider2.grid))
+        for q in range(1, 13):
+            want = vector_bytes(oracle.apply(q * 0.25, seed)[0])
+            assert vector_bytes(edited.apply(q * 0.25, seed)) == want
+            assert vector_bytes(later.apply(q * 0.25, seed)) == want
+
+    def test_dense_carriers_other_than_matrices_are_refused(self, monkeypatch):
+        # off a lattice both carriers are one block exponential, so a
+        # carrier without a generator is refused before any exponential
+        calls = count_carrier_work(monkeypatch)
+        block = DenseCoupling(np.full((8, 8), 0.1))
+        system = CoupledSystem(MatrixSemigroup(-np.eye(8)), ShiftStepProvider(3), block, block)
+        with pytest.raises(
+            InputError, match="provider2 is a ShiftStepProvider; a system off a lattice flows only"
+        ):
+            CoupledProvider(system)
+        assert calls == ([], [])
 
 
 class TestTermCountAgainstLinearScan:
