@@ -1,0 +1,154 @@
+"""Exact relations of the coupled matrix-lattice system, checked without reference code.
+
+The list oracle keeps the lattice orbits fixed against a plain copy of
+the same algorithm; these relations test what it cannot.  Each holds for
+the continuous system and survives the lattice exactly (translation),
+to rounding (similarity) or within the reported quadrature gauge (the
+semigroup law).  Every tolerance here is fixed; a change of the orbit
+code must keep the module passing unedited.
+"""
+
+import numpy as np
+import pytest
+
+from evpos.gammashift import GammaShiftProvider, Grid1D, GridFunction
+from evpos.perturbation import (
+    CoordinateFunctional,
+    CoupledProvider,
+    CoupledSystem,
+    GridFunctional,
+    ProductVector,
+    RankOneCoupling,
+)
+from evpos.presets import coupled_demo_system
+from evpos.semigroup import MatrixSemigroup, demo_generator
+
+# the steps every orbit relation is read at: the first ones and both
+# sides of the power-of-two block edges
+STEPS = (1, 2, 3, 8, 16, 31, 32, 33)
+# similarity moves the grid component by a factor that is not a power of
+# two, so it holds to rounding: measured at most 4.1e-16 relative
+SIMILARITY_RTOL = 1e-14
+
+
+def random_rank_one_system(seed: int) -> CoupledSystem:
+    """A seeded rank-one coupling of a shifted demo matrix and a 48-cell grid.
+
+    Both outputs are nonnegative; the grid output is zero below a random
+    support floor, and the window and the read coordinate are drawn too.
+    """
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(x_min=-3.0, h=0.125, count=48)
+    A = demo_generator() - 2.0 * np.eye(3) + 0.5 * rng.uniform(0.0, 1.0, (3, 3))
+    feed = rng.uniform(0.0, 1.0, grid.count)
+    floor = int(rng.integers(grid.count // 2, grid.count - 4))
+    feed[:floor] = 0.0
+    a = grid.x_min + int(rng.integers(2, 12)) * grid.h
+    b = a + int(rng.integers(2, 10)) * grid.h
+    return CoupledSystem(
+        MatrixSemigroup(A),
+        GammaShiftProvider(grid),
+        RankOneCoupling(output=rng.uniform(0.0, 1.0, 3), functional=GridFunctional(grid, a, b)),
+        RankOneCoupling(
+            output=GridFunction(grid, feed, floor),
+            functional=CoordinateFunctional(int(rng.integers(0, 3)), 3),
+        ),
+    )
+
+
+SYSTEMS = {
+    "demo-L4-h0.25": lambda: coupled_demo_system(L=4.0, h=0.25),
+    "demo-L6-h0.125": lambda: coupled_demo_system(L=6.0, h=0.125),
+    "random-rank-one": lambda: random_rank_one_system(7),
+}
+
+
+@pytest.fixture(params=list(SYSTEMS), ids=list(SYSTEMS))
+def system(request) -> CoupledSystem:
+    return SYSTEMS[request.param]()
+
+
+def rebuilt(system: CoupledSystem, shift: int = 0, scale: float = 1.0) -> CoupledSystem:
+    """system moved right by shift cells, its grid-bound output times scale, the other over scale.
+
+    The grid origin, the window of the matrix-bound functional and the
+    grid-bound output move together, so every cell index stays.
+    """
+    grid = system.provider2.grid
+    d = shift * grid.h
+    moved = Grid1D(x_min=grid.x_min + d, h=grid.h, count=grid.count)
+    window, feed = system.b12.functional, system.b21.output
+    return CoupledSystem(
+        system.provider1,
+        GammaShiftProvider(moved),
+        RankOneCoupling(
+            output=system.b12.output / scale,
+            functional=GridFunctional(moved, window.a + d, window.b + d),
+        ),
+        RankOneCoupling(
+            output=GridFunction(moved, feed.samples * scale, feed.support_lo),
+            functional=system.b21.functional,
+        ),
+    )
+
+
+def seeds(system: CoupledSystem) -> list:
+    """(matrix part, grid samples): a pure matrix seed and a mixed one with a support floor."""
+    count = system.provider2.grid.count
+    samples = np.random.default_rng(3).uniform(0.0, 1.0, count)
+    samples[: count // 2] = 0.0
+    return [(np.array([1.0, 0.5, 2.0]), np.zeros(count)), (np.ones(3), samples)]
+
+
+def orbit_bytes(value: ProductVector) -> tuple:
+    return value.first.tobytes(), value.second.samples.tobytes(), value.second.support_lo
+
+
+@pytest.mark.parametrize("shift", [1, 8, -5])
+def test_grid_translation_keeps_every_byte(system, shift):
+    moved = rebuilt(system, shift=shift)
+    here, there = CoupledProvider(system), CoupledProvider(moved)
+    grid, moved_grid = system.provider2.grid, moved.provider2.grid
+    for z, samples in seeds(system):
+        for q in STEPS:
+            t = q * grid.h
+            want = here.apply(t, ProductVector(z, GridFunction(grid, samples)))
+            got = there.apply(t, ProductVector(z, GridFunction(moved_grid, samples)))
+            assert orbit_bytes(got) == orbit_bytes(want)
+
+
+@pytest.mark.parametrize("c", [1e3, 1e-3], ids=["c=1e3", "c=1e-3"])
+def test_similarity_scales_the_grid_component(system, c):
+    # diag(1, c) conjugates the generator into the one whose b21 output
+    # is times c and b12 output over c: the orbit of (z, c g) is the
+    # orbit of (z, g) with its grid component times c
+    scaled = rebuilt(system, scale=c)
+    here, there = CoupledProvider(system), CoupledProvider(scaled)
+    grid = system.provider2.grid
+    for z, samples in seeds(system):
+        for q in STEPS:
+            t = q * grid.h
+            want = here.apply(t, ProductVector(z, GridFunction(grid, samples)))
+            got = there.apply(t, ProductVector(z, GridFunction(grid, samples * c)))
+            assert got.second.support_lo == want.second.support_lo
+            first_err = np.max(np.abs(got.first - want.first))
+            assert first_err <= SIMILARITY_RTOL * np.max(np.abs(want.first))
+            grid_want = c * want.second.samples
+            grid_err = np.max(np.abs(got.second.samples - grid_want))
+            assert grid_err <= SIMILARITY_RTOL * np.max(np.abs(grid_want))
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_the_reported_gauge_bounds_the_semigroup_law(system, q):
+    # S(2 q h) f against S(q h) S(q h) f: the lattice keeps the law only
+    # up to its quadrature error, and the gauge series_report reports
+    # for those evaluations must bound the defect (it does by a factor
+    # of 200 or more on these systems)
+    grid = system.provider2.grid
+    for z, samples in seeds(system):
+        provider = CoupledProvider(system)
+        f = ProductVector(z, GridFunction(grid, samples))
+        twice = provider.apply(q * grid.h, provider.apply(q * grid.h, f))
+        once = provider.apply(2 * q * grid.h, f)
+        defect = provider.vec_norm(once - twice)
+        assert 0.0 < defect <= provider.series_report()["quadrature_estimate"]
