@@ -39,9 +39,9 @@ doubling stacks of one expm call each, and the Gamma-shift carrier
 with one kernel evaluation per block; no other carrier is flowed on a
 lattice.  The flows, kernels and range orbits depend on the system
 alone, and one engine holds them for every provider of an equal system
-(the last four systems flowed keep theirs).  The renewal is solved one
-step at a time, on demand.  The dense operator S(q h) is its basis
-orbits: column j is the orbit of the j-th stacked unit vector.
+(the last four systems flowed keep theirs).  An orbit is that of a
+block of seeds, its renewal solved step by step, on demand, for all of
+them at once; S(q h) is one orbit of the identity block.
 Two coupled dense carriers are one exponential of the block generator.
 On top of the series sit an order-theoretic domination check of matrix
 carriers, the transfer of coordinate-ideal invariance from the perturbed
@@ -53,6 +53,7 @@ whose off-diagonal blocks feed each component into the other.
 import copy
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,8 +208,10 @@ def check_node_budget(width: int, q: int) -> None:
 
     Step p reads the p + 1 nodes 0..p, so steps 0..q read
     width (q + 1)(q + 2) / 2 summands: width is the rank r of a
-    renewal's coupling.
+    renewal's coupling, counted as at least 1, since a rank-0 orbit
+    still flows its seed to every step and keeps what it flowed.
     """
+    width = max(width, 1)
     if width * (q + 1) * (q + 2) // 2 > NODE_BUDGET:
         raise QuadratureBudgetExceeded(
             f"{width} x {(q + 1) * (q + 2) // 2} summands over {q + 1} lattice "
@@ -380,30 +383,27 @@ _FLOW_WEIGHTS = np.array([[1.0], [0.0]])
 
 
 class _SeedOrbit:
-    """One seed's orbit: its range coefficients c(p) = Phi S(p h) f and its values S(p h) f.
+    """The orbits of a block of k seeds: range coefficients c(p) = Phi S(p h) f and values S(p h) f.
 
-    c(0) = Phi f and, for p >= 1,
+    For each seed f, c(0) = Phi f and, for p >= 1,
     (I - w_p K(0)) c(p) = Phi T(p h) f + sum_{j<p} w_j K(p - j) c(j),
     w the lattice weights of step p.  flow_block(lo, hi, flows, floors,
-    base) evaluates a block of steps as _fill_blocks asks, writing the
-    seed flows T(p h) f in stacked coordinates, their support floors,
-    one per carrier, and the base coefficients Phi T(p h) f into rows of
-    `flows`, `flow_floors` and `base`.  The flows are filled in doubling
-    blocks, the renewal is solved one step at a time, in order, as later
-    times are asked for, each step once, into a row of `coeffs`, so no
-    result depends on earlier requests.  unstack(row, floors) rebuilds a
-    value's carrier vectors.  The seeds of apply and the stacked unit
-    vectors whose values are the columns of a dense operator have orbits
-    of this one kind.
+    base) evaluates a block of steps as _fill_blocks asks, writing each
+    seed's flows T(p h) f in stacked coordinates, their support floors,
+    one per carrier, and Phi T(p h) f into (k, ...) rows of `flows`,
+    `flow_floors` and `base`.  The flows are filled in doubling blocks,
+    the renewal is solved one step at a time, in order, for every seed
+    at once, each step once, into a row of `coeffs`, so no result
+    depends on earlier requests.  The seed of apply is a block of one,
+    the seeds of the dense operator the identity block.
     """
 
-    def __init__(self, flow_block, finite_range: _FiniteRange, unstack):
-        self.range = finite_range
-        self.flow_block, self.unstack = flow_block, unstack
-        self.flows = _Rows((finite_range.dim,))
-        self.flow_floors = _Rows((2,), int)
-        self.base = _Rows((finite_range.rank,))
-        self.coeffs = _Rows((finite_range.rank,))
+    def __init__(self, flow_block, finite_range: _FiniteRange, k: int):
+        self.range, self.flow_block = finite_range, flow_block
+        self.flows = _Rows((k, finite_range.dim))
+        self.flow_floors = _Rows((k, 2), int)
+        self.base = _Rows((k, finite_range.rank))
+        self.coeffs = _Rows((k, finite_range.rank))
 
     def fill(self, q: int) -> None:
         rng = self.range
@@ -415,8 +415,9 @@ class _SeedOrbit:
                 rng.fill(p, q)
                 w = rng.rules(p)[0]
                 kernel = rng.kernel.rows[p:0:-1]  # K(p - j) for j = 0..p-1
-                c = b + np.einsum("j,jab,jb->a", w[:p], kernel, self.coeffs.rows)
-                c = rng.step_inverse(float(w[p])) @ c
+                # each seed's row, bit for bit the one-seed sum and product
+                c = b + np.einsum("j,jab,jkb->ka", w[:p], kernel, self.coeffs.rows)
+                c = np.matmul(rng.step_inverse(float(w[p])), c[:, :, None])[:, :, 0]
             if not np.isfinite(c).all():
                 raise ExpmOverflow(
                     f"the orbit overflowed: its coupling coefficients at t = {p * rng.h:g} "
@@ -425,33 +426,37 @@ class _SeedOrbit:
             self.coeffs.push()[...] = c
 
     def at(self, q: int):
-        """(S(q h) f, (gap, floors)): the value and its gap to the trapezoid rule.
+        """(values, gaps, floors): k rows each of S(q h) f, its gap to the trapezoid rule, its floors.
 
-        One weighted reduction over the stack of T(q h) f and the range
-        orbits T((q - j) h) u_k, gathered by one index, with weights
-        w_j c_k(j); zero coefficients are skipped, so the support floor,
-        the least floor of the gathered rows, only counts the orbits that
-        enter the sum.  The gap is the same sum with the trapezoid rule's
-        distance as weights, in stacked coordinates with the value's
-        floors; the norm of its vector is the quadrature gauge.
+        Each seed's value is one weighted reduction over the stack of
+        T(q h) f and the range orbits T((q - j) h) u_k, gathered by one
+        index, with weights w_j c_k(j); its zero coefficients are skipped,
+        so its support floors, the least floors of the gathered rows, only
+        count the orbits that enter its sum.  The gap is the same sum with
+        the trapezoid rule's distance as weights, in stacked coordinates
+        with the value's floors; the norm of its vector is the quadrature
+        gauge.
         """
         self.fill(q)
         rng = self.range
-        flow, floors = self.flows.rows[q], self.flow_floors.rows[q]
+        flows, floors = self.flows.rows[q], self.flow_floors.rows[q]
         if q == 0:
-            return self.unstack(flow.copy(), floors), (np.zeros_like(flow), floors)
-        C = self.coeffs.rows[: q + 1]
-        nodes, ks = C.nonzero()
-        steps = q - nodes
-        stack = np.concatenate((flow[None], rng.orbits.rows[steps, ks]))
-        floors = np.concatenate((floors[None], rng.floors.rows[steps, ks])).min(axis=0)
-        weights = np.concatenate((_FLOW_WEIGHTS, rng.rules(q)[:, nodes] * C[nodes, ks]), axis=1)
-        total, gap = _weighted_sums(stack, weights)
-        if not np.isfinite(total).all():
+            return flows.copy(), np.zeros_like(flows), floors.copy()
+        rules, coeffs = rng.rules(q), self.coeffs.rows[: q + 1]
+        sums, least = np.empty((2, *flows.shape)), np.empty_like(floors)
+        for s in range(len(flows)):
+            C = coeffs[:, s]
+            nodes, ks = C.nonzero()
+            steps = q - nodes
+            stack = np.concatenate((flows[s : s + 1], rng.orbits.rows[steps, ks]))
+            least[s] = np.concatenate((floors[s : s + 1], rng.floors.rows[steps, ks])).min(axis=0)
+            weights = np.concatenate((_FLOW_WEIGHTS, rules[:, nodes] * C[nodes, ks]), axis=1)
+            sums[:, s] = _weighted_sums(stack, weights)
+        if not np.isfinite(sums[0]).all():
             raise ExpmOverflow(
                 f"the orbit overflowed: its value at t = {q * rng.h:g} left the double range"
             )
-        return self.unstack(total, floors), (gap, floors)
+        return sums[0], sums[1], least
 
 
 @dataclass(frozen=True)
@@ -1062,8 +1067,9 @@ class _LatticeEngine:
     """What a lattice system computes whatever the seed: its flows, Gamma kernels and range orbits.
 
     Its own carriers and couplings flow read-only copies of the system's
-    data; it holds a _MatrixFlows per matrix carrier, the _FiniteRange
-    and the last step check_orbit passed, and no provider.
+    data; it holds a _MatrixFlows per matrix carrier, the _FiniteRange,
+    which reaches the engine through a weak proxy, and the last step
+    check_orbit passed, and no provider.
     """
 
     def __init__(self, h: float, system: CoupledSystem):
@@ -1084,8 +1090,9 @@ class _LatticeEngine:
         # each range vector u_k flows in its own carrier; the other component stays zero
         pairs = [(u, None) for u in b12.range_vectors] + [(None, u) for u in b21.range_vectors]
         ranges = self.block_plan(pairs)
+        engine = weakref.proxy(self)  # so the range does not keep its engine alive
         self.range = _FiniteRange(
-            lambda lo, hi, orbits, floors, kernel: self.flow_block(
+            lambda lo, hi, orbits, floors, kernel: engine.flow_block(
                 ranges, lo, hi, orbits, floors, kernel.transpose(0, 2, 1)
             ),
             len(pairs),
@@ -1213,20 +1220,21 @@ class CoupledProvider(SemigroupProvider):
     c(p) = Phi S(p h) f: the sum of every series term, with no term
     count and no truncation tail.  Range orbits and seed flows are kept
     as rows in the stacked coordinates of stack(), each with one integer
-    support floor per carrier, and unstack() rebuilds a value's native
-    vectors with the least floor of its summands.  They are filled in
-    doubling blocks of steps (0..1, 2..3, 4..7, ...) by the engine's
-    flow_block, which applies each carrier to a whole block at once.
+    support floor per carrier, and apply's unstack() rebuilds a value's
+    native vectors with the least floor of its summands.  They are
+    filled in doubling blocks of steps (0..1, 2..3, 4..7, ...) by the
+    engine's flow_block, which applies each carrier to a whole block.
     What depends on the system alone, the flows e^{m h A}, the Gamma
     kernels, the range orbits and K(m) = Phi T(m h) U, is held by the
     _LatticeEngine shared by every provider of an equal system: a sweep
     to step q takes at most ceil(log2(q + 1)) + 1 expm calls and as many
     kernel evaluations for a system not yet flowed that far, none for
     one that was.  What depends on a provider's calls stays with it: the
-    seed orbits, the gauges and the dense operators.  Column j of
-    to_dense(q h) is the orbit of the j-th stacked unit vector at step
-    q, bit for bit stack(apply(q h, e_j)); those D basis orbits are kept
-    once per provider, apart from the seeds' cache and from
+    seed orbits, the gauges and the dense operators; no orbit holds the
+    provider.  to_dense(q h) is one orbit of the identity block, whose
+    D seeds are the stacked unit vectors e_j: column j is the value of
+    e_j at step q, bit for bit stack(apply(q h, e_j)), and that orbit is
+    kept once per provider, apart from the seeds' cache and from
     series_report's orbit gauges.  The growth envelope is computed on
     its first read; no evaluation reads it.
     """
@@ -1261,7 +1269,7 @@ class CoupledProvider(SemigroupProvider):
                     raise InputError(f"{name} is a {kind}; a lattice carrier needs a RankOneCoupling")
             self._engine = _lattice_engine(self.lattice_h, system)
             self._range = self._engine.range
-            self._basis = None  # the orbits of the stacked unit vectors, built on the first dense read
+            self._identity = None  # the orbit of the stacked unit vectors, built on the first dense read
 
     @functools.cached_property
     def envelope(self) -> tuple:
@@ -1379,22 +1387,16 @@ class CoupledProvider(SemigroupProvider):
             key = self._fingerprint(f)
         orbit = self._orbit_cache.get(key)
         if orbit is None:
-            orbit = self._new_orbit(f.copy())
+            orbit = self._new_orbit([f.copy()])
             if len(self._orbit_cache) < 64:
                 self._orbit_cache[key] = orbit
         return orbit, q
 
-    def _new_orbit(self, seed: ProductVector) -> _SeedOrbit:
-        """The orbit of seed, its flows written by the engine's flow_block from a one-pair plan."""
+    def _new_orbit(self, seeds: list) -> _SeedOrbit:
+        """The orbit of a block of seeds, its flows written by the engine's flow_block."""
         engine = self._engine
-        plan = engine.block_plan([(seed.first, seed.second)])
-        return _SeedOrbit(
-            lambda lo, hi, flows, floors, base: engine.flow_block(
-                plan, lo, hi, flows[:, None], floors[:, None], base[:, None]
-            ),
-            self._range,
-            self.unstack,
-        )
+        plan = engine.block_plan([(f.first, f.second) for f in seeds])
+        return _SeedOrbit(functools.partial(engine.flow_block, plan), engine.range, len(seeds))
 
     def terms_alive(self, f: ProductVector, t: float):
         """How many leading series terms V_0, V_1, ... of the orbit of f survive to time t.
@@ -1409,7 +1411,7 @@ class CoupledProvider(SemigroupProvider):
         """
         orbit, q = self._seed_orbit(f, t)
         orbit.fill(q)
-        c = np.array(orbit.base.rows[: q + 1])
+        c = np.array(orbit.base.rows[: q + 1, 0])
         for alive in range(1, c.size + 2):
             if not c.any():
                 return alive
@@ -1420,8 +1422,9 @@ class CoupledProvider(SemigroupProvider):
         if self.lattice_h is not None:
             key = self._fingerprint(f)
             orbit, q = self._seed_orbit(f, t, key)
-            total, self._gauges[("orbit", key)] = orbit.at(q)
-            return total
+            values, gaps, floors = orbit.at(q)
+            self._gauges[("orbit", key)] = (gaps[0], floors[0])
+            return self.unstack(values[0], floors[0])
         dense = self.to_dense(t)
         stacked = dense @ self.stack(f)
         n1 = self.system.dim1
@@ -1445,23 +1448,18 @@ class CoupledProvider(SemigroupProvider):
         return ProductVector(stacked[:n1], second)
 
     def _dense_lattice(self, q: int):
-        """(S(q h) in the stacked basis, quadrature gauge) from the basis orbits.
+        """(S(q h) in the stacked basis, quadrature gauge): the orbit of the identity block at step q.
 
-        Column j is the value at step q of the orbit of the j-th stacked
-        unit vector e_j, and the gauge is the largest |entry| of the
-        trapezoid gaps of those values.  The D orbits are built once per
-        provider and share the range orbits with every seed.
+        Row j of its values is the value of the j-th stacked unit vector,
+        column j of the operator, and the gauge is the largest |entry| of
+        their trapezoid gaps.  The orbit is built once per provider.
         """
         check_node_budget(self._range.rank, q)
-        dim = self.carrier_dim
-        if self._basis is None:
-            self._basis = [self._new_orbit(self.unstack(e, (None, None))) for e in np.eye(dim)]
-        dense, gauge = np.empty((dim, dim)), 0.0
-        for j, orbit in enumerate(self._basis):
-            value, (gap, _) = orbit.at(q)
-            dense[:, j] = self.stack(value)
-            gauge = max(gauge, float(np.max(np.abs(gap), initial=0.0)))
-        return dense, gauge
+        if self._identity is None:
+            units = np.eye(self.carrier_dim)
+            self._identity = self._new_orbit([self.unstack(e, (None, None)) for e in units])
+        values, gaps, _ = self._identity.at(q)
+        return np.ascontiguousarray(values.T), float(np.max(np.abs(gaps), initial=0.0))
 
     def to_dense(self, t) -> np.ndarray:
         t = float(t)

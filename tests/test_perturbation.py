@@ -1,8 +1,10 @@
 """Perturbation series, order comparisons, invariance transfer, coupling."""
 
 import functools
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -879,7 +881,7 @@ def observe_orbit(system, seeds, q_max):
         for q in range(1, q_max + 1):
             total = provider.apply(q * h, seed)
             orbit = provider._orbit_cache[provider._fingerprint(seed)]
-            flow = provider.unstack(orbit.flows.rows[q], orbit.flow_floors.rows[q])
+            flow = provider.unstack(orbit.flows.rows[q, 0], orbit.flow_floors.rows[q, 0])
             seen.append((total, provider.series_report(), total - flow))
         # the sums past the seed flow came from the shared range orbits,
         # filled in doubling blocks of steps to the end of the block of q_max
@@ -1081,8 +1083,9 @@ class TestLatticeSeriesAgainstLeftFold:
             return rows
 
         finite_range = perturbation._FiniteRange(block(ranges), 1, grid.h, 19)
-        orbit = perturbation._SeedOrbit(block(flows), finite_range, layout.unstack)
-        value, _ = orbit.at(1)
+        orbit = perturbation._SeedOrbit(block(flows), finite_range, 1)
+        values, _, floors = orbit.at(1)
+        value = layout.unstack(values[0], floors[0])
         want = flows[1] * 1.0 + ranges[1] * 0.5 + ranges[0] * 0.25
         assert vector_bytes(value) == vector_bytes(want)
         assert value.second.support_lo == 2 and value.second.samples[2] == 0.0
@@ -1166,7 +1169,8 @@ class TestOrbitStoreAgainstLists:
                 want, last_gauges[i] = oracle.apply(q * h, seed)
                 assert_same_vector(provider.apply(q * h, seed), want)
                 orbit, _ = provider._seed_orbit(seed, q * h)
-                gap = provider.unstack(*orbit.at(q)[1])
+                _, gaps, floors = orbit.at(q)
+                gap = provider.unstack(gaps[0], floors[0])
                 assert_same_array(np.array(provider.vec_norm(gap)), np.array(last_gauges[i]))
                 report = provider.series_report()
                 assert report["quadrature_estimate"] == max(last_gauges.values())
@@ -1280,7 +1284,8 @@ class TestMatrixFlowStore:
                 want, gauge = oracle.apply(q * h, seed)
                 assert vector_bytes(provider.apply(q * h, seed)) == vector_bytes(want)
                 orbit, _ = provider._seed_orbit(seed, q * h)
-                gap = provider.unstack(*orbit.at(q)[1])
+                _, gaps, floors = orbit.at(q)
+                gap = provider.unstack(gaps[0], floors[0])
                 assert float(provider.vec_norm(gap)).hex() == float(gauge).hex()
         for q in steps:
             dense, gauge = oracle.to_dense(q * h)
@@ -1500,7 +1505,8 @@ class TestSharedEngines:
                 for provider in (second, fresh):
                     assert vector_bytes(provider.apply(q * h, seed)) == vector_bytes(want)
                     orbit, _ = provider._seed_orbit(seed, q * h)
-                    gap = provider.unstack(*orbit.at(q)[1])
+                    _, gaps, floors = orbit.at(q)
+                    gap = provider.unstack(gaps[0], floors[0])
                     assert float(provider.vec_norm(gap)).hex() == float(gauge).hex()
         assert second.series_report() == fresh.series_report()
 
@@ -1598,6 +1604,31 @@ class TestSharedEngines:
             want = vector_bytes(oracle.apply(q * 0.25, seed)[0])
             assert vector_bytes(edited.apply(q * 0.25, seed)) == want
             assert vector_bytes(later.apply(q * 0.25, seed)) == want
+
+    def test_dropped_providers_and_engines_are_freed_without_the_collector(self):
+        # no orbit holds its provider and the range's block writer holds
+        # no engine, so reference counts alone free a deleted provider,
+        # its orbits included, and an engine a fifth system evicts
+        def system(i):
+            return coupled_demo_system(L=4.0 + i, h=0.25)
+
+        seed = ProductVector(np.ones(3), GridFunction.indicator(system(0).provider2.grid, -1.0, 0.0))
+        gc.disable()
+        try:
+            provider = CoupledProvider(system(0))
+            for q in range(1, 9):
+                provider.apply(q * 0.25, seed)
+            provider.to_dense(2.0)
+            provider.series_report()
+            dropped, engine = weakref.ref(provider), weakref.ref(provider._engine)
+            del provider
+            assert dropped() is None and engine() is not None
+            for i in range(1, 5):
+                other = system(i)
+                CoupledProvider(other).apply(0.5, ProductVector(np.ones(3), other.provider2.zero_vector()))
+            assert len(perturbation._ENGINES) == 4 and engine() is None
+        finally:
+            gc.enable()
 
     def test_dense_carriers_other_than_matrices_are_refused(self, monkeypatch):
         # off a lattice both carriers are one block exponential, so a
@@ -1742,3 +1773,22 @@ class TestLatticeNodeBudget:
         perturbation.check_node_budget(40, 314)  # 1,990,800 nodes
         with pytest.raises(QuadratureBudgetExceeded):
             perturbation.check_node_budget(40, 315)  # 2,003,440 nodes
+
+    def test_a_rank_zero_system_has_a_step_cap(self, monkeypatch):
+        # every node counts at least one summand, so both outputs zero
+        # still cap the steps: 1999 * 2000 / 2 nodes pass, 2000 * 2001 / 2
+        # do not, and the refusal comes before any Gamma kernel
+        perturbation.check_node_budget(0, 1998)
+        for q in (1999, 10**9):
+            with pytest.raises(QuadratureBudgetExceeded):
+                perturbation.check_node_budget(0, q)
+        system = low_rank_system(0.0, 0.0)
+        provider = CoupledProvider(system)
+        seed = ProductVector(np.ones(3), GridFunction.indicator(system.provider2.grid, -1.0, 0.0))
+        kernels, _ = count_carrier_work(monkeypatch)
+        for refused in (lambda: provider.apply(2000 * 0.25, seed), lambda: provider.to_dense(2000 * 0.25)):
+            with pytest.raises(QuadratureBudgetExceeded):
+                refused()
+        with pytest.raises(QuadratureBudgetExceeded):
+            provider.check_orbit(2000)
+        assert kernels == []
