@@ -17,6 +17,13 @@ Exit codes: 0 all asserted claims hold, 1 usage or input error, 2 an
 internal-consistency violation or a failed must-pass claim (always with
 a witness dump on stderr).  Reports are byte-identical across runs for
 identical inputs and flags, apart from the wall-clock timing block.
+
+Reports and witness dumps share one byte format, written in one pass:
+keys sorted, two-space indent with one item per line, strings with
+json's ASCII escapes, floats as ``repr`` with NaN and +-inf as the
+strings "nan", "inf" and "-inf", and a trailing newline.  The text is
+canonical: ``json.dumps(json.loads(text), sort_keys=True, indent=2)``
+gives it back, the trailing newline aside.
 """
 
 import argparse
@@ -28,6 +35,7 @@ import sys
 import time
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -60,47 +68,69 @@ FLAGS = {
 # serialization helpers
 
 
-def _jsonable(obj):
-    """Recursively convert report objects to JSON-safe values.
-
-    Floats that JSON cannot carry (NaN, infinities) become strings so
-    the document still round-trips losslessly.
-    """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
+def _json(obj, nl: str) -> str:
+    """`obj` as report JSON text (module docstring), nested below line prefix `nl`."""
     if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return repr(obj)
-        return obj
+        text = float.__repr__(obj)
+        return text if math.isfinite(obj) else f'"{text}"'
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = nl + "  "
+    kind = type(obj)  # the common containers first, by exact type
+    if kind is dict:
+        keyed = {str(k): v for k, v in obj.items()}
+        return _block("{}", [f"{_quote(k)}: {_json(keyed[k], inner)}" for k in sorted(keyed)], nl)
+    if kind is list or kind is tuple:
+        return _block("[]", [_json(v, inner) for v in obj], nl)
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return _jsonable(obj.item())
+        return _json(obj.item(), nl)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        if obj.ndim in (1, 2) and obj.size and obj.dtype == np.float64 and np.isfinite(obj).all():
+            if obj.ndim == 1:
+                return _block("[]", map(float.__repr__, obj.tolist()), nl)
+            rows = [_block("[]", map(float.__repr__, row), inner) for row in obj.tolist()]
+            return _block("[]", rows, nl)
+        return _json(obj.tolist(), nl)
     if isinstance(obj, Fraction):
-        return str(obj)
+        return _quote(str(obj))
     if isinstance(obj, Enum):
-        return obj.value
+        return _json(obj.value, nl)
     if isinstance(obj, IdealMask):
-        return {"members": obj.sorted_members(), "dim": obj.dim}
+        return _json({"members": obj.sorted_members(), "dim": obj.dim}, nl)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
+        return _json({name: getattr(obj, name) for name in _field_names(type(obj))}, nl)
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(v) for v in items]
-    return str(obj)
+        return _json(dict(obj), nl)
+    if isinstance(obj, (set, frozenset)):
+        return _json(sorted(obj), nl)
+    if isinstance(obj, (list, tuple)):
+        return _json(list(obj), nl)
+    return _quote(str(obj))
+
+
+def _block(brackets: str, texts, nl: str) -> str:
+    """A JSON array or object ("[]" or "{}") of the item `texts`, one per line."""
+    inner = nl + "  "
+    body = ("," + inner).join(texts)
+    return f"{brackets[0]}{inner}{body}{nl}{brackets[1]}" if body else brackets
+
+
+@functools.cache
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def _dump_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+    text = _json(report, "\n") + "\n"
     if out_path:
         with open(out_path, "w", newline="\n") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 def _g17(x: float) -> str:
@@ -123,12 +153,18 @@ def _witness_dump(exc: Exception) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc)}
     witnesses = getattr(exc, "witnesses", None)
     if witnesses:
-        payload["witnesses"] = _jsonable(witnesses)
-    sys.stderr.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        payload["witnesses"] = witnesses
+    sys.stderr.write(_json(payload, "\n") + "\n")
 
 
 # --------------------------------------------------------------------------
 # input loading
+
+
+# The setting objects a matrix document may hold, with the JSON numbers
+# each field takes; a boolean is no number.
+NUMBER, INTEGER = (int, float), (int,)
+DOC_SETTINGS = {"tolerances": {"tol": NUMBER}, "grid": {"points": INTEGER, "t_max": NUMBER}}
 
 
 def _load_matrix_document(path: str) -> dict:
@@ -141,29 +177,45 @@ def _load_matrix_document(path: str) -> dict:
         raise InputError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # past the digit or nesting limits, not UTF-8
+        raise InputError(f"{path}: JSON parse error: {exc}") from exc
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise InputError(f"{path}: expected an object with a 'matrix' field")
-    known = {"matrix", "tolerances", "grid"}
-    extra = set(doc) - known
+    extra = set(doc) - {"matrix", *DOC_SETTINGS}
     if extra:
         raise InputError(f"{path}: unknown fields {sorted(extra)}")
     try:
         A = np.array(doc["matrix"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: matrix entries must be numbers") from exc
+    except OverflowError as exc:  # an integer past the float range
+        raise InputError(f"{path}: matrix entries must be finite: {exc}") from exc
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise InputError(f"{path}: matrix must be square and nonempty")
     if A.shape[0] > MAX_MATRIX_DIM:
         raise InputError(
             f"{path}: matrix dimension {A.shape[0]} exceeds the cap {MAX_MATRIX_DIM}"
         )
+    # np.array reads the strings "1" and "3e0" and the boolean true as numbers
+    bad = [x for row in doc["matrix"] for x in row if type(x) not in NUMBER]
+    if bad:
+        raise InputError(f"{path}: matrix entries must be numbers, got {json.dumps(bad[0])}")
     if not np.all(np.isfinite(A)):
         raise InputError(f"{path}: matrix entries must be finite")
     doc["matrix"] = A
-    doc.setdefault("tolerances", {})
-    doc.setdefault("grid", {})
-    if not isinstance(doc["tolerances"], dict) or not isinstance(doc["grid"], dict):
-        raise InputError(f"{path}: 'tolerances' and 'grid' must be objects")
+    for name, kinds in DOC_SETTINGS.items():
+        section = doc.get(name, {})
+        if not isinstance(section, dict):
+            raise InputError(f"{path}: 'tolerances' and 'grid' must be objects")
+        for key, value in section.items():
+            if key not in kinds:
+                raise InputError(f"{path}: unknown field '{key}' in '{name}'")
+            if type(value) not in kinds[key]:
+                raise InputError(
+                    f"{path}: tolerance and grid settings must be numbers: {name}.{key} "
+                    f"must be {'an integer' if kinds[key] is INTEGER else 'a number'}, "
+                    f"got {json.dumps(value)}"
+                )
     return doc
 
 
@@ -179,7 +231,7 @@ def _effective_settings(doc: dict, args) -> dict:
             else int(grid.get("points", 256))
         )
         t_max = args.t_max if args.t_max is not None else float(grid.get("t_max", 20.0))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:  # an integer past the float range
         raise InputError(f"tolerance and grid settings must be numbers: {exc}") from exc
     check_tol(tol)
     if points < 2:
@@ -230,8 +282,8 @@ def cmd_analyze(args) -> int:
         "tool": {"name": "evpos", "version": __version__},
         "input": {
             "matrix": A,
-            "tolerances": doc["tolerances"],
-            "grid": doc["grid"],
+            "tolerances": doc.get("tolerances", {}),
+            "grid": doc.get("grid", {}),
             "settings": settings,
         },
         "positivity": {
@@ -313,7 +365,13 @@ def _matrix_input(args) -> np.ndarray:
         raise InputError(
             f"the {args.quantity} series needs a matrix input (a JSON file or ex5_2)"
         )
-    return _load_matrix_document(args.input)["matrix"]
+    doc = _load_matrix_document(args.input)
+    if DOC_SETTINGS.keys() & doc.keys():
+        raise InputError(
+            f"{args.input}: the {args.quantity} series reads its settings from flags, "
+            f"not from the document fields {sorted(DOC_SETTINGS.keys() & doc.keys())}"
+        )
+    return doc["matrix"]
 
 
 def _series_orbit(args) -> tuple:

@@ -22,11 +22,19 @@ written, with every breakpoint and value a fractions.Fraction, products
 and sums over the merged breakpoint set, and a pairing <phi, S(t) f> as
 the integral of the shifted function times phi.  The package computes on
 integer lattices; its Fraction views and results must equal these.
+
+Report JSON: reference_report_text is the report writer as first
+written, a copy of the whole value into JSON-safe types followed by
+json.dumps(sort_keys=True, indent=2).  The package writes in one pass;
+its text must equal this byte for byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -405,3 +413,51 @@ class FractionStepFn:
             elif va or vb:
                 spans.append((a, b, va != 0, vb != 0))
         return tuple(spans)
+
+
+# --------------------------------------------------------------------------
+# report JSON through a JSON-safe copy and json.dumps
+# --------------------------------------------------------------------------
+
+
+def _jsonable(obj):
+    """Recursively convert report objects to JSON-safe values.
+
+    Floats that JSON cannot carry (NaN, infinities) become strings so
+    the document still round-trips losslessly.  Numpy scalars are
+    unwrapped before the float check, and an array through its tolist()
+    value whatever its rank: first written the other way round, a
+    non-finite np.float64 became "np.float64(nan)" and a rank-0 array
+    raised TypeError.
+    """
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return _jsonable(obj.item())
+    if isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            return repr(obj)
+        return obj
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, IdealMask):
+        return {"members": obj.sorted_members(), "dim": obj.dim}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+        }
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [_jsonable(v) for v in items]
+    return str(obj)
+
+
+def reference_report_text(obj) -> str:
+    """The report text of obj, trailing newline included."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"

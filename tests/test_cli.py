@@ -274,6 +274,62 @@ class TestAnalyzeInputErrors:
         assert rc == 1
         assert "must be numbers" in err
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"matrix": [["1", "2"], [1, 3]]}, 'matrix entries must be numbers, got "1"'),
+            ({"matrix": [[1, 2], [True, "3e0"]]}, "matrix entries must be numbers, got true"),
+            ({"matrix": [[1, None], [0, 1]]}, "matrix entries must be numbers, got null"),
+            ({"tolerances": {"tol": True}}, "tolerances.tol must be a number, got true"),
+            ({"tolerances": {"tol": "1e-6"}}, 'tolerances.tol must be a number, got "1e-6"'),
+            ({"grid": {"points": 256.9}}, "grid.points must be an integer, got 256.9"),
+            ({"grid": {"points": "300"}}, 'grid.points must be an integer, got "300"'),
+            ({"grid": {"points": 300.0}}, "grid.points must be an integer, got 300.0"),
+            ({"grid": {"t_max": False}}, "grid.t_max must be a number, got false"),
+            ({"tolerances": {"atol": 1e-6}}, "unknown field 'atol' in 'tolerances'"),
+            ({"grid": {"tmax": 5}}, "unknown field 'tmax' in 'grid'"),
+            ({"grid": {"points": 8, "tol": 1e-6}}, "unknown field 'tol' in 'grid'"),
+        ],
+    )
+    def test_document_fields_are_validated_strictly(self, tmp_path, capsys, fields, message):
+        doc = {"matrix": demo_generator().tolist(), **fields}
+        rc, out, err = run(capsys, ["analyze", "--matrix", write_doc(tmp_path, "d.json", doc)])
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith(message + "\n"), err
+        if "matrix" in fields:
+            assert "must be numbers" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"matrix": [[1%s]]}' % ("0" * 400), "matrix entries must be finite"),
+            ('{"matrix": [[%s]]}' % ("1" * 5000), "JSON parse error: Exceeds the limit"),
+            ('{"matrix": %s}' % ("[" * 100000 + "]" * 100000), "JSON parse error: maximum recursion"),
+            # not UTF-8: a decode error, or trailing data where the locale reads the byte
+            (b'{"matrix": [[1]]}\xff', "JSON parse error"),
+        ],
+        ids=["past-float-range", "past-4300-digits", "past-nesting-limit", "not-utf8"],
+    )
+    def test_documents_past_the_parse_limits_are_one_line_errors(
+        self, tmp_path, capsys, text, message
+    ):
+        path = tmp_path / "huge.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        rc, out, err = run(capsys, ["analyze", "--matrix", str(path)])
+        assert (rc, out) == (1, "")
+        assert message in err and len(err.splitlines()) == 1, err
+
+    def test_integral_document_numbers_are_accepted(self, tmp_path, capsys):
+        doc = {
+            "matrix": [[7, -1, 3], [-1, 7, 3], [3, 3, 3]],
+            "tolerances": {"tol": 1},
+            "grid": {"points": 8, "t_max": 5},
+        }
+        rc, out, err = run(capsys, ["analyze", "--matrix", write_doc(tmp_path, "d.json", doc)])
+        assert (rc, err) == (0, "")
+        settings = json.loads(out)["input"]["settings"]
+        assert settings == {"tol": 1.0, "grid_points": 8, "t_max": 5.0}
+
     def test_nonpositive_tolerance_rejected(self, tmp_path, capsys):
         rc, _, err = run(
             capsys, ["analyze", "--matrix", write_demo(tmp_path), "--tol", "-1"]
@@ -498,6 +554,19 @@ class TestTimeseries:
         assert rc == 1
         assert out == ""
         assert err == "error: exp(tA) overflowed (|tA|_1 = 7.111e+02, squarings = 8)\n"
+
+    @pytest.mark.parametrize("quantity", ["orbit", "rescaled-distance"])
+    @pytest.mark.parametrize(
+        "fields",
+        [{"grid": {"t_max": 2, "points": 4}}, {"tolerances": {"tol": 1e-6}}, {"grid": {}}],
+    )
+    def test_series_refuse_document_settings(self, tmp_path, capsys, quantity, fields):
+        # the series read --t-max and --grid-points only; a document setting
+        # would otherwise be dropped without a word
+        doc = {"matrix": demo_generator().tolist(), **fields}
+        rc, out, err = run(capsys, ["timeseries", quantity, write_doc(tmp_path, "d.json", doc)])
+        assert (rc, out) == (1, "")
+        assert f"reads its settings from flags, not from the document fields {sorted(fields)}" in err
 
     def test_orbit_rejects_non_matrix_presets(self, capsys):
         rc, _, err = run(capsys, ["timeseries", "orbit", "ex3_10"])
