@@ -424,16 +424,13 @@ def _series_support_front(args) -> tuple:
     h = args.h
     system = coupled_demo_system(L=args.L, h=h)
     q_max = lattice_steps(args.t_max, h)
-    provider = CoupledProvider(system)
-    provider.check_orbit(q_max)
     grid = system.provider2.grid
     seed = ProductVector(np.ones(3), system.provider2.zero_vector())
     header = ["t", "support_front_x", "support_lo_cell", "predicted_x"]
     rows = []
-    for q in range(1, q_max + 1):
+    for q, (_, _, floors) in enumerate(CoupledProvider(system).orbit([seed], q_max), 1):
         t = q * h
-        out = provider.apply(t, seed)
-        lo = int(out.second.support_lo)
+        lo = int(floors[0, 1])
         rows.append([float(t), float(grid.left_edge(lo)), str(lo), float(1.0 - t)])
     return header, rows
 

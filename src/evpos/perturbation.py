@@ -33,12 +33,13 @@ reduction, bit for bit the componentwise sum of the carrier vectors.
 Its quadrature gauge, the norm of its distance to the trapezoid sum,
 is taken when series_report reads it.  The range orbits, their kernel
 and each seed's flows are filled in doubling blocks of steps (0..1,
-2..3, 4..7, ...): each carrier applies a whole block at once, a matrix
-carrier as one product of its stack of flows e^{m h A}, kept in
-doubling stacks of one expm call each, and the Gamma-shift carrier
-with one kernel evaluation per block; no other carrier is flowed on a
-lattice.  The flows, kernels and range orbits depend on the system
-alone, and one engine holds them for every provider of an equal system
+2..3, 4..7, ...), or up to the last step of a sweep that announces it
+(CoupledProvider.orbit): each carrier applies a whole block at once, a
+matrix carrier as one product of its stack of flows e^{m h A}, one
+expm call per block, and the Gamma-shift carrier with one kernel
+evaluation per block; no other carrier is flowed on a lattice.  The
+flows, kernels and range orbits depend on the system alone, and one
+engine holds them for every provider of an equal system
 (the last four systems flowed keep theirs).  An orbit is that of a
 block of seeds, its renewal solved step by step, on demand, for all of
 them at once; S(q h) is one orbit of the identity block.
@@ -65,7 +66,6 @@ from .errors import (
     InputError,
     PremiseViolation,
     QuadratureBudgetExceeded,
-    ShiftNotOnGrid,
     TransferViolation,
     WitnessSearchFailure,
 )
@@ -280,11 +280,13 @@ class _Rows:
         return row
 
 
-def _fill_blocks(block, stores: tuple, m: int, ahead: int) -> None:
-    """Extend the stores to step m in doubling blocks of steps: 0..1, 2..3, 4..7, ...
+def _fill_blocks(block, stores: tuple, m: int, ahead: int, end) -> None:
+    """Extend the stores to step m, heading for step ahead >= m.
 
-    ahead >= m is the step the caller is heading for; the block from the
-    kept size lo ends at max(ahead, 2 lo - 1), at least step 1.
+    A sweep that announced its last step end >= m fills one block from
+    the kept size lo to end; any other fills doubling blocks of steps
+    0..1, 2..3, 4..7, ..., the block from lo ending at
+    max(ahead, 2 lo - 1), at least step 1.
     block(lo, hi, *rows) writes the steps lo, lo + 1, ... straight into
     rows reserved in each store and returns how many it wrote: every step
     before hi, or the steps before the first one a step-by-step
@@ -293,7 +295,7 @@ def _fill_blocks(block, stores: tuple, m: int, ahead: int) -> None:
     """
     while stores[0].size <= m:
         lo = stores[0].size
-        hi = max(ahead + 1, 2 * lo, 2)
+        hi = max(ahead + 1, 2 * lo, 2) if end is None else end + 1
         k = block(lo, hi, *(store.reserve(hi - lo) for store in stores))
         for store in stores:
             store.commit(k)
@@ -325,11 +327,11 @@ class _FiniteRange:
         self._inverses = {}
         self._radius = None
 
-    def fill(self, m: int, ahead: int = 0) -> None:
-        """Compute the steps up to m not yet kept, in doubling blocks heading for step ahead."""
+    def fill(self, m: int, ahead: int, end) -> None:
+        """Compute the steps up to m not yet kept, in blocks heading for step ahead >= m, as _fill_blocks."""
         if self.kernel.size <= m:
             stores = (self.orbits, self.floors, self.kernel)
-            _fill_blocks(self.range_block, stores, m, max(m, ahead))
+            _fill_blocks(self.range_block, stores, m, ahead, end)
 
     def rules(self, p: int) -> np.ndarray:
         """_renewal_rules(p, h), built once per step; row 0 is the lattice weights of step p."""
@@ -346,7 +348,7 @@ class _FiniteRange:
         """
         inv = self._inverses.get(w)
         if inv is None:
-            self.fill(0)
+            self.fill(0, 0, None)
             if self._radius is None:
                 eigs = np.linalg.eigvals(self.kernel.rows[0])
                 self._radius = float(np.max(np.abs(eigs), initial=0.0))
@@ -369,7 +371,7 @@ class _FiniteRange:
         w are the lattice weights of step p; the kernel enters at K(0).
         """
         q = len(coeffs) - 1
-        self.fill(q)
+        self.fill(q, q, None)
         kernel = self.kernel.rows
         out = np.zeros_like(coeffs)
         for p in range(1, q + 1):
@@ -391,28 +393,30 @@ class _SeedOrbit:
     base) evaluates a block of steps as _fill_blocks asks, writing each
     seed's flows T(p h) f in stacked coordinates, their support floors,
     one per carrier, and Phi T(p h) f into (k, ...) rows of `flows`,
-    `flow_floors` and `base`.  The flows are filled in doubling blocks,
-    the renewal is solved one step at a time, in order, for every seed
-    at once, each step once, into a row of `coeffs`, so no result
-    depends on earlier requests.  The seed of apply is a block of one,
-    the seeds of the dense operator the identity block.
+    `flow_floors` and `base`.  An orbit whose sweep announced its last
+    step `end` fills its flows, and the range it reads, in blocks that
+    end there; any other orbit fills them in doubling blocks.  The
+    renewal is solved one step at a time, in order, for every seed at
+    once, each step once, into a row of `coeffs`, so no result depends
+    on earlier requests.  The seed of apply is a block of one, the seeds
+    of the dense operator the identity block.
     """
 
-    def __init__(self, flow_block, finite_range: _FiniteRange, k: int):
-        self.range, self.flow_block = finite_range, flow_block
+    def __init__(self, flow_block, finite_range: _FiniteRange, k: int, end=None):
+        self.range, self.flow_block, self.end = finite_range, flow_block, end
         self.flows = _Rows((k, finite_range.dim))
         self.flow_floors = _Rows((k, 2), int)
         self.base = _Rows((k, finite_range.rank))
         self.coeffs = _Rows((k, finite_range.rank))
 
     def fill(self, q: int) -> None:
-        rng = self.range
+        rng, stores = self.range, (self.flows, self.flow_floors, self.base)
         for p in range(self.coeffs.size, q + 1):
             if self.base.size <= p:
-                _fill_blocks(self.flow_block, (self.flows, self.flow_floors, self.base), p, q)
+                _fill_blocks(self.flow_block, stores, p, q, self.end)
             c = b = self.base.rows[p]
             if p:
-                rng.fill(p, q)
+                rng.fill(p, q, self.end)
                 w = rng.rules(p)[0]
                 kernel = rng.kernel.rows[p:0:-1]  # K(p - j) for j = 0..p-1
                 # each seed's row, bit for bit the one-seed sum and product
@@ -737,7 +741,7 @@ def invariance_transfer_check(providerA, B, ideal) -> TransferReport:
 
 
 class GridFunctional:
-    """f |-> integral of a grid function over the window [a, b); key is (grid, cells)."""
+    """f |-> integral of a grid function over [a, b) clipped to the grid; key is (grid, cells)."""
 
     def __init__(self, grid: Grid1D, a: float, b: float):
         if not (a < b):
@@ -745,7 +749,7 @@ class GridFunctional:
         self.grid = grid
         self.a = float(a)
         self.b = float(b)
-        lo = max(0, grid.cell_of(a))
+        lo = max(0, math.floor((a - grid.x_min) / grid.h + 1e-9))  # the cell of a, as in cell_of
         hi = min(grid.count, int(round((b - grid.x_min) / grid.h)))
         if lo >= hi:
             raise InputError("window does not meet the grid")
@@ -1020,12 +1024,12 @@ def coupling_premise_check(system: CoupledSystem, tol: float = 1e-9) -> PremiseS
 
 
 class _MatrixFlows:
-    """e^{m h A} of one matrix carrier by lattice step m, evaluated in doubling stacks.
+    """e^{m h A} of one matrix carrier by lattice step m, evaluated in stacks.
 
     The first read of steps lo..hi - 1 past the `size` kept ones
-    evaluates steps size..max(hi - 1, 2 size - 1) with one
-    carrier.matrices call at the times m * h, so each is bit for bit
-    carrier.matrix(m * h).
+    evaluates steps size..hi - 1 with one carrier.matrices call at the
+    times m * h, so each is bit for bit carrier.matrix(m * h); the
+    reads of orbits ask for their blocks of steps.
     A stack that overflows keeps the steps before its first overflowing
     one, and every step from there on is carrier.matrix's, which raises
     the single-time ExpmOverflow.  Every evaluated step is kept, n x n
@@ -1042,7 +1046,7 @@ class _MatrixFlows:
         """e^{m h A} for the steps m = lo..hi - 1 as one (k, n, n) stack, k < hi - lo past an overflow."""
         size = self.kept.size
         if hi > size and self.overflow is None:
-            times = [k * self.h for k in range(size, max(hi, 2 * size))]
+            times = [k * self.h for k in range(size, hi)]
             try:
                 for flow in self.carrier.matrices(times):
                     self.kept.push()[...] = flow
@@ -1051,9 +1055,6 @@ class _MatrixFlows:
         if lo < self.kept.size:
             return self.kept.rows[lo:hi]
         return self.carrier.matrix(lo * self.h)[None]
-
-    def at(self, m: int) -> np.ndarray:
-        return self.block(m, m + 1)[0]
 
 
 def _frozen(u):
@@ -1067,9 +1068,8 @@ class _LatticeEngine:
     """What a lattice system computes whatever the seed: its flows, Gamma kernels and range orbits.
 
     Its own carriers and couplings flow read-only copies of the system's
-    data; it holds a _MatrixFlows per matrix carrier, the _FiniteRange,
-    which reaches the engine through a weak proxy, and the last step
-    check_orbit passed, and no provider.
+    data; it holds a _MatrixFlows per matrix carrier and the _FiniteRange,
+    which reaches the engine through a weak proxy, and no provider.
     """
 
     def __init__(self, h: float, system: CoupledSystem):
@@ -1099,7 +1099,6 @@ class _LatticeEngine:
             h,
             self.n1 + self.carriers[1].carrier_dim,
         )
-        self.sweep_end = -1
 
     def block_plan(self, pairs: list) -> tuple:
         """What flow_block flows for a list of J (first, second) carrier vector pairs.
@@ -1107,17 +1106,19 @@ class _LatticeEngine:
         (zero floors, parts): the J x 2 support floors of zero vector
         pairs, and for each carrier the slice of the pairs whose
         components it flows (None for none), with those components.  None
-        marks a zero component that is not flowed; so does a grid function
-        that is bitwise the zero function, whose flow is that function at
-        every step.  The flowed pairs of a carrier are consecutive, as a
-        seed's one pair and the range pairs (b12's, then b21's) are.  A
+        marks a zero component; so does a grid function that is bitwise
+        the zero function, whose flow is that function at every step.  A
+        carrier flows its pairs from the first nonzero component to the
+        last, zero grid functions between them included, so the range
+        pairs (b12's, then b21's) hold their Nones outside that slice.  A
         matrix carrier's vectors pass as_vector once here.
         """
         parts = []
         for i, flows in enumerate(self.flows):
             js = [j for j, pair in enumerate(pairs) if not _is_zero_function(pair[i])]
-            vs = [pairs[j][i] if flows is None else as_vector(pairs[j][i]) for j in js]
-            parts.append((slice(js[0], js[-1] + 1) if js else None, vs))
+            run = slice(js[0], js[-1] + 1) if js else slice(0)
+            vs = [pair[i] if flows is None else as_vector(pair[i]) for pair in pairs[run]]
+            parts.append((run if js else None, vs))
         return np.full((len(pairs), 2), self.zero_floors), parts
 
     def flow_block(self, plan: tuple, lo: int, hi: int, values, floors, coeffs) -> int:
@@ -1132,13 +1133,10 @@ class _LatticeEngine:
         block holds every step before hi, or ends before the first step
         that a step-by-step evaluation refuses (a matrix flow past the
         double range, a vector a coupling refuses), refused itself when it
-        is the first.  A block that starts before the last step passed to
-        check_orbit ends there.
+        is the first.
         """
         zero_floors, parts = plan
         carrier_cols = (slice(0, self.n1), slice(self.n1, None))
-        if lo <= self.sweep_end:
-            hi = min(hi, self.sweep_end + 1)
         stacks = [None if flows is None else flows.block(lo, hi) for flows in self.flows]
         k = min([hi - lo] + [len(stack) for stack in stacks if stack is not None])
         values, floors, coeffs = values[:k], floors[:k], coeffs[:k]
@@ -1161,24 +1159,6 @@ class _LatticeEngine:
                 k = len(part)
                 coeffs[:k, js, out] = part
         return k
-
-    def check_orbit(self, q: int) -> None:
-        """Refuse lattice orbits to step q before any renewal work.
-
-        Refused are a renewal past the node budget and a matrix carrier
-        whose flow e^{tA} leaves the double range by step q.  The check
-        fills each matrix carrier's flow store to step q in one stacked
-        call, and the blocks of steps that start before q end at q, so an
-        orbit sweep to q evaluates no further exponential or kernel.
-        """
-        check_node_budget(self.range.rank, q)
-        for flows in self.flows:
-            if flows is not None:
-                try:
-                    flows.at(q)
-                except ExpmOverflow as exc:
-                    raise ExpmOverflow(f"the orbit to t = {q * self.h:g} overflows: {exc}") from None
-        self.sweep_end = max(q, self.sweep_end)
 
 
 # The engines of the lattice systems flowed last, the least recently used
@@ -1222,16 +1202,20 @@ class CoupledProvider(SemigroupProvider):
     as rows in the stacked coordinates of stack(), each with one integer
     support floor per carrier, and apply's unstack() rebuilds a value's
     native vectors with the least floor of its summands.  They are
-    filled in doubling blocks of steps (0..1, 2..3, 4..7, ...) by the
-    engine's flow_block, which applies each carrier to a whole block.
+    filled in doubling blocks of steps (0..1, 2..3, 4..7, ...), or up to
+    q_max for orbit(seeds, q_max), by the engine's flow_block, which
+    applies each carrier to a whole block.  The lattice carrier's grid
+    reads times as steps.
     What depends on the system alone, the flows e^{m h A}, the Gamma
     kernels, the range orbits and K(m) = Phi T(m h) U, is held by the
     _LatticeEngine shared by every provider of an equal system: a sweep
-    to step q takes at most ceil(log2(q + 1)) + 1 expm calls and as many
-    kernel evaluations for a system not yet flowed that far, none for
-    one that was.  What depends on a provider's calls stays with it: the
-    seed orbits, the gauges and the dense operators; no orbit holds the
-    provider.  to_dense(q h) is one orbit of the identity block, whose
+    to step q by apply takes at most ceil(log2(q + 1)) + 1 expm calls and
+    as many kernel evaluations for a system not yet flowed that far, an
+    orbit sweep one of each, and either none for one that was.  What
+    depends on a provider's calls stays with it: the seed orbits (64
+    kept, each with the gap of its last apply value), the gauges and
+    the dense operators; no orbit holds the provider.  to_dense(q h) is
+    one orbit of the identity block, whose
     D seeds are the stacked unit vectors e_j: column j is the value of
     e_j at step q, bit for bit stack(apply(q h, e_j)), and that orbit is
     kept once per provider, apart from the seeds' cache and from
@@ -1243,17 +1227,21 @@ class CoupledProvider(SemigroupProvider):
 
     def __init__(self, system: CoupledSystem):
         self.system = system
-        g1 = getattr(system.provider1, "grid", None)
-        g2 = getattr(system.provider2, "grid", None)
-        lattices = [g for g in (g1, g2) if isinstance(g, Grid1D)]
-        if len(lattices) == 2 and abs(lattices[0].h - lattices[1].h) > 0:
+        carriers = (system.provider1, system.provider2)
+        grids = [getattr(p, "grid", None) for p in carriers]
+        self._grids = tuple(g if isinstance(g, Grid1D) else None for g in grids)
+        lattices = [p for p, g in zip(carriers, self._grids) if g is not None]
+        if len(lattices) == 2 and lattices[0].grid.h != lattices[1].grid.h:
             raise InputError("coupled carriers disagree on the time lattice step")
-        self.lattice_h = lattices[0].h if lattices else None
-        self._grids = tuple(g if isinstance(g, Grid1D) else None for g in (g1, g2))
+        # the carrier on the time lattice, whose grid reads times as steps
+        self._lattice = lattices[0] if lattices else None
+        self.lattice_h = self._lattice.grid.h if lattices else None
         self._n1 = system.dim1
-        self._orbit_cache = {}
+        self._orbit_cache = {}  # fingerprint: orbit, at most 64 of them
+        self._orbit_gaps = {}  # fingerprint of a kept orbit: (gap, floors) of its last apply value
+        self._dropped_gauge = 0.0  # the largest gauge of an apply value whose orbit is not kept
         self._dense_cache = {}
-        self._gauges = {}  # ("dense", t): gauge, ("orbit", fingerprint): (gap, floors)
+        self._dense_gauges = {}  # t: gauge of the dense operator at t
         lattice = self.lattice_h is not None
         kinds = (MatrixSemigroup, GammaShiftProvider) if lattice else (MatrixSemigroup,)
         for name, carrier in (("provider1", system.provider1), ("provider2", system.provider2)):
@@ -1347,26 +1335,12 @@ class CoupledProvider(SemigroupProvider):
             raise PremiseViolation(f"{label} must be nonzero")
 
     def admissible_times(self, candidates):
-        if self.lattice_h is None:
+        """The lattice carrier's times on a lattice; every time t >= 0 for two dense carriers."""
+        if self._lattice is None:
             return super().admissible_times(candidates)
-        out = set()
-        for t in candidates:
-            q = int(round(float(t) / self.lattice_h))
-            if q >= 0:
-                out.add(q * self.lattice_h)
-        return sorted(out)
+        return self._lattice.admissible_times(candidates)
 
     # -- series evaluation -------------------------------------------------
-
-    def _steps_of(self, t: float) -> int:
-        q = int(round(float(t) / self.lattice_h))
-        if abs(q * self.lattice_h - float(t)) > 1e-9 * max(1.0, abs(float(t))) or q < 0:
-            raise ShiftNotOnGrid(f"time {t} is not a whole number of lattice steps")
-        return q
-
-    def check_orbit(self, q: int) -> None:
-        """Refuse lattice orbits to step q before any renewal work, as _LatticeEngine.check_orbit does."""
-        self._engine.check_orbit(q)
 
     def _fingerprint(self, f: ProductVector):
         return (
@@ -1381,22 +1355,46 @@ class CoupledProvider(SemigroupProvider):
         """
         if self.lattice_h is None:
             raise InputError("lattice orbits need a carrier locked to a time lattice")
-        q = self._steps_of(t)
+        q = self._lattice.grid.steps_of(t)
         check_node_budget(self._range.rank, q)
         if key is None:
             key = self._fingerprint(f)
         orbit = self._orbit_cache.get(key)
         if orbit is None:
-            orbit = self._new_orbit([f.copy()])
+            orbit = self._new_orbit([f.copy()], None)
             if len(self._orbit_cache) < 64:
                 self._orbit_cache[key] = orbit
         return orbit, q
 
-    def _new_orbit(self, seeds: list) -> _SeedOrbit:
-        """The orbit of a block of seeds, its flows written by the engine's flow_block."""
+    def _new_orbit(self, seeds: list, end) -> _SeedOrbit:
+        """The orbit of a block of seeds, flowed by the engine's flow_block; end as _SeedOrbit's."""
         engine = self._engine
         plan = engine.block_plan([(f.first, f.second) for f in seeds])
-        return _SeedOrbit(functools.partial(engine.flow_block, plan), engine.range, len(seeds))
+        return _SeedOrbit(functools.partial(engine.flow_block, plan), engine.range, len(seeds), end)
+
+    def orbit(self, seeds: list, q_max: int):
+        """The orbits of a block of k seeds, one step at a time: (values, gaps, floors) at q = 1..q_max.
+
+        Row s of the (k, D), (k, D) and (k, 2) arrays is seed s's value in
+        stacked coordinates, bit for bit stack(apply(q h, seed)), its gap
+        to the trapezoid rule and its support floor in each carrier.  The
+        sweep is refused here, before any renewal work, past the node
+        budget or when a matrix flow leaves the double range by step
+        q_max; each store it fills stops at q_max.  Its gaps enter no
+        gauge of series_report.
+        """
+        if self.lattice_h is None:
+            raise InputError("lattice orbits need a carrier locked to a time lattice")
+        check_node_budget(self._range.rank, q_max)
+        for flows in self._engine.flows:
+            if flows is not None:
+                try:
+                    flows.block(q_max, q_max + 1)
+                except ExpmOverflow as exc:
+                    t = q_max * self.lattice_h
+                    raise ExpmOverflow(f"the orbit to t = {t:g} overflows: {exc}") from None
+        orbit = self._new_orbit([f.copy() for f in seeds], q_max)
+        return (orbit.at(q) for q in range(1, q_max + 1))
 
     def terms_alive(self, f: ProductVector, t: float):
         """How many leading series terms V_0, V_1, ... of the orbit of f survive to time t.
@@ -1423,7 +1421,11 @@ class CoupledProvider(SemigroupProvider):
             key = self._fingerprint(f)
             orbit, q = self._seed_orbit(f, t, key)
             values, gaps, floors = orbit.at(q)
-            self._gauges[("orbit", key)] = (gaps[0], floors[0])
+            if key in self._orbit_cache:
+                self._orbit_gaps[key] = (gaps[0], floors[0])
+            else:
+                gauge = self.vec_norm(self.unstack(gaps[0], floors[0]))
+                self._dropped_gauge = max(self._dropped_gauge, gauge)
             return self.unstack(values[0], floors[0])
         dense = self.to_dense(t)
         stacked = dense @ self.stack(f)
@@ -1457,7 +1459,7 @@ class CoupledProvider(SemigroupProvider):
         check_node_budget(self._range.rank, q)
         if self._identity is None:
             units = np.eye(self.carrier_dim)
-            self._identity = self._new_orbit([self.unstack(e, (None, None)) for e in units])
+            self._identity = self._new_orbit([self.unstack(e, (None, None)) for e in units], None)
         values, gaps, _ = self._identity.at(q)
         return np.ascontiguousarray(values.T), float(np.max(np.abs(gaps), initial=0.0))
 
@@ -1473,8 +1475,8 @@ class CoupledProvider(SemigroupProvider):
             generator[n1:, n1:] += self.system.provider2.A
             dense, gauge = expm(generator, t), 0.0
         else:
-            dense, gauge = self._dense_lattice(self._steps_of(t))
-        self._gauges[("dense", t)] = gauge
+            dense, gauge = self._dense_lattice(self._lattice.grid.steps_of(t))
+        self._dense_gauges[t] = gauge
         if len(self._dense_cache) < 256:
             self._dense_cache[t] = dense
         return dense
@@ -1486,19 +1488,19 @@ class CoupledProvider(SemigroupProvider):
         term and two dense carriers take one exponential, so n_terms and
         tail_bound are 0 by construction and only gauges are kept.  A
         lattice gauge is the distance to the trapezoid rule at the
-        evaluated step; a dense one is 0.0.  An orbit keeps the gap of its
-        last value, and its gauge, the norm of the gap's vector, is taken
-        here.  Without t, the gauge is the largest over every evaluation;
-        a t never evaluated gives an empty dict.
+        evaluated step; a dense one is 0.0.  A kept seed orbit keeps the
+        gap of its last apply value beside it, and its gauge, the norm of
+        the gap's vector, is taken here; the gauge of a seed the cache does
+        not keep is taken when it is evaluated and folded into one running
+        maximum.  Without t, the gauge is the largest of these and of the
+        dense gauges; a t never evaluated gives an empty dict.
         """
         if t is None:
-            gauges = [
-                gauge if kind == "dense" else self.vec_norm(self.unstack(*gauge))
-                for (kind, _), gauge in self._gauges.items()
-            ]
-            gauge = max([0.0, *gauges])
+            gaps = self._orbit_gaps.values()
+            gauges = [*self._dense_gauges.values(), self._dropped_gauge]
+            gauge = max([0.0, *gauges, *(self.vec_norm(self.unstack(*gap)) for gap in gaps)])
         else:
-            gauge = self._gauges.get(("dense", float(t)))
+            gauge = self._dense_gauges.get(float(t))
             if gauge is None:
                 return {}
         return {"n_terms": 0, "tail_bound": 0.0, "quadrature_estimate": gauge}

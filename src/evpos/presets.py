@@ -378,16 +378,20 @@ def run_coupled_demo(
     1 - t has left the window), by integer bookkeeping, so no orbit value
     is quasi-interior; (4) sampled coupled operators act positively on
     positive seeds for large times (grid-limited evidence).  Orbits come
-    from the lattice renewal equation, which sums every series term; the
-    last step t_max/h is checked against its node budget and the double
-    range of the matrix flow before the first sample.
+    from the lattice renewal equation, which sums every series term, in
+    sweeps that announce their last step (CoupledProvider.orbit): claim 2
+    sweeps to the last step before t = 2, claims 3 and 4 to t_max/h, and
+    a sweep past the node budget or the double range of the matrix flow
+    is refused before the first sample.
     """
     check_tol(tol)
     system = coupled_demo_system(L=L, h=h)
     q_max = lattice_steps(t_max, h)
     provider = CoupledProvider(system)
     grid = system.provider2.grid
-    provider.check_orbit(q_max)
+    # claim 3's sweep to the last step, refused here before any claim's work
+    seed3 = ProductVector(np.ones(3), system.provider2.zero_vector())
+    fronts_sweep = provider.orbit([seed3], q_max)
     checks = []
 
     premise = coupling_premise_check(system, tol=tol)
@@ -409,15 +413,17 @@ def run_coupled_demo(
     # every matrix-bound return term to vanish until the travel time 2.
     birth_cell = system.b21.output.support_lo
     window_hi = system.b12.functional._cells[1]  # first cell past the window
+    n1 = system.dim1
     z = np.array([0.0, 1.0, 0.0])
     seed = ProductVector(z, system.provider2.zero_vector())
     q_lt2 = [q for q in range(1, int(round(t_max / h)) + 1) if q * h < 2.0]
     times = [q * h for q in q_lt2]
     first_comp_dev = 0.0
-    for t, flow in zip(times, system.provider1.matrices(times)):
-        total = provider.apply(t, seed)
-        first_comp_dev = max(first_comp_dev, float(np.max(np.abs(total.first - flow @ z))))
-    series = provider.series_report()
+    sweep = provider.orbit([seed], len(q_lt2))
+    for (values, gaps, floors), flow in zip(sweep, system.provider1.matrices(times)):
+        first_comp_dev = max(first_comp_dev, float(np.max(np.abs(values[0, :n1] - flow @ z))))
+    # the quadrature gauge of the sweep's last value
+    gauge = provider.vec_norm(provider.unstack(gaps[0], floors[0]))
     travel_ok = birth_cell - max(q_lt2) >= window_hi
     t_neg = 0.01
     shift_cells = math.ceil(t_neg / h)
@@ -426,7 +432,7 @@ def run_coupled_demo(
     checks.append(
         CheckResult(
             "claim 2: first-component identity and negativity",
-            first_comp_dev <= max(tol, series["quadrature_estimate"])
+            first_comp_dev <= max(tol, gauge)
             and travel_ok
             and neg_legit
             and neg_entry < -1e-6,
@@ -443,23 +449,15 @@ def run_coupled_demo(
     )
 
     # claim 3 -- support confinement of the second component.
-    ones = np.ones(3)
-    seed3 = ProductVector(ones, system.provider2.zero_vector())
     support_ok = True
     fronts = []
-    for q in range(1, q_max + 1):
+    for q, (_, _, floors) in enumerate(fronts_sweep, 1):
         t = q * h
-        total = provider.apply(t, seed3)
+        support_lo = int(floors[0, 1])
         # past t = L + 1 the front 1 - t has left the window: every cell qualifies
         floor_cell = grid.cell_of(1.0 - t) if 1.0 - t >= grid.x_min else 0
-        fronts.append(
-            {
-                "t": t,
-                "support_lo": int(total.second.support_lo),
-                "required_cell": int(floor_cell),
-            }
-        )
-        if total.second.support_lo < floor_cell:
+        fronts.append({"t": t, "support_lo": support_lo, "required_cell": int(floor_cell)})
+        if support_lo < floor_cell:
             support_ok = False
     checks.append(
         CheckResult(
@@ -483,29 +481,22 @@ def run_coupled_demo(
         )
     )
 
-    # claim 4 -- grid-limited evidence of eventual positivity on seeds.
+    # claim 4 -- grid-limited evidence of eventual positivity on seeds,
+    # swept as one block: row s of each step is the orbit of seed s.
+    seeds = provider.default_test_vectors()
+    last_bad = [None] * len(seeds)
+    for q, (values, _, _) in enumerate(provider.orbit(seeds, q_max), 1):
+        mins = [(float(np.min(row[:n1])), float(np.min(row[n1:]))) for row in values]
+        for s, (m1, m2) in enumerate(mins):
+            if min(m1, m2) < -max(tol, 1e-12):
+                last_bad[s] = q * h
     evidence = []
     claim4_ok = True
-    for vi, v in enumerate(provider.default_test_vectors()):
-        last_bad = None
-        mins = None
-        for q in range(1, q_max + 1):
-            out = provider.apply(q * h, v)
-            m1 = float(np.min(out.first))
-            m2 = float(out.second.min_value())
-            mins = (m1, m2)
-            if min(m1, m2) < -max(tol, 1e-12):
-                last_bad = q * h
-        onset = 0.0 if last_bad is None else last_bad + h
+    for vi, bad in enumerate(last_bad):
+        onset = 0.0 if bad is None else bad + h
         if onset >= q_max * h:
             claim4_ok = False
-        evidence.append(
-            {
-                "seed": vi,
-                "sampled_onset": onset,
-                "final_min_entries": mins,
-            }
-        )
+        evidence.append({"seed": vi, "sampled_onset": onset, "final_min_entries": mins[vi]})
     checks.append(
         CheckResult(
             "claim 4: eventual positivity on seeds (evidence)",

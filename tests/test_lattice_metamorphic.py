@@ -3,14 +3,20 @@
 The list oracle keeps the lattice orbits fixed against a plain copy of
 the same algorithm; these relations test what it cannot.  Each holds for
 the continuous system and survives the lattice exactly (translation),
-to rounding (similarity) or within the reported quadrature gauge (the
-semigroup law).  Every tolerance here is fixed; a change of the orbit
-code must keep the module passing unedited.
+to rounding (similarity, linearity in the seed) or within the reported
+quadrature gauge (the semigroup law).  An announced sweep,
+CoupledProvider.orbit, gives each seed of its block the bytes of apply,
+and evaluates no exponential or kernel past its last step.  Every
+tolerance here is fixed; a change of the orbit code must keep the module
+passing unedited.
 """
 
 import numpy as np
 import pytest
 
+import evpos.gammashift as gammashift
+import evpos.perturbation as perturbation
+import evpos.semigroup as semigroup
 from evpos.gammashift import GammaShiftProvider, Grid1D, GridFunction
 from evpos.perturbation import (
     CoordinateFunctional,
@@ -29,6 +35,9 @@ STEPS = (1, 2, 3, 8, 16, 31, 32, 33)
 # similarity moves the grid component by a factor that is not a power of
 # two, so it holds to rounding: measured at most 4.1e-16 relative
 SIMILARITY_RTOL = 1e-14
+# a f + b g against a S f + b S g, relative to the step's largest entry:
+# measured at most 1.4e-15
+LINEARITY_RTOL = 1e-14
 
 
 def random_rank_one_system(seed: int) -> CoupledSystem:
@@ -152,3 +161,75 @@ def test_the_reported_gauge_bounds_the_semigroup_law(system, q):
         once = provider.apply(2 * q * grid.h, f)
         defect = provider.vec_norm(once - twice)
         assert 0.0 < defect <= provider.series_report()["quadrature_estimate"]
+
+
+def seed_block(system: CoupledSystem) -> list:
+    """[f, g, u]: the two seeds of seeds() and u = 0.75 f - 1.5 g."""
+    grid = system.provider2.grid
+    f, g = (ProductVector(z, GridFunction(grid, samples)) for z, samples in seeds(system))
+    return [f, g, f * 0.75 + g * -1.5]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2)], ids=["f-g-u", "g-f-u"])
+def test_every_row_of_a_sweep_is_the_apply_of_its_seed(system, order):
+    # the block g, f, u puts a seed with a zero grid component between
+    # two that have one
+    block = [seed_block(system)[i] for i in order]
+    sweeper, applier = CoupledProvider(system), CoupledProvider(system)
+    h = system.provider2.grid.h
+    for q, (values, _, floors) in enumerate(sweeper.orbit(block, max(STEPS)), 1):
+        assert values.shape == (3, applier.carrier_dim) and floors.shape == (3, 2)
+        for row, row_floors, seed in zip(values, floors, block):
+            want = applier.apply(q * h, seed)
+            assert row.tobytes() == applier.stack(want).tobytes()
+            assert row_floors[1] == want.second.support_lo
+
+
+def test_a_sweep_is_linear_in_its_seed(system):
+    a, b = 0.75, -1.5
+    for values, _, _ in CoupledProvider(system).orbit(seed_block(system), max(STEPS)):
+        err = np.max(np.abs(values[2] - (a * values[0] + b * values[1])))
+        assert err <= LINEARITY_RTOL * np.max(np.abs(values))
+
+
+def count_work(monkeypatch) -> tuple:
+    """(kernel times, expm times): one list per gamma_kernel_weights or expm call."""
+    kernels, exps = [], []
+    weights, expm = gammashift.gamma_kernel_weights, semigroup.expm
+    monkeypatch.setattr(
+        gammashift,
+        "gamma_kernel_weights",
+        lambda *a: kernels.append(np.atleast_1d(a[0]).tolist()) or weights(*a),
+    )
+    monkeypatch.setattr(
+        semigroup, "expm", lambda A, t=1.0: exps.append(np.atleast_1d(t).tolist()) or expm(A, t)
+    )
+    return kernels, exps
+
+
+def test_a_sweep_evaluates_nothing_past_its_end(system, monkeypatch):
+    # on a fresh system a sweep to 20 takes one exponential stack at the
+    # steps 0..20 and one kernel call at 1..20; on an engine that apply
+    # calls filled to step 31 in doubling blocks, a sweep to 20 takes
+    # nothing new and one to 40 the steps 32..40 alone
+    perturbation._ENGINES.clear()
+    h = system.provider2.grid.h
+    steps = lambda lo, hi: [m * h for m in range(lo, hi + 1)]  # noqa: E731
+    kernels, exps = count_work(monkeypatch)
+    provider = CoupledProvider(system)
+    for _ in provider.orbit(seed_block(system), 20):
+        pass
+    assert exps == [steps(0, 20)] and kernels == [steps(1, 20)]
+
+    perturbation._ENGINES.clear()
+    provider = CoupledProvider(system)
+    f, g, u = seed_block(system)
+    for q in range(1, 17):
+        provider.apply(q * h, u)
+    del kernels[:], exps[:]
+    for _ in provider.orbit([f, g], 20):
+        pass
+    assert exps == [] and kernels == []
+    for _ in provider.orbit([f, g], 40):
+        pass
+    assert exps == [steps(32, 40)] and kernels == [steps(32, 40)]

@@ -445,6 +445,24 @@ class TestCouplingBlocks:
         f = GridFunction.indicator(grid, 1.0, 2.0)
         assert func(f) == 0.0
 
+    @pytest.mark.parametrize(
+        "window, cells",
+        [((-3.0, -1.0), (0, 4)), ((-1.0, 5.0), (4, 16)), ((-3.0, 5.0), (0, 16)), ((-1.0, 0.0), (4, 8)),
+         ((-5.0, -3.0), None), ((3.0, 4.0), None), ((2.0, 3.0), None), ((-5.0, -2.0), None)],
+    )
+    def test_grid_functional_clips_its_window_to_the_grid(self, window, cells):
+        # a window that reaches past either edge keeps the cells it meets;
+        # one that misses the grid is refused
+        grid = Grid1D(x_min=-2.0, h=0.25, count=16)
+        if cells is None:
+            with pytest.raises(InputError, match="window does not meet the grid"):
+                GridFunctional(grid, *window)
+            return
+        func = GridFunctional(grid, *window)
+        assert func.key == (grid, *cells)
+        f = GridFunction(grid, np.arange(1.0, 17.0))
+        assert func(f) == 0.25 * float(np.arange(1.0, 17.0)[slice(*cells)].sum())
+
     def test_coordinate_functional(self):
         func = CoordinateFunctional(2, 3)
         assert func(np.array([5.0, 6.0, 7.0])) == 7.0
@@ -611,6 +629,48 @@ class TestCoupledLatticeCarrier:
         with pytest.raises(InputError, match=f"{dense} is a DenseCoupling"):
             CoupledProvider(system)
         assert calls == []
+
+    def test_times_are_read_by_the_lattice_carrier(self):
+        # the coupled system reads a time as steps through its Gamma-shift
+        # carrier's grid: a time off the lattice by more than 1e-9 h is
+        # refused by both, one within it is its step, and both snap
+        # candidate times alike
+        system = coupled_demo_system(L=4.0, h=0.25)
+        provider = CoupledProvider(system)
+        seed = ProductVector(np.ones(3), system.provider2.zero_vector())
+        f = system.provider2.default_test_vectors()[0]
+        for t in (50.0 + 2e-8, 0.25 + 1e-9, -0.25):
+            for refused in (
+                lambda: system.provider2.apply(t, f),
+                lambda: provider.apply(t, seed),
+                lambda: provider.to_dense(t),
+            ):
+                with pytest.raises(ShiftNotOnGrid):
+                    refused()
+        assert vector_bytes(provider.apply(2.0 + 2e-10, seed)) == vector_bytes(provider.apply(2.0, seed))
+        candidates = [0.0, 0.1, 0.2, 1.3, 50.0 + 2e-8, -1.0, 2.0]
+        assert provider.admissible_times(candidates) == system.provider2.admissible_times(candidates)
+
+    def test_orbit_gauges_stay_beside_the_kept_orbits(self):
+        # the provider keeps 64 seed orbits and the gap of each one's last
+        # value beside it; the gauge of a seed it does not keep is folded
+        # into one running maximum, so series_report still reads the
+        # largest gauge of every seed evaluated; the seeds past the 64th
+        # are ten times larger, so theirs is the largest
+        system = coupled_demo_system(L=4.0, h=0.25)
+        rng = np.random.default_rng(11)
+        provider, alone = CoupledProvider(system), []
+        for n in range(100):
+            seed = random_seed_vector(rng, system) * (10.0 if n >= 64 else 1.0)
+            provider.apply(0.5, seed)
+            single = CoupledProvider(system)
+            single.apply(0.5, seed)
+            alone.append(single.series_report()["quadrature_estimate"])
+            if n == 63:
+                assert provider.series_report()["quadrature_estimate"] == max(alone)
+        assert len(provider._orbit_cache) == len(provider._orbit_gaps) == 64
+        assert provider.series_report()["quadrature_estimate"] == max(alone)
+        assert max(alone[64:]) > max(alone[:64])
 
     def test_series_terminates_when_return_window_is_unreachable(self):
         system = lattice_system()
@@ -1354,12 +1414,13 @@ class TestMatrixFlowStore:
         assert calls == []
 
     def test_a_checked_sweep_evaluates_nothing_past_its_end(self, monkeypatch):
-        # check_orbit(q) fills the matrix flows to q, and the blocks that
-        # start before q end there: the sweep to q takes no exponential
-        # and no kernel past step q
+        # orbit(seeds, q) fills the matrix flows to q when it is called,
+        # and the blocks of its sweep end there: the sweep to q takes no
+        # exponential and no kernel past step q
         system = coupled_demo_system(L=6.0, h=0.125)
         provider = CoupledProvider(system)
-        provider.check_orbit(20)
+        seed = ProductVector(np.ones(3), GridFunction.indicator(system.provider2.grid, -1.0, 0.0))
+        sweep = provider.orbit([seed], 20)
         kernels, exps = [], []
         weights, expm = gammashift.gamma_kernel_weights, semigroup.expm
         monkeypatch.setattr(
@@ -1368,9 +1429,8 @@ class TestMatrixFlowStore:
             lambda *a: kernels.append(np.atleast_1d(a[0]).tolist()) or weights(*a),
         )
         monkeypatch.setattr(semigroup, "expm", lambda A, t=1.0: exps.append(t) or expm(A, t))
-        seed = ProductVector(np.ones(3), GridFunction.indicator(system.provider2.grid, -1.0, 0.0))
-        for q in range(1, 21):
-            provider.apply(q * 0.125, seed)
+        for _ in sweep:
+            pass
         assert exps == []
         assert sorted(t for block in kernels for t in block) == [m * 0.125 for m in range(1, 21)]
 
@@ -1402,11 +1462,11 @@ class TestMatrixFlowStore:
         for q in range(1, 301):
             out = provider.apply(q * 0.25, seed)
         assert np.isfinite(out.first).all() and np.isfinite(out.second.samples).all()
-        provider.check_orbit(315)
+        provider.orbit([seed], 315)
         with pytest.raises(ExpmOverflow) as single:
             MatrixSemigroup(demo_generator()).matrix(79.0)
         with pytest.raises(ExpmOverflow) as refused:
-            provider.check_orbit(316)
+            provider.orbit([seed], 316)
         assert str(refused.value) == f"the orbit to t = 79 overflows: {single.value}"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1548,9 +1608,9 @@ class TestSharedEngines:
         with pytest.raises(ExpmOverflow) as single:
             MatrixSemigroup(demo_generator()).matrix(79.0)
         for provider in (first, second):
-            provider.check_orbit(315)
+            provider.orbit([seed], 315)
             with pytest.raises(ExpmOverflow) as refused:
-                provider.check_orbit(316)
+                provider.orbit([seed], 316)
             assert str(refused.value) == f"the orbit to t = 79 overflows: {single.value}"
             with pytest.raises(ExpmOverflow) as refused:
                 provider.apply(79.0, seed)
@@ -1719,10 +1779,13 @@ class TestLatticeNodeBudget:
         )
         provider = CoupledProvider(system)
         seed = ProductVector(np.zeros(3), GridFunction.indicator(grid, -1.0, 0.0))
-        provider.check_orbit(8)
+        sweep = provider.orbit([seed], 8)
         with pytest.raises(ExpmOverflow, match="coefficients at t = 1 left the double range"):
             for q in range(1, 9):
                 provider.apply(q * 0.25, seed)
+        with pytest.raises(ExpmOverflow, match="coefficients at t = 1 left the double range"):
+            for _ in sweep:
+                pass
 
     def test_orbit_past_the_squared_norm_range(self):
         # from t ~ 38 the matrix component passes 1e154, where a plain sum
@@ -1765,9 +1828,10 @@ class TestLatticeNodeBudget:
     def test_matrix_flow_overflow_refused(self):
         # e^{9t} of the demo matrix leaves the double range between the two steps
         provider = CoupledProvider(coupled_demo_system(L=4.0, h=0.25))
-        provider.check_orbit(315)  # t = 78.75
+        seed = ProductVector(np.ones(3), provider.system.provider2.zero_vector())
+        provider.orbit([seed], 315)  # t = 78.75
         with pytest.raises(ExpmOverflow, match="the orbit to t = 79 overflows"):
-            provider.check_orbit(316)
+            provider.orbit([seed], 316)
 
     def test_budget_edge(self):
         perturbation.check_node_budget(40, 314)  # 1,990,800 nodes
@@ -1790,5 +1854,5 @@ class TestLatticeNodeBudget:
             with pytest.raises(QuadratureBudgetExceeded):
                 refused()
         with pytest.raises(QuadratureBudgetExceeded):
-            provider.check_orbit(2000)
+            provider.orbit([seed], 2000)
         assert kernels == []
