@@ -13,6 +13,12 @@ Each command, down to each suite and each quantity, has its own parser
 that declares only the flags the command reads, taken from the one table
 ``FLAGS``: ``--help`` lists them, and any other flag is a usage error.
 
+Importing this module loads the matrix modules only; ``analyze``,
+``orbit`` and ``rescaled-distance`` run on them.  The lattice modules
+(``presets``, ``perturbation``, ``stepfun``, with ``gammashift``) are
+imported inside the commands that use them: ``examples`` and the
+``pairing`` and ``support-front`` series.
+
 Exit codes: 0 all asserted claims hold, 1 usage or input error, 2 an
 internal-consistency violation or a failed must-pass claim (always with
 a witness dump on stderr).  Reports are byte-identical across runs for
@@ -43,12 +49,9 @@ from . import __version__
 from .errors import ConsistencyViolation, EvposError, InputError, check_tol
 from .irreducibility import classify
 from .lattice import IdealMask
-from .perturbation import CoupledProvider, ProductVector
 from .positivity import certify_eventual_strong_positivity
-from .presets import MAX_GRID_POINTS, PRESETS, check_depth, coupled_demo_system, lattice_steps
-from .semigroup import MatrixSemigroup, TimeGrid, demo_generator
+from .semigroup import MAX_GRID_POINTS, MatrixSemigroup, TimeGrid, demo_generator
 from .spectral import dominant_projection
-from .stepfun import rademacher, shifted_pairing
 
 MAX_MATRIX_DIM = 400
 
@@ -61,6 +64,14 @@ FLAGS = {
     "depth": ("--depth", int, "dyadic depth for exact scans"),
     "h": ("--grid-h", float, "cell width for lattice carriers"),
     "L": ("--L", float, "window half-length for lattice carriers"),
+}
+
+# The example suites by name (the keys of presets.PRESETS): help text and
+# the flags each reads.
+SUITES = {
+    "ex5_2": ("the 3x3 showcase matrix", ("tol", "grid_points", "t_max")),
+    "ex3_10": ("the nilpotent shift on step functions", ("depth",)),
+    "ex5_6": ("the coupled matrix and lattice system", ("L", "h", "t_max", "tol")),
 }
 
 
@@ -314,6 +325,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .presets import PRESETS
+
     # a suite's parser leaves unset flags out, so the runner's defaults hold
     kwargs = {k: v for k, v in vars(args).items() if k in FLAGS}
     tic = time.perf_counter()
@@ -361,7 +374,7 @@ def _times_linear(args) -> np.ndarray:
 def _matrix_input(args) -> np.ndarray:
     if args.input in (None, "ex5_2"):
         return demo_generator()
-    if args.input in PRESETS:
+    if args.input in SUITES:
         raise InputError(
             f"the {args.quantity} series needs a matrix input (a JSON file or ex5_2)"
         )
@@ -404,6 +417,9 @@ def _series_rescaled_distance(args) -> tuple:
 
 def _series_pairing(args) -> tuple:
     """Exact pairings of r_1 with its shifts at the dyadic knots of --depth."""
+    from .presets import check_depth
+    from .stepfun import rademacher, shifted_pairing
+
     if args.input not in (None, "ex3_10"):
         raise InputError("the pairing series is defined for the ex3_10 preset")
     depth = check_depth(args.depth)
@@ -419,6 +435,9 @@ def _series_pairing(args) -> tuple:
 
 def _series_support_front(args) -> tuple:
     """Support floor of the coupled ex5_6 orbit against the front 1 - t."""
+    from .perturbation import CoupledProvider, ProductVector
+    from .presets import coupled_demo_system, lattice_steps
+
     if args.input not in (None, "ex5_6"):
         raise InputError("the support-front series is defined for the ex5_6 preset")
     h = args.h
@@ -483,11 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     suites = ex_sub.add_parser("run", help="run one suite").add_subparsers(
         dest="name", required=True
     )
-    for name, text, flags in (
-        ("ex5_2", "the 3x3 showcase matrix", ("tol", "grid_points", "t_max")),
-        ("ex3_10", "the nilpotent shift on step functions", ("depth",)),
-        ("ex5_6", "the coupled matrix and lattice system", ("L", "h", "t_max", "tol")),
-    ):
+    for name, (text, flags) in SUITES.items():
         _leaf(suites, name, text, cmd_examples, dict.fromkeys(flags, argparse.SUPPRESS))
 
     p_ts = sub.add_parser("timeseries", help="plot-ready CSV series")

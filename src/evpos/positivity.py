@@ -43,10 +43,8 @@ from .errors import (
     PremiseViolation,
     check_tol,
 )
-from .gammashift import GridFunction
 from .lattice import as_matrix, as_vector
 from .semigroup import _KAPPA_CUTOFF, MatrixSemigroup, TimeGrid, eigenbasis_growth_constant
-from .stepfun import PiecewiseConstantFn
 
 __all__ = [
     "PositivityClass",
@@ -560,6 +558,9 @@ class SpectrumConstructionReport:
 
 def _coordinate_values(provider, v) -> np.ndarray:
     """Coordinate/cell values of a carrier vector as a float array."""
+    from .gammashift import GridFunction
+    from .stepfun import PiecewiseConstantFn
+
     if isinstance(v, PiecewiseConstantFn):
         depth = int(getattr(provider, "depth", 6))
         cells = 1 << depth
@@ -697,6 +698,9 @@ def approximate_from_below(provider, g, times) -> list:
     Raises PremiseViolation when a sampled orbit point has a negative
     coordinate beyond tol = _PREMISE_TOL relative slack.
     """
+    from .gammashift import GridFunction
+    from .stepfun import PiecewiseConstantFn
+
     ts = [float(t) for t in times]
     if not ts:
         raise InputError("need at least one time")

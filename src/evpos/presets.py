@@ -36,6 +36,7 @@ from .perturbation import (
 )
 from .positivity import PositivityClass, certify_eventual_strong_positivity
 from .semigroup import (
+    MAX_GRID_POINTS,
     MatrixSemigroup,
     demo_eigensystem,
     demo_generator,
@@ -52,10 +53,6 @@ from .stepfun import (
     shift_apply,
     walsh,
 )
-
-# Grids (sampled times or window cells) are allocated up front; the cap
-# keeps a typo from exhausting memory.
-MAX_GRID_POINTS = 4096
 
 
 def check_depth(depth: int) -> int:

@@ -183,6 +183,11 @@ def expm(A, t=1.0) -> np.ndarray:
     return R
 
 
+# Grids (sampled times or window cells) are allocated up front; the cap
+# keeps a typo from exhausting memory.
+MAX_GRID_POINTS = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing sample times inside [t_start, t_end]."""

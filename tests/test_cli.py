@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line front door.
 
 All tests call ``evpos.cli.main`` in-process so exit codes, stdout and
-stderr can be asserted without spawning subprocesses.
+stderr can be asserted without spawning subprocesses; the tests of the
+import surface alone run a fresh interpreter.
 """
 
 import argparse
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import evpos.cli as cli
+import evpos.presets as presets
 from evpos.cli import main
 from evpos.presets import CheckResult, PresetReport
 from evpos.semigroup import demo_generator
@@ -37,6 +40,26 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+# what an analyze run never needs: the lattice carriers and scipy's special functions
+LATTICE_MODULES = {
+    "evpos.perturbation",
+    "evpos.presets",
+    "evpos.gammashift",
+    "evpos.stepfun",
+    "scipy.special",
+}
+
+
+def fresh_python(*args) -> str:
+    """Stdout of a new interpreter run with `args`, the package on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
 
 
 class TestAnalyze:
@@ -403,7 +426,7 @@ class TestExamples:
                 ),
             )
 
-        monkeypatch.setitem(cli.PRESETS, "ex5_2", broken)
+        monkeypatch.setitem(presets.PRESETS, "ex5_2", broken)
         rc, out, err = run(capsys, ["examples", "run", "ex5_2"])
         assert rc == 2
         assert json.loads(out)["ok"] is False
@@ -682,16 +705,46 @@ class TestUsageAndEnvironment:
     def test_import_loads_no_thread_pool(self):
         # no command fans out over threads, so a fresh interpreter that
         # imports the CLI never loads the pool or its concurrency module
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
         code = (
             "import sys, evpos.cli; "
             "print(sorted({'evpos.parallel', 'concurrent.futures'} & set(sys.modules)))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert fresh_python("-c", code).strip() == "[]"
+
+    def test_analyze_loads_no_lattice_module(self, tmp_path):
+        # all three positivity routes run on the matrix modules alone
+        docs = {
+            "metzler": [[0.0, 1.0], [2.0, -1.0]],
+            "spectral": demo_generator().tolist(),
+            "grid": [[1, -2, 0.5], [2, 1, -1], [0.5, 1, -3]],
+        }
+        paths = [write_doc(tmp_path, f"{route}.json", {"matrix": A}) for route, A in docs.items()]
+        code = (
+            "import sys, evpos.cli as cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert cli.main(['analyze', '--matrix', path, '--report-out', path + '.out']) == 0\n"
+            f"print(sorted(set(sys.modules).intersection({sorted(LATTICE_MODULES)})))\n"
         )
-        assert out.stdout.strip() == "[]"
+        assert fresh_python("-c", code, *paths).strip() == "[]"
+        routes = []
+        for route in docs:
+            verdict = json.loads((tmp_path / f"{route}.json.out").read_text())["positivity"]
+            if not verdict["certified"]:
+                routes.append("grid")
+            else:
+                routes.append("metzler" if verdict["class"] == "Positive" else "spectral")
+        assert routes == list(docs)
+
+    @pytest.mark.parametrize(
+        "argv", [["examples", "run", "ex3_10"], ["timeseries", "support-front"]]
+    )
+    def test_lattice_commands_import_on_demand(self, tmp_path, argv):
+        # a fresh interpreter loads the lattice modules inside the command
+        fresh, here = tmp_path / "fresh.out", tmp_path / "here.out"
+        fresh_python("-m", "evpos.cli", *argv, "--report-out", str(fresh))
+        assert main([*argv, "--report-out", str(here)]) == 0
+        untimed = [re.sub(r'"suite_s": .*', "", p.read_text()) for p in (fresh, here)]
+        assert untimed[0] == untimed[1]
 
 
 def leaf_parsers(parser, path=()):
@@ -726,7 +779,7 @@ class TestFlagContract:
     def test_leaves_are_the_commands(self):
         assert set(self.LEAVES) == {
             ("analyze",),
-            *(("examples", "run", name) for name in cli.PRESETS),
+            *(("examples", "run", name) for name in presets.PRESETS),
             *(("timeseries", q) for q in QUANTITIES),
         }
 
@@ -764,16 +817,16 @@ class TestFlagContract:
             assert rc == 0, err
             assert out != default, dest
 
-    @pytest.mark.parametrize("suite", sorted(cli.PRESETS))
+    @pytest.mark.parametrize("suite", sorted(presets.PRESETS))
     def test_suite_flags_reach_the_runner(self, capsys, monkeypatch, suite):
-        params = inspect.signature(cli.PRESETS[suite]).parameters
+        params = inspect.signature(presets.PRESETS[suite]).parameters
         received = []
 
         def recorder(**kwargs):
             received.append(kwargs)
             return PresetReport(preset=suite, ok=True, checks=())
 
-        monkeypatch.setitem(cli.PRESETS, suite, recorder)
+        monkeypatch.setitem(presets.PRESETS, suite, recorder)
         assert run(capsys, ["examples", "run", suite])[0] == 0
         assert received.pop() == {}  # unset flags leave the runner's defaults
         flags = declared_flags(self.LEAVES[("examples", "run", suite)])

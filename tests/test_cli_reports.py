@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import evpos.cli as cli
+import evpos.presets as presets
 from brute_oracles import reference_report_text
 from evpos.cli import main
 from evpos.lattice import IdealMask
@@ -204,7 +205,7 @@ class TestCanonicalReports:
         assert_canonical(out.read_text())
 
     def test_witness_dump(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli.PRESETS, "ex5_2", broken_suite)
+        monkeypatch.setitem(presets.PRESETS, "ex5_2", broken_suite)
         assert main(["examples", "run", "ex5_2"]) == 2
         captured = capsys.readouterr()
         assert_canonical(captured.out)

@@ -6,10 +6,15 @@ the continuous system and survives the lattice exactly (translation),
 to rounding (similarity, linearity in the seed) or within the reported
 quadrature gauge (the semigroup law).  An announced sweep,
 CoupledProvider.orbit, gives each seed of its block the bytes of apply,
-and evaluates no exponential or kernel past its last step.  Every
-tolerance here is fixed; a change of the orbit code must keep the module
-passing unedited.
+and evaluates no exponential or kernel past its last step.  The exact
+lattice of the step-function shift keeps its semigroup law, and that of
+its adjoint, with equality.  Every tolerance here is fixed; a change of
+the orbit code must keep the module passing unedited.
 """
+
+import functools
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from evpos.perturbation import (
 )
 from evpos.presets import coupled_demo_system
 from evpos.semigroup import MatrixSemigroup, demo_generator
+from evpos.stepfun import PiecewiseConstantFn, ShiftStepProvider, rademacher, walsh
 
 # the steps every orbit relation is read at: the first ones and both
 # sides of the power-of-two block edges
@@ -75,6 +81,18 @@ SYSTEMS = {
 @pytest.fixture(params=list(SYSTEMS), ids=list(SYSTEMS))
 def system(request) -> CoupledSystem:
     return SYSTEMS[request.param]()
+
+
+# the relations that hold to rounding also run on two more seeded couplings
+ROUNDING_SYSTEMS = {
+    **SYSTEMS,
+    **{f"random-rank-one-{s}": functools.partial(random_rank_one_system, s) for s in (11, 23)},
+}
+
+
+@pytest.fixture(params=list(ROUNDING_SYSTEMS), ids=list(ROUNDING_SYSTEMS))
+def rounding_system(request) -> CoupledSystem:
+    return ROUNDING_SYSTEMS[request.param]()
 
 
 def rebuilt(system: CoupledSystem, shift: int = 0, scale: float = 1.0) -> CoupledSystem:
@@ -127,10 +145,11 @@ def test_grid_translation_keeps_every_byte(system, shift):
 
 
 @pytest.mark.parametrize("c", [1e3, 1e-3], ids=["c=1e3", "c=1e-3"])
-def test_similarity_scales_the_grid_component(system, c):
+def test_similarity_scales_the_grid_component(rounding_system, c):
     # diag(1, c) conjugates the generator into the one whose b21 output
     # is times c and b12 output over c: the orbit of (z, c g) is the
     # orbit of (z, g) with its grid component times c
+    system = rounding_system
     scaled = rebuilt(system, scale=c)
     here, there = CoupledProvider(system), CoupledProvider(scaled)
     grid = system.provider2.grid
@@ -185,9 +204,10 @@ def test_every_row_of_a_sweep_is_the_apply_of_its_seed(system, order):
             assert row_floors[1] == want.second.support_lo
 
 
-def test_a_sweep_is_linear_in_its_seed(system):
+def test_a_sweep_is_linear_in_its_seed(rounding_system):
     a, b = 0.75, -1.5
-    for values, _, _ in CoupledProvider(system).orbit(seed_block(system), max(STEPS)):
+    block = seed_block(rounding_system)
+    for values, _, _ in CoupledProvider(rounding_system).orbit(block, max(STEPS)):
         err = np.max(np.abs(values[2] - (a * values[0] + b * values[1])))
         assert err <= LINEARITY_RTOL * np.max(np.abs(values))
 
@@ -233,3 +253,57 @@ def test_a_sweep_evaluates_nothing_past_its_end(system, monkeypatch):
     for _ in provider.orbit([f, g], 40):
         pass
     assert exps == [steps(32, 40)] and kernels == [steps(32, 40)]
+
+
+# (s, t) with s + t below, at and past the nilpotent time 1
+DYADIC_PAIRS = [
+    (Fraction(0), Fraction(5, 8)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(3, 8), Fraction(5, 16)),
+    (Fraction(1, 1024), Fraction(255, 256)),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(7, 8), Fraction(3, 4)),
+    (Fraction(1), Fraction(1, 64)),
+]
+
+
+def random_step_functions(seed: int, count: int = 4) -> list:
+    """Seeded sums of rational multiples of walsh-rademacher products."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        f = PiecewiseConstantFn.zero()
+        for _ in range(rng.randint(1, 3)):
+            wave = walsh(rng.randrange(64)).product(rademacher(rng.randint(1, 9)))
+            f = f + wave.scale(Fraction(rng.randint(-7, 7), rng.randint(1, 6)))
+        out.append(f)
+    return out
+
+
+def random_dyadic_pairs(seed: int, count: int = 6) -> list:
+    """Seeded (s, t) in [0, 1]^2 on a common dyadic lattice of 2 .. 1024 cells."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        cells = 1 << rng.randint(1, 10)
+        pairs.append(tuple(Fraction(rng.randrange(cells + 1), cells) for _ in "st"))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_shift_laws_hold_exactly(seed):
+    # S(s) S(t) f = S(s + t) f, the zero function once s + t >= 1, and
+    # the same for the right shift S(t)'; <phi, S(t) f> = <S(t)' phi, f>
+    provider = ShiftStepProvider(depth=10)
+    funcs = random_step_functions(seed)
+    zero = PiecewiseConstantFn.zero()
+    for s, t in DYADIC_PAIRS + random_dyadic_pairs(seed):
+        for f, phi in zip(funcs, funcs[1:] + funcs[:1]):
+            law = provider.apply(s, provider.apply(t, f))
+            assert law == provider.apply(s + t, f)
+            adjoint = provider.apply_adjoint(s, provider.apply_adjoint(t, phi))
+            assert adjoint == provider.apply_adjoint(s + t, phi)
+            if s + t >= 1:
+                assert law == zero and adjoint == zero
+            pairing = provider.pair(phi, provider.apply(t, f))
+            assert pairing == provider.pair(provider.apply_adjoint(t, phi), f)
