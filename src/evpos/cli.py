@@ -266,7 +266,9 @@ def cmd_analyze(args) -> int:
     timings = {}
 
     tic = time.perf_counter()
-    grid = TimeGrid.logspace(t_max=settings["t_max"], n=settings["grid_points"])
+    t_max, points = settings["t_max"], settings["grid_points"]
+    # the default settings' grid is TimeGrid.default(): the grid fallback builds it if it runs
+    grid = None if (t_max, points) == (20.0, 256) else TimeGrid.logspace(t_max=t_max, n=points)
     cert, verdict = certify_eventual_strong_positivity(A, grid=grid, tol=settings["tol"])
     timings["positivity_s"] = time.perf_counter() - tic
 
@@ -417,8 +419,7 @@ def _series_rescaled_distance(args) -> tuple:
 
 def _series_pairing(args) -> tuple:
     """Exact pairings of r_1 with its shifts at the dyadic knots of --depth."""
-    from .presets import check_depth
-    from .stepfun import rademacher, shifted_pairing
+    from .stepfun import check_depth, rademacher, shifted_pairing
 
     if args.input not in (None, "ex3_10"):
         raise InputError("the pairing series is defined for the ex3_10 preset")

@@ -44,7 +44,7 @@ from .errors import (
     check_tol,
 )
 from .lattice import as_matrix, as_vector
-from .semigroup import _KAPPA_CUTOFF, MatrixSemigroup, TimeGrid, eigenbasis_growth_constant
+from .semigroup import _KAPPA_CUTOFF, MatrixSemigroup, TimeGrid, _min_entries, eigenbasis_growth_constant
 
 __all__ = [
     "PositivityClass",
@@ -260,8 +260,11 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     flow e^{t(A - s I)}: it has the signs, ideals and onsets of e^{tA}
     (the two differ by the factor e^{-st} > 0) and stays in floating
     point range for any finite s.  Evidence values and the grid
-    fallback's `tol` therefore refer to entries of e^{t(A - s I)}.  A
-    `tol` that is not finite and positive is refused with InputError.
+    fallback's `tol` therefore refer to entries of e^{t(A - s I)}.  The
+    Metzler probes (t = 0, 1, 10) are one expm stack, and the spectral
+    route, knowing t0 before it samples, streams its 16 deviation and 8
+    evidence samples as one, reducing each stack at once.  A `tol` that
+    is not finite and positive is refused with InputError.
     """
     check_tol(tol)
     A = as_matrix(A)
@@ -271,18 +274,20 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
     flow = MatrixSemigroup(A - cert.spectral_bound * np.eye(n))
 
     if flow.is_metzler():
-        evidence = []
-        for t in (0.0, 1.0, 10.0):
+        evidence, times = [], (0.0, 1.0, 10.0)
+        while times:  # one stack; the sign criterion is exact, so an overflowing time alone is dropped
+            done = len(evidence)
             try:
-                mn, idx, _ = flow.positivity_probe(t)
+                for t, (mn, idx, _) in zip(times, flow.positivity_probes(times)):
+                    if mn < -1e-12 * (1.0 + abs(mn)):
+                        raise ConsistencyViolation(
+                            "off-diagonal sign criterion contradicts a sampled operator",
+                            witnesses=[(t, idx, mn)],
+                        )
+                    evidence.append((t, idx, mn))
+                break
             except ExpmOverflow:
-                continue  # the sign criterion is exact; a sample past the double range is dropped
-            if mn < -1e-12 * (1.0 + abs(mn)):
-                raise ConsistencyViolation(
-                    "off-diagonal sign criterion contradicts a sampled operator",
-                    witnesses=[(t, idx, mn)],
-                )
-            evidence.append((t, idx, mn))
+                times = times[len(evidence) - done + 1 :]  # the times after the overflowing one
         verdict = PositivityVerdict(
             verdict=PositivityClass.POSITIVE,
             onset_t0=0.0,
@@ -319,39 +324,38 @@ def certify_eventual_strong_positivity(A, grid: TimeGrid | None = None, tol: flo
 def _certified_strong_verdict(flow, cert, M, n):
     """(certificate, verdict), or the reason a sampled deviation refuses the constant C."""
     gap = cert.spectral_gap
-    u = cert.right_vec
-    phi_hat = cert.left_vec
-    proj = np.outer(u, phi_hat)
+    proj = np.outer(cert.right_vec, cert.left_vec)
     proj_max = float(np.max(np.abs(proj)))
     m_outer = cert.min_entry_outer
 
     C = M * (1.0 + proj_max) * n
+    t0 = max(0.0, math.log(C / m_outer) / gap) if math.isfinite(gap) else 0.0
 
     # Spot verification of |e^{t(A-sI)} - P| <= C e^{-gap t}, restricted to
-    # times where the target bound sits above the floating-point floor.
+    # times where the target bound sits above the floating-point floor, then
+    # the onset evidence: both read from one stream of samples.
     floor = 1e-12 * (1.0 + proj_max)
     if math.isfinite(gap) and gap > 0:
         t_hi = min(20.0, math.log(max(C / floor, 2.0)) / gap)
     else:
         t_hi = 20.0
     times = np.geomspace(1e-2, max(t_hi, 2e-2), 16)
-    for t, m in zip(times, flow.matrices(times)):
-        dev = float(np.max(np.abs(m - proj)))
-        target = C * math.exp(-gap * float(t))
-        if dev > max(target, floor):
-            return f"sampled deviation exceeded the deviation constant at t = {t:.4g}"
-
-    t0 = max(0.0, math.log(C / m_outer) / gap) if math.isfinite(gap) else 0.0
-
-    evidence = []
-    times = np.geomspace(max(t0, 1e-3), max(2.0 * t0 + 1.0, t0 + 5.0), 8)
-    for t, (mn, idx, _) in zip(times, flow.positivity_probes(times)):
-        if mn < -1e-12 * (1.0 + proj_max):
-            raise ConsistencyViolation(
-                "certified onset contradicted by a sampled rescaled operator",
-                witnesses=[(float(t), idx, mn)],
-            )
-        evidence.append((float(t), idx, mn))
+    onset_times = np.geomspace(max(t0, 1e-3), max(2.0 * t0 + 1.0, t0 + 5.0), 8)
+    grid = np.concatenate((times, onset_times))
+    evidence, done = [], 0
+    for stack in flow.stacks(grid):  # each stack's deviations in one reduction, then its evidence
+        head = min(len(stack), max(0, len(times) - done))
+        for t, dev in zip(grid[done:], np.abs(stack[:head] - proj).max(axis=(1, 2)).tolist()):
+            if dev > max(C * math.exp(-gap * float(t)), floor):
+                return f"sampled deviation exceeded the deviation constant at t = {t:.4g}"
+        for t, (mn, idx, _) in zip(grid[done + head :], _min_entries(stack[head:])):
+            if mn < -1e-12 * (1.0 + proj_max):
+                raise ConsistencyViolation(
+                    "certified onset contradicted by a sampled rescaled operator",
+                    witnesses=[(float(t), idx, mn)],
+                )
+            evidence.append((float(t), idx, mn))
+        done += len(stack)
 
     cert = replace(
         cert,

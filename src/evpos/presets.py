@@ -45,21 +45,14 @@ from .semigroup import (
 )
 from .spectral import dominant_projection
 from .stepfun import (
-    MAX_DEPTH,
     ShiftStepProvider,
+    check_depth,
     irreducibility_witness_search,
     pairing,
     rademacher,
     shift_apply,
     walsh,
 )
-
-
-def check_depth(depth: int) -> int:
-    """`depth` if it lies in 1..MAX_DEPTH; an InputError otherwise."""
-    if not 1 <= depth <= MAX_DEPTH:
-        raise InputError(f"--depth must be in 1..{MAX_DEPTH}, got {depth}")
-    return depth
 
 
 @dataclass(frozen=True)

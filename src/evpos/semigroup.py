@@ -6,11 +6,11 @@ not used for evaluation, only as a cross-check oracle in the test suite.
 expm takes one time or a 1-D array of times.  An array is evaluated as
 one (k, n, n) stack, each time with its own squaring count, and every
 slice is bit for bit the single-time call, which runs the same code on
-an n x n array.  MatrixSemigroup.matrices streams a time list through
+an n x n array.  MatrixSemigroup.stacks streams a time list through
 expm in stacks of at most _CHUNK_BYTES (64 KB), one stack at a time,
 and raises a time's overflow only when the caller reaches that time;
-positivity_probes reads the smallest entry of every matrix of a stack
-with one argmin.
+matrices yields their slices, and positivity_probes reads the smallest
+entry of every matrix of a stack with one argmin.
 Every sample is evaluated from t = 0, never by stepping, so per-sample
 error does not accumulate along a trajectory.
 
@@ -468,7 +468,7 @@ class MatrixSemigroup(SemigroupProvider):
         off = self.A - np.diag(np.diag(self.A))
         return bool(np.min(off) >= 0.0)
 
-    def _stacks(self, times):
+    def stacks(self, times):
         """e^{tA} of `times` as expm stacks of at most _CHUNK_BYTES, each when the last is used.
 
         A stack that overflows is cut to the times before the first
@@ -478,12 +478,11 @@ class MatrixSemigroup(SemigroupProvider):
         times = np.asarray(times, dtype=float)
         step = max(1, _CHUNK_BYTES // self.A.nbytes)
         for lo in range(0, times.size, step):
-            try:
-                stack = expm(self.A, times[lo : lo + step])
+            try:  # yielded unnamed, so no stack is held while the next is evaluated
+                yield expm(self.A, times[lo : lo + step])
             except ExpmOverflow as exc:
                 yield exc.evaluated
                 raise
-            yield stack
 
     def matrices(self, times):
         """e^{tA} for each of `times`, in order, bit for bit matrix(t).
@@ -494,7 +493,7 @@ class MatrixSemigroup(SemigroupProvider):
         when the caller reaches it, after the matrices of the times before
         it.
         """
-        for stack in self._stacks(times):
+        for stack in self.stacks(times):
             yield from stack
 
     def positivity_probe(self, t):
@@ -506,8 +505,8 @@ class MatrixSemigroup(SemigroupProvider):
         An overflow is raised as matrices raises it, after the probes of
         the times before it.
         """
-        for stack in self._stacks(times):
-            yield from _min_entries(stack)
+        for probes in map(_min_entries, self.stacks(times)):
+            yield from probes
 
 
 def _min_entries(stack: np.ndarray) -> list:

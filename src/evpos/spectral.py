@@ -5,10 +5,11 @@ the pairing of left and right eigenvectors whether a geometrically
 simple eigenvalue is algebraically simple, cross-checking the verdict
 against the rank of the squared shifted matrix.  `dominant_projection`
 takes the dominant eigenpairs of the positivity certificate's own
-eigendecomposition, refines both eigenvectors by inverse iteration, and
-returns the rank-one spectral projection P = u phi^T normalised to
-<phi, u> = 1, comparing it against the unrefined outer product; an
-independent sorted-Schur route lives in the test suite as the oracle.
+eigendecomposition, refines both eigenvectors by inverse iteration (one
+stacked solve of both sides per step), and returns the rank-one spectral
+projection P = u phi^T normalised to <phi, u> = 1, with its residual
+2-norms from one SVD of their stack; an independent sorted-Schur route
+lives in the test suite as the oracle.
 Finally, `mean_ergodic_projection` gives the limit of the Cesaro means
 of e^{tA} when s(A) = 0 exactly: the projection onto ker A along ran A,
 from one SVD of A, which exists when every imaginary-axis eigenvalue is
@@ -132,23 +133,28 @@ def algebraic_simplicity_test(A, lam: float, u, phi) -> bool:
 # Dominant rank-one projection
 
 
-def _inverse_iteration(A: np.ndarray, s: float, v0: np.ndarray) -> np.ndarray:
-    """v0 refined by three steps of inverse iteration at a shift just above s."""
-    n = A.shape[0]
+def _inverse_iteration(mats: np.ndarray, s: float, starts) -> np.ndarray:
+    """The rows of `starts` refined by three steps of inverse iteration on the
+    stack `mats` at a shift just above s: one stacked solve per step, each row
+    normalised on its own.  If a matrix of a stack is exactly singular, each
+    side runs again alone and moves its own shift, as separate iterations do.
+    """
     shift = s + 1e-11 * (1.0 + abs(s))
-    v = v0 / float(np.linalg.norm(v0))
+    v = np.array([v0 / float(np.linalg.norm(v0)) for v0 in starts])
     for _ in range(3):
         try:
-            w = np.linalg.solve(A - shift * np.eye(n), v)
-        except np.linalg.LinAlgError:  # pragma: no cover - exact-singularity fallback
+            w = np.linalg.solve(mats - shift * np.eye(v.shape[1]), v[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # an exactly singular shifted matrix
+            if len(mats) > 1:
+                return np.array([_inverse_iteration(M[None], s, [x])[0] for M, x in zip(mats, starts)])
             shift = shift + 1e-9 * (1.0 + abs(s))
             continue
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            break
-        v = w / nrm
-    if float(np.dot(v, v0)) < 0.0:
-        v = -v
+        for side, row in enumerate(w):
+            if (nrm := float(np.linalg.norm(row))) != 0.0:  # a zero step would only repeat
+                v[side] = row / nrm
+    for side, v0 in enumerate(starts):
+        if float(np.dot(v[side], v0)) < 0.0:
+            v[side] = -v[side]
     return v
 
 
@@ -160,9 +166,11 @@ def dominant_projection(
     Requires a simple, real, strictly dominant eigenvalue (the same
     margins as the positivity certificate); otherwise raises
     CertificateMissing.  The certificate's eigenvectors (from its one
-    eig of A and of A^T) start inverse iteration at s, the refined
-    vectors are rescaled to <phi, u> = 1, and `outer_form` compares
-    P = u phi^T with the unrefined outer product.  The independent
+    eig of A and of A^T) start inverse iteration at s, both sides one
+    stacked solve per step; the refined vectors are rescaled to
+    <phi, u> = 1, and `outer_form` compares P = u phi^T with the
+    unrefined outer product.  The four residual 2-norms come from one
+    SVD of their (4, n, n) stack.  The independent
     sorted real Schur route is kept in the tests as the oracle.  With
     `expect_positive_eigenvectors` (appropriate for persistently
     irreducible, eventually positive inputs) both vectors are
@@ -180,8 +188,7 @@ def dominant_projection(
     s = cert.spectral_bound
     gap = cert.spectral_gap
 
-    u = _inverse_iteration(A, s, cert.right_vec)
-    phi = _inverse_iteration(A.T, s, cert.left_vec)
+    u, phi = _inverse_iteration(np.array([A, A.T]), s, (cert.right_vec, cert.left_vec))
     scale = 1.0 + float(np.linalg.norm(A, 2)) + abs(s)
     for vec, mat, side in ((u, A, "right"), (phi, A.T, "left")):
         resid = float(np.linalg.norm(mat @ vec - s * vec))
@@ -198,15 +205,16 @@ def dominant_projection(
     phi = phi / pairing
 
     P = np.outer(u, phi)
-    unrefined = np.outer(cert.right_vec, cert.left_vec)
-    residuals = {
-        "idempotent": float(np.linalg.norm(P @ P - P, 2)),
-        "eigen_commute": max(
-            float(np.linalg.norm(A @ P - s * P, 2)),
-            float(np.linalg.norm(P @ A - s * P, 2)),
-        ),
-        "outer_form": float(np.linalg.norm(P - unrefined, 2)),
-    }
+    R = np.empty((4,) + P.shape)  # P^2 - P, AP - sP, PA - sP, P - unrefined: one SVD of the four
+    np.matmul(P, P, out=R[0])
+    np.matmul(A, P, out=R[1])
+    np.matmul(P, A, out=R[2])
+    np.multiply(s, P, out=R[3])
+    R[0] -= P
+    R[1:3] -= R[3]
+    np.subtract(P, np.outer(cert.right_vec, cert.left_vec, out=R[3]), out=R[3])
+    idem, right, left, outer = np.linalg.svd(R, compute_uv=False).max(axis=1).tolist()
+    residuals = {"idempotent": idem, "eigen_commute": max(right, left), "outer_form": outer}
     bad = {k_: v for k_, v in residuals.items() if not (v <= 1e-8 * scale)}
     if bad:
         raise EigenSolverFailure(f"projection residuals exceed tolerance: {bad}")

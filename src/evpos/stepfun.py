@@ -30,7 +30,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import DepthExceeded, PremiseViolation
+from .errors import DepthExceeded, InputError, PremiseViolation
 from .semigroup import PairingSupport, SemigroupProvider
 
 __all__ = [
@@ -47,6 +47,14 @@ __all__ = [
 ]
 
 MAX_DEPTH = 20
+
+
+def check_depth(depth: int) -> int:
+    """`depth` if it lies in 1..MAX_DEPTH; an InputError otherwise."""
+    if not 1 <= depth <= MAX_DEPTH:
+        raise InputError(f"--depth must be in 1..{MAX_DEPTH}, got {depth}")
+    return depth
+
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -27,6 +27,17 @@ Report JSON: reference_report_text is the report writer as first
 written, a copy of the whole value into JSON-safe types followed by
 json.dumps(sort_keys=True, indent=2).  The package writes in one pass;
 its text must equal this byte for byte.
+
+Analyze routes: the positivity certificate and the dominant projection
+as first written, with one LAPACK call per sampled time, per side and
+per norm.  reference_certify probes the Metzler times t = 0, 1, 10 one
+at a time, and streams the spectral route's deviation samples and then,
+once t0 is known, its evidence probes; reference_dominant_projection
+refines the right and left eigenvectors apart and takes each residual
+2-norm from its own SVD.  The package evaluates each route's samples,
+solves and norms as stacks; its certificates, verdicts, projections and
+reports must equal these bit for bit.  patch_reference_routes puts them
+in the CLI.
 """
 
 from __future__ import annotations
@@ -39,11 +50,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from evpos.errors import ExpmOverflow, PremiseViolation
+from evpos import positivity
+from evpos.errors import (
+    CertificateMissing,
+    ConsistencyViolation,
+    EigenSolverFailure,
+    ExpmOverflow,
+    PremiseViolation,
+    check_tol,
+)
 from evpos.gammashift import GridFunction
 from evpos.irreducibility import ideal_leak
 from evpos.lattice import IdealMask, as_matrix
 from evpos.perturbation import ProductVector
+from evpos.positivity import PositivityClass, PositivityVerdict, spectral_certificate
+from evpos.semigroup import MatrixSemigroup, TimeGrid
+from evpos.spectral import ProjectionReport
 
 
 def brute_force_ideals(A, tol: float = 0.0) -> list:
@@ -461,3 +483,200 @@ def _jsonable(obj):
 def reference_report_text(obj) -> str:
     """The report text of obj, trailing newline included."""
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# --------------------------------------------------------------------------
+# the analyze routes with one LAPACK call per time, per side and per norm
+# --------------------------------------------------------------------------
+
+
+def reference_certify(A, grid=None, tol: float = 1e-9):
+    """certify_eventual_strong_positivity as first written: the Metzler
+    route probes t = 0, 1, 10 one at a time, and the spectral route streams
+    its deviation samples and then, once t0 is known, its evidence probes."""
+    check_tol(tol)
+    A = as_matrix(A)
+    n = A.shape[0]
+    evals, evecs = np.linalg.eig(A)
+    cert = positivity._certificate_from_eig(A, evals, evecs)
+    flow = MatrixSemigroup(A - cert.spectral_bound * np.eye(n))
+    if flow.is_metzler():
+        evidence = []
+        for t in (0.0, 1.0, 10.0):
+            try:
+                mn, idx, _ = flow.positivity_probe(t)
+            except ExpmOverflow:
+                continue  # the sign criterion is exact; a sample past the double range is dropped
+            if mn < -1e-12 * (1.0 + abs(mn)):
+                raise ConsistencyViolation(
+                    "off-diagonal sign criterion contradicts a sampled operator",
+                    witnesses=[(t, idx, mn)],
+                )
+            evidence.append((t, idx, mn))
+        verdict = PositivityVerdict(
+            verdict=PositivityClass.POSITIVE,
+            onset_t0=0.0,
+            evidence=tuple(evidence),
+            certified=True,
+            notes="off-diagonal entries are nonnegative, so every operator"
+            " in the family is positive",
+        )
+        return cert, verdict
+
+    M = positivity.eigenbasis_growth_constant(evecs)
+    positive_pair = cert.dominant_is_real_simple and cert.min_entry_outer > 0.0
+    if positive_pair and M < math.inf:
+        certified = _reference_strong_verdict(flow, cert, M, n)
+        if not isinstance(certified, str):
+            return certified
+        reason = certified
+    elif positive_pair:
+        reason = (
+            "condition number kappa_2(V) of the eigenbasis is above the cutoff "
+            f"{positivity._KAPPA_CUTOFF:g} or not finite, so no deviation constant"
+        )
+    else:
+        reason = cert.notes or "no positive eigenvector certificate"
+    sampled = positivity.classify_on_grid(flow, grid=grid, tol=tol)
+    sampled = dataclasses.replace(
+        sampled,
+        notes=(sampled.notes + "; " if sampled.notes else "")
+        + f"certificate path inconclusive ({reason})",
+    )
+    return cert, sampled
+
+
+def _reference_strong_verdict(flow, cert, M, n):
+    gap = cert.spectral_gap
+    proj = np.outer(cert.right_vec, cert.left_vec)
+    proj_max = float(np.max(np.abs(proj)))
+    m_outer = cert.min_entry_outer
+    C = M * (1.0 + proj_max) * n
+    floor = 1e-12 * (1.0 + proj_max)
+    if math.isfinite(gap) and gap > 0:
+        t_hi = min(20.0, math.log(max(C / floor, 2.0)) / gap)
+    else:
+        t_hi = 20.0
+    times = np.geomspace(1e-2, max(t_hi, 2e-2), 16)
+    for t, m in zip(times, flow.matrices(times)):
+        dev = float(np.max(np.abs(m - proj)))
+        if dev > max(C * math.exp(-gap * float(t)), floor):
+            return f"sampled deviation exceeded the deviation constant at t = {t:.4g}"
+
+    t0 = max(0.0, math.log(C / m_outer) / gap) if math.isfinite(gap) else 0.0
+    evidence = []
+    times = np.geomspace(max(t0, 1e-3), max(2.0 * t0 + 1.0, t0 + 5.0), 8)
+    for t, (mn, idx, _) in zip(times, flow.positivity_probes(times)):
+        if mn < -1e-12 * (1.0 + proj_max):
+            raise ConsistencyViolation(
+                "certified onset contradicted by a sampled rescaled operator",
+                witnesses=[(float(t), idx, mn)],
+            )
+        evidence.append((float(t), idx, mn))
+
+    cert = dataclasses.replace(
+        cert,
+        onset_constant=C,
+        notes=(cert.notes + "; " if cert.notes else "")
+        + f"deviation constant C = envelope {M:.6g} * (1 + projection max"
+        f" {proj_max:.6g}) * dimension {n}",
+    )
+    verdict = PositivityVerdict(
+        verdict=PositivityClass.UNIFORMLY_EVENTUALLY_STRONGLY_POSITIVE,
+        onset_t0=t0,
+        evidence=tuple(evidence[:3]),
+        certified=True,
+        notes=f"rank-one limit certificate: gap {gap:.6g}, min projection"
+        f" entry {m_outer:.6g}, onset bound {t0:.6g}",
+    )
+    return cert, verdict
+
+
+def reference_inverse_iteration(A: np.ndarray, s: float, v0: np.ndarray) -> np.ndarray:
+    """One side's inverse iteration as first written: one solve per step."""
+    n = A.shape[0]
+    shift = s + 1e-11 * (1.0 + abs(s))
+    v = v0 / float(np.linalg.norm(v0))
+    for _ in range(3):
+        try:
+            w = np.linalg.solve(A - shift * np.eye(n), v)
+        except np.linalg.LinAlgError:
+            shift = shift + 1e-9 * (1.0 + abs(s))
+            continue
+        nrm = float(np.linalg.norm(w))
+        if nrm == 0.0:
+            break
+        v = w / nrm
+    if float(np.dot(v, v0)) < 0.0:
+        v = -v
+    return v
+
+
+def reference_dominant_projection(A, expect_positive_eigenvectors=False, certificate=None):
+    """dominant_projection as first written: the two sides refined apart,
+    and the five 2-norms one SVD each."""
+    A = as_matrix(A)
+    cert = spectral_certificate(A) if certificate is None else certificate
+    if not cert.dominant_is_real_simple:
+        raise CertificateMissing(
+            "dominant eigenvalue is not certified real and simple"
+            + (f": {cert.notes}" if cert.notes else "")
+        )
+    s = cert.spectral_bound
+    u = reference_inverse_iteration(A, s, cert.right_vec)
+    phi = reference_inverse_iteration(A.T, s, cert.left_vec)
+    scale = 1.0 + float(np.linalg.norm(A, 2)) + abs(s)
+    for vec, mat, side in ((u, A, "right"), (phi, A.T, "left")):
+        resid = float(np.linalg.norm(mat @ vec - s * vec))
+        if resid > 1e-8 * scale:
+            raise EigenSolverFailure(f"{side} eigenvector residual {resid:.3e} after refinement")
+    k = int(np.argmax(np.abs(u)))
+    if u[k] < 0:
+        u = -u
+        phi = -phi
+    pairing = float(np.dot(phi, u))
+    if abs(pairing) < 1e-12:
+        raise EigenSolverFailure("left/right pairing vanished during refinement")
+    phi = phi / pairing
+    P = np.outer(u, phi)
+    residuals = {
+        "idempotent": float(np.linalg.norm(P @ P - P, 2)),
+        "eigen_commute": max(
+            float(np.linalg.norm(A @ P - s * P, 2)),
+            float(np.linalg.norm(P @ A - s * P, 2)),
+        ),
+        "outer_form": float(np.linalg.norm(P - np.outer(cert.right_vec, cert.left_vec), 2)),
+    }
+    bad = {k_: v for k_, v in residuals.items() if not (v <= 1e-8 * scale)}
+    if bad:
+        raise EigenSolverFailure(f"projection residuals exceed tolerance: {bad}")
+    notes = f"dominant eigenvalue {s:.9g}, spectral gap {cert.spectral_gap:.6g}"
+    if expect_positive_eigenvectors:
+        mn_u, mn_phi = float(np.min(u)), float(np.min(phi))
+        if mn_u <= 0.0 or mn_phi <= 0.0:
+            raise ConsistencyViolation(
+                "eigenvectors are not strictly positive although the input was"
+                " declared persistently irreducible and eventually positive",
+                witnesses=[("min right entry", mn_u), ("min left entry", mn_phi)],
+            )
+        notes += "; both eigenvectors strictly positive"
+    return ProjectionReport(
+        eigenvalue=s,
+        projection=P,
+        rank=1,
+        right_vec=u,
+        left_vec=phi,
+        residuals=residuals,
+        notes=notes,
+    )
+
+
+def patch_reference_routes(monkeypatch) -> None:
+    """Put the reference routes in the CLI, with its default grid built eagerly as first written."""
+    import evpos.cli as cli
+
+    def eager_grid(A, grid=None, tol=1e-9):
+        return reference_certify(A, TimeGrid.logspace(t_max=20.0, n=256) if grid is None else grid, tol)
+
+    monkeypatch.setattr(cli, "certify_eventual_strong_positivity", eager_grid)
+    monkeypatch.setattr(cli, "dominant_projection", reference_dominant_projection)

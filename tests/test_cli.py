@@ -735,6 +735,19 @@ class TestUsageAndEnvironment:
                 routes.append("metzler" if verdict["class"] == "Positive" else "spectral")
         assert routes == list(docs)
 
+    def test_pairing_loads_stepfun_alone(self, tmp_path):
+        # the pairing series and its depth check live in stepfun: no presets,
+        # perturbation or gammashift
+        fresh, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
+        code = (
+            "import sys, evpos.cli as cli\n"
+            "assert cli.main(['timeseries', 'pairing', '--report-out', sys.argv[1]]) == 0\n"
+            f"print(sorted(set(sys.modules).intersection({sorted(LATTICE_MODULES)})))\n"
+        )
+        assert fresh_python("-c", code, str(fresh)).strip() == "['evpos.stepfun']"
+        assert main(["timeseries", "pairing", "--report-out", str(here)]) == 0
+        assert fresh.read_bytes() == here.read_bytes()
+
     @pytest.mark.parametrize(
         "argv", [["examples", "run", "ex3_10"], ["timeseries", "support-front"]]
     )
